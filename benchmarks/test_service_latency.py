@@ -18,7 +18,8 @@ import time
 from repro.errors import ServiceOverloadError
 from repro.service import MiroService, ServiceConfig
 from repro.service.daemon import _COALESCED, _SHED
-from repro.session import _CACHE_EVENTS, SimulationSession
+from repro.session import SimulationSession
+from repro.session.cache import _CACHE_EVENTS
 from repro.topology import generate_named
 
 PROFILE = "verify-500"

@@ -9,10 +9,10 @@ pins the wall-clock claim: a cold all-destination sweep of verify-500
 through the 4-worker persistent sharded pool must beat the design it
 replaced — a fresh executor per call shipping the pickled snapshot to
 every worker and returning each table as a pickled Route dict — by
->= 3x.  That churn baseline is reconstructed from the same worker
-primitives (per-destination ``_pool_settle_one`` jobs, ``init``-mode
-spec, ``shutdown`` after the call), so both sides of the ratio run on
-the same machine in the same process.  The pool-vs-serial ratio is
+>= 3x.  That churn baseline lives in this file (a module-level worker
+pair settling through the same kernel registry — the session itself has
+no such transport), so both sides of the ratio run on the same machine
+in the same process.  The pool-vs-serial ratio is
 recorded ungated: it depends on core count, and at 4 workers the honest
 win is bounded by the serial decode the parent still pays lazily.
 Speedup runs pin the scalar kernel — under the batched kernel the
@@ -78,41 +78,48 @@ def test_ship_bytes_per_attach_is_o1(verify_500, bench_report):
     assert ship * 20 < snapshot_bytes
 
 
+_CHURN_SNAPSHOT = None
+
+
+def _churn_init(snapshot):
+    """Churn-baseline worker bootstrap: keep the pickled-in snapshot."""
+    global _CHURN_SNAPSHOT
+    _CHURN_SNAPSHOT = snapshot
+
+
+def _churn_settle(destination):
+    """Churn-baseline job: one destination, returned as a Route dict."""
+    return destination, kernels.settle(
+        _CHURN_SNAPSHOT, destination, kernel="scalar"
+    )
+
+
 def _churn_cold_sweep(graph, destinations):
-    """One cold sweep the way the pre-PR pool ran it.
+    """One cold sweep the way the churn design ran it.
 
     Fresh executor for the call, the whole pickled snapshot shipped to
     every worker through the initializer, one job per destination, each
     table returned as a pickled ``{asn: Route}`` dict, executor torn
-    down afterwards.  Built from the same worker primitives as the real
-    pool so the comparison isolates the design, not the plumbing.
+    down afterwards.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro import obs
-    from repro import session as session_module
     from repro.bgp.routing import RoutingTable
 
     snapshot = graph.snapshot()
-    ship = len(pickle.dumps(snapshot))
-    spec = ("init", snapshot.version, None, ship)
-    obs_state = obs.worker_state()
     start = time.perf_counter()
     executor = ProcessPoolExecutor(
         max_workers=POOL_WORKERS,
-        initializer=session_module._pool_init,
-        initargs=(obs_state, snapshot, ship),
+        initializer=_churn_init,
+        initargs=(snapshot,),
     )
     futures = [
-        executor.submit(
-            session_module._pool_settle_one,
-            (spec, obs_state, "scalar", destination, None),
-        )
+        executor.submit(_churn_settle, destination)
         for destination in destinations
     ]
     tables = {}
     for future in futures:
-        destination, best, _payload = future.result()
+        destination, best = future.result()
         tables[destination] = RoutingTable(graph, destination, best)
     executor.shutdown(wait=False)
     return time.perf_counter() - start, tables

@@ -517,7 +517,6 @@ def _render_pool_info(pool: dict) -> str:
     mode = pool["mode"] or "unused"
     transport = {
         "shm": "shared-memory descriptor (zero-copy attach)",
-        "pickle": "pickled snapshot per worker (no shared memory)",
         "unused": "no pooled fan-out ran",
     }[mode]
     shards = pool["shards"] or f"auto ({pool['shard_factor']} per worker)"

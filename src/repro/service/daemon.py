@@ -47,10 +47,10 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, Optional, Set, Union
+from typing import Deque, Dict, Optional, Set
 
 from ..bgp.routing import RoutingTable
-from ..errors import ServiceError, ServiceOverloadError
+from ..errors import ServiceError, ServiceOverloadError, UnknownASError
 from ..miro.policies import ExportPolicy
 from ..miro.runtime import EstablishedTunnel, MiroRuntime
 from ..obs import (
@@ -59,7 +59,7 @@ from ..obs import (
     get_logger,
     get_registry,
 )
-from ..session import SessionCore, SimulationSession
+from ..session import SessionCore
 
 _LOG = get_logger("service")
 
@@ -135,21 +135,20 @@ class ServiceConfig:
 class MiroService:
     """Asyncio route-lookup / MIRO-negotiation daemon over one core.
 
-    Construct from a :class:`SimulationSession` (unwrapped to its core)
-    or a :class:`SessionCore` directly; use as an async context manager
-    or call :meth:`start` / :meth:`drain` explicitly.  All request
+    Construct from a :class:`SessionCore` (a ``SimulationSession``);
+    use as an async context manager or call :meth:`start` /
+    :meth:`drain` explicitly.  All request
     methods must be called from the event loop the service was started
     on.
     """
 
     def __init__(
         self,
-        session: Union[SimulationSession, SessionCore],
+        session: SessionCore,
         config: Optional[ServiceConfig] = None,
         runtime: Optional[MiroRuntime] = None,
     ) -> None:
-        self.core = session.core if isinstance(session, SimulationSession) \
-            else session
+        self.core = session
         self.config = config or ServiceConfig()
         self.runtime = runtime
         self._pending: Dict[int, asyncio.Future] = {}
@@ -234,13 +233,18 @@ class MiroService:
 
         Cache hits are answered inline on the event loop; misses are
         coalesced per destination and batched into the admission queue.
-        Raises :class:`ServiceOverloadError` when admission is full.
+        Raises :class:`ServiceOverloadError` when admission is full and
+        :class:`UnknownASError` for a destination outside the topology.
         """
         start = time.perf_counter()
         self._check_accepting("lookup")
         try:
             table = self.core.peek(destination)
             if table is None:
+                # rejected here, not in the batch: a settle error fails
+                # every request admitted alongside the bad destination
+                if destination not in self.core.graph:
+                    raise UnknownASError(destination)
                 table = await self._admit(destination)
         except ServiceOverloadError:
             _REQUESTS.labels(op="lookup", outcome="shed").inc()

@@ -132,16 +132,16 @@ async def _serve_connection(
         while True:
             try:
                 raw = await reader.readline()
-            except (ValueError, ConnectionError):
-                break  # over-long line or peer reset
-            if not raw:
-                break
-            if len(raw) > MAX_LINE_BYTES:
+            except ValueError:  # the reader's limit is MAX_LINE_BYTES
                 await answer(None, _error("request line too long"))
+                break
+            if not raw:
                 break
             task = asyncio.get_running_loop().create_task(one(raw))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
+    except ConnectionError:
+        pass  # peer reset
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)

@@ -10,66 +10,27 @@ on, split along its concerns:
   telemetry, and the version-keyed LRU :class:`RouteTableCache` with
   its derivation-parent index.
 * :mod:`repro.session.pool` — the persistent, version-keyed process
-  pool: shared-memory snapshot publication, pickle fallback, packed
-  result transport, destination-range sharding.
-* :mod:`repro.session.core` — :class:`SessionCore`, the thread-safe
-  engine: single lock, single-flight cache fills, the snapshot-handoff
-  settle path, and the writer gate (:meth:`SessionCore.mutate`).
-* :mod:`repro.session.facade` — :class:`SimulationSession`, the
-  historical API every existing call site keeps using unmodified.
+  pool: shared-memory snapshot publication, packed result transport,
+  destination-range sharding.
+* :mod:`repro.session.core` — :class:`SessionCore`, the one session
+  class (:data:`SimulationSession` names it too): single lock, one
+  single-flight fill path shared by ``compute`` and ``compute_many``,
+  and the writer gate (:meth:`SessionCore.mutate`).
 
-This module re-exports everything the historical flat ``repro.session``
-module exposed — including the infrastructure seams
-(``ProcessPoolExecutor``, ``shared_memory_available``, the pool metric
-instruments and worker entry points) that tests monkeypatch on the
-package: runtime code resolves those names *through this namespace* at
-call time, so patching here still redirects the machinery.
+Only the public names are re-exported here; instruments, worker entry
+points and the pool's infrastructure (``ProcessPoolExecutor``,
+``shared_memory_available``) live in — and are patched on — the
+submodule that uses them.
 """
 
-# Infrastructure seams: resolved late via the package namespace (see
-# pool._seam / core._seam) so monkeypatching repro.session redirects them.
-import pickle  # noqa: F401  (patch seam: session.pickle.dumps)
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-
-from ..topology.snapshot import shared_memory_available  # noqa: F401
-
-from .cache import (  # noqa: F401
-    _CACHE_EVENTS,
-    _CACHED_TABLES,
-    CacheKey,
-    PinnedKey,
-    RouteTableCache,
-    SessionStats,
-    pinned_key,
-)
-from .pool import (  # noqa: F401
-    _FANOUTS_TOTAL,
-    _POOL_ATTACH_SECONDS,
-    _POOL_ATTACHES,
-    _POOL_SHARD_SIZE,
-    _POOL_SHIP_BYTES,
-    _POOL_SHIP_SECONDS,
-    _SHARED_SNAPSHOT_BYTES,
-    POOL_SHARD_FACTOR,
-    PackedTables,
-    PoolSpec,
-    _decode_table,
-    _encode_shard,
-    _FanoutPool,
-    _pool_init,
-    _pool_settle_one,
-    _pool_settle_shard,
-    _worker_configure_obs,
-    _worker_snapshot,
-)
-from .core import (  # noqa: F401
+from .cache import RouteTableCache, SessionStats, pinned_key
+from .core import (
     AUTO_PARALLEL_THRESHOLD,
     SessionCore,
-)
-from .facade import (  # noqa: F401
     SimulationSession,
     ensure_session,
 )
+from .pool import POOL_SHARD_FACTOR
 
 __all__ = [
     "AUTO_PARALLEL_THRESHOLD",

@@ -168,6 +168,10 @@ class RouteTableCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _resized(self) -> None:
+        """Every size change lands here, so the gauge cannot go stale."""
+        _CACHED_TABLES.set(len(self._entries))
+
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._entries
 
@@ -193,12 +197,14 @@ class RouteTableCache:
             _EV_EVICT.inc()
             _LOG.debug("cache_evict", destination=evicted_key[1],
                        version=evicted_key[0])
+        self._resized()
 
     def prune_stale(self, current_version: int) -> int:
         """Drop entries for graph versions other than ``current_version``."""
         stale = [k for k in self._entries if k[0] != current_version]
         for key in stale:
             del self._entries[key]
+        self._resized()
         return len(stale)
 
     def prune_superseded(self, graph: ASGraph) -> int:
@@ -241,6 +247,7 @@ class RouteTableCache:
                 stale.append(key)
         for key in stale:
             del self._entries[key]
+        self._resized()
         return len(stale)
 
     def derivation_parent(
@@ -270,3 +277,4 @@ class RouteTableCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._resized()

@@ -1,10 +1,10 @@
 """SessionCore: the concurrency-safe route-computation engine.
 
-This is the session stack's state machine, extracted from the old
-monolithic ``session.py`` so a serving plane can drive it from many
-threads (asyncio executor workers, the event loop, background churn)
-at once.  :class:`~repro.session.facade.SimulationSession` wraps it
-1:1 for the existing single-threaded callers.
+The session stack's state machine: one class serves the single-threaded
+callers (CLI, experiment samplers, traffic models, the forwarder, the
+oracle) and the serving plane, which drives it from many threads
+(asyncio executor workers, the event loop, background churn) at once.
+:data:`SimulationSession` is another name for it.
 
 Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
 
@@ -42,6 +42,7 @@ import os
 import threading
 import time
 import weakref
+from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
@@ -58,7 +59,6 @@ from ..obs import get_logger, get_tracer
 from ..topology.graph import ASGraph
 from ..topology.snapshot import TopologySnapshot
 from .cache import (
-    _CACHED_TABLES,
     _EV_COALESCED,
     _EV_DERIVE,
     _EV_FILL,
@@ -76,7 +76,6 @@ from .pool import (
     POOL_SHARD_FACTOR,
     _decode_table,
     _FanoutPool,
-    _pool_settle_one,
     _pool_settle_shard,
 )
 
@@ -85,13 +84,6 @@ _LOG = get_logger("session")
 
 #: ``parallel="auto"`` only spins up a pool for at least this many misses.
 AUTO_PARALLEL_THRESHOLD = 16
-
-
-def _seam():
-    """The ``repro.session`` package namespace (the test monkeypatch seam)."""
-    from repro import session
-
-    return session
 
 
 class _Flight:
@@ -113,11 +105,29 @@ _Parent = Optional[Tuple[RoutingTable, FrozenSet[Tuple[int, int]]]]
 class SessionCore:
     """Thread-safe cached route computation over one :class:`ASGraph`.
 
-    Owns the LRU table cache, the per-session stats, and the persistent
-    fan-out pool; every public method is safe to call from any thread.
-    See the module docstring for the lock discipline.  The
-    single-threaded ergonomics (context manager, ``ensure_session``)
-    live on the :class:`~repro.session.facade.SimulationSession` facade.
+    One session threads through a whole evaluation run (CLI command,
+    figure regeneration, forwarder bring-up, a serving daemon) so every
+    layer draws from the same cache and the same telemetry counters.
+    It owns the LRU table cache, the per-session stats, and the
+    persistent fan-out pool; every public method is safe to call from
+    any thread.  See the module docstring for the lock discipline.
+
+    ``parallel`` picks the :meth:`compute_many` dispatch policy:
+
+    * ``"auto"`` (default) — use the worker pool when shared memory is
+      available, the machine has more than one core, and at least
+      :data:`AUTO_PARALLEL_THRESHOLD` destinations miss the cache;
+    * ``True`` — always try the pool for misses (still settles serially
+      when shared memory is unavailable or the pool cannot start);
+    * ``False`` — always compute serially.
+
+    The pool itself is *persistent*: workers spawn on the first pooled
+    fan-out and are reused by every later one, with the snapshot
+    republished only when the graph version moves.  ``shards``
+    overrides how many destination ranges a miss list is split into.
+    Sessions are context managers; :meth:`close` (or ``with``) shuts
+    the workers down deterministically, and garbage collection of an
+    unclosed session does the same.
     """
 
     def __init__(
@@ -136,12 +146,7 @@ class SessionCore:
         self._cache = RouteTableCache(maxsize=max_cached_tables)
         self._stats = SessionStats()
         self._parallel = parallel
-        self._max_workers = max_workers
         self._pool = _FanoutPool(max_workers=max_workers, shards=shards)
-        # (version, picklable, pickled bytes) — the probe is version-keyed
-        # so a graph that becomes (un)picklable after mutation re-probes
-        # instead of keeping a stale verdict forever.
-        self._snapshot_pickles: Optional[Tuple[int, bool, int]] = None
         self._seen_version = graph.version
         self._lock = threading.Condition(threading.Lock())
         self._flights: Dict[CacheKey, _Flight] = {}
@@ -151,6 +156,11 @@ class SessionCore:
     # ------------------------------------------------------------------
     # read-only views
     # ------------------------------------------------------------------
+    @property
+    def core(self) -> "SessionCore":
+        """The thread-safe engine behind this session: the session itself."""
+        return self
+
     @property
     def graph(self) -> ASGraph:
         return self._graph
@@ -175,7 +185,7 @@ class SessionCore:
             "max_workers": pool.workers,
             "shards": pool.shards,
             "shard_factor": POOL_SHARD_FACTOR,
-            "shared_memory": _seam().shared_memory_available(),
+            "shared_memory": pool.shared_memory,
             "mode": pool.mode,
             "published_version": pool.version,
             "shared_bytes": pool.shared_bytes,
@@ -191,10 +201,18 @@ class SessionCore:
         """Shut down the persistent worker pool and release shared memory.
 
         Idempotent, callable with fills in flight (a cancelled pool job
-        just falls back to the serial path), and the core stays usable —
-        a later pooled fan-out respawns workers.
+        just falls back to the serial path), and the session stays
+        usable — a later pooled fan-out respawns workers.  ``wait``
+        blocks until worker processes have exited, which is what "no
+        children survive" tests and clean interpreter shutdown want.
         """
         self._pool.close(wait=wait)
+
+    def __enter__(self) -> "SessionCore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # mutation gate
@@ -244,6 +262,14 @@ class SessionCore:
             _EV_PRUNE.inc(pruned)
             _LOG.debug("cache_auto_prune", pruned=pruned,
                        version=self._graph.version)
+
+    def _hit_locked(self, key: CacheKey) -> Optional[RoutingTable]:
+        """The cached table for ``key``, counted as a hit, or None."""
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._stats.hits += 1
+            _EV_HIT.inc()
+        return cached
 
     def _resolve_flights_locked(
         self,
@@ -295,71 +321,14 @@ class SessionCore:
         """Cached, single-flight equivalent of
         :func:`~repro.bgp.routing.compute_routes`.
 
-        On a miss after a topology mutation the table is *derived* from
-        the nearest cached pre-mutation table via incremental
-        recomputation whenever possible, instead of being recomputed
-        from scratch.  Concurrent misses on the same key block on the
-        first caller's fill and share its table.
+        A hit is a dict read under the lock; a miss is the fill
+        :meth:`compute_many` runs, for one destination — derived from
+        the nearest cached pre-mutation table whenever possible, and
+        shared with concurrent misses on the same key.
         """
-        pk = pinned_key(pinned)
-        while True:
-            with self._lock:
-                self._auto_prune_locked()
-                key = (self._graph.version, destination, pk)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._stats.hits += 1
-                    _EV_HIT.inc()
-                    return cached
-                flight = self._flights.get(key)
-                if flight is None:
-                    self._stats.misses += 1
-                    _EV_MISS.inc()
-                    flight = _Flight()
-                    self._flights[key] = flight
-                    self._fills_active += 1
-                    parent: _Parent = (
-                        self._cache.derivation_parent(self._graph, destination)
-                        if pinned is None else None
-                    )
-                    break
-                self._stats.coalesced += 1
-                _EV_COALESCED.inc()
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            if flight.table is not None:
-                return flight.table
-            # leader resolved without a table (only possible on teardown
-            # races); fall through and look up again
-
-        # leader: settle with the lock released
-        start = time.perf_counter()
-        derived_affected: Optional[int] = None
-        try:
-            table: Optional[RoutingTable] = None
-            result = self._derive_outside(parent)
-            if result is not None:
-                table, derived_affected = result
-            if table is None:
-                table = compute_routes(self._graph, destination, pinned=pinned)
-        except BaseException as exc:
-            with self._lock:
-                self._resolve_flights_locked([(key, flight)], None, exc)
-            raise
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._stats.total_compute_seconds += elapsed
-            if derived_affected is not None:
-                self._stats.tables_derived += 1
-                self._stats.affected_ases_total += derived_affected
-                _EV_DERIVE.inc()
-            else:
-                self._stats.tables_computed += 1
-            self._cache.put(key, table)
-            _CACHED_TABLES.set(len(self._cache))
-            _EV_FILL.inc()
-            self._resolve_flights_locked([(key, flight)], {key: table}, None)
+        table = self.peek(destination, pinned)
+        if table is None:
+            table = self._fill([destination], pinned, False)[0][destination]
         return table
 
     def peek(
@@ -376,12 +345,7 @@ class SessionCore:
         """
         with self._lock:
             self._auto_prune_locked()
-            key = self._key(destination, pinned)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._stats.hits += 1
-                _EV_HIT.inc()
-            return cached
+            return self._hit_locked(self._key(destination, pinned))
 
     def adopt(
         self, table: RoutingTable, pinned: Optional[Dict[int, Route]] = None
@@ -418,9 +382,31 @@ class SessionCore:
         thread is already filling are joined, not recomputed; the rest
         become this call's own single batch fill.
         """
-        pk = pinned_key(pinned)
         ordered = list(dict.fromkeys(destinations))
         start = time.perf_counter()
+        tables, used_pool = self._fill(ordered, pinned, parallel)
+        elapsed = time.perf_counter() - start
+        with self._lock:
+            self._stats.fanouts += 1
+            self._stats.parallel_fanouts += 1 if used_pool else 0
+            self._stats.last_fanout_seconds = elapsed
+        _FANOUTS_TOTAL.labels(mode="parallel" if used_pool else "serial").inc()
+        return {destination: tables[destination] for destination in ordered}
+
+    def _fill(
+        self,
+        ordered: List[int],
+        pinned: Optional[Dict[int, Route]],
+        parallel: Optional[Union[bool, str]],
+    ) -> Tuple[Dict[int, RoutingTable], bool]:
+        """The one lookup-and-fill path; returns ``(tables, used_pool)``.
+
+        Classifies ``ordered`` (distinct destinations) under the lock
+        into hits, flights to join and this call's own misses; settles
+        the misses as one batch with the lock released; publishes them;
+        then waits on the joined flights.
+        """
+        pk = pinned_key(pinned)
         with _TRACER.span("compute_many", destinations=len(ordered)) as span:
             tables: Dict[int, RoutingTable] = {}
             followers: List[Tuple[int, _Flight]] = []
@@ -433,10 +419,8 @@ class SessionCore:
                 version = self._graph.version
                 for destination in ordered:
                     key = (version, destination, pk)
-                    cached = self._cache.get(key)
+                    cached = self._hit_locked(key)
                     if cached is not None:
-                        self._stats.hits += 1
-                        _EV_HIT.inc()
                         tables[destination] = cached
                         continue
                     flight = self._flights.get(key)
@@ -464,6 +448,7 @@ class SessionCore:
 
             used_pool = False
             if leaders:
+                start = time.perf_counter()
                 try:
                     filled, derived, computed, used_pool = self._fill_batch(
                         snapshot, leaders, pinned, parallel, parents
@@ -472,6 +457,7 @@ class SessionCore:
                     with self._lock:
                         self._resolve_flights_locked(flights, None, exc)
                     raise
+                elapsed = time.perf_counter() - start
                 with self._lock:
                     keyed: Dict[CacheKey, RoutingTable] = {}
                     for destination in leaders:
@@ -480,13 +466,13 @@ class SessionCore:
                         keyed[key] = table
                         self._cache.put(key, table)
                         tables[destination] = table
-                    _CACHED_TABLES.set(len(self._cache))
                     _EV_FILL.inc(len(leaders))
                     for count in derived:
                         self._stats.tables_derived += 1
                         self._stats.affected_ases_total += count
                         _EV_DERIVE.inc()
                     self._stats.tables_computed += computed
+                    self._stats.total_compute_seconds += elapsed
                     self._resolve_flights_locked(flights, keyed, None)
             span.set(pool=used_pool)
 
@@ -496,19 +482,8 @@ class SessionCore:
                 flight.event.wait()
                 if flight.error is not None:
                     raise flight.error
-                if flight.table is not None:
-                    tables[destination] = flight.table
-                else:
-                    tables[destination] = self.compute(destination, pinned)
-
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._stats.fanouts += 1
-            self._stats.parallel_fanouts += 1 if used_pool else 0
-            self._stats.last_fanout_seconds = elapsed
-            self._stats.total_compute_seconds += elapsed
-        _FANOUTS_TOTAL.labels(mode="parallel" if used_pool else "serial").inc()
-        return {destination: tables[destination] for destination in ordered}
+                tables[destination] = flight.table
+        return tables, used_pool
 
     def _fill_batch(
         self,
@@ -526,69 +501,48 @@ class SessionCore:
         ``tables_computed`` accounting).
         """
         filled: Dict[int, RoutingTable] = {}
+        if pinned is not None:
+            # a pinned set pins *one* destination's computation: nothing
+            # to derive from and nothing to shard, so it settles here
+            for destination in leaders:
+                filled[destination] = compute_routes(
+                    self._graph, destination, pinned=pinned
+                )
+            return filled, [], len(leaders), False
+
+        # derive what we can from pre-mutation tables; only the
+        # remainder is worth fanning out to a pool
         derived: List[int] = []
         remaining: List[int] = []
-        if pinned is None:
-            # derive what we can from pre-mutation tables; only the
-            # remainder is worth fanning out to a pool
-            for destination in leaders:
-                result = self._derive_outside(parents.get(destination))
-                if result is not None:
-                    filled[destination], affected = result
-                    derived.append(affected)
-                else:
-                    remaining.append(destination)
-        else:
-            remaining = list(leaders)
+        for destination in leaders:
+            result = self._derive_outside(parents.get(destination))
+            if result is not None:
+                filled[destination], affected = result
+                derived.append(affected)
+            else:
+                remaining.append(destination)
 
         used_pool = False
         if remaining:
             policy = self._parallel if parallel is None else parallel
             if self._use_pool(policy, len(remaining)):
-                used_pool = self._fanout_pool(
-                    snapshot, remaining, pinned, filled
-                )
+                used_pool = self._fanout_pool(snapshot, remaining, filled)
             rest = [d for d in remaining if d not in filled]
-            if rest and pinned is None:
-                # Unpinned remainder: sweep it through the active kernel
-                # backend in one batch — backends with a settle_many
-                # entry point (the batched wave kernel) amortize their
-                # per-wave cost over the whole sweep.
+            if rest:
+                # Whatever the pool did not hand back goes through the
+                # active kernel backend in one batch — backends with a
+                # settle_many entry point (the batched wave kernel)
+                # amortize their per-wave cost over the whole sweep.
                 swept = kernels.settle_many(snapshot, rest)
                 for destination in rest:
                     filled[destination] = RoutingTable(
                         self._graph, destination, swept[destination]
-                    )
-            else:
-                for destination in rest:
-                    filled[destination] = compute_routes(
-                        self._graph, destination, pinned=pinned
                     )
         return filled, derived, len(remaining), used_pool
 
     # ------------------------------------------------------------------
     # pool dispatch (lock released)
     # ------------------------------------------------------------------
-    def _snapshot_pickle_bytes(self) -> Optional[int]:
-        """Pickled snapshot size for the current version, or None.
-
-        The verdict is memoized *per graph version*: a mutation discards
-        it, so a graph that becomes (un)picklable after the transition
-        is re-probed instead of keeping the stale answer forever.
-        """
-        import pickle
-
-        version = self._graph.version
-        memo = self._snapshot_pickles
-        if memo is None or memo[0] != version:
-            try:
-                nbytes = len(pickle.dumps(self._graph.snapshot()))
-                memo = (version, True, nbytes)
-            except Exception:
-                memo = (version, False, 0)
-            self._snapshot_pickles = memo
-        return memo[2] if memo[1] else None
-
     def _use_pool(self, policy: Union[bool, str], n_misses: int) -> bool:
         if policy is False:
             return False
@@ -596,40 +550,31 @@ class SessionCore:
             (os.cpu_count() or 1) < 2 or n_misses < AUTO_PARALLEL_THRESHOLD
         ):
             return False
-        # Shared memory needs no picklable snapshot — only the pickle
-        # fallback does, and only that path pays the probe.
-        if _seam().shared_memory_available():
-            return True
-        return self._snapshot_pickle_bytes() is not None
+        return self._pool.shared_memory
 
     def _fanout_pool(
         self,
         snapshot: TopologySnapshot,
         misses: List[int],
-        pinned: Optional[Dict[int, Route]],
         tables: Dict[int, RoutingTable],
     ) -> bool:
         """Dispatch ``misses`` across the persistent pool; True if any ran.
 
-        Unpinned misses are sharded into contiguous destination ranges —
-        several per worker, pulled from the executor's shared call
-        queue, so an idle worker steals the next range instead of
-        waiting out a straggler.  Pinned misses stay per-destination
-        jobs (a pinned set pins *one* destination's computation).  A job
-        that fails on pool infrastructure (spawn refused, broken worker,
-        pickling quirk) is simply left out of ``tables`` and the caller
-        recomputes its destinations serially, while every *successful*
-        job's drained metrics/spans payload is absorbed exactly once — a
-        failed job ships no payload, so nothing is lost with it and
-        nothing is double-counted when its tables are recomputed in the
-        parent.  Library errors — e.g. an invalid pinned route —
-        propagate unchanged.  Returns False only when no job completed
-        (the fan-out was effectively serial).
+        Misses are sharded into contiguous destination ranges — several
+        per worker, pulled from the executor's shared call queue, so an
+        idle worker steals the next range instead of waiting out a
+        straggler.  A job that fails on pool infrastructure (spawn
+        refused, broken worker, pickling quirk) is simply left out of
+        ``tables`` and the caller recomputes its destinations serially,
+        while every *successful* job's drained metrics/spans payload is
+        absorbed exactly once — a failed job ships no payload, so
+        nothing is lost with it and nothing is double-counted when its
+        tables are recomputed in the parent.  Library errors propagate
+        unchanged.  Returns False only when no job completed (the
+        fan-out was effectively serial).
         """
         try:
-            executor, spec = self._pool.ensure(
-                snapshot, self._snapshot_pickle_bytes
-            )
+            executor, spec = self._pool.ensure(snapshot)
         except Exception:
             return False
         # Workers settle on the parent's active backend — unless it opts
@@ -639,34 +584,22 @@ class SessionCore:
         obs_state = obs.worker_state()
         futures: List[Tuple[Tuple[int, ...], object]] = []
         try:
-            if pinned is not None:
-                pinned_items = tuple(pinned.items())
-                for destination in misses:
-                    futures.append((
-                        (destination,),
-                        executor.submit(
-                            _pool_settle_one,
-                            (spec, obs_state, kernel, destination,
-                             pinned_items),
-                        ),
-                    ))
-            else:
-                for shard in self._pool.shard(misses):
-                    _POOL_SHARD_SIZE.observe(len(shard))
-                    futures.append((
-                        shard,
-                        executor.submit(
-                            _pool_settle_shard,
-                            (spec, obs_state, kernel, shard),
-                        ),
-                    ))
+            for shard in self._pool.shard(misses):
+                _POOL_SHARD_SIZE.observe(len(shard))
+                futures.append((
+                    shard,
+                    executor.submit(
+                        _pool_settle_shard,
+                        (spec, obs_state, kernel, shard),
+                    ),
+                ))
         except Exception:
             if not futures:
                 return False
         succeeded = 0
         for shard, future in futures:
             try:
-                result = future.result()
+                dests, packed, payload = future.result()
             except ReproError:
                 raise
             except Exception:
@@ -675,32 +608,21 @@ class SessionCore:
                     first=shard[0],
                 )
                 continue
-            if pinned is not None:
-                dest, best, payload = result
-                obs.absorb_worker(payload)
-                if best is None:
-                    # the worker could not settle this job in index
-                    # space; the caller's serial loop picks it up
-                    continue
-                bests: List[object] = [best]
-                dests: Tuple[int, ...] = (dest,)
-            else:
-                dests, packed, payload = result
-                obs.absorb_worker(payload)
-                if packed is None:
-                    continue
-                # decode lazily: each table gets a thunk over its slice
-                # of the shard's packed buffer, so Route materialization
-                # is paid on first read, not inside the fan-out
-                offsets, blob = packed
-                words = memoryview(blob).cast("q")
-                bests = [
-                    (lambda words=words, lo=offsets[k], hi=offsets[k + 1]:
-                     _decode_table(words, lo, hi))
-                    for k in range(len(dests))
-                ]
-            for dest, best in zip(dests, bests):
-                tables[dest] = RoutingTable(self._graph, dest, best)
+            obs.absorb_worker(payload)
+            if packed is None:
+                # the worker could not settle this shard in index
+                # space; the caller's serial sweep picks it up
+                continue
+            # decode lazily: each table gets a thunk over its slice
+            # of the shard's packed buffer, so Route materialization
+            # is paid on first read, not inside the fan-out
+            offsets, blob = packed
+            words = memoryview(blob).cast("q")
+            for k, dest in enumerate(dests):
+                tables[dest] = RoutingTable(
+                    self._graph, dest,
+                    partial(_decode_table, words, offsets[k], offsets[k + 1]),
+                )
             succeeded += 1
         return succeeded > 0
 
@@ -726,3 +648,26 @@ class SessionCore:
             f"SessionCore(graph={self._graph!r}, "
             f"cached={len(self._cache)}, version={self._graph.version})"
         )
+
+
+#: The name every single-threaded caller has always held a session by.
+SimulationSession = SessionCore
+
+
+def ensure_session(
+    graph: ASGraph, session: Optional[SessionCore] = None
+) -> SessionCore:
+    """Return ``session`` (validated against ``graph``) or a fresh one.
+
+    The helper every layer uses to accept an optional shared session
+    while staying usable stand-alone: callers that thread a session
+    through get cross-layer caching; callers that do not get a private
+    session with identical semantics.
+    """
+    if session is None:
+        return SessionCore(graph)
+    if session.graph is not graph:
+        raise SessionError(
+            "session is bound to a different graph than the one passed in"
+        )
+    return session

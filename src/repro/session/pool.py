@@ -1,16 +1,16 @@
-"""Process-pool plumbing: workers, transports, and the persistent pool.
+"""Process-pool plumbing: workers, the shared-memory transport, and
+the persistent pool.
 
-Jobs carry a *spec* — ``(mode, version, payload, ship_bytes)`` — instead
-of snapshot bytes: in "shm" mode the payload is an O(1)
+Jobs carry a *spec* — ``(version, descriptor, ship_bytes)`` — instead of
+snapshot bytes: the descriptor is an O(1)
 :class:`~repro.topology.snapshot.SharedSnapshotDescriptor` and the worker
-attaches the published segment zero-copy; in "init" (pickle-fallback)
-mode the snapshot shipped once per worker through the executor
-initializer and the payload is empty.  Either way a worker attaches
-once per graph version — the attach cost (bytes, seconds, transport
-mode) is observed *in the worker* and rides back to the parent in the
-drained metrics/spans payload every job result carries, so the
-ship-cost histograms count one observation per worker that actually
-paid, not one per fan-out.  Workers never see the mutable graph.
+attaches the published segment zero-copy, once per graph version.  The
+attach cost (bytes, seconds) is observed *in the worker* and rides back
+to the parent in the drained metrics/spans payload every job result
+carries, so the ship-cost histograms count one observation per worker
+that actually paid, not one per fan-out.  Workers never see the mutable
+graph.  Where shared memory is unavailable there is no pool: the
+session settles serially.
 
 :class:`_FanoutPool` is internally locked: the serving plane's
 single-flight leaders publish and submit from several threads at once,
@@ -23,11 +23,9 @@ import os
 import pickle
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
-
 from array import array
-
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (re-exported seam)
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..bgp import kernels
@@ -43,7 +41,7 @@ from ..topology.snapshot import (
     SharedSnapshot,
     SharedSnapshotDescriptor,
     TopologySnapshot,
-    shared_memory_available,  # noqa: F401  (re-exported seam)
+    shared_memory_available,
 )
 
 _LOG = get_logger("session")
@@ -56,7 +54,7 @@ _FANOUTS_TOTAL = get_registry().counter(
 _POOL_SHIP_BYTES = get_registry().histogram(
     "repro_session_pool_ship_bytes",
     "Snapshot payload bytes actually shipped per pool-worker attach "
-    "(shared-memory descriptor, or pickled snapshot in fallback mode)",
+    "(the shared-memory descriptor)",
     buckets=DEFAULT_BYTE_BUCKETS,
 )
 _POOL_SHIP_SECONDS = get_registry().histogram(
@@ -90,47 +88,25 @@ _SHARED_SNAPSHOT_BYTES = get_registry().histogram(
 POOL_SHARD_FACTOR = 4
 
 
-def _seam():
-    """The ``repro.session`` package namespace.
-
-    Infrastructure the pool swaps in tests — ``ProcessPoolExecutor``,
-    ``shared_memory_available`` — is resolved through the package
-    attribute at call time, so ``monkeypatch.setattr(repro.session, ...)``
-    keeps working exactly as it did when the session was one module.
-    """
-    from repro import session
-
-    return session
-
-
-#: Job spec: (transport mode, graph version, descriptor-or-None, ship bytes).
-PoolSpec = Tuple[str, int, Optional[SharedSnapshotDescriptor], int]
+#: Job spec: (graph version, shared-segment descriptor, ship bytes).
+PoolSpec = Tuple[int, SharedSnapshotDescriptor, int]
 
 # Per-worker-process state.  Under the default fork start method these
 # globals are inherited from the parent, so the initializer resets them.
 _WORKER_SNAPSHOTS: Dict[int, TopologySnapshot] = {}
 _WORKER_SHARED: Dict[int, SharedSnapshot] = {}
 _WORKER_OBS: Optional[Tuple[bool, float]] = None
-_WORKER_INIT_SNAPSHOT: Optional[TopologySnapshot] = None
-_WORKER_INIT_SHIP_BYTES: int = 0
 
 
-def _pool_init(
-    obs_state: Tuple[bool, float],
-    snapshot: Optional[TopologySnapshot] = None,
-    ship_bytes: int = 0,
-) -> None:
+def _pool_init(obs_state: Tuple[bool, float]) -> None:
     """Worker bootstrap: reset inherited state, adopt the parent's obs.
 
-    ``snapshot`` is only passed in pickle-fallback mode, where the
-    executor serializes it once per worker; shared-memory mode ships
-    nothing here and workers attach lazily from the per-job descriptor.
+    Nothing topology-sized ships here; workers attach lazily from the
+    per-job descriptor.
     """
-    global _WORKER_OBS, _WORKER_INIT_SNAPSHOT, _WORKER_INIT_SHIP_BYTES
+    global _WORKER_OBS
     _WORKER_SNAPSHOTS.clear()
     _WORKER_SHARED.clear()
-    _WORKER_INIT_SNAPSHOT = snapshot
-    _WORKER_INIT_SHIP_BYTES = ship_bytes
     _WORKER_OBS = obs_state
     obs.configure_worker(obs_state)
 
@@ -148,37 +124,27 @@ def _worker_snapshot(spec: PoolSpec) -> TopologySnapshot:
 
     The version-keyed cache is what makes ship cost O(1) per graph
     version: the first job naming a version pays the attach (and records
-    it — bytes, seconds, transport mode — in the worker's metrics, which
-    drain back to the parent); every later job on the same version finds
-    the snapshot, and its lazy accessor caches, already warm.  Older
-    versions are evicted on advance, releasing their shared mappings.
+    it — bytes, seconds — in the worker's metrics, which drain back to
+    the parent); every later job on the same version finds the snapshot,
+    and its lazy accessor caches, already warm.  Older versions are
+    evicted on advance, releasing their shared mappings.
     """
-    mode, version, descriptor, ship_bytes = spec
+    version, descriptor, ship_bytes = spec
     snapshot = _WORKER_SNAPSHOTS.get(version)
     if snapshot is not None:
         return snapshot
     start = time.perf_counter()
-    with obs.get_tracer().span("pool_attach", version=version, mode=mode):
-        if mode == "shm":
-            shared = SharedSnapshot.attach(descriptor)
-            snapshot = shared.snapshot
-            _WORKER_SHARED[version] = shared
-        else:
-            snapshot = _WORKER_INIT_SNAPSHOT
-            if snapshot is None or snapshot.version != version:
-                raise SessionError(
-                    f"pool worker has no snapshot for version {version}"
-                )
-    for old in [v for v in _WORKER_SNAPSHOTS if v != version]:
+    with obs.get_tracer().span("pool_attach", version=version, mode="shm"):
+        shared = SharedSnapshot.attach(descriptor)
+    for old in list(_WORKER_SNAPSHOTS):
         del _WORKER_SNAPSHOTS[old]
-        shared = _WORKER_SHARED.pop(old, None)
-        if shared is not None:
-            shared.close()
-    _WORKER_SNAPSHOTS[version] = snapshot
+        _WORKER_SHARED.pop(old).close()
+    _WORKER_SNAPSHOTS[version] = shared.snapshot
+    _WORKER_SHARED[version] = shared
     _POOL_ATTACH_SECONDS.observe(time.perf_counter() - start)
-    _POOL_ATTACHES.labels(mode="shm" if mode == "shm" else "pickle").inc()
+    _POOL_ATTACHES.labels(mode="shm").inc()
     _POOL_SHIP_BYTES.observe(ship_bytes)
-    return snapshot
+    return shared.snapshot
 
 
 # A shard's settled tables travel back to the parent as one packed
@@ -257,26 +223,6 @@ def _pool_settle_shard(
     return destinations, packed, obs.drain_worker()
 
 
-def _pool_settle_one(
-    job: Tuple[
-        PoolSpec, Tuple[bool, float], str, int,
-        Optional[Tuple[Tuple[int, Route], ...]],
-    ],
-) -> Tuple[int, Optional[Dict[int, Route]], Dict[str, object]]:
-    """Settle one pinned destination in a worker (pinned sets don't shard)."""
-    spec, obs_state, kernel, destination, pinned_items = job
-    _worker_configure_obs(obs_state)
-    pinned = dict(pinned_items) if pinned_items else None
-    try:
-        snapshot = _worker_snapshot(spec)
-        best = kernels.settle(
-            snapshot, destination, pinned=pinned, kernel=kernel
-        )
-    except (UnknownASError, KernelError):
-        best = None
-    return destination, best, obs.drain_worker()
-
-
 class _FanoutPool:
     """The session's persistent, version-keyed worker pool.
 
@@ -284,15 +230,10 @@ class _FanoutPool:
     survives across :meth:`SimulationSession.compute_many` calls — the
     per-call spawn/teardown churn of the old design is gone — plus the
     currently published :class:`SharedSnapshot` segment.  :meth:`ensure`
-    republishes only when the graph version moves:
-
-    * shared-memory mode — the snapshot is copied into a fresh segment,
-      the previous segment is released (attached workers keep their
-      mappings until they advance), and jobs carry the O(1) descriptor;
-      the executor itself is reused untouched;
-    * pickle-fallback mode — the executor is rebuilt so its initializer
-      ships the new snapshot once per worker (the only per-version cost
-      shared memory avoids).
+    republishes only when the graph version moves: the snapshot is
+    copied into a fresh segment, the previous segment is released
+    (attached workers keep their mappings until they advance), and jobs
+    carry the O(1) descriptor; the executor itself is reused untouched.
 
     A broken executor (killed worker) is detected and rebuilt on the
     next ensure, so one fault does not wedge the session.  All lifecycle
@@ -312,25 +253,28 @@ class _FanoutPool:
         self.shards = shards
         self._lock = threading.RLock()
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._mode: Optional[str] = None
         self._shared: Optional[SharedSnapshot] = None
+        # set last on publication and dropped with the executor or the
+        # segment, so a spec always names a live one of each
         self._spec: Optional[PoolSpec] = None
-        self._version: Optional[int] = None
 
     @property
     def workers(self) -> int:
         return self.max_workers or os.cpu_count() or 1
 
     @property
+    def shared_memory(self) -> bool:
+        """Whether the one transport to the workers exists here."""
+        return shared_memory_available()
+
+    @property
     def mode(self) -> Optional[str]:
-        """Transport of the current publication: shm, pickle, or None."""
-        if self._mode is None:
-            return None
-        return "shm" if self._mode == "shm" else "pickle"
+        """Transport of the current publication: shm, or None."""
+        return "shm" if self._spec is not None else None
 
     @property
     def version(self) -> Optional[int]:
-        return self._version
+        return self._spec[0] if self._spec is not None else None
 
     @property
     def alive(self) -> bool:
@@ -344,88 +288,49 @@ class _FanoutPool:
 
     @property
     def ship_bytes(self) -> Optional[int]:
-        return self._spec[3] if self._spec is not None else None
+        return self._spec[2] if self._spec is not None else None
 
     def executor(self) -> Optional[ProcessPoolExecutor]:
         return self._executor
 
     def ensure(
-        self,
-        snapshot: TopologySnapshot,
-        pickle_probe: Callable[[], Optional[int]],
+        self, snapshot: TopologySnapshot
     ) -> Tuple[ProcessPoolExecutor, PoolSpec]:
         """Publish ``snapshot`` (if its version is new) and return the
         live executor plus the job spec workers attach from.
 
-        ``pickle_probe`` is consulted only on the fallback path; it
-        returns the snapshot's pickled size, or None when the snapshot
-        does not pickle at all — which raises, since no transport can
-        reach the workers.
+        Raises when shared memory is unavailable, the segment cannot be
+        published or the executor cannot start — the caller settles
+        serially instead.
         """
         with self._lock:
-            return self._ensure_locked(snapshot, pickle_probe)
-
-    def _ensure_locked(
-        self,
-        snapshot: TopologySnapshot,
-        pickle_probe: Callable[[], Optional[int]],
-    ) -> Tuple[ProcessPoolExecutor, PoolSpec]:
-        seam = _seam()
-        if self._executor is not None and getattr(
-            self._executor, "_broken", False
-        ):
-            _LOG.warning("pool_broken_rebuild")
-            self._shutdown_executor()
-        if (
-            self._spec is not None
-            and self._version == snapshot.version
-            and self._executor is not None
-        ):
-            return self._executor, self._spec
-        start = time.perf_counter()
-        shared: Optional[SharedSnapshot] = None
-        if seam.shared_memory_available():
-            try:
-                shared = SharedSnapshot.publish(snapshot)
-            except Exception:
-                shared = None
-        if shared is not None:
+            if self._executor is not None and not self.alive:
+                _LOG.warning("pool_broken_rebuild")
+                self._shutdown_executor()
+            if self._spec is not None and self._spec[0] == snapshot.version:
+                return self._executor, self._spec
+            if not shared_memory_available():
+                raise SessionError(
+                    "shared memory is unavailable; no transport can reach "
+                    "pool workers"
+                )
+            start = time.perf_counter()
+            shared = SharedSnapshot.publish(snapshot)
             self._release_shared()
             self._shared = shared
             descriptor = shared.descriptor()
-            ship_bytes = len(pickle.dumps(descriptor))
-            spec: PoolSpec = (
-                "shm", snapshot.version, descriptor, ship_bytes
-            )
             _SHARED_SNAPSHOT_BYTES.observe(shared.nbytes)
-            if self._executor is None or self._mode != "shm":
-                self._shutdown_executor()
-                self._executor = seam.ProcessPoolExecutor(
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_pool_init,
                     initargs=(obs.worker_state(),),
                 )
-            self._mode = "shm"
-        else:
-            ship_bytes_opt = pickle_probe()
-            if ship_bytes_opt is None:
-                raise SessionError(
-                    "topology snapshot is not picklable and shared memory "
-                    "is unavailable; no transport can reach pool workers"
-                )
-            self._release_shared()
-            self._shutdown_executor()
-            self._executor = seam.ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=(obs.worker_state(), snapshot, ship_bytes_opt),
+            self._spec = (
+                snapshot.version, descriptor, len(pickle.dumps(descriptor))
             )
-            spec = ("init", snapshot.version, None, ship_bytes_opt)
-            self._mode = "init"
-        self._spec = spec
-        self._version = snapshot.version
-        _POOL_SHIP_SECONDS.observe(time.perf_counter() - start)
-        return self._executor, spec
+            _POOL_SHIP_SECONDS.observe(time.perf_counter() - start)
+            return self._executor, self._spec
 
     def shard(self, misses: List[int]) -> List[Tuple[int, ...]]:
         """Split ``misses`` into contiguous destination ranges.
@@ -449,12 +354,13 @@ class _FanoutPool:
         if self._executor is not None:
             self._executor.shutdown(wait=wait, cancel_futures=True)
             self._executor = None
-        self._mode = None
+        self._spec = None
 
     def _release_shared(self) -> None:
         if self._shared is not None:
             self._shared.close()
             self._shared = None
+        self._spec = None
 
     def close(self, wait: bool = False) -> None:
         """Shut the executor down and release the published segment.
@@ -466,5 +372,3 @@ class _FanoutPool:
         with self._lock:
             self._shutdown_executor(wait=wait)
             self._release_shared()
-            self._spec = None
-            self._version = None

@@ -388,8 +388,8 @@ def shared_memory_available() -> bool:
     Probes by creating and immediately destroying a minimal segment —
     sandboxed environments can lack a usable ``/dev/shm`` even when
     :mod:`multiprocessing.shared_memory` imports fine.  The session's
-    pool publisher consults this before attempting shared-memory
-    transport; a False verdict routes fan-outs to the pickle fallback.
+    pool publisher consults this before publishing; on a False verdict
+    fan-outs settle serially.
     """
     global _SHM_AVAILABLE
     if _SHM_AVAILABLE is None:

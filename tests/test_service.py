@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceError, ServiceOverloadError
+from repro.errors import ServiceError, ServiceOverloadError, UnknownASError
 from repro.service import (
     MiroService,
     ServiceConfig,
@@ -25,8 +25,10 @@ from repro.service import (
     run_workload_client,
     serve,
 )
-from repro.service.daemon import _COALESCED, _SHED
-from repro.session import _CACHE_EVENTS, SimulationSession
+from repro.service.daemon import _COALESCED, _REQUESTS, _SHED
+from repro.service.server import MAX_LINE_BYTES
+from repro.session import SimulationSession
+from repro.session.cache import _CACHE_EVENTS
 from repro.miro.runtime import MiroRuntime
 
 import random
@@ -146,6 +148,31 @@ class TestLookup:
                     # the service stays usable afterwards
                     table = await service.lookup(tiny_graph.ases[0])
                     assert table is not None
+
+        asyncio.run(main())
+
+    def test_unknown_destination_fails_only_its_own_request(self, tiny_graph):
+        """One bad destination must not poison the batch it would have
+        been admitted into: the valid cold lookups around it succeed."""
+        async def main():
+            with SimulationSession(tiny_graph, parallel=False) as session:
+                async with MiroService(session) as service:
+                    valid = tiny_graph.ases[:5]
+                    unknown = 10 ** 9
+                    errors = _REQUESTS.labels(op="lookup", outcome="error")
+                    errors_before = errors.value
+                    results = await asyncio.gather(
+                        *[service.lookup(d) for d in valid[:3]],
+                        service.lookup(unknown),
+                        *[service.lookup(d) for d in valid[3:]],
+                        return_exceptions=True,
+                    )
+                    failure = results.pop(3)
+                    assert isinstance(failure, UnknownASError)
+                    assert str(unknown) in str(failure)
+                    assert [t.destination for t in results] == valid
+                    assert errors.value - errors_before == 1
+                    assert not service._pending
 
         asyncio.run(main())
 
@@ -424,6 +451,35 @@ class TestServer:
         assert isinstance(by_id[0]["path"], list)
         assert by_id[1]["ok"] is True
         assert by_id[None]["ok"] is False
+
+    def test_overlong_line_is_answered_before_the_close(self, tiny_graph):
+        async def main():
+            with SimulationSession(tiny_graph, parallel=False) as session:
+                async with MiroService(session) as service:
+                    ready = asyncio.get_running_loop().create_future()
+                    endpoint = asyncio.get_running_loop().create_task(
+                        serve(service, "127.0.0.1", 0, ready=ready)
+                    )
+                    port = await ready
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port
+                    )
+                    writer.write(b"x" * (MAX_LINE_BYTES + 100) + b"\n")
+                    await writer.drain()
+                    answer = await reader.readline()
+                    rest = await reader.read()
+                    writer.close()
+                    await writer.wait_closed()
+                    endpoint.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await endpoint
+                    return answer, rest
+
+        answer, rest = asyncio.run(main())
+        assert json.loads(answer) == {
+            "ok": False, "error": "request line too long",
+        }
+        assert rest == b""  # then the server closed the connection
 
     def test_client_loadgen_against_server(self, tiny_graph):
         async def main():

@@ -347,11 +347,10 @@ class TestParallelFanout:
 def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
     """An in-process stand-in for ProcessPoolExecutor for fault injection.
 
-    Mirrors the real worker contract: jobs carry a ``(mode, version,
+    Mirrors the real worker contract: jobs carry a ``(version,
     descriptor, ship_bytes)`` spec — the fake obtains the snapshot the
-    way a worker would (attaching the shared-memory segment from the
-    descriptor, or taking the initializer-shipped snapshot in pickle
-    fallback) — and each job settles on it with the snapshot kernel.
+    way a worker would, attaching the shared-memory segment from the
+    descriptor — and each job settles on it with the snapshot kernel.
     Jobs whose destination range touches ``fail_for`` raise ``error``
     from ``future.result()``; every other job computes the real tables
     and ships a synthetic drained-metrics payload (one
@@ -395,45 +394,30 @@ def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
 
     class FakeExecutor:
         def __init__(self, max_workers=None, initializer=None, initargs=()):
-            # pickle-fallback initargs: (obs_state, snapshot, ship_bytes)
-            self._init_snapshot = initargs[1] if len(initargs) > 1 else None
             self._attached = {}
 
         def _snapshot_for(self, spec):
             from repro.topology.snapshot import SharedSnapshot
 
-            mode, version, descriptor, _ship = spec
-            if mode != "shm":
-                return self._init_snapshot
+            version, descriptor, _ship = spec
             if version not in self._attached:
                 self._attached[version] = SharedSnapshot.attach(descriptor)
             return self._attached[version].snapshot
 
         def submit(self, fn, job):
-            import repro.session as session_module
             from repro.bgp.routing import compute_routes_snapshot
+            from repro.session.pool import _encode_shard, _pool_settle_shard
 
-            if fn is session_module._pool_settle_one:
-                spec, _obs, _kernel, destination, pinned_items = job
-                destinations = (destination,)
-                pinned = dict(pinned_items) if pinned_items else None
-            else:
-                spec, _obs, _kernel, destinations = job
-                pinned = None
+            assert fn is _pool_settle_shard
+            spec, _obs, _kernel, destinations = job
             broken = [d for d in destinations if d in fail_for]
             if broken:
                 return FakeFuture(exc=error(f"injected fault for {broken[0]}"))
             snapshot = self._snapshot_for(spec)
             swept = {
-                d: compute_routes_snapshot(snapshot, d, pinned=pinned)
-                for d in destinations
+                d: compute_routes_snapshot(snapshot, d) for d in destinations
             }
-            if fn is session_module._pool_settle_one:
-                return FakeFuture(
-                    value=(destinations[0], swept[destinations[0]],
-                           payload_template)
-                )
-            packed = session_module._encode_shard(destinations, swept)
+            packed = _encode_shard(destinations, swept)
             return FakeFuture(value=(destinations, packed, payload_template))
 
         def shutdown(self, wait=True, cancel_futures=False):
@@ -452,9 +436,9 @@ class TestPoolFaultInjection:
 
     def _session(self, small_graph, monkeypatch, fail_for=frozenset(),
                  error=RuntimeError):
-        import repro.session as session_module
+        import repro.session.pool as pool_module
         monkeypatch.setattr(
-            session_module, "ProcessPoolExecutor",
+            pool_module, "ProcessPoolExecutor",
             _fake_pool_executor(fail_for=fail_for, error=error),
         )
         return SimulationSession(small_graph, parallel=True, max_workers=2)
@@ -897,19 +881,19 @@ class TestPersistentPool:
             session.close()
 
     def test_snapshot_published_once_per_version(self, small_graph):
-        import repro.session as session_module
+        from repro.session.pool import _POOL_SHIP_SECONDS
 
         session = self._forced(small_graph)
         try:
             session.compute_many(small_graph.ases[:4])
-            publishes = session_module._POOL_SHIP_SECONDS.count
+            publishes = _POOL_SHIP_SECONDS.count
             session.compute_many(small_graph.ases[4:8])
             # same graph version: no republish, no new executor
-            assert session_module._POOL_SHIP_SECONDS.count == publishes
+            assert _POOL_SHIP_SECONDS.count == publishes
             small_graph.remove_link(*next(small_graph.iter_links())[:2])
             session.clear_cache()
             session.compute_many(small_graph.ases[:4])
-            assert session_module._POOL_SHIP_SECONDS.count == publishes + 1
+            assert _POOL_SHIP_SECONDS.count == publishes + 1
         finally:
             session.close()
 
@@ -992,12 +976,12 @@ class TestShipAccounting:
     worker per graph version — not once per fan-out in the parent."""
 
     def _metrics(self):
-        import repro.session as session_module
+        import repro.session.pool as pool_module
 
         return (
-            session_module._POOL_SHIP_BYTES,
-            session_module._POOL_ATTACH_SECONDS,
-            session_module._POOL_ATTACHES,
+            pool_module._POOL_SHIP_BYTES,
+            pool_module._POOL_ATTACH_SECONDS,
+            pool_module._POOL_ATTACHES,
         )
 
     def _attaches(self, counter, mode):
@@ -1020,29 +1004,6 @@ class TestShipAccounting:
         assert ship_bytes.sum == pytest.approx(descriptor_bytes * attached)
         assert descriptor_bytes < 512
 
-    def test_pickle_fallback_ships_snapshot_per_worker(
-        self, small_graph, monkeypatch
-    ):
-        import pickle
-
-        import repro.session as session_module
-
-        monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
-        )
-        ship_bytes, attach_seconds, attaches = self._metrics()
-        snapshot_bytes = len(pickle.dumps(small_graph.snapshot()))
-        with SimulationSession(
-            small_graph, parallel=True, max_workers=2
-        ) as session:
-            session.compute_many(small_graph.ases[:8])
-            assert session._pool.mode == "pickle"
-        attached = self._attaches(attaches, "pickle")
-        assert attached >= 1
-        assert self._attaches(attaches, "shm") == 0
-        assert ship_bytes.count == attached
-        assert ship_bytes.sum == pytest.approx(snapshot_bytes * attached)
-
     def test_version_advance_reattaches_once_per_worker(self, small_graph):
         ship_bytes, _seconds, attaches = self._metrics()
         with SimulationSession(
@@ -1061,82 +1022,179 @@ class TestShipAccounting:
         assert ship_bytes.count == second
 
 
-class TestPickleProbeInvalidation:
-    """Regression for the stale _snapshot_pickles memo: the picklability
-    verdict is keyed on graph.version, so a graph whose snapshot becomes
-    (un)picklable after a mutation is re-probed."""
+def _exploding_executor(*args, **kwargs):
+    raise AssertionError("no pool executor may be constructed here")
 
-    class _Unpicklable:
-        def __reduce__(self):
-            raise TypeError("deliberately unpicklable")
 
-    def _poison(self, monkeypatch, graph):
-        """Make graph.snapshot() return an unpicklable object."""
-        poison = self._Unpicklable()
-        poison_version = graph.version
-        real_snapshot = type(graph).snapshot
+class TestOneTransport:
+    """Shared-memory shards or serial settling — there is no second
+    transport: without shared memory a pooled fan-out settles serially,
+    and pinned misses never leave the parent."""
 
-        def snapshot(self):
-            if self.version == poison_version:
-                return poison
-            return real_snapshot(self)
+    def test_no_shared_memory_means_serial(self, small_graph, monkeypatch):
+        import pickle
 
-        monkeypatch.setattr(type(graph), "snapshot", snapshot)
+        import repro.session.pool as pool_module
 
-    def test_verdict_recovers_after_mutation(self, small_graph, monkeypatch):
-        import repro.session as session_module
-
-        # force the pickle-probe path: without shared memory the pool is
-        # only usable when the snapshot pickles
         monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
+            pool_module, "shared_memory_available", lambda: False
         )
-        session = SimulationSession(small_graph, parallel=True)
-        self._poison(monkeypatch, small_graph)
-        assert session._use_pool(True, 1) is False
-        stale = session._snapshot_pickles
-        assert stale is not None and stale[1] is False
-        # the mutation moves graph.version off the poisoned one; the memo
-        # must be re-probed, not served stale
-        small_graph.remove_link(*next(small_graph.iter_links())[:2])
-        assert session._use_pool(True, 1) is True
-        fresh = session._snapshot_pickles
-        assert fresh[0] == small_graph.version and fresh[1] is True
-        assert fresh[2] > 0
+        monkeypatch.setattr(
+            pool_module, "ProcessPoolExecutor", _exploding_executor
+        )
+        destinations = list(small_graph.ases[:12])
+        serial = SimulationSession(small_graph, parallel=False)
+        expected = serial.compute_many(destinations)
+        with SimulationSession(
+            small_graph, parallel=True, max_workers=2
+        ) as session:
+            tables = session.compute_many(destinations)
+            info = session.pool_info()
+            assert info["alive"] is False
+            assert info["shared_memory"] is False
+            assert info["mode"] is None
+            assert session.stats.parallel_fanouts == 0
+            assert session.stats.tables_computed == len(destinations)
+        for destination in destinations:
+            assert pickle.dumps(dict(tables[destination].items())) == \
+                pickle.dumps(dict(expected[destination].items()))
 
-    def test_verdict_invalidates_when_graph_stops_pickling(
+    def test_pool_that_cannot_start_means_serial(
         self, small_graph, monkeypatch
     ):
-        import repro.session as session_module
+        import repro.session.pool as pool_module
+
+        def refuse(*args, **kwargs):
+            raise OSError("spawn refused")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
+        destinations = list(small_graph.ases[:6])
+        with SimulationSession(
+            small_graph, parallel=True, max_workers=2
+        ) as session:
+            tables = session.compute_many(destinations)
+            assert session.pool_info()["alive"] is False
+            assert session.stats.parallel_fanouts == 0
+        for destination in destinations:
+            assert dict(tables[destination].items()) == dict(
+                compute_routes(small_graph, destination).items()
+            )
+
+    def test_pinned_fanout_never_submits_a_job(self, paper_graph, monkeypatch):
+        import repro.session.pool as pool_module
 
         monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
+            pool_module, "ProcessPoolExecutor", _exploding_executor
         )
-        session = SimulationSession(small_graph, parallel=True)
-        assert session._use_pool(True, 1) is True
-        before = small_graph.version
-        small_graph.remove_link(*next(small_graph.iter_links())[:2])
-        self._poison(monkeypatch, small_graph)
-        assert small_graph.version != before
-        assert session._use_pool(True, 1) is False
+        alternate = make_route(paper_graph, (B, C, F))
+        pinned = {B: alternate}
+        with SimulationSession(
+            paper_graph, parallel=True, max_workers=2
+        ) as session:
+            tables = session.compute_many([F], pinned=pinned, parallel=True)
+            assert session.stats.parallel_fanouts == 0
+        expected = compute_routes(paper_graph, F, pinned=pinned)
+        assert dict(tables[F].items()) == dict(expected.items())
+        assert tables[F].best(B).path == (B, C, F)
 
-    def test_same_version_probe_is_memoized(self, small_graph, monkeypatch):
-        import pickle as pickle_module
 
-        import repro.session as session_module
+class TestOneFillPath:
+    """compute(d) is compute_many([d]) minus the fan-out bookkeeping:
+    both move the per-session stats and the process-wide cache events
+    identically on a hit, a cold miss and a post-failure derive."""
 
-        monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
+    EVENTS = ("hit", "miss", "fill", "derive", "coalesced")
+
+    def _observe(self, graph, lookup):
+        """Run cold miss, hit, failure, derive through ``lookup`` and
+        return the (stats, events) deltas after each step."""
+        from repro.session.cache import _CACHE_EVENTS
+
+        def events():
+            return {
+                e: _CACHE_EVENTS.labels(event=e).value for e in self.EVENTS
+            }
+
+        session = SimulationSession(graph, parallel=False)
+        trail = []
+        before = events()
+
+        def step():
+            nonlocal before
+            after = events()
+            stats = session.stats
+            trail.append((
+                stats.hits, stats.misses, stats.tables_computed,
+                stats.tables_derived, stats.affected_ases_total,
+                stats.coalesced, session.tables_cached,
+                {e: after[e] - before[e] for e in self.EVENTS},
+            ))
+            before = after
+
+        lookup(session, F)      # cold miss
+        step()
+        lookup(session, F)      # hit
+        step()
+        graph.remove_link(B, E)
+        table = lookup(session, F)      # post-failure derive
+        step()
+        assert table.best(B).path == (B, C, F)
+        return trail, session.stats.fanouts
+
+    def test_compute_and_compute_many_count_alike(self, paper_graph):
+        single, single_fanouts = self._observe(
+            paper_graph.copy(), lambda session, d: session.compute(d)
         )
-        session = SimulationSession(small_graph, parallel=True)
-        probes = []
-        real_dumps = pickle_module.dumps
+        batch, batch_fanouts = self._observe(
+            paper_graph.copy(),
+            lambda session, d: session.compute_many([d])[d],
+        )
+        assert single == batch
+        cold, hit, derive = (step[-1] for step in single)
+        assert cold == {"hit": 0, "miss": 1, "fill": 1, "derive": 0,
+                        "coalesced": 0}
+        assert hit == {"hit": 1, "miss": 0, "fill": 0, "derive": 0,
+                       "coalesced": 0}
+        assert derive == {"hit": 0, "miss": 1, "fill": 1, "derive": 1,
+                          "coalesced": 0}
+        # a fan-out is a compute_many call, whatever it found
+        assert single_fanouts == 0
+        assert batch_fanouts == 3
 
-        def counting_dumps(obj, *args, **kwargs):
-            probes.append(obj)
-            return real_dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(session_module.pickle, "dumps", counting_dumps)
-        session._use_pool(True, 1)
-        session._use_pool(True, 1)
-        assert len(probes) == 1
+class TestCachedTablesGauge:
+    """repro_session_cached_tables follows every cache size change, not
+    only fills."""
+
+    def _gauge(self):
+        from repro.session.cache import _CACHED_TABLES
+
+        return _CACHED_TABLES.value
+
+    def test_gauge_tracks_tables_cached(self, paper_graph):
+        from repro.topology import TopologyDelta
+
+        session = SimulationSession(paper_graph, parallel=False)
+        session.compute_many([F, E, D])
+        assert self._gauge() == session.tables_cached == 3
+
+        session.clear_cache()
+        assert self._gauge() == session.tables_cached == 0
+
+        session.adopt(compute_routes(paper_graph, F))
+        assert self._gauge() == session.tables_cached == 1
+
+        session.compute_many([E, D])
+        paper_graph.remove_link(B, E)
+        assert session.prune_stale() == 3
+        assert self._gauge() == session.tables_cached == 0
+
+        # version-advance auto-prune: F has a current-version table, so
+        # the revert's lookup drops the abandoned branch's entries
+        session.compute_many([F, E])
+        applied = TopologyDelta.link_down(D, E).apply(paper_graph)
+        session.compute(F)
+        applied.revert()
+        session.compute(F)
+        assert session.stats.auto_pruned >= 1
+        assert self._gauge() == session.tables_cached

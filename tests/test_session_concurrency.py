@@ -13,11 +13,8 @@ import time
 
 import pytest
 
-from repro.session import (
-    _CACHE_EVENTS,
-    SessionCore,
-    SimulationSession,
-)
+from repro.session import SessionCore, SimulationSession
+from repro.session.cache import _CACHE_EVENTS
 from repro.topology import generate_topology, SMALL, TINY
 from repro.topology.delta import TopologyDelta
 from repro.topology.snapshot import (

@@ -48,6 +48,7 @@ SLOW_CALLS = frozenset({
     "settle_many",
     "submit",
     "ensure",
+    "_fill",
     "_fill_batch",
     "_derive_outside",
     "_fanout_pool",
