@@ -10,9 +10,9 @@ Twelve subcommands::
     repro failure-sweep  measure BGP vs MIRO recovery from sampled failures
     repro verify         fault-injection campaigns cross-checking every
                          route-computation path and routing invariant
-    repro converge       run Ch. 7 convergence on fair rounds or the
-                         discrete-event engine (delays, MRAI, jitter),
-                         cross-checking round/event equivalence
+    repro converge       run Ch. 7 convergence under a delay model: fair
+                         rounds at zero delays, else arrival-driven on
+                         the discrete-event engine (delays, MRAI, jitter)
     repro churn          seeded churn scenarios (flap storms, rolling
                          deployment, negotiation races) on the event engine
     repro stats          run a small instrumented workload and export the
@@ -412,56 +412,27 @@ def _add_delay_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    """Ch. 7 convergence on rounds or the event engine (``repro converge``)."""
-    from .convergence import (
-        GuidelineMode,
-        crosscheck_round_equivalence,
-        fig_7_1_system,
-        fig_7_2_system,
-    )
+    """Ch. 7 convergence under the delay flags (``repro converge``)."""
+    from .convergence import GuidelineMode, fig_7_1_system, fig_7_2_system
 
     factory = {"7.1": fig_7_1_system, "7.2": fig_7_2_system}[args.figure]
     modes = (
         list(GuidelineMode) if args.mode == "all" else [_mode_from(args.mode)]
     )
     delays = _delays_from(args)
-    failures = 0
     for mode in modes:
-        if args.crosscheck:
-            if not delays.is_synchronous:
-                raise ReproError(
-                    "--crosscheck needs the synchronous (all-zero) delay "
-                    "model: round mode has no notion of delays"
-                )
-            try:
-                result = crosscheck_round_equivalence(
-                    lambda m=mode: factory(m), max_rounds=args.max_rounds,
-                    seed=args.run_seed,
-                )
-                verdict = "round/event states identical"
-            except ReproError as exc:
-                failures += 1
-                print(f"fig {args.figure} {mode.value:>12}: DIVERGED — {exc}")
-                continue
-        elif args.engine == "events":
-            result = factory(mode).run_events(
-                delays=delays, max_rounds=args.max_rounds, seed=args.run_seed,
-            )
-            verdict = f"sim_time={result.sim_time:g} " \
-                      f"activations={result.activations}"
-        else:
-            result = factory(mode).run(
-                max_rounds=args.max_rounds, seed=args.run_seed,
-            )
-            verdict = ""
+        result = factory(mode).run_events(
+            delays=delays, max_rounds=args.max_rounds, seed=args.run_seed,
+        )
         state = (
             "converged" if result.converged
             else "OSCILLATES" if result.oscillating
             else "exhausted"
         )
         print(f"fig {args.figure} {mode.value:>12}: {state} "
-              f"({result.rounds} rounds) {verdict}".rstrip())
-    return 1 if failures else 0
+              f"({result.rounds} rounds) sim_time={result.sim_time:g} "
+              f"activations={result.activations}")
+    return 0
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
@@ -841,8 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     converge = sub.add_parser(
         "converge",
-        help="Ch. 7 convergence on fair rounds or the discrete-event "
-             "engine, with round/event equivalence cross-checking",
+        help="Ch. 7 convergence: fair rounds at zero delays, the "
+             "discrete-event engine under real ones",
     )
     _add_obs_args(converge)
     _add_delay_args(converge)
@@ -852,12 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["unrestricted", "B", "C", "D", "E", "all"],
                           default="all",
                           help="guideline mode (default: all five)")
-    converge.add_argument("--engine", choices=["rounds", "events"],
-                          default="events",
-                          help="execution engine (default: events)")
-    converge.add_argument("--crosscheck", action="store_true",
-                          help="run both engines and verify byte-identical "
-                               "final states (synchronous delays only)")
     converge.add_argument("--max-rounds", type=int, default=200)
     converge.add_argument("--run-seed", type=int, default=None,
                           help="seed for activation shuffles and jitter")

@@ -1,16 +1,12 @@
 """Convergence model and simulator for MIRO (Ch. 7): guideline modes,
 activation sequences, oscillation detection, and the counterexamples —
 runnable as classic fair rounds (:meth:`MiroConvergenceSystem.run`) or
-on the discrete-event engine (:meth:`MiroConvergenceSystem.run_events`,
-:mod:`repro.convergence.eventsim`) with delays, MRAI timers, and
-topology churn."""
+under a delay model (:meth:`MiroConvergenceSystem.run_events`,
+:mod:`repro.convergence.eventsim`): all-zero delays are the same fair
+rounds with a clock; real delays, MRAI timers, and topology churn run
+arrival-driven on the discrete-event engine."""
 
-from .eventsim import (
-    ChurnResult,
-    crosscheck_round_equivalence,
-    run_churn,
-    run_on_events,
-)
+from .eventsim import ChurnResult, run_churn, run_on_events
 from .examples import (
     bad_gadget_bgp_system,
     fig_7_1_graph,
@@ -62,5 +58,4 @@ __all__ = [
     "ChurnResult",
     "run_on_events",
     "run_churn",
-    "crosscheck_round_equivalence",
 ]

@@ -10,19 +10,15 @@ allows a pending re-advertisement.
 
 Two regimes share one entry point (:func:`run_on_events`):
 
-**Synchronous degenerate regime.**  When the
+**Synchronous regime.**  When the
 :class:`~repro.events.timers.DelayModel` is synchronous (zero delays and
 jitter, one uniform MRAI) nothing can separate any two ASes' event
 timestamps: every advertisement lands at the instant it is sent and all
 pending activations collapse onto one tick.  The event schedule is then
 *exactly* the classic fair round — wave ``k`` activates every AS at
-``t = k * mrai`` — so the driver schedules full sweep events through the
-heap and reproduces the round-based :meth:`run` activation order
-verbatim, including its fingerprint-based cycle detection.  This is the
-compatibility mode: on delay-free schedules ``run_events`` must reach a
-``final_state`` byte-identical to ``run``'s, and
-:func:`crosscheck_round_equivalence` is the standing oracle (in the
-spirit of :mod:`repro.verify`) asserting it.
+``t = k * mrai`` — so the run is handed to the simulator's own
+fair-round loop (the one behind :meth:`run`) and only stamped with that
+clock; nothing goes through the heap.
 
 **Asynchronous regime.**  With any non-zero delay, jitter, per-link or
 per-AS override — or with injected topology churn — activations are
@@ -48,11 +44,10 @@ scenarios of :mod:`repro.experiments.churn`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConvergenceError
 from ..events.engine import Event, EventScheduler
 from ..events.timers import SYNCHRONOUS, DelayModel, MraiTimer
 from ..obs import get_logger, get_registry
@@ -60,7 +55,6 @@ from ..topology.delta import AppliedDelta, TimedDelta
 from .model import Selection
 from .simulator import (
     _ACTIVATIONS_TOTAL,
-    _ROUNDS_TOTAL,
     ConvergenceResult,
     MiroConvergenceSystem,
 )
@@ -72,8 +66,7 @@ _INJECTIONS_TOTAL = get_registry().counter(
 )
 
 #: Event kinds of the convergence driver's vocabulary.
-KIND_SWEEP = "sweep"          # synchronous regime: one full fair round
-KIND_ACTIVATE = "activate"    # asynchronous regime: one AS activation
+KIND_ACTIVATE = "activate"    # one AS activation
 KIND_DELTA = "delta"          # churn: apply one topology delta
 
 
@@ -102,7 +95,7 @@ class ChurnResult:
 
 
 class _EventRun:
-    """One event-driven convergence execution (driver state)."""
+    """One arrival-driven convergence execution (driver state)."""
 
     def __init__(
         self,
@@ -114,23 +107,16 @@ class _EventRun:
     ) -> None:
         self.system = system
         self.delays = delays
-        self.max_rounds = max_rounds
         self.rng = rng
         self.scheduler = EventScheduler()
         self.activations = 0
         #: fair-round-equivalent activation budget
         self.budget = max_rounds * max(1, len(system.graph.ases))
         self.max_events = max_events
-        # asynchronous-regime state
-        self.timers: Dict[int, MraiTimer] = {
-            asn: MraiTimer(delays.mrai_for(asn))
-            for asn in system.graph.ases
-        }
+        #: per-AS MRAI timers, armed when the run first hears of the AS
+        #: (churn can bring in ASes the system did not start with)
+        self.timers: Dict[int, MraiTimer] = {}
         self.pending: Dict[int, float] = {}
-        # synchronous-regime state
-        self.sweep_result: Optional[ConvergenceResult] = None
-        self._sweep_index = 0
-        self._seen: Dict[Tuple, int] = {}
         # watchers[responder] = requesters whose tunnel offers it feeds
         self.watchers: Dict[int, List[int]] = {}
         for demand in system.demands:
@@ -139,66 +125,8 @@ class _EventRun:
                 requesters.append(demand.requester)
         for requesters in self.watchers.values():
             requesters.sort()
-        self.scheduler.register(KIND_SWEEP, self._on_sweep)
         self.scheduler.register(KIND_ACTIVATE, self._on_activate)
 
-    # ------------------------------------------------------------------
-    # synchronous degenerate regime: fair-round sweeps through the heap
-    # ------------------------------------------------------------------
-    def start_synchronous(self) -> None:
-        self.scheduler.schedule(0.0, KIND_SWEEP)
-
-    def _on_sweep(self, event: Event) -> None:
-        """One fair round, replicating ``_run_rounds`` move for move."""
-        system = self.system
-        ases = system.graph.ases
-        if self.rng is not None:
-            order = ases[:]
-            self.rng.shuffle(order)
-        else:
-            order = ases
-        changed = False
-        for asn in order:
-            if system.activate(asn):
-                changed = True
-        _ROUNDS_TOTAL.inc()
-        _ACTIVATIONS_TOTAL.inc(len(order))
-        self.activations += len(order)
-        round_index = self._sweep_index
-        self._sweep_index += 1
-        if not changed:
-            self.sweep_result = ConvergenceResult(
-                True, round_index + 1, False, dict(system.effective),
-                sim_time=event.time, activations=self.activations,
-            )
-            return
-        if self.rng is None:
-            mark = system.fingerprint()
-            if mark in self._seen:
-                self.sweep_result = ConvergenceResult(
-                    False, round_index + 1, True, dict(system.effective),
-                    sim_time=event.time, activations=self.activations,
-                )
-                return
-            self._seen[mark] = round_index
-        if self._sweep_index < self.max_rounds:
-            self.scheduler.schedule(
-                event.time + self.delays.mrai, KIND_SWEEP
-            )
-
-    def run_synchronous(self) -> ConvergenceResult:
-        self.start_synchronous()
-        self.scheduler.run(max_events=self.max_events)
-        if self.sweep_result is not None:
-            return self.sweep_result
-        return ConvergenceResult(
-            False, self.max_rounds, False, dict(self.system.effective),
-            sim_time=self.scheduler.now, activations=self.activations,
-        )
-
-    # ------------------------------------------------------------------
-    # asynchronous regime: arrival-driven activations
-    # ------------------------------------------------------------------
     def request_activation(self, asn: int, arrival: float) -> None:
         """Ask for ``asn`` to re-run selection once news lands at ``arrival``.
 
@@ -208,7 +136,10 @@ class _EventRun:
         activation *later* than the new arrival is superseded: the old
         heap entry goes stale and is skipped at dispatch.
         """
-        at = self.timers[asn].earliest(arrival)
+        timer = self.timers.get(asn)
+        if timer is None:
+            timer = self.timers[asn] = MraiTimer(self.delays.mrai_for(asn))
+        at = timer.earliest(arrival)
         pending = self.pending.get(asn)
         if pending is not None and pending <= at:
             return
@@ -250,7 +181,9 @@ class _EventRun:
         for asn in self.system.graph.ases:
             self.request_activation(asn, self.delays.initial_offset(self.rng))
 
-    def drain(self) -> bool:
+    def drain(
+        self, after_step: Optional[Callable[[Event], None]] = None
+    ) -> bool:
         """Dispatch until quiescent or a budget trips; True if drained."""
         while self.scheduler.pending:
             if self.activations >= self.budget:
@@ -260,7 +193,9 @@ class _EventRun:
                 and self.scheduler.dispatched >= self.max_events
             ):
                 return False
-            self.scheduler.step()
+            event = self.scheduler.step()
+            if after_step is not None:
+                after_step(event)
         return True
 
     def run_asynchronous(self) -> ConvergenceResult:
@@ -281,18 +216,25 @@ def run_on_events(
     rng: Optional[Random] = None,
     max_events: Optional[int] = None,
 ) -> ConvergenceResult:
-    """Execute one convergence run on the event engine.
+    """Execute one convergence run under ``delays``.
 
     Called through :meth:`MiroConvergenceSystem.run_events` (which owns
     the tracing span and outcome metrics).  Chooses the synchronous
-    degenerate regime exactly when the delay model cannot separate any
-    two event timestamps (see module docstring).
+    regime exactly when the delay model cannot separate any two event
+    timestamps (see module docstring); a fair round then counts as one
+    event against ``max_events``.
     """
     delays = delays if delays is not None else SYNCHRONOUS
+    if delays.is_synchronous:
+        budget = (
+            max_rounds if max_events is None else min(max_rounds, max_events)
+        )
+        result = system._run_rounds(budget, rng, None)
+        return replace(
+            result, sim_time=max(0, result.rounds - 1) * delays.mrai
+        )
     run = _EventRun(system, delays, max_rounds, rng, max_events)
     with run.scheduler.sim_span("convergence"):
-        if delays.is_synchronous:
-            return run.run_synchronous()
         return run.run_asynchronous()
 
 
@@ -341,12 +283,21 @@ def run_churn(
                     dirty.add(layer_key[0])
         for a, b in record.changed_links:
             for endpoint in (a, b):
-                if endpoint in run.timers:
+                if endpoint in system.graph:
                     dirty.add(endpoint)
         _LOG.debug("churn_injection", index=index, time=event.time,
                    dirty=len(dirty))
         for asn in sorted(dirty):
             run.request_activation(asn, event.time)
+
+    def after_step(event: Event) -> None:
+        if in_flight and not run.pending:
+            # no activation is pending anywhere (the heap may still hold
+            # future injections or superseded stale events): every
+            # in-flight injection has been absorbed
+            for index in in_flight:
+                quiesced_after[index] = event.time - ordered[index].time
+            in_flight.clear()
 
     run.scheduler.register(KIND_DELTA, on_delta)
     with run.scheduler.sim_span("churn"):
@@ -354,22 +305,7 @@ def run_churn(
             run.seed_initial_activations()
         for index, timed in enumerate(ordered):
             run.scheduler.schedule(timed.time, KIND_DELTA, (index, timed.delta))
-        quiescent = True
-        while run.scheduler.pending:
-            if run.activations >= run.budget or (
-                run.max_events is not None
-                and run.scheduler.dispatched >= run.max_events
-            ):
-                quiescent = False
-                break
-            event = run.scheduler.step()
-            if in_flight and not run.pending:
-                # no activation is pending anywhere (the heap may still
-                # hold future injections or superseded stale events):
-                # every in-flight injection has been absorbed
-                for index in in_flight:
-                    quiesced_after[index] = event.time - ordered[index].time
-                in_flight.clear()
+        quiescent = run.drain(after_step)
     recovery = tuple(sorted(quiesced_after.items()))
     return ChurnResult(
         converged=quiescent,
@@ -381,49 +317,3 @@ def run_churn(
         applied=tuple(applied),
         recovery_times=recovery,
     )
-
-
-def crosscheck_round_equivalence(
-    make_system: Callable[[], MiroConvergenceSystem],
-    max_rounds: int = 200,
-    seed: Optional[int] = None,
-) -> ConvergenceResult:
-    """The round/event equivalence oracle (in the spirit of ``repro.verify``).
-
-    Builds two fresh systems from ``make_system``, runs one on fair
-    rounds and one on the event engine under the synchronous delay
-    model, and raises :class:`~repro.errors.ConvergenceError` unless the
-    two reach identical ``final_state`` (and agree on rounds, outcome,
-    and oscillation).  Returns the event-mode result on success.
-    """
-    round_result = make_system().run(max_rounds=max_rounds, seed=seed)
-    event_result = make_system().run_events(
-        delays=SYNCHRONOUS, max_rounds=max_rounds, seed=seed
-    )
-    if event_result.final_state != round_result.final_state:
-        keys = set(round_result.final_state) | set(event_result.final_state)
-        sentinel = object()
-        diff = sorted(
-            key for key in keys
-            if round_result.final_state.get(key, sentinel)
-            != event_result.final_state.get(key, sentinel)
-        )
-        raise ConvergenceError(
-            f"event-mode final_state diverges from round mode at "
-            f"{len(diff)} (asn, dest) entries; first: {diff[:3]}"
-        )
-    if (
-        round_result.converged,
-        round_result.rounds,
-        round_result.oscillating,
-    ) != (
-        event_result.converged,
-        event_result.rounds,
-        event_result.oscillating,
-    ):
-        raise ConvergenceError(
-            "event-mode outcome diverges from round mode: "
-            f"round={round_result.converged, round_result.rounds, round_result.oscillating} "
-            f"event={event_result.converged, event_result.rounds, event_result.oscillating}"
-        )
-    return event_result

@@ -36,6 +36,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -84,11 +85,10 @@ from .model import (
 class ConvergenceResult:
     """Outcome of one simulation run.
 
-    Round-mode runs leave the event-mode fields at their defaults;
-    event-mode runs (:meth:`MiroConvergenceSystem.run_events`) report
-    the simulated clock at quiescence and the number of AS activations
-    executed (their "rounds" is the activation count divided by the AS
-    count, rounded up — a comparable work measure, not a literal round).
+    Every run fills every field.  ``rounds`` counts the fair rounds run;
+    an arrival-driven run (:meth:`MiroConvergenceSystem.run_events` under
+    real delays) has no literal rounds and reports its activation count
+    divided by the AS count, rounded up — a comparable work measure.
     """
 
     converged: bool
@@ -96,10 +96,10 @@ class ConvergenceResult:
     oscillating: bool
     #: effective selection per (asn, destination) at the end of the run
     final_state: Dict[Tuple[int, int], Optional[Selection]]
-    #: simulated clock when the run went quiescent (event mode only)
+    #: simulated clock when the run ended (:meth:`MiroConvergenceSystem.run`
+    #: has no clock and reports 0.0)
     sim_time: float = 0.0
-    #: AS activations executed (event mode only; round mode reports 0
-    #: here and counts through the activation metrics instead)
+    #: AS activations executed
     activations: int = 0
 
     def selection(self, asn: int, destination: int) -> Optional[Selection]:
@@ -153,13 +153,17 @@ class MiroConvergenceSystem:
         # bgp[(asn, dest)] / effective[(asn, dest)]
         self.bgp: Dict[Tuple[int, int], Optional[Selection]] = {}
         self.effective: Dict[Tuple[int, int], Optional[Selection]] = {}
+        self._add_missing_rows()
+
+    def _add_missing_rows(self) -> None:
+        """Start every AS the state does not know yet: a destination
+        holds its origin route, every other (asn, dest) row no route."""
         for dest in self.destinations:
-            for asn in graph.iter_ases():
-                origin = (
-                    Selection((asn,)) if asn == dest else None
-                )
-                self.bgp[(asn, dest)] = origin
-                self.effective[(asn, dest)] = origin
+            for asn in self.graph.iter_ases():
+                if (asn, dest) not in self.bgp:
+                    origin = Selection((asn,)) if asn == dest else None
+                    self.bgp[(asn, dest)] = origin
+                    self.effective[(asn, dest)] = origin
 
     def _mode_of(self, asn: int) -> GuidelineMode:
         """The guideline this AS follows (§7.4 allows mixing)."""
@@ -358,9 +362,11 @@ class MiroConvergenceSystem:
         later :meth:`~repro.topology.delta.AppliedDelta.revert` the
         topology change — reverting restores the graph, not the
         pre-event selections, so re-convergence after a repair is also
-        observable.
+        observable.  An AS the delta brought into the graph (incremental
+        deployment) starts like any AS does at construction.
         """
         applied = delta.apply(self.graph)
+        self._add_missing_rows()
         down = {
             link for link in applied.changed_links
             if not self.graph.has_link(*link)
@@ -404,25 +410,18 @@ class MiroConvergenceSystem:
         repeated state fingerprint proves a cycle, reported as
         ``oscillating=True``.
         """
-        mode = self.mode.value if self.mode is not None else "mixed"
+        if schedule is not None and not schedule:
+            raise ConvergenceError(
+                "schedule must hold at least one round order (got an "
+                "empty sequence); pass None for ascending AS order"
+            )
         # one explicit random stream per run: every shuffle (and, in event
         # mode, every jitter draw) comes from this Random, so a seed fully
         # determines the activation sequence
         rng = Random(seed) if seed is not None else None
-        with _TRACER.span("convergence_run", mode=mode,
-                          ases=len(self.graph)) as span:
-            result = self._run_rounds(max_rounds, rng, schedule)
-            outcome = (
-                "converged" if result.converged
-                else "oscillating" if result.oscillating
-                else "exhausted"
-            )
-            span.set(outcome=outcome, rounds=result.rounds)
-        _RUNS_TOTAL.labels(outcome=outcome).inc()
-        if not result.converged:
-            _LOG.info("convergence_run_unstable", mode=mode, outcome=outcome,
-                      rounds=result.rounds)
-        return result
+        return self._observed(
+            "convergence_run", self._run_rounds, max_rounds, rng, schedule
+        )
 
     def run_events(
         self,
@@ -431,30 +430,37 @@ class MiroConvergenceSystem:
         seed: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> ConvergenceResult:
-        """Run on the discrete-event engine (:mod:`repro.events`).
+        """Run under a :class:`~repro.events.timers.DelayModel`.
 
-        ``delays`` is the run's :class:`~repro.events.timers.DelayModel`
-        (default: the zero-delay synchronous model, under which this
-        method reaches the exact ``final_state`` of :meth:`run` — the
-        equivalence the ``repro.verify``-style oracle asserts).  With
-        real delays, AS activations become events triggered by neighbour
+        With the default zero-delay synchronous model nothing separates
+        two ASes' timestamps, so the run *is* :meth:`run`'s fair-round
+        loop (same ``final_state``, rounds and outcome for the same
+        ``seed``), stamped with the simulated clock of its last round.
+        With real delays, AS activations become events on the
+        :mod:`repro.events` scheduler, triggered by neighbour
         advertisements after per-link propagation delays, rate-limited
         by per-AS MRAI timers, with seeded jitter drawn from the same
         ``Random`` stream a ``seed`` gives :meth:`run`.  ``max_rounds``
         bounds the equivalent activation budget; ``max_events`` caps raw
         scheduler dispatches (livelock guard, e.g. ``mrai=0`` on a
-        divergent gadget).
+        divergent gadget) — a fair round counts as one.
         """
         from .eventsim import run_on_events  # local: avoids import cycle
 
-        mode = self.mode.value if self.mode is not None else "mixed"
         rng = Random(seed) if seed is not None else None
-        with _TRACER.span("convergence_run_events", mode=mode,
+        return self._observed(
+            "convergence_run_events", run_on_events,
+            self, delays, max_rounds, rng, max_events,
+        )
+
+    def _observed(
+        self, span_name: str, drive: Callable[..., ConvergenceResult], *args
+    ) -> ConvergenceResult:
+        """Run ``drive(*args)`` inside one span and record how it ended."""
+        mode = self.mode.value if self.mode is not None else "mixed"
+        with _TRACER.span(span_name, mode=mode,
                           ases=len(self.graph)) as span:
-            result = run_on_events(
-                self, delays=delays, max_rounds=max_rounds, rng=rng,
-                max_events=max_events,
-            )
+            result = drive(*args)
             outcome = (
                 "converged" if result.converged
                 else "oscillating" if result.oscillating
@@ -465,7 +471,7 @@ class MiroConvergenceSystem:
         _RUNS_TOTAL.labels(outcome=outcome).inc()
         if not result.converged:
             _LOG.info("convergence_run_unstable", mode=mode, outcome=outcome,
-                      rounds=result.rounds, engine="events")
+                      rounds=result.rounds, span=span_name)
         return result
 
     def _run_rounds(
@@ -474,12 +480,15 @@ class MiroConvergenceSystem:
         rng: Optional[Random],
         schedule: Optional[Sequence[Sequence[int]]],
     ) -> ConvergenceResult:
+        """The fair-round loop: activate every AS once per round, stop on
+        a quiet round, a repeated fingerprint or the round budget."""
         ases = self.graph.ases
-        seen: Dict[Tuple, int] = {}
-        deterministic = rng is None
-        for round_index in range(max_rounds):
+        seen: Set[Tuple] = set()
+        rounds = activations = 0
+        converged = oscillating = False
+        while rounds < max_rounds:
             if schedule is not None:
-                order = list(schedule[round_index % len(schedule)])
+                order = list(schedule[rounds % len(schedule)])
             elif rng is not None:
                 order = ases[:]
                 rng.shuffle(order)
@@ -491,18 +500,21 @@ class MiroConvergenceSystem:
                     changed = True
             _ROUNDS_TOTAL.inc()
             _ACTIVATIONS_TOTAL.inc(len(order))
+            rounds += 1
+            activations += len(order)
             if not changed:
-                return ConvergenceResult(
-                    True, round_index + 1, False, dict(self.effective)
-                )
-            if deterministic and schedule is None:
+                converged = True
+                break
+            if rng is None and schedule is None:
                 mark = self.fingerprint()
                 if mark in seen:
-                    return ConvergenceResult(
-                        False, round_index + 1, True, dict(self.effective)
-                    )
-                seen[mark] = round_index
-        return ConvergenceResult(False, max_rounds, False, dict(self.effective))
+                    oscillating = True
+                    break
+                seen.add(mark)
+        return ConvergenceResult(
+            converged, rounds, oscillating, dict(self.effective),
+            activations=activations,
+        )
 
 
 def proof_schedule(graph: ASGraph) -> List[List[int]]:

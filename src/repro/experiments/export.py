@@ -27,6 +27,11 @@ from .deployment import run_incremental_deployment
 from .diversity import run_diversity
 from .failures import run_failure_sweep
 from .overhead import run_overhead_comparison
+from .sampling import (
+    DEFAULT_N_DESTINATIONS,
+    DEFAULT_N_STUBS,
+    DEFAULT_SOURCES_PER_DESTINATION,
+)
 from .traffic import run_traffic_control
 
 
@@ -79,9 +84,9 @@ def export_results(
     graph: ASGraph,
     name: str = "topology",
     seed: int = 0,
-    n_destinations: int = 8,
-    sources_per_destination: int = 10,
-    n_stubs: int = 10,
+    n_destinations: int = DEFAULT_N_DESTINATIONS,
+    sources_per_destination: int = DEFAULT_SOURCES_PER_DESTINATION,
+    n_stubs: int = DEFAULT_N_STUBS,
     path: Optional[Union[str, Path]] = None,
     session=None,
 ) -> Dict[str, Any]:

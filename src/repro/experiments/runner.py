@@ -26,6 +26,11 @@ from .diversity import run_diversity
 from .failures import run_failure_sweep
 from .overhead import run_overhead_comparison
 from .report import render_series, render_table
+from .sampling import (
+    DEFAULT_N_DESTINATIONS,
+    DEFAULT_N_STUBS,
+    DEFAULT_SOURCES_PER_DESTINATION,
+)
 from .traffic import run_traffic_control
 
 # ----------------------------------------------------------------------
@@ -60,9 +65,9 @@ def full_report(
     graph: ASGraph,
     name: str = "topology",
     seed: int = 0,
-    n_destinations: int = 8,
-    sources_per_destination: int = 10,
-    n_stubs: int = 12,
+    n_destinations: int = DEFAULT_N_DESTINATIONS,
+    sources_per_destination: int = DEFAULT_SOURCES_PER_DESTINATION,
+    n_stubs: int = DEFAULT_N_STUBS,
     session: Optional[SimulationSession] = None,
     include_stats: bool = True,
     verify: bool = False,

@@ -18,6 +18,14 @@ from ..bgp.routing import RoutingTable
 from ..session import SimulationSession, ensure_session
 from ..topology.graph import ASGraph
 
+#: Default sample sizes of the two whole-evaluation entry points,
+#: :func:`~repro.experiments.full_report` and
+#: :func:`~repro.experiments.export_results`: shared so the text report
+#: and the JSON export of one graph and seed show the same numbers.
+DEFAULT_N_DESTINATIONS = 8
+DEFAULT_SOURCES_PER_DESTINATION = 10
+DEFAULT_N_STUBS = 12
+
 
 @dataclass(frozen=True)
 class PairSample:

@@ -302,7 +302,10 @@ class CompareReport:
     current_sha: str
     threshold_pct: float
     deltas: List[MetricDelta] = field(default_factory=list)
+    #: baseline metrics absent from the current run (a listed note)
     missing: List[str] = field(default_factory=list)
+    #: the gated ones among ``missing`` (these fail the report)
+    missing_gated: List[str] = field(default_factory=list)
     added: List[str] = field(default_factory=list)
 
     @property
@@ -323,7 +326,7 @@ class CompareReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.missing_gated
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -335,6 +338,7 @@ class CompareReport:
             "warnings": [asdict(d) for d in self.warnings],
             "deltas": [asdict(d) for d in self.deltas],
             "missing": self.missing,
+            "missing_gated": self.missing_gated,
             "added": self.added,
         }
 
@@ -370,8 +374,11 @@ class CompareReport:
         verdict = (
             "OK — no gated metric regressed beyond the threshold"
             if self.ok else
-            "FAIL — gated hot-path metrics regressed: "
-            + ", ".join(d.name for d in self.regressions)
+            "FAIL — gated hot-path metrics regressed or vanished: "
+            + ", ".join(
+                [d.name for d in self.regressions]
+                + [f"{name} (missing)" for name in self.missing_gated]
+            )
         )
         lines.append(verdict)
         return "\n".join(lines)
@@ -386,10 +393,11 @@ def compare(
 
     A metric's *regression percent* is its percent change in the bad
     direction (the record's ``better`` field orients the sign), so one
-    threshold covers latencies and throughputs alike.  Gated metrics
-    present in the baseline but missing from the current run are
-    reported in ``missing`` — a silently dropped gate metric must not
-    read as a pass.
+    threshold covers latencies and throughputs alike.  Metrics present
+    in the baseline but missing from the current run are listed in
+    ``missing``; the gated ones among them also land in
+    ``missing_gated`` and fail the report — a silently dropped gate
+    metric must not read as a pass.
     """
     validate_document(baseline)
     validate_document(current)
@@ -402,7 +410,10 @@ def compare(
     )
     for key in sorted(base):
         if key not in cur:
-            report.missing.append(f"{key[0]}.{key[1]}")
+            name = f"{key[0]}.{key[1]}"
+            report.missing.append(name)
+            if base[key].gate:
+                report.missing_gated.append(name)
             continue
         b, c = base[key], cur[key]
         if b.value == 0:

@@ -141,12 +141,6 @@ class TestFailureSweepCommand:
 
 
 class TestConvergeCommand:
-    def test_crosscheck_all_modes(self, capsys):
-        assert main(["converge", "--crosscheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("round/event states identical") == 5
-        assert "OSCILLATES" in out  # the unrestricted counterexample
-
     def test_event_engine_with_delays(self, capsys):
         assert main([
             "converge", "--figure", "7.2", "--mode", "E",
@@ -156,18 +150,18 @@ class TestConvergeCommand:
         assert "sim_time=" in out
         assert "converged" in out
 
-    def test_round_engine(self, capsys):
-        assert main([
-            "converge", "--figure", "7.1", "--mode", "B",
-            "--engine", "rounds",
-        ]) == 0
-        assert "converged" in capsys.readouterr().out
-
-    def test_crosscheck_rejects_delays(self, capsys):
-        assert main([
-            "converge", "--crosscheck", "--link-delay", "0.5",
-        ]) == 1
-        assert "synchronous" in capsys.readouterr().err
+    def test_zero_delays_print_the_fair_round_table(self, capsys):
+        assert main(["converge", "--figure", "7.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(
+            "unrestricted: OSCILLATES (5 rounds) sim_time=4 activations=20"
+        )
+        assert [line.split(": ")[1] for line in lines[1:]] == [
+            "converged (3 rounds) sim_time=2 activations=12",
+            "converged (3 rounds) sim_time=2 activations=12",
+            "converged (2 rounds) sim_time=1 activations=8",
+            "converged (2 rounds) sim_time=1 activations=8",
+        ]
 
 
 class TestChurnCommand:

@@ -154,6 +154,11 @@ class TestSchedules:
         # two constructive phases + one quiet verification round
         assert result.rounds <= 4
 
+    def test_empty_schedule_is_rejected_by_name(self):
+        system = fig_7_1_system(GuidelineMode.GUIDELINE_B)
+        with pytest.raises(ConvergenceError, match="schedule"):
+            system.run(schedule=[])
+
 
 class TestRandomTopologies:
     @pytest.mark.parametrize("mode", [

@@ -200,7 +200,19 @@ class TestCompare:
         ]
         report = compare(baseline, current, 10.0)
         assert "kernel.settle_seconds" in report.missing
+        assert report.missing_gated == ["kernel.settle_seconds"]
+        assert not report.ok  # a vanished gate is a failure, not a pass
         assert "missing from current run" in report.render()
+        assert "kernel.settle_seconds (missing)" in report.render()
+        # a vanished ungated metric is a listed note only
+        current = _trajectory("b")
+        current["records"] = [
+            r for r in current["records"] if r["metric"] != "cold_seconds"
+        ]
+        report = compare(baseline, current, 10.0)
+        assert report.missing == ["session.cold_seconds"]
+        assert report.ok and not report.missing_gated
+        assert "session.cold_seconds" in report.render()
 
     def test_to_dict_is_json_ready(self):
         report = compare(_trajectory("a"), _trajectory("b", settle=2.0), 10.0)
@@ -365,7 +377,7 @@ class TestBenchCli:
     def test_log_json_flag_emits_json_lines(self, capsys):
         rc = main([
             "converge", "--figure", "7.1", "--mode", "unrestricted",
-            "--engine", "rounds", "--log-json", "--log-level", "info",
+            "--log-json", "--log-level", "info",
         ])
         assert rc == 0
         err = capsys.readouterr().err
