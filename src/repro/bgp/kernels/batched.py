@@ -47,12 +47,8 @@ length are constant, so the kernel's hot argmin only needs the cheaper
 from __future__ import annotations
 
 import gc
+import importlib.util
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:  # numpy is the optional [accel] extra — never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
 
 from ...errors import KernelError
 from ..route import Route, RouteClass
@@ -121,9 +117,28 @@ def pack_candidate_key(
     )
 
 
+#: numpy, bound by :func:`_require_numpy` at the first batched settle:
+#: the optional [accel] extra is never a hard dependency, and a process
+#: on the default scalar kernel never pays for importing it.
+_np = None
+
+
 def numpy_available() -> bool:
     """Whether the [accel] extra (numpy) is importable — probed at resolve."""
-    return _np is not None
+    return importlib.util.find_spec("numpy") is not None
+
+
+def _require_numpy() -> None:
+    global _np
+    if not numpy_available():
+        raise KernelError(
+            "the batched kernel requires numpy — install the [accel] "
+            "extra or select --kernel scalar"
+        )
+    if _np is None:
+        import numpy
+
+        _np = numpy
 
 
 # ----------------------------------------------------------------------
@@ -396,11 +411,7 @@ def settle_batched(
     """
     if pinned:
         return compute_routes_snapshot(snapshot, destination, pinned)
-    if _np is None:
-        raise KernelError(
-            "the batched kernel requires numpy — install the [accel] "
-            "extra or select --kernel scalar"
-        )
+    _require_numpy()
     dest = snapshot.index_of(destination)
     with _TRACER.span("compute_routes_batched", destination=destination):
         return _settle_chunk(snapshot, (dest,))[0]
@@ -418,11 +429,7 @@ def settle_many(
     nothing.  Returns ``{destination: best}`` with duplicates computed
     once; each table is byte-equal to the scalar kernel's.
     """
-    if _np is None:
-        raise KernelError(
-            "the batched kernel requires numpy — install the [accel] "
-            "extra or select --kernel scalar"
-        )
+    _require_numpy()
     unique: List[int] = []
     seen = set()
     for destination in destinations:

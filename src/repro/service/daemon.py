@@ -28,6 +28,9 @@ thread-safe :class:`~repro.session.core.SessionCore`:
   with :class:`~repro.errors.ServiceOverloadError` carrying a
   ``Retry-After``-style hint, so overload degrades into fast failures
   instead of unbounded queues.
+* **Encoded answers.**  The front end's whole-table answer is encoded
+  once per cached table and kept only as long as the session keeps
+  that table (:meth:`MiroService.encoded_answer`).
 * **Graceful drain.**  :meth:`drain` stops admission, lets every
   accepted request finish, stops the batcher, and shuts the executor
   down — nothing accepted is dropped.
@@ -35,7 +38,8 @@ thread-safe :class:`~repro.session.core.SessionCore`:
 SLO instrumentation (all in the process registry, so they land in the
 bench trajectory): ``repro_service_request_seconds{op}`` latency
 histograms, ``repro_service_requests_total{op,outcome}``,
-``repro_service_batch_destinations``, ``repro_service_queue_depth``.
+``repro_service_batch_destinations``, ``repro_service_queue_depth``,
+``repro_service_encoded_answers_total{outcome}``.
 """
 
 from __future__ import annotations
@@ -43,11 +47,12 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, Optional, Set
 
 from ..bgp.routing import RoutingTable
 from ..errors import ServiceError, ServiceOverloadError, UnknownASError
@@ -95,6 +100,13 @@ _SHED = get_registry().counter(
     "repro_service_shed_total",
     "Requests shed by admission backpressure",
 )
+_ENCODED = get_registry().counter(
+    "repro_service_encoded_answers_total",
+    "Whole-table answers served from the kept body (hit) or encoded (build)",
+    labels=("outcome",),
+)
+_ENCODED_HIT = _ENCODED.labels(outcome="hit")
+_ENCODED_BUILD = _ENCODED.labels(outcome="build")
 
 
 @dataclass(frozen=True)
@@ -165,6 +177,11 @@ class MiroService:
         # originated-prefix set with a plain lock, not the event loop
         self._originated: Set[int] = set()
         self._originate_lock = threading.Lock()
+        # encoded whole-table answers, one per table object and only
+        # while the session's cache (or a request) keeps that table
+        self._encoded: "weakref.WeakKeyDictionary[RoutingTable, bytes]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -274,6 +291,26 @@ class MiroService:
         _QUEUE_DEPTH.set(len(self._queue))
         self._wake.set()
         return await asyncio.shield(future)
+
+    def encoded_answer(
+        self, table: RoutingTable, encode: Callable[[RoutingTable], bytes]
+    ) -> bytes:
+        """``encode(table)``, run once per table object and kept with it.
+
+        The front end's whole-table answer.  The body is keyed by the
+        table's identity and held weakly, so invalidation is the
+        session's: a table the LRU evicts, :meth:`SessionCore.mutate`
+        prunes or a derived table supersedes takes its body with it,
+        and a lookup at a new graph version gets a new table from
+        :meth:`lookup` and with it a new body.  Event loop only.
+        """
+        body = self._encoded.get(table)
+        if body is None:
+            body = self._encoded[table] = encode(table)
+            _ENCODED_BUILD.inc()
+        else:
+            _ENCODED_HIT.inc()
+        return body
 
     # ------------------------------------------------------------------
     # the batcher
@@ -419,6 +456,7 @@ class MiroService:
     def info(self) -> Dict[str, object]:
         """JSON-ready service state, for the protocol's ``stats`` op."""
         quantile = _REQ_SECONDS.labels(op="lookup")
+        bodies = list(self._encoded.values())
         return {
             "accepting": self._started and not self._draining,
             "queue_depth": len(self._queue),
@@ -428,6 +466,8 @@ class MiroService:
             "max_pending": self.config.max_pending,
             "shed_total": _SHED.value,
             "coalesced_total": _COALESCED.value,
+            "encoded_tables": len(bodies),
+            "encoded_bytes": sum(map(len, bodies)),
             "lookup_p50_ms": quantile.quantile(0.5) * 1000.0,
             "lookup_p99_ms": quantile.quantile(0.99) * 1000.0,
             "session": self.core.stats.to_dict(),

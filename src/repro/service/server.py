@@ -9,6 +9,8 @@ production RPC layer:
 * ``{"op": "lookup", "destination": 42}`` →
   ``{"ok": true, "destination": 42, "paths": {"7": [7, 3, 42], ...}}``
   (selected AS path per routed AS; pass ``"source": 7`` for just one).
+  The whole-table answer is encoded once per cached table and served as
+  bytes after that (:meth:`MiroService.encoded_answer`).
 * ``{"op": "negotiate", "requester": 7, "responder": 3,
   "destination": 42, "policy": "flexible"}`` →
   ``{"ok": true, "established": true, "tunnel_id": 1, "path": [...]}``
@@ -25,8 +27,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
+from ..bgp.routing import RoutingTable
 from ..errors import ReproError, ServiceOverloadError
 from ..miro.policies import ExportPolicy
 from ..obs import get_logger
@@ -44,39 +47,58 @@ def _error(message: str, **extra: object) -> Dict[str, object]:
     return out
 
 
+def _asn(request: Dict[str, object], field: str) -> int:
+    """``request[field]`` as an AS number.  ``int()`` would answer
+    ``true`` for AS 1 and ``2.9`` for AS 2; those are bad requests."""
+    value = request[field]
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _encode_table(table: RoutingTable) -> bytes:
+    paths = {str(asn): list(route.path) for asn, route in table.items()}
+    payload = {"ok": True, "destination": table.destination, "paths": paths}
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
 async def handle_request(
     service: MiroService, request: Dict[str, object]
-) -> Dict[str, object]:
+) -> Union[Dict[str, object], bytes]:
     """Dispatch one decoded request dict to the service (protocol core).
 
     Shared by the TCP server and any in-process test driving the
     protocol without sockets.  Never raises: every failure becomes an
     ``{"ok": false, ...}`` response.
+
+    A whole-table lookup returns the answer already encoded — the
+    compact JSON object as ``bytes``, the one the service keeps beside
+    the cached table — and every other request a dict; an in-process
+    caller that wants the dict calls ``json.loads`` on the bytes.
     """
     op = request.get("op")
     try:
         if op == "lookup":
-            destination = int(request["destination"])
+            destination = _asn(request, "destination")
             table = await service.lookup(destination)
             if "source" in request:
-                path = table.default_path(int(request["source"]))
+                path = table.default_path(_asn(request, "source"))
                 return {
                     "ok": True,
                     "destination": destination,
                     "path": list(path) if path is not None else None,
                 }
-            paths = {
-                str(asn): list(route.path) for asn, route in table.items()
-            }
-            return {"ok": True, "destination": destination, "paths": paths}
+            return service.encoded_answer(table, _encode_table)
         if op == "negotiate":
             policy = ExportPolicy.from_label(
                 str(request.get("policy", "flexible"))
             )
             record = await service.negotiate(
-                int(request["requester"]),
-                int(request["responder"]),
-                int(request["destination"]),
+                _asn(request, "requester"),
+                _asn(request, "responder"),
+                _asn(request, "destination"),
                 policy,
             )
             if record is None:
@@ -108,12 +130,26 @@ async def _serve_connection(
     write_lock = asyncio.Lock()
     tasks = set()
 
-    async def answer(request_id: object, payload: Dict[str, object]) -> None:
-        if request_id is not None:
-            payload = dict(payload, id=request_id)
-        line = json.dumps(payload, separators=(",", ":")) + "\n"
+    async def answer(
+        request_id: object, payload: Union[Dict[str, object], bytes]
+    ) -> None:
+        if isinstance(payload, bytes):
+            # an encoded whole-table answer: the id goes in as the last
+            # member, as dumps(dict(payload, id=...)) would put it, and
+            # the body is copied once, into the line
+            if request_id is None:
+                line = payload + b"\n"
+            else:
+                tag = json.dumps(request_id, separators=(",", ":"))
+                line = b"".join((memoryview(payload)[:-1], b',"id":',
+                                 tag.encode("utf-8"), b"}\n"))
+        else:
+            if request_id is not None:
+                payload = dict(payload, id=request_id)
+            line = (json.dumps(payload, separators=(",", ":")) + "\n").encode(
+                "utf-8")
         async with write_lock:
-            writer.write(line.encode("utf-8"))
+            writer.write(line)
             await writer.drain()
 
     async def one(raw: bytes) -> None:

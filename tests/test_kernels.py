@@ -12,6 +12,9 @@ caught by a fault campaign), and the CLI / session-pool plumbing.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -215,7 +218,13 @@ class TestBatchedByteEquality:
     def test_no_numpy_raises_kernel_error(self, tiny_graph, monkeypatch):
         from repro.bgp.kernels import batched as batched_module
 
-        monkeypatch.setattr(batched_module, "_np", None)
+        find_spec = batched_module.importlib.util.find_spec
+        monkeypatch.setattr(
+            batched_module.importlib.util, "find_spec",
+            lambda name, *rest: (
+                None if name == "numpy" else find_spec(name, *rest)
+            ),
+        )
         with pytest.raises(KernelError, match="requires numpy"):
             settle_batched(tiny_graph.snapshot(), tiny_graph.ases[0])
         # and resolution degrades to scalar instead of failing
@@ -224,6 +233,27 @@ class TestBatchedByteEquality:
             assert kernels.resolve().name == "scalar"
         finally:
             kernels.set_active(previous)
+
+    def test_numpy_is_imported_at_the_first_batched_settle(self):
+        """A process on the scalar kernel — every server — never loads it."""
+        script = (
+            "import sys, repro, repro.service\n"
+            "from repro.bgp import kernels\n"
+            "from repro.topology.generator import generate_named\n"
+            "snapshot = generate_named('tiny', seed=1).snapshot()\n"
+            "kernels.settle(snapshot, snapshot.asns[0])\n"
+            "assert 'numpy' not in sys.modules\n"
+            "if kernels.get('batched').is_available():\n"
+            "    kernels.settle(snapshot, snapshot.asns[0], kernel='batched')\n"
+            "    assert 'numpy' in sys.modules\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

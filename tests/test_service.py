@@ -8,6 +8,8 @@ with ``asyncio.run`` — which also keeps each test's service lifecycle
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
 import json
 import threading
 
@@ -25,11 +27,13 @@ from repro.service import (
     run_workload_client,
     serve,
 )
-from repro.service.daemon import _COALESCED, _REQUESTS, _SHED
+from repro.bgp.routing import compute_routes_reference
+from repro.service.daemon import _COALESCED, _ENCODED, _REQUESTS, _SHED
 from repro.service.server import MAX_LINE_BYTES
 from repro.session import SimulationSession
 from repro.session.cache import _CACHE_EVENTS
 from repro.miro.runtime import MiroRuntime
+from repro.topology.delta import TopologyDelta
 
 import random
 
@@ -350,6 +354,8 @@ class TestProtocol:
         [response] = self.run(
             paper_graph, [{"op": "lookup", "destination": 6}]
         )
+        assert isinstance(response, bytes)      # the encoded body
+        response = json.loads(response)
         assert response["ok"] is True
         assert response["paths"]["2"] == [2, 5, 6]
 
@@ -373,6 +379,35 @@ class TestProtocol:
             {"op": "lookup", "destination": "not-a-number"},
         ])
         assert all(r["ok"] is False for r in responses)
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "lookup", "destination": 2.9},
+        {"op": "lookup", "destination": True},
+        {"op": "lookup", "destination": "6"},
+        {"op": "lookup", "destination": 6, "source": True},
+        {"op": "lookup", "destination": 6, "source": 1.5},
+        {"op": "negotiate", "requester": 2.5, "responder": 3,
+         "destination": 6},
+        {"op": "negotiate", "requester": 2, "responder": False,
+         "destination": 6},
+    ])
+    def test_non_integer_as_numbers_are_bad_requests(
+        self, paper_graph, request_
+    ):
+        """``int()`` used to answer 2.9 for AS 2 and ``true`` for AS 1."""
+        [response] = self.run(
+            paper_graph, [request_], runtime=MiroRuntime(paper_graph, seed=1)
+        )
+        assert response["ok"] is False
+        assert response["error"].startswith("bad request")
+
+    def test_integral_numbers_are_as_numbers(self, paper_graph):
+        responses = self.run(paper_graph, [
+            {"op": "lookup", "destination": 6, "source": 1},
+            {"op": "lookup", "destination": 6.0, "source": 1.0},
+        ])
+        assert responses[0] == responses[1]
+        assert responses[0]["path"] == [1, 2, 5, 6]
 
     def test_negotiate_op(self, paper_graph):
         runtime = MiroRuntime(paper_graph, seed=1)
@@ -401,7 +436,11 @@ class TestProtocol:
                     ]
                     return await asyncio.gather(*requests)
 
-        responses = asyncio.run(main())
+        # whole-table answers that were admitted come back encoded
+        responses = [
+            json.loads(r) if isinstance(r, bytes) else r
+            for r in asyncio.run(main())
+        ]
         overloaded = [r for r in responses if r.get("error") == "overloaded"]
         assert overloaded
         assert all(r["retry_after"] == 0.05 for r in overloaded)
@@ -509,6 +548,196 @@ class TestServer:
         assert result.ok == 200
         assert result.shed == result.errors == 0
         assert result.latency_quantile(0.99) > 0
+
+
+# ----------------------------------------------------------------------
+# the encoded whole-table answer
+# ----------------------------------------------------------------------
+@contextlib.asynccontextmanager
+async def tcp_service(graph, **session_options):
+    """A served ``MiroService`` and one client connection to it."""
+    with SimulationSession(
+        graph, parallel=False, **session_options
+    ) as session:
+        async with MiroService(session) as service:
+            loop = asyncio.get_running_loop()
+            ready = loop.create_future()
+            endpoint = loop.create_task(
+                serve(service, "127.0.0.1", 0, ready=ready)
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", await ready, limit=MAX_LINE_BYTES
+            )
+            try:
+                yield service, reader, writer
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                endpoint.cancel()
+                await asyncio.gather(endpoint, return_exceptions=True)
+
+
+def reference_answer(graph, destination):
+    """The whole-table payload, built from the reference walk the way
+    the server built it per request before it kept the bytes."""
+    table = compute_routes_reference(graph, destination)
+    paths = {str(asn): list(route.path) for asn, route in table.items()}
+    return {"ok": True, "destination": destination, "paths": paths}
+
+
+def encoded(outcome: str) -> float:
+    return _ENCODED.labels(outcome=outcome).value
+
+
+class TestEncodedAnswer:
+    def test_wire_line_is_byte_equal_to_dumps_with_id(self, tiny_graph):
+        destination = tiny_graph.ases[0]
+        absent = object()
+        ids = [7, 'q"uo\u00e9', [1, "x", None], {"k": [1, 2]}, None, absent]
+
+        async def main():
+            async with tcp_service(tiny_graph) as (service, reader, writer):
+                service.core.compute_many([destination])    # prefill
+                lines = []
+                for request_id in ids:
+                    request = {"op": "lookup", "destination": destination}
+                    if request_id is not absent:
+                        request["id"] = request_id
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    lines.append(await reader.readline())
+                return lines
+
+        lines = asyncio.run(main())
+        payload = reference_answer(tiny_graph, destination)
+        for request_id, line in zip(ids, lines):
+            if request_id is not None and request_id is not absent:
+                expected = dict(payload, id=request_id)
+            else:
+                expected = payload                          # no id member
+            assert line == (
+                json.dumps(expected, separators=(",", ":")) + "\n"
+            ).encode("utf-8")
+        assert encoded("build") == 1
+        assert encoded("hit") == len(ids) - 1
+
+    def test_answer_follows_the_table_through_churn(self, small_graph):
+        """link down → answer → revert → answer: each is the reference
+        at that link state, never the body of the table before it."""
+        provider, stub, _ = next(
+            (a, b, rel) for a, b, rel in small_graph.iter_links()
+            if len(small_graph.neighbors(b)) > 1
+        )
+        destination = stub
+
+        async def main():
+            async with tcp_service(small_graph) as (service, reader, writer):
+                async def ask():
+                    writer.write(json.dumps(
+                        {"op": "lookup", "destination": destination}
+                    ).encode() + b"\n")
+                    return json.loads(await reader.readline())
+
+                seen = []
+                up = await ask()
+                assert up == reference_answer(small_graph, destination)
+                seen.append(service.info()["encoded_tables"])
+                applied = await service.apply_churn(
+                    TopologyDelta.link_down(provider, stub).apply)
+                down = await ask()
+                assert down == reference_answer(small_graph, destination)
+                assert down != up
+                seen.append(service.info()["encoded_tables"])
+                await service.apply_churn(lambda graph: applied.revert())
+                assert await ask() == up
+                assert up == reference_answer(small_graph, destination)
+                gc.collect()
+                info = service.info()
+                seen.append(info["encoded_tables"])
+                assert info["encoded_bytes"] == len(
+                    json.dumps(up, separators=(",", ":")))
+                assert info["session"]["auto_pruned"] >= 1
+                return seen
+
+        # the pre-failure table stays cached as the derivation parent
+        # while the link is down and is current again after the revert;
+        # the table derived for the down state is pruned, body and all
+        assert asyncio.run(main()) == [1, 2, 1]
+        assert encoded("build") == 2
+        assert encoded("hit") == 1
+
+    def test_bodies_are_bounded_by_the_table_cache(self, tiny_graph):
+        async def main():
+            async with tcp_service(
+                tiny_graph, max_cached_tables=2
+            ) as (service, reader, writer):
+                held = []
+                for destination in tiny_graph.ases[:10]:
+                    writer.write(json.dumps(
+                        {"op": "lookup", "destination": destination}
+                    ).encode() + b"\n")
+                    answer = json.loads(await reader.readline())
+                    assert answer["destination"] == destination
+                    del answer
+                    gc.collect()
+                    held.append(service.info()["encoded_tables"])
+                return held
+
+        held = asyncio.run(main())
+        assert max(held) <= 2
+        assert encoded("build") == 10
+
+    def test_pipelined_requests_encode_once(self, tiny_graph):
+        destination = tiny_graph.ases[3]
+
+        async def main():
+            async with tcp_service(tiny_graph) as (service, reader, writer):
+                writer.write(b"".join(
+                    json.dumps({"op": "lookup", "destination": destination,
+                                "id": i}).encode() + b"\n"
+                    for i in range(4)
+                ))
+                answers = [
+                    json.loads(await reader.readline()) for _ in range(4)
+                ]
+                return answers, service.info()
+
+        answers, info = asyncio.run(main())
+        assert sorted(a.pop("id") for a in answers) == [0, 1, 2, 3]
+        assert all(a == answers[0] for a in answers)
+        assert answers[0] == reference_answer(tiny_graph, destination)
+        assert (encoded("build"), encoded("hit")) == (1, 3)
+        assert info["encoded_tables"] == 1
+
+    def test_warm_answers_are_session_hits(self, tiny_graph):
+        """The bytes sit behind ``lookup`` → ``peek``, not in front."""
+        destination = tiny_graph.ases[0]
+
+        async def main():
+            async with tcp_service(tiny_graph) as (service, reader, writer):
+                service.core.compute_many([destination])
+                before = service.core.stats.hits
+                for _ in range(5):
+                    writer.write(json.dumps(
+                        {"op": "lookup", "destination": destination}
+                    ).encode() + b"\n")
+                    await reader.readline()
+                return service.core.stats.hits - before
+
+        assert asyncio.run(main()) == 5
+        assert _REQUESTS.labels(op="lookup", outcome="ok").value == 5
+
+    def test_source_lookups_encode_nothing(self, tiny_graph):
+        async def main():
+            async with tcp_service(tiny_graph) as (service, reader, writer):
+                writer.write(json.dumps(
+                    {"op": "lookup", "destination": tiny_graph.ases[0],
+                     "source": tiny_graph.ases[-1]}
+                ).encode() + b"\n")
+                await reader.readline()
+                return service.info()
+
+        info = asyncio.run(main())
+        assert info["encoded_tables"] == info["encoded_bytes"] == 0
 
 
 # ----------------------------------------------------------------------
