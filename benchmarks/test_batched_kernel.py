@@ -1,17 +1,36 @@
-"""Batched wave kernel vs scalar heap kernel: sweep and settle timings.
+"""Scalar wave kernel vs batched wave kernel: settle and materialize.
 
-The tentpole claims of the vectorized backend (``--kernel batched``),
-measured on the verify-500 profile the differential campaigns use and on
-the internet-10k scaling profile:
+Both backends settle an un-pinned table as a parent-pointer
+:class:`~repro.bgp.routing.RouteTree` and share one materializer, so a
+table has two costs and this file records them apart, per table, for
+both backends at verify-500 and at the internet-10k scaling profile:
 
-* the batched kernel's **settling phases** (the three-phase propagation,
-  what the vectorization replaces) run at least 5x faster than the
-  scalar kernel's across a whole-topology destination sweep,
-* the **end-to-end sweep** — settling plus the byte-equal Route
-  materialization both kernels share, which is the irreducible floor —
-  is still meaningfully faster, and
-* the tables are byte-equal (values and dict insertion order), spot
-  checked here and enforced in full by the differential oracle's
+* **settle** — the three propagation phases plus assembling the tree
+  (what a ``source`` lookup pays); and
+* **materialize** — expanding a tree into its ``{asn: Route}`` dict
+  (what a whole-table reader pays on top, once per table; identical code
+  for either backend, so it is measured once per topology).
+
+The heap walk these numbers used to be compared with now serves pinned
+requests only; EXPERIMENTS.md has the heap / wave / batched table at
+500, 1k and 10k ASes, taken against the parent commit.
+
+What the gates protect:
+
+* ``settle_speedup`` (verify-500, whole-topology sweep) and
+  ``internet_10k_settle_speedup`` — the numpy backend's reason to exist.
+  It costs an import, ~12 MB of resident memory and a second
+  implementation under the oracle; it keeps its place only while a
+  sweep settles measurably faster on it than on the pure-Python waves
+  (measured 3.1–3.5x at 500 ASes and 3.0–3.1x at 10k, fastest of
+  three sweeps each; gated at 1.5x because CI machines are noisy).
+* ``settle_share_of_table`` — that settling stays the smaller half of a
+  fully read table at 10k on the batched backend (measured 0.20–0.23),
+  i.e. nothing per-route has crept back into the kernel's tail (the
+  ``Route``-building tail this replaced was three quarters of the
+  batched table).
+* equality — the two backends return the same tree, field for field,
+  spot-checked here and enforced in full by the differential oracle's
   registry enumeration.
 
 The headline timings land in the unified bench trajectory via
@@ -27,41 +46,54 @@ np = pytest.importorskip("numpy")
 
 from repro.bgp.kernels import batched  # noqa: E402
 from repro.bgp.routing import compute_routes_snapshot  # noqa: E402
-from repro.obs import get_registry  # noqa: E402
 from repro.topology import generate_named  # noqa: E402
 
 
-def _phase_seconds(mode: str) -> float:
-    """Total settling-phase seconds recorded so far under ``mode``."""
-    snap = get_registry().snapshot()
-    return sum(
-        s["sum"]
-        for s in snap.get("repro_routing_phase_seconds", {}).get("samples", ())
-        if s["labels"]["mode"] == mode
+#: Each settle timing is the fastest of this many sweeps: a neighbour on
+#: a shared CI machine only ever adds time.
+ROUNDS = 3
+
+
+def _fastest(sweep, destinations):
+    """``(trees, seconds per table)`` of the fastest of ROUNDS sweeps."""
+    best = None
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        trees = sweep(destinations)
+        elapsed = (time.perf_counter() - start) / len(destinations)
+        if best is None or elapsed < best:
+            best = elapsed
+    return trees, best
+
+
+def _settle_scalar(snapshot, destinations):
+    return _fastest(
+        lambda ds: {d: compute_routes_snapshot(snapshot, d) for d in ds},
+        destinations,
     )
 
 
-def _sweep_scalar(snapshot, destinations):
+def _settle_batched(snapshot, destinations):
+    return _fastest(
+        lambda ds: batched.settle_many(snapshot, ds), destinations
+    )
+
+
+def _materialize(trees):
     start = time.perf_counter()
-    tables = {d: compute_routes_snapshot(snapshot, d) for d in destinations}
-    return tables, time.perf_counter() - start
+    for tree in trees.values():
+        tree.materialize()
+    return (time.perf_counter() - start) / len(trees)
 
 
-def _sweep_batched(snapshot, destinations):
-    start = time.perf_counter()
-    tables = batched.settle_many(snapshot, destinations)
-    return tables, time.perf_counter() - start
-
-
-def _assert_byte_equal(scalar_tables, batched_tables, destinations):
+def _assert_same_trees(scalar_trees, batched_trees, destinations):
     for destination in destinations:
-        expected = scalar_tables[destination]
-        actual = batched_tables[destination]
-        assert list(expected) == list(actual), destination
-        for asn, route in expected.items():
-            got = actual[asn]
-            assert got.path == route.path, (destination, asn)
-            assert got.route_class is route.route_class, (destination, asn)
+        expected = scalar_trees[destination]
+        actual = batched_trees[destination]
+        assert list(actual.order) == list(expected.order), destination
+        assert list(actual.parent) == list(expected.parent), destination
+        assert (actual.peer_from, actual.provider_from) == (
+            expected.peer_from, expected.provider_from), destination
 
 
 def test_batched_kernel_speedup_verify500(bench_report):
@@ -73,67 +105,59 @@ def test_batched_kernel_speedup_verify500(bench_report):
     batched.settle_many(snapshot, destinations[:8])
     compute_routes_snapshot(snapshot, destinations[0])
 
-    scalar_phase0 = _phase_seconds("full")
-    scalar_tables, scalar_seconds = _sweep_scalar(snapshot, destinations)
-    scalar_phase = _phase_seconds("full") - scalar_phase0
-
-    batched_phase0 = _phase_seconds("batched")
-    batched_tables, batched_seconds = _sweep_batched(snapshot, destinations)
-    batched_phase = _phase_seconds("batched") - batched_phase0
-
-    _assert_byte_equal(
-        scalar_tables, batched_tables, destinations[:: len(destinations) // 40]
+    scalar_trees, scalar_settle = _settle_scalar(snapshot, destinations)
+    batched_trees, batched_settle = _settle_batched(snapshot, destinations)
+    _assert_same_trees(
+        scalar_trees, batched_trees, destinations[:: len(destinations) // 40]
     )
+    materialize = _materialize(batched_trees)
+    del scalar_trees, batched_trees
 
-    settle_speedup = scalar_phase / batched_phase if batched_phase else 0.0
-    sweep_speedup = scalar_seconds / batched_seconds if batched_seconds else 0.0
-
-    # 10k-AS scaling point: scalar per-table cost sampled, batched swept
+    # 10k-AS scaling point, a 200-destination sample of the sweep
     big = generate_named("internet-10k", seed=0)
     big_snapshot = big.snapshot()
     big_destinations = list(big.ases)[::50][:200]
     batched.settle_many(big_snapshot, big_destinations[:2])  # warm arenas
-    _, big_batched_seconds = _sweep_batched(big_snapshot, big_destinations)
-    sample = big_destinations[:20]
-    big_scalar_tables, big_scalar_sample = _sweep_scalar(big_snapshot, sample)
-    big_scalar_seconds = big_scalar_sample / len(sample) * len(big_destinations)
-    _assert_byte_equal(
-        big_scalar_tables,
-        batched.settle_many(big_snapshot, sample),
-        sample[::5],
+    big_batched_trees, big_batched_settle = _settle_batched(
+        big_snapshot, big_destinations
     )
+    sample = big_destinations[:40]
+    big_scalar_trees, big_scalar_settle = _settle_scalar(big_snapshot, sample)
+    _assert_same_trees(big_scalar_trees, big_batched_trees, sample[::5])
+    big_materialize = _materialize(big_scalar_trees)
 
-    big_speedup = (
-        big_scalar_seconds / big_batched_seconds if big_batched_seconds
-        else 0.0
-    )
-    size = len(graph)
-    bench_report.record("scalar_sweep_seconds", scalar_seconds, "seconds",
-                        topology="verify-500", topology_size=size)
-    bench_report.record("batched_sweep_seconds", batched_seconds, "seconds",
-                        gate=True, topology="verify-500", topology_size=size)
-    bench_report.record("scalar_settle_seconds", scalar_phase, "seconds",
-                        topology="verify-500", topology_size=size)
-    bench_report.record("batched_settle_seconds", batched_phase, "seconds",
-                        gate=True, topology="verify-500", topology_size=size)
+    settle_speedup = scalar_settle / batched_settle
+    big_speedup = big_scalar_settle / big_batched_settle
+    settle_share = big_batched_settle / (big_batched_settle + big_materialize)
+
+    for name, value, gate, topology, size in (
+        ("scalar_settle_seconds_per_table", scalar_settle, True,
+         "verify-500", len(graph)),
+        ("batched_settle_seconds_per_table", batched_settle, True,
+         "verify-500", len(graph)),
+        ("materialize_seconds_per_table", materialize, True,
+         "verify-500", len(graph)),
+        ("internet_10k_scalar_settle_seconds_per_table", big_scalar_settle,
+         False, "internet-10k", len(big)),
+        ("internet_10k_batched_settle_seconds_per_table", big_batched_settle,
+         False, "internet-10k", len(big)),
+        ("internet_10k_materialize_seconds_per_table", big_materialize,
+         False, "internet-10k", len(big)),
+    ):
+        bench_report.record(name, value, "seconds", gate=gate,
+                            topology=topology, topology_size=size)
     bench_report.record("settle_speedup", settle_speedup, "x",
                         better="higher")
-    bench_report.record("sweep_speedup", sweep_speedup, "x", better="higher")
-    bench_report.record("internet_10k_batched_sweep_seconds",
-                        big_batched_seconds, "seconds",
-                        topology="internet-10k", topology_size=len(big))
-    bench_report.record("internet_10k_sweep_speedup", big_speedup, "x",
+    bench_report.record("internet_10k_settle_speedup", big_speedup, "x",
                         better="higher")
+    bench_report.record("internet_10k_settle_share_of_table", settle_share,
+                        "ratio")
     results = {
         "settle_speedup": settle_speedup,
-        "sweep_speedup": sweep_speedup,
-        "internet_10k_sweep_speedup": big_speedup,
+        "internet_10k_settle_speedup": big_speedup,
+        "internet_10k_settle_share_of_table": settle_share,
     }
 
-    # The settling phases — what the vectorization replaces — must carry
-    # the headline factor; the end-to-end sweep shares the byte-equal
-    # Route-materialization floor with the scalar kernel, so its bound is
-    # looser by design (generous margins: CI machines are noisy).
-    assert settle_speedup >= 5.0, results
-    assert sweep_speedup >= 1.5, results
+    assert settle_speedup >= 1.5, results
     assert big_speedup >= 1.5, results
+    assert settle_share <= 0.5, results

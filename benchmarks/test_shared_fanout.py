@@ -89,9 +89,9 @@ def _churn_init(snapshot):
 
 def _churn_settle(destination):
     """Churn-baseline job: one destination, returned as a Route dict."""
-    return destination, kernels.settle(
+    return destination, dict(kernels.settle(
         _CHURN_SNAPSHOT, destination, kernel="scalar"
-    )
+    ))
 
 
 def _churn_cold_sweep(graph, destinations):

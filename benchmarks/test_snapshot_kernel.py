@@ -3,8 +3,14 @@
 The tentpole claims of the int-indexed hot path, measured on the
 verify-500 profile the differential campaigns use:
 
-* the index-space settling kernel computes a stable state at least 1.5x
-  faster than the legacy dict walk it byte-for-byte reproduces, and
+* the index-space kernel computes a stable state decisively faster than
+  the legacy dict walk it byte-for-byte reproduces.  The kernel returns
+  a parent-pointer tree, so its cost is recorded in two parts — settle,
+  and materialize (tree → ``{asn: Route}``) — and gated twice: settle
+  plus materialize, the like-for-like comparison with the dict walk's
+  finished table, stays at least 1.5x faster (measured 3.6–5x); settle
+  alone, what a path lookup pays, at least 4x (measured 9–10x) — the
+  gate that protects settling from growing per-route work back; and
 * the frozen snapshot the session ships to pool workers pickles smaller
   than the mutable graph it replaced.
 """
@@ -38,23 +44,34 @@ def test_snapshot_kernel_speedup_and_ship_size(
     snapshot = graph.snapshot()
 
     def run():
-        kernel = _per_destination(
+        settle = _per_destination(
             compute_routes_snapshot, snapshot, destinations
+        )
+        table = _per_destination(
+            lambda snap, d: compute_routes_snapshot(snap, d).materialize(),
+            snapshot, destinations,
         )
         reference = _per_destination(
             compute_routes_reference, graph, destinations
         )
-        return kernel, reference
+        return settle, table, reference
 
-    kernel_s, reference_s = benchmark.pedantic(run, rounds=1, iterations=1)
+    settle_s, kernel_s, reference_s = benchmark.pedantic(
+        run, rounds=1, iterations=1)
 
     graph_bytes = len(pickle.dumps(graph))
     snapshot_bytes = len(pickle.dumps(snapshot))
     speedup = reference_s / kernel_s if kernel_s else float("inf")
+    settle_speedup = reference_s / settle_s if settle_s else float("inf")
 
     bench_report.record("kernel_seconds_per_destination", kernel_s,
                         "seconds", gate=True,
                         topology="verify-500", topology_size=len(graph))
+    bench_report.record("settle_seconds_per_destination", settle_s,
+                        "seconds", gate=True,
+                        topology="verify-500", topology_size=len(graph))
+    bench_report.record("settle_speedup", settle_speedup, "x",
+                        better="higher")
     bench_report.record("reference_seconds_per_destination", reference_s,
                         "seconds",
                         topology="verify-500", topology_size=len(graph))
@@ -67,6 +84,7 @@ def test_snapshot_kernel_speedup_and_ship_size(
     # the acceptance bar: the kernel replaces the dict walk only if it is
     # decisively faster and the pool payload got smaller, not larger
     assert speedup >= 1.5
+    assert settle_speedup >= 4.0
     assert snapshot_bytes < graph_bytes
 
 

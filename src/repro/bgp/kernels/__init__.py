@@ -7,7 +7,7 @@ oracle — each call site naming its computation function directly.  Every
 new kernel meant touching all of them.  The registry inverts that: a
 *kernel backend* is one implementation of the settling semantics
 
-    ``settle(snapshot, destination, pinned) -> {asn: Route}``
+    ``settle(snapshot, destination, pinned) -> Mapping[asn, Route]``
 
 registered under a name with capability flags, and every consumer —
 :func:`repro.bgp.routing.compute_routes`,
@@ -33,13 +33,19 @@ failing, so ``REPRO_KERNEL=batched`` is safe to export machine-wide.
 
 Two backends ship in-tree, registered by this package's import:
 
-* ``scalar`` — the index-space heap kernel
-  (:func:`repro.bgp.routing.compute_routes_snapshot`); no dependencies,
-  settles pinned requests, seeds incremental recomputation.
+* ``scalar`` — the index-space kernel
+  (:func:`repro.bgp.routing.compute_routes_snapshot`): parent pointers
+  settled in wave order, pure Python; no dependencies, settles pinned
+  requests (by the heap walk), seeds incremental recomputation.
 * ``batched`` — the vectorized wave kernel
   (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
-  numpy operations over the snapshot's flat CSR arrays, with the
-  decision order packed into integer sort keys.  Requires numpy.
+  numpy operations over the snapshot's flat CSR arrays, many
+  destinations per call.  Requires numpy.
+
+Both return an un-pinned table as a
+:class:`~repro.bgp.routing.RouteTree` — a ``Mapping[int, Route]`` that
+answers path reads from parent pointers and builds its dict on first
+use — and a pinned one as the dict.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
 )
@@ -79,7 +86,7 @@ DEFAULT_KERNEL = "scalar"
 #: Environment variable naming the default backend for the process.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-SettleFn = Callable[..., Dict[int, Route]]
+SettleFn = Callable[..., Mapping[int, Route]]
 
 
 def _always_available() -> bool:
@@ -92,7 +99,7 @@ class KernelBackend:
 
     ``settle`` computes the full stable state for one destination on a
     frozen :class:`~repro.topology.snapshot.TopologySnapshot` and returns
-    the ASN-keyed best-route dict, byte-identical to
+    the ASN-keyed best-route mapping, byte-identical to
     :func:`repro.bgp.routing.compute_routes_reference` — the registry
     contract the differential oracle enforces for every backend.
 
@@ -233,7 +240,7 @@ def settle(
     destination: int,
     pinned: Optional[Dict[int, Route]] = None,
     kernel: Optional[str] = None,
-) -> Dict[int, Route]:
+) -> Mapping[int, Route]:
     """Dispatch one full-table settling through the registry.
 
     Resolves the backend (see :func:`resolve`), reroutes pinned requests
@@ -256,7 +263,7 @@ def settle_many(
     snapshot: "TopologySnapshot",
     destinations,
     kernel: Optional[str] = None,
-) -> Dict[int, Dict[int, Route]]:
+) -> Dict[int, Mapping[int, Route]]:
     """Dispatch a whole (un-pinned) destination sweep through the registry.
 
     Uses the resolved backend's ``settle_many`` batch entry point when it

@@ -1,28 +1,31 @@
 """Vectorized batched settling kernel over the CSR snapshot arrays.
 
-The scalar kernel (:func:`repro.bgp.routing.compute_routes_snapshot`)
-settles one heap entry at a time: pop ``(length, path, class)``, adopt,
-push the neighbours.  This backend settles whole **frontier waves** at
+The reference settling pops one heap entry at a time: ``(length, path,
+class)``, adopt, push the neighbours.  The scalar kernel
+(:func:`repro.bgp.routing.compute_routes_snapshot`) replays that pop
+order as level-synchronous waves in pure Python, one destination at a
+time; this backend settles whole **frontier waves** at
 once as numpy operations over the snapshot's flat per-class adjacency
 (:meth:`~repro.topology.snapshot.TopologySnapshot.class_arrays`), and —
 because destinations are mutually independent — settles **many
 destinations in one call** (:func:`settle_many`) on a composite
 ``destination-slot × node`` index space, so the per-wave numpy dispatch
-cost amortizes over the whole sweep.  The output is byte-equal to the
-scalar kernel — same best routes, same output-dict insertion order —
-which the differential oracle enforces by enumerating this backend.
+cost amortizes over the whole sweep.  The output is the scalar kernel's
+:class:`~repro.bgp.routing.RouteTree`, equal field for field — same
+parents, same adoption order — which the differential oracle enforces
+by enumerating this backend.
 
 Why waves are exact, not an approximation
 -----------------------------------------
 
-Every path the scalar kernel settles starts with its holder's index, so
+Every path the heap walk settles starts with its holder's index, so
 comparing two settled paths of equal length lexicographically *is*
 comparing their holder indices.  A heap candidate for node ``v`` is
 ``(v,) + P(u)`` for some settled parent ``u``; two same-phase candidates
 for ``v`` at the same length therefore compare as ``u`` vs ``u'`` — the
 winner is simply the **minimum parent index**.  Since the heap orders by
 ``(length, path)``, all length-``L`` entries pop before any length-
-``L+1`` entry, so the scalar pop order decomposes into level-synchronous
+``L+1`` entry, so the heap's pop order decomposes into level-synchronous
 BFS waves: at wave ``L``, every not-yet-settled node with a candidate
 adopts the one from its smallest-index parent, in ascending node order.
 That per-wave "group by target, take min parent" is one vectorized
@@ -31,11 +34,12 @@ ascending-target pop order falls out of the same sort — preserving the
 adoption order the output dict's insertion order is defined by.
 
 Without pinned routes every node on a candidate's tail is already
-settled, so the scalar kernel's ``nb not in path`` loop check is always
+settled, so the heap walk's ``nb not in path`` loop check is always
 true for an unsettled target, and route classes collapse to per-phase
 constants (Phase 1 adopts CUSTOMER, Phase 2 PEER, Phase 3 PROVIDER).
 Pinned routes break both properties, so this backend registers with
-``pinned=False`` and delegates pinned requests to the scalar kernel.
+``pinned=False`` and delegates pinned requests to the scalar kernel's
+heap walk.
 
 The full decision order (class, then length, then parent) packs into one
 integer — :func:`pack_candidate_key`, property-tested against
@@ -46,9 +50,9 @@ length are constant, so the kernel's hot argmin only needs the cheaper
 
 from __future__ import annotations
 
-import gc
 import importlib.util
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ...errors import KernelError
 from ..route import Route, RouteClass
@@ -57,6 +61,7 @@ from ..routing import (
     _PHASE_SECONDS,
     _TABLES_TOTAL,
     _TRACER,
+    RouteTree,
     _phase_span,
     compute_routes_snapshot,
 )
@@ -274,32 +279,13 @@ def _run_waves(
     return adopted
 
 
-def _settle_chunk(
-    snapshot, dest_indices: Sequence[int]
-) -> List[Dict[int, Route]]:
+def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
     """Settle one chunk of destinations on the composite index space.
 
-    Returns one best-route dict per destination (in input order), each
-    byte-equal — values and insertion order — to the scalar kernel's.
+    Returns one :class:`RouteTree` per destination (in input order),
+    each equal — parents, adoption order, phase bounds — to the scalar
+    kernel's.
     """
-    # One chunk allocates millions of long-lived objects (level lists,
-    # path tuples, Routes); each generational collection scans all of
-    # them for cycles they cannot form (tuples of ints, frozen two-field
-    # Routes), which more than triples settling time at 10k ASes.  Pause
-    # the collector for the burst and restore the caller's state.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _settle_chunk_nogc(snapshot, dest_indices)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _settle_chunk_nogc(
-    snapshot, dest_indices: Sequence[int]
-) -> List[Dict[int, Route]]:
     n = snapshot.n
     off, adj = snapshot.class_arrays()
     slots = len(dest_indices)
@@ -307,7 +293,7 @@ def _settle_chunk_nogc(
     dest_c = _np.arange(slots, dtype=_np.int64) * n + dest_v
 
     settled = _np.zeros(slots * n, dtype=bool)
-    parent = _np.zeros(slots * n, dtype=_np.int64)
+    parent = _np.full(slots * n, -1, dtype=_np.int64)
     depth = _np.zeros(slots * n, dtype=_np.int64)
     settled[dest_c] = True
     parent[dest_c] = dest_v
@@ -344,53 +330,38 @@ def _settle_chunk_nogc(
             frontier=_np.empty(0, dtype=_np.int64), wave=0,
         )
 
-    # ---- translate to ASN space, in the scalar kernel's dict order ----
-    # Composite adoption arrays are ascending, i.e. destination-slot
-    # major: one searchsorted per wave splits it into per-slot spans, and
-    # each span's nodes are ascending — the scalar pop order.  Paths
-    # build by prepending to the parent's finished tuple (parents always
-    # settle in an earlier wave), routes through the trusted constructor.
-    asn_np = _np.asarray(snapshot.asns, dtype=_np.int64)
-    bases = _np.arange(slots + 1, dtype=_np.int64) * n
-    levels = []
-    for waves, cls in (
-        (phase1, RouteClass.CUSTOMER),
-        (phase2, RouteClass.PEER),
-        (phase3, RouteClass.PROVIDER),
-    ):
-        for t_c in waves:
-            v = t_c % n
-            levels.append((
-                cls,
-                asn_np[v].tolist(),
-                v.tolist(),
-                parent[t_c].tolist(),
-                _np.searchsorted(t_c, bases).tolist(),
-            ))
-    asns = snapshot.asns
-    new = Route.__new__
-    set_field = object.__setattr__
-    tables: List[Dict[int, Route]] = []
-    for slot in range(slots):
-        dasn = asns[dest_indices[slot]]
-        paths: List[Optional[Tuple[int, ...]]] = [None] * n
-        paths[dest_indices[slot]] = (dasn,)
-        best: Dict[int, Route] = {dasn: Route((dasn,), RouteClass.ORIGIN)}
-        for cls, a_l, v_l, pv_l, bounds in levels:
-            lo = bounds[slot]
-            hi = bounds[slot + 1]
-            if lo == hi:
-                continue
-            for a, v, pv in zip(a_l[lo:hi], v_l[lo:hi], pv_l[lo:hi]):
-                path = (a,) + paths[pv]
-                paths[v] = path
-                route = new(Route)
-                set_field(route, "path", path)
-                set_field(route, "route_class", cls)
-                best[a] = route
-        tables.append(best)
+    # ---- one tree per slot ---------------------------------------------
+    # Each wave's adoption array is ascending composites — slot-major,
+    # nodes ascending within a slot, the scalar adoption order — so a
+    # stable sort by slot of the waves laid end to end (the destinations
+    # first, as wave 0 of phase 1) is every slot's ``order``, and the
+    # per-slot running phase counts are its class bounds.  The trees
+    # take their columns as ``array("q")`` copies of the numpy buffers:
+    # ``tolist`` would allocate an int object per node per table.
+    waves = ([dest_c, *phase1], phase2, phase3)
+    adopted = _np.concatenate([t_c for phase in waves for t_c in phase])
+    slot_of = adopted // n
+    phase_of = _np.repeat(
+        _np.arange(3), [sum(t_c.size for t_c in phase) for phase in waves]
+    )
+    bounds = _np.bincount(
+        slot_of * 3 + phase_of, minlength=3 * slots
+    ).reshape(slots, 3).cumsum(axis=1)
+    order = (adopted % n)[_np.argsort(slot_of, kind="stable")]
+    stops = bounds[:, 2].cumsum().tolist()
+    asns, index = snapshot.asns, snapshot.index
     _TABLES_FULL.inc(slots)
-    return tables
+    return [
+        RouteTree(
+            asns, index,
+            array("q", order[start:stop].tobytes()),
+            array("q", column.tobytes()),
+            peer_from, provider_from,
+        )
+        for start, stop, (peer_from, provider_from, _), column in zip(
+            [0] + stops, stops, bounds.tolist(), parent.reshape(slots, n)
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -401,13 +372,14 @@ def settle_batched(
     snapshot,
     destination: int,
     pinned: Optional[Dict[int, Route]] = None,
-) -> Dict[int, Route]:
+) -> Mapping[int, Route]:
     """Settle the stable state for ``destination`` in frontier waves.
 
-    Byte-equal to :func:`repro.bgp.routing.compute_routes_snapshot`
-    (values *and* dict insertion order).  Pinned requests delegate to the
-    scalar kernel — the registry dispatcher already reroutes them, this
-    keeps direct calls (the oracle enumerates backends) correct too.
+    Equal to :func:`repro.bgp.routing.compute_routes_snapshot` (the same
+    tree, hence the same values *and* dict insertion order).  Pinned
+    requests delegate to the scalar kernel — the registry dispatcher
+    already reroutes them, this keeps direct calls (the oracle
+    enumerates backends) correct too.
     """
     if pinned:
         return compute_routes_snapshot(snapshot, destination, pinned)
@@ -420,14 +392,14 @@ def settle_batched(
 def settle_many(
     snapshot,
     destinations: Iterable[int],
-) -> Dict[int, Dict[int, Route]]:
+) -> Dict[int, RouteTree]:
     """Settle many destinations in chunked composite waves.
 
     The sweep entry point (``compute_many``'s serial fan-out, the
     benchmarks): destinations share each wave's numpy dispatch cost, so
     the per-table overhead of the vectorized kernel amortizes to nearly
-    nothing.  Returns ``{destination: best}`` with duplicates computed
-    once; each table is byte-equal to the scalar kernel's.
+    nothing.  Returns ``{destination: tree}`` with duplicates computed
+    once; each tree is equal to the scalar kernel's.
     """
     _require_numpy()
     unique: List[int] = []
@@ -438,7 +410,7 @@ def settle_many(
             unique.append(destination)
     indices = [snapshot.index_of(d) for d in unique]
     chunk = max(1, _CHUNK_ENTRIES // max(snapshot.n, 1))
-    out: Dict[int, Dict[int, Route]] = {}
+    out: Dict[int, RouteTree] = {}
     with _TRACER.span("settle_many", destinations=len(unique)):
         for start in range(0, len(indices), chunk):
             part = indices[start:start + chunk]

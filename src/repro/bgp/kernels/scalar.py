@@ -1,17 +1,19 @@
-"""The scalar kernel backend — the index-space heap settling.
+"""The scalar kernel backend — index-space settling in pure Python.
 
 A thin registry adapter around
-:func:`repro.bgp.routing.compute_routes_snapshot`: the production settling
-kernel that PR 5 landed keeps living in :mod:`repro.bgp.routing` (it is
-also the seed of incremental recomputation there); this module only gives
-it a registry identity and its capability flags.  It is the default
+:func:`repro.bgp.routing.compute_routes_snapshot`, which settles an
+un-pinned table as parent pointers in wave order (a
+:class:`~repro.bgp.routing.RouteTree`) and a pinned one by the heap
+walk.  The kernel keeps living in :mod:`repro.bgp.routing` (it is also
+the seed of incremental recomputation there); this module only gives it
+a registry identity and its capability flags.  It is the default
 backend, the fallback for unavailable ones, and the backend pinned-route
 requests are rerouted to.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from ..route import Route
 from ..routing import compute_routes_snapshot
@@ -24,8 +26,8 @@ def settle_scalar(
     snapshot,
     destination: int,
     pinned: Optional[Dict[int, Route]] = None,
-) -> Dict[int, Route]:
-    """Settle via the index-space heap kernel (the historical behaviour)."""
+) -> Mapping[int, Route]:
+    """Settle via :func:`~repro.bgp.routing.compute_routes_snapshot`."""
     return compute_routes_snapshot(snapshot, destination, pinned)
 
 
@@ -34,8 +36,8 @@ BACKEND = register(
         name="scalar",
         settle=settle_scalar,
         description=(
-            "Index-space heap settling over the CSR snapshot "
-            "(pure Python, no dependencies)"
+            "Index-space wave settling over the CSR snapshot; heap walk "
+            "for pinned requests (pure Python, no dependencies)"
         ),
         pinned=True,
         pool=True,

@@ -23,38 +23,51 @@ Two implementations of the same settling semantics live here:
 
 * :func:`compute_routes_snapshot` — the production kernel.  It settles in
   **index space** on a frozen
-  :class:`~repro.topology.snapshot.TopologySnapshot` (flat per-class
-  adjacency slices, int paths, incremental route classification) and
-  translates back to ASN-keyed :class:`~repro.bgp.route.Route` objects at
-  the boundary.  :func:`compute_routes` is its graph-level front door.
+  :class:`~repro.topology.snapshot.TopologySnapshot`.  An un-pinned
+  request settles *parent pointers in wave order* — three
+  level-synchronous sweeps, no heap and no path tuples — and returns a
+  :class:`RouteTree`: by tree consistency one destination's stable
+  state *is* a parent-pointer tree, so a path is a walk up it and the
+  ``{asn: Route}`` dict is built only for readers that want every
+  route.  A pinned request keeps the heap walk over ``(length, path,
+  class)`` entries (a pinned holder's path is arbitrary, so the result
+  is not a tree) and returns the dict.  :func:`compute_routes` is the
+  graph-level front door.
 * :func:`compute_routes_reference` — the legacy dict walk over the
   mutable :class:`~repro.topology.graph.ASGraph`, kept as the
   independent oracle the kernel is held byte-equal to
   (:mod:`repro.verify.oracle`).
 
-Both orders heap entries by ``(length, path)``; every entry is a distinct
-such pair, so the pop order — and with it the selected table — is
-independent of seeding and neighbour-iteration order.  Snapshot indices
-are assigned in ascending ASN order, so index-path comparisons decide
-ties exactly like ASN-path comparisons: the two implementations agree
-byte for byte, which the differential oracle enforces under seeded fault
-campaigns.
+The heap walks order entries by ``(length, path)``; every entry is a
+distinct such pair, so the pop order — and with it the selected table —
+is independent of seeding and neighbour-iteration order.  Snapshot
+indices are assigned in ascending ASN order, so index-path comparisons
+decide ties exactly like ASN-path comparisons, and the wave sweeps
+reproduce the same pop order without the heap (every settled path starts
+with its holder, so equal-length candidates for one AS compare as their
+parents' indices — :mod:`repro.bgp.kernels.batched`, "Why waves are
+exact").  All three agree byte for byte, values and insertion order,
+which the differential oracle enforces under seeded fault campaigns.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
+import threading
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -86,6 +99,10 @@ _PHASE_SECONDS = _REGISTRY.histogram(
     "repro_routing_phase_seconds",
     "Wall-clock seconds per settling phase (the three-phase propagation)",
     labels=("phase", "mode"),
+)
+_MATERIALIZED_TOTAL = _REGISTRY.counter(
+    "repro_routing_tables_materialized_total",
+    "Route trees expanded into their {asn: Route} dict (once per table)",
 )
 _FALLBACKS_TOTAL = _REGISTRY.counter(
     "repro_routing_incremental_fallbacks_total",
@@ -140,6 +157,121 @@ def _phase_span(index: int, timers, destination: int):
             timers[index].observe(time.perf_counter() - start)
 
 
+#: Serializes first materializations.  One lock for every tree: the build
+#: is pure Python (it holds the interpreter lock anyway) and a per-tree
+#: lock would be most of a tree's memory.
+_MATERIALIZE_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class RouteTree(Mapping[int, Route]):
+    """One destination's un-pinned stable state, as a parent-pointer tree.
+
+    Tree consistency makes the table a tree rooted at the destination:
+    ``parent[i]`` is the snapshot index of node ``i``'s next hop (``-1``
+    for no route; the destination points at itself), ``order`` lists the
+    routed nodes in adoption order, destination first, and the route
+    class is a constant per settling phase — ``order[1:peer_from]``
+    adopted CUSTOMER routes, ``order[peer_from:provider_from]`` PEER, the
+    rest PROVIDER.  ``asns`` / ``index`` are the settling snapshot's
+    translation maps, by reference (those two only, not the snapshot).
+
+    Reads two ways: :meth:`path` walks parents in O(hops) and builds
+    nothing else; the :class:`~typing.Mapping` view is the ``{asn:
+    Route}`` dict every kernel used to return — same values, same
+    insertion order — built by :meth:`materialize` on first use.
+    """
+
+    asns: Tuple[int, ...]
+    index: Dict[int, int]
+    order: Sequence[int]
+    parent: Sequence[int]
+    peer_from: int
+    provider_from: int
+    _routes: Optional[Dict[int, Route]] = field(default=None, init=False)
+
+    def path(self, asn: int) -> Optional[Tuple[int, ...]]:
+        """``asn``'s selected AS path, or None when it has no route —
+        which includes an AS the snapshot did not contain."""
+        i = self.index.get(asn)
+        if i is None:
+            return None
+        parent = self.parent
+        hop = parent[i]
+        if hop < 0:
+            return None
+        asns = self.asns
+        path = [asn]
+        while hop != i:
+            i = hop
+            path.append(asns[i])
+            hop = parent[i]
+        return tuple(path)
+
+    def materialize(self) -> Dict[int, Route]:
+        """The ``{asn: Route}`` dict, built once however many threads ask."""
+        routes = self._routes
+        if routes is None:
+            with _MATERIALIZE_LOCK:
+                routes = self._routes
+                if routes is None:
+                    routes = self._expand()
+                    # published only once complete: a racing reader sees
+                    # None (and waits on the lock) or the whole dict
+                    object.__setattr__(self, "_routes", routes)
+                    _MATERIALIZED_TOTAL.inc()
+        return routes
+
+    def _expand(self) -> Dict[int, Route]:
+        """O(routed ASes): one path tuple (the parent's, extended) and
+        one ``Route`` per node, in adoption order.  The walk never
+        revisits a node, so the trusted constructor is safe."""
+        asns, order, parent = self.asns, self.order, self.parent
+        destination = asns[order[0]]
+        paths: List[Optional[Tuple[int, ...]]] = [None] * len(asns)
+        paths[order[0]] = (destination,)
+        routes = {destination: Route((destination,), RouteClass.ORIGIN)}
+        new = Route.__new__
+        set_field = object.__setattr__
+        # The burst allocates two objects per routed AS, and every
+        # generational collection it triggers scans them — and, as they
+        # age, every table built before — for cycles they cannot form
+        # (tuples of ints, frozen two-field Routes): half the build time
+        # at 1k ASes, more at 10k.  Pause the collector for the burst
+        # (the caller holds the materialize lock, so pauses do not
+        # overlap) and restore the caller's state.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            lo = 1
+            for route_class, hi in (
+                (RouteClass.CUSTOMER, self.peer_from),
+                (RouteClass.PEER, self.provider_from),
+                (RouteClass.PROVIDER, len(order)),
+            ):
+                for i in order[lo:hi]:
+                    asn = asns[i]
+                    path = paths[i] = (asn,) + paths[parent[i]]
+                    route = new(Route)
+                    set_field(route, "path", path)
+                    set_field(route, "route_class", route_class)
+                    routes[asn] = route
+                lo = hi
+        finally:
+            if collecting:
+                gc.enable()
+        return routes
+
+    def __getitem__(self, asn: int) -> Route:
+        return self.materialize()[asn]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.materialize())
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+
 class RoutingTable:
     """Stable BGP outcome for one destination AS.
 
@@ -148,35 +280,35 @@ class RoutingTable:
     neighbour that exports its best route to it.  The candidate set is what
     a MIRO responding AS can offer in a negotiation (§3.4).
 
-    ``best`` may be the selected-route mapping itself or a zero-argument
-    callable producing it.  The callable form defers materialization to
-    first access: the session's pooled fan-out ships settled tables back
-    from workers as packed integer buffers, and decoding a buffer into
-    ``Route`` objects is paid only for tables something actually reads.
+    ``best`` is the selected-route dict or the :class:`RouteTree` an
+    un-pinned settle produces.  On a tree, :meth:`default_path` and
+    :meth:`reachable` answer from the parent pointers and build nothing;
+    every other read expands the tree into its dict once and keeps it.
     """
 
     def __init__(
         self,
         graph: ASGraph,
         destination: int,
-        best: Union[Dict[int, Route], Callable[[], Dict[int, Route]]],
+        best: Union[Dict[int, Route], RouteTree],
     ) -> None:
         self._graph = graph
         self._destination = destination
-        if callable(best):
+        if isinstance(best, RouteTree):
+            self._tree: Optional[RouteTree] = best
             self._routes: Optional[Dict[int, Route]] = None
-            self._thunk: Optional[Callable[[], Dict[int, Route]]] = best
         else:
+            self._tree = None
             self._routes = best
-            self._thunk = None
 
     @property
     def _best(self) -> Dict[int, Route]:
-        if self._routes is None:
-            assert self._thunk is not None
-            self._routes = self._thunk()
-            self._thunk = None
-        return self._routes
+        routes = self._routes
+        if routes is None:
+            # the tree hands every caller the same dict, so a racing
+            # second assignment stores the same object
+            routes = self._routes = self._tree.materialize()
+        return routes
 
     @property
     def graph(self) -> ASGraph:
@@ -193,12 +325,21 @@ class RoutingTable:
         return self._best.get(asn)
 
     def default_path(self, source: int) -> Optional[Tuple[int, ...]]:
-        """The default BGP AS path from ``source`` to the destination."""
-        route = self.best(source)
+        """The default BGP AS path from ``source`` to the destination.
+
+        None for an AS without a route — including one the graph gained
+        after this table's version, which a tree's index does not know.
+        """
+        if source not in self._graph:
+            raise UnknownASError(source)
+        routes = self._routes
+        if routes is None:
+            return self._tree.path(source)
+        route = routes.get(source)
         return route.path if route is not None else None
 
     def reachable(self, asn: int) -> bool:
-        return self.best(asn) is not None
+        return self.default_path(asn) is not None
 
     def routed_ases(self) -> List[int]:
         """All ASes that selected a route, ascending."""
@@ -236,7 +377,7 @@ class RoutingTable:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RoutingTable(dest={self._destination}, "
-            f"routed={len(self._best)}/{len(self._graph)})"
+            f"routed={len(self._tree or self._routes)}/{len(self._graph)})"
         )
 
 
@@ -316,31 +457,103 @@ def _resolve_link_class(off: list, adj: list, idx_path: Tuple[int, ...]) -> int:
     return _CUSTOMER
 
 
+#: Per settling phase, as snapshot class segments ``(lo, hi)``: the links
+#: every holder so far seeds across, and the links an adoption spreads
+#: through within the phase (0 customers, 1 providers, 2 peers, 3 siblings).
+_WAVE_PHASES = (
+    (((1, 2), (3, 4)), ((1, 2), (3, 4))),  # climb providers (+ siblings)
+    (((2, 3),), ((3, 4),)),                # cross one peering link
+    (((0, 1),), ((0, 1), (3, 4))),         # descend to customers
+)
+
+
+def _settle_waves(
+    snapshot: TopologySnapshot, dest: int, destination: int
+) -> RouteTree:
+    """Settle an un-pinned table as parent pointers, wave by wave.
+
+    Per phase, ``buckets[wave]`` maps each candidate target to the
+    smallest parent index offering it a path of ``wave`` hops.  The
+    smallest wave pops first and its still-unsettled targets adopt in
+    ascending index order — the heap walk's pop order exactly — then
+    offer their in-phase neighbours a path one hop longer.
+    """
+    n = snapshot.n
+    off, adj = snapshot.class_lists()
+    parent = [-1] * n
+    depth = [0] * n
+    parent[dest] = dest
+    order = [dest]
+    bounds = []
+
+    def offer(holders: List[int], lo: int, hi: int) -> None:
+        for i in holders:
+            base = 4 * i
+            start = off[base + lo]
+            stop = off[base + hi]
+            if start == stop:
+                continue
+            wave = depth[i] + 1
+            bucket = buckets.get(wave)
+            if bucket is None:
+                bucket = buckets[wave] = {}
+            for nb in adj[start:stop]:
+                if parent[nb] < 0 and bucket.get(nb, n) > i:
+                    bucket[nb] = i
+
+    with _TRACER.span("compute_routes", destination=destination, pinned=0):
+        for phase, (seed_segs, expand_segs) in enumerate(_WAVE_PHASES):
+            with _phase_span(phase, _PHASE_FULL, destination):
+                buckets: Dict[int, Dict[int, int]] = {}
+                for lo, hi in seed_segs:
+                    offer(order, lo, hi)
+                while buckets:
+                    wave = min(buckets)
+                    offers = buckets.pop(wave)
+                    adopters = sorted(v for v in offers if parent[v] < 0)
+                    for v in adopters:
+                        parent[v] = offers[v]
+                        depth[v] = wave
+                    order.extend(adopters)
+                    for lo, hi in expand_segs:
+                        offer(adopters, lo, hi)
+            bounds.append(len(order))
+    _TABLES_TOTAL.labels(mode="full").inc()
+    return RouteTree(
+        snapshot.asns, snapshot.index, order, parent, bounds[0], bounds[1]
+    )
+
+
 def compute_routes_snapshot(
     snapshot: TopologySnapshot,
     destination: int,
     pinned: Optional[Dict[int, Route]] = None,
-) -> Dict[int, Route]:
+) -> Mapping[int, Route]:
     """Settle the stable state for ``destination`` on a frozen snapshot.
 
-    The production kernel: works entirely in snapshot index space — flat
-    per-class adjacency slices, int-tuple paths, heap entries of
-    ``(length, path, class)`` — and translates to an ASN-keyed best-route
-    dict only at the end.  Route classes are settled *incrementally*:
-    prepending a neighbour determines the new class from the link being
-    crossed (provider link → customer route, peer link → peer route,
-    customer link → provider route, sibling link → inherited), so the
-    kernel never re-walks a path the way ``classify_path`` does.
+    The production kernel: works entirely in snapshot index space.  An
+    un-pinned request settles parent pointers in wave order
+    (:func:`_settle_waves`) and returns the :class:`RouteTree`.  A pinned
+    request runs the heap walk below — flat per-class adjacency slices,
+    int-tuple paths, heap entries of ``(length, path, class)`` — and
+    translates to an ASN-keyed best-route dict at the end.  The walk
+    settles route classes *incrementally*: prepending a neighbour
+    determines the new class from the link being crossed (provider link
+    → customer route, peer link → peer route, customer link → provider
+    route, sibling link → inherited), so it never re-walks a path the
+    way ``classify_path`` does.
 
     Self-contained on purpose: pool workers call this with nothing but
     the shipped snapshot (no mutable graph on the far side).  Returns the
-    plain dict; :func:`compute_routes` wraps it into a
+    plain mapping; :func:`compute_routes` wraps it into a
     :class:`RoutingTable`.  Output is byte-identical to
     :func:`compute_routes_reference` — the oracle's enforced invariant.
     """
     dest = snapshot.index_of(destination)
     pinned = dict(pinned or {})
     _validate_pinned(destination, pinned)
+    if not pinned:
+        return _settle_waves(snapshot, dest, destination)
 
     n = snapshot.n
     off, adj = snapshot.class_lists()

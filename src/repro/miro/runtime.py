@@ -269,8 +269,8 @@ class MiroRuntime:
                 tunnel, requester, responder, destination
             )
             self._live.append(record)
+            _LIVE_TUNNELS.set(len(self._live))
         _TUNNELS_ESTABLISHED.inc()
-        _LIVE_TUNNELS.set(len(self.live_tunnels()))
         _LOG.info("tunnel_established", tunnel_id=tunnel_id,
                   requester=requester, responder=responder,
                   destination=destination, path=chosen.path)
@@ -337,9 +337,9 @@ class MiroRuntime:
                 self._live.remove(record)
             self._dirty_destinations.clear()
             self.torn_down.extend(removed)
+            _LIVE_TUNNELS.set(len(self._live))
         if removed:
             _TUNNELS_REMOVED.labels(cause="route_change").inc(len(removed))
-            _LIVE_TUNNELS.set(len(self.live_tunnels()))
             for tunnel in removed:
                 _LOG.info("tunnel_torn_down", tunnel_id=tunnel.tunnel_id,
                           destination=tunnel.destination, cause="route_change")
@@ -394,9 +394,13 @@ class MiroRuntime:
             for table in self.tunnels.values():
                 expired.extend(table.expire(self.clock))
             self.torn_down.extend(expired)
+            if expired:
+                # expiry is the one removal that happens inside the
+                # tables; drop its records so ``_live`` stays the live set
+                self._live = self.live_tunnels()
+                _LIVE_TUNNELS.set(len(self._live))
         if expired:
             _TUNNELS_REMOVED.labels(cause="expired").inc(len(expired))
-            _LIVE_TUNNELS.set(len(self.live_tunnels()))
             for tunnel in expired:
                 _LOG.info("tunnel_expired", tunnel_id=tunnel.tunnel_id,
                           destination=tunnel.destination)

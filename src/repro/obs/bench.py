@@ -440,8 +440,12 @@ def _suite_kernel(
     reporter: BenchReporter, profile: str, seed: int,
     destinations: int, clock: Callable[[], float],
 ) -> None:
-    """Settle-phase timings per kernel backend on one topology sweep."""
+    """Per kernel backend on one topology sweep: settling, then expanding
+    every settled tree into its ``{asn: Route}`` dict — two costs since
+    ``settle_many`` returns trees, and only whole-table readers pay the
+    second."""
     from ..bgp import kernels
+    from ..bgp.routing import RoutingTable
     from ..topology import generate_named
 
     graph = generate_named(profile, seed=seed)
@@ -451,11 +455,19 @@ def _suite_kernel(
     for backend in kernels.backends(available_only=True):
         kernels.settle(snapshot, targets[0], kernel=backend.name)  # warm
         start = clock()
-        kernels.settle_many(snapshot, targets, kernel=backend.name)
+        swept = kernels.settle_many(snapshot, targets, kernel=backend.name)
         elapsed = clock() - start
+        start = clock()
+        for destination, best in swept.items():
+            list(RoutingTable(graph, destination, best).items())
+        expanded = clock() - start
         suite.record(
             f"{backend.name}_settle_seconds", elapsed, "seconds",
             gate=True, topology=profile, topology_size=len(graph),
+        )
+        suite.record(
+            f"{backend.name}_materialize_seconds", expanded, "seconds",
+            topology=profile, topology_size=len(graph),
         )
         suite.record(
             f"{backend.name}_tables_per_second",

@@ -10,7 +10,7 @@ on, split along its concerns:
   telemetry, and the version-keyed LRU :class:`RouteTableCache` with
   its derivation-parent index.
 * :mod:`repro.session.pool` — the persistent, version-keyed process
-  pool: shared-memory snapshot publication, packed result transport,
+  pool: shared-memory snapshot publication, packed route-tree transport,
   destination-range sharding.
 * :mod:`repro.session.core` — :class:`SessionCore`, the one session
   class (:data:`SimulationSession` names it too): single lock, one

@@ -14,12 +14,14 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   nothing to order (the fan-out pool's internal lock is leaf-level:
   nothing is acquired while holding it).
 * **Nothing slow under it.**  Settling (``compute_routes`` /
-  ``recompute_routes`` / ``kernels.settle_many``), pool publication
-  (``pool.ensure``) and job submission (``executor.submit``) all run
-  with the lock *released*.  Under the lock the core only classifies
-  lookups, moves OrderedDict entries, and bumps counters — microsecond
-  work, which is what lets a serving event loop take the fast hit path
-  thousands of times per second without convoying.
+  ``recompute_routes`` / ``kernels.settle_many``), expanding a settled
+  tree into its route dict (``RouteTree.materialize``), pool
+  publication (``pool.ensure``) and job submission
+  (``executor.submit``) all run with the lock *released*.  Under the
+  lock the core only classifies lookups, moves OrderedDict entries, and
+  bumps counters — microsecond work, which is what lets a serving event
+  loop take the fast hit path thousands of times per second without
+  convoying.
 * **Single-flight fills.**  A miss registers a :class:`_Flight` keyed
   on the full :data:`~repro.session.cache.CacheKey`; concurrent misses
   on the same key block on the flight instead of settling the same
@@ -42,7 +44,6 @@ import os
 import threading
 import time
 import weakref
-from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
@@ -74,7 +75,7 @@ from .pool import (
     _FANOUTS_TOTAL,
     _POOL_SHARD_SIZE,
     POOL_SHARD_FACTOR,
-    _decode_table,
+    _decode_shard,
     _FanoutPool,
     _pool_settle_shard,
 )
@@ -613,16 +614,8 @@ class SessionCore:
                 # the worker could not settle this shard in index
                 # space; the caller's serial sweep picks it up
                 continue
-            # decode lazily: each table gets a thunk over its slice
-            # of the shard's packed buffer, so Route materialization
-            # is paid on first read, not inside the fan-out
-            offsets, blob = packed
-            words = memoryview(blob).cast("q")
-            for k, dest in enumerate(dests):
-                tables[dest] = RoutingTable(
-                    self._graph, dest,
-                    partial(_decode_table, words, offsets[k], offsets[k + 1]),
-                )
+            for dest, tree in zip(dests, _decode_shard(snapshot, packed)):
+                tables[dest] = RoutingTable(self._graph, dest, tree)
             succeeded += 1
         return succeeded > 0
 

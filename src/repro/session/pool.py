@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..bgp import kernels
-from ..bgp.route import Route, RouteClass
+from ..bgp.routing import RouteTree
 from ..errors import KernelError, SessionError, UnknownASError
 from ..obs import (
     DEFAULT_BYTE_BUCKETS,
@@ -147,58 +147,52 @@ def _worker_snapshot(spec: PoolSpec) -> TopologySnapshot:
     return shared.snapshot
 
 
-# A shard's settled tables travel back to the parent as one packed
-# int64 buffer: per table, ``asn, class, path_len, path...`` per route,
-# in selection (insertion) order, plus a per-table offset index.  One
-# bytes object pickles as a memcpy, so result-return cost stops scaling
-# with per-route Python object overhead — at verify-500 scale, shipping
-# the same tables as Route dicts costs ~100x more wall-clock in
-# (un)pickling than the buffer does.  Decode back into Route objects is
-# deferred (see RoutingTable's callable ``best``), so the parent pays it
-# per table consumed, not per table computed.
-PackedTables = Tuple[Tuple[int, ...], bytes]
-
-_ROUTE_CLASSES = {route_class.value: route_class for route_class in RouteClass}
-
-
+# A shard's settled trees travel back to the parent as one int64
+# buffer: per table ``peer_from, provider_from, len(order)``, then
+# ``order``, then ``parent`` (one entry per snapshot node).  One bytes
+# object pickles as a memcpy, so result-return cost does not scale with
+# Python object overhead, and the parent rebuilds each
+# :class:`~repro.bgp.routing.RouteTree` as two array copies over the
+# snapshot it published — no ``Route`` exists on either side until
+# something reads the table as a dict.
 def _encode_shard(
-    destinations: Tuple[int, ...], swept: Dict[int, Dict[int, Route]]
-) -> PackedTables:
-    """Pack settled tables for the wire; inverse of :func:`_decode_table`."""
+    destinations: Tuple[int, ...], swept: Dict[int, RouteTree]
+) -> bytes:
+    """Pack settled trees for the wire; inverse of :func:`_decode_shard`."""
     buf = array("q")
-    offsets = [0]
     for destination in destinations:
-        for asn, route in swept[destination].items():
-            buf.append(asn)
-            buf.append(route.route_class.value)
-            buf.append(len(route.path))
-            buf.extend(route.path)
-        offsets.append(len(buf))
-    return tuple(offsets), buf.tobytes()
+        tree = swept[destination]
+        if not isinstance(tree, RouteTree):
+            raise KernelError("backend settled a dict; nothing to ship")
+        buf.extend((tree.peer_from, tree.provider_from, len(tree.order)))
+        buf.extend(tree.order)
+        buf.extend(tree.parent)
+    return buf.tobytes()
 
 
-def _decode_table(words: memoryview, lo: int, hi: int) -> Dict[int, Route]:
-    """One table's ``{asn: Route}`` from its slice of a packed buffer.
-
-    Reconstruction preserves the worker's selection order, so a decoded
-    table is byte-equal (values *and* dict iteration order) to the one
-    the serial path would have built.
-    """
-    best: Dict[int, Route] = {}
-    i = lo
-    while i < hi:
-        asn = words[i]
-        route_class = _ROUTE_CLASSES[words[i + 1]]
-        length = words[i + 2]
-        i += 3
-        best[asn] = Route._trusted(tuple(words[i:i + length]), route_class)
-        i += length
-    return best
+def _decode_shard(snapshot: TopologySnapshot, blob: bytes) -> List[RouteTree]:
+    """The shard's trees, rebuilt on the snapshot it settled."""
+    words = memoryview(blob).cast("q")
+    n = snapshot.n
+    trees = []
+    at = 0
+    while at < len(words):
+        peer_from, provider_from, routed = words[at:at + 3]
+        at += 3
+        parent_at = at + routed
+        trees.append(RouteTree(
+            snapshot.asns, snapshot.index,
+            array("q", words[at:parent_at].tobytes()),
+            array("q", words[parent_at:parent_at + n].tobytes()),
+            peer_from, provider_from,
+        ))
+        at = parent_at + n
+    return trees
 
 
 def _pool_settle_shard(
     job: Tuple[PoolSpec, Tuple[bool, float], str, Tuple[int, ...]],
-) -> Tuple[Tuple[int, ...], Optional[PackedTables], Dict[str, object]]:
+) -> Tuple[Tuple[int, ...], Optional[bytes], Dict[str, object]]:
     """Settle one shard — a contiguous destination range — in a worker.
 
     The whole shard goes through the backend sweep entry point, so the
@@ -211,15 +205,16 @@ def _pool_settle_shard(
     try:
         snapshot = _worker_snapshot(spec)
         swept = kernels.settle_many(snapshot, destinations, kernel=kernel)
-        packed: Optional[PackedTables] = _encode_shard(destinations, swept)
+        packed: Optional[bytes] = _encode_shard(destinations, swept)
     except (UnknownASError, KernelError):
         # Not settleable on this side (a destination the parent will
-        # reject anyway, or the shipped kernel missing its optional
-        # dependency in the worker): hand the shard back for the parent's
-        # serial path, which raises the right error when there is one.
+        # reject anyway, the shipped kernel missing its optional
+        # dependency in the worker, or a backend that settles dicts):
+        # hand the shard back for the parent's serial path, which raises
+        # the right error when there is one.
         packed = None
-    # ship only the packed selected-route buffer back; the parent re-wraps
-    # it around its own graph object (no graph on this side at all)
+    # ship only the packed trees back; the parent rebuilds them on its
+    # own snapshot and graph (no graph on this side at all)
     return destinations, packed, obs.drain_worker()
 
 

@@ -92,17 +92,27 @@ class Divergence:
 def first_divergence(
     reference: RoutingTable, candidate: RoutingTable, mode: str
 ) -> Optional[Divergence]:
-    """Compare two tables AS by AS; None when byte-identical."""
+    """Compare two tables AS by AS; None when byte-identical.
+
+    The candidate is read both ways a table can be: ``default_path`` for
+    every AS of its graph first — on a fresh tree-backed table that is
+    the parent-pointer walk, taken before anything expands the tree —
+    then ``items()``, the expanded dict.
+    """
     _ORACLE_CHECKS.labels(mode=mode).inc()
     expected = table_paths(reference)
-    actual = table_paths(candidate)
-    for asn in sorted(expected.keys() | actual.keys()):
-        if expected.get(asn) != actual.get(asn):
-            _ORACLE_DIVERGENCES.labels(mode=mode).inc()
-            return Divergence(
-                mode, reference.destination, asn,
-                expected.get(asn), actual.get(asn),
-            )
+    walked = {
+        asn: path for asn in candidate.graph.iter_ases()
+        if (path := candidate.default_path(asn)) is not None
+    }
+    for actual in (walked, table_paths(candidate)):
+        for asn in sorted(expected.keys() | actual.keys()):
+            if expected.get(asn) != actual.get(asn):
+                _ORACLE_DIVERGENCES.labels(mode=mode).inc()
+                return Divergence(
+                    mode, reference.destination, asn,
+                    expected.get(asn), actual.get(asn),
+                )
     return None
 
 

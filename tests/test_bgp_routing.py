@@ -5,11 +5,30 @@ expected selections come straight from the paper: C picks CF, E picks EF,
 B picks BEF (over the peer route BCF), D picks DEF, A picks ABEF.
 """
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import RouteClass, compute_all_routes, compute_routes, make_route
+from repro.bgp.routing import (
+    RouteTree,
+    RoutingTable,
+    compute_routes_reference,
+    compute_routes_snapshot,
+)
 from repro.errors import RoutingError, UnknownASError
-from repro.topology import ASGraph, generate_topology, SMALL
+from repro.obs import get_registry
+from repro.topology import (
+    ASGraph,
+    Relationship,
+    TopologyDelta,
+    TopologyProfile,
+    generate_topology,
+    SMALL,
+)
 
 from conftest import A, B, C, D, E, F
 
@@ -233,3 +252,137 @@ class TestSnapshotKernelEquivalence:
         compute_routes(paper_graph, F)
         compute_routes(paper_graph, C)
         assert paper_graph.snapshot() is before
+
+
+def _materialized() -> float:
+    return get_registry().counter(
+        "repro_routing_tables_materialized_total", ""
+    ).value
+
+
+class TestRouteTree:
+    """An un-pinned settle is a parent-pointer tree: equal to the dict
+    walk whichever way it is read, and expanded into its dict at most
+    once."""
+
+    @given(
+        n=st.integers(min_value=16, max_value=48),
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_wave_kernel_equals_the_dict_walk(self, n, seed):
+        """Values *and* insertion order, every destination, on
+        topologies dense in sibling and peer links."""
+        profile = TopologyProfile(
+            "siblings", n_ases=n, n_tier1=3,
+            peer_fraction=0.3, sibling_fraction=0.3,
+        )
+        graph = generate_topology(profile, seed=seed)
+        graph.add_as(n + 1)  # routes nowhere, is routed to by nobody
+        snapshot = graph.snapshot()
+        for destination in graph.ases:
+            tree = compute_routes_snapshot(snapshot, destination)
+            assert isinstance(tree, RouteTree)
+            reference = dict(
+                compute_routes_reference(graph, destination).items()
+            )
+            for asn in graph.ases:  # the walk, before anything expands
+                route = reference.get(asn)
+                assert tree.path(asn) == (route and route.path), asn
+            assert tree._routes is None
+            assert list(tree) == list(reference)
+            assert len(tree) == len(reference)
+            for asn, route in reference.items():
+                assert tree[asn].path == route.path, asn
+                assert tree[asn].route_class is route.route_class, asn
+
+    def test_pinned_settle_is_still_the_dict(self, paper_graph):
+        base = compute_routes(paper_graph, F)
+        alternate = [r for r in base.candidates(B) if r.path == (B, C, F)][0]
+        best = compute_routes_snapshot(
+            paper_graph.snapshot(), F, pinned={B: alternate}
+        )
+        assert type(best) is dict and best[B] is alternate
+
+    def test_default_path_reads_the_tree(self):
+        graph = generate_topology(SMALL, seed=4)
+        island = max(graph.ases) + 1
+        graph.add_as(island)
+        destination = graph.ases[7]
+        before = _materialized()
+        fresh = compute_routes(graph, destination)
+        paths = {asn: fresh.default_path(asn) for asn in graph.ases}
+        assert fresh.default_path(island) is None
+        assert not fresh.reachable(island) and fresh.reachable(graph.ases[0])
+        with pytest.raises(UnknownASError):
+            fresh.default_path(island + 1)
+        assert fresh._routes is None and _materialized() == before
+        for asn in graph.ases:
+            route = fresh.best(asn)
+            assert paths[asn] == (route.path if route else None), asn
+        assert _materialized() == before + 1
+        # and the answers do not change once the dict exists
+        assert paths == {asn: fresh.default_path(asn) for asn in graph.ases}
+
+    def test_table_outlives_its_graph_version(self):
+        """An AS the graph gained later is in the graph, not in the
+        tree's index: no route, not a KeyError."""
+        graph = generate_topology(SMALL, seed=4)
+        destination, provider = graph.ases[7], graph.ases[0]
+        table = compute_routes(graph, destination)
+        newcomer = max(graph.ases) + 1
+        TopologyDelta.as_up(
+            newcomer, [(provider, Relationship.PROVIDER)]
+        ).apply(graph)
+        assert newcomer in graph
+        assert table.default_path(newcomer) is None
+        assert table._routes is None
+        assert table.best(newcomer) is None
+        assert compute_routes(graph, destination).default_path(newcomer)
+
+    def test_concurrent_first_reads_materialize_once(self):
+        graph = generate_topology(SMALL, seed=4)
+        table = compute_routes(graph, graph.ases[7])
+        readers = 12
+        barrier = threading.Barrier(readers)
+        seen, errors = [], []
+
+        def read(i):
+            try:
+                barrier.wait(timeout=30)
+                if i % 3 == 0:
+                    list(table.items())
+                elif i % 3 == 1:
+                    table.best(graph.ases[i])
+                else:
+                    table.default_path(graph.ases[i])
+                    table.routed_ases()
+                seen.append(table._best)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        before = _materialized()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(i,)) for i in range(readers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(seen) == readers
+        assert all(routes is seen[0] for routes in seen)
+        assert _materialized() == before + 1
+
+    def test_table_takes_a_dict_or_a_tree(self, paper_graph):
+        tree = compute_routes_snapshot(paper_graph.snapshot(), F)
+        from_tree = RoutingTable(paper_graph, F, tree)
+        from_dict = RoutingTable(paper_graph, F, dict(tree))
+        assert from_tree.default_path(A) == from_dict.default_path(A)
+        assert list(from_tree.items()) == list(from_dict.items())

@@ -34,6 +34,7 @@ from repro.bgp.routing import compute_routes, compute_routes_snapshot
 from repro.errors import KernelError
 from repro.session import SimulationSession
 from repro.topology.generator import SMALL, TINY, generate_topology
+from repro.topology.snapshot import shared_memory_available
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy (the [accel] extra) not installed"
@@ -468,6 +469,50 @@ class TestSessionKernel:
                 compute_routes_snapshot(snapshot, destination),
                 dict(tables[destination].items()),
             )
+
+    @pytest.mark.skipif(
+        not shared_memory_available(),
+        reason="POSIX shared memory unavailable",
+    )
+    @pytest.mark.parametrize(
+        "kernel", ["scalar", pytest.param("batched", marks=needs_numpy)]
+    )
+    def test_pool_ships_the_serial_tree(self, small_graph, kernel, monkeypatch):
+        """Workers ship ``order`` + ``parent`` + bounds; the parent rebuilds
+        the tree on the snapshot the fill captured — across forced shard
+        boundaries, field for field the serial kernel's, nothing expanded."""
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, kernel)
+        destinations = small_graph.ases[:23]
+        with SimulationSession(
+            small_graph, parallel=True, max_workers=2, shards=5
+        ) as session:
+            tables = session.compute_many(destinations, parallel=True)
+            assert session.stats.parallel_fanouts == 1
+        snapshot = small_graph.snapshot()
+        for destination in destinations:
+            shipped = tables[destination]._tree
+            serial = compute_routes_snapshot(snapshot, destination)
+            assert shipped._routes is None
+            assert shipped.asns is snapshot.asns
+            assert shipped.index is snapshot.index
+            assert (
+                list(shipped.order), list(shipped.parent),
+                shipped.peer_from, shipped.provider_from,
+            ) == (
+                list(serial.order), list(serial.parent),
+                serial.peer_from, serial.provider_from,
+            ), destination
+
+    def test_only_trees_ship(self, small_graph):
+        """A backend that settles plain dicts has nothing to ship; the
+        worker hands its shard back (``KernelError`` → ``packed is None``)
+        and the parent settles it."""
+        from repro.session.pool import _encode_shard
+
+        destination = small_graph.ases[0]
+        best = dict(_settle_via_scalar(small_graph, destination))
+        with pytest.raises(KernelError, match="nothing to ship"):
+            _encode_shard((destination,), {destination: best})
 
     def test_pool_opt_out_backend_falls_back_to_scalar(self, small_graph):
         no_pool = KernelBackend(

@@ -88,4 +88,16 @@ def test_guard_covers_session_core():
     guard = _load_guard()
     assert "src/repro/session/core.py" in guard.GUARDED_FILES
     assert {"compute_routes", "recompute_routes", "settle_many",
-            "submit", "ensure"} <= set(guard.SLOW_CALLS)
+            "materialize", "submit", "ensure"} <= set(guard.SLOW_CALLS)
+
+
+def test_guard_flags_materializing_under_lock():
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def adopt(self, table):
+            with self._lock:
+                routes = table._tree.materialize()
+                self._cache.put(self._key(table.destination), table)
+    """)
+    assert [(line, call) for _, line, call in guard.check_source(source)] \
+        == [(4, "materialize")]

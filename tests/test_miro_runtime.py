@@ -111,3 +111,55 @@ class TestSoftState:
         assert rt.tunnels[B].has(tid)
         rt.tick(11.0)
         assert not rt.tunnels[B].has(tid)
+
+
+class TestLiveTunnelGauge:
+    """``repro_miro_live_tunnels`` is kept in O(1) — never by rescanning
+    the live list — and still equals ``len(live_tunnels())`` throughout."""
+
+    @staticmethod
+    def _gauge():
+        from repro.obs import get_registry
+
+        return get_registry().gauge("repro_miro_live_tunnels", "").value
+
+    def test_gauge_tracks_the_live_set_through_every_transition(self, runtime):
+        def check():
+            assert self._gauge() == len(runtime.live_tunnels())
+            assert len(runtime._live) == len(runtime.live_tunnels())
+
+        for _ in range(3):
+            runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+            check()
+        assert self._gauge() == 3
+        runtime.fail_link(C, F)             # tears down the BCF tunnels
+        check()
+        assert self._gauge() == 0
+        runtime.restore_link(C, F)
+        check()
+        kept = runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+        runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+        check()
+        runtime.tick(6.0)
+        runtime.heartbeat(A, kept.tunnel.tunnel_id)
+        check()
+        runtime.tick(6.0)                   # the silent one lapses
+        check()
+        assert runtime.live_tunnels() == [kept] and self._gauge() == 1
+        runtime.tick(11.0)                  # and now the last one
+        check()
+        assert self._gauge() == 0 and runtime._live == []
+        with pytest.raises(NegotiationError):   # expired: no longer live
+            runtime.heartbeat(A, kept.tunnel.tunnel_id)
+
+    def test_establish_does_not_scan_live_tunnels(self, runtime, monkeypatch):
+        calls = []
+        scan = MiroRuntime.live_tunnels
+        monkeypatch.setattr(
+            MiroRuntime, "live_tunnels",
+            lambda self: calls.append(1) or scan(self),
+        )
+        for _ in range(5):
+            assert runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+        assert calls == []
+        assert self._gauge() == 5

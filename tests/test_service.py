@@ -33,6 +33,7 @@ from repro.service.server import MAX_LINE_BYTES
 from repro.session import SimulationSession
 from repro.session.cache import _CACHE_EVENTS
 from repro.miro.runtime import MiroRuntime
+from repro.obs import get_registry
 from repro.topology.delta import TopologyDelta
 
 import random
@@ -589,6 +590,12 @@ def encoded(outcome: str) -> float:
     return _ENCODED.labels(outcome=outcome).value
 
 
+def materialized() -> float:
+    return get_registry().counter(
+        "repro_routing_tables_materialized_total", ""
+    ).value
+
+
 class TestEncodedAnswer:
     def test_wire_line_is_byte_equal_to_dumps_with_id(self, tiny_graph):
         destination = tiny_graph.ases[0]
@@ -738,6 +745,34 @@ class TestEncodedAnswer:
 
         info = asyncio.run(main())
         assert info["encoded_tables"] == info["encoded_bytes"] == 0
+
+    def test_only_a_whole_table_answer_materializes(self, small_graph):
+        """N ``source`` lookups over N cold destinations walk N trees and
+        expand none; a whole-table answer expands its table, once."""
+        destinations = small_graph.ases[:12]
+        source = small_graph.ases[-1]
+
+        async def main():
+            async with tcp_service(small_graph) as (service, reader, writer):
+                async def ask(**request):
+                    writer.write(json.dumps(
+                        dict(request, op="lookup")).encode() + b"\n")
+                    return json.loads(await reader.readline())
+
+                before = fills()
+                for destination in destinations:
+                    answer = await ask(destination=destination, source=source)
+                    assert answer["path"] == list(compute_routes_reference(
+                        small_graph, destination).default_path(source))
+                assert fills() - before == len(destinations)
+                assert materialized() == 0
+                for _ in range(3):
+                    await ask(destination=destinations[0])
+                assert materialized() == 1
+                await ask(destination=destinations[0], source=source)
+                assert materialized() == 1
+
+        asyncio.run(main())
 
 
 # ----------------------------------------------------------------------

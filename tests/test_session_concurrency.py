@@ -265,17 +265,36 @@ class TestCloseUnderLoad:
         not shared_memory_available(),
         reason="POSIX shared memory unavailable",
     )
-    def test_no_leaked_segments_when_close_races_fanout(self):
+    @pytest.mark.parametrize("first", ["close", "publish"])
+    def test_no_leaked_segments_when_close_races_fanout(
+        self, first, monkeypatch
+    ):
+        """close() leaves the session usable, so a fan-out it overtakes
+        republishes afterwards: whichever runs first, once the thread has
+        joined and the owner has closed, every segment is unlinked."""
         published = _SHARED_SEGMENTS.labels(event="publish")
         unlinked = _SHARED_SEGMENTS.labels(event="unlink")
         published_before = published.value
         unlinked_before = unlinked.value
         graph = generate_topology(SMALL, seed=42)
         session = SimulationSession(graph, parallel=True, max_workers=2)
-        started = threading.Event()
+        at_ensure = threading.Event()
+        closed = threading.Event()
+        ensure = session._pool.ensure
+
+        def ordered_ensure(snapshot):
+            if first == "close":
+                at_ensure.set()
+                assert closed.wait(JOIN_TIMEOUT)
+                return ensure(snapshot)
+            try:
+                return ensure(snapshot)
+            finally:
+                at_ensure.set()
+
+        monkeypatch.setattr(session._pool, "ensure", ordered_ensure)
 
         def fanout():
-            started.set()
             try:
                 session.compute_many(graph.ases[:24])
             except Exception:
@@ -283,11 +302,14 @@ class TestCloseUnderLoad:
 
         thread = threading.Thread(target=fanout, name="race-fan")
         thread.start()
-        started.wait(JOIN_TIMEOUT)
+        assert at_ensure.wait(JOIN_TIMEOUT)
         session.close()
+        closed.set()
         thread.join(timeout=JOIN_TIMEOUT)
         assert not thread.is_alive()
+        session.close()
         shipped = published.value - published_before
+        assert shipped == 1
         assert unlinked.value - unlinked_before == shipped
 
 

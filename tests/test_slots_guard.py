@@ -34,6 +34,7 @@ def test_guard_covers_the_workhorse_types():
     guard = _load_guard()
     modules = {m.__name__ for m in guard.iter_guarded_modules()}
     assert "repro.bgp.route" in modules
+    assert "repro.bgp.routing" in modules
     assert "repro.topology.delta" in modules
     assert "repro.topology.snapshot" in modules
     assert "repro.topology.generator" in modules
@@ -48,6 +49,22 @@ def test_route_has_no_instance_dict():
     route = Route((1, 2), RouteClass.CUSTOMER)
     assert not hasattr(route, "__dict__")
     assert hasattr(Route, "__slots__")
+
+
+def test_route_tree_is_a_guarded_slotted_dataclass():
+    """A session caches one tree per table; the guard finds it because
+    it is a dataclass in ``repro.bgp``, and it must stay ``__dict__``-free."""
+    import dataclasses
+
+    from repro.bgp.routing import RouteTree, compute_routes_snapshot
+
+    assert dataclasses.is_dataclass(RouteTree)
+    assert "__slots__" in RouteTree.__dict__
+    graph = generate_named("tiny", seed=0)
+    tree = compute_routes_snapshot(graph.snapshot(), graph.ases[0])
+    assert type(tree) is RouteTree and not hasattr(tree, "__dict__")
+    tree.materialize()  # the lazily built dict lives in a slot too
+    assert not hasattr(tree, "__dict__")
 
 
 def test_applied_delta_has_no_instance_dict():

@@ -14,7 +14,11 @@ import json
 import pytest
 
 from repro.bgp import compute_routes
-from repro.bgp.routing import RoutingTable
+from repro.bgp.routing import (
+    RoutingTable,
+    compute_routes_reference,
+    compute_routes_snapshot,
+)
 from repro.session import SimulationSession
 from repro.topology import TopologyDelta, generate_named
 from repro.verify import (
@@ -190,6 +194,27 @@ class TestOracle:
         assert found.actual is None
         assert found.expected is not None
         assert found.mode == "test"
+
+    def test_candidate_is_read_both_ways(self, paper_graph):
+        """The parent-pointer walk and the expanded dict are separate
+        reads of a tree-backed table; a fault in either one diverges."""
+        reference = compute_routes_reference(paper_graph, F)
+        snapshot = paper_graph.snapshot()
+        a, b, d = (snapshot.index_of(asn) for asn in (A, B, D))
+
+        tree = compute_routes_snapshot(snapshot, F)
+        fresh = RoutingTable(paper_graph, F, tree)
+        assert first_divergence(reference, fresh, "test") is None
+        assert fresh._routes is not None    # ... and items() came second
+
+        tree = compute_routes_snapshot(snapshot, F)
+        tree.materialize()                  # the dict is right and kept
+        assert tree.parent[a] == b
+        tree.parent[a] = d                  # the walk now says A-D-E-F
+        found = first_divergence(
+            reference, RoutingTable(paper_graph, F, tree), "test")
+        assert found is not None and found.asn == A
+        assert found.expected == (A, B, E, F) and found.actual == (A, D, E, F)
 
     def test_all_paths_agree_across_mutations(self, small_graph):
         destinations = small_graph.ases[:4]

@@ -38,14 +38,17 @@ GUARDED_FILES = (
 )
 
 #: Terminal callee names that must never run under the session lock:
-#: the settling entry points, the batch helpers that wrap them, and the
-#: pool's publication / submission calls.
+#: the settling entry points, the batch helpers that wrap them, the
+#: O(n) expansion of a route tree into its dict (``mutate()`` runs
+#: caller code under the lock), and the pool's publication / submission
+#: calls.
 SLOW_CALLS = frozenset({
     "compute_routes",
     "compute_routes_reference",
     "recompute_routes",
     "settle",
     "settle_many",
+    "materialize",
     "submit",
     "ensure",
     "_fill",
