@@ -1,20 +1,26 @@
 """Full vs. incremental route recomputation under single-link failures.
 
 A link failure invalidates only the routes that traversed it, so
-``recompute_routes`` re-settles a small affected region instead of the
-whole table.  This benchmark samples single-link failures on the Gao
-2005 data set and times both strategies per event.  Events/second and
-the mean affected-set fraction land in the unified bench trajectory.
+``recompute_routes`` re-settles the subtrees under the cut tree edges
+instead of the whole table.  This benchmark samples single-link failures
+on the Gao 2005 data set and times both strategies per event.
+Events/second and the mean affected-set fraction land in the unified
+bench trajectory.
 
 The gate protects the session's derive path: deriving a post-failure
-table must stay decisively cheaper than computing it afresh, or the
-derivation index, ``affected_ases`` and the frontier relaxation are not
-worth their code.  "Afresh" is what a cache miss pays after a delta —
-the snapshot rebuild for the new graph version (~3 ms here) plus the
-wave settle (~0.65 ms) — and the incremental path (~0.8 ms, most of it
-the O(n) ``affected_ases`` scan) needs no snapshot.  Measured 3.1–5.0x
-in aggregate; it was ~9x while the full side was the 4 ms heap walk.
-Gated at 2.5x.
+table must stay decisively cheaper than settling it afresh, or the
+derivation index, ``affected_ases`` and the restart of the wave loop are
+not worth their code.  Both sides are timed the way
+``SessionCore._fill_batch`` runs them — on the post-event snapshot,
+built once per event *before* either clock starts (it is memoized per
+graph version, so whichever side ran first used to be charged for it) —
+and the incremental side is the whole derivation, ``affected_ases`` plus
+``recompute_routes``.  Both are the same wave loop, so the ratio is what
+the restart saves: a full settle offers from every routed AS three
+times (~0.8 ms at 1,050 ASes); a restart copies the parent's columns,
+walks the old order once for depths, and offers from the cleared
+region's border (~0.25 ms at a mean of a few affected ASes).  Measured
+3.3–4.1x in aggregate; gated at 2x.
 """
 
 import random
@@ -47,11 +53,14 @@ def test_incremental_beats_full_on_single_link_failures(
         affected_total = 0
         for a, b in events:
             applied = TopologyDelta.link_down(a, b).apply(graph)
-            affected = affected_ases(graph, before, applied.changed_links)
-            affected_total += len(affected or ())
+            graph.snapshot()  # both sides settle on it; neither pays
             start = time.perf_counter()
-            incremental = recompute_routes(graph, before, applied)
+            affected = affected_ases(graph, before, applied.changed_links)
+            incremental = recompute_routes(
+                graph, before, applied, affected=affected
+            )
             incremental_seconds += time.perf_counter() - start
+            affected_total += len(affected)
             start = time.perf_counter()
             full = compute_routes(graph, destination)
             full_seconds += time.perf_counter() - start
@@ -80,7 +89,7 @@ def test_incremental_beats_full_on_single_link_failures(
     bench_report.record("mean_affected_fraction", mean_affected_fraction,
                         "ratio")
 
-    assert incremental_seconds * 2.5 <= full_seconds
+    assert incremental_seconds * 2 <= full_seconds
 
 
 def test_session_derives_after_failure(benchmark, gao_2005):

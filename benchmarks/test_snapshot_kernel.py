@@ -43,7 +43,7 @@ def test_snapshot_kernel_speedup_and_ship_size(
     destinations = graph.ases[:: max(1, len(graph) // 12)]
     snapshot = graph.snapshot()
 
-    def run():
+    def sweep():
         settle = _per_destination(
             compute_routes_snapshot, snapshot, destinations
         )
@@ -55,6 +55,12 @@ def test_snapshot_kernel_speedup_and_ship_size(
             compute_routes_reference, graph, destinations
         )
         return settle, table, reference
+
+    def run():
+        # fastest of three sweeps, as test_batched_kernel.py takes them:
+        # a timed window here is ~8 ms, and one full collection of the
+        # suite's heap inside it (~20 ms) used to decide the ratio
+        return tuple(map(min, zip(*(sweep() for _ in range(3)))))
 
     settle_s, kernel_s, reference_s = benchmark.pedantic(
         run, rounds=1, iterations=1)

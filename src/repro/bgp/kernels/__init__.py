@@ -11,7 +11,6 @@ new kernel meant touching all of them.  The registry inverts that: a
 
 registered under a name with capability flags, and every consumer —
 :func:`repro.bgp.routing.compute_routes`,
-:func:`repro.bgp.routing.recompute_routes`,
 :meth:`repro.session.SimulationSession.compute_many` pool workers, and
 :class:`repro.verify.oracle.DifferentialOracle` — resolves the backend it
 runs through this module.  The oracle *enumerates* the registry, so any
@@ -36,7 +35,7 @@ Two backends ship in-tree, registered by this package's import:
 * ``scalar`` — the index-space kernel
   (:func:`repro.bgp.routing.compute_routes_snapshot`): parent pointers
   settled in wave order, pure Python; no dependencies, settles pinned
-  requests (by the heap walk), seeds incremental recomputation.
+  requests (by the heap walk).
 * ``batched`` — the vectorized wave kernel
   (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
   numpy operations over the snapshot's flat CSR arrays, many
@@ -45,7 +44,10 @@ Two backends ship in-tree, registered by this package's import:
 Both return an un-pinned table as a
 :class:`~repro.bgp.routing.RouteTree` — a ``Mapping[int, Route]`` that
 answers path reads from parent pointers and builds its dict on first
-use — and a pinned one as the dict.
+use — and a pinned one as the dict.  Re-deriving a table after link
+failures (:func:`repro.bgp.routing.recompute_routes`) restarts the
+scalar wave loop from any backend's tree; only its full-settle
+fallbacks come through :func:`settle`.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ class KernelBackend:
       backend.
     * ``pool`` — the backend is safe to resolve inside process-pool
       workers (its module is importable from a bare ``import repro``).
-    * ``incremental`` — the backend's tables can seed frontier-only
-      incremental recomputation (:func:`repro.bgp.routing.recompute_routes`);
-      backends without it make large-region recomputes prefer a full
-      settle instead.
 
     ``available`` is probed at resolution time so an optional dependency
     (numpy for ``batched``) can appear or disappear without
@@ -125,7 +123,6 @@ class KernelBackend:
     description: str = ""
     pinned: bool = True
     pool: bool = True
-    incremental: bool = False
     requires: Tuple[str, ...] = ()
     available: Callable[[], bool] = field(default=_always_available)
     #: Optional sweep entry point ``settle_many(snapshot, destinations)
@@ -327,7 +324,6 @@ def describe() -> Dict[str, Any]:
                 "available": backend.is_available(),
                 "pinned": backend.pinned,
                 "pool": backend.pool,
-                "incremental": backend.incremental,
                 "batch": backend.settle_many is not None,
                 "requires": list(backend.requires),
                 "description": backend.description,

@@ -434,7 +434,6 @@ BACKEND = register(
         ),
         pinned=False,
         pool=True,
-        incremental=False,
         requires=("numpy",),
         available=numpy_available,
     )

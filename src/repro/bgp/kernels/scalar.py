@@ -4,9 +4,10 @@ A thin registry adapter around
 :func:`repro.bgp.routing.compute_routes_snapshot`, which settles an
 un-pinned table as parent pointers in wave order (a
 :class:`~repro.bgp.routing.RouteTree`) and a pinned one by the heap
-walk.  The kernel keeps living in :mod:`repro.bgp.routing` (it is also
-the seed of incremental recomputation there); this module only gives it
-a registry identity and its capability flags.  It is the default
+walk.  The kernel keeps living in :mod:`repro.bgp.routing` (its wave
+loop is also what :func:`~repro.bgp.routing.recompute_routes` restarts
+from a parent table's tree); this module only gives it a registry
+identity and its capability flags.  It is the default
 backend, the fallback for unavailable ones, and the backend pinned-route
 requests are rerouted to.
 """
@@ -41,6 +42,5 @@ BACKEND = register(
         ),
         pinned=True,
         pool=True,
-        incremental=True,
     )
 )

@@ -25,18 +25,26 @@ Two implementations of the same settling semantics live here:
   **index space** on a frozen
   :class:`~repro.topology.snapshot.TopologySnapshot`.  An un-pinned
   request settles *parent pointers in wave order* — three
-  level-synchronous sweeps, no heap and no path tuples — and returns a
-  :class:`RouteTree`: by tree consistency one destination's stable
-  state *is* a parent-pointer tree, so a path is a walk up it and the
-  ``{asn: Route}`` dict is built only for readers that want every
-  route.  A pinned request keeps the heap walk over ``(length, path,
-  class)`` entries (a pinned holder's path is arbitrary, so the result
-  is not a tree) and returns the dict.  :func:`compute_routes` is the
-  graph-level front door.
+  level-synchronous sweeps (:func:`_settle_waves`), no heap and no path
+  tuples — and returns a :class:`RouteTree`: by tree consistency one
+  destination's stable state *is* a parent-pointer tree, so a path is a
+  walk up it and the ``{asn: Route}`` dict is built only for readers
+  that want every route.  :func:`recompute_routes` re-derives a table
+  after link failures by restarting the *same* sweeps from the parent
+  table's tree with the affected subtrees cleared — a full settle is
+  that call with only the destination kept — so a derived table is the
+  same columnar object as a settled one.  A pinned request keeps a heap
+  walk over ``(length, path, class)`` entries (a pinned holder's path is
+  arbitrary, so the result is not a tree) and returns the dict.
+  :func:`compute_routes` is the graph-level front door.
 * :func:`compute_routes_reference` — the legacy dict walk over the
   mutable :class:`~repro.topology.graph.ASGraph`, kept as the
   independent oracle the kernel is held byte-equal to
-  (:mod:`repro.verify.oracle`).
+  (:mod:`repro.verify.oracle`).  It shares no settling code with
+  anything it judges: :func:`_run_phase` has no other caller.
+
+Table forms: a tree for every un-pinned table, settled or re-derived; a
+dict for pinned and reference tables only.
 
 The heap walks order entries by ``(length, path)``; every entry is a
 distinct such pair, so the pop order — and with it the selected table —
@@ -56,12 +64,12 @@ import gc
 import heapq
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -78,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..errors import RoutingError, UnknownASError
 from ..obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
-from ..topology.graph import ASGraph, LinkKey, link_key
+from ..topology.graph import ASGraph
 from ..topology.snapshot import TopologySnapshot
 from .policy import exportable_route, make_route
 from .route import Route, RouteClass
@@ -466,28 +474,49 @@ _WAVE_PHASES = (
     (((0, 1),), ((0, 1), (3, 4))),         # descend to customers
 )
 
+#: Class code a route takes crossing a link of segment ``lo`` (the
+#: learner is the holder's customer / provider / peer); 0: a sibling
+#: link, which hands on the holder's own class.
+_LINK_CLASS = (_PROVIDER, _CUSTOMER, _PEER, 0)
+
 
 def _settle_waves(
-    snapshot: TopologySnapshot, dest: int, destination: int
-) -> RouteTree:
-    """Settle an un-pinned table as parent pointers, wave by wave.
+    snapshot: TopologySnapshot,
+    destination: int,
+    parent: List[int],
+    depth: List[int],
+    holders: List[int],
+    border: Sequence[Sequence[int]] = ((), (), ()),
+    timers=_PHASE_FULL,
+) -> List[Tuple[int, int]]:
+    """Settle every unrouted node of ``parent``, wave by wave.
+
+    The one settling loop.  A full settle passes ``parent`` with only
+    the destination routed and ``holders == [dest]``;
+    :func:`recompute_routes` passes a settled tree's parents with a
+    region cleared (``-1``) and the kept holders that border the region
+    (with their ``depth``): the origin in ``holders`` if it is one, the
+    others in ``border[phase]`` by the phase that routed them.
+    ``parent`` and ``depth`` are settled in place and adopters appended
+    to ``holders`` in adoption order; returns each phase's ``(start,
+    stop)`` slice of ``holders`` — after a full settle ``holders`` is
+    the tree's ``order`` and the stops are its phase bounds.
 
     Per phase, ``buckets[wave]`` maps each candidate target to the
-    smallest parent index offering it a path of ``wave`` hops.  The
+    smallest parent index offering it a path of ``wave`` hops.  Holders
+    of earlier phases — kept or adopted in this call — offer across the
+    phase's seed links; kept holders of this phase offer across its
+    expansion links, which a full run did when they adopted.  The
     smallest wave pops first and its still-unsettled targets adopt in
     ascending index order — the heap walk's pop order exactly — then
     offer their in-phase neighbours a path one hop longer.
     """
     n = snapshot.n
     off, adj = snapshot.class_lists()
-    parent = [-1] * n
-    depth = [0] * n
-    parent[dest] = dest
-    order = [dest]
-    bounds = []
+    spans = []
 
-    def offer(holders: List[int], lo: int, hi: int) -> None:
-        for i in holders:
+    def offer(nodes: Sequence[int], lo: int, hi: int) -> None:
+        for i in nodes:
             base = 4 * i
             start = off[base + lo]
             stop = off[base + hi]
@@ -501,27 +530,27 @@ def _settle_waves(
                 if parent[nb] < 0 and bucket.get(nb, n) > i:
                     bucket[nb] = i
 
-    with _TRACER.span("compute_routes", destination=destination, pinned=0):
-        for phase, (seed_segs, expand_segs) in enumerate(_WAVE_PHASES):
-            with _phase_span(phase, _PHASE_FULL, destination):
-                buckets: Dict[int, Dict[int, int]] = {}
-                for lo, hi in seed_segs:
-                    offer(order, lo, hi)
-                while buckets:
-                    wave = min(buckets)
-                    offers = buckets.pop(wave)
-                    adopters = sorted(v for v in offers if parent[v] < 0)
-                    for v in adopters:
-                        parent[v] = offers[v]
-                        depth[v] = wave
-                    order.extend(adopters)
-                    for lo, hi in expand_segs:
-                        offer(adopters, lo, hi)
-            bounds.append(len(order))
-    _TABLES_TOTAL.labels(mode="full").inc()
-    return RouteTree(
-        snapshot.asns, snapshot.index, order, parent, bounds[0], bounds[1]
-    )
+    for phase, (seed_segs, expand_segs) in enumerate(_WAVE_PHASES):
+        with _phase_span(phase, timers, destination):
+            buckets: Dict[int, Dict[int, int]] = {}
+            for lo, hi in seed_segs:
+                offer(holders, lo, hi)
+            for lo, hi in expand_segs:
+                offer(border[phase], lo, hi)
+            holders += border[phase]
+            first = len(holders)
+            while buckets:
+                wave = min(buckets)
+                offers = buckets.pop(wave)
+                adopters = sorted(v for v in offers if parent[v] < 0)
+                for v in adopters:
+                    parent[v] = offers[v]
+                    depth[v] = wave
+                holders += adopters
+                for lo, hi in expand_segs:
+                    offer(adopters, lo, hi)
+        spans.append((first, len(holders)))
+    return spans
 
 
 def compute_routes_snapshot(
@@ -533,15 +562,15 @@ def compute_routes_snapshot(
 
     The production kernel: works entirely in snapshot index space.  An
     un-pinned request settles parent pointers in wave order
-    (:func:`_settle_waves`) and returns the :class:`RouteTree`.  A pinned
-    request runs the heap walk below — flat per-class adjacency slices,
-    int-tuple paths, heap entries of ``(length, path, class)`` — and
-    translates to an ASN-keyed best-route dict at the end.  The walk
-    settles route classes *incrementally*: prepending a neighbour
-    determines the new class from the link being crossed (provider link
-    → customer route, peer link → peer route, customer link → provider
-    route, sibling link → inherited), so it never re-walks a path the
-    way ``classify_path`` does.
+    (:func:`_settle_waves`, from the destination alone) and returns the
+    :class:`RouteTree`.  A pinned request runs the heap walk below —
+    flat per-class adjacency slices, int-tuple paths, heap entries of
+    ``(length, path, class)`` — and translates to an ASN-keyed
+    best-route dict at the end.  The walk takes a route's class from the
+    link being crossed (:data:`_LINK_CLASS`: provider link → customer
+    route, peer link → peer route, customer link → provider route,
+    sibling link → inherited), so it never re-walks a path the way
+    ``classify_path`` does.
 
     Self-contained on purpose: pool workers call this with nothing but
     the shipped snapshot (no mutable graph on the far side).  Returns the
@@ -552,10 +581,21 @@ def compute_routes_snapshot(
     dest = snapshot.index_of(destination)
     pinned = dict(pinned or {})
     _validate_pinned(destination, pinned)
-    if not pinned:
-        return _settle_waves(snapshot, dest, destination)
-
     n = snapshot.n
+    if not pinned:
+        parent = [-1] * n
+        parent[dest] = dest
+        order = [dest]
+        with _TRACER.span("compute_routes", destination=destination, pinned=0):
+            (_, peer_from), (_, provider_from), _ = _settle_waves(
+                snapshot, destination, parent, [0] * n, order
+            )
+        _TABLES_TOTAL.labels(mode="full").inc()
+        return RouteTree(
+            snapshot.asns, snapshot.index, order, parent,
+            peer_from, provider_from,
+        )
+
     off, adj = snapshot.class_lists()
     # Per-node settling state, indexed by snapshot index: the selected
     # index path, its reported class, and its *propagation* class (what a
@@ -576,120 +616,44 @@ def compute_routes_snapshot(
     best_cls[dest] = _ORIGIN
     prop_cls[dest] = _CUSTOMER  # what the origin's siblings inherit
 
+    heap: List[Tuple[int, Tuple[int, ...], int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    heapify = heapq.heapify
+
+    def spread(holder: int, path: Tuple[int, ...], segs) -> None:
+        """Offer ``path`` to ``holder``'s unsettled neighbours across
+        ``segs`` (the loop check matters: a pinned path is arbitrary)."""
+        base = 4 * holder
+        hops = len(path)
+        for lo, hi in segs:
+            cls = _LINK_CLASS[lo] or prop_cls[holder]
+            for nb in adj[off[base + lo]: off[base + hi]]:
+                if best_path[nb] is None and nb not in path:
+                    push(heap, (hops, (nb,) + path, cls))
 
     with _TRACER.span("compute_routes", destination=destination,
                       pinned=len(pinned)):
-        # ---- Phase 1: customer routes climb the hierarchy -------------
-        # Seeds: every settled ORIGIN/CUSTOMER route (its own entry, so
-        # popping it triggers the holder's in-phase expansion).
-        with _phase_span(0, _PHASE_FULL, destination):
-            heap: List[Tuple[int, Tuple[int, ...], int]] = []
-            for i in range(n):
-                path = best_path[i]
-                if path is not None and best_cls[i] >= _CUSTOMER:
-                    heap.append((len(path) - 1, path, best_cls[i]))
-            heapify(heap)
-            while heap:
-                length, path, cls = pop(heap)
-                holder = path[0]
-                current = best_path[holder]
-                if current is not None:
-                    if current != path:
+        # The same three phases as the wave sweeps: every route settled
+        # so far seeds across the phase's seed links — customer-class
+        # (or origin) routes only until the descent, which exports
+        # everything — and each adoption spreads across its expansion
+        # links.  The first entry popped for an unsettled AS is its
+        # selected route.
+        for phase, (seed_segs, expand_segs) in enumerate(_WAVE_PHASES):
+            with _phase_span(phase, _PHASE_FULL, destination):
+                floor = _CUSTOMER if phase < 2 else _PROVIDER
+                for i in range(n):
+                    if best_path[i] is not None and best_cls[i] >= floor:
+                        spread(i, best_path[i], seed_segs)
+                while heap:
+                    _, path, cls = pop(heap)
+                    holder = path[0]
+                    if best_path[holder] is not None:
                         continue  # already settled on another path
-                    cls = prop_cls[holder]  # a seed: propagate, don't adopt
-                else:
                     best_path[holder] = path
-                    best_cls[holder] = cls
-                    prop_cls[holder] = cls
+                    best_cls[holder] = prop_cls[holder] = cls
                     order.append(holder)
-                base = 4 * holder
-                for k in range(off[base + 1], off[base + 2]):  # providers
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        push(heap, (length + 1, (nb,) + path, _CUSTOMER))
-                for k in range(off[base + 3], off[base + 4]):  # siblings
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        push(heap, (length + 1, (nb,) + path, cls))
-
-        # ---- Phase 2: customer routes cross peering links -------------
-        # Seeds: each unsettled peer of a settled ORIGIN/CUSTOMER holder
-        # learns the path across the peering link (class PEER); in-phase
-        # the adopted route spreads only through sibling links.
-        with _phase_span(1, _PHASE_FULL, destination):
-            heap = []
-            for i in range(n):
-                path = best_path[i]
-                if path is None or best_cls[i] < _CUSTOMER:
-                    continue
-                base = 4 * i
-                hops = len(path)
-                for k in range(off[base + 2], off[base + 3]):  # peers
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        heap.append((hops, (nb,) + path, _PEER))
-            heapify(heap)
-            while heap:
-                length, path, cls = pop(heap)
-                holder = path[0]
-                current = best_path[holder]
-                if current is not None:
-                    if current != path:
-                        continue
-                    cls = prop_cls[holder]
-                else:
-                    best_path[holder] = path
-                    best_cls[holder] = cls
-                    prop_cls[holder] = cls
-                    order.append(holder)
-                base = 4 * holder
-                for k in range(off[base + 3], off[base + 4]):  # siblings
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        push(heap, (length + 1, (nb,) + path, cls))
-
-        # ---- Phase 3: best routes flow down to customers ---------------
-        # Seeds: each unsettled customer of any settled holder learns the
-        # path down the provider link (class PROVIDER); in-phase the route
-        # chains through further customer links and sibling links.
-        with _phase_span(2, _PHASE_FULL, destination):
-            heap = []
-            for i in range(n):
-                path = best_path[i]
-                if path is None:
-                    continue
-                base = 4 * i
-                hops = len(path)
-                for k in range(off[base], off[base + 1]):  # customers
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        heap.append((hops, (nb,) + path, _PROVIDER))
-            heapify(heap)
-            while heap:
-                length, path, cls = pop(heap)
-                holder = path[0]
-                current = best_path[holder]
-                if current is not None:
-                    if current != path:
-                        continue
-                    cls = prop_cls[holder]
-                else:
-                    best_path[holder] = path
-                    best_cls[holder] = cls
-                    prop_cls[holder] = cls
-                    order.append(holder)
-                base = 4 * holder
-                for k in range(off[base], off[base + 1]):  # customers
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        push(heap, (length + 1, (nb,) + path, _PROVIDER))
-                for k in range(off[base + 3], off[base + 4]):  # siblings
-                    nb = adj[k]
-                    if best_path[nb] is None and nb not in path:
-                        push(heap, (length + 1, (nb,) + path, cls))
+                    spread(holder, path, expand_segs)
 
     # Translate back to ASN space, in the legacy walk's exact dict order:
     # pinned entries first (the very objects the caller pinned), then the
@@ -838,17 +802,17 @@ def affected_ases(
 
     For a pure **failure** delta (every changed link is absent from the
     current graph) the affected set is the ASes whose old stable route
-    traversed a changed link (or a removed AS): removing links only
-    removes candidate paths, every unaffected AS's old route — and, by
-    tree consistency, its next hop's whole chain — survives, and the
-    deterministic shortest-first relaxation re-selects it.  Re-settling
-    the affected region with the rest seeded as fixed then reproduces the
-    full computation's output, *unless* an affected AS's new export
-    improved (a lost customer route can reveal a shorter, less preferred
-    path) — :func:`recompute_routes` detects that at the region boundary
-    and falls back to a full computation (the randomized differential
-    test in ``tests/test_incremental_routing.py`` exercises this
-    equivalence).
+    traversed a changed link: removing links only removes candidate
+    paths, every unaffected AS's old route — and, by tree consistency,
+    its next hop's whole chain — survives, and the deterministic
+    shortest-first relaxation re-selects it.  On a tree-backed table
+    that is the subtrees hanging off the changed links that are tree
+    edges: with none cut the answer is ``set()`` after one probe per
+    changed link, otherwise one pass over the tree's ``order`` (parents
+    precede children) — nothing materializes.  A dict-backed table
+    (pinned, reference) is scanned path by path.  (A removed AS needs no
+    case of its own: a path visits it only across one of its former,
+    hence changed, links.)
 
     Returns ``None`` when incremental recomputation is *not* applicable
     and the caller must fall back to :func:`compute_routes`:
@@ -859,31 +823,36 @@ def affected_ases(
       affected region exists, or
     * the destination itself left the graph.
     """
-    if changed is None:
+    if changed is None or table.destination not in graph:
         return None
-    changed_keys: FrozenSet[LinkKey] = frozenset(
-        link_key(a, b) for a, b in changed
-    )
-    if table.destination not in graph:
-        return None
-    for a, b in changed_keys:
+    changed = list(changed)
+    for a, b in changed:
         if graph.has_link(a, b):
             return None  # link addition (or re-addition): no local bound
-    # A path can only visit a removed AS by crossing one of its former
-    # (hence changed) links, so missing-node detection needs to look at
-    # changed-link endpoints only, and each hop check is one set probe.
-    removed = frozenset(
-        p for key in changed_keys for p in key if p not in graph
-    )
-    hops = changed_keys | frozenset((b, a) for a, b in changed_keys)
-    affected: Set[int] = set()
-    for asn, route in table.items():
-        path = route.path
-        if not hops.isdisjoint(zip(path, path[1:])) or (
-            removed and not removed.isdisjoint(path)
-        ):
-            affected.add(asn)
-    return affected
+    tree = table._tree
+    if tree is None:
+        hops = {(a, b) for a, b in changed} | {(b, a) for a, b in changed}
+        return {
+            asn for asn, route in table.items()
+            if not hops.isdisjoint(zip(route.path, route.path[1:]))
+        }
+    index, parent = tree.index, tree.parent
+    cut: Set[int] = set()
+    for a, b in changed:
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None:
+            continue  # not a link of the tree's snapshot
+        if parent[ia] == ib:
+            cut.add(ia)
+        elif parent[ib] == ia:
+            cut.add(ib)
+    if not cut:
+        return cut
+    for i in tree.order:
+        if parent[i] in cut:
+            cut.add(i)
+    asns = tree.asns
+    return {asns[i] for i in cut}
 
 
 def recompute_routes(
@@ -894,182 +863,161 @@ def recompute_routes(
 ) -> RoutingTable:
     """Incrementally update ``table`` after the given link changes.
 
-    Re-settles only the affected region (see :func:`affected_ases`),
-    seeding every other AS's old route as fixed, and runs the same
-    three-phase relaxation as :func:`compute_routes` — the result is
-    identical to a fresh full computation on the current graph, at a cost
-    proportional to the affected region instead of the whole topology.
-    Falls back to :func:`compute_routes` whenever the affected set cannot
-    be bounded (see :func:`affected_ases`).
+    The wave kernel restarted: copies ``table``'s tree, clears the
+    affected subtrees (see :func:`affected_ases`) and runs the three
+    sweeps of :func:`_settle_waves` seeded by the kept holders that
+    border the cleared region — the result is the tree a fresh full
+    computation on the current graph settles, values and order, at a
+    cost proportional to the affected region (plus a few flat passes
+    over the columns) instead of the whole topology.  An event that cuts
+    no tree edge hands back a table over ``table``'s own tree, and
+    derives no snapshot.
+
+    Falls back to :func:`compute_routes` — counted in
+    ``repro_routing_incremental_fallbacks_total{reason}`` — when the
+    affected set cannot be bounded (``unbounded``, see
+    :func:`affected_ases`), ``table`` is dict-backed (``parent_not_tree``),
+    the AS population changed since the tree was settled, so its indices
+    no longer name the same ASes (``as_set_changed``), or a re-settled AS
+    now exports a route one of its kept neighbours prefers
+    (``boundary_improved``).
 
     ``changed`` may be an iterable of ``(a, b)`` link pairs or an
     :class:`repro.topology.delta.AppliedDelta`; ``affected`` may be
-    passed pre-computed to avoid deriving it twice.
+    passed pre-computed (by :func:`affected_ases` for the same
+    arguments) to avoid deriving it twice.
     """
     destination = table.destination
     if destination not in graph:
         raise UnknownASError(destination)
     if changed is not None and hasattr(changed, "changed_links"):
         changed = changed.changed_links  # an AppliedDelta
+
+    def settle_in_full(reason: str) -> RoutingTable:
+        _FALLBACKS_TOTAL.labels(reason=reason).inc()
+        return compute_routes(graph, destination)
+
     if affected is None:
         affected = affected_ases(graph, table, changed)
         if affected is None:
-            _FALLBACKS_TOTAL.labels(reason="unbounded").inc()
-            return compute_routes(graph, destination)
+            return settle_in_full("unbounded")
     _AFFECTED_SIZE.observe(len(affected))
-
-    # The frontier relaxation below is scalar work proportional to the
-    # affected region.  When the active kernel backend cannot seed from
-    # old tables (no ``incremental`` capability — e.g. the batched wave
-    # kernel) a large region loses the incremental advantage, and a full
-    # settle on that backend is the faster *and* representative path.
-    # Small regions stay incremental regardless: they are cheap either
-    # way, and unaffected routes are then reused verbatim.
-    if len(affected) >= 64 and len(affected) * 4 >= len(graph):
-        from .kernels import active as _active_kernel
-
-        if not _active_kernel().incremental:
-            _FALLBACKS_TOTAL.labels(reason="kernel_not_incremental").inc()
-            return compute_routes(graph, destination)
-
-    # Frontier discovery, expansion, and the boundary-stability check all
-    # enumerate neighbourhoods of the *current* graph state.  When a hot
-    # path already derived the snapshot for this version, ride its cached
-    # tuples; never derive one here — an incremental event touches a
-    # handful of ASes, and a whole-graph derivation would cost more than
-    # the re-settling it serves.
-    snap = graph.peek_snapshot()
-    if snap is not None:
-        neighbors = snap.neighbors_asn
-        siblings = snap.siblings_asn
-        peers = snap.peers_asn
-        providers = snap.providers_asn
-        expand_up = snap.expand_up_asn
-        expand_down = snap.expand_down_asn
-    else:
-        neighbors = graph.neighbors
-        siblings = graph.siblings
-        peers = graph.peers
-        providers = graph.providers
-
-        def expand_up(asn: int) -> List[int]:
-            return graph.providers(asn) + graph.siblings(asn)
-
-        def expand_down(asn: int) -> List[int]:
-            return graph.customers(asn) + graph.siblings(asn)
-
-    best: Dict[int, Route] = {
-        asn: route
-        for asn, route in table.items()
-        if asn not in affected and asn in graph
-    }
-    best[destination] = Route((destination,), RouteClass.ORIGIN)
-    unsettled = {asn for asn in affected if asn in graph}
-
-    # Only routes held on the border of the unsettled region can
-    # propagate into it: a seed with no unsettled neighbour expands, if
-    # popped, solely toward ASes that are already settled, so its heap
-    # entry is dead weight.  Seeding just the frontier keeps each phase's
-    # cost proportional to the affected region, not the whole topology.
-    frontier = {
-        neighbor
-        for asn in unsettled
-        for neighbor in neighbors(asn)
-        if neighbor in best
-    }
-    _FRONTIER_SIZE.observe(len(frontier))
-
-    with _TRACER.span("recompute_routes", destination=destination,
-                      affected=len(affected), frontier=len(frontier)):
-        # Each phase replays compute_routes exactly, with one addition: a
-        # frontier seed whose route belongs to the phase gets its own
-        # (length, path) entry pushed, so popping it triggers the same
-        # intra-phase expansion (providers/peers' siblings/customers) the
-        # full run performs when that AS first adopts the route.
-
-        # ---- Phase 1: customer routes climb the hierarchy -------------
-        with _phase_span(0, _PHASE_INCREMENTAL, destination):
-            heap: List[Tuple[int, Tuple[int, ...]]] = []
-            for asn in frontier:
-                route = best[asn]
-                if route.route_class in (RouteClass.ORIGIN, RouteClass.CUSTOMER):
-                    heapq.heappush(heap, (route.length, route.path))
-            _run_phase(
-                graph, best, heap,
-                expand=expand_up,
-                fixed=set(best),
-            )
-
-        # ---- Phase 2: customer routes cross peering links -------------
-        with _phase_span(1, _PHASE_INCREMENTAL, destination):
-            unsettled -= best.keys()
-            heap = []
-            for asn in frontier:
-                if best[asn].route_class is RouteClass.PEER:
-                    heapq.heappush(heap, (best[asn].length, best[asn].path))
-            for asn in unsettled:
-                for peer in peers(asn):
-                    route = best.get(peer)
-                    if route is None or route.route_class not in (
-                        RouteClass.ORIGIN, RouteClass.CUSTOMER
-                    ):
-                        continue
-                    if route.contains(asn):
-                        continue
-                    heapq.heappush(heap, (len(route.path), (asn,) + route.path))
-            _run_phase(
-                graph, best, heap,
-                expand=siblings,
-                fixed=set(best),
-            )
-
-        # ---- Phase 3: best routes flow down to customers ---------------
-        with _phase_span(2, _PHASE_INCREMENTAL, destination):
-            unsettled -= best.keys()
-            heap = []
-            for asn in frontier:
-                if best[asn].route_class is RouteClass.PROVIDER:
-                    heapq.heappush(heap, (best[asn].length, best[asn].path))
-            for asn in unsettled:
-                for provider in providers(asn):
-                    route = best.get(provider)
-                    if route is None:
-                        continue
-                    if route.contains(asn):
-                        continue
-                    heapq.heappush(heap, (len(route.path), (asn,) + route.path))
-            _run_phase(
-                graph, best, heap,
-                expand=expand_down,
-                fixed=set(best),
-            )
-
-        # A failure can *improve* an AS's export: the selected route is not
-        # the shortest available path, so losing a customer route may reveal
-        # a shorter (if less preferred) one, whose export downstream then
-        # beats routes the old table kept.  Unaffected ASes were seeded as
-        # fixed, so verify each is still locally stable against the
-        # re-settled region's new offers; a violation means the affected
-        # bound was not closed and only a full recomputation is safe.
-        for asn in affected:
-            route = best.get(asn)
-            if route is None:
-                continue
-            for neighbor in neighbors(asn):
-                if neighbor in affected or neighbor == destination:
-                    continue
-                offer = exportable_route(graph, route, neighbor)
-                if offer is None:
-                    continue
-                current = best.get(neighbor)
-                if current is None or (
-                    offer.preference_key() > current.preference_key()
-                ):
-                    _FALLBACKS_TOTAL.labels(reason="boundary_improved").inc()
-                    return compute_routes(graph, destination)
-
+    tree = table._tree
+    if tree is None:
+        return settle_in_full("parent_not_tree")
+    if affected:
+        snapshot = graph.snapshot()
+        if snapshot.asns != tree.asns:
+            return settle_in_full("as_set_changed")
+        with _TRACER.span("recompute_routes", destination=destination,
+                          affected=len(affected)):
+            tree = _resettle(snapshot, tree, destination, affected)
+        if tree is None:
+            return settle_in_full("boundary_improved")
     _TABLES_TOTAL.labels(mode="incremental").inc()
-    return RoutingTable(graph, destination, best)
+    return RoutingTable(graph, destination, tree)
+
+
+def _resettle(
+    snapshot: TopologySnapshot,
+    old: RouteTree,
+    destination: int,
+    affected: Set[int],
+) -> Optional[RouteTree]:
+    """``old`` with the ``affected`` subtrees re-settled on ``snapshot``
+    (same AS population, so same indices), or None when a re-settled AS
+    now offers a kept neighbour a route it prefers to the one it kept.
+    """
+    n = snapshot.n
+    off, adj = snapshot.class_lists()
+    index = old.index
+    dest = index[destination]
+    region = {index[asn] for asn in affected}
+    old_parent = old.parent
+    parent = list(old_parent)
+    touched: Set[int] = set()
+    for i in region:
+        parent[i] = -1
+        touched.update(adj[off[4 * i]: off[4 * i + 4]])
+
+    # From the old order, phase by phase: every node's depth, what stays
+    # of each phase's slice, and of that the holders with a cleared
+    # neighbour — the only kept nodes the region can hear from, or be
+    # heard by.
+    order = old.order
+    bounds = (1, old.peer_from, old.provider_from, len(order))
+    slices = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    depth = [0] * n
+    for part in slices:
+        for i in part:
+            depth[i] = depth[old_parent[i]] + 1
+    kept = [[i for i in part if i not in region] for part in slices]
+    border = [[i for i in held if i in touched] for held in kept]
+    holders = [dest] if dest in touched else []
+    _FRONTIER_SIZE.observe(len(holders) + sum(map(len, border)))
+
+    spans = _settle_waves(
+        snapshot, destination, parent, depth, holders, border,
+        _PHASE_INCREMENTAL,
+    )
+    phases = [holders[first:stop] for first, stop in spans]
+
+    # A phase adopts in ascending (wave, index), so its slice of the new
+    # order is the kept and the re-adopted nodes merged on that key: both
+    # runs ascend already, and the second is short.
+    def rank(i: int) -> int:
+        return depth[i] * n + i
+
+    order = [dest]
+    bounds = []
+    for held, adopted in zip(kept, phases):
+        lo = 0
+        for v in adopted:
+            hi = bisect_left(held, rank(v), lo, key=rank)
+            order += held[lo:hi]
+            order.append(v)
+            lo = hi
+        order += held[lo:]
+        bounds.append(len(order))
+    tree = RouteTree(
+        snapshot.asns, snapshot.index, order, parent, bounds[0], bounds[1]
+    )
+
+    # A failure can *improve* an AS's export: the selected route is not
+    # the shortest available path, so losing a customer route may reveal
+    # a shorter (if less preferred) one, whose export downstream then
+    # beats routes the old table kept.  Kept ASes never re-selected, so
+    # verify each is still locally stable against what its re-settled
+    # neighbours now export to it; a violation means the affected bound
+    # was not closed and only a full recomputation is safe.  (Whatever a
+    # re-settled AS exports to an unrouted neighbour the sweeps already
+    # delivered, so only border holders are at stake.)
+    asns = tree.asns
+    classes = (_CUSTOMER, _PEER, _PROVIDER)
+    code = {i: cls for cls, edge in zip(classes, border) for i in edge}
+    for cls, adopted in zip(classes, phases):
+        # peers and providers learn customer routes only
+        segs = (0, 1, 2, 3) if cls == _CUSTOMER else (0, 3)
+        for a in adopted:
+            path = None
+            for seg in segs:
+                offer = (_LINK_CLASS[seg] or cls, -depth[a] - 1)
+                for nb in adj[off[4 * a + seg]: off[4 * a + seg + 1]]:
+                    if nb not in code:
+                        continue
+                    current = (code[nb], -depth[nb])
+                    if offer < current:
+                        continue
+                    if path is None:
+                        path = tree.path(asns[a])
+                    if asns[nb] in path:
+                        continue  # the receiver's loop check
+                    # a tie goes to the smaller path, as every tie does
+                    if offer > current or path < tree.path(
+                        asns[parent[nb]]
+                    ):
+                        return None
+    return tree
 
 
 def compute_all_routes(

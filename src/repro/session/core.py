@@ -14,8 +14,9 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   nothing to order (the fan-out pool's internal lock is leaf-level:
   nothing is acquired while holding it).
 * **Nothing slow under it.**  Settling (``compute_routes`` /
-  ``recompute_routes`` / ``kernels.settle_many``), expanding a settled
-  tree into its route dict (``RouteTree.materialize``), pool
+  ``recompute_routes`` / ``kernels.settle_many``), deriving the
+  topology snapshot a settle runs on (``graph.snapshot()``), expanding
+  a settled tree into its route dict (``RouteTree.materialize``), pool
   publication (``pool.ensure``) and job submission
   (``executor.submit``) all run with the lock *released*.  Under the
   lock the core only classifies lookups, moves OrderedDict entries, and
@@ -414,7 +415,6 @@ class SessionCore:
             leaders: List[int] = []
             flights: List[Tuple[CacheKey, _Flight]] = []
             parents: Dict[int, _Parent] = {}
-            snapshot: Optional[TopologySnapshot] = None
             with self._lock:
                 self._auto_prune_locked()
                 version = self._graph.version
@@ -441,10 +441,11 @@ class SessionCore:
                             self._graph, destination
                         )
                 if leaders:
+                    # a writer waits on this in mutate(), so the graph —
+                    # and the snapshot _fill_batch derives from it with
+                    # the lock released — stays at the version the keys
+                    # embed until the flights resolve
                     self._fills_active += 1
-                    # capture under the lock: the snapshot this fill
-                    # settles on is exactly the version its keys embed
-                    snapshot = self._graph.snapshot()
             span.set(misses=len(leaders), coalesced=len(followers))
 
             used_pool = False
@@ -452,7 +453,7 @@ class SessionCore:
                 start = time.perf_counter()
                 try:
                     filled, derived, computed, used_pool = self._fill_batch(
-                        snapshot, leaders, pinned, parallel, parents
+                        leaders, pinned, parallel, parents
                     )
                 except BaseException as exc:
                     with self._lock:
@@ -488,7 +489,6 @@ class SessionCore:
 
     def _fill_batch(
         self,
-        snapshot: TopologySnapshot,
         leaders: List[int],
         pinned: Optional[Dict[int, Route]],
         parallel: Optional[Union[bool, str]],
@@ -525,6 +525,7 @@ class SessionCore:
 
         used_pool = False
         if remaining:
+            snapshot = self._graph.snapshot()
             policy = self._parallel if parallel is None else parallel
             if self._use_pool(policy, len(remaining)):
                 used_pool = self._fanout_pool(snapshot, remaining, filled)

@@ -9,7 +9,6 @@ from .delta import (
     TimedDelta,
     TopologyDelta,
     apply_each,
-    changed_link_indices,
 )
 from .relationships import LinkType, Relationship, local_pref_for
 from .generator import (
@@ -49,7 +48,6 @@ __all__ = [
     "ASGraph",
     "link_key",
     "TopologySnapshot",
-    "changed_link_indices",
     "TopologyDelta",
     "TimedDelta",
     "AppliedDelta",

@@ -33,7 +33,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 from ..errors import TopologyError
 from .graph import ASGraph, LinkKey, link_key
 from .relationships import Relationship
-from .snapshot import TopologySnapshot
 
 
 class DeltaOpKind(enum.Enum):
@@ -296,37 +295,6 @@ class AppliedDelta:
         self.graph._restore_version(self.version_after)
         self._undo = tuple(undo)
         self.reverted = False
-
-    def changed_indices(
-        self, snapshot: TopologySnapshot
-    ) -> FrozenSet[Tuple[int, int]]:
-        """This delta's changed links as ``snapshot`` frontier index pairs.
-
-        The bridge from the journal's ASN-keyed change record to the
-        int-indexed hot-path representation: what an index-space consumer
-        (a kernel backend's incremental seeding — see
-        :mod:`repro.bgp.kernels` and the ``incremental`` capability flag —
-        or a future sharded recompute) treats as the re-settling
-        frontier.  See :func:`changed_link_indices` for the mapping rules.
-        """
-        return changed_link_indices(snapshot, self.changed_links)
-
-
-def changed_link_indices(
-    snapshot: TopologySnapshot,
-    changed: Iterable[Tuple[int, int]],
-) -> FrozenSet[Tuple[int, int]]:
-    """Map an ASN-keyed changed-link set into snapshot index pairs.
-
-    Pairs are normalized to ``(min_index, max_index)``; links with an
-    endpoint absent from the snapshot (an AS removed by the event) are
-    dropped — exactly the links that have no frontier in index space,
-    since no index-space path can traverse a node the snapshot does not
-    contain.  Accepts any iterable of ``(a, b)`` pairs, typically
-    :attr:`AppliedDelta.changed_links` or
-    :meth:`~repro.topology.graph.ASGraph.changed_links_since` output.
-    """
-    return snapshot.link_indices(changed)
 
 
 def _run_inverse(graph: ASGraph, undo: List[DeltaOp]) -> None:

@@ -146,20 +146,6 @@ class ASGraph:
             snap = self._snapshot = TopologySnapshot.build(self)
         return snap
 
-    def peek_snapshot(self) -> Optional["TopologySnapshot"]:
-        """The memoized snapshot of the current state, or ``None``.
-
-        Never derives: callers whose workload is small relative to a
-        whole-graph derivation (e.g. an incremental recompute touching a
-        handful of ASes) use this to ride the flat arrays when some hot
-        path already paid for them, and fall back to the mutable
-        adjacency otherwise.
-        """
-        snap = self._snapshot
-        if snap is not None and snap.version == self._version:
-            return snap
-        return None
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

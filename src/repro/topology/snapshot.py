@@ -3,7 +3,7 @@
 :class:`~repro.topology.graph.ASGraph` is the *builder* representation:
 a dict-of-dicts adjacency that is cheap to mutate, journal, and revert.
 Every hot path in the repo, however — the three-phase settling kernel,
-the incremental recompute behind the failure sweeps, the ``compute_many``
+its restart behind the failure sweeps, the ``compute_many``
 process-pool fan-out — only ever *reads* the topology, and pays dict
 hashing, fresh-list accessor allocations, and (for the pool) the pickling
 of the whole mutable graph on every use.
@@ -45,7 +45,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..errors import TopologyError, UnknownASError
 from ..obs import get_registry
@@ -78,8 +78,8 @@ class TopologySnapshot:
     """A frozen, int-indexed, CSR-style view of one :class:`ASGraph` state.
 
     Instances are immutable by contract: every field is written once by
-    :meth:`build` and never mutated (the ``_*_asn`` members are lazy
-    caches of derived tuples, not state).  Do not modify the arrays.
+    :meth:`build` and never mutated (the underscore members are lazy
+    caches of derived views, not state).  Do not modify the arrays.
     """
 
     __slots__ = (
@@ -90,14 +90,8 @@ class TopologySnapshot:
         "nbr",
         "cls_off",
         "cls_adj",
-        # lazy ASN-level accessor caches (derived, excluded from pickles)
+        # lazy derived views (excluded from pickles)
         "_nbr_asn",
-        "_cust_asn",
-        "_prov_asn",
-        "_peer_asn",
-        "_sib_asn",
-        "_up_asn",
-        "_down_asn",
         "_off_list",
         "_adj_list",
         "_np_off",
@@ -121,12 +115,6 @@ class TopologySnapshot:
         self.cls_off = cls_off
         self.cls_adj = cls_adj
         self._nbr_asn: Dict[int, Tuple[int, ...]] = {}
-        self._cust_asn: Dict[int, Tuple[int, ...]] = {}
-        self._prov_asn: Dict[int, Tuple[int, ...]] = {}
-        self._peer_asn: Dict[int, Tuple[int, ...]] = {}
-        self._sib_asn: Dict[int, Tuple[int, ...]] = {}
-        self._up_asn: Dict[int, Tuple[int, ...]] = {}
-        self._down_asn: Dict[int, Tuple[int, ...]] = {}
         self._off_list: Optional[list] = None
         self._adj_list: Optional[list] = None
         self._np_off = None
@@ -202,25 +190,6 @@ class TopologySnapshot:
         asns = self.asns
         return tuple(asns[i] for i in idx_path)
 
-    def link_indices(
-        self, links: Iterable[Tuple[int, int]]
-    ) -> FrozenSet[Tuple[int, int]]:
-        """Map ``(a, b)`` ASN link pairs to normalized index pairs.
-
-        Pairs with an endpoint absent from the snapshot are dropped —
-        exactly the links an index-space consumer cannot act on.  Endpoint
-        order is normalized to ``(min_index, max_index)``.
-        """
-        index = self.index
-        out = set()
-        for a, b in links:
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None or ib is None:
-                continue
-            out.add((ia, ib) if ia <= ib else (ib, ia))
-        return frozenset(out)
-
     def class_lists(self) -> Tuple[list, list]:
         """``(cls_off, cls_adj)`` as plain lists, for the settling kernel.
 
@@ -249,28 +218,6 @@ class TopologySnapshot:
             self._np_adj = numpy.asarray(self.cls_adj, dtype=numpy.int64)
         return self._np_off, self._np_adj
 
-    # ------------------------------------------------------------------
-    # ASN-level accessors (allocation-free after first use per node).
-    # Cached per node, not per snapshot: an incremental recompute touches
-    # a handful of ASes on a thousand-AS snapshot, and must not pay a
-    # whole-graph cache warm-up for them.
-    # ------------------------------------------------------------------
-    def _segment(
-        self, cache: Dict[int, Tuple[int, ...]], asn: int, lo: int, hi: int
-    ) -> Tuple[int, ...]:
-        """ASN tuple for ``asn``'s class segments ``lo..hi`` (exclusive)."""
-        i = self.index_of(asn)
-        cached = cache.get(i)
-        if cached is None:
-            asns = self.asns
-            cls_off = self.cls_off
-            cls_adj = self.cls_adj
-            cached = cache[i] = tuple(
-                asns[cls_adj[k]]
-                for k in range(cls_off[4 * i + lo], cls_off[4 * i + hi])
-            )
-        return cached
-
     def neighbors_asn(self, asn: int) -> Tuple[int, ...]:
         """All neighbours of ``asn``, in the builder's insertion order.
 
@@ -287,40 +234,6 @@ class TopologySnapshot:
             nbr = self.nbr
             lo, hi = self.nbr_off[i], self.nbr_off[i + 1]
             cached = cache[i] = tuple(asns[nbr[k]] for k in range(lo, hi))
-        return cached
-
-    def customers_asn(self, asn: int) -> Tuple[int, ...]:
-        return self._segment(self._cust_asn, asn, 0, 1)
-
-    def providers_asn(self, asn: int) -> Tuple[int, ...]:
-        return self._segment(self._prov_asn, asn, 1, 2)
-
-    def peers_asn(self, asn: int) -> Tuple[int, ...]:
-        return self._segment(self._peer_asn, asn, 2, 3)
-
-    def siblings_asn(self, asn: int) -> Tuple[int, ...]:
-        return self._segment(self._sib_asn, asn, 3, 4)
-
-    def expand_up_asn(self, asn: int) -> Tuple[int, ...]:
-        """Providers then siblings of ``asn`` — the Phase-1 expansion set."""
-        i = self.index_of(asn)
-        cached = self._up_asn.get(i)
-        if cached is None:
-            cached = self._up_asn[i] = (
-                self._segment(self._prov_asn, asn, 1, 2)
-                + self._segment(self._sib_asn, asn, 3, 4)
-            )
-        return cached
-
-    def expand_down_asn(self, asn: int) -> Tuple[int, ...]:
-        """Customers then siblings of ``asn`` — the Phase-3 expansion set."""
-        i = self.index_of(asn)
-        cached = self._down_asn.get(i)
-        if cached is None:
-            cached = self._down_asn[i] = (
-                self._segment(self._cust_asn, asn, 0, 1)
-                + self._segment(self._sib_asn, asn, 3, 4)
-            )
         return cached
 
     # ------------------------------------------------------------------

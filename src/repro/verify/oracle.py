@@ -25,9 +25,12 @@ byte-equality contract being enforced rather than assumed.
 
 The legacy dict walk is the reference: it is the direct transcription of
 the three-phase stable-state construction, shares no hot-path code with
-the snapshot kernel, and is the one the randomized differential tests
-pin against the event-driven simulator.  Everything else must match it
-byte for byte (paths compared exactly, not just preference-equivalent).
+the snapshot kernel or the wave loop ``recompute_routes`` restarts, and
+is the one the randomized differential tests pin against the
+event-driven simulator.  Everything else must match it byte for byte:
+paths compared exactly, not just preference-equivalent, and ``items()``
+in the same order — a whole-table answer serializes insertion order, so
+order reaches the wire.
 """
 
 from __future__ import annotations
@@ -97,7 +100,10 @@ def first_divergence(
     The candidate is read both ways a table can be: ``default_path`` for
     every AS of its graph first — on a fresh tree-backed table that is
     the parent-pointer walk, taken before anything expands the tree —
-    then ``items()``, the expanded dict.
+    then ``items()``, the expanded dict, whose order must be the
+    reference's too: equal mappings listed differently diverge at the
+    first position that holds another AS's route (``expected`` and
+    ``actual`` then start with different holders).
     """
     _ORACLE_CHECKS.labels(mode=mode).inc()
     expected = table_paths(reference)
@@ -105,14 +111,23 @@ def first_divergence(
         asn: path for asn in candidate.graph.iter_ases()
         if (path := candidate.default_path(asn)) is not None
     }
-    for actual in (walked, table_paths(candidate)):
+    listed = table_paths(candidate)
+
+    def diverged(asn, expected_path, actual_path) -> Divergence:
+        _ORACLE_DIVERGENCES.labels(mode=mode).inc()
+        return Divergence(
+            mode, reference.destination, asn, expected_path, actual_path
+        )
+
+    for actual in (walked, listed):
         for asn in sorted(expected.keys() | actual.keys()):
             if expected.get(asn) != actual.get(asn):
-                _ORACLE_DIVERGENCES.labels(mode=mode).inc()
-                return Divergence(
-                    mode, reference.destination, asn,
-                    expected.get(asn), actual.get(asn),
-                )
+                return diverged(asn, expected.get(asn), actual.get(asn))
+    for (asn, path), (holder, actual_path) in zip(
+        expected.items(), listed.items()
+    ):
+        if holder != asn:
+            return diverged(asn, path, actual_path)
     return None
 
 
@@ -137,9 +152,11 @@ class DifferentialOracle:
 
     The oracle owns a serial :class:`SimulationSession` (so the cache /
     derivation path is exercised with real history across mutations) and
-    remembers the last few reference tables per destination; each
-    :meth:`check` recomputes incrementally *from every remembered
-    ancestor* whose change window the version journal still bounds.  Call
+    remembers the last few tables it verified per destination — the
+    session's, tree-backed, because a dict-backed ancestor would turn
+    every re-derivation into a full settle; each :meth:`check`
+    recomputes incrementally *from every remembered ancestor* whose
+    change window the version journal still bounds.  Call
     :meth:`check` after every topology event; the graph mutates in place
     between calls.
     """
@@ -242,7 +259,12 @@ class DifferentialOracle:
                 _LOG.warning("oracle_divergence", mode=found.mode,
                              destination=found.destination, asn=found.asn)
                 divergences.append(found)
-            self._remember(destination, reference)
+            # an ancestor must be right for the next round's
+            # ``incremental@v…`` checks to mean anything
+            self._remember(
+                destination,
+                serial[destination] if found is None else reference,
+            )
         return OracleCheck(divergences, references)
 
     def _service_tables(self) -> Dict[int, RoutingTable]:

@@ -237,6 +237,42 @@ class TestSnapshotKernelEquivalence:
             compute_routes_reference(paper_graph, F, pinned={B: alternate}),
         )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pinned_walk_matches_reference_in_order(self, seed):
+        """The pinned heap walk is one loop over the wave phases; hold
+        it to the dict walk on 1–4 pins drawn from ``candidates()`` —
+        any learned route, so pins of every class, on and off the
+        default tree — with sibling and peer links dense enough that
+        class inheritance and the loop check both matter."""
+        import random
+
+        from repro.bgp.routing import compute_routes_reference
+
+        rng = random.Random(seed * 43 + 9)
+        for topology in range(5):
+            profile = TopologyProfile(
+                "pinned", n_ases=rng.choice([40, 80]), n_tier1=3,
+                peer_fraction=rng.choice([0.08, 0.3]),
+                sibling_fraction=rng.choice([0.015, 0.3]),
+            )
+            graph = generate_topology(profile, seed=seed * 10 + topology)
+            for destination in rng.sample(graph.ases, 8):
+                base = compute_routes(graph, destination)
+                holders = rng.sample(
+                    [a for a in graph.ases if a != destination],
+                    rng.randint(1, 4),
+                )
+                pinned = {
+                    asn: rng.choice(base.candidates(asn))
+                    for asn in holders if base.candidates(asn)
+                }
+                self.assert_tables_identical(
+                    compute_routes(graph, destination, pinned=pinned),
+                    compute_routes_reference(
+                        graph, destination, pinned=pinned
+                    ),
+                )
+
     def test_candidate_order_identical(self, paper_graph):
         from repro.bgp.routing import compute_routes_reference
 

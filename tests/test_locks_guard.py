@@ -88,7 +88,8 @@ def test_guard_covers_session_core():
     guard = _load_guard()
     assert "src/repro/session/core.py" in guard.GUARDED_FILES
     assert {"compute_routes", "recompute_routes", "settle_many",
-            "materialize", "submit", "ensure"} <= set(guard.SLOW_CALLS)
+            "materialize", "snapshot", "submit", "ensure"} \
+        <= set(guard.SLOW_CALLS)
 
 
 def test_guard_flags_materializing_under_lock():
@@ -101,3 +102,20 @@ def test_guard_flags_materializing_under_lock():
     """)
     assert [(line, call) for _, line, call in guard.check_source(source)] \
         == [(4, "materialize")]
+
+
+def test_guard_flags_snapshot_under_lock():
+    """The defect this guard entry was added for: ``_fill`` derived the
+    post-mutation snapshot (milliseconds) before releasing the lock, so
+    every warm ``peek`` queued behind each cold fill."""
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def _fill(self, ordered):
+            with self._lock:
+                if leaders:
+                    self._fills_active += 1
+                    snapshot = self._graph.snapshot()
+            return snapshot
+    """)
+    assert [(line, call) for _, line, call in guard.check_source(source)] \
+        == [(6, "snapshot")]

@@ -35,6 +35,7 @@ from repro.session.cache import _CACHE_EVENTS
 from repro.miro.runtime import MiroRuntime
 from repro.obs import get_registry
 from repro.topology.delta import TopologyDelta
+from repro.topology.generator import generate_named
 
 import random
 
@@ -671,6 +672,35 @@ class TestEncodedAnswer:
         assert asyncio.run(main()) == [1, 2, 1]
         assert encoded("build") == 2
         assert encoded("hit") == 1
+
+    def test_derived_answer_is_byte_equal_to_a_fresh_service(self):
+        """The wire is deterministic in the graph state, not in how the
+        table came to be: after a link on the destination's tree goes
+        down, the derived table's answer is, byte for byte, what a
+        service started at that state gives (key order included — it is
+        the table's ``items()`` order)."""
+        graph = generate_named("tiny", seed=0)
+        destination, cut = 7, (1, 2)
+        request = json.dumps(
+            {"op": "lookup", "destination": destination}
+        ).encode() + b"\n"
+
+        async def ask(graph, churn=None):
+            async with tcp_service(graph) as (service, reader, writer):
+                if churn is not None:
+                    writer.write(request)       # the derivation parent
+                    await reader.readline()
+                    await service.apply_churn(churn)
+                writer.write(request)
+                return await reader.readline(), service.info()
+
+        derived, info = asyncio.run(
+            ask(graph, TopologyDelta.link_down(*cut).apply))
+        assert info["session"]["tables_derived"] == 1
+        assert info["session"]["mean_affected_size"] > 0
+        fresh, _ = asyncio.run(ask(graph.copy()))
+        assert derived == fresh
+        assert json.loads(derived) == reference_answer(graph, destination)
 
     def test_bodies_are_bounded_by_the_table_cache(self, tiny_graph):
         async def main():

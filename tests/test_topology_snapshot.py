@@ -1,7 +1,7 @@
 """TopologySnapshot: CSR fidelity, memoization, invalidation, shipping.
 
 The snapshot is the hot-path representation every consumer (settling
-kernel, pool fan-out, incremental frontier mapping, oracle) reads, so
+kernel, pool fan-out, re-derivation, oracle) reads, so
 these tests pin three contracts:
 
 * **fidelity** — the flat arrays reproduce the mutable graph's adjacency
@@ -24,7 +24,6 @@ from repro.topology import (
     ASGraph,
     TopologyDelta,
     TopologySnapshot,
-    changed_link_indices,
     generate_named,
 )
 from repro.topology.relationships import Relationship
@@ -58,20 +57,21 @@ def test_neighbor_arrays_match_graph_order():
         assert list(snapshot.neighbors_asn(asn)) == graph.neighbors(asn)
 
 
+def class_segment(snapshot, asn, cls):
+    """``asn``'s neighbours of one class, as ASNs, via ``class_lists()``."""
+    off, adj = snapshot.class_lists()
+    base = 4 * snapshot.index_of(asn) + cls
+    return [snapshot.asns[i] for i in adj[off[base]:off[base + 1]]]
+
+
 def test_class_segments_match_graph_accessors():
     graph = small_graph()
     snapshot = graph.snapshot()
     for asn in graph.iter_ases():
-        assert list(snapshot.customers_asn(asn)) == graph.customers(asn)
-        assert list(snapshot.providers_asn(asn)) == graph.providers(asn)
-        assert list(snapshot.peers_asn(asn)) == graph.peers(asn)
-        assert list(snapshot.siblings_asn(asn)) == graph.siblings(asn)
-        assert snapshot.expand_up_asn(asn) == (
-            snapshot.providers_asn(asn) + snapshot.siblings_asn(asn)
-        )
-        assert snapshot.expand_down_asn(asn) == (
-            snapshot.customers_asn(asn) + snapshot.siblings_asn(asn)
-        )
+        assert class_segment(snapshot, asn, 0) == graph.customers(asn)
+        assert class_segment(snapshot, asn, 1) == graph.providers(asn)
+        assert class_segment(snapshot, asn, 2) == graph.peers(asn)
+        assert class_segment(snapshot, asn, 3) == graph.siblings(asn)
 
 
 def test_class_lists_are_consistent_and_cached():
@@ -148,7 +148,7 @@ def test_add_and_remove_link_invalidate(monkeypatch):
     graph.add_link(a, b, Relationship.PEER)
     after_add = graph.snapshot()
     assert after_add is not after_remove
-    assert b in after_add.peers_asn(a)
+    assert b in class_segment(after_add, a, 2)
     assert len(calls) == 3  # exactly once per version touched
 
 
@@ -176,10 +176,10 @@ def test_delta_revert_and_reapply_invalidate(monkeypatch):
         assert set(reverted.neighbors_asn(asn)) == set(
             baseline.neighbors_asn(asn)
         )
-        assert set(reverted.peers_asn(asn)) == set(baseline.peers_asn(asn))
-        assert set(reverted.customers_asn(asn)) == set(
-            baseline.customers_asn(asn)
-        )
+        for cls in range(4):
+            assert set(class_segment(reverted, asn, cls)) == set(
+                class_segment(baseline, asn, cls)
+            )
 
     applied.reapply()
     reapplied = graph.snapshot()
@@ -224,33 +224,6 @@ def test_without_as_derives_fresh_snapshot(monkeypatch):
     assert victim not in snapshot
     assert snapshot.n == len(graph) - 1
     assert len(calls) == 2
-
-
-# ---------------------------------------------------------------------------
-# link_indices / changed_indices — the delta-engine bridge
-# ---------------------------------------------------------------------------
-
-def test_link_indices_normalizes_and_drops_absent():
-    graph = small_graph()
-    snapshot = graph.snapshot()
-    a, b, _ = next(graph.iter_links())
-    ia, ib = snapshot.index_of(a), snapshot.index_of(b)
-    expected = (ia, ib) if ia <= ib else (ib, ia)
-    assert snapshot.link_indices([(a, b), (b, a)]) == frozenset({expected})
-    assert snapshot.link_indices([(a, 999999)]) == frozenset()
-
-
-def test_applied_delta_changed_indices():
-    graph = small_graph()
-    a, b, _ = next(graph.iter_links())
-    pre = graph.snapshot()
-    applied = TopologyDelta.link_down(a, b).apply(graph)
-    want = pre.link_indices([(a, b)])
-    assert applied.changed_indices(pre) == want
-    assert changed_link_indices(pre, applied.changed_links) == want
-    # against the post-event snapshot the AS population is unchanged
-    # (AS-down keeps the node), so the mapping is identical
-    assert applied.changed_indices(graph.snapshot()) == want
 
 
 # ---------------------------------------------------------------------------

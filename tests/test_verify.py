@@ -16,9 +16,11 @@ import pytest
 from repro.bgp import compute_routes
 from repro.bgp.routing import (
     RoutingTable,
+    affected_ases,
     compute_routes_reference,
     compute_routes_snapshot,
 )
+from repro.obs import get_registry
 from repro.session import SimulationSession
 from repro.topology import TopologyDelta, generate_named
 from repro.verify import (
@@ -195,6 +197,19 @@ class TestOracle:
         assert found.expected is not None
         assert found.mode == "test"
 
+    def test_same_routes_in_another_order_diverge(self, paper_graph):
+        """Insertion order is what a whole-table answer serializes, so
+        an equal mapping listed differently is a divergence: reported at
+        the first position that holds another AS's route."""
+        reference = compute_routes_reference(paper_graph, F)
+        best = dict(reference.items())
+        moved = list(best)[2]
+        best[moved] = best.pop(moved)       # same mapping, listed last
+        assert best == dict(reference.items())
+        found = first_divergence(reference, _corrupt(reference, best), "test")
+        assert found is not None and found.asn == moved
+        assert found.expected[0] == moved and found.actual[0] != moved
+
     def test_candidate_is_read_both_ways(self, paper_graph):
         """The parent-pointer walk and the expanded dict are separate
         reads of a tree-backed table; a fault in either one diverges."""
@@ -228,6 +243,29 @@ class TestOracle:
         assert oracle.check().ok  # incremental ancestors now exercised
         applied.revert()
         assert oracle.check(include_pool=False).ok
+
+    def test_ancestors_are_tree_backed_so_rederivation_runs(self, small_graph):
+        """A dict-backed ancestor would make every ``incremental@v…``
+        check a full settle in disguise: the oracle remembers the
+        session's tables, and the restarted wave loop is what it runs."""
+        rederived = get_registry().counter(
+            "repro_routing_tables_total", "", labels=("mode",)
+        ).labels(mode="incremental")
+        destinations = small_graph.ases[:4]
+        oracle = DifferentialOracle(small_graph, destinations)
+        assert oracle.check().ok
+        for history in oracle._history.values():
+            assert all(table._tree is not None for _, table in history)
+        a, b = next(
+            (a, b) for a, b, _ in small_graph.iter_links()
+            if not {a, b} & set(destinations)
+        )
+        TopologyDelta.link_down(a, b).apply(small_graph)
+        before = rederived.value
+        assert oracle.check().ok
+        # per destination: the session's own derivation, and the
+        # oracle's from the one remembered ancestor
+        assert rederived.value == before + 2 * len(destinations)
 
     def test_check_returns_reference_tables(self, paper_graph):
         oracle = DifferentialOracle(paper_graph, [F, E])
@@ -288,10 +326,15 @@ class TestCampaignEvents:
 class TestCampaigns:
     def test_clean_campaign_on_generated_topology(self):
         make = lambda: generate_named("tiny", seed=5)
+        rederived = get_registry().counter(
+            "repro_routing_tables_total", "", labels=("mode",)
+        ).labels(mode="incremental")
+        before = rederived.value
         outcome = run_campaign(
             make, seed=0, n_events=6, n_destinations=3, include_pool=False
         )
         assert outcome.ok
+        assert rederived.value > before  # or the PASS re-derived nothing
         assert outcome.steps == 6
         assert outcome.checks == 7  # baseline + one per event
         assert outcome.reproduction is None
@@ -335,6 +378,31 @@ class TestPlantedIncrementalBug:
 
         monkeypatch.setattr(oracle_module, "recompute_routes", buggy)
         return buggy
+
+    def test_campaign_reports_resettled_ases_listed_last(self, monkeypatch):
+        """The order the deleted dict-walk engine produced — kept routes
+        first, re-settled ones appended — is the same mapping as the
+        reference's; the oracle holds order too, so it is a divergence
+        of the incremental path."""
+        real = oracle_module.recompute_routes
+
+        def reordering(graph, table, changed, affected=None):
+            result = real(graph, table, changed, affected=affected)
+            best = dict(result.items())
+            for asn in affected_ases(graph, table, changed) or ():
+                if asn in best:
+                    best[asn] = best.pop(asn)
+            return RoutingTable(graph, result.destination, best)
+
+        monkeypatch.setattr(oracle_module, "recompute_routes", reordering)
+        outcome = run_campaign(
+            lambda: generate_named("tiny", seed=5),
+            seed=0, n_events=6, n_destinations=3, include_pool=False,
+        )
+        assert not outcome.ok
+        first = outcome.divergences[0]
+        assert first.mode.startswith("incremental@v")
+        assert first.expected[0] == first.asn != first.actual[0]
 
     def test_campaign_localizes_planted_bug(self, planted):
         make = lambda: generate_named("tiny", seed=5)

@@ -3,7 +3,8 @@
 
 :class:`repro.session.core.SessionCore` promises in its module
 docstring that settling (``compute_routes`` / ``recompute_routes`` /
-``kernels.settle`` / ``kernels.settle_many``), pool publication
+``kernels.settle`` / ``kernels.settle_many``), deriving a topology
+snapshot (``graph.snapshot()``), pool publication
 (``pool.ensure``) and job submission (``executor.submit``) always run
 with its one Condition lock *released* — under the lock the core only
 classifies lookups, moves OrderedDict entries and bumps counters.  The
@@ -40,8 +41,9 @@ GUARDED_FILES = (
 #: Terminal callee names that must never run under the session lock:
 #: the settling entry points, the batch helpers that wrap them, the
 #: O(n) expansion of a route tree into its dict (``mutate()`` runs
-#: caller code under the lock), and the pool's publication / submission
-#: calls.
+#: caller code under the lock), the O(links) derivation of a topology
+#: snapshot (every warm ``peek`` would wait behind it), and the pool's
+#: publication / submission calls.
 SLOW_CALLS = frozenset({
     "compute_routes",
     "compute_routes_reference",
@@ -49,6 +51,7 @@ SLOW_CALLS = frozenset({
     "settle",
     "settle_many",
     "materialize",
+    "snapshot",
     "submit",
     "ensure",
     "_fill",
