@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Live protocol dynamics: failures, reconvergence, tunnel teardown (§4.3).
+"""Live protocol dynamics: failures, rerouting, tunnel teardown (§4.3).
 
-Runs the event-driven BGP engine with MIRO on top: a tunnel is negotiated,
-a link on its path fails, BGP reconverges, and the tunnel is torn down
-automatically; soft-state keep-alives clean up after a silent upstream.
+Runs the MIRO runtime over its session's routing tables: a tunnel is
+negotiated, a link on its path fails, the routes settle anew, and the
+tunnel is torn down automatically; soft-state keep-alives clean up after
+a silent upstream.
 
 Run:  python examples/failure_recovery.py
 """
@@ -31,9 +32,8 @@ def main() -> None:
     graph.add_peer_link(C, E)
 
     runtime = MiroRuntime(graph, heartbeat_timeout=30.0)
-    messages = runtime.originate_all([F])
-    print(f"BGP converged after {messages} messages")
-    print(f"A's default path to F: {pretty(runtime.engine.best(A, F).path)}")
+    print(f"A's default path to F: "
+          f"{pretty(runtime.table(F).default_path(A))}")
 
     record = runtime.establish(
         A, B, F, ExportPolicy.EXPORT, RouteConstraint(avoid=(E,)),
@@ -43,9 +43,8 @@ def main() -> None:
           f" -> end-to-end {pretty(record.tunnel.end_to_end_path)}")
 
     print("\nFailing link C–F (the tunnel's exit into F)...")
-    messages = runtime.fail_link(C, F)
-    print(f"reconverged after {messages} messages")
-    print(f"torn down: {[pretty(t.path) for t in runtime.torn_down]}")
+    torn_down = runtime.fail_link(C, F)
+    print(f"torn down: {[pretty(t.path) for t in torn_down]}")
     print(f"live tunnels: {len(runtime.live_tunnels())}")
 
     print("\nRestoring C–F and renegotiating...")

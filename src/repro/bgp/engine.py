@@ -8,13 +8,14 @@ best routes, and propagate changes.  It supports:
 
 * message counting (the scalability currency of path-vector protocols),
 * link failure / restoration with reconvergence,
-* route-change listeners, which the MIRO runtime uses to tear down
-  tunnels whose underlying paths changed (§4.3),
 * deterministic FIFO or seeded-random message ordering (the Ch. 7
   activation-order question, at message granularity).
 
 The stable state it reaches is validated against the closed form in the
-tests and benchmarks (the DESIGN.md ablation).
+tests and benchmarks (the DESIGN.md ablation).  Nothing on the serving
+path runs it — the MIRO runtime reads its session's closed-form tables;
+this engine says what convergence costs in messages
+(:mod:`repro.experiments.overhead`).
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import RoutingError, TopologyError, UnknownASError
 from ..topology.graph import ASGraph
 from .policy import exportable_route, select_best
-from .route import Route
+from .route import Route, RouteClass
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,11 +45,6 @@ class Update:
         return self.route is None
 
 
-#: Callback signature for best-route changes:
-#: (asn, destination, old_route, new_route)
-RouteChangeListener = Callable[[int, int, Optional[Route], Optional[Route]], None]
-
-
 class BGPNode:
     """One AS's BGP state: Adj-RIB-In per neighbour, plus the Loc-RIB."""
 
@@ -63,17 +59,11 @@ class BGPNode:
     def candidates(self, destination: int) -> List[Route]:
         learned = list(self.rib_in.get(destination, {}).values())
         if destination in self.originated:
-            learned.append(make_route_origin(self.asn))
+            learned.append(Route((self.asn,), RouteClass.ORIGIN))
         return learned
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BGPNode(asn={self.asn}, prefixes={len(self.best)})"
-
-
-def make_route_origin(asn: int) -> Route:
-    from .route import RouteClass
-
-    return Route((asn,), RouteClass.ORIGIN)
 
 
 class EventDrivenBGP:
@@ -97,7 +87,6 @@ class EventDrivenBGP:
         self._arrivals: deque = deque()  # session keys in arrival order
         self._pending = 0
         self._rng = random.Random(seed) if seed is not None else None
-        self._listeners: List[RouteChangeListener] = []
         self._down_links: Set[Tuple[int, int]] = set()
         self.messages_processed = 0
         self.messages_sent = 0
@@ -105,11 +94,6 @@ class EventDrivenBGP:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def add_listener(self, listener: RouteChangeListener) -> None:
-        """Register a best-route-change callback (used by the MIRO
-        runtime for §4.3 tunnel teardown)."""
-        self._listeners.append(listener)
-
     def node(self, asn: int) -> BGPNode:
         if asn not in self.nodes:
             raise UnknownASError(asn)
@@ -190,8 +174,6 @@ class EventDrivenBGP:
             del node.best[destination]
         else:
             node.best[destination] = new_best
-        for listener in self._listeners:
-            listener(asn, destination, old_best, new_best)
         for neighbor in self._neighbors(asn):
             self._send(asn, neighbor, destination, new_best)
 

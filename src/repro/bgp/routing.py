@@ -359,25 +359,34 @@ class RoutingTable:
         One route per neighbour whose export policy permits the
         advertisement and whose best path does not already contain ``asn``.
         The AS's own selected route is among them.
+
+        Enumerated once per AS, against the graph as it stands then (the
+        state a session serves this table at), and kept with the table:
+        the live runtime asks a transit AS for the same set on every
+        negotiation.  Every call returns a fresh list.
         """
         if asn not in self._graph:
             raise UnknownASError(asn)
-        learned: List[Route] = []
+        # the memo is an attribute from the first call on: most tables
+        # are never negotiated over and carry nothing for it
+        memo = self.__dict__.setdefault("_learned", {})
+        learned = memo.get(asn)
+        if learned is not None:
+            return list(learned)
+        learned = []
         if asn == self._destination:
             learned.append(self._best[asn])
-            return learned
-        # Enumerate neighbours through the memoized snapshot: same ASes in
-        # the same (insertion) order as ASGraph.neighbors, but without a
-        # fresh list allocation per call — MIRO negotiations enumerate
-        # candidates for thousands of (AS, destination) pairs per sweep.
-        for neighbor in self._graph.snapshot().neighbors_asn(asn):
-            route = self._best.get(neighbor)
-            if route is None:
-                continue
-            candidate = exportable_route(self._graph, route, asn)
-            if candidate is not None:
-                learned.append(candidate)
-        return learned
+        else:
+            # through the memoized snapshot: ASGraph.neighbors' order
+            for neighbor in self._graph.snapshot().neighbors_asn(asn):
+                route = self._best.get(neighbor)
+                if route is None:
+                    continue
+                candidate = exportable_route(self._graph, route, asn)
+                if candidate is not None:
+                    learned.append(candidate)
+        memo[asn] = learned  # complete before it is published
+        return list(learned)
 
     def items(self) -> Iterator[Tuple[int, Route]]:
         return iter(self._best.items())

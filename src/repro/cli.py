@@ -631,7 +631,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     graph = _build_graph(args)
     session = _build_session(args, graph)
-    runtime = MiroRuntime(graph, seed=args.seed)
+    runtime = MiroRuntime(graph)
 
     async def run() -> None:
         async with MiroService(
@@ -693,7 +693,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .service import MiroService
 
     session = _build_session(args, graph)
-    runtime = MiroRuntime(graph, seed=args.seed)
+    runtime = MiroRuntime(graph)
 
     async def run():
         async with MiroService(

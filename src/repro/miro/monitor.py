@@ -7,7 +7,8 @@ negotiation when the conditions are satisfied."
 
 :class:`PolicyMonitor` wires a compiled requester policy (from the Ch. 6
 configuration language) into a live :class:`~repro.miro.runtime.MiroRuntime`:
-it watches the AS's route changes, evaluates the trigger rules, picks
+it re-evaluates the trigger rules whenever the routes may have changed
+(the graph's version moved, or a tunnel was torn down), picks
 responders (the ASes "between itself and [the avoided AS] on any of the
 current candidate paths"), and drives the negotiations — the software the
 paper imagines "on the routers or end hosts [that] can automatically
@@ -19,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from ..bgp.policy import make_route
 from ..bgp.route import Route
 from ..errors import NegotiationError
 from ..policylang.config import NegotiationSpec, RequesterPolicy
+from ..session import ensure_session
 from .policies import ExportPolicy
 from .runtime import MiroRuntime
 
@@ -53,19 +56,10 @@ class PolicyMonitor:
         self.export_policy = export_policy
         self.watched = watched_destinations
         self.events: List[MonitorEvent] = []
-        self._pending: Set[int] = set()
+        # a new monitor has judged nothing yet: everything it watches
+        self._pending: Set[int] = set(watched_destinations or ())
+        self._version_seen = runtime.graph.version
         self._teardowns_seen = 0
-        runtime.engine.add_listener(self._on_route_change)
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def _on_route_change(self, asn, destination, old, new) -> None:
-        if asn != self.asn:
-            return
-        if self.watched is not None and destination not in self.watched:
-            return
-        self._pending.add(destination)
 
     def pending_destinations(self) -> Set[int]:
         return set(self._pending)
@@ -74,20 +68,28 @@ class PolicyMonitor:
     # the §6.2.1 loop
     # ------------------------------------------------------------------
     def poll(self) -> List[MonitorEvent]:
-        """Check triggers for every destination whose routes changed.
+        """Check triggers for every destination whose routes may have
+        changed since the last poll.
 
-        A torn-down tunnel counts as a change too (§4.3 teardown is how
-        the AS learns its negotiated path died even when its own BGP
-        routes are untouched).  Returns the events generated this round
-        (also appended to :attr:`events`).
+        A move of the graph's version or a tunnel teardown re-pends
+        every watched destination; without a watch list only this AS's
+        own torn-down tunnels re-pend theirs (§4.3 teardown is how the
+        AS learns its negotiated path died even when its own BGP routes
+        are untouched).  Returns the events generated this round (also
+        appended to :attr:`events`).
         """
-        # notice our tunnels that were torn down since the last poll
-        for tunnel in self.runtime.torn_down[self._teardowns_seen:]:
-            if tunnel.upstream == self.asn and (
-                self.watched is None or tunnel.destination in self.watched
-            ):
-                self._pending.add(tunnel.destination)
-        self._teardowns_seen = len(self.runtime.torn_down)
+        self.runtime.revalidate()
+        torn_down = self.runtime.torn_down
+        version = self.runtime.graph.version
+        if self.watched is None:
+            for tunnel in torn_down[self._teardowns_seen:]:
+                if tunnel.upstream == self.asn:
+                    self._pending.add(tunnel.destination)
+        elif (version != self._version_seen
+              or len(torn_down) != self._teardowns_seen):
+            self._pending |= self.watched
+        self._version_seen = version
+        self._teardowns_seen = len(torn_down)
 
         produced: List[MonitorEvent] = []
         for destination in sorted(self._pending):
@@ -97,7 +99,7 @@ class PolicyMonitor:
         return produced
 
     def _check_destination(self, destination: int) -> List[MonitorEvent]:
-        candidates = self.runtime.engine.candidates(self.asn, destination)
+        candidates = self.runtime.table(destination).candidates(self.asn)
         # tunnels the AS already holds count as satisfying routes
         tunnel_routes = self._tunnel_routes(destination)
         spec = self.policy.should_negotiate(
@@ -123,11 +125,12 @@ class PolicyMonitor:
         routes the AS would hold there.  Returns ``{destination: name of
         the negotiation spec that would fire, or None if satisfied}`` —
         the cheap what-if operators run before deploying a policy, without
-        touching the live engine.
+        negotiating anything.
         """
-        from ..session import ensure_session
-
-        session = ensure_session(self.runtime.graph, session)
+        session = ensure_session(
+            self.runtime.graph,
+            self.runtime.session if session is None else session,
+        )
         outcome: Dict[int, Optional[str]] = {}
         for destination, table in session.compute_many(destinations).items():
             spec = self.policy.should_negotiate(table.candidates(self.asn))
@@ -135,8 +138,6 @@ class PolicyMonitor:
         return outcome
 
     def _tunnel_routes(self, destination: int) -> List[Route]:
-        from ..bgp.policy import make_route
-
         routes: List[Route] = []
         for record in self.runtime.live_tunnels():
             if record.requester != self.asn:
@@ -154,7 +155,7 @@ class PolicyMonitor:
     def _responders_for(self, destination: int, spec: NegotiationSpec) -> List[int]:
         """ASes between us and the avoided AS on any candidate path."""
         responders: List[int] = []
-        for candidate in self.runtime.engine.candidates(self.asn, destination):
+        for candidate in self.runtime.table(destination).candidates(self.asn):
             path = candidate.path
             cutoffs = [
                 path.index(asn) for asn in spec.avoid if asn in path

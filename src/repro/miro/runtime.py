@@ -1,12 +1,14 @@
-"""A live MIRO system on top of the event-driven BGP engine (§4.3).
+"""A live MIRO system over one session's routing tables (§4.3).
 
-:class:`MiroRuntime` couples :class:`~repro.bgp.engine.EventDrivenBGP`
-with per-AS tunnel tables and negotiation, giving the full dynamic
-behaviour of §4.3:
+:class:`MiroRuntime` couples per-AS tunnel tables and negotiation with
+the stable state a :class:`~repro.session.SessionCore` serves (the
+tables every route lookup reads), giving the dynamics of §4.3:
 
-* tunnels are negotiated against the *current* protocol state,
-* when BGP reconverges after a failure, tunnels whose via path or tunnel
-  path changed are torn down automatically (the route-change listener),
+* tunnels are negotiated against the table for the *current* graph
+  version,
+* when that version moves, whoever moved it, tunnels whose via path or
+  tunnel path changed are torn down before another tunnel is handed out
+  or listed (:meth:`MiroRuntime.revalidate`),
 * both ends exchange keep-alives; a partitioned upstream stops
   refreshing and the downstream's soft state expires the tunnel.
 """
@@ -15,15 +17,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..bgp.engine import EventDrivenBGP
-from ..bgp.policy import may_export
-from ..bgp.route import Route
-from ..errors import NegotiationError
+from ..bgp.routing import RoutingTable, affected_ases
+from ..errors import NegotiationError, ReproError, TopologyError, UnknownASError
 from ..obs import get_logger, get_registry, get_tracer
-from ..topology.graph import ASGraph
-from .policies import ExportPolicy
+from ..session import SessionCore, ensure_session
+from ..topology.delta import AppliedDelta, TopologyDelta
+from ..topology.graph import ASGraph, LinkKey, link_key
+from .policies import ExportPolicy, offered_routes
 from .negotiation import MESSAGES_TOTAL, RouteConstraint
 from .tunnels import Tunnel, TunnelTable
 
@@ -54,6 +56,11 @@ _MSG_ACCEPT = MESSAGES_TOTAL.labels(kind="accept")
 _MSG_GRANT = MESSAGES_TOTAL.labels(kind="grant")
 
 
+class TableNotCached(ReproError):
+    """A ``settle=False`` call needed tables the session may not hold at
+    the current graph version; the caller settles them and asks again."""
+
+
 @dataclass(frozen=True)
 class EstablishedTunnel:
     """Bookkeeping for one live tunnel (both endpoints' state)."""
@@ -64,91 +71,81 @@ class EstablishedTunnel:
     destination: int
 
 
-class _EstablishFlight:
-    """One in-flight negotiation for a (requester, destination) pair.
+#: A live tunnel's identity: ``(requester, tunnel id)``.
+_Key = Tuple[int, int]
 
-    Concurrent :meth:`MiroRuntime.establish` calls with the *same*
-    request arguments share the leader's outcome; calls with different
-    arguments on the same pair serialize behind it (negotiating against
-    the post-flight tunnel state) instead of racing the id allocator and
-    the tunnel-table installs.
-    """
 
-    __slots__ = ("signature", "event", "result", "error")
-
-    def __init__(self, signature: Tuple) -> None:
-        self.signature = signature
-        self.event = threading.Event()
-        self.result: Optional[EstablishedTunnel] = None
-        self.error: Optional[BaseException] = None
+def _traversed(tunnel: Tunnel) -> Set[LinkKey]:
+    """Every link the tunnel rides: the via segment and the tunnel path."""
+    via, path = tunnel.via_path, tunnel.path
+    hops = [*zip(via, via[1:]), *zip(path, path[1:])]
+    return {link_key(a, b) for a, b in hops}
 
 
 class MiroRuntime:
-    """MIRO speakers over a running BGP system."""
+    """MIRO speakers over the routing tables of one session.
+
+    ``session`` is the :class:`~repro.session.SessionCore` to read — a
+    serving daemon :meth:`attach`-es its own, so lookups and negotiations
+    see one state; by default a serial one (no pool, nothing to close).
+    """
 
     def __init__(
         self,
         graph: ASGraph,
-        seed: Optional[int] = None,
         heartbeat_timeout: float = 90.0,
+        session: Optional[SessionCore] = None,
     ) -> None:
         self.graph = graph
-        self.engine = EventDrivenBGP(graph, seed=seed)
-        self.engine.add_listener(self._on_route_change)
-        self._dirty_destinations: Set[int] = set()
-        self.tunnels: Dict[int, TunnelTable] = {
-            asn: TunnelTable(asn, heartbeat_timeout=heartbeat_timeout)
-            for asn in graph.iter_ases()
-        }
-        self._live: List[EstablishedTunnel] = []
+        if session is None:
+            session = SessionCore(graph, parallel=False)
+        self.attach(session)
+        self._heartbeat_timeout = heartbeat_timeout
+        #: per-AS tunnel state, created the first time an AS takes part
+        self.tunnels: Dict[int, TunnelTable] = {}
         self.clock = 0.0
         self.torn_down: List[Tunnel] = []
-        # Concurrency discipline for the serving plane: one re-entrant
-        # lock guards every tunnel-table mutation (install / remove /
-        # heartbeat / expire and the _live list), and negotiations are
-        # single-flight per (requester, destination) — see establish().
+        # The live set, three ways: a heartbeat, a teardown and a link
+        # event's re-check reach their tunnels without walking the rest.
+        self._records: Dict[_Key, EstablishedTunnel] = {}
+        self._by_destination: Dict[int, Set[_Key]] = {}
+        self._by_link: Dict[LinkKey, Set[_Key]] = {}
+        # §4.3: every live tunnel is known valid at graph version
+        # ``_validated``, judged against ``_tables[destination]`` (kept
+        # only while the destination has live tunnels).
+        self._validated = graph.version
+        self._tables: Dict[int, RoutingTable] = {}
+        self._failed: Dict[LinkKey, AppliedDelta] = {}
+        # Guards every tunnel-table mutation and the live-set indexes;
+        # no table is settled under it (tools/check_locks.py):
+        # establish() runs on the service's event loop.
         self._lock = threading.RLock()
-        self._establish_flights: Dict[Tuple[int, int], _EstablishFlight] = {}
 
-    # ------------------------------------------------------------------
-    # bring-up
-    # ------------------------------------------------------------------
-    def originate_all(self, destinations: Sequence[int]) -> int:
-        """Originate the given prefixes and run BGP to quiescence."""
-        for destination in destinations:
-            self.engine.originate(destination)
-        return self.engine.run()
+    def attach(self, session: SessionCore) -> None:
+        """Read routing tables from ``session`` from now on."""
+        self.session = ensure_session(self.graph, session)
+
+    def table(self, destination: int, settle: bool = True) -> RoutingTable:
+        """The session's table for ``destination`` at the current graph
+        version; with ``settle=False`` a miss is a :class:`TableNotCached`."""
+        if settle:
+            return self.session.compute(destination)
+        table = self.session.peek(destination)
+        if table is None:
+            raise TableNotCached(destination)
+        return table
+
+    def _tunnel_table(self, asn: int) -> TunnelTable:
+        state = self.tunnels.get(asn)
+        if state is None:
+            state = self.tunnels[asn] = TunnelTable(
+                asn, heartbeat_timeout=self._heartbeat_timeout
+            )
+        return state
 
     # ------------------------------------------------------------------
     # negotiation against live state
     # ------------------------------------------------------------------
-    def offered_routes(
-        self, responder: int, destination: int, policy: ExportPolicy,
-        toward: Optional[int],
-    ) -> List[Route]:
-        """The responder's current alternates under ``policy`` (§3.4),
-        computed from its live Adj-RIB-In."""
-        best = self.engine.best(responder, destination)
-        pool = [
-            route for route in self.engine.candidates(responder, destination)
-            if best is None or route.path != best.path
-        ]
-        if policy is ExportPolicy.FLEXIBLE:
-            return pool
-        if toward is None or not self.graph.has_link(responder, toward):
-            raise NegotiationError(
-                f"policy {policy} needs a neighbouring 'toward' AS"
-            )
-        pool = [
-            r for r in pool
-            if may_export(self.graph, responder, toward, r.route_class)
-        ]
-        if policy is ExportPolicy.EXPORT:
-            return pool
-        if best is None:
-            return []
-        return [r for r in pool if r.route_class is best.route_class]
-
     def establish(
         self,
         requester: int,
@@ -156,188 +153,177 @@ class MiroRuntime:
         destination: int,
         policy: ExportPolicy,
         constraint: Optional[RouteConstraint] = None,
+        settle: bool = True,
     ) -> Optional[EstablishedTunnel]:
         """Negotiate and install a tunnel, or return None if no offer fits.
 
         The via path is the requester's *current* route to the responder
         (truncated default path toward the destination when the responder
-        lies on it, else the direct link).
-
-        Thread-safe and single-flight per (requester, destination):
-        concurrent identical requests (same responder/policy/constraint)
-        share one negotiation and one installed tunnel — the concurrent
-        analogue of "the AS already asked for this path" — while
-        differing concurrent requests on the pair serialize.  Sequential
-        calls are unaffected: each still negotiates its own tunnel.
+        lies on it, else the direct link).  Live tunnels are re-checked
+        first if the graph changed (:meth:`revalidate`).  With
+        ``settle=False`` nothing is computed: a due re-check, or a table
+        the session does not hold, is a :class:`TableNotCached`.
+        Thread-safe; every call negotiates its own tunnel.
         """
-        key = (requester, destination)
-        signature = (responder, policy, constraint)
+        graph = self.graph
         while True:
+            version = graph.version
+            self.revalidate(settle)
+            table = self.table(destination, settle)
+            if graph.version != version:
+                continue  # the graph moved under the reads: start over
+            default = table.default_path(requester)
+            if default is not None and responder in default:
+                via = default[: default.index(responder) + 1]
+            elif graph.has_link(requester, responder):
+                via = (requester, responder)
+            else:
+                raise NegotiationError(
+                    f"AS {requester} has no known path to responder "
+                    f"AS {responder}"
+                )
+            toward = via[-2] if len(via) >= 2 else None
+            _MSG_REQUEST.inc()
+            offers = [
+                r for r in offered_routes(table, responder, policy, toward)
+                if requester not in r.path
+                and (constraint is None or constraint.satisfied_by(r))
+            ]
+            if not offers:
+                _MSG_DECLINE.inc()
+                _LOG.debug("negotiation_declined", requester=requester,
+                           responder=responder, destination=destination,
+                           reason="no candidate routes satisfy the request")
+                return None
+            _MSG_OFFER.inc()
+            chosen = min(offers, key=lambda r: (r.length, r.path))
             with self._lock:
-                flight = self._establish_flights.get(key)
-                if flight is None:
-                    flight = _EstablishFlight(signature)
-                    self._establish_flights[key] = flight
+                if self._validated == version:
+                    record = self._install(
+                        requester, responder, destination, chosen.path, via
+                    )
+                    self._tables.setdefault(destination, table)
                     break
-            flight.event.wait()
-            if flight.signature == signature:
-                if flight.error is not None:
-                    raise flight.error
-                return flight.result
-            # a different request for the same pair was in flight:
-            # loop and negotiate against the post-flight state
-        try:
-            record = self._establish(
-                requester, responder, destination, policy, constraint
-            )
-            flight.result = record
-            return record
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._establish_flights.pop(key, None)
-            flight.event.set()
-
-    def _establish(
-        self,
-        requester: int,
-        responder: int,
-        destination: int,
-        policy: ExportPolicy,
-        constraint: Optional[RouteConstraint],
-    ) -> Optional[EstablishedTunnel]:
-        best = self.engine.best(requester, destination)
-        via: Optional[Tuple[int, ...]] = None
-        if best is not None and responder in best.path:
-            via = best.path[: best.path.index(responder) + 1]
-        elif self.graph.has_link(requester, responder):
-            via = (requester, responder)
-        if via is None:
-            raise NegotiationError(
-                f"AS {requester} has no known path to responder AS {responder}"
-            )
-        toward = via[-2] if len(via) >= 2 else None
-        _MSG_REQUEST.inc()
-        offers = self.offered_routes(responder, destination, policy, toward)
-        if constraint is not None:
-            offers = [r for r in offers if constraint.satisfied_by(r)]
-        offers = [r for r in offers if requester not in r.path]
-        if not offers:
-            _MSG_DECLINE.inc()
-            _LOG.debug("negotiation_declined", requester=requester,
-                       responder=responder, destination=destination,
-                       reason="no candidate routes satisfy the request")
-            return None
-        _MSG_OFFER.inc()
-        chosen = min(offers, key=lambda r: (r.length, r.path))
-        # The downstream AS assigns the identifier (§3.5, unique within
-        # that AS) — but the state is installed at *both* endpoints, and
-        # a requester holding tunnels from several responders can be
-        # handed the same number twice.  Keep drawing from the
-        # responder's monotonic allocator until the id is free at both
-        # ends (found by the verify harness's tunnel campaign).
-        with self._lock:
-            tunnel_id = self.tunnels[responder].allocate_id()
-            while (
-                self.tunnels[requester].has(tunnel_id)
-                or self.tunnels[responder].has(tunnel_id)
-            ):
-                tunnel_id = self.tunnels[responder].allocate_id()
-            tunnel = Tunnel(
-                tunnel_id=tunnel_id,
-                upstream=requester,
-                downstream=responder,
-                destination=destination,
-                path=chosen.path,
-                via_path=via,
-            )
-            mirror = Tunnel(
-                tunnel_id=tunnel_id,
-                upstream=requester,
-                downstream=responder,
-                destination=destination,
-                path=chosen.path,
-                via_path=via,
-            )
-            _MSG_ACCEPT.inc()
-            _MSG_GRANT.inc()
-            self.tunnels[requester].install(tunnel, now=self.clock)
-            self.tunnels[responder].install(mirror, now=self.clock)
-            record = EstablishedTunnel(
-                tunnel, requester, responder, destination
-            )
-            self._live.append(record)
-            _LIVE_TUNNELS.set(len(self._live))
+            # re-checked at a newer version meanwhile, which an install
+            # now would never be judged against: negotiate again
         _TUNNELS_ESTABLISHED.inc()
-        _LOG.info("tunnel_established", tunnel_id=tunnel_id,
+        _LOG.info("tunnel_established", tunnel_id=record.tunnel.tunnel_id,
                   requester=requester, responder=responder,
                   destination=destination, path=chosen.path)
         return record
 
+    def _install(
+        self, requester: int, responder: int, destination: int,
+        path: Tuple[int, ...], via: Tuple[int, ...],
+    ) -> EstablishedTunnel:
+        """Install the agreed tunnel at both ends (lock held)."""
+        here = self._tunnel_table(requester)
+        there = self._tunnel_table(responder)
+        # The downstream AS assigns the identifier (§3.5), but the state
+        # is installed at *both* endpoints, and a requester holding
+        # tunnels from several responders can be handed the same number
+        # twice: draw until the id is free at both ends.
+        tunnel_id = there.allocate_id()
+        while here.has(tunnel_id) or there.has(tunnel_id):
+            tunnel_id = there.allocate_id()
+        _MSG_ACCEPT.inc()
+        _MSG_GRANT.inc()
+        for state in (there, here):  # the record keeps the requester's copy
+            tunnel = Tunnel(
+                tunnel_id, requester, responder, destination, path, via
+            )
+            state.install(tunnel, now=self.clock)
+        record = EstablishedTunnel(tunnel, requester, responder, destination)
+        key = (requester, tunnel_id)
+        self._records[key] = record
+        self._by_destination.setdefault(destination, set()).add(key)
+        for link in _traversed(tunnel):
+            self._by_link.setdefault(link, set()).add(key)
+        _LIVE_TUNNELS.set(len(self._records))
+        return record
+
+    def _forget(self, key: _Key) -> None:
+        """Drop a tunnel from the live set (lock held); idempotent."""
+        record = self._records.pop(key, None)
+        if record is None:
+            return
+        keys = self._by_destination[record.destination]
+        keys.discard(key)
+        if not keys:
+            del self._by_destination[record.destination]
+            del self._tables[record.destination]
+        for link in _traversed(record.tunnel):
+            keys = self._by_link[link]
+            keys.discard(key)
+            if not keys:
+                del self._by_link[link]
+        _LIVE_TUNNELS.set(len(self._records))
+
     def live_tunnels(self) -> List[EstablishedTunnel]:
+        self.revalidate()
         with self._lock:
-            return [
-                t for t in self._live
-                if self.tunnels[t.requester].has(t.tunnel.tunnel_id)
-            ]
+            return list(self._records.values())
 
     # ------------------------------------------------------------------
     # §4.3 dynamics
     # ------------------------------------------------------------------
-    def _on_route_change(
-        self, asn: int, destination: int,
-        old: Optional[Route], new: Optional[Route],
-    ) -> None:
-        """Mark prefixes whose tunnels must be revalidated (§4.3: "the
-        ASes can observe these changes in the BGP update messages")."""
-        self._dirty_destinations.add(destination)
-
-    def _tunnel_still_valid(self, record: EstablishedTunnel) -> bool:
+    def _tunnel_still_valid(
+        self, record: EstablishedTunnel, table: Optional[RoutingTable]
+    ) -> bool:
+        if table is None:
+            return False  # the destination left the topology
         tunnel = record.tunnel
-        # (1) the upstream's path to the downstream AS must be intact:
-        # either the via segment is still a prefix of its selected route,
-        # or it is the direct link and the link is up.
-        best = self.engine.best(record.requester, record.destination)
-        via_ok = (
-            best is not None
-            and best.path[: len(tunnel.via_path)] == tunnel.via_path
-        )
-        if not via_ok and len(tunnel.via_path) == 2:
-            via_ok = self.engine._link_up(record.requester, record.responder)
-        if not via_ok:
-            return False
-        # (2) the downstream AS must still learn the tunnel path.
-        learned = {
-            r.path
-            for r in self.engine.candidates(record.responder, record.destination)
-        }
-        return tunnel.path in learned
+        via = tunnel.via_path
+        try:
+            # (1) the upstream's path to the downstream AS must be
+            # intact: either the via segment is still a prefix of its
+            # selected route, or it is the direct link and the link is up.
+            default = table.default_path(record.requester)
+            if (default is None or default[: len(via)] != via) and not (
+                len(via) == 2 and self.graph.has_link(*via)
+            ):
+                return False
+            # (2) the downstream AS must still learn the tunnel path.
+            return any(
+                route.path == tunnel.path
+                for route in table.candidates(record.responder)
+            )
+        except UnknownASError:
+            return False  # an endpoint left the topology
 
-    def revalidate(self) -> List[Tunnel]:
-        """Tear down tunnels invalidated by routing changes; return them."""
-        if not self._dirty_destinations:
-            return []
-        removed: List[Tunnel] = []
-        with self._lock:
-            for record in list(self._live):
-                if record.destination not in self._dirty_destinations:
-                    continue
-                if not self.tunnels[record.requester].has(
-                    record.tunnel.tunnel_id
+    def revalidate(self, settle: bool = True) -> List[Tunnel]:
+        """Tear down tunnels the graph's changes since the last check
+        invalidated (§4.3); return them.
+
+        Free while :attr:`ASGraph.version` stands where every live
+        tunnel was last judged.  When it moved, whoever moved it, the
+        journal says which links changed: per destination, the tunnels
+        that ride one, or whose requester / first tunnel hop lost its
+        route (:func:`~repro.bgp.routing.affected_ases` of the table
+        last judged against), are judged again — all of them when the
+        change is unbounded (a link came up, the journal cannot say).
+        """
+        graph = self.graph
+        while True:
+            version, since = graph.version, self._validated
+            if since == version:
+                return []
+            with self._lock:
+                wanted = [d for d in self._by_destination if d in graph]
+            if wanted and not settle:
+                raise TableNotCached(wanted)
+            tables = self.session.compute_many(wanted)
+            changed = graph.changed_links_since(since)
+            with self._lock:
+                unmoved = (graph.version, self._validated) == (version, since)
+                if unmoved and all(
+                    d in tables for d in self._by_destination if d in graph
                 ):
-                    continue
-                if self._tunnel_still_valid(record):
-                    continue
-                for endpoint in (record.requester, record.responder):
-                    if self.tunnels[endpoint].has(record.tunnel.tunnel_id):
-                        self.tunnels[endpoint].remove(record.tunnel.tunnel_id)
-                removed.append(record.tunnel)
-                self._live.remove(record)
-            self._dirty_destinations.clear()
-            self.torn_down.extend(removed)
-            _LIVE_TUNNELS.set(len(self._live))
+                    removed = self._recheck(tables, changed)
+                    self._validated = version
+                    break
+            # the graph moved, or another thread re-checked or installed,
+            # under the reads: start over
         if removed:
             _TUNNELS_REMOVED.labels(cause="route_change").inc(len(removed))
             for tunnel in removed:
@@ -345,60 +331,91 @@ class MiroRuntime:
                           destination=tunnel.destination, cause="route_change")
         return removed
 
-    def fail_link(self, a: int, b: int) -> int:
-        """Fail a link, reconverge, and revalidate tunnels (§4.3)."""
-        with _TRACER.span("miro_fail_link", a=a, b=b) as span:
-            # tunnels whose via segment or tunnel path uses the link must
-            # be re-checked even if no best route changes (e.g. a
-            # direct-link via that no selected route crosses)
-            for record in self._live:
-                tunnel = record.tunnel
-                hops = list(zip(tunnel.via_path, tunnel.via_path[1:]))
-                hops += list(zip(tunnel.path, tunnel.path[1:]))
-                if (a, b) in hops or (b, a) in hops:
-                    self._dirty_destinations.add(record.destination)
-            self.engine.fail_link(a, b)
-            processed = self.engine.run()
-            torn = self.revalidate()
-            span.set(messages=processed, torn_down=len(torn))
-        return processed
+    def _recheck(
+        self,
+        tables: Dict[int, RoutingTable],
+        changed: Optional[FrozenSet[LinkKey]],
+    ) -> List[Tunnel]:
+        """Judge the suspects against ``tables`` (lock held)."""
+        records = self._records
+        crossing: Dict[int, Set[_Key]] = {}
+        for link in changed or ():
+            for key in self._by_link.get(link, ()):
+                crossing.setdefault(records[key].destination, set()).add(key)
+        removed: List[Tunnel] = []
+        for destination, keys in list(self._by_destination.items()):
+            table = tables.get(destination)
+            affected = None if table is None else affected_ases(
+                self.graph, self._tables[destination], changed
+            )
+            if affected is None:
+                suspects = set(keys)
+            else:
+                suspects = crossing.get(destination, set())
+                if affected:
+                    suspects.update(
+                        key for key in keys
+                        if records[key].requester in affected
+                        or records[key].tunnel.path[1] in affected
+                    )
+            for key in suspects:
+                record = records[key]
+                if self._tunnel_still_valid(record, table):
+                    continue
+                for endpoint in (record.requester, record.responder):
+                    if self.tunnels[endpoint].has(key[1]):
+                        self.tunnels[endpoint].remove(key[1])
+                self._forget(key)
+                removed.append(record.tunnel)
+            if destination in self._by_destination:
+                self._tables[destination] = table
+        self.torn_down.extend(removed)
+        return removed
 
-    def restore_link(self, a: int, b: int) -> int:
-        self.engine.restore_link(a, b)
-        processed = self.engine.run()
-        self.revalidate()
-        return processed
+    def fail_link(self, a: int, b: int) -> List[Tunnel]:
+        """Fail a link through the session's writer gate and re-check
+        tunnels (§4.3); returns the tunnels torn down."""
+        with _TRACER.span("miro_fail_link", a=a, b=b) as span:
+            self._failed[link_key(a, b)] = self.session.mutate(
+                TopologyDelta.link_down(a, b).apply
+            )
+            torn = self.revalidate()
+            span.set(torn_down=len(torn))
+        return torn
+
+    def restore_link(self, a: int, b: int) -> List[Tunnel]:
+        """Bring back a link :meth:`fail_link` took down (most recent
+        first: a restore reverts the failure's delta)."""
+        applied = self._failed.get(link_key(a, b))
+        if applied is None:
+            raise TopologyError(f"link {a}—{b} is not down")
+        self.session.mutate(lambda graph: applied.revert())
+        del self._failed[link_key(a, b)]
+        return self.revalidate()
 
     def heartbeat(self, requester: int, tunnel_id: int) -> None:
         """One keep-alive exchange refreshing both endpoints (§4.3)."""
         with self._lock:
-            for record in self._live:
-                if record.tunnel.tunnel_id == tunnel_id and (
-                    record.requester == requester
-                ):
-                    for endpoint in (record.requester, record.responder):
-                        if self.tunnels[endpoint].has(tunnel_id):
-                            self.tunnels[endpoint].heartbeat(
-                                tunnel_id, self.clock
-                            )
-                    return
-        raise NegotiationError(
-            f"AS {requester} holds no live tunnel {tunnel_id}"
-        )
+            record = self._records.get((requester, tunnel_id))
+            if record is None:
+                raise NegotiationError(
+                    f"AS {requester} holds no live tunnel {tunnel_id}"
+                )
+            for endpoint in (record.requester, record.responder):
+                if self.tunnels[endpoint].has(tunnel_id):
+                    self.tunnels[endpoint].heartbeat(tunnel_id, self.clock)
 
     def tick(self, dt: float) -> List[Tunnel]:
         """Advance time and expire silent tunnels at every AS."""
         expired: List[Tunnel] = []
         with self._lock:
             self.clock += dt
-            for table in self.tunnels.values():
-                expired.extend(table.expire(self.clock))
+            for state in self.tunnels.values():
+                expired.extend(state.expire(self.clock))
             self.torn_down.extend(expired)
-            if expired:
-                # expiry is the one removal that happens inside the
-                # tables; drop its records so ``_live`` stays the live set
-                self._live = self.live_tunnels()
-                _LIVE_TUNNELS.set(len(self._live))
+            for tunnel in expired:
+                # both ends lapse together (one clock, one heartbeat)
+                self._forget((tunnel.upstream, tunnel.tunnel_id))
         if expired:
             _TUNNELS_REMOVED.labels(cause="expired").inc(len(expired))
             for tunnel in expired:

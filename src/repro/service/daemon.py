@@ -45,7 +45,6 @@ histograms, ``repro_service_requests_total{op,outcome}``,
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 import weakref
 from collections import deque
@@ -57,7 +56,7 @@ from typing import Callable, Deque, Dict, Optional, Set
 from ..bgp.routing import RoutingTable
 from ..errors import ServiceError, ServiceOverloadError, UnknownASError
 from ..miro.policies import ExportPolicy
-from ..miro.runtime import EstablishedTunnel, MiroRuntime
+from ..miro.runtime import EstablishedTunnel, MiroRuntime, TableNotCached
 from ..obs import (
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
@@ -151,7 +150,7 @@ class MiroService:
     use as an async context manager or call :meth:`start` /
     :meth:`drain` explicitly.  All request
     methods must be called from the event loop the service was started
-    on.
+    on.  A ``runtime`` is pointed at the same core: one routing state.
     """
 
     def __init__(
@@ -162,6 +161,12 @@ class MiroService:
     ) -> None:
         self.core = session
         self.config = config or ServiceConfig()
+        if runtime is not None:
+            if runtime.graph is not session.graph:
+                raise ServiceError(
+                    "runtime and session are bound to different graphs"
+                )
+            runtime.attach(session)
         self.runtime = runtime
         self._pending: Dict[int, asyncio.Future] = {}
         self._queue: Deque[int] = deque()
@@ -173,10 +178,6 @@ class MiroService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
         self._started = False
-        # negotiation-side state lives on executor threads: guard the
-        # originated-prefix set with a plain lock, not the event loop
-        self._originated: Set[int] = set()
-        self._originate_lock = threading.Lock()
         # encoded whole-table answers, one per table object and only
         # while the session's cache (or a request) keeps that table
         self._encoded: "weakref.WeakKeyDictionary[RoutingTable, bytes]" = (
@@ -258,10 +259,6 @@ class MiroService:
         try:
             table = self.core.peek(destination)
             if table is None:
-                # rejected here, not in the batch: a settle error fails
-                # every request admitted alongside the bad destination
-                if destination not in self.core.graph:
-                    raise UnknownASError(destination)
                 table = await self._admit(destination)
         except ServiceOverloadError:
             _REQUESTS.labels(op="lookup", outcome="shed").inc()
@@ -277,6 +274,10 @@ class MiroService:
 
     async def _admit(self, destination: int) -> RoutingTable:
         """Join the in-flight fill for ``destination`` or queue a new one."""
+        # rejected here, not in the batch: a settle error fails every
+        # request admitted alongside the bad destination
+        if destination not in self.core.graph:
+            raise UnknownASError(destination)
         future = self._pending.get(destination)
         if future is not None:
             _COALESCED.inc()
@@ -392,22 +393,37 @@ class MiroService:
         """Negotiate a MIRO tunnel through the live runtime.
 
         Requires the service to have been constructed with a
-        :class:`MiroRuntime`.  The destination is originated into the
-        runtime's BGP engine on first use; the establish itself runs on
-        an executor thread (the runtime's single-flight makes concurrent
-        identical requests share one negotiation).
+        :class:`MiroRuntime`.  The establish runs on the event loop
+        and never settles there: when the core lacks a table it needs,
+        the destination's is filled through the admission path
+        :meth:`lookup` uses, the §4.3 re-check of live tunnels (due when
+        the graph moved) runs on a settle thread, and it is asked again.
         """
         start = time.perf_counter()
-        self._check_accepting("negotiate")
-        if self.runtime is None:
+        runtime = self.runtime
+        if runtime is None:
             _REQUESTS.labels(op="negotiate", outcome="error").inc()
             raise ServiceError("service has no MIRO runtime configured")
         try:
-            record = await self._loop.run_in_executor(
-                self._executor,
-                partial(self._negotiate_blocking, requester, responder,
-                        destination, policy),
-            )
+            while True:
+                self._check_accepting("negotiate")
+                try:
+                    record = runtime.establish(  # no constraint, no settle
+                        requester, responder, destination, policy, None, False
+                    )
+                    break
+                except TableNotCached:
+                    if self.core.peek(destination) is None:
+                        await self._admit(destination)
+                    else:  # so it is the re-check that is due
+                        await self._loop.run_in_executor(
+                            self._executor, runtime.revalidate
+                        )
+        except ServiceOverloadError:
+            _REQUESTS.labels(op="negotiate", outcome="shed").inc()
+            raise
+        except ServiceError:
+            raise
         except BaseException:
             _REQUESTS.labels(op="negotiate", outcome="error").inc()
             raise
@@ -416,19 +432,6 @@ class MiroService:
             time.perf_counter() - start
         )
         return record
-
-    def _negotiate_blocking(
-        self, requester: int, responder: int, destination: int,
-        policy: ExportPolicy,
-    ) -> Optional[EstablishedTunnel]:
-        with self._originate_lock:
-            if destination not in self._originated:
-                self.runtime.engine.originate(destination)
-                self.runtime.engine.run()
-                self._originated.add(destination)
-        return self.runtime.establish(
-            requester, responder, destination, policy
-        )
 
     # ------------------------------------------------------------------
     # topology churn

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..bgp.routing import compute_routes_reference
 from ..errors import NegotiationError, TopologyError
 from ..obs import get_logger, get_registry, get_tracer
 from ..topology.delta import AppliedDelta, TopologyDelta
@@ -377,27 +378,29 @@ def run_tunnel_campaign(
     """Tunnel-table consistency under live failures (§4.3 dynamics).
 
     Brings up a :class:`~repro.miro.runtime.MiroRuntime`, negotiates
-    tunnels along default paths, then fails sampled links and checks
-    tunnel-table consistency after every revalidation.  Returns
-    ``(tunnels checked, violations)``.
+    tunnels along default paths (sources and responders picked from
+    :func:`compute_routes_reference`, not the runtime under test), then
+    fails sampled links — restored before returning — and checks
+    tunnel-table consistency after each.  Returns ``(tunnels,
+    violations)``.
     """
     from ..miro.policies import ExportPolicy
     from ..miro.runtime import MiroRuntime
 
     rng = random.Random(seed)
-    runtime = MiroRuntime(graph, seed=seed)
+    runtime = MiroRuntime(graph)
     destinations = rng.sample(graph.ases, min(n_destinations, len(graph)))
-    runtime.originate_all(destinations)
     established = 0
     for destination in destinations:
+        reference = compute_routes_reference(graph, destination)
         sources = [
             asn for asn in graph.ases
             if asn != destination
-            and (best := runtime.engine.best(asn, destination)) is not None
-            and len(best.path) >= 3
+            and (path := reference.default_path(asn)) is not None
+            and len(path) >= 3
         ]
         for source in rng.sample(sources, min(n_pairs, len(sources))):
-            responder = runtime.engine.best(source, destination).path[1]
+            responder = reference.default_path(source)[1]
             try:
                 if runtime.establish(
                     source, responder, destination, ExportPolicy.FLEXIBLE

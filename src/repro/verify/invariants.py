@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..bgp.policy import may_export, select_best
-from ..bgp.routing import RoutingTable
+from ..bgp.routing import RoutingTable, compute_routes_reference
 from ..obs import get_registry
 
 _VIOLATIONS_TOTAL = get_registry().counter(
@@ -206,53 +206,56 @@ def check_tunnel_consistency(runtime) -> List[Violation]:
     """Every live tunnel of a :class:`~repro.miro.runtime.MiroRuntime`
     is consistent with the negotiated agreement and the current routes.
 
-    Deliberately re-derives validity instead of calling the runtime's own
-    revalidation: after ``revalidate()`` ran, anything this check still
-    flags is a tunnel the runtime wrongly kept (or half-removed).
+    Judged from outside: hop by hop against the live graph and against
+    :func:`compute_routes_reference` at it (one table per destination
+    with live tunnels), never the runtime's own tables or validity rule.
+    Anything flagged is a tunnel wrongly kept (or half-removed).
     """
     graph = runtime.graph
-    down = runtime.engine._down_links
 
-    def hop_up(a: int, b: int) -> bool:
-        return graph.has_link(a, b) and (min(a, b), max(a, b)) not in down
+    def intact(path) -> bool:
+        return all(graph.has_link(a, b) for a, b in zip(path, path[1:]))
 
+    references: Dict[int, RoutingTable] = {}
     out: List[Violation] = []
     for record in runtime.live_tunnels():
         tunnel = record.tunnel
         destination = record.destination
+
+        def flag(asn: int, detail: str, destination=destination) -> None:
+            out.append(
+                Violation("tunnel-consistency", destination, asn, detail)
+            )
+
         for endpoint in (record.requester, record.responder):
-            if not runtime.tunnels[endpoint].has(tunnel.tunnel_id):
-                out.append(Violation(
-                    "tunnel-consistency", destination, endpoint,
-                    f"tunnel {tunnel.tunnel_id} live but not installed "
-                    f"at endpoint {endpoint}",
-                ))
-        path = tunnel.path
-        if not all(hop_up(a, b) for a, b in zip(path, path[1:])):
-            out.append(Violation(
-                "tunnel-consistency", destination, record.responder,
-                f"tunnel path {path} uses a failed link",
-            ))
-        learned = {
-            r.path
-            for r in runtime.engine.candidates(record.responder, destination)
-        }
+            state = runtime.tunnels.get(endpoint)
+            if state is None or not state.has(tunnel.tunnel_id):
+                flag(endpoint, f"tunnel {tunnel.tunnel_id} live but not "
+                               f"installed at endpoint {endpoint}")
+        gone = [asn for asn in (record.requester, record.responder,
+                                destination) if asn not in graph]
+        if gone:
+            flag(gone[0], f"tunnel {tunnel.tunnel_id} outlived AS {gone[0]}")
+            continue
+        reference = references.get(destination)
+        if reference is None:
+            reference = references[destination] = compute_routes_reference(
+                graph, destination)
+        if not intact(tunnel.path):
+            flag(record.responder,
+                 f"tunnel path {tunnel.path} uses a failed link")
+        learned = {r.path for r in reference.candidates(record.responder)}
         if tunnel.path not in learned:
-            out.append(Violation(
-                "tunnel-consistency", destination, record.responder,
-                f"responder no longer learns tunnel path {tunnel.path}",
-            ))
-        best = runtime.engine.best(record.requester, destination)
+            flag(record.responder,
+                 f"responder no longer learns tunnel path {tunnel.path}")
+        default = reference.default_path(record.requester)
         via = tunnel.via_path
-        via_ok = best is not None and best.path[: len(via)] == via
-        if not via_ok and len(via) == 2:
-            via_ok = hop_up(record.requester, record.responder)
-        if not via_ok:
-            out.append(Violation(
-                "tunnel-consistency", destination, record.requester,
-                f"via segment {via} no longer matches the requester's "
-                f"route {None if best is None else best.path}",
-            ))
+        if (default is None or default[: len(via)] != via) and not (
+            len(via) == 2 and intact(via)
+        ):
+            flag(record.requester,
+                 f"via segment {via} no longer matches the requester's "
+                 f"route {default}")
     return _record(out, "tunnel-consistency")
 
 

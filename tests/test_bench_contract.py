@@ -85,7 +85,7 @@ async def main():
     recorder = StubRecorder()
     lines = []
     with SimulationSession(graph, parallel=False) as session:
-        runtime = MiroRuntime(graph, seed=1)
+        runtime = MiroRuntime(graph)
         async with MiroService(session, runtime=runtime) as service:
             loop = asyncio.get_running_loop()
             ready = loop.create_future()
@@ -101,15 +101,17 @@ async def main():
                 lines.append((await reader.readline()).decode())
 
             table = {"op": "lookup", "destination": stub}
+            negotiate = {"op": "negotiate", "requester": requester,
+                         "responder": responder, "destination": stub}
             await ask(dict(table))                        # cold: a fill
             await ask(dict(table))                        # warm: the kept body
             await ask(dict(table, source=provider))
+            await ask(dict(negotiate))
             applied = await service.apply_churn(
                 TopologyDelta.link_down(provider, stub).apply)
             await ask(dict(table))                        # derived table
+            await ask(dict(negotiate))                    # at a new version
             await service.apply_churn(lambda graph: applied.revert())
-            await ask({"op": "negotiate", "requester": requester,
-                       "responder": responder, "destination": stub})
             writer.close()
             await writer.wait_closed()
             endpoint.cancel()
@@ -137,17 +139,23 @@ def test_tracing_patch_points_and_answer_framing():
     assert report["json_members"] == ["dumps", "loads"]
 
     # every patch point resolved (install_tracing returned) and the
-    # program still goes through it
+    # program still goes through it — but for the protocol engine, which
+    # no request reaches any more: the runtime reads the session's tables
     calls = report["calls"]
     assert len(calls) >= 20
-    assert [point for point, count in calls.items() if not count] == []
+    assert [point for point, count in calls.items() if not count] == [
+        "bgp.engine:originate", "bgp.engine:run"]
     answers = len(report["lines"])
     assert calls["service.server:handle_request"] == answers
     assert calls["service.server:decode"] == answers
-    # all encoding is inside the traced ``dumps``: two dict answers, two
+    # one establish per negotiation — each finds its table cached by the
+    # lookup before it, the second at a new graph version
+    assert calls["miro.runtime:establish"] == 2
+    assert calls["service.daemon:negotiate"] == 2
+    # all encoding is inside the traced ``dumps``: three dict answers, two
     # table bodies (the fill and the derived table; the warm answer
     # reuses the first) and the id of each of the three table answers
-    assert calls["service.server:encode"] == 2 + 2 + 3
+    assert calls["service.server:encode"] == 3 + 2 + 3
 
     # id last, compact, one line: what loadgen's rfind/int cut relies on
     for number, line in enumerate(report["lines"], start=1):

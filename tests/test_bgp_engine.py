@@ -138,31 +138,3 @@ class TestFailures:
     def test_restore_up_link_rejected(self, engine):
         with pytest.raises(TopologyError):
             engine.restore_link(E, F)
-
-
-class TestListeners:
-    def test_changes_reported(self, paper_graph):
-        engine = EventDrivenBGP(paper_graph)
-        events = []
-        engine.add_listener(
-            lambda asn, dest, old, new: events.append((asn, dest))
-        )
-        engine.originate(F)
-        engine.run()
-        assert (A, F) in events
-        assert (F, F) in events  # origination is a change too
-
-    def test_old_and_new_routes_passed(self, paper_graph):
-        engine = EventDrivenBGP(paper_graph)
-        engine.originate(F)
-        engine.run()
-        transitions = []
-        engine.add_listener(
-            lambda asn, dest, old, new: transitions.append((asn, old, new))
-        )
-        engine.fail_link(E, F)
-        engine.run()
-        e_changes = [(o, n) for a, o, n in transitions if a == E]
-        assert e_changes  # E switched from EF to ECF
-        old, new = e_changes[0]
-        assert old.path == (E, F)

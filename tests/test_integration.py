@@ -17,8 +17,8 @@ from repro.dataplane import FlowKey, Classifier, MatchRule, Packet, parse_ipv4
 from repro.intra import ASNetwork, ReservedAddressScheme, RoutingControlPlatform
 from repro.miro import (
     ExportPolicy,
+    MiroRuntime,
     RouteConstraint,
-    TunnelTable,
     miro_attempt,
     negotiate,
 )
@@ -93,14 +93,11 @@ class TestFig31EndToEnd:
 
     def test_teardown_on_route_change(self, paper_graph):
         """§4.3: A tears the tunnel down when its path to B changes."""
-        table = compute_routes(paper_graph, F)
-        outcome = negotiate(table, A, B, ExportPolicy.EXPORT,
-                            constraint=RouteConstraint(avoid=(E,)))
-        upstream_tunnels = TunnelTable(A)
-        upstream_tunnels.install(outcome.tunnel)
-        stale = upstream_tunnels.invalidate_on_route_change((A, B))
-        assert stale == [outcome.tunnel]
-        assert len(upstream_tunnels) == 0
+        runtime = MiroRuntime(paper_graph)
+        record = runtime.establish(A, B, F, ExportPolicy.EXPORT,
+                                   RouteConstraint(avoid=(E,)))
+        assert runtime.fail_link(A, B) == [record.tunnel]
+        assert len(runtime.tunnels[A]) == len(runtime.tunnels[B]) == 0
 
 
 class TestPolicyDrivenNegotiation:

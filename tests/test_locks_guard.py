@@ -4,7 +4,9 @@ Mirrors ``tools/check_locks.py`` (the standalone CI entry point): no
 settling, pool publication, or job submission may run lexically inside
 a ``with self._lock:`` block in :mod:`repro.session.core` — that is the
 "nothing slow under the lock" rule the SessionCore docstring promises
-and the serving plane's fast path depends on.
+and the serving plane's fast path depends on — nor, in
+:mod:`repro.miro.runtime`, may a table be settled under the runtime's
+lock: ``establish`` runs on the event loop.
 """
 
 import importlib.util
@@ -90,6 +92,41 @@ def test_guard_covers_session_core():
     assert {"compute_routes", "recompute_routes", "settle_many",
             "materialize", "snapshot", "submit", "ensure"} \
         <= set(guard.SLOW_CALLS)
+
+
+def test_guard_covers_the_miro_runtime():
+    guard = _load_guard()
+    assert "src/repro/miro/runtime.py" in guard.GUARDED_FILES
+    assert {"compute", "compute_many"} <= set(guard.SLOW_CALLS)
+
+
+def test_guard_flags_a_table_settled_under_the_runtime_lock():
+    """What the runtime entry is for: a re-check that fetches its tables
+    after taking the lock parks every negotiation on the event loop
+    behind a settle."""
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def revalidate(self):
+            with self._lock:
+                tables = self.session.compute_many(self._by_destination)
+                table = self.session.compute(destination)
+                removed = self._recheck(tables, changed)
+    """)
+    assert [(line, call) for _, line, call in guard.check_source(source)] \
+        == [(4, "compute_many"), (5, "compute")]
+
+
+def test_guard_allows_tables_fetched_before_the_runtime_lock():
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def revalidate(self):
+            with self._lock:
+                destinations = list(self._by_destination)
+            tables = self.session.compute_many(destinations)
+            with self._lock:
+                removed = self._recheck(tables, changed)
+    """)
+    assert guard.check_source(source) == []
 
 
 def test_guard_flags_materializing_under_lock():

@@ -34,9 +34,10 @@ def monitor(runtime):
 
 
 class TestTriggering:
-    def test_origination_triggers_and_establishes(self, runtime, monitor):
-        runtime.originate_all([F])
-        assert F in monitor.pending_destinations()
+    def test_new_monitor_has_its_watched_destinations_pending(
+        self, runtime, monitor
+    ):
+        assert monitor.pending_destinations() == {F}
         events = monitor.poll()
         kinds = [e.kind for e in events]
         assert "triggered" in kinds
@@ -47,23 +48,20 @@ class TestTriggering:
         assert len(runtime.live_tunnels()) == 1
 
     def test_pending_cleared_after_poll(self, runtime, monitor):
-        runtime.originate_all([F])
         monitor.poll()
         assert monitor.pending_destinations() == set()
 
     def test_existing_tunnel_satisfies_policy(self, runtime, monitor):
-        runtime.originate_all([F])
         monitor.poll()
         assert len(runtime.live_tunnels()) == 1
         # a later unrelated change re-pends the destination, but the
         # held tunnel now satisfies the trigger: no second negotiation
-        monitor._pending.add(F)
+        runtime.fail_link(D, E)
         events = monitor.poll()
         assert [e.kind for e in events] == ["satisfied"]
         assert len(runtime.live_tunnels()) == 1
 
     def test_renegotiates_after_failure_teardown(self, runtime, monitor):
-        runtime.originate_all([F])
         monitor.poll()
         # the C-F failure kills the tunnel AND removes the only bypass;
         # once restored, the monitor re-establishes on the next poll
@@ -79,11 +77,44 @@ class TestTriggering:
         monitor = PolicyMonitor(
             runtime, A, policy, watched_destinations={D},
         )
-        runtime.originate_all([F])
+        assert monitor.pending_destinations() == {D}
+        assert {e.destination for e in monitor.poll()} == {D}
+        runtime.fail_link(C, F)         # a change re-pends D, never F
+        assert {e.destination for e in monitor.poll()} == {D}
+
+    def test_quiet_poll_checks_nothing(self, runtime, monitor):
+        monitor.poll()
+        assert monitor.poll() == []
+
+    def test_change_behind_the_runtimes_back_repends(
+        self, runtime, monitor, paper_graph
+    ):
+        from repro.topology import TopologyDelta
+
+        monitor.poll()
+        assert len(runtime.live_tunnels()) == 1
+        TopologyDelta.link_down(C, F).apply(paper_graph)
+        events = monitor.poll()     # the tunnel died; no bypass is left
+        assert [e.kind for e in events][:1] == ["triggered"]
+        assert runtime.live_tunnels() == []
+
+    def test_without_a_watch_list_only_own_teardowns_repend(
+        self, runtime, paper_graph
+    ):
+        monitor = PolicyMonitor(
+            runtime, A, parse_config(CONFIG).requester,
+            export_policy=ExportPolicy.EXPORT,
+        )
         assert monitor.pending_destinations() == set()
+        record = runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+        runtime.establish(B, C, F, ExportPolicy.FLEXIBLE)   # not A's
+        runtime.fail_link(D, E)                 # a change, no teardown
+        assert monitor.poll() == []
+        runtime.fail_link(C, F)                 # tears both down
+        assert record.tunnel in runtime.torn_down
+        assert {e.destination for e in monitor.poll()} == {F}
 
     def test_other_ases_changes_ignored(self, runtime, monitor):
-        runtime.originate_all([F])
         monitor.poll()
         # B's route changes do not pend anything for A's monitor beyond
         # A's own change notifications
@@ -109,7 +140,6 @@ negotiation NEG
         policy = parse_config(config).requester
         monitor = PolicyMonitor(runtime, A, policy,
                                 watched_destinations={F})
-        runtime.originate_all([F])
         events = monitor.poll()
         # A's alternate ADEF avoids B, so actually the ACL admits it and
         # the policy is satisfied without any negotiation

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.errors import NegotiationError
-from repro.miro import ExportPolicy, MiroRuntime, RouteConstraint
+from repro.bgp.routing import compute_routes_reference
+from repro.errors import NegotiationError, SessionError, TopologyError
+from repro.miro import (
+    ExportPolicy, MiroRuntime, RouteConstraint, offered_routes,
+)
+from repro.miro.tunnels import TunnelTable
+from repro.session import SimulationSession
+from repro.topology import Relationship, TopologyDelta, generate_named
+from repro.verify.invariants import check_tunnel_consistency
 
 from conftest import A, B, C, D, E, F
 
@@ -11,7 +18,6 @@ from conftest import A, B, C, D, E, F
 @pytest.fixture
 def runtime(paper_graph):
     rt = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
-    rt.originate_all([F])
     return rt
 
 
@@ -38,19 +44,20 @@ class TestEstablishment:
         with pytest.raises(NegotiationError):
             runtime.establish(A, C, F, ExportPolicy.FLEXIBLE)
 
-    def test_offered_routes_live(self, runtime):
-        offers = runtime.offered_routes(B, F, ExportPolicy.EXPORT, toward=A)
+    def test_offers_come_from_the_sessions_table(self, runtime):
+        """What the runtime's own duplicate of ``offered_routes`` read
+        from the engine's Adj-RIB-In is the table's candidate set."""
+        table = runtime.table(F)
+        assert table is runtime.session.peek(F)
+        offers = offered_routes(table, B, ExportPolicy.EXPORT, toward=A)
         assert [r.path for r in offers] == [(B, C, F)]
-
-    def test_offered_routes_need_toward(self, runtime):
-        with pytest.raises(NegotiationError):
-            runtime.offered_routes(B, F, ExportPolicy.STRICT, toward=None)
+        record = runtime.establish(A, B, F, ExportPolicy.EXPORT)
+        assert record.tunnel.path == (B, C, F)
 
 
 class TestRouteChangeTeardown:
     def test_tunnel_survives_unrelated_failure(self, paper_graph):
         rt = MiroRuntime(paper_graph)
-        rt.originate_all([F])
         record = rt.establish(A, B, F, ExportPolicy.EXPORT,
                               RouteConstraint(avoid=(E,)))
         rt.fail_link(D, E)  # not involved in the tunnel
@@ -103,7 +110,6 @@ class TestSoftState:
         """§4.3: when A cannot reach B, the tear-down message cannot either
         — the downstream's soft state must clean up."""
         rt = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
-        rt.originate_all([F])
         record = rt.establish(A, B, F, ExportPolicy.EXPORT,
                               RouteConstraint(avoid=(E,)))
         tid = record.tunnel.tunnel_id
@@ -113,9 +119,123 @@ class TestSoftState:
         assert not rt.tunnels[B].has(tid)
 
 
+class TestGraphVersionTeardown:
+    """§4.3 follows the graph's version, whoever moved it."""
+
+    def test_mutation_behind_the_runtimes_back(self, runtime, paper_graph):
+        record = runtime.establish(A, B, F, ExportPolicy.EXPORT,
+                                   RouteConstraint(avoid=(E,)))
+        unrelated = TopologyDelta.link_down(D, E).apply(paper_graph)
+        assert runtime.live_tunnels() == [record]
+        # a revert restores an earlier version: the journal cannot say
+        # what changed, so everything is judged again — and still holds
+        unrelated.revert()
+        assert runtime.live_tunnels() == [record]
+        assert check_tunnel_consistency(runtime) == []
+        TopologyDelta.link_down(C, F).apply(paper_graph)
+        assert runtime.live_tunnels() == []
+        assert runtime.torn_down == [record.tunnel]
+        assert not runtime.tunnels[A].has(record.tunnel.tunnel_id)
+        assert not runtime.tunnels[B].has(record.tunnel.tunnel_id)
+        assert check_tunnel_consistency(runtime) == []
+
+    def test_shares_the_session_it_is_given(self, paper_graph):
+        with SimulationSession(paper_graph, parallel=False) as session:
+            runtime = MiroRuntime(paper_graph, session=session)
+            runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+            assert runtime.table(F) is session.peek(F)
+            runtime.fail_link(C, F)     # through the session's writer gate
+            assert not paper_graph.has_link(C, F)
+            assert runtime.table(F) is session.peek(F)
+            runtime.restore_link(C, F)
+            assert paper_graph.has_link(C, F)
+        with pytest.raises(SessionError):
+            MiroRuntime(paper_graph.copy(), session=session)
+
+    def test_restore_needs_a_failed_link(self, runtime):
+        with pytest.raises(TopologyError):
+            runtime.restore_link(C, F)
+        runtime.fail_link(C, F)
+        with pytest.raises(TopologyError):
+            runtime.fail_link(C, F)
+
+    def test_an_as_the_graph_gained_later_can_negotiate(self, paper_graph):
+        """Tunnel tables are made on first use, for any AS of the live
+        graph — not one per AS of the graph as it stood at construction."""
+        runtime = MiroRuntime(paper_graph)
+        assert runtime.tunnels == {}
+        newcomer = 7
+        joined = TopologyDelta.as_up(
+            newcomer, [(B, Relationship.PROVIDER)]
+        ).apply(paper_graph)
+        record = runtime.establish(newcomer, B, F, ExportPolicy.FLEXIBLE)
+        assert record is not None and record.tunnel.via_path == (newcomer, B)
+        assert sorted(runtime.tunnels) == [B, newcomer]
+        assert check_tunnel_consistency(runtime) == []
+        joined.revert()                 # and leaves again: torn down
+        assert runtime.live_tunnels() == []
+        assert check_tunnel_consistency(runtime) == []
+        with pytest.raises(TopologyError):
+            runtime.establish(newcomer, B, F, ExportPolicy.FLEXIBLE)
+
+
+class TestSameAnswersAsTheReference:
+    def test_bench_shaped_triples_at_verify_500(self):
+        """A seeded requester, its first hop toward a multi-homed stub,
+        that stub, under all three policies: the tunnel path and via
+        path are the ones ``compute_routes_reference`` dictates."""
+        import random
+
+        from repro.bgp.policy import exportable_route, may_export
+
+        graph = generate_named("verify-500", seed=0)
+        rng = random.Random(0)
+        runtime = MiroRuntime(graph)
+        checked = 0
+        for stub in rng.sample(sorted(graph.multihomed_stubs()), 8):
+            reference = compute_routes_reference(graph, stub)
+            triples = []
+            while len(triples) < 12:
+                requester = rng.choice(graph.ases)
+                path = reference.default_path(requester)
+                if path is not None and len(path) >= 3:
+                    triples.append((requester, path[1]))
+            for requester, responder in triples:
+                best = reference.best(responder)
+                learned = [
+                    offer for neighbor in graph.neighbors(responder)
+                    if (route := reference.best(neighbor)) is not None
+                    and (offer := exportable_route(graph, route, responder))
+                    and offer.path != best.path
+                    and requester not in offer.path
+                ]
+                for policy in ExportPolicy:
+                    pool = learned
+                    if policy is not ExportPolicy.FLEXIBLE:
+                        pool = [r for r in pool if may_export(
+                            graph, responder, requester, r.route_class)]
+                    if policy is ExportPolicy.STRICT:
+                        pool = [r for r in pool
+                                if r.route_class is best.route_class]
+                    expected = min(
+                        (r.path for r in pool),
+                        key=lambda p: (len(p), p), default=None,
+                    )
+                    record = runtime.establish(
+                        requester, responder, stub, policy)
+                    checked += 1
+                    if expected is None:
+                        assert record is None
+                        continue
+                    assert record.tunnel.path == expected
+                    assert record.tunnel.via_path == (requester, responder)
+        assert checked == 8 * 12 * 3
+        assert check_tunnel_consistency(runtime) == []
+
+
 class TestLiveTunnelGauge:
     """``repro_miro_live_tunnels`` is kept in O(1) — never by rescanning
-    the live list — and still equals ``len(live_tunnels())`` throughout."""
+    the live set — and still equals ``len(live_tunnels())`` throughout."""
 
     @staticmethod
     def _gauge():
@@ -126,7 +246,6 @@ class TestLiveTunnelGauge:
     def test_gauge_tracks_the_live_set_through_every_transition(self, runtime):
         def check():
             assert self._gauge() == len(runtime.live_tunnels())
-            assert len(runtime._live) == len(runtime.live_tunnels())
 
         for _ in range(3):
             runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
@@ -148,7 +267,7 @@ class TestLiveTunnelGauge:
         assert runtime.live_tunnels() == [kept] and self._gauge() == 1
         runtime.tick(11.0)                  # and now the last one
         check()
-        assert self._gauge() == 0 and runtime._live == []
+        assert self._gauge() == 0 and runtime.live_tunnels() == []
         with pytest.raises(NegotiationError):   # expired: no longer live
             runtime.heartbeat(A, kept.tunnel.tunnel_id)
 
@@ -163,3 +282,38 @@ class TestLiveTunnelGauge:
             assert runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
         assert calls == []
         assert self._gauge() == 5
+
+    def test_one_tunnel_among_ten_thousand(self, paper_graph, monkeypatch):
+        """10,000 establishes, then a heartbeat and a teardown of one
+        tunnel: neither touches another tunnel's record."""
+        runtime = MiroRuntime(paper_graph, heartbeat_timeout=1e9)
+        for _ in range(9_999):
+            runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)   # A-B + B-C-F
+        odd = runtime.establish(D, E, F, ExportPolicy.FLEXIBLE)  # D-E + E-C-F
+        assert odd.tunnel.path == (E, C, F)
+        assert self._gauge() == 10_000
+
+        refreshed, judged = [], []
+        beat = TunnelTable.heartbeat
+        valid = MiroRuntime._tunnel_still_valid
+        monkeypatch.setattr(
+            TunnelTable, "heartbeat",
+            lambda self, tid, now: refreshed.append((self.asn, tid))
+            or beat(self, tid, now),
+        )
+        monkeypatch.setattr(
+            MiroRuntime, "_tunnel_still_valid",
+            lambda self, record, table: judged.append(record)
+            or valid(self, record, table),
+        )
+        monkeypatch.setattr(
+            MiroRuntime, "live_tunnels",
+            lambda self: pytest.fail("walked the live set"),
+        )
+        runtime.heartbeat(D, odd.tunnel.tunnel_id)
+        assert sorted(refreshed) == [
+            (D, odd.tunnel.tunnel_id), (E, odd.tunnel.tunnel_id)]
+        # C-E carries only the odd tunnel, and no selected route toward F
+        assert runtime.fail_link(C, E) == [odd.tunnel]
+        assert judged == [odd]
+        assert self._gauge() == 9_999

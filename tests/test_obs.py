@@ -544,7 +544,6 @@ class TestNegotiationInstruments:
 class TestRuntimeInstruments:
     def test_tunnel_lifecycle_counters(self, paper_graph):
         runtime = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
-        runtime.originate_all([F])
         record = runtime.establish(A, E, F, ExportPolicy.FLEXIBLE)
         assert record is not None
         snap = get_registry().snapshot()

@@ -36,6 +36,7 @@ from repro.miro.runtime import MiroRuntime
 from repro.obs import get_registry
 from repro.topology.delta import TopologyDelta
 from repro.topology.generator import generate_named
+from repro.verify.invariants import check_tunnel_consistency
 
 import random
 
@@ -310,7 +311,7 @@ class TestServiceOps:
 
     def test_negotiate_through_runtime(self, paper_graph):
         async def main():
-            runtime = MiroRuntime(paper_graph, seed=1)
+            runtime = MiroRuntime(paper_graph)
             with SimulationSession(paper_graph, parallel=False) as session:
                 async with MiroService(session, runtime=runtime) as service:
                     # B (2) asks C (3) for an alternate toward F (6):
@@ -321,6 +322,142 @@ class TestServiceOps:
                     assert record.tunnel.path[-1] == 6
 
         asyncio.run(main())
+
+    def test_negotiated_tunnel_dies_with_the_link_under_it(self):
+        """ISSUE 22's sequence: the service's tables and the runtime's
+        used to be two states, and churn only ever reached the first —
+        the dead tunnel stayed live and was handed out again."""
+        graph = generate_named("small", seed=0)
+
+        def crosses_only_links_the_graph_has(tunnel):
+            hops = list(zip(tunnel.via_path, tunnel.via_path[1:]))
+            hops += zip(tunnel.path, tunnel.path[1:])
+            return all(graph.has_link(a, b) for a, b in hops)
+
+        async def main():
+            runtime = MiroRuntime(graph)
+            with SimulationSession(graph, parallel=False) as session:
+                async with MiroService(session, runtime=runtime) as service:
+                    assert runtime.session is session
+                    first = await service.negotiate(50, 6, 109)
+                    assert first.tunnel.path == (6, 1, 2, 18, 109)
+                    assert runtime.table(109) is await service.lookup(109)
+                    assert check_tunnel_consistency(runtime) == []
+
+                    applied = await service.apply_churn(
+                        TopologyDelta.link_down(6, 1).apply)
+                    assert runtime.live_tunnels() == []
+                    assert runtime.torn_down == [first.tunnel]
+                    assert check_tunnel_consistency(runtime) == []
+
+                    second = await service.negotiate(50, 6, 109)
+                    assert second.tunnel.path == (6, 4, 2, 18, 109)
+                    assert crosses_only_links_the_graph_has(second.tunnel)
+                    assert runtime.live_tunnels() == [second]
+                    assert check_tunnel_consistency(runtime) == []
+
+                    # the revert's fn returns None: only the graph's
+                    # journal can tell the runtime what changed
+                    await service.apply_churn(lambda g: applied.revert())
+                    assert check_tunnel_consistency(runtime) == []
+                    third = await service.negotiate(50, 6, 109)
+                    assert third.tunnel.path == first.tunnel.path
+                    assert check_tunnel_consistency(runtime) == []
+
+                    # and when nobody is told at all: a bare delta
+                    TopologyDelta.link_down(6, 1).apply(graph)
+                    fourth = await service.negotiate(50, 6, 109)
+                    assert fourth.tunnel.path == second.tunnel.path
+                    assert third.tunnel in runtime.torn_down
+                    assert check_tunnel_consistency(runtime) == []
+
+        asyncio.run(main())
+
+    def test_negotiate_never_settles_on_the_event_loop(self, small_graph):
+        """Misses go through admission; the re-check after churn runs on
+        a settle thread — the loop thread only ever peeks."""
+        loop_thread = threading.get_ident()
+        settled_on_loop = []
+        fill = SimulationSession._fill
+
+        def watched(self, *args, **kwargs):
+            if threading.get_ident() == loop_thread:
+                settled_on_loop.append(args)
+            return fill(self, *args, **kwargs)
+
+        destinations = small_graph.multihomed_stubs()[:6]
+
+        async def main():
+            runtime = MiroRuntime(small_graph)
+            with SimulationSession(small_graph, parallel=False) as session:
+                async with MiroService(session, runtime=runtime) as service:
+                    SimulationSession._fill = watched
+                    try:
+                        for round_ in range(3):
+                            for d in destinations:
+                                path = compute_routes_reference(
+                                    small_graph, d).default_path(
+                                        small_graph.ases[round_])
+                                if path is None or len(path) < 3:
+                                    continue
+                                await service.negotiate(path[0], path[1], d)
+                            stub = destinations[round_]
+                            await service.apply_churn(TopologyDelta.link_down(
+                                stub, small_graph.neighbors(stub)[0]).apply)
+                    finally:
+                        SimulationSession._fill = fill
+                    assert runtime.live_tunnels()
+                    assert check_tunnel_consistency(runtime) == []
+            return runtime
+
+        runtime = asyncio.run(main())
+        assert runtime.torn_down
+        assert settled_on_loop == []
+
+    def test_negotiate_sheds_and_rejects_like_lookup(self, small_graph):
+        config = ServiceConfig(max_batch=1, max_delay=0.5, max_pending=1,
+                               retry_after=0.05, settle_threads=1)
+
+        async def main():
+            runtime = MiroRuntime(small_graph)
+            with SimulationSession(small_graph, parallel=False) as session:
+                async with MiroService(session, config, runtime) as service:
+                    with pytest.raises(UnknownASError):
+                        await service.negotiate(1, 2, 10 ** 6)
+                    a, b = small_graph.ases[:2]
+                    results = await asyncio.gather(
+                        service.lookup(a), service.negotiate(1, 2, b),
+                        return_exceptions=True,
+                    )
+                    assert isinstance(results[1], ServiceOverloadError)
+                    assert _REQUESTS.labels(
+                        op="negotiate", outcome="shed").value == 1
+
+        asyncio.run(main())
+
+    def test_an_as_that_joined_through_churn_can_negotiate(self, paper_graph):
+        """Used to be answered "AS 7 is not in the topology" — by the
+        engine's node table, built from the graph as it first stood."""
+        from repro.topology import Relationship
+
+        async def main():
+            runtime = MiroRuntime(paper_graph)
+            with SimulationSession(paper_graph, parallel=False) as session:
+                async with MiroService(session, runtime=runtime) as service:
+                    await service.apply_churn(TopologyDelta.as_up(
+                        7, [(2, Relationship.PROVIDER)]).apply)
+                    return await handle_request(service, {
+                        "op": "negotiate", "requester": 7, "responder": 2,
+                        "destination": 6})
+
+        assert asyncio.run(main()) == {
+            "ok": True, "established": True, "tunnel_id": 1,
+            "path": [2, 3, 6]}
+
+    def test_runtime_over_another_graph_is_rejected(self, tiny_graph):
+        with SimulationSession(tiny_graph, parallel=False) as session:
+            with pytest.raises(ServiceError):
+                MiroService(session, runtime=MiroRuntime(tiny_graph.copy()))
 
     def test_info_is_json_ready(self, tiny_graph):
         async def main():
@@ -398,7 +535,7 @@ class TestProtocol:
     ):
         """``int()`` used to answer 2.9 for AS 2 and ``true`` for AS 1."""
         [response] = self.run(
-            paper_graph, [request_], runtime=MiroRuntime(paper_graph, seed=1)
+            paper_graph, [request_], runtime=MiroRuntime(paper_graph)
         )
         assert response["ok"] is False
         assert response["error"].startswith("bad request")
@@ -412,7 +549,7 @@ class TestProtocol:
         assert responses[0]["path"] == [1, 2, 5, 6]
 
     def test_negotiate_op(self, paper_graph):
-        runtime = MiroRuntime(paper_graph, seed=1)
+        runtime = MiroRuntime(paper_graph)
         [response] = self.run(
             paper_graph,
             [{"op": "negotiate", "requester": 2, "responder": 3,
@@ -878,7 +1015,7 @@ class TestWorkload:
 
     def test_negotiations_happen(self, small_graph):
         async def main():
-            runtime = MiroRuntime(small_graph, seed=3)
+            runtime = MiroRuntime(small_graph)
             with SimulationSession(small_graph, parallel=False) as session:
                 async with MiroService(session, runtime=runtime) as service:
                     config = WorkloadConfig(

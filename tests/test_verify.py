@@ -139,16 +139,16 @@ class TestTunnelConsistency:
         from repro.miro.policies import ExportPolicy
         from repro.miro.runtime import MiroRuntime
 
-        runtime = MiroRuntime(small_graph, seed=0)
+        runtime = MiroRuntime(small_graph)
         destination = small_graph.ases[0]
-        runtime.originate_all([destination])
         record = None
+        reference = compute_routes_reference(small_graph, destination)
         for asn in small_graph.ases:
-            best = runtime.engine.best(asn, destination)
-            if best is None or len(best.path) < 3:
+            path = reference.default_path(asn)
+            if path is None or len(path) < 3:
                 continue
             record = runtime.establish(
-                asn, best.path[1], destination, ExportPolicy.FLEXIBLE
+                asn, path[1], destination, ExportPolicy.FLEXIBLE
             )
             if record is not None:
                 break

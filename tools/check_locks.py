@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI guard: nothing slow ever runs under the session lock.
+"""CI guard: nothing slow ever runs under the session or runtime lock.
 
 :class:`repro.session.core.SessionCore` promises in its module
 docstring that settling (``compute_routes`` / ``recompute_routes`` /
@@ -11,6 +11,11 @@ classifies lookups, moves OrderedDict entries and bumps counters.  The
 serving plane's event loop leans on that: a warm ``peek`` is a dict
 read, so thousands of lookups per second share the lock without
 convoying, and a settling thread can never hold every reader hostage.
+
+:class:`repro.miro.runtime.MiroRuntime` is under the same guard:
+``establish`` runs on the serving event loop, so a thread that settled a
+table (``session.compute`` / ``compute_many``) while holding the
+runtime's lock would stall every connection behind one negotiation.
 
 A refactor that drags a settle call inside a ``with self._lock:`` block
 would pass every functional test (the answers stay right, only the
@@ -36,15 +41,19 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Files whose ``with self._lock:`` blocks are under the guard.
 GUARDED_FILES = (
     "src/repro/session/core.py",
+    "src/repro/miro/runtime.py",
 )
 
-#: Terminal callee names that must never run under the session lock:
-#: the settling entry points, the batch helpers that wrap them, the
+#: Terminal callee names that must never run under a guarded lock: the
+#: settling entry points (a session's ``compute`` / ``compute_many``
+#: included), the batch helpers that wrap them, the
 #: O(n) expansion of a route tree into its dict (``mutate()`` runs
 #: caller code under the lock), the O(links) derivation of a topology
 #: snapshot (every warm ``peek`` would wait behind it), and the pool's
 #: publication / submission calls.
 SLOW_CALLS = frozenset({
+    "compute",
+    "compute_many",
     "compute_routes",
     "compute_routes_reference",
     "recompute_routes",
@@ -131,7 +140,7 @@ def check_source(source: str, path: str = "<string>") -> List[Tuple[str, int, st
 def main() -> int:
     violations = find_lock_violations()
     if violations:
-        print("slow calls under the session lock:")
+        print("slow calls under a guarded lock:")
         for path, line, call in violations:
             print(f"  {path}:{line}: {call}() must run with the lock "
                   f"released — see the SessionCore lock discipline")
