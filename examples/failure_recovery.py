@@ -33,7 +33,7 @@ def main() -> None:
 
     runtime = MiroRuntime(graph, heartbeat_timeout=30.0)
     print(f"A's default path to F: "
-          f"{pretty(runtime.table(F).default_path(A))}")
+          f"{pretty(runtime.session.compute(F).default_path(A))}")
 
     record = runtime.establish(
         A, B, F, ExportPolicy.EXPORT, RouteConstraint(avoid=(E,)),

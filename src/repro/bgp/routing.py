@@ -308,6 +308,9 @@ class RoutingTable:
         else:
             self._tree = None
             self._routes = best
+        # candidates() memo: (graph version enumerated at, asn -> routes),
+        # allocated by the first call
+        self._learned: Optional[Tuple[int, Dict[int, List[Route]]]] = None
 
     @property
     def _best(self) -> Dict[int, Route]:
@@ -360,17 +363,22 @@ class RoutingTable:
         advertisement and whose best path does not already contain ``asn``.
         The AS's own selected route is among them.
 
-        Enumerated once per AS, against the graph as it stands then (the
-        state a session serves this table at), and kept with the table:
-        the live runtime asks a transit AS for the same set on every
-        negotiation.  Every call returns a fresh list.
+        Enumerated once per AS and graph version and kept with the
+        table — the live runtime asks a transit AS for the same set on
+        every negotiation.  The set is read off the live graph, so what
+        is kept is dropped when :attr:`ASGraph.version` is not the one it
+        was enumerated at (a table held across a mutation answers
+        against the changed graph, and against the restored one after a
+        revert).  Every call returns a fresh list.
         """
-        if asn not in self._graph:
+        graph = self._graph
+        if asn not in graph:
             raise UnknownASError(asn)
-        # the memo is an attribute from the first call on: most tables
-        # are never negotiated over and carry nothing for it
-        memo = self.__dict__.setdefault("_learned", {})
-        learned = memo.get(asn)
+        version = graph.version
+        memo = self._learned
+        if memo is None or memo[0] != version:
+            memo = self._learned = (version, {})
+        learned = memo[1].get(asn)
         if learned is not None:
             return list(learned)
         learned = []
@@ -378,14 +386,15 @@ class RoutingTable:
             learned.append(self._best[asn])
         else:
             # through the memoized snapshot: ASGraph.neighbors' order
-            for neighbor in self._graph.snapshot().neighbors_asn(asn):
+            for neighbor in graph.snapshot().neighbors_asn(asn):
                 route = self._best.get(neighbor)
                 if route is None:
                     continue
-                candidate = exportable_route(self._graph, route, asn)
+                candidate = exportable_route(graph, route, asn)
                 if candidate is not None:
                     learned.append(candidate)
-        memo[asn] = learned  # complete before it is published
+        if graph.version == version:  # else enumerated across a mutation
+            memo[1][asn] = learned
         return list(learned)
 
     def items(self) -> Iterator[Tuple[int, Route]]:

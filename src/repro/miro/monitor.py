@@ -99,7 +99,8 @@ class PolicyMonitor:
         return produced
 
     def _check_destination(self, destination: int) -> List[MonitorEvent]:
-        candidates = self.runtime.table(destination).candidates(self.asn)
+        table = self.runtime.session.compute(destination)
+        candidates = table.candidates(self.asn)
         # tunnels the AS already holds count as satisfying routes
         tunnel_routes = self._tunnel_routes(destination)
         spec = self.policy.should_negotiate(
@@ -155,7 +156,8 @@ class PolicyMonitor:
     def _responders_for(self, destination: int, spec: NegotiationSpec) -> List[int]:
         """ASes between us and the avoided AS on any candidate path."""
         responders: List[int] = []
-        for candidate in self.runtime.table(destination).candidates(self.asn):
+        table = self.runtime.session.compute(destination)
+        for candidate in table.candidates(self.asn):
             path = candidate.path
             cutoffs = [
                 path.index(asn) for asn in spec.avoid if asn in path

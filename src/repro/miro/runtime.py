@@ -19,6 +19,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..bgp.route import Route
 from ..bgp.routing import RoutingTable, affected_ases
 from ..errors import NegotiationError, ReproError, TopologyError, UnknownASError
 from ..obs import get_logger, get_registry, get_tracer
@@ -56,9 +57,10 @@ _MSG_ACCEPT = MESSAGES_TOTAL.labels(kind="accept")
 _MSG_GRANT = MESSAGES_TOTAL.labels(kind="grant")
 
 
-class TableNotCached(ReproError):
-    """A ``settle=False`` call needed tables the session may not hold at
-    the current graph version; the caller settles them and asks again."""
+class StaleTable(ReproError):
+    """:meth:`MiroRuntime.establish` was handed a table the graph has
+    moved past, or a re-check of the live tunnels is due first: run
+    :meth:`MiroRuntime.revalidate`, fetch the table again, and retry."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,24 @@ class EstablishedTunnel:
     requester: int
     responder: int
     destination: int
+
+
+class _EstablishFlight:
+    """One in-flight negotiation for a (requester, destination) pair.
+
+    Concurrent :meth:`MiroRuntime.establish` calls with the *same*
+    request arguments share the leader's outcome; calls with different
+    arguments on the same pair serialize behind it (negotiating against
+    the post-flight tunnel state).
+    """
+
+    __slots__ = ("signature", "event", "result", "error")
+
+    def __init__(self, signature: Tuple) -> None:
+        self.signature = signature
+        self.event = threading.Event()
+        self.result: Optional[EstablishedTunnel] = None
+        self.error: Optional[BaseException] = None
 
 
 #: A live tunnel's identity: ``(requester, tunnel id)``.
@@ -115,25 +135,18 @@ class MiroRuntime:
         # only while the destination has live tunnels).
         self._validated = graph.version
         self._tables: Dict[int, RoutingTable] = {}
-        self._failed: Dict[LinkKey, AppliedDelta] = {}
+        #: link -> (the failure's transaction, the repair captured before it)
+        self._failed: Dict[LinkKey, Tuple[AppliedDelta, TopologyDelta]] = {}
         # Guards every tunnel-table mutation and the live-set indexes;
         # no table is settled under it (tools/check_locks.py):
-        # establish() runs on the service's event loop.
+        # establish() runs on the service's event loop.  Negotiations
+        # are single-flight per (requester, destination).
         self._lock = threading.RLock()
+        self._establish_flights: Dict[Tuple[int, int], _EstablishFlight] = {}
 
     def attach(self, session: SessionCore) -> None:
         """Read routing tables from ``session`` from now on."""
         self.session = ensure_session(self.graph, session)
-
-    def table(self, destination: int, settle: bool = True) -> RoutingTable:
-        """The session's table for ``destination`` at the current graph
-        version; with ``settle=False`` a miss is a :class:`TableNotCached`."""
-        if settle:
-            return self.session.compute(destination)
-        table = self.session.peek(destination)
-        if table is None:
-            raise TableNotCached(destination)
-        return table
 
     def _tunnel_table(self, asn: int) -> TunnelTable:
         state = self.tunnels.get(asn)
@@ -146,6 +159,15 @@ class MiroRuntime:
     # ------------------------------------------------------------------
     # negotiation against live state
     # ------------------------------------------------------------------
+    def offered_routes(
+        self, responder: int, destination: int, policy: ExportPolicy,
+        toward: Optional[int],
+    ) -> List[Route]:
+        """The responder's current alternates under ``policy`` (§3.4),
+        from the session's table at the current graph version."""
+        table = self.session.compute(destination)
+        return offered_routes(table, responder, policy, toward)
+
     def establish(
         self,
         requester: int,
@@ -153,23 +175,77 @@ class MiroRuntime:
         destination: int,
         policy: ExportPolicy,
         constraint: Optional[RouteConstraint] = None,
-        settle: bool = True,
+        table: Optional[RoutingTable] = None,
     ) -> Optional[EstablishedTunnel]:
         """Negotiate and install a tunnel, or return None if no offer fits.
 
         The via path is the requester's *current* route to the responder
         (truncated default path toward the destination when the responder
         lies on it, else the direct link).  Live tunnels are re-checked
-        first if the graph changed (:meth:`revalidate`).  With
-        ``settle=False`` nothing is computed: a due re-check, or a table
-        the session does not hold, is a :class:`TableNotCached`.
-        Thread-safe; every call negotiates its own tunnel.
+        first if the graph changed (:meth:`revalidate`) and the session's
+        table for ``destination`` is read — unless the caller brings that
+        ``table`` because it must not settle here (the service's event
+        loop): then nothing is computed, and a table the graph has moved
+        past, or a due re-check, is a :class:`StaleTable`.
+
+        Thread-safe and single-flight per (requester, destination):
+        concurrent identical requests (same responder/policy/constraint,
+        same ``table``) share one negotiation and one installed tunnel —
+        the concurrent analogue of "the AS already asked for this path" —
+        while differing concurrent requests on the pair serialize.
+        Sequential calls are unaffected: each still negotiates its own
+        tunnel.
         """
+        key = (requester, destination)
+        signature = (responder, policy, constraint, table)
+        while True:
+            with self._lock:
+                flight = self._establish_flights.get(key)
+                if flight is None:
+                    flight = _EstablishFlight(signature)
+                    self._establish_flights[key] = flight
+                    break
+            flight.event.wait()
+            if flight.signature == signature:
+                if flight.error is not None:
+                    raise flight.error
+                return flight.result
+            # a different request for the same pair was in flight:
+            # loop and negotiate against the post-flight state
+        try:
+            record = self._establish(
+                requester, responder, destination, policy, constraint, table
+            )
+            flight.result = record
+            return record
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                self._establish_flights.pop(key, None)
+            flight.event.set()
+
+    def _establish(
+        self,
+        requester: int,
+        responder: int,
+        destination: int,
+        policy: ExportPolicy,
+        constraint: Optional[RouteConstraint],
+        given: Optional[RoutingTable] = None,
+    ) -> Optional[EstablishedTunnel]:
         graph = self.graph
         while True:
             version = graph.version
-            self.revalidate(settle)
-            table = self.table(destination, settle)
+            if given is None:
+                self.revalidate()
+                table = self.session.compute(destination)
+            elif (self._validated == version
+                    and self.session.peek(destination) is given):
+                table = given
+            else:
+                raise StaleTable(destination)
             if graph.version != version:
                 continue  # the graph moved under the reads: start over
             default = table.default_path(requester)
@@ -291,7 +367,7 @@ class MiroRuntime:
         except UnknownASError:
             return False  # an endpoint left the topology
 
-    def revalidate(self, settle: bool = True) -> List[Tunnel]:
+    def revalidate(self) -> List[Tunnel]:
         """Tear down tunnels the graph's changes since the last check
         invalidated (§4.3); return them.
 
@@ -310,8 +386,6 @@ class MiroRuntime:
                 return []
             with self._lock:
                 wanted = [d for d in self._by_destination if d in graph]
-            if wanted and not settle:
-                raise TableNotCached(wanted)
             tables = self.session.compute_many(wanted)
             changed = graph.changed_links_since(since)
             with self._lock:
@@ -376,20 +450,31 @@ class MiroRuntime:
         """Fail a link through the session's writer gate and re-check
         tunnels (§4.3); returns the tunnels torn down."""
         with _TRACER.span("miro_fail_link", a=a, b=b) as span:
-            self._failed[link_key(a, b)] = self.session.mutate(
-                TopologyDelta.link_down(a, b).apply
-            )
+            # the repair records the relationship while the link exists
+            repair = TopologyDelta.link_restore(self.graph, a, b)
+            applied = self.session.mutate(TopologyDelta.link_down(a, b).apply)
+            self._failed[link_key(a, b)] = (applied, repair)
             torn = self.revalidate()
             span.set(torn_down=len(torn))
         return torn
 
     def restore_link(self, a: int, b: int) -> List[Tunnel]:
-        """Bring back a link :meth:`fail_link` took down (most recent
-        first: a restore reverts the failure's delta)."""
-        applied = self._failed.get(link_key(a, b))
-        if applied is None:
+        """Bring back a link :meth:`fail_link` took down, in any order:
+        the failure is reverted while it is the graph's latest change
+        (the earlier version's cached tables serve again), and repaired
+        by a fresh ``link_up`` once other changes came after it."""
+        failed = self._failed.get(link_key(a, b))
+        if failed is None:
             raise TopologyError(f"link {a}—{b} is not down")
-        self.session.mutate(lambda graph: applied.revert())
+        applied, repair = failed
+
+        def restore(graph: ASGraph) -> None:
+            if graph.version == applied.version_after:
+                applied.revert()
+            else:
+                repair.apply(graph)
+
+        self.session.mutate(restore)
         del self._failed[link_key(a, b)]
         return self.revalidate()
 

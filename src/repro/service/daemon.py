@@ -56,7 +56,7 @@ from typing import Callable, Deque, Dict, Optional, Set
 from ..bgp.routing import RoutingTable
 from ..errors import ServiceError, ServiceOverloadError, UnknownASError
 from ..miro.policies import ExportPolicy
-from ..miro.runtime import EstablishedTunnel, MiroRuntime, TableNotCached
+from ..miro.runtime import EstablishedTunnel, MiroRuntime, StaleTable
 from ..obs import (
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
@@ -393,11 +393,12 @@ class MiroService:
         """Negotiate a MIRO tunnel through the live runtime.
 
         Requires the service to have been constructed with a
-        :class:`MiroRuntime`.  The establish runs on the event loop
-        and never settles there: when the core lacks a table it needs,
-        the destination's is filled through the admission path
-        :meth:`lookup` uses, the §4.3 re-check of live tunnels (due when
-        the graph moved) runs on a settle thread, and it is asked again.
+        :class:`MiroRuntime`.  The destination's table comes through the
+        admission path :meth:`lookup` uses; the establish runs on the
+        event loop against that table and never settles there.  When the
+        graph moved — before the request, or under it — the §4.3 re-check
+        of live tunnels runs on a settle thread and the request starts
+        over.
         """
         start = time.perf_counter()
         runtime = self.runtime
@@ -407,18 +408,18 @@ class MiroService:
         try:
             while True:
                 self._check_accepting("negotiate")
+                table = self.core.peek(destination)
+                if table is None:
+                    table = await self._admit(destination)
                 try:
-                    record = runtime.establish(  # no constraint, no settle
-                        requester, responder, destination, policy, None, False
+                    record = runtime.establish(
+                        requester, responder, destination, policy, None, table
                     )
                     break
-                except TableNotCached:
-                    if self.core.peek(destination) is None:
-                        await self._admit(destination)
-                    else:  # so it is the re-check that is due
-                        await self._loop.run_in_executor(
-                            self._executor, runtime.revalidate
-                        )
+                except StaleTable:
+                    await self._loop.run_in_executor(
+                        self._executor, runtime.revalidate
+                    )
         except ServiceOverloadError:
             _REQUESTS.labels(op="negotiate", outcome="shed").inc()
             raise

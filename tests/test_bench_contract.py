@@ -148,9 +148,10 @@ def test_tracing_patch_points_and_answer_framing():
     answers = len(report["lines"])
     assert calls["service.server:handle_request"] == answers
     assert calls["service.server:decode"] == answers
-    # one establish per negotiation — each finds its table cached by the
-    # lookup before it, the second at a new graph version
-    assert calls["miro.runtime:establish"] == 2
+    # each negotiation finds its table cached by the lookup before it; the
+    # second, at a new graph version, is refused once (the re-check of
+    # live tunnels is due, and runs off the loop) and asked again
+    assert calls["miro.runtime:establish"] == 1 + 2
     assert calls["service.daemon:negotiate"] == 2
     # all encoding is inside the traced ``dumps``: three dict answers, two
     # table bodies (the fill and the derived table; the warm answer

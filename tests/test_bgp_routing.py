@@ -80,6 +80,30 @@ class TestPaperWalkthrough:
         table = compute_routes(paper_graph, F)
         assert [r.path for r in table.candidates(F)] == [(F,)]
 
+    def test_candidates_are_kept_per_as_and_handed_out_fresh(self, paper_graph):
+        table = compute_routes(paper_graph, F)
+        first = table.candidates(B)
+        first.clear()                   # the caller's own list
+        again = table.candidates(B)
+        assert {r.path for r in again} == {(B, E, F), (B, C, F)}
+        assert all(x is y for x, y in zip(again, table.candidates(B)))
+
+    def test_candidates_kept_at_one_version_never_answer_another(
+        self, paper_graph
+    ):
+        """A table held across a mutation reads the changed graph; what
+        it enumerated then must not survive the revert."""
+        table = compute_routes(paper_graph, F)
+        applied = TopologyDelta.link_down(B, C).apply(paper_graph)
+        assert {r.path for r in table.candidates(B)} == {(B, E, F)}
+        applied.revert()
+        for asn in paper_graph.ases:
+            assert table.candidates(asn) == compute_routes_reference(
+                paper_graph, F
+            ).candidates(asn)
+        applied.reapply()               # and the other way round
+        assert {r.path for r in table.candidates(B)} == {(B, E, F)}
+
     def test_unknown_destination(self, paper_graph):
         with pytest.raises(UnknownASError):
             compute_routes(paper_graph, 99)

@@ -1,9 +1,10 @@
-"""Concurrent MIRO negotiation: tunnel-table safety under threads.
+"""Concurrent MIRO negotiation: tunnel-table safety and single-flight.
 
 The §4.3 runtime mutates shared tunnel tables (id allocator, both
 endpoints' installs, the live-set indexes) — these tests hammer
 ``establish`` from many threads, against maintenance and against a graph
-that keeps changing, and assert the tables stay consistent.
+that keeps changing, and assert the tables stay consistent and identical
+concurrent requests share one negotiation.
 """
 
 from __future__ import annotations
@@ -28,11 +29,27 @@ def run_all(threads):
 
 
 class TestConcurrentEstablish:
-    def test_identical_concurrent_requests_each_get_a_tunnel(self, paper_graph):
-        """No single-flight any more (the serving plane establishes on
-        its event loop, one at a time): a request is a tunnel, and the
-        installs — id draw, both ends, the three indexes — are atomic."""
+    def test_identical_concurrent_requests_share_one_tunnel(self, paper_graph):
+        """Requests arriving while a negotiation is in flight join it.
+
+        The leader's negotiation is blocked on an event so the eleven
+        followers deterministically find its flight registered — a bare
+        barrier is not enough, a sub-millisecond negotiation finishes
+        before the next thread even checks.
+        """
         runtime = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
+        real_establish = runtime._establish
+        entered = threading.Event()
+        release = threading.Event()
+        negotiations = []
+
+        def slow_establish(*args):
+            negotiations.append(args)
+            entered.set()
+            assert release.wait(JOIN_TIMEOUT)
+            return real_establish(*args)
+
+        runtime._establish = slow_establish
         records = []
 
         def establish():
@@ -40,15 +57,29 @@ class TestConcurrentEstablish:
                 A, B, F, ExportPolicy.EXPORT, RouteConstraint(avoid=(E,))
             ))
 
-        run_all([
-            threading.Thread(target=establish, name=f"same-{i}")
-            for i in range(12)
-        ])
-        assert len({r.tunnel.tunnel_id for r in records}) == 12
-        assert len(runtime.live_tunnels()) == 12
-        for record in records:
-            assert runtime.tunnels[A].has(record.tunnel.tunnel_id)
-            assert runtime.tunnels[B].has(record.tunnel.tunnel_id)
+        leader = threading.Thread(target=establish, name="leader")
+        leader.start()
+        assert entered.wait(JOIN_TIMEOUT)
+        followers = [
+            threading.Thread(target=establish, name=f"follower-{i}")
+            for i in range(11)
+        ]
+        for thread in followers:
+            thread.start()
+        import time
+        time.sleep(0.05)  # let every follower reach the flight wait
+        release.set()
+        for thread in [leader, *followers]:
+            thread.join(timeout=JOIN_TIMEOUT)
+        assert not any(t.is_alive() for t in [leader, *followers])
+        assert len(records) == 12
+        assert all(r is not None for r in records)
+        assert len(negotiations) == 1, "followers must share the flight"
+        assert all(r is records[0] for r in records)
+        assert len(runtime.live_tunnels()) == 1
+        assert runtime.tunnels[A].has(records[0].tunnel.tunnel_id)
+        assert runtime.tunnels[B].has(records[0].tunnel.tunnel_id)
+        assert runtime._establish_flights == {}
 
     def test_distinct_pairs_negotiate_independently(self, paper_graph):
         runtime = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
@@ -88,7 +119,9 @@ class TestConcurrentEstablish:
         def negotiate(i):
             destination = destinations[i % len(destinations)]
             requester = graph.ases[10 + i]
-            path = runtime.table(destination).default_path(requester)
+            path = runtime.session.compute(destination).default_path(
+                requester
+            )
             if path is None or len(path) < 2:
                 return
             try:
@@ -124,7 +157,7 @@ class TestConcurrentEstablish:
                 record.tunnel.tunnel_id
             )
 
-    def test_failed_negotiations_leave_the_runtime_usable(self, paper_graph):
+    def test_failed_negotiation_releases_flight(self, paper_graph):
         from repro.errors import NegotiationError
 
         runtime = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
@@ -142,13 +175,15 @@ class TestConcurrentEstablish:
             for i in range(6)
         ])
         assert len(errors) == 6
+        assert runtime._establish_flights == {}
         # the runtime still negotiates fine afterwards
         record = runtime.establish(
             A, B, F, ExportPolicy.EXPORT, RouteConstraint(avoid=(E,))
         )
         assert record is not None
 
-    def test_sequential_requests_get_separate_tunnels(self, paper_graph):
+    def test_sequential_requests_still_get_separate_tunnels(self, paper_graph):
+        """Single-flight must not dedupe *sequential* negotiations."""
         runtime = MiroRuntime(paper_graph, heartbeat_timeout=10.0)
         first = runtime.establish(
             A, B, F, ExportPolicy.EXPORT, RouteConstraint(avoid=(E,))

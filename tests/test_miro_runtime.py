@@ -7,6 +7,7 @@ from repro.errors import NegotiationError, SessionError, TopologyError
 from repro.miro import (
     ExportPolicy, MiroRuntime, RouteConstraint, offered_routes,
 )
+from repro.miro.runtime import StaleTable
 from repro.miro.tunnels import TunnelTable
 from repro.session import SimulationSession
 from repro.topology import Relationship, TopologyDelta, generate_named
@@ -44,15 +45,18 @@ class TestEstablishment:
         with pytest.raises(NegotiationError):
             runtime.establish(A, C, F, ExportPolicy.FLEXIBLE)
 
-    def test_offers_come_from_the_sessions_table(self, runtime):
-        """What the runtime's own duplicate of ``offered_routes`` read
-        from the engine's Adj-RIB-In is the table's candidate set."""
-        table = runtime.table(F)
-        assert table is runtime.session.peek(F)
-        offers = offered_routes(table, B, ExportPolicy.EXPORT, toward=A)
+    def test_offered_routes_live(self, runtime):
+        offers = runtime.offered_routes(B, F, ExportPolicy.EXPORT, toward=A)
         assert [r.path for r in offers] == [(B, C, F)]
+        # read from the session's table, which is what establish offers
+        table = runtime.session.peek(F)
+        assert offers == offered_routes(table, B, ExportPolicy.EXPORT, A)
         record = runtime.establish(A, B, F, ExportPolicy.EXPORT)
         assert record.tunnel.path == (B, C, F)
+
+    def test_offered_routes_need_toward(self, runtime):
+        with pytest.raises(NegotiationError):
+            runtime.offered_routes(B, F, ExportPolicy.STRICT, toward=None)
 
 
 class TestRouteChangeTeardown:
@@ -142,15 +146,46 @@ class TestGraphVersionTeardown:
     def test_shares_the_session_it_is_given(self, paper_graph):
         with SimulationSession(paper_graph, parallel=False) as session:
             runtime = MiroRuntime(paper_graph, session=session)
+            assert runtime.session is session
+            before = paper_graph.version
             runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
-            assert runtime.table(F) is session.peek(F)
+            table = session.peek(F)     # the runtime filled the session
+            assert table is not None
             runtime.fail_link(C, F)     # through the session's writer gate
             assert not paper_graph.has_link(C, F)
-            assert runtime.table(F) is session.peek(F)
-            runtime.restore_link(C, F)
+            assert session.peek(F) is not table  # the re-check settled
+            runtime.restore_link(C, F)  # a revert: the old table serves
             assert paper_graph.has_link(C, F)
+            assert paper_graph.version == before
+            assert session.peek(F) is table
         with pytest.raises(SessionError):
             MiroRuntime(paper_graph.copy(), session=session)
+
+    def test_a_table_the_caller_brings_is_never_settled_for(
+        self, runtime, paper_graph, monkeypatch
+    ):
+        """The service's event loop hands ``establish`` the table: then
+        nothing is computed, and a table the graph moved past — or a
+        re-check that is due — is refused, not repaired on the spot."""
+        table = runtime.session.compute(F)
+        monkeypatch.setattr(
+            type(runtime.session), "_fill",
+            lambda *args, **kwargs: pytest.fail("settled"),
+        )
+        record = runtime.establish(A, B, F, ExportPolicy.FLEXIBLE, None, table)
+        assert record.tunnel.path == (B, C, F)
+        TopologyDelta.link_down(C, F).apply(paper_graph)
+        with pytest.raises(StaleTable):  # the re-check is due
+            runtime.establish(A, B, F, ExportPolicy.FLEXIBLE, None, table)
+        monkeypatch.undo()
+        assert runtime.revalidate() == [record.tunnel]
+        with pytest.raises(StaleTable):  # and the table is the old version's
+            runtime.establish(A, B, F, ExportPolicy.FLEXIBLE, None, table)
+        current = runtime.session.compute(F)
+        assert runtime.establish(
+            A, B, F, ExportPolicy.FLEXIBLE, None, current
+        ) is None
+        assert runtime.live_tunnels() == []
 
     def test_restore_needs_a_failed_link(self, runtime):
         with pytest.raises(TopologyError):
@@ -158,6 +193,27 @@ class TestGraphVersionTeardown:
         runtime.fail_link(C, F)
         with pytest.raises(TopologyError):
             runtime.fail_link(C, F)
+
+    def test_links_are_restored_in_any_order(self, runtime, paper_graph):
+        """A failure that is no longer the graph's latest change cannot
+        be reverted; its link comes back all the same."""
+        relationship = paper_graph.relationship(C, F)
+        runtime.fail_link(C, F)
+        runtime.fail_link(D, E)
+        runtime.restore_link(C, F)      # first in, first out
+        assert paper_graph.relationship(C, F) is relationship
+        assert not paper_graph.has_link(D, E)
+        record = runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+        assert record.tunnel.path == (B, C, F)
+        runtime.fail_link(C, F)
+        assert runtime.torn_down == [record.tunnel]
+        TopologyDelta.link_down(A, D).apply(paper_graph)  # someone else
+        runtime.restore_link(D, E)
+        runtime.restore_link(C, F)
+        assert paper_graph.has_link(D, E) and paper_graph.has_link(C, F)
+        with pytest.raises(TopologyError):
+            runtime.restore_link(C, F)
+        assert check_tunnel_consistency(runtime) == []
 
     def test_an_as_the_graph_gained_later_can_negotiate(self, paper_graph):
         """Tunnel tables are made on first use, for any AS of the live

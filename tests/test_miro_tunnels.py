@@ -111,7 +111,30 @@ class TestSoftState:
         assert table.has(2)
 
 
-class TestQueries:
+class TestRouteChangeTeardown:
+    def test_upstream_tears_down_on_via_change(self):
+        # §4.3: "AS A will tear down the tunnel if the path AB changes"
+        table = TunnelTable(asn=1)
+        tunnel = make_tunnel()
+        table.install(tunnel)
+        stale = table.invalidate_on_route_change((1, 2))
+        assert stale == [tunnel]
+        assert not table.has(1)
+
+    def test_downstream_tears_down_on_path_failure(self):
+        # "AS B will tear down the tunnel if the path BCF ... fails"
+        table = TunnelTable(asn=2)
+        tunnel = make_tunnel()
+        table.install(tunnel)
+        stale = table.invalidate_on_route_change((2, 3, 6))
+        assert stale == [tunnel]
+
+    def test_unrelated_change_is_ignored(self):
+        table = TunnelTable(asn=2)
+        table.install(make_tunnel())
+        assert table.invalidate_on_route_change((9, 8)) == []
+        assert table.has(1)
+
     def test_tunnels_to_destination(self):
         table = TunnelTable(asn=2)
         table.install(make_tunnel(tunnel_id=1))

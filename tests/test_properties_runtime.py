@@ -42,7 +42,7 @@ def scenarios(draw):
 
 def _negotiate_some(runtime, graph, destination):
     """A tunnel from every source, negotiated with its next hop."""
-    table = runtime.table(destination)
+    table = runtime.session.compute(destination)
     for source in list(graph.iter_ases()):
         path = table.default_path(source)
         if path is None or len(path) < 3:

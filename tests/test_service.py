@@ -341,7 +341,7 @@ class TestServiceOps:
                     assert runtime.session is session
                     first = await service.negotiate(50, 6, 109)
                     assert first.tunnel.path == (6, 1, 2, 18, 109)
-                    assert runtime.table(109) is await service.lookup(109)
+                    assert runtime.session.compute(109) is await service.lookup(109)
                     assert check_tunnel_consistency(runtime) == []
 
                     applied = await service.apply_churn(
