@@ -294,6 +294,11 @@ class RoutingTable:
     every other read expands the tree into its dict once and keeps it.
     """
 
+    #: :meth:`candidates` memo — (graph version enumerated at, asn ->
+    #: routes) — an instance attribute from the first call on: a table
+    #: nobody negotiates over carries nothing for it.
+    _learned: Optional[Tuple[int, Dict[int, List[Route]]]] = None
+
     def __init__(
         self,
         graph: ASGraph,
@@ -308,9 +313,6 @@ class RoutingTable:
         else:
             self._tree = None
             self._routes = best
-        # candidates() memo: (graph version enumerated at, asn -> routes),
-        # allocated by the first call
-        self._learned: Optional[Tuple[int, Dict[int, List[Route]]]] = None
 
     @property
     def _best(self) -> Dict[int, Route]:
