@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Twelve subcommands::
+Eleven commands::
 
     repro topology       generate a topology, print its Table 5.1
                          attributes, optionally dump it in CAIDA format
@@ -19,16 +19,18 @@ Twelve subcommands::
                          metrics snapshot (json / prom / text)
     repro serve          run the asyncio MIRO query daemon (route lookups,
                          negotiations, stats) as JSON lines over TCP
-    repro loadgen        drive the query service with a seeded Zipf /
-                         open-loop workload, in-process or over TCP
-    repro bench          run the canonical benchmark suites into one
-                         BENCH_<sha>.json trajectory, or compare two
-                         trajectories and fail on hot-path regressions
+    repro bench compare  compare two BENCH_<sha>.json trajectories (what
+                         ``pytest benchmarks`` writes) and fail on
+                         hot-path regressions
 
-Every command takes ``--profile``/``--seed`` (or ``--topology FILE`` to
-load a CAIDA-format dump) so runs are reproducible, plus the
-observability flags ``--trace FILE`` (write a chrome://tracing span dump)
-and ``--log-level LEVEL`` (enable structured logging on stderr).
+The serving path is loaded and measured by ``bench/`` (``python3
+bench/run.py``), not by a command here.
+
+Commands that read a topology take ``--profile``/``--seed`` (or
+``--topology FILE`` to load a CAIDA-format dump) so runs are
+reproducible, and all but ``bench compare`` take the observability
+flags ``--trace FILE`` (write a chrome://tracing span dump) and
+``--log-level LEVEL`` (enable structured logging on stderr).
 """
 
 from __future__ import annotations
@@ -552,34 +554,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    """Run the built-in benchmark suites into one ``BENCH_<sha>.json``."""
-    import time as _time
-
-    from .obs.bench import (
-        BENCH_SUITES,
-        BenchReporter,
-        detect_git_sha,
-        run_suites,
-    )
-
-    chosen = args.suite or ["all"]
-    suites = tuple(BENCH_SUITES) if "all" in chosen else tuple(chosen)
-    reporter = BenchReporter(
-        sha=args.sha or detect_git_sha(),
-        timestamp=_time.time(),
-        kernel=kernels.active().name,
-        echo=print,
-    )
-    run_suites(
-        reporter, suites=suites, profile=args.profile, seed=args.seed,
-        destinations=args.destinations,
-    )
-    path = reporter.write(args.out)
-    print(f"wrote {len(reporter.records)} records to {path}")
-    return 0
-
-
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     """Gate the current trajectory against a baseline (``bench compare``)."""
     from .obs.bench import compare, load_trajectory
@@ -611,32 +585,25 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         help="concurrent settle batches (default 2)")
 
 
-def _service_config(args: argparse.Namespace):
-    from .service import ServiceConfig
-
-    return ServiceConfig(
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
-        max_pending=args.max_pending,
-        settle_threads=args.settle_threads,
-    )
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the asyncio MIRO query daemon on a TCP port."""
     import asyncio
 
     from .miro.runtime import MiroRuntime
-    from .service import MiroService, serve
+    from .service import MiroService, ServiceConfig, serve
 
+    config = ServiceConfig(
+        max_batch=args.max_batch,
+        max_delay=args.max_delay,
+        max_pending=args.max_pending,
+        settle_threads=args.settle_threads,
+    )
     graph = _build_graph(args)
     session = _build_session(args, graph)
     runtime = MiroRuntime(graph)
 
     async def run() -> None:
-        async with MiroService(
-            session, _service_config(args), runtime=runtime
-        ) as service:
+        async with MiroService(session, config, runtime=runtime) as service:
             ready = asyncio.get_running_loop().create_future()
             endpoint = asyncio.get_running_loop().create_task(
                 serve(service, args.host, args.port, ready=ready)
@@ -655,57 +622,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("\ndraining... done")
     finally:
         _maybe_print_stats(args, session)
-        session.close()
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Generate seeded Zipf/open-loop query load, in-process or remote."""
-    import asyncio
-    import random
-
-    from .service import WorkloadConfig, run_workload, run_workload_client
-
-    graph = _build_graph(args)
-    rng = random.Random(args.workload_seed)
-    population = sorted(rng.sample(graph.ases,
-                                   min(args.destinations, len(graph))))
-    rng.shuffle(population)  # popularity rank independent of AS number
-    config = WorkloadConfig(
-        destinations=tuple(population),
-        requests=args.requests,
-        rate=args.rate,
-        zipf_s=args.zipf,
-        seed=args.workload_seed,
-        churn_every=args.churn_every or None,
-        negotiate_every=args.negotiate_every or None,
-    )
-
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        result = asyncio.run(
-            run_workload_client(host or "127.0.0.1", int(port), config)
-        )
-        print(result.render())
-        return 0
-
-    from .miro.runtime import MiroRuntime
-    from .service import MiroService
-
-    session = _build_session(args, graph)
-    runtime = MiroRuntime(graph)
-
-    async def run():
-        async with MiroService(
-            session, _service_config(args), runtime=runtime
-        ) as service:
-            return await run_workload(service, config)
-
-    try:
-        result = asyncio.run(run())
-        print(result.render())
-        _maybe_print_stats(args, session)
-    finally:
         session.close()
     return 0
 
@@ -886,68 +802,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks a free one (default 7547)")
     serve.set_defaults(func=_cmd_serve)
 
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive the query service with seeded Zipf/open-loop load, "
-             "in-process by default or against --connect HOST:PORT",
-    )
-    _add_topology_args(loadgen)
-    _add_obs_args(loadgen)
-    _add_kernel_args(loadgen)
-    _add_session_args(loadgen)
-    _add_service_args(loadgen)
-    loadgen.add_argument("--requests", type=int, default=10000,
-                         help="lookups to issue (default 10000)")
-    loadgen.add_argument("--rate", type=float, default=0.0,
-                         help="open-loop arrivals per second "
-                              "(default 0: as fast as possible)")
-    loadgen.add_argument("--destinations", type=int, default=64,
-                         help="destination population size (default 64)")
-    loadgen.add_argument("--zipf", type=float, default=1.1,
-                         help="Zipf popularity exponent (default 1.1)")
-    loadgen.add_argument("--workload-seed", type=int, default=0,
-                         help="workload seed: destinations, popularity, "
-                              "arrivals (default 0)")
-    loadgen.add_argument("--churn-every", type=int, default=0,
-                         help="flap a link every N requests (in-process "
-                              "only; default off)")
-    loadgen.add_argument("--negotiate-every", type=int, default=0,
-                         help="MIRO negotiation every N requests "
-                              "(in-process only; default off)")
-    loadgen.add_argument("--connect", metavar="HOST:PORT",
-                         help="drive a running `repro serve` endpoint "
-                              "instead of an in-process service "
-                              "(lookup-only; regenerate the same "
-                              "topology args the server used)")
-    loadgen.set_defaults(func=_cmd_loadgen)
-
     bench = sub.add_parser(
         "bench",
-        help="run the canonical benchmark suites / gate a trajectory "
-             "against a baseline",
+        help="gate a benchmark trajectory against a baseline",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run",
-        help="run suites and write one BENCH_<sha>.json trajectory file",
-    )
-    _add_topology_args(bench_run, default_profile="verify-500")
-    _add_obs_args(bench_run)
-    _add_kernel_args(bench_run)
-    bench_run.add_argument(
-        "--suite", action="append",
-        choices=["kernel", "session", "events", "service", "all"],
-        help="suite to run (repeatable; default: all)",
-    )
-    bench_run.add_argument("--destinations", type=int, default=64,
-                           help="destinations per workload (default 64)")
-    bench_run.add_argument("--out", default=".",
-                           help="directory for BENCH_<sha>.json (default .)")
-    bench_run.add_argument("--sha", default=None,
-                           help="override the git sha recorded in the file "
-                                "(default: $REPRO_BENCH_SHA or git HEAD)")
-    bench_run.set_defaults(func=_cmd_bench_run)
 
     bench_compare = bench_sub.add_parser(
         "compare",

@@ -9,23 +9,24 @@ all of that with one plane:
   value, unit)`` plus the context that makes trajectories comparable:
   topology name/size, the active kernel backend, the git sha and a
   timestamp.  The sha and timestamp are **injected** by the caller (the
-  pytest fixture, the CLI) rather than read ambiently here, so records
-  are a pure function of their inputs and replays are deterministic;
+  ``benchmarks/`` pytest fixture) rather than read ambiently here, so
+  records are a pure function of their inputs and replays are
+  deterministic;
 * a :class:`BenchReporter` collects records and writes the single
   ``BENCH_<sha>.json`` trajectory document; writing again for the same
-  sha merges by ``(suite, metric)`` — a pytest benchmark run and a
-  ``repro bench run`` append to the same file;
+  sha merges by ``(suite, metric)``, so separate ``pytest benchmarks``
+  invocations of one commit accumulate into one file;
 * :func:`compare` diffs two trajectory documents and reports every
   metric that moved beyond a threshold in its *bad* direction (each
   record declares whether lower or higher is better).  Records flagged
-  ``gate=True`` are the designated hot-path metrics — settle phase
-  time, pool ship bytes/seconds, event-engine throughput, warm-cache
-  hit latency — and only those make the comparison fail, which is what
-  ``repro bench compare`` turns into a nonzero exit for CI;
-* :func:`run_suites` drives the built-in kernel / session / events /
-  service suites from the CLI (``repro bench run``); the service suite
-  is warn-only — it records the daemon's warm lookup throughput into
-  the trajectory without gating CI on event-loop jitter.
+  ``gate=True`` are the designated hot-path metrics — settle and
+  materialize time per table, pool ship bytes, event-engine
+  throughput, warm-cache hit latency — and only those make the
+  comparison fail, which is what ``repro bench compare`` turns into a
+  nonzero exit for CI.
+
+The serving path is measured elsewhere: ``bench/`` is the loopback
+ledger, with its own record of throughput and latency per workload.
 
 The schema is versioned (``repro-bench/1``); :func:`validate_document`
 rejects anything else before a comparison can silently mis-read it.
@@ -38,7 +39,7 @@ import os
 import subprocess
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ObservabilityError
 
@@ -53,8 +54,6 @@ __all__ = [
     "load_trajectory",
     "validate_document",
     "compare",
-    "run_suites",
-    "BENCH_SUITES",
 ]
 
 #: Trajectory document schema identifier (bump on incompatible change).
@@ -187,8 +186,8 @@ class BenchReporter:
 
         When the file already exists for the same sha, its records are
         kept except where this run re-measured the same ``(suite,
-        metric)`` — so a pytest benchmark session and a ``repro bench
-        run`` accumulate into one trajectory file per commit.
+        metric)`` — so several benchmark sessions of one commit
+        accumulate into one trajectory file.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -285,13 +284,31 @@ class MetricDelta:
     unit: str
     baseline: float
     current: float
-    #: Signed percent change in the *bad* direction (positive = worse).
-    regression_pct: float
+    #: Signed percent change in the *bad* direction (positive = worse);
+    #: ``None`` for a move from a baseline of 0, which has no percent.
+    regression_pct: Optional[float]
+    #: Whether the value moved in its bad direction at all.
+    worse: bool
     gate: bool
 
     @property
     def name(self) -> str:
         return f"{self.suite}.{self.metric}"
+
+    def beyond(self, threshold_pct: float) -> bool:
+        """Worse by more than the threshold; any worsening from 0 is."""
+        return self.worse and (
+            self.regression_pct is None
+            or self.regression_pct > threshold_pct
+        )
+
+    def describe(self) -> str:
+        """The move as ``render`` prints it: ``+12.0% worse`` and so on."""
+        if self.regression_pct is None:
+            return f"from 0, {'worse' if self.worse else 'better'}"
+        if self.regression_pct >= 0:
+            return f"{self.regression_pct:+.1f}% worse"
+        return f"{-self.regression_pct:.1f}% better"
 
 
 @dataclass(slots=True)
@@ -312,8 +329,7 @@ class CompareReport:
     def regressions(self) -> List[MetricDelta]:
         """Gated metrics that degraded beyond the threshold."""
         return [
-            d for d in self.deltas
-            if d.gate and d.regression_pct > self.threshold_pct
+            d for d in self.deltas if d.gate and d.beyond(self.threshold_pct)
         ]
 
     @property
@@ -321,7 +337,7 @@ class CompareReport:
         """Un-gated metrics that degraded beyond the threshold."""
         return [
             d for d in self.deltas
-            if not d.gate and d.regression_pct > self.threshold_pct
+            if not d.gate and d.beyond(self.threshold_pct)
         ]
 
     @property
@@ -347,23 +363,23 @@ class CompareReport:
             f"bench compare: {self.baseline_sha} -> {self.current_sha} "
             f"(threshold {self.threshold_pct:g}%)"
         ]
-        for delta in sorted(
-            self.deltas, key=lambda d: -d.regression_pct
-        ):
+
+        def worst_first(delta: MetricDelta) -> float:
+            if delta.regression_pct is None:
+                return float("-inf") if delta.worse else float("inf")
+            return -delta.regression_pct
+
+        for delta in sorted(self.deltas, key=worst_first):
+            beyond = delta.beyond(self.threshold_pct)
             marker = (
-                "REGRESSION" if delta.gate
-                and delta.regression_pct > self.threshold_pct
-                else "warn" if delta.regression_pct > self.threshold_pct
+                "REGRESSION" if beyond and delta.gate
+                else "warn" if beyond
                 else "ok"
             )
             lines.append(
                 f"  [{marker:>10}] {delta.name}: "
                 f"{delta.baseline:g} -> {delta.current:g} {delta.unit} "
-                f"({delta.regression_pct:+.1f}% worse)"
-                if delta.regression_pct >= 0 else
-                f"  [{marker:>10}] {delta.name}: "
-                f"{delta.baseline:g} -> {delta.current:g} {delta.unit} "
-                f"({-delta.regression_pct:.1f}% better)"
+                f"({delta.describe()})"
             )
         if self.missing:
             lines.append(
@@ -393,7 +409,9 @@ def compare(
 
     A metric's *regression percent* is its percent change in the bad
     direction (the record's ``better`` field orients the sign), so one
-    threshold covers latencies and throughputs alike.  Metrics present
+    threshold covers latencies and throughputs alike; a move away from
+    a baseline of 0 has no percent (``None``, strict JSON) and counts
+    as beyond any threshold when it is for the worse.  Metrics present
     in the baseline but missing from the current run are listed in
     ``missing``; the gated ones among them also land in
     ``missing_gated`` and fail the report — a silently dropped gate
@@ -416,214 +434,20 @@ def compare(
                 report.missing_gated.append(name)
             continue
         b, c = base[key], cur[key]
-        if b.value == 0:
-            pct = 0.0 if c.value == b.value else float("inf")
-        else:
-            pct = (c.value - b.value) / abs(b.value) * 100.0
+        rise = c.value - b.value
         if c.better == "higher":
-            pct = -pct + 0.0  # (+0.0 normalizes -0.0 for rendering)
+            rise = -rise
+        if b.value:
+            # (+0.0 normalizes -0.0 for rendering)
+            pct: Optional[float] = rise / abs(b.value) * 100.0 + 0.0
+        else:
+            pct = None if rise else 0.0   # a move from 0 has no percent
         report.deltas.append(MetricDelta(
             suite=c.suite, metric=c.metric, unit=c.unit,
             baseline=b.value, current=c.value,
-            regression_pct=pct, gate=b.gate or c.gate,
+            regression_pct=pct, worse=rise > 0, gate=b.gate or c.gate,
         ))
     report.added = [
         f"{k[0]}.{k[1]}" for k in sorted(cur) if k not in base
     ]
     return report
-
-
-# ----------------------------------------------------------------------
-# built-in suites for `repro bench run`
-# ----------------------------------------------------------------------
-def _suite_kernel(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Per kernel backend on one topology sweep: settling, then expanding
-    every settled tree into its ``{asn: Route}`` dict — two costs since
-    ``settle_many`` returns trees, and only whole-table readers pay the
-    second."""
-    from ..bgp import kernels
-    from ..bgp.routing import RoutingTable
-    from ..topology import generate_named
-
-    graph = generate_named(profile, seed=seed)
-    snapshot = graph.snapshot()
-    targets = list(graph.ases)[:destinations]
-    suite = reporter.suite("kernel")
-    for backend in kernels.backends(available_only=True):
-        kernels.settle(snapshot, targets[0], kernel=backend.name)  # warm
-        start = clock()
-        swept = kernels.settle_many(snapshot, targets, kernel=backend.name)
-        elapsed = clock() - start
-        start = clock()
-        for destination, best in swept.items():
-            list(RoutingTable(graph, destination, best).items())
-        expanded = clock() - start
-        suite.record(
-            f"{backend.name}_settle_seconds", elapsed, "seconds",
-            gate=True, topology=profile, topology_size=len(graph),
-        )
-        suite.record(
-            f"{backend.name}_materialize_seconds", expanded, "seconds",
-            topology=profile, topology_size=len(graph),
-        )
-        suite.record(
-            f"{backend.name}_tables_per_second",
-            len(targets) / elapsed if elapsed else 0.0,
-            "tables/s", better="higher",
-            topology=profile, topology_size=len(graph),
-        )
-
-
-def _suite_session(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Cold/warm cache fan-out latency and the pool-ship payload."""
-    import pickle
-
-    from ..session import SimulationSession
-    from ..topology import generate_named
-
-    graph = generate_named(profile, seed=seed)
-    targets = list(graph.ases)[:destinations]
-    session = SimulationSession(
-        graph, parallel=False, max_cached_tables=max(len(targets), 16),
-    )
-    suite = reporter.suite("session")
-    start = clock()
-    session.compute_many(targets)
-    cold = clock() - start
-    start = clock()
-    session.compute_many(targets)
-    warm = clock() - start
-    suite.record(
-        "cold_fanout_seconds", cold, "seconds",
-        topology=profile, topology_size=len(graph),
-    )
-    suite.record(
-        "warm_hit_seconds", warm, "seconds", gate=True,
-        topology=profile, topology_size=len(graph),
-    )
-    snapshot = graph.snapshot()
-    start = clock()
-    payload = pickle.dumps(snapshot)
-    ship_seconds = clock() - start
-    suite.record(
-        "pool_ship_bytes", len(payload), "bytes", gate=True,
-        topology=profile, topology_size=len(graph),
-    )
-    suite.record(
-        "pool_ship_seconds", ship_seconds, "seconds", gate=True,
-        topology=profile, topology_size=len(graph),
-    )
-
-
-def _suite_events(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Bare discrete-event scheduler throughput."""
-    from ..events import EventScheduler
-
-    n_events = 20_000
-    scheduler = EventScheduler()
-    scheduler.register("tick", lambda event: None)
-    for index in range(n_events):
-        scheduler.schedule(float(index), "tick")
-    start = clock()
-    dispatched = scheduler.run()
-    elapsed = clock() - start
-    suite = reporter.suite("events")
-    suite.record(
-        "scheduler_events_per_second",
-        dispatched / elapsed if elapsed else 0.0,
-        "events/s", better="higher", gate=True,
-    )
-    suite.record("scheduler_dispatch_seconds", elapsed, "seconds")
-
-
-def _suite_service(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Warm lookup throughput through the asyncio daemon's admission.
-
-    Warn-only (no ``gate=True``): service latency rides on thread
-    scheduling and event-loop jitter, so it lands in the trajectory for
-    trend-watching without failing CI on a noisy run.  The hard 10k/s
-    acceptance bar lives in ``benchmarks/test_service_latency.py``.
-    """
-    import asyncio
-
-    from ..service import MiroService, ServiceConfig
-    from ..session import SimulationSession
-    from ..topology import generate_named
-
-    graph = generate_named(profile, seed=seed)
-    targets = list(graph.ases)[:destinations]
-    n_lookups = 5_000
-    suite = reporter.suite("service")
-
-    async def run() -> Tuple[float, float]:
-        with SimulationSession(
-            graph, parallel=False,
-            max_cached_tables=max(len(targets), 16),
-        ) as session:
-            async with MiroService(session, ServiceConfig()) as service:
-                start = clock()
-                await asyncio.gather(
-                    *[service.lookup(d) for d in targets]
-                )
-                cold = clock() - start
-                start = clock()
-                for i in range(n_lookups):
-                    await service.lookup(targets[i % len(targets)])
-                warm = clock() - start
-        return cold, warm
-
-    cold, warm = asyncio.run(run())
-    suite.record(
-        "cold_gather_seconds", cold, "seconds",
-        topology=profile, topology_size=len(graph),
-    )
-    suite.record(
-        "warm_lookups_per_second",
-        n_lookups / warm if warm else 0.0,
-        "lookups/s", better="higher",
-        topology=profile, topology_size=len(graph),
-    )
-
-
-#: The built-in `repro bench run` suites, in execution order.
-BENCH_SUITES: Dict[str, Callable[..., None]] = {
-    "kernel": _suite_kernel,
-    "session": _suite_session,
-    "events": _suite_events,
-    "service": _suite_service,
-}
-
-
-def run_suites(
-    reporter: BenchReporter,
-    suites: Sequence[str] = ("kernel", "session", "events", "service"),
-    profile: str = "verify-500",
-    seed: int = 0,
-    destinations: int = 64,
-    clock: Optional[Callable[[], float]] = None,
-) -> BenchReporter:
-    """Run the named built-in suites, recording into ``reporter``."""
-    import time
-
-    clock = clock or time.perf_counter
-    for name in suites:
-        runner = BENCH_SUITES.get(name)
-        if runner is None:
-            raise ObservabilityError(
-                f"unknown bench suite {name!r}; "
-                f"choose from {sorted(BENCH_SUITES)}"
-            )
-        runner(reporter, profile, seed, destinations, clock)
-    return reporter

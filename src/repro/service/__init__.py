@@ -1,9 +1,9 @@
-"""The MIRO serving plane: asyncio query daemon, protocol, workload.
+"""The MIRO serving plane: asyncio query daemon and its wire protocol.
 
 ``repro.service`` turns a thread-safe :class:`~repro.session.SessionCore`
 into a long-running query service — the operational shape MIRO argues
 for, where alternate routes are *asked for on demand* rather than
-precomputed.  Three layers:
+precomputed.  Two layers:
 
 * :mod:`~repro.service.daemon` — :class:`MiroService`, the asyncio
   admission pipeline (peek fast path, per-destination coalescing,
@@ -11,28 +11,18 @@ precomputed.  Three layers:
   graceful drain).
 * :mod:`~repro.service.server` — the newline-delimited-JSON TCP front
   end behind ``repro serve``.
-* :mod:`~repro.service.workload` — seeded Zipf/open-loop load
-  generation behind ``repro loadgen``.
+
+Load is generated outside the package: ``bench/`` runs :func:`serve`
+over a :class:`MiroService` in a child process, drives it over
+loopback and checks every answer against ``compute_routes_reference``.
 """
 
 from .daemon import MiroService, ServiceConfig
 from .server import handle_request, serve
-from .workload import (
-    WorkloadConfig,
-    WorkloadResult,
-    ZipfSampler,
-    run_workload,
-    run_workload_client,
-)
 
 __all__ = [
     "MiroService",
     "ServiceConfig",
-    "WorkloadConfig",
-    "WorkloadResult",
-    "ZipfSampler",
     "handle_request",
-    "run_workload",
-    "run_workload_client",
     "serve",
 ]

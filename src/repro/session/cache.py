@@ -126,9 +126,6 @@ class SessionStats:
             "evictions": self.evictions,
         }
 
-    #: Backward-compatible alias (pre-observability name).
-    as_dict = to_dict
-
     def render(self) -> str:
         """Human-readable multi-line summary for reports and ``--stats``."""
         d = self.to_dict()

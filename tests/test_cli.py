@@ -1,8 +1,29 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import main
+
+
+def _commands(parser, prefix=()):
+    """Every runnable command path under ``parser``, e.g. ``bench compare``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix)
+
+
+def test_module_docstring_lists_exactly_the_parsers_commands():
+    documented = re.findall(
+        r"^    repro ([a-z-]+(?: [a-z-]+)*?)(?:  |$)", cli.__doc__, re.M
+    )
+    assert sorted(documented) == sorted(_commands(cli.build_parser()))
 
 
 class TestTopologyCommand:

@@ -478,10 +478,9 @@ class TestSessionInstruments:
         assert events["hit"] == 1
         assert session.stats.hits == 1 and session.stats.misses == 1
 
-    def test_to_dict_and_as_dict_agree(self, paper_graph):
+    def test_to_dict_counts_misses(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
         session.compute_many([F, E])
-        assert session.stats.to_dict() == session.stats.as_dict()
         assert session.stats.to_dict()["misses"] == 2
 
     def test_parallel_fanout_merges_worker_spans(self, small_graph):

@@ -3,8 +3,8 @@
 Unit coverage for the canonical benchmark record schema, the
 ``BENCH_<sha>.json`` trajectory writer/merger, the regression comparator
 that backs the CI gate, and the span-tree profiler (rollup and
-collapsed-stack flamegraph export) — plus the ``repro bench`` CLI
-subcommands and the ``--flamegraph`` / ``--log-json`` flags end to end.
+collapsed-stack flamegraph export) — plus ``repro bench compare`` and
+the ``--flamegraph`` / ``--log-json`` flags end to end.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs.bench import (
     compare,
     detect_git_sha,
     load_trajectory,
-    run_suites,
     validate_document,
 )
 from repro.obs.profile import (
@@ -220,21 +219,38 @@ class TestCompare:
         assert document["ok"] is False
         assert document["regressions"][0]["metric"] == "settle_seconds"
 
+    @pytest.mark.parametrize("better, worse", [
+        ("lower", True), ("higher", False),
+    ])
+    def test_a_move_from_zero_is_strict_json(self, better, worse):
+        """A zero baseline has no percent: ``null`` in the report (it used
+        to be ``Infinity``, which strict parsers reject), still gated."""
+        report = compare(
+            _gated("a", 0.0, better), _gated("b", 3.0, better), 10.0
+        )
+        [delta] = report.deltas
+        assert delta.regression_pct is None and delta.worse is worse
+        assert report.ok is not worse
+        document = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert document["deltas"][0]["regression_pct"] is None
+        assert len(document["regressions"]) == int(worse)
+        text = report.render()
+        assert "inf" not in text
+        assert f"0 -> 3 seconds (from 0, {'worse' if worse else 'better'})" \
+            in text
 
-class TestRunSuites:
-    def test_suites_produce_the_gated_hot_path_metrics(self):
-        reporter = _reporter()
-        run_suites(reporter, suites=("session", "events"),
-                   profile="tiny", destinations=4)
-        gated = {f"{r.suite}.{r.metric}" for r in reporter.records if r.gate}
-        assert "session.warm_hit_seconds" in gated
-        assert "session.pool_ship_bytes" in gated
-        assert "session.pool_ship_seconds" in gated
-        assert "events.scheduler_events_per_second" in gated
+    def test_zero_to_zero_is_unchanged(self):
+        report = compare(_gated("a", 0.0), _gated("b", 0.0), 10.0)
+        [delta] = report.deltas
+        assert (delta.regression_pct, delta.worse) == (0.0, False)
+        assert report.ok
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ObservabilityError, match="unknown bench suite"):
-            run_suites(_reporter(), suites=("nope",), profile="tiny")
+
+def _gated(sha, value, better="lower"):
+    reporter = _reporter(sha=sha)
+    reporter.record("kernel", "settle_seconds", value, "seconds",
+                    better=better, gate=True)
+    return reporter.to_document()
 
 
 # ----------------------------------------------------------------------
@@ -312,24 +328,9 @@ class TestProfile:
 
 
 # ----------------------------------------------------------------------
-# CLI: repro bench run / compare, --flamegraph, --log-json
+# CLI: repro bench compare, --flamegraph, --log-json
 # ----------------------------------------------------------------------
 class TestBenchCli:
-    def test_bench_run_writes_a_valid_trajectory(self, tmp_path, capsys):
-        rc = main([
-            "bench", "run", "--profile", "tiny", "--suite", "session",
-            "--suite", "events", "--destinations", "4",
-            "--out", str(tmp_path), "--sha", "clisha1",
-        ])
-        assert rc == 0
-        document = load_trajectory(tmp_path / "BENCH_clisha1.json")
-        assert document["sha"] == "clisha1"
-        suites = {r["suite"] for r in document["records"]}
-        assert suites == {"session", "events"}
-        out = capsys.readouterr().out
-        assert "BENCH session.warm_hit_seconds=" in out
-        assert "BENCH_clisha1.json" in out
-
     def test_bench_compare_gates_a_degraded_hot_path(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         current = tmp_path / "cur.json"
@@ -358,6 +359,22 @@ class TestBenchCli:
         assert rc == 1
         report = json.loads(report_path.read_text())
         assert report["ok"] is False
+
+    def test_bench_compare_report_file_is_strict_json(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        current = tmp_path / "cur.json"
+        baseline.write_text(json.dumps(_gated("base", 0.0)))
+        current.write_text(json.dumps(_gated("cur", 3.0)))
+        report_path = tmp_path / "report.json"
+        rc = main(["bench", "compare", str(baseline), str(current),
+                   "--out", str(report_path)])
+        assert rc == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        assert report["regressions"][0]["regression_pct"] is None
 
     def test_flamegraph_flag_writes_phase_stacks(self, tmp_path, capsys):
         flame = tmp_path / "flame.folded"

@@ -808,9 +808,9 @@ class TestIncrementalDerivation:
         assert "tables derived:        1" in text
         assert "mean affected set 2.0 ASes" in text
 
-    def test_as_dict_exports_new_counters(self, paper_graph):
+    def test_to_dict_exports_new_counters(self, paper_graph):
         session = SimulationSession(paper_graph)
-        stats = session.stats.as_dict()
+        stats = session.stats.to_dict()
         for key in ("tables_derived", "mean_affected_size", "auto_pruned"):
             assert key in stats
 
