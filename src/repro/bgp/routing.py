@@ -828,11 +828,11 @@ def affected_ases(
     shortest-first relaxation re-selects it.  On a tree-backed table
     that is the subtrees hanging off the changed links that are tree
     edges: with none cut the answer is ``set()`` after one probe per
-    changed link, otherwise one pass over the tree's ``order`` (parents
-    precede children) — nothing materializes.  A dict-backed table
-    (pinned, reference) is scanned path by path.  (A removed AS needs no
-    case of its own: a path visits it only across one of its former,
-    hence changed, links.)
+    changed link (:func:`cut_tree_edges`), otherwise one pass over the
+    tree's ``order`` (parents precede children) — nothing materializes.
+    A dict-backed table (pinned, reference) is scanned path by path.  (A
+    removed AS needs no case of its own: a path visits it only across
+    one of its former, hence changed, links.)
 
     Returns ``None`` when incremental recomputation is *not* applicable
     and the caller must fall back to :func:`compute_routes`:
@@ -849,13 +849,33 @@ def affected_ases(
     for a, b in changed:
         if graph.has_link(a, b):
             return None  # link addition (or re-addition): no local bound
-    tree = table._tree
-    if tree is None:
+    cut = cut_tree_edges(table, changed)
+    if cut is None:
         hops = {(a, b) for a, b in changed} | {(b, a) for a, b in changed}
         return {
             asn for asn, route in table.items()
             if not hops.isdisjoint(zip(route.path, route.path[1:]))
         }
+    if not cut:
+        return cut
+    tree = table._tree
+    parent = tree.parent
+    for i in tree.order:
+        if parent[i] in cut:
+            cut.add(i)
+    asns = tree.asns
+    return {asns[i] for i in cut}
+
+
+def cut_tree_edges(
+    table: RoutingTable, changed: Iterable[Tuple[int, int]]
+) -> Optional[Set[int]]:
+    """The tree's nodes (snapshot indices) whose edge to their parent is
+    a ``changed`` link, one probe per link; None for a dict-backed table.
+    Empty after a pure failure: the table is still the stable state."""
+    tree = table._tree
+    if tree is None:
+        return None
     index, parent = tree.index, tree.parent
     cut: Set[int] = set()
     for a, b in changed:
@@ -866,13 +886,7 @@ def affected_ases(
             cut.add(ia)
         elif parent[ib] == ia:
             cut.add(ib)
-    if not cut:
-        return cut
-    for i in tree.order:
-        if parent[i] in cut:
-            cut.add(i)
-    asns = tree.asns
-    return {asns[i] for i in cut}
+    return cut
 
 
 def recompute_routes(

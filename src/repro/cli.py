@@ -576,13 +576,8 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-batch", type=int, default=64,
                         help="distinct destinations per settle batch "
                              "(default 64)")
-    parser.add_argument("--max-delay", type=float, default=0.002,
-                        help="micro-batching window in seconds (default "
-                             "0.002)")
     parser.add_argument("--max-pending", type=int, default=1024,
                         help="in-flight fills before shedding (default 1024)")
-    parser.add_argument("--settle-threads", type=int, default=2,
-                        help="concurrent settle batches (default 2)")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -594,9 +589,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         max_pending=args.max_pending,
-        settle_threads=args.settle_threads,
     )
     graph = _build_graph(args)
     session = _build_session(args, graph)

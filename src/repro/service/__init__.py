@@ -7,7 +7,7 @@ precomputed.  Two layers:
 
 * :mod:`~repro.service.daemon` — :class:`MiroService`, the asyncio
   admission pipeline (peek fast path, per-destination coalescing,
-  micro-batched ``compute_many`` fills, bounded-queue backpressure,
+  batched ``compute_many`` fills, bounded-queue backpressure,
   graceful drain).
 * :mod:`~repro.service.server` — the newline-delimited-JSON TCP front
   end behind ``repro serve``.

@@ -17,12 +17,12 @@ thread-safe :class:`~repro.session.core.SessionCore`:
   single-flight fills, N concurrent misses on one destination settle
   exactly once (``repro_session_cache_events_total{event="fill"}``
   moves by 1).
-* **Micro-batched admission.**  Distinct missed destinations join a
-  queue drained by the batcher task, which waits up to ``max_delay``
-  for up to ``max_batch`` destinations and hands the whole batch to
-  :meth:`SessionCore.compute_many` in a worker thread — one
-  ``settle_many`` sweep (or sharded pool fan-out) instead of N scalar
-  settles.
+* **Batched admission, no timer.**  Distinct missed destinations join a
+  queue the batcher drains one batch at a time, on the one settle
+  thread: a miss that finds it idle goes at once, and up to
+  ``max_batch`` that queue meanwhile go next, together — batches grow
+  with load by themselves.  A batch is one :meth:`SessionCore.compute_many`
+  (one ``settle_many`` sweep or pool fan-out), not N scalar settles.
 * **Backpressure.**  Admission is bounded: when ``max_pending``
   distinct destinations are already in flight, new misses are *shed*
   with :class:`~repro.errors.ServiceOverloadError` carrying a
@@ -51,7 +51,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, Optional
 
 from ..bgp.routing import RoutingTable
 from ..errors import ServiceError, ServiceOverloadError, UnknownASError
@@ -112,34 +112,24 @@ _ENCODED_BUILD = _ENCODED.labels(outcome="build")
 class ServiceConfig:
     """Tuning knobs for the admission pipeline.
 
-    ``max_batch``/``max_delay`` trade latency for sweep amortization:
-    the batcher dispatches as soon as ``max_batch`` distinct misses are
-    queued, or ``max_delay`` seconds after the first one, whichever
-    comes first.  ``max_pending`` bounds the number of distinct
-    destinations with fills in flight (queued + settling); beyond it
-    new misses are shed with ``retry_after`` as the back-off hint.
-    ``settle_threads`` bounds how many batches settle concurrently in
-    the thread executor.
+    ``max_batch`` caps the distinct misses one settle batch takes from
+    the queue; nothing waits for a batch to fill — a batch is whatever
+    queued while the previous one settled.  ``max_pending`` bounds the
+    number of distinct destinations with fills in flight (queued +
+    settling); beyond it new misses are shed with ``retry_after`` as
+    the back-off hint.
     """
 
     max_batch: int = 64
-    max_delay: float = 0.002
     max_pending: int = 1024
     retry_after: float = 0.05
-    settle_threads: int = 2
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ServiceError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.max_pending < 1:
             raise ServiceError(
                 f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.settle_threads < 1:
-            raise ServiceError(
-                f"settle_threads must be >= 1, got {self.settle_threads}"
             )
 
 
@@ -172,8 +162,6 @@ class MiroService:
         self._queue: Deque[int] = deque()
         self._wake = asyncio.Event()
         self._batcher: Optional[asyncio.Task] = None
-        self._settles: Set[asyncio.Task] = set()
-        self._settle_gate: Optional[asyncio.Semaphore] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
@@ -191,18 +179,17 @@ class MiroService:
         if self._started:
             raise ServiceError("service already started")
         self._loop = asyncio.get_running_loop()
+        # one settle thread: batches, churn and the §4.3 re-check take
+        # turns on it
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.settle_threads,
-            thread_name_prefix="repro-service",
+            max_workers=1, thread_name_prefix="repro-service",
         )
-        self._settle_gate = asyncio.Semaphore(self.config.settle_threads)
         self._batcher = self._loop.create_task(
             self._batch_loop(), name="repro-service-batcher"
         )
         self._started = True
         self._draining = False
         _LOG.info("service_started", max_batch=self.config.max_batch,
-                  max_delay=self.config.max_delay,
                   max_pending=self.config.max_pending)
         return self
 
@@ -221,8 +208,6 @@ class MiroService:
         if self._batcher is not None:
             await self._batcher
             self._batcher = None
-        if self._settles:
-            await asyncio.gather(*self._settles, return_exceptions=True)
         pending = [f for f in self._pending.values() if not f.done()]
         if pending:
             await asyncio.wait(pending)
@@ -303,7 +288,9 @@ class MiroService:
         session's: a table the LRU evicts, :meth:`SessionCore.mutate`
         prunes or a derived table supersedes takes its body with it,
         and a lookup at a new graph version gets a new table from
-        :meth:`lookup` and with it a new body.  Event loop only.
+        :meth:`lookup` and with it a new body — unless the change left
+        the table intact and the session re-stamped it, when the kept
+        body is still the answer.  Event loop only.
         """
         body = self._encoded.get(table)
         if body is None:
@@ -317,43 +304,23 @@ class MiroService:
     # the batcher
     # ------------------------------------------------------------------
     async def _batch_loop(self) -> None:
-        cfg = self.config
         while True:
             # wait for work only when the queue is actually empty — a
-            # batch dispatch below can leave a remainder behind, and
-            # sleeping on the (possibly already-cleared) wake event with
-            # queued destinations would strand their futures forever
+            # batch can leave a remainder behind, and sleeping on the
+            # (possibly already-cleared) wake event with queued
+            # destinations would strand their futures forever
             while not self._queue:
                 if self._draining:
                     return
                 await self._wake.wait()
                 self._wake.clear()
-            # micro-batching window: from the first queued miss, wait up
-            # to max_delay for the batch to fill before dispatching
-            if len(self._queue) < cfg.max_batch and not self._draining:
-                deadline = self._loop.time() + cfg.max_delay
-                while len(self._queue) < cfg.max_batch:
-                    timeout = deadline - self._loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), timeout)
-                        self._wake.clear()
-                    except asyncio.TimeoutError:
-                        break
-                    if self._draining:
-                        break
-            while self._queue:
-                size = min(cfg.max_batch, len(self._queue))
-                batch = [self._queue.popleft() for _ in range(size)]
-                _QUEUE_DEPTH.set(len(self._queue))
-                await self._settle_gate.acquire()
-                task = self._loop.create_task(self._settle_batch(batch))
-                self._settles.add(task)
-                task.add_done_callback(self._settles.discard)
-                if len(self._queue) < cfg.max_batch and not self._draining:
-                    # leave the remainder to the next batching window
-                    break
+            # one batch settles at a time and no timer sizes it: a miss
+            # that finds the batcher idle goes at once, and what queues
+            # while a batch settles goes next, together
+            size = min(self.config.max_batch, len(self._queue))
+            batch = [self._queue.popleft() for _ in range(size)]
+            _QUEUE_DEPTH.set(len(self._queue))
+            await self._settle_batch(batch)
 
     async def _settle_batch(self, batch: list) -> None:
         """One admitted batch: settle off-loop, resolve the futures."""
@@ -371,9 +338,9 @@ class MiroService:
                 if future is not None and not future.done():
                     future.set_exception(exc)
             _PENDING.set(len(self._pending))
+            if not isinstance(exc, Exception):
+                raise  # cancelled: the batcher stops with it
             return
-        finally:
-            self._settle_gate.release()
         for destination in batch:
             future = self._pending.pop(destination, None)
             if future is not None and not future.done():
@@ -466,7 +433,6 @@ class MiroService:
             "queue_depth": len(self._queue),
             "pending_fills": len(self._pending),
             "max_batch": self.config.max_batch,
-            "max_delay": self.config.max_delay,
             "max_pending": self.config.max_pending,
             "shed_total": _SHED.value,
             "coalesced_total": _COALESCED.value,

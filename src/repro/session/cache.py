@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..bgp.route import Route
-from ..bgp.routing import RoutingTable
+from ..bgp.routing import RoutingTable, cut_tree_edges
 from ..errors import SessionError
 from ..obs import get_logger, get_registry
 from ..topology.graph import ASGraph
@@ -29,7 +29,8 @@ _LOG = get_logger("session")
 # ----------------------------------------------------------------------
 _CACHE_EVENTS = get_registry().counter(
     "repro_session_cache_events_total",
-    "Route-table cache events (hit/miss/fill/coalesced/derive/evict/prune)",
+    "Route-table cache events "
+    "(hit/miss/fill/coalesced/derive/evict/prune/restamp)",
     labels=("event",),
 )
 _EV_HIT = _CACHE_EVENTS.labels(event="hit")
@@ -37,6 +38,9 @@ _EV_MISS = _CACHE_EVENTS.labels(event="miss")
 _EV_DERIVE = _CACHE_EVENTS.labels(event="derive")
 _EV_EVICT = _CACHE_EVENTS.labels(event="evict")
 _EV_PRUNE = _CACHE_EVENTS.labels(event="prune")
+#: One ``restamp`` per table a flap left intact and the cache aliased at
+#: the new graph version (in :meth:`SessionCore.mutate`, never per lookup).
+_EV_RESTAMP = _CACHE_EVENTS.labels(event="restamp")
 #: One ``fill`` per table actually settled/derived by a single-flight
 #: leader — the serving plane's coalescing proof: N concurrent misses on
 #: one destination must move this by exactly 1.
@@ -159,6 +163,8 @@ class RouteTableCache:
             raise SessionError(f"cache needs room for at least 1 table, got {maxsize}")
         self.maxsize = maxsize
         self._entries: "OrderedDict[CacheKey, RoutingTable]" = OrderedDict()
+        # destination -> (changed links, key): prune_superseded's seeds
+        self._seeds: Dict[int, Tuple[FrozenSet[Tuple[int, int]], CacheKey]] = {}
         self.peak_size = 0
         self.evictions = 0
 
@@ -201,6 +207,7 @@ class RouteTableCache:
         stale = [k for k in self._entries if k[0] != current_version]
         for key in stale:
             del self._entries[key]
+        self._seeds = {}
         self._resized()
         return len(stale)
 
@@ -218,14 +225,15 @@ class RouteTableCache:
         A destination that already has an unpinned current-version table
         needs no seed at all — lookups hit that table and nothing is
         derived — so its stale entries are dropped too, instead of one
-        of them surviving as dead, never-useful work.
+        of them surviving as dead, never-useful work.  The seeds kept
+        are what :meth:`derivation_parent` answers until the next prune.
         """
         current = graph.version
         covered = {
             key[1] for key in self._entries
             if key[0] == current and key[2] is None
         }
-        nearest: Dict[int, Tuple[int, CacheKey]] = {}
+        nearest: Dict[int, Tuple[FrozenSet[Tuple[int, int]], CacheKey]] = {}
         stale: List[CacheKey] = []
         for key in self._entries:
             version, destination, pk = key
@@ -236,42 +244,58 @@ class RouteTableCache:
                 stale.append(key)
                 continue
             kept = nearest.get(destination)
-            if kept is None or len(changed) < kept[0]:
+            if kept is None or len(changed) < len(kept[0]):
                 if kept is not None:
                     stale.append(kept[1])
-                nearest[destination] = (len(changed), key)
+                nearest[destination] = (changed, key)
             else:
                 stale.append(key)
         for key in stale:
             del self._entries[key]
+        self._seeds = nearest
         self._resized()
         return len(stale)
 
     def derivation_parent(
-        self, graph: ASGraph, destination: int
+        self, destination: int
     ) -> Optional[Tuple[RoutingTable, FrozenSet[Tuple[int, int]]]]:
-        """The best cached seed for incrementally recomputing ``destination``.
-
-        Scans unpinned entries for the destination whose version is an
-        ancestor of the current graph state and returns the nearest one
-        (fewest changed links) with its changed-link set, or None when no
-        cached table can be derived from.
+        """The seed :meth:`prune_superseded` kept for ``destination``
+        (the owner prunes whenever the version moves) with its
+        changed-link set, or None when none was kept or it was evicted.
         """
-        best: Optional[Tuple[int, RoutingTable, FrozenSet[Tuple[int, int]]]]
-        best = None
-        for key, table in self._entries.items():
-            version, dest, pk = key
-            if dest != destination or pk is not None or version == graph.version:
-                continue
-            changed = graph.changed_links_since(version)
-            if changed is None:
-                continue
-            if best is None or len(changed) < best[0]:
-                best = (len(changed), table, changed)
-        if best is None:
+        seed = self._seeds.get(destination)
+        if seed is None:
             return None
-        return best[1], best[2]
+        changed, key = seed
+        table = self._entries.get(key)
+        return None if table is None else (table, changed)
+
+    def restamp(
+        self, old: int, new: int, changed: FrozenSet[Tuple[int, int]]
+    ) -> int:
+        """After a pure failure of ``changed`` (AS set unchanged), alias
+        at version ``new`` every unpinned tree cached at ``old`` that no
+        failed link cuts — still the stable state — and return how many.
+
+        Same table object, so what is kept beside it (the service's
+        encoded body) serves ``new`` too; the ``old`` key stays for a
+        revert.  Aliases only take free slots: never an eviction.
+        """
+        room = self.maxsize - len(self._entries)
+        aliases: List[Tuple[CacheKey, RoutingTable]] = []
+        for (version, destination, pk), table in self._entries.items():
+            if len(aliases) == room:
+                break
+            if (version == old and pk is None
+                    and (new, destination, None) not in self._entries
+                    and cut_tree_edges(table, changed) == set()):
+                aliases.append(((new, destination, None), table))
+        self._entries.update(aliases)
+        self.peak_size = max(self.peak_size, len(self._entries))
+        self._resized()
+        return len(aliases)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._seeds = {}
         self._resized()

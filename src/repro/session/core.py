@@ -14,7 +14,8 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   nothing to order (the fan-out pool's internal lock is leaf-level:
   nothing is acquired while holding it).
 * **Nothing slow under it.**  Settling (``compute_routes`` /
-  ``recompute_routes`` / ``kernels.settle_many``), deriving the
+  ``recompute_routes`` / ``kernels.settle_many``), the affected-set
+  walk of a derivation (``affected_ases``), deriving the
   topology snapshot a settle runs on (``graph.snapshot()``), expanding
   a settled tree into its route dict (``RouteTree.materialize``), pool
   publication (``pool.ensure``) and job submission
@@ -36,7 +37,10 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   only once no fill is in flight (``_fills_active`` is the condition
   variable's predicate), so settling never observes a half-applied
   delta and the version embedded in a flight key cannot go stale
-  mid-fill.
+  mid-fill.  Before releasing the lock it prunes the cache and
+  re-stamps the trees a link failure left intact: per cached tree one
+  probe per failed link (``cut_tree_edges``), never ``affected_ases``,
+  whose walk of a cut tree is O(n).
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .cache import (
     _EV_HIT,
     _EV_MISS,
     _EV_PRUNE,
+    _EV_RESTAMP,
     CacheKey,
     RouteTableCache,
     SessionStats,
@@ -226,16 +231,25 @@ class SessionCore:
         hold ``_fills_active`` non-zero for the duration of a fill, so a
         topology change (churn delta, link failure injection) waits for
         the in-flight tables to land and no fill ever spans a version
-        boundary.  New lookups arriving while the writer waits simply
-        miss against the new version afterwards.  Runs ``fn`` under the
-        session lock — keep it to graph mutation (delta apply/revert),
-        never settling.
+        boundary.  Runs ``fn`` under the session lock — keep it to graph
+        mutation (delta apply/revert), never settling.  Then the cache
+        is pruned and, after a pure link failure over an unchanged AS
+        set, re-stamped (:meth:`RouteTableCache.restamp`): only the
+        destinations whose tree a failed link cut miss afterwards.
         """
         with self._lock:
             while self._fills_active:
                 self._lock.wait()
-            result = fn(self._graph)
+            graph = self._graph
+            version, size = graph.version, len(graph)
+            result = fn(graph)
             self._auto_prune_locked()
+            changed = graph.changed_links_since(version)
+            if changed and len(graph) == size and not any(
+                graph.has_link(a, b) for a, b in changed
+            ):
+                _EV_RESTAMP.inc(
+                    self._cache.restamp(version, graph.version, changed))
             return result
 
     # ------------------------------------------------------------------
@@ -289,30 +303,6 @@ class SessionCore:
             flight.event.set()
         self._fills_active -= 1
         self._lock.notify_all()
-
-    # ------------------------------------------------------------------
-    # settle helpers (always run with the lock released)
-    # ------------------------------------------------------------------
-    def _derive_outside(
-        self, parent: _Parent
-    ) -> Optional[Tuple[RoutingTable, int]]:
-        """Incrementally recompute from a captured ancestor, or None.
-
-        Returns ``(table, affected_count)`` when the changed-link window
-        bounds the affected region (pure failures); the caller computes
-        from scratch otherwise.  A derivation still counts as a cache
-        miss — only the *cost* of the miss shrinks.
-        """
-        if parent is None:
-            return None
-        old_table, changed = parent
-        affected = affected_ases(self._graph, old_table, changed)
-        if affected is None:
-            return None
-        table = recompute_routes(
-            self._graph, old_table, changed, affected=affected
-        )
-        return table, len(affected)
 
     # ------------------------------------------------------------------
     # single-table interface
@@ -438,7 +428,7 @@ class SessionCore:
                     leaders.append(destination)
                     if pinned is None:
                         parents[destination] = self._cache.derivation_parent(
-                            self._graph, destination
+                            destination
                         )
                 if leaders:
                     # a writer waits on this in mutate(), so the graph —
@@ -511,17 +501,22 @@ class SessionCore:
                 )
             return filled, [], len(leaders), False
 
-        # derive what we can from pre-mutation tables; only the
-        # remainder is worth fanning out to a pool
+        # derive what we can from pre-mutation tables (a pure failure
+        # bounds the affected region; a derivation is still a miss, only
+        # a cheaper one); only the remainder is worth fanning out
         derived: List[int] = []
         remaining: List[int] = []
         for destination in leaders:
-            result = self._derive_outside(parents.get(destination))
-            if result is not None:
-                filled[destination], affected = result
-                derived.append(affected)
-            else:
+            parent, affected = parents.get(destination), None
+            if parent is not None:
+                old, changed = parent
+                affected = affected_ases(self._graph, old, changed)
+            if affected is None:
                 remaining.append(destination)
+                continue
+            filled[destination] = recompute_routes(
+                self._graph, old, changed, affected=affected)
+            derived.append(len(affected))
 
         used_pool = False
         if remaining:

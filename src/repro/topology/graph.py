@@ -114,14 +114,16 @@ class ASGraph:
         ``None`` when the steps are unknown: ``old_version`` is not an
         ancestor of the current version (e.g. it was superseded by a
         revert) or the journal has been trimmed past it.  ``None`` means
-        "assume everything changed".
+        "assume everything changed".  Ids are minted in increasing
+        order, parents first, so the walk stops once it passes below
+        ``old_version``: an abandoned branch costs a step, not the journal.
         """
         if old_version == self._version:
             return frozenset()
         changed: Set[LinkKey] = set()
         version = self._version
         while version != old_version:
-            step = self._journal.get(version)
+            step = self._journal.get(version) if version > old_version else None
             if step is None:
                 return None
             version, step_changed = step

@@ -9,7 +9,7 @@ pre-mutation table, :class:`~repro.session.SimulationSession` serial
 (cache + derivation), the session's sharded shared-memory
 process-pool fan-out (mode ``session-pool-sharded``, forced into
 multiple destination-range shards so the shard boundaries themselves
-are under the contract), and the asyncio query daemon's micro-batched
+are under the contract), and the asyncio query daemon's batched
 admission path (mode ``service-batched``, with ``max_batch`` forced
 below the destination count so coalescing and batch splits are under
 the contract too).  The
@@ -280,10 +280,7 @@ class DifferentialOracle:
 
         from ..service import MiroService, ServiceConfig
 
-        config = ServiceConfig(
-            max_batch=max(1, len(self.destinations) // 2),
-            max_delay=0.005,
-        )
+        config = ServiceConfig(max_batch=max(1, len(self.destinations) // 2))
 
         async def run() -> Dict[int, RoutingTable]:
             with SimulationSession(self.graph, parallel=False) as session:

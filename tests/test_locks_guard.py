@@ -156,3 +156,48 @@ def test_guard_flags_snapshot_under_lock():
     """)
     assert [(line, call) for _, line, call in guard.check_source(source)] \
         == [(6, "snapshot")]
+
+
+def test_guard_flags_the_affected_set_walk_under_lock():
+    """``mutate()`` re-stamps under the lock; the affected-set walk is
+    O(n) on a cut tree, so only the per-link probe may run there."""
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def mutate(self, fn):
+            with self._lock:
+                result = fn(self._graph)
+                for key, table in self._cache.items():
+                    if not affected_ases(self._graph, table, changed):
+                        self._cache.put(key, table)
+                return result
+    """)
+    assert [(line, call) for _, line, call in guard.check_source(source)] \
+        == [(6, "affected_ases")]
+
+
+def test_guard_allows_the_tree_edge_probe_under_lock():
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def mutate(self, fn):
+            with self._lock:
+                for key, table in self._cache.items():
+                    if cut_tree_edges(table, changed) == set():
+                        self._cache.put(key, table)
+    """)
+    assert guard.check_source(source) == []
+
+
+def test_guard_treats_the_cache_module_as_held():
+    """The cache takes no lock of its own: every call in it runs under
+    the session's, so a slow call anywhere in it is flagged."""
+    guard = _load_guard()
+    assert "src/repro/session/cache.py" in guard.HELD_FILES
+    source = textwrap.dedent("""
+        def restamp(self, old, new, changed):
+            for key, table in self._entries.items():
+                affected_ases(table.graph, table, changed)
+    """)
+    assert [(line, call) for _, line, call
+            in guard.check_source(source, held=True)] \
+        == [(4, "affected_ases")]
+    assert guard.check_source(source) == []

@@ -23,10 +23,18 @@ from repro.service import (
     serve,
 )
 from repro.bgp.routing import compute_routes_reference
-from repro.service.daemon import _COALESCED, _ENCODED, _REQUESTS, _SHED
+from repro.service.daemon import (
+    _BATCH_SIZE,
+    _COALESCED,
+    _ENCODED,
+    _REQUESTS,
+    _SHED,
+)
 from repro.service.server import MAX_LINE_BYTES
 from repro.session import SimulationSession
 from repro.session.cache import _CACHE_EVENTS
+from repro.session.pool import _FANOUTS_TOTAL
+from repro.verify.oracle import DifferentialOracle, first_divergence
 from repro.miro.policies import ExportPolicy
 from repro.miro.runtime import MiroRuntime
 from repro.obs import get_registry
@@ -50,9 +58,7 @@ class TestServiceConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0},
-        {"max_delay": -0.1},
         {"max_pending": 0},
-        {"settle_threads": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ServiceError):
@@ -109,17 +115,17 @@ class TestLookup:
         asyncio.run(main())
 
     def test_distinct_misses_are_batched(self, tiny_graph):
-        """Distinct destinations in one window land in few settle batches."""
+        """Distinct destinations asked together land in few batches."""
         async def main():
-            config = ServiceConfig(max_batch=64, max_delay=0.05)
+            config = ServiceConfig(max_batch=64)
             with SimulationSession(tiny_graph, parallel=False) as session:
                 async with MiroService(session, config) as service:
                     destinations = tiny_graph.ases[:12]
                     await asyncio.gather(
                         *[service.lookup(d) for d in destinations]
                     )
-                    # one compute_many batch (or two if the window split),
-                    # never one settle per destination
+                    # one compute_many batch (or two if the first miss
+                    # went alone), never one settle per destination
                     assert session.stats.fanouts <= 2
                     assert session.stats.tables_computed + \
                         session.stats.tables_derived >= len(destinations)
@@ -128,7 +134,7 @@ class TestLookup:
 
     def test_batches_respect_max_batch(self, tiny_graph):
         async def main():
-            config = ServiceConfig(max_batch=4, max_delay=0.05)
+            config = ServiceConfig(max_batch=4)
             with SimulationSession(tiny_graph, parallel=False) as session:
                 async with MiroService(session, config) as service:
                     destinations = tiny_graph.ases[:12]
@@ -138,6 +144,80 @@ class TestLookup:
                     assert session.stats.fanouts >= 3
 
         asyncio.run(main())
+
+    def test_a_lone_miss_is_dispatched_at_once(self, tiny_graph):
+        """No admission window: with the batcher idle, a miss is on its
+        way to the settle thread within a few event-loop turns, not
+        after a timer (which would have taken hundreds of turns)."""
+        async def main():
+            with SimulationSession(tiny_graph, parallel=False) as session:
+                async with MiroService(session) as service:
+                    before = _BATCH_SIZE.count
+                    lookup = asyncio.ensure_future(
+                        service.lookup(tiny_graph.ases[0]))
+                    turns = 0
+                    while _BATCH_SIZE.count == before:
+                        assert turns < 20, "the miss is waiting for company"
+                        await asyncio.sleep(0)
+                        turns += 1
+                    await lookup
+                    return turns
+
+        assert asyncio.run(main()) <= 4
+
+    def test_misses_queued_behind_a_settle_form_one_batch(
+        self, tiny_graph, monkeypatch
+    ):
+        """While one batch holds the settle thread, the misses that
+        arrive queue; when it lands they go together, as the next batch."""
+        entered, release = threading.Event(), threading.Event()
+        sizes = []
+        compute_many = SimulationSession.compute_many
+
+        def blocking(self, destinations, *args, **kwargs):
+            destinations = list(destinations)
+            sizes.append(len(destinations))
+            if len(sizes) == 1:
+                entered.set()
+                assert release.wait(timeout=30)
+            return compute_many(self, destinations, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationSession, "compute_many", blocking)
+        first, *rest = tiny_graph.ases[:9]
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            with SimulationSession(tiny_graph, parallel=False) as session:
+                async with MiroService(session) as service:
+                    lone = asyncio.ensure_future(service.lookup(first))
+                    assert await loop.run_in_executor(
+                        None, entered.wait, 30)
+                    queued = [asyncio.ensure_future(service.lookup(d))
+                              for d in rest]
+                    for _ in range(10):
+                        await asyncio.sleep(0)
+                    assert sizes == [1]
+                    assert len(service._queue) == len(rest)
+                    release.set()
+                    tables = await asyncio.gather(lone, *queued)
+            return [table.destination for table in tables]
+
+        assert asyncio.run(main()) == [first, *rest]
+        assert sizes == [1, len(rest)]
+
+    def test_oracle_service_mode_still_splits_batches(self, tiny_graph):
+        """``service-batched`` puts batch boundaries under the oracle's
+        contract; with no admission window they must still occur."""
+        serial = _FANOUTS_TOTAL.labels(mode="serial")
+        destinations = tiny_graph.ases[:12]
+        oracle = DifferentialOracle(tiny_graph, destinations)
+        before = serial.value
+        tables = oracle._service_tables()
+        assert serial.value - before >= 2
+        for destination in destinations:
+            assert first_divergence(
+                compute_routes_reference(tiny_graph, destination),
+                tables[destination], "service-batched") is None
 
     def test_lookup_error_propagates_and_clears_pending(self, tiny_graph):
         async def main():
@@ -185,8 +265,7 @@ class TestBackpressure:
     def test_overload_sheds_with_retry_after(self, small_graph):
         async def main():
             config = ServiceConfig(
-                max_batch=2, max_delay=0.5, max_pending=3, retry_after=0.123,
-                settle_threads=1,
+                max_batch=2, max_pending=3, retry_after=0.123,
             )
             with SimulationSession(small_graph, parallel=False) as session:
                 async with MiroService(session, config) as service:
@@ -209,7 +288,7 @@ class TestBackpressure:
     def test_coalesced_joins_do_not_count_against_pending(self, tiny_graph):
         """Same-destination joins ride the existing future — never shed."""
         async def main():
-            config = ServiceConfig(max_pending=1, max_delay=0.02)
+            config = ServiceConfig(max_pending=1)
             with SimulationSession(tiny_graph, parallel=False) as session:
                 async with MiroService(session, config) as service:
                     destination = tiny_graph.ases[5]
@@ -241,9 +320,8 @@ class TestLifecycle:
 
     def test_drain_completes_accepted_requests(self, small_graph):
         async def main():
-            config = ServiceConfig(max_delay=0.05)
             with SimulationSession(small_graph, parallel=False) as session:
-                service = MiroService(session, config)
+                service = MiroService(session)
                 await service.start()
                 pending = [
                     asyncio.ensure_future(service.lookup(d))
@@ -409,8 +487,7 @@ class TestServiceOps:
         assert settled_on_loop == []
 
     def test_negotiate_sheds_and_rejects_like_lookup(self, small_graph):
-        config = ServiceConfig(max_batch=1, max_delay=0.5, max_pending=1,
-                               retry_after=0.05, settle_threads=1)
+        config = ServiceConfig(max_batch=1, max_pending=1, retry_after=0.05)
 
         async def main():
             runtime = MiroRuntime(small_graph)
@@ -486,8 +563,7 @@ class TestServiceOps:
                     for outcome in ("ok", "shed", "error")}
 
         async def main():
-            config = ServiceConfig(max_batch=2, max_delay=0.5, max_pending=3,
-                                   settle_threads=1)
+            config = ServiceConfig(max_batch=2, max_pending=3)
             with SimulationSession(small_graph, parallel=False) as session:
                 async with MiroService(session, config) as service:
                     before = counts()
@@ -649,8 +725,7 @@ class TestProtocol:
                             "error": "service has no MIRO runtime configured"}
 
     def test_overload_is_a_response_not_an_exception(self, small_graph):
-        config = ServiceConfig(max_batch=1, max_delay=0.5, max_pending=1,
-                               retry_after=0.05, settle_threads=1)
+        config = ServiceConfig(max_batch=1, max_pending=1, retry_after=0.05)
 
         async def main():
             with SimulationSession(small_graph, parallel=False) as session:
@@ -980,6 +1055,25 @@ class TestEncodedAnswer:
         assert encoded("build") == 2
         assert encoded("hit") == 1
 
+    def test_off_tree_flap_answers_from_the_kept_body(self, paper_graph):
+        """C—E is on no route toward F: its failure re-stamps F's table,
+        so the next whole-table answer is the body kept for it."""
+        async def main():
+            with SimulationSession(paper_graph, parallel=False) as session:
+                async with MiroService(session) as service:
+                    request = {"op": "lookup", "destination": 6}
+                    up = await handle_request(service, request)
+                    counts = encoded("hit"), encoded("build")
+                    await service.apply_churn(
+                        TopologyDelta.link_down(3, 5).apply)
+                    down = await handle_request(service, request)
+                    return up, down, counts
+
+        up, down, (hits, builds) = asyncio.run(main())
+        assert down is up
+        assert json.loads(down) == reference_answer(paper_graph, 6)
+        assert (encoded("hit"), encoded("build")) == (hits + 1, builds)
+
     def test_derived_answer_is_byte_equal_to_a_fresh_service(self):
         """The wire is deterministic in the graph state, not in how the
         table came to be: after a link on the destination's tree goes
@@ -1113,7 +1207,7 @@ class TestEncodedAnswer:
 
 
 # ----------------------------------------------------------------------
-# concurrency: event loop + settle threads + churn writer
+# concurrency: event loop + the settle thread + churn writer
 # ----------------------------------------------------------------------
 class TestServiceConcurrency:
     def test_lookups_and_churn_interleaved(self, small_graph):
@@ -1121,9 +1215,8 @@ class TestServiceConcurrency:
         from repro.topology.delta import TopologyDelta
 
         async def main():
-            config = ServiceConfig(max_delay=0.001, settle_threads=2)
             with SimulationSession(small_graph, parallel=False) as session:
-                async with MiroService(session, config) as service:
+                async with MiroService(session) as service:
                     destinations = small_graph.ases[:10]
                     links = [
                         (a, b) for a, b, _ in small_graph.iter_links()
@@ -1172,10 +1265,9 @@ class TestServiceConcurrency:
         rounds = 2 * len(flaps)
 
         async def main():
-            config = ServiceConfig(max_delay=0.001, settle_threads=2)
             runtime = MiroRuntime(small_graph)
             with SimulationSession(small_graph, parallel=False) as session:
-                async with MiroService(session, config, runtime) as service:
+                async with MiroService(session, runtime=runtime) as service:
                     records = []
 
                     async def traffic(churn, round_):

@@ -6,9 +6,12 @@ pinned routes, and the cross-layer sharing the session exists for:
 Table 5.2 and Table 5.3 on the same graph must hit the cache.
 """
 
+import random
+
 import pytest
 
 from repro.bgp import compute_all_routes, compute_routes, make_route
+from repro.bgp.routing import compute_routes_reference
 from repro.errors import RoutingError, SessionError
 from repro.session import (
     AUTO_PARALLEL_THRESHOLD,
@@ -17,7 +20,9 @@ from repro.session import (
     ensure_session,
     pinned_key,
 )
-from repro.topology import ASGraph
+from repro.session.cache import _CACHE_EVENTS
+from repro.topology import ASGraph, TopologyDelta
+from repro.verify.oracle import first_divergence
 
 from conftest import A, B, C, D, E, F
 
@@ -855,6 +860,144 @@ class TestAutoPrune:
         # the post-failure entry's version is no ancestor of the current
         # state, so it cannot seed derivations and is dropped
         assert session.stats.auto_pruned == 1
+
+
+def restamps() -> float:
+    return _CACHE_EVENTS.labels(event="restamp").value
+
+
+class TestRestamp:
+    """``mutate()`` re-stamps the cached trees a link failure did not
+    cut: the same table object, aliased at the new version."""
+
+    def test_off_tree_failure_restamps_the_same_table(self, paper_graph):
+        session = SimulationSession(paper_graph, parallel=False)
+        table = session.compute(F)          # tree edges AB BE CF DE EF
+        session.mutate(TopologyDelta.link_down(C, E).apply)
+        assert restamps() == 1
+        assert session.peek(F) is table
+        assert session.stats.misses == 1
+
+    def test_cut_tree_is_derived_on_first_lookup(self, paper_graph):
+        session = SimulationSession(paper_graph, parallel=False)
+        table = session.compute(F)
+        session.mutate(TopologyDelta.link_down(B, E).apply)
+        assert restamps() == 0
+        assert session.peek(F) is None
+        assert session.compute(F).default_path(B) == (B, C, F)
+        assert session.stats.tables_derived == 1
+        assert table.default_path(B) == (B, E, F)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_served_table_is_the_reference(self, small_graph, seed):
+        """After every event of a seeded flap sequence, each table the
+        cache holds at the new version equals the reference walk in
+        values and order, and the re-stamped ones are the very tables
+        served before the event."""
+        rng = random.Random(seed)
+        graph = small_graph
+        destinations = rng.sample(graph.ases, 24)
+        session = SimulationSession(graph, parallel=False)
+        session.compute_many(destinations)
+        applied, reverted = [], []
+        for _ in range(30):
+            before = {d: session.peek(d) for d in destinations}
+            version, counted = graph.version, restamps()
+            roll = rng.random()
+            failure = True
+            if reverted and roll < 0.15:
+                record = reverted.pop()
+                session.mutate(lambda g, r=record: r.reapply())
+                applied.append(record)
+            elif applied and roll < 0.4:
+                record = applied.pop()
+                session.mutate(lambda g, r=record: r.revert())
+                reverted.append(record)
+                failure = False
+            else:
+                if roll < 0.5:
+                    delta = TopologyDelta.as_down(rng.choice(graph.ases))
+                else:
+                    delta = TopologyDelta.link_down(
+                        *rng.choice(sorted(graph.iter_links()))[:2])
+                applied.append(session.mutate(delta.apply))
+                reverted.clear()
+            served = {
+                key[1]: table for key, table in session._cache._entries.items()
+                if key[0] == graph.version and key[2] is None
+            }
+            for destination, table in served.items():
+                reference = compute_routes_reference(graph, destination)
+                assert first_divergence(reference, table, "restamp") is None
+            if failure and graph.version != version:
+                # nothing was filled at the new version yet: all it holds
+                # are the re-stamped tables, each the one served before
+                assert len(served) == restamps() - counted
+                assert all(t is before[d] for d, t in served.items())
+            session.compute_many(destinations)
+        assert restamps() > 0
+
+    def test_no_restamp_for_a_link_addition(self, paper_graph):
+        session = SimulationSession(paper_graph, parallel=False)
+        session.compute(F)
+        session.mutate(lambda g: g.add_peer_link(A, C))
+        assert restamps() == 0
+        assert session.peek(F) is None
+
+    def test_no_restamp_for_a_link_restore(self, paper_graph):
+        repair = TopologyDelta.link_restore(paper_graph, C, E)
+        session = SimulationSession(paper_graph, parallel=False)
+        session.mutate(TopologyDelta.link_down(C, E).apply)
+        session.compute(F)
+        session.mutate(repair.apply)
+        assert restamps() == 0
+        assert session.peek(F) is None
+
+    def test_no_restamp_when_the_as_set_changes(self, paper_graph):
+        session = SimulationSession(paper_graph, parallel=False)
+        session.compute(F)
+        session.mutate(lambda g: (g.remove_link(C, E), g.add_as(99)))
+        assert restamps() == 0
+        assert session.peek(F) is None
+
+    def test_no_restamp_for_a_pinned_table(self, paper_graph):
+        session = SimulationSession(paper_graph, parallel=False)
+        base = session.compute(F)
+        alternate = next(r for r in base.candidates(B) if r.path == (B, C, F))
+        session.compute(F, pinned={B: alternate})
+        session.mutate(TopologyDelta.link_down(A, D).apply)
+        assert restamps() == 1                      # the unpinned one
+        assert session.peek(F) is base
+        assert session.peek(F, pinned={B: alternate}) is None
+
+    def test_revert_after_a_restamp_hits_with_no_fill(self, paper_graph):
+        session = SimulationSession(paper_graph, parallel=False)
+        table = session.compute(F)
+        applied = session.mutate(TopologyDelta.link_down(C, E).apply)
+        assert session.compute(F) is table
+        fills = _CACHE_EVENTS.labels(event="fill").value
+        session.mutate(lambda g: applied.revert())
+        assert session.compute(F) is table
+        assert _CACHE_EVENTS.labels(event="fill").value == fills
+        assert session.stats.misses == 1
+
+    def test_a_full_cache_restamps_and_evicts_nothing(self, paper_graph):
+        session = SimulationSession(
+            paper_graph, max_cached_tables=2, parallel=False)
+        session.compute_many([F, A])
+        session.mutate(TopologyDelta.link_down(C, E).apply)
+        assert restamps() == 0
+        assert session.stats.evictions == 0
+        assert session.tables_cached == 2
+
+    def test_aliases_take_only_the_free_slots(self, paper_graph):
+        session = SimulationSession(
+            paper_graph, max_cached_tables=3, parallel=False)
+        session.compute_many([F, A])        # C—E is on neither tree
+        session.mutate(TopologyDelta.link_down(C, E).apply)
+        assert restamps() == 1
+        assert session.stats.evictions == 0
+        assert session.tables_cached == 3
 
 
 class TestPersistentPool:

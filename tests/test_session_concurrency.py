@@ -8,11 +8,13 @@ as a failed assertion, not a hung test run.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.bgp.routing import compute_routes_reference
 from repro.session import SessionCore, SimulationSession
 from repro.session.cache import _CACHE_EVENTS
 from repro.topology import generate_topology, SMALL, TINY
@@ -151,6 +153,78 @@ class TestMutateGate:
         assert not failures, failures
         assert graph.version == version_before
         core.close()
+
+    def test_tables_served_under_churn_are_the_reference(self):
+        """Readers race a writer whose link failures re-stamp the trees
+        they leave intact: every table a reader got while no mutation
+        completed is the reference walk at that version's link state."""
+        graph = generate_topology(SMALL, seed=42)
+        destinations = graph.ases[:8]
+        links = [(a, b) for a, b, _ in graph.iter_links()][:4]
+
+        def reference_paths():
+            tables = {d: compute_routes_reference(graph, d)
+                      for d in destinations}
+            return {d: {s: t.default_path(s) for s in graph.ases}
+                    for d, t in tables.items()}
+
+        expected = {None: reference_paths()}
+        for a, b in links:
+            applied = TopologyDelta.link_down(a, b).apply(graph)
+            expected[(a, b)] = reference_paths()
+            applied.revert()
+        state = {graph.version: None}
+        mutations, reads = [0], [0]
+        core = SessionCore(graph, parallel=False)
+        stop = threading.Event()
+        seen, failures = {}, []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    count, version = mutations[0], graph.version
+                    tables = core.compute_many(destinations)
+                    if (mutations[0], graph.version) == (count, version):
+                        for d, table in tables.items():
+                            seen[(version, d, id(table))] = table
+                    reads[0] += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(repr(exc))
+
+        def mutate(fn):
+            applied = core.mutate(fn)
+            mutations[0] += 1
+            # let the readers see this state before the next one
+            target, deadline = reads[0] + 8, time.monotonic() + JOIN_TIMEOUT
+            while reads[0] < target and time.monotonic() < deadline:
+                time.sleep(0)
+            return applied
+
+        def writer():
+            try:
+                for a, b in links * 3:
+                    applied = mutate(TopologyDelta.link_down(a, b).apply)
+                    state[applied.version_after] = (a, b)
+                    mutate(lambda g: applied.revert())
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(repr(exc))
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_all([
+                threading.Thread(target=reader, name=f"reader-{i}")
+                for i in range(4)
+            ] + [threading.Thread(target=writer, name="writer")])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        assert _CACHE_EVENTS.labels(event="restamp").value > 0
+        for (version, d, _), table in seen.items():
+            want = expected[state[version]][d]
+            assert {s: table.default_path(s) for s in graph.ases} == want
 
     def test_mutate_waits_for_inflight_fill(self):
         """The writer gate: mutate blocks while a fill holds the floor."""

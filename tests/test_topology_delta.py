@@ -1,5 +1,8 @@
 """Tests for the topology-delta layer (apply/revert transactions)."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import TopologyError
@@ -12,6 +15,8 @@ from repro.topology import (
     apply_each,
     link_key,
 )
+from repro.topology.generator import generate_named
+from repro.topology.graph import MAX_JOURNAL_STEPS
 
 from conftest import A, B, C, D, E, F
 
@@ -20,6 +25,32 @@ def snapshot(graph: ASGraph):
     return {
         (a, b): rel for a, b, rel in graph.iter_links()
     }, set(graph.ases)
+
+
+class CountingJournal(OrderedDict):
+    """A version journal that counts the steps read from it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def full_walk(graph: ASGraph, old_version: int):
+    """``changed_links_since`` without the early stop: the parent chain
+    walked until ``old_version`` or the end of the journal."""
+    if old_version == graph.version:
+        return frozenset()
+    changed = set()
+    version = graph.version
+    while version != old_version:
+        step = graph._journal.get(version)
+        if step is None:
+            return None
+        version, links = step
+        changed.update(links)
+    return frozenset(changed)
 
 
 class TestFactories:
@@ -239,6 +270,47 @@ class TestVersionJournal:
         # an ancestor of the current one
         assert paper_graph.changed_links_since(branch) is None
         assert paper_graph.changed_links_since(start) == {link_key(C, F)}
+
+    def test_abandoned_branch_costs_a_step_not_the_journal(self):
+        """A revert's prune asks about the version it abandoned once per
+        cached table; the walk stops as soon as it passes below it."""
+        graph = generate_named("verify-500", seed=0)
+        assert len(graph._journal) == MAX_JOURNAL_STEPS
+        a, b, _ = next(graph.iter_links())
+        applied = TopologyDelta.link_down(a, b).apply(graph)
+        abandoned = graph.version
+        applied.revert()
+        journal = graph._journal = CountingJournal(graph._journal)
+        assert graph.changed_links_since(abandoned) is None
+        assert journal.reads <= 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_walk_agrees_with_a_full_walk(self, small_graph, seed):
+        """Seeded apply / revert / reapply: every version ever held,
+        asked after every step, answers what walking the whole chain
+        answers."""
+        rng = random.Random(seed)
+        graph = small_graph
+        seen = [-1, graph.version]
+        applied, reverted = [], []
+        for _ in range(40):
+            roll = rng.random()
+            if reverted and roll < 0.2:
+                record = reverted.pop()
+                record.reapply()
+                applied.append(record)
+            elif applied and roll < 0.5:
+                record = applied.pop()
+                record.revert()
+                reverted.append(record)
+            else:
+                a, b, _ = rng.choice(sorted(graph.iter_links()))
+                applied.append(TopologyDelta.link_down(a, b).apply(graph))
+                reverted.clear()
+            seen.append(graph.version)
+            for version in seen:
+                assert graph.changed_links_since(version) == full_walk(
+                    graph, version)
 
     def test_distinct_states_never_share_a_version(self, paper_graph):
         seen = {paper_graph.version}

@@ -576,7 +576,7 @@ class TestShardedPoolOracle:
 
 
 class TestServiceOracle:
-    """The asyncio daemon's micro-batched admission is an enumerated
+    """The asyncio daemon's batched admission is an enumerated
     oracle path: mode ``service-batched`` serves every destination
     through :class:`~repro.service.MiroService` with ``max_batch``
     forced below the destination count, so coalescing and batch splits

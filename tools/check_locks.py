@@ -22,7 +22,8 @@ would pass every functional test (the answers stay right, only the
 concurrency collapses), so this guard makes it a CI failure instead: it
 walks the AST of the guarded files and flags any call whose terminal
 name is on the slow list lexically inside a ``with self._lock`` (or
-``with core._lock``) block.
+``with core._lock``) block, or anywhere in a file that only ever runs
+under the session's lock (the cache module).
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_locks.py``.
 Exits 0 when no guarded file settles under the lock, 1 otherwise
@@ -44,11 +45,20 @@ GUARDED_FILES = (
     "src/repro/miro/runtime.py",
 )
 
+#: Files that take no lock and are only ever called under the session's
+#: (``RouteTableCache``, which ``mutate()`` and every lookup drive from
+#: inside ``with self._lock:``): every call in them counts as under it.
+HELD_FILES = (
+    "src/repro/session/cache.py",
+)
+
 #: Terminal callee names that must never run under a guarded lock: the
 #: settling entry points (a session's ``compute`` / ``compute_many``
 #: included), the batch helpers that wrap them, the
 #: O(n) expansion of a route tree into its dict (``mutate()`` runs
-#: caller code under the lock), the O(links) derivation of a topology
+#: caller code under the lock), the affected-set walk (O(n) over a
+#: tree a failure cuts; ``mutate()``'s re-stamp probes with
+#: ``cut_tree_edges`` instead), the O(links) derivation of a topology
 #: snapshot (every warm ``peek`` would wait behind it), and the pool's
 #: publication / submission calls.
 SLOW_CALLS = frozenset({
@@ -57,6 +67,7 @@ SLOW_CALLS = frozenset({
     "compute_routes",
     "compute_routes_reference",
     "recompute_routes",
+    "affected_ases",
     "settle",
     "settle_many",
     "materialize",
@@ -65,7 +76,6 @@ SLOW_CALLS = frozenset({
     "ensure",
     "_fill",
     "_fill_batch",
-    "_derive_outside",
     "_fanout_pool",
 })
 
@@ -97,9 +107,9 @@ class _LockWalker(ast.NodeVisitor):
     guard.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, held: bool = False) -> None:
         self.path = path
-        self.depth = 0
+        self.depth = 1 if held else 0
         self.violations: List[Tuple[str, int, str]] = []
 
     def visit_With(self, node: ast.With) -> None:
@@ -118,21 +128,26 @@ class _LockWalker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def find_lock_violations(paths=GUARDED_FILES) -> List[Tuple[str, int, str]]:
+def find_lock_violations(
+    paths=GUARDED_FILES, held=HELD_FILES
+) -> List[Tuple[str, int, str]]:
     """Return ``[(path, line, call)]`` for slow calls under the lock."""
     violations: List[Tuple[str, int, str]] = []
-    for rel in paths:
+    for rel in (*paths, *held):
         path = REPO_ROOT / rel
         tree = ast.parse(path.read_text(), filename=str(path))
-        walker = _LockWalker(rel)
+        walker = _LockWalker(rel, held=rel in held)
         walker.visit(tree)
         violations.extend(walker.violations)
     return sorted(violations)
 
 
-def check_source(source: str, path: str = "<string>") -> List[Tuple[str, int, str]]:
-    """Lint one source string (the tests' fixture entry point)."""
-    walker = _LockWalker(path)
+def check_source(
+    source: str, path: str = "<string>", held: bool = False
+) -> List[Tuple[str, int, str]]:
+    """Lint one source string (the tests' fixture entry point); ``held``
+    lints it as a :data:`HELD_FILES` entry."""
+    walker = _LockWalker(path, held)
     walker.visit(ast.parse(source, filename=path))
     return sorted(walker.violations)
 
@@ -146,7 +161,7 @@ def main() -> int:
                   f"released — see the SessionCore lock discipline")
         return 1
     print(f"lock guard: no settling, pool publication, or job submission "
-          f"under the lock in {', '.join(GUARDED_FILES)}")
+          f"under the lock in {', '.join(GUARDED_FILES + HELD_FILES)}")
     return 0
 
 
