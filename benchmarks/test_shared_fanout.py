@@ -127,48 +127,45 @@ def _churn_cold_sweep(graph, destinations):
 
 @needs_shm
 @needs_cores
-def test_cold_sweep_speedup(verify_500, bench_report, benchmark):
+def test_cold_sweep_speedup(verify_500, bench_report, benchmark, monkeypatch):
     destinations = verify_500.ases
-    previous = kernels.set_active("scalar")
-    try:
+    monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "scalar")
 
-        def serial_cold():
-            session = SimulationSession(verify_500, parallel=False,
-                                        max_cached_tables=len(destinations))
+    def serial_cold():
+        session = SimulationSession(verify_500, parallel=False,
+                                    max_cached_tables=len(destinations))
+        start = time.perf_counter()
+        session.compute_many(destinations)
+        return time.perf_counter() - start
+
+    pool_session = SimulationSession(
+        verify_500, parallel=True, max_workers=POOL_WORKERS,
+        max_cached_tables=len(destinations),
+    )
+    try:
+        # pre-warm: fork the workers and publish the snapshot, then
+        # clear the table cache so the measured sweep is cold
+        pool_session.compute_many(destinations[:POOL_WORKERS])
+        pool_session.clear_cache()
+
+        def pool_cold():
+            pool_session.clear_cache()
             start = time.perf_counter()
-            session.compute_many(destinations)
+            pool_session.compute_many(destinations)
             return time.perf_counter() - start
 
-        pool_session = SimulationSession(
-            verify_500, parallel=True, max_workers=POOL_WORKERS,
-            max_cached_tables=len(destinations),
+        churn_seconds, churn_tables = _churn_cold_sweep(
+            verify_500, destinations
         )
-        try:
-            # pre-warm: fork the workers and publish the snapshot, then
-            # clear the table cache so the measured sweep is cold
-            pool_session.compute_many(destinations[:POOL_WORKERS])
-            pool_session.clear_cache()
-
-            def pool_cold():
-                pool_session.clear_cache()
-                start = time.perf_counter()
-                pool_session.compute_many(destinations)
-                return time.perf_counter() - start
-
-            churn_seconds, churn_tables = _churn_cold_sweep(
-                verify_500, destinations
-            )
-            serial_seconds = serial_cold()
-            pool_seconds = benchmark.pedantic(
-                pool_cold, rounds=1, iterations=1
-            )
-            assert pool_session.stats.parallel_fanouts >= 2
-            # both sweeps settled every destination
-            assert len(churn_tables) == len(destinations)
-        finally:
-            pool_session.close()
+        serial_seconds = serial_cold()
+        pool_seconds = benchmark.pedantic(
+            pool_cold, rounds=1, iterations=1
+        )
+        assert pool_session.stats.parallel_fanouts >= 2
+        # both sweeps settled every destination
+        assert len(churn_tables) == len(destinations)
     finally:
-        kernels.set_active(previous)
+        pool_session.close()
 
     speedup = churn_seconds / pool_seconds if pool_seconds else 0.0
     vs_serial = serial_seconds / pool_seconds if pool_seconds else 0.0
@@ -190,26 +187,23 @@ def test_cold_sweep_speedup(verify_500, bench_report, benchmark):
 
 @needs_shm
 @needs_cores
-def test_batched_pool_sweep_recorded(verify_500, bench_report):
+def test_batched_pool_sweep_recorded(verify_500, bench_report, monkeypatch):
     # ungated: under the batched kernel the serial sweep is fast enough
     # that IPC result-return dominates, so this records the trajectory
     # point without asserting a ratio
-    if not kernels.get("batched").is_available:
+    if not kernels.get("batched").is_available():
         pytest.skip("batched kernel unavailable")
     destinations = verify_500.ases
-    previous = kernels.set_active("batched")
-    try:
-        with SimulationSession(
-            verify_500, parallel=True, max_workers=POOL_WORKERS,
-            max_cached_tables=len(destinations),
-        ) as session:
-            session.compute_many(destinations[:POOL_WORKERS])
-            session.clear_cache()
-            start = time.perf_counter()
-            session.compute_many(destinations)
-            elapsed = time.perf_counter() - start
-    finally:
-        kernels.set_active(previous)
+    monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
+    with SimulationSession(
+        verify_500, parallel=True, max_workers=POOL_WORKERS,
+        max_cached_tables=len(destinations),
+    ) as session:
+        session.compute_many(destinations[:POOL_WORKERS])
+        session.clear_cache()
+        start = time.perf_counter()
+        session.compute_many(destinations)
+        elapsed = time.perf_counter() - start
     bench_report.record("batched_pool_cold_seconds", elapsed, "seconds",
                         topology="verify-500", topology_size=len(verify_500),
                         workers=POOL_WORKERS)

@@ -7,9 +7,9 @@ oracle — each call site naming its computation function directly.  Every
 new kernel meant touching all of them.  The registry inverts that: a
 *kernel backend* is one implementation of the settling semantics
 
-    ``settle(snapshot, destination, pinned) -> Mapping[asn, Route]``
+    ``settle(snapshot, destination) -> RouteTree``
 
-registered under a name with capability flags, and every consumer —
+registered under a name, and every consumer —
 :func:`repro.bgp.routing.compute_routes`,
 :meth:`repro.session.SimulationSession.compute_many` pool workers, and
 :class:`repro.verify.oracle.DifferentialOracle` — resolves the backend it
@@ -20,10 +20,8 @@ held byte-equal to the reference walk under fault campaigns.
 Selection precedence (first match wins):
 
 1. an explicit ``kernel=`` argument at the call site,
-2. the process-wide override installed by :func:`set_active` (the CLI's
-   ``--kernel`` flag),
-3. the ``REPRO_KERNEL`` environment variable,
-4. :data:`DEFAULT_KERNEL` (``"scalar"``).
+2. the ``REPRO_KERNEL`` environment variable,
+3. :data:`DEFAULT_KERNEL` (``"scalar"``).
 
 A backend whose dependencies are missing (e.g. ``batched`` without
 numpy — the ``[accel]`` extra) stays registered but unavailable;
@@ -34,20 +32,20 @@ Two backends ship in-tree, registered by this package's import:
 
 * ``scalar`` — the index-space kernel
   (:func:`repro.bgp.routing.compute_routes_snapshot`): parent pointers
-  settled in wave order, pure Python; no dependencies, settles pinned
-  requests (by the heap walk).
+  settled in wave order, pure Python; no dependencies.
 * ``batched`` — the vectorized wave kernel
   (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
   numpy operations over the snapshot's flat CSR arrays, many
   destinations per call.  Requires numpy.
 
-Both return an un-pinned table as a
-:class:`~repro.bgp.routing.RouteTree` — a ``Mapping[int, Route]`` that
-answers path reads from parent pointers and builds its dict on first
-use — and a pinned one as the dict.  Re-deriving a table after link
-failures (:func:`repro.bgp.routing.recompute_routes`) restarts the
-scalar wave loop from any backend's tree; only its full-settle
-fallbacks come through :func:`settle`.
+Both return a :class:`~repro.bgp.routing.RouteTree` — a ``Mapping[int,
+Route]`` that answers path reads from parent pointers and builds its
+dict on first use.  Kernels settle un-pinned tables only: the pinned
+what-if tables of §5.4 are settled by
+:func:`repro.bgp.routing.compute_routes` itself.  Re-deriving a table
+after link failures (:func:`repro.bgp.routing.recompute_routes`)
+restarts the scalar wave loop from any backend's tree; only its
+full-settle fallbacks come through :func:`settle`.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from typing import (
 )
 
 from ...errors import KernelError
-from ...obs import get_logger, get_registry
+from ...obs import get_logger, get_registry, get_tracer
 from ..route import Route
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,21 +95,15 @@ def _always_available() -> bool:
 
 @dataclass(frozen=True, slots=True)
 class KernelBackend:
-    """One registered settling implementation plus its capability flags.
+    """One registered settling implementation.
 
-    ``settle`` computes the full stable state for one destination on a
-    frozen :class:`~repro.topology.snapshot.TopologySnapshot` and returns
-    the ASN-keyed best-route mapping, byte-identical to
+    ``settle(snapshot, destination)`` computes the full un-pinned stable
+    state for one destination on a frozen
+    :class:`~repro.topology.snapshot.TopologySnapshot` and returns it as
+    a :class:`~repro.bgp.routing.RouteTree`, byte-identical to
     :func:`repro.bgp.routing.compute_routes_reference` — the registry
-    contract the differential oracle enforces for every backend.
-
-    Capability flags gate where the dispatcher will use the backend:
-
-    * ``pinned`` — the backend settles pinned-route requests itself;
-      otherwise :func:`settle` routes pinned requests to the scalar
-      backend.
-    * ``pool`` — the backend is safe to resolve inside process-pool
-      workers (its module is importable from a bare ``import repro``).
+    contract the differential oracle enforces for every backend.  Every
+    backend may run inside process-pool workers.
 
     ``available`` is probed at resolution time so an optional dependency
     (numpy for ``batched``) can appear or disappear without
@@ -121,8 +113,6 @@ class KernelBackend:
     name: str
     settle: SettleFn
     description: str = ""
-    pinned: bool = True
-    pool: bool = True
     requires: Tuple[str, ...] = ()
     available: Callable[[], bool] = field(default=_always_available)
     #: Optional sweep entry point ``settle_many(snapshot, destinations)
@@ -137,7 +127,6 @@ class KernelBackend:
 #: Registration order is meaningful: the oracle enumerates in this order,
 #: and the scalar backend registers first.
 _REGISTRY: "Dict[str, KernelBackend]" = {}
-_ACTIVE_OVERRIDE: Optional[str] = None
 _FALLBACK_WARNED: set = set()
 
 
@@ -189,20 +178,6 @@ def kernel_names(available_only: bool = False) -> List[str]:
     return [backend.name for backend in backends(available_only)]
 
 
-def set_active(name: Optional[str]) -> Optional[str]:
-    """Install (or with None clear) the process-wide backend override.
-
-    Validates the name against the registry and returns the previous
-    override so callers (the CLI, test fixtures) can restore it.
-    """
-    global _ACTIVE_OVERRIDE
-    if name is not None:
-        get(name)  # raises on unknown names before installing
-    previous = _ACTIVE_OVERRIDE
-    _ACTIVE_OVERRIDE = name
-    return previous
-
-
 def resolve(name: Optional[str] = None) -> KernelBackend:
     """The backend a settle call should run on, per selection precedence.
 
@@ -211,8 +186,6 @@ def resolve(name: Optional[str] = None) -> KernelBackend:
     warning — the graceful-fallback contract that makes ``REPRO_KERNEL``
     safe to set unconditionally.
     """
-    if name is None:
-        name = _ACTIVE_OVERRIDE
     if name is None:
         name = os.environ.get(KERNEL_ENV_VAR) or DEFAULT_KERNEL
     backend = get(name)
@@ -228,28 +201,23 @@ def resolve(name: Optional[str] = None) -> KernelBackend:
 
 
 def active() -> KernelBackend:
-    """The backend currently selected by override/env/default."""
+    """The backend currently selected by ``REPRO_KERNEL`` or the default."""
     return resolve()
 
 
 def settle(
     snapshot: "TopologySnapshot",
     destination: int,
-    pinned: Optional[Dict[int, Route]] = None,
     kernel: Optional[str] = None,
 ) -> Mapping[int, Route]:
     """Dispatch one full-table settling through the registry.
 
-    Resolves the backend (see :func:`resolve`), reroutes pinned requests
-    to the scalar backend when the resolved one lacks the ``pinned``
-    capability, and lands the wall-clock cost in the per-backend
-    ``repro_routing_settle_seconds`` histogram.
+    Resolves the backend (see :func:`resolve`) and lands the wall-clock
+    cost in the per-backend ``repro_routing_settle_seconds`` histogram.
     """
     backend = resolve(kernel)
-    if pinned and not backend.pinned:
-        backend = get(DEFAULT_KERNEL)
     start = time.perf_counter()
-    best = backend.settle(snapshot, destination, pinned)
+    best = backend.settle(snapshot, destination)
     _SETTLE_SECONDS.labels(backend=backend.name).observe(
         time.perf_counter() - start
     )
@@ -261,7 +229,7 @@ def settle_many(
     destinations,
     kernel: Optional[str] = None,
 ) -> Dict[int, Mapping[int, Route]]:
-    """Dispatch a whole (un-pinned) destination sweep through the registry.
+    """Dispatch a whole destination sweep through the registry.
 
     Uses the resolved backend's ``settle_many`` batch entry point when it
     has one (the batched kernel settles the sweep's waves jointly), and
@@ -270,8 +238,6 @@ def settle_many(
     """
     backend = resolve(kernel)
     requested = list(destinations)
-    from ...obs import get_tracer
-
     start = time.perf_counter()
     with get_tracer().span(
         "settle_many", backend=backend.name, destinations=len(requested)
@@ -282,9 +248,7 @@ def settle_many(
             out = {}
             for destination in requested:
                 if destination not in out:
-                    out[destination] = backend.settle(
-                        snapshot, destination, None
-                    )
+                    out[destination] = backend.settle(snapshot, destination)
     _SETTLE_SECONDS.labels(backend=backend.name).observe(
         time.perf_counter() - start
     )
@@ -292,23 +256,15 @@ def settle_many(
 
 
 @contextmanager
-def temporary_kernel(
-    backend: Optional[KernelBackend] = None, activate: bool = True
-) -> Iterator[Optional[KernelBackend]]:
-    """Register (and by default activate) a backend for the enclosed block.
-
-    Test helper: the registration and the active override are both
-    restored on exit, whatever happens inside.
-    """
-    if backend is not None:
-        register(backend)
-    previous = set_active(backend.name) if (backend and activate) else None
+def temporary_kernel(backend: KernelBackend) -> Iterator[KernelBackend]:
+    """Register ``backend`` for the enclosed block (a test helper;
+    ``REPRO_KERNEL`` activates it) and unregister it on exit, whatever
+    happens inside."""
+    register(backend)
     try:
         yield backend
     finally:
-        if backend is not None and activate:
-            set_active(previous)
-        if backend is not None and backend.name in _REGISTRY:
+        if backend.name in _REGISTRY:
             unregister(backend.name)
 
 
@@ -322,8 +278,6 @@ def describe() -> Dict[str, Any]:
             {
                 "name": backend.name,
                 "available": backend.is_available(),
-                "pinned": backend.pinned,
-                "pool": backend.pool,
                 "batch": backend.settle_many is not None,
                 "requires": list(backend.requires),
                 "description": backend.description,

@@ -33,13 +33,12 @@ sort-and-first-occurrence per wave (inside :func:`_run_waves`), and the
 ascending-target pop order falls out of the same sort — preserving the
 adoption order the output dict's insertion order is defined by.
 
-Without pinned routes every node on a candidate's tail is already
-settled, so the heap walk's ``nb not in path`` loop check is always
-true for an unsettled target, and route classes collapse to per-phase
-constants (Phase 1 adopts CUSTOMER, Phase 2 PEER, Phase 3 PROVIDER).
-Pinned routes break both properties, so this backend registers with
-``pinned=False`` and delegates pinned requests to the scalar kernel's
-heap walk.
+Every node on a candidate's tail is already settled, so the heap walk's
+``nb not in path`` loop check is always true for an unsettled target,
+and route classes collapse to per-phase constants (Phase 1 adopts
+CUSTOMER, Phase 2 PEER, Phase 3 PROVIDER).  Pinned routes would break
+both properties; like every kernel this one settles un-pinned tables
+only (:func:`repro.bgp.routing.compute_routes` settles pinned ones).
 
 The full decision order (class, then length, then parent) packs into one
 integer — :func:`pack_candidate_key`, property-tested against
@@ -52,10 +51,10 @@ from __future__ import annotations
 
 import importlib.util
 from array import array
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ...errors import KernelError
-from ..route import Route, RouteClass
+from ..route import RouteClass
 from ..routing import (
     _PHASE_NAMES,
     _PHASE_SECONDS,
@@ -63,7 +62,6 @@ from ..routing import (
     _TRACER,
     RouteTree,
     _phase_span,
-    compute_routes_snapshot,
 )
 from . import KernelBackend, register
 
@@ -138,7 +136,7 @@ def _require_numpy() -> None:
     if not numpy_available():
         raise KernelError(
             "the batched kernel requires numpy — install the [accel] "
-            "extra or select --kernel scalar"
+            "extra or set REPRO_KERNEL=scalar"
         )
     if _np is None:
         import numpy
@@ -368,21 +366,12 @@ def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
 # public entry points
 # ----------------------------------------------------------------------
 
-def settle_batched(
-    snapshot,
-    destination: int,
-    pinned: Optional[Dict[int, Route]] = None,
-) -> Mapping[int, Route]:
+def settle_batched(snapshot, destination: int) -> RouteTree:
     """Settle the stable state for ``destination`` in frontier waves.
 
     Equal to :func:`repro.bgp.routing.compute_routes_snapshot` (the same
-    tree, hence the same values *and* dict insertion order).  Pinned
-    requests delegate to the scalar kernel — the registry dispatcher
-    already reroutes them, this keeps direct calls (the oracle
-    enumerates backends) correct too.
+    tree, hence the same values *and* dict insertion order).
     """
-    if pinned:
-        return compute_routes_snapshot(snapshot, destination, pinned)
     _require_numpy()
     dest = snapshot.index_of(destination)
     with _TRACER.span("compute_routes_batched", destination=destination):
@@ -429,11 +418,8 @@ BACKEND = register(
         settle_many=settle_many,
         description=(
             "Vectorized frontier-wave settling over the CSR arrays, "
-            "batching whole destination sweeps (numpy; pinned requests "
-            "delegate to scalar)"
+            "batching whole destination sweeps (numpy)"
         ),
-        pinned=False,
-        pool=True,
         requires=("numpy",),
         available=numpy_available,
     )

@@ -16,27 +16,26 @@ lexicographic tie-break, which stands in for the lower steps of the BGP
 decision process (Table 2.1) and guarantees tree consistency: the path an
 AS adopts is always an extension of the next hop's own selected path.
 
-The optional ``pinned`` argument fixes selected routes at given ASes and
-lets everyone else re-select — the *independent_selection* model of §5.4.
+The optional ``pinned`` argument of :func:`compute_routes` fixes selected
+routes at given ASes and lets everyone else re-select — the
+*independent_selection* model of §5.4.
 
 Two implementations of the same settling semantics live here:
 
-* :func:`compute_routes_snapshot` — the production kernel.  It settles in
-  **index space** on a frozen
-  :class:`~repro.topology.snapshot.TopologySnapshot`.  An un-pinned
-  request settles *parent pointers in wave order* — three
+* :func:`compute_routes_snapshot` — the production kernel.  It settles
+  *parent pointers in wave order* in **index space** on a frozen
+  :class:`~repro.topology.snapshot.TopologySnapshot` — three
   level-synchronous sweeps (:func:`_settle_waves`), no heap and no path
   tuples — and returns a :class:`RouteTree`: by tree consistency one
   destination's stable state *is* a parent-pointer tree, so a path is a
   walk up it and the ``{asn: Route}`` dict is built only for readers
   that want every route.  :func:`recompute_routes` re-derives a table
   after link failures by restarting the *same* sweeps from the parent
-  table's tree with the affected subtrees cleared — a full settle is
-  that call with only the destination kept — so a derived table is the
-  same columnar object as a settled one.  A pinned request keeps a heap
-  walk over ``(length, path, class)`` entries (a pinned holder's path is
-  arbitrary, so the result is not a tree) and returns the dict.
-  :func:`compute_routes` is the graph-level front door.
+  table's tree with the affected subtrees cleared, so a derived table is
+  the same columnar object as a settled one.  :func:`compute_routes` is
+  the graph-level front door; it settles a pinned request itself, by the
+  heap walk :func:`_settle_pinned` (a pinned holder's path is arbitrary,
+  so the result is not a tree).
 * :func:`compute_routes_reference` — the legacy dict walk over the
   mutable :class:`~repro.topology.graph.ASGraph`, kept as the
   independent oracle the kernel is held byte-equal to
@@ -44,7 +43,7 @@ Two implementations of the same settling semantics live here:
   anything it judges: :func:`_run_phase` has no other caller.
 
 Table forms: a tree for every un-pinned table, settled or re-derived; a
-dict for pinned and reference tables only.
+dict for pinned and reference tables only, which no kernel or cache holds.
 
 The heap walks order entries by ``(length, path)``; every entry is a
 distinct such pair, so the pop order — and with it the selected table —
@@ -439,11 +438,12 @@ def compute_routes(
     target ``destination``.
 
     This is the graph-level front door of the kernel registry: it settles
-    on ``graph.snapshot()`` through whichever backend is selected
-    (:func:`repro.bgp.kernels.settle` — ``--kernel`` / ``REPRO_KERNEL`` /
-    the scalar default) and wraps the translated result — byte-identical
-    to the legacy walk, which survives as
-    :func:`compute_routes_reference` for the differential oracle.
+    an un-pinned request on ``graph.snapshot()`` through whichever
+    backend is selected (:func:`repro.bgp.kernels.settle` —
+    ``REPRO_KERNEL`` or the scalar default), a pinned one by
+    :func:`_settle_pinned`, and wraps the result — byte-identical to the
+    legacy walk, which survives as :func:`compute_routes_reference` for
+    the differential oracle.
     """
     if destination not in graph:
         raise UnknownASError(destination)
@@ -454,7 +454,10 @@ def compute_routes(
     from .kernels import settle
 
     try:
-        best = settle(snapshot, destination, pinned)
+        if pinned:
+            best = _settle_pinned(snapshot, destination, pinned)
+        else:
+            best = settle(snapshot, destination)
     except UnknownASError:
         # A pinned path references an AS outside the current topology —
         # representable in the legacy walk (pinned routes pass through
@@ -574,48 +577,44 @@ def _settle_waves(
 
 
 def compute_routes_snapshot(
-    snapshot: TopologySnapshot,
-    destination: int,
-    pinned: Optional[Dict[int, Route]] = None,
-) -> Mapping[int, Route]:
+    snapshot: TopologySnapshot, destination: int
+) -> RouteTree:
     """Settle the stable state for ``destination`` on a frozen snapshot.
 
-    The production kernel: works entirely in snapshot index space.  An
-    un-pinned request settles parent pointers in wave order
-    (:func:`_settle_waves`, from the destination alone) and returns the
-    :class:`RouteTree`.  A pinned request runs the heap walk below —
-    flat per-class adjacency slices, int-tuple paths, heap entries of
-    ``(length, path, class)`` — and translates to an ASN-keyed
-    best-route dict at the end.  The walk takes a route's class from the
-    link being crossed (:data:`_LINK_CLASS`: provider link → customer
-    route, peer link → peer route, customer link → provider route,
-    sibling link → inherited), so it never re-walks a path the way
-    ``classify_path`` does.
-
-    Self-contained on purpose: pool workers call this with nothing but
-    the shipped snapshot (no mutable graph on the far side).  Returns the
-    plain mapping; :func:`compute_routes` wraps it into a
-    :class:`RoutingTable`.  Output is byte-identical to
-    :func:`compute_routes_reference` — the oracle's enforced invariant.
+    The ``scalar`` backend: :func:`_settle_waves` from the destination
+    alone, in index space.  Self-contained on purpose: pool workers call
+    this with nothing but the shipped snapshot.  Output is byte-identical
+    to :func:`compute_routes_reference` — the oracle's enforced invariant.
     """
     dest = snapshot.index_of(destination)
-    pinned = dict(pinned or {})
+    n = snapshot.n
+    parent = [-1] * n
+    parent[dest] = dest
+    order = [dest]
+    with _TRACER.span("compute_routes", destination=destination):
+        (_, peer_from), (_, provider_from), _ = _settle_waves(
+            snapshot, destination, parent, [0] * n, order
+        )
+    _TABLES_TOTAL.labels(mode="full").inc()
+    return RouteTree(
+        snapshot.asns, snapshot.index, order, parent, peer_from, provider_from
+    )
+
+
+def _settle_pinned(
+    snapshot: TopologySnapshot, destination: int, pinned: Dict[int, Route]
+) -> Dict[int, Route]:
+    """The heap walk :func:`compute_routes` runs for a pinned request.
+
+    Flat per-class adjacency slices, int-tuple paths, heap entries of
+    ``(length, path, class)``, translated to an ASN-keyed best-route dict
+    at the end; a route's class comes from the link crossed
+    (:data:`_LINK_CLASS`), never from re-walking its path.  Raises
+    :class:`UnknownASError` when a pinned path leaves the snapshot.
+    """
+    dest = snapshot.index_of(destination)
     _validate_pinned(destination, pinned)
     n = snapshot.n
-    if not pinned:
-        parent = [-1] * n
-        parent[dest] = dest
-        order = [dest]
-        with _TRACER.span("compute_routes", destination=destination, pinned=0):
-            (_, peer_from), (_, provider_from), _ = _settle_waves(
-                snapshot, destination, parent, [0] * n, order
-            )
-        _TABLES_TOTAL.labels(mode="full").inc()
-        return RouteTree(
-            snapshot.asns, snapshot.index, order, parent,
-            peer_from, provider_from,
-        )
-
     off, adj = snapshot.class_lists()
     # Per-node settling state, indexed by snapshot index: the selected
     # index path, its reported class, and its *propagation* class (what a

@@ -30,7 +30,9 @@ Commands that read a topology take ``--profile``/``--seed`` (or
 ``--topology FILE`` to load a CAIDA-format dump) so runs are
 reproducible, and all but ``bench compare`` take the observability
 flags ``--trace FILE`` (write a chrome://tracing span dump) and
-``--log-level LEVEL`` (enable structured logging on stderr).
+``--log-level LEVEL`` (enable structured logging on stderr).  The
+settling kernel is chosen by the ``REPRO_KERNEL`` environment variable
+alone (:mod:`repro.bgp.kernels`).
 """
 
 from __future__ import annotations
@@ -62,16 +64,6 @@ def _add_topology_args(
     parser.add_argument(
         "--topology", metavar="FILE",
         help="load a CAIDA-format topology instead of generating one",
-    )
-
-
-def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=kernels.kernel_names(), default=None,
-        help="settling kernel backend for route computation "
-             f"(default: ${kernels.KERNEL_ENV_VAR} or "
-             f"{kernels.DEFAULT_KERNEL}; unavailable backends fall "
-             "back to scalar)",
     )
 
 
@@ -629,14 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
     topology = sub.add_parser("topology", help="generate/inspect a topology")
     _add_topology_args(topology)
     _add_obs_args(topology)
-    _add_kernel_args(topology)
     topology.add_argument("--out", help="dump CAIDA-format topology here")
     topology.set_defaults(func=_cmd_topology)
 
     route = sub.add_parser("route", help="compute BGP routes")
     _add_topology_args(route)
     _add_obs_args(route)
-    _add_kernel_args(route)
     _add_session_args(route)
     route.add_argument("--destination", type=int, required=True)
     route.add_argument("--source", type=int)
@@ -647,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     avoid = sub.add_parser("avoid", help="avoid-an-AS application")
     _add_topology_args(avoid)
     _add_obs_args(avoid)
-    _add_kernel_args(avoid)
     _add_session_args(avoid)
     avoid.add_argument("--source", type=int, required=True)
     avoid.add_argument("--destination", type=int, required=True)
@@ -661,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="regenerate a result")
     _add_topology_args(experiment)
     _add_obs_args(experiment)
-    _add_kernel_args(experiment)
     _add_session_args(experiment)
     experiment.add_argument(
         "which",
@@ -681,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_topology_args(failures)
     _add_obs_args(failures)
-    _add_kernel_args(failures)
     _add_session_args(failures)
     failures.add_argument("--events", type=int, default=12,
                           help="failure events to sample (default 12)")
@@ -699,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_topology_args(verify, default_profile="verify-500")
     _add_obs_args(verify)
-    _add_kernel_args(verify)
     verify.add_argument("--campaigns", type=int, default=25,
                         help="fault-injection campaigns to run (default 25)")
     verify.add_argument("--events", type=int, default=8,
@@ -769,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_topology_args(stats)
     _add_obs_args(stats)
-    _add_kernel_args(stats)
     _add_pool_args(stats)
     stats.add_argument("--destinations", type=int, default=4,
                        help="destinations in the workload (default 4)")
@@ -786,7 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_topology_args(serve)
     _add_obs_args(serve)
-    _add_kernel_args(serve)
     _add_session_args(serve)
     _add_service_args(serve)
     serve.add_argument("--host", default="127.0.0.1",
@@ -830,18 +814,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             getattr(args, "log_level", None) or "warning",
             json_lines=getattr(args, "log_json", False),
         )
-    # --kernel installs the process-wide backend override for the run;
-    # restored afterwards so embedding callers (tests) are unaffected.
-    previous_kernel = kernels.set_active(getattr(args, "kernel", None)) \
-        if getattr(args, "kernel", None) else None
     try:
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if getattr(args, "kernel", None):
-            kernels.set_active(previous_kernel)
         if flame_path:
             from .obs import profile as obs_profile
 

@@ -61,10 +61,11 @@ class ASLevelForwarder:
         graph = next(iter(tables.values())).graph
         self.graph = graph
         # on-demand tunnel-endpoint tables go through the session so the
-        # control plane and data plane share one cache (and telemetry)
+        # control plane and data plane share one cache (and telemetry),
+        # which holds trees only: a pinned table is not adopted
         self._session = ensure_session(graph, session)
         for table in tables.values():
-            if table.graph is graph:
+            if table.graph is graph and table._tree is not None:
                 self._session.adopt(table)
         # per-AS FIB: prefix -> next-hop AS (None at the origin)
         self._fibs: Dict[int, PrefixTable] = {}

@@ -14,6 +14,9 @@ Two models bound the effect of the switch:
 * ``independent_selection`` — the power node's choice is pinned and every
   other AS re-selects independently (the lower bound; some sources leave
   the power node, others newly adopt its path).
+
+Base tables come from the shared session; pinned what-if tables are
+one-off :func:`~repro.bgp.routing.compute_routes` calls, never cached.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..bgp.policy import make_route
 from ..bgp.route import Route
-from ..bgp.routing import RoutingTable
+from ..bgp.routing import RoutingTable, compute_routes
 from ..session import SimulationSession, ensure_session
 from ..topology.graph import ASGraph
 from .policies import ExportPolicy, alternate_routes
@@ -190,7 +194,6 @@ def community_forced_moved_fraction(
     table: RoutingTable,
     option: PowerNodeOption,
     sources: Optional[Sequence[int]] = None,
-    session: Optional[SimulationSession] = None,
 ) -> float:
     """Fraction moved when the power node also *forces its customers*.
 
@@ -202,7 +205,6 @@ def community_forced_moved_fraction(
     the convert_all upper bound and the independent_selection lower bound.
     """
     destination = table.destination
-    session = ensure_session(graph, session)
     if sources is None:
         sources = [a for a in graph.iter_ases() if a != destination]
     before = ingress_profile(table, sources)
@@ -214,15 +216,10 @@ def community_forced_moved_fraction(
         old = table.best(customer)
         if old is None or old.next_hop != option.power_node:
             continue
-        try:
-            from ..bgp.policy import make_route
-
-            pinned[customer] = make_route(
-                graph, (customer,) + option.alternate.path
-            )
-        except Exception:
-            continue  # e.g. the customer appears on the alternate path
-    pinned_table = session.compute(destination, pinned=pinned)
+        pinned[customer] = make_route(
+            graph, (customer,) + option.alternate.path
+        )
+    pinned_table = compute_routes(graph, destination, pinned)
     after = ingress_profile(pinned_table, sources)
     gained = after.counts.get(option.new_ingress, 0) - before.counts.get(
         option.new_ingress, 0
@@ -236,7 +233,6 @@ def independent_selection_moved_fraction(
     table: RoutingTable,
     option: PowerNodeOption,
     sources: Optional[Sequence[int]] = None,
-    session: Optional[SimulationSession] = None,
 ) -> float:
     """Fraction of sources moved when every AS re-selects independently
     after the power node pins the alternate route (the lower-bound model).
@@ -246,12 +242,11 @@ def independent_selection_moved_fraction(
     netted out.
     """
     destination = table.destination
-    session = ensure_session(graph, session)
     if sources is None:
         sources = [a for a in graph.iter_ases() if a != destination]
     before = ingress_profile(table, sources)
-    pinned_table = session.compute(
-        destination, pinned={option.power_node: option.alternate}
+    pinned_table = compute_routes(
+        graph, destination, {option.power_node: option.alternate}
     )
     after = ingress_profile(pinned_table, sources)
     gained = after.counts.get(option.new_ingress, 0) - before.counts.get(
@@ -290,8 +285,8 @@ def best_control_for_stub(
     Tries the ``max_nodes`` best-covered power nodes, takes the option with
     the largest convert_all shift, and evaluates it under both bounding
     models (plus the community-forced model with ``include_forced``).
-    Thread a shared session so the base table and all pinned what-if
-    tables are cached across stubs and repeated runs.
+    Thread a shared session so the base table is cached across stubs and
+    repeated runs.
     """
     session = ensure_session(graph, session)
     table = session.compute(destination)
@@ -308,12 +303,12 @@ def best_control_for_stub(
     if best_option is None:
         return StubControlResult(destination, 0.0, 0.0, None)
     independent = independent_selection_moved_fraction(
-        graph, table, best_option, sources=sources, session=session
+        graph, table, best_option, sources=sources
     )
     forced = 0.0
     if include_forced:
         forced = community_forced_moved_fraction(
-            graph, table, best_option, sources=sources, session=session
+            graph, table, best_option, sources=sources
         )
     return StubControlResult(
         destination, best_convert, independent, best_option, forced

@@ -8,7 +8,8 @@ on, split along its concerns:
 
 * :mod:`repro.session.cache` — cache keys, :class:`SessionStats`
   telemetry, and the version-keyed LRU :class:`RouteTableCache` with
-  its derivation-parent index.
+  its derivation-parent index; un-pinned trees only (pinned tables
+  stay with their caller).
 * :mod:`repro.session.pool` — the persistent, version-keyed process
   pool: shared-memory snapshot publication, packed route-tree transport,
   destination-range sharding.
@@ -23,7 +24,7 @@ points and the pool's infrastructure (``ProcessPoolExecutor``,
 submodule that uses them.
 """
 
-from .cache import RouteTableCache, SessionStats, pinned_key
+from .cache import RouteTableCache, SessionStats
 from .core import (
     AUTO_PARALLEL_THRESHOLD,
     SessionCore,
@@ -40,5 +41,4 @@ __all__ = [
     "SessionStats",
     "SimulationSession",
     "ensure_session",
-    "pinned_key",
 ]

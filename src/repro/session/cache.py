@@ -1,7 +1,7 @@
 """Cache keys, telemetry, and the LRU route-table memo.
 
 This module is the state side of the session package: the
-``(graph.version, destination, pinned-key)`` cache key, the
+``(graph.version, destination)`` cache key, the
 :class:`SessionStats` counters every telemetry surface reads, and the
 :class:`RouteTableCache` LRU with its derivation-parent index.  None of
 it takes locks — :class:`repro.session.core.SessionCore` owns the one
@@ -14,7 +14,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..bgp.route import Route
 from ..bgp.routing import RoutingTable, cut_tree_edges
 from ..errors import SessionError
 from ..obs import get_logger, get_registry
@@ -53,18 +52,9 @@ _CACHED_TABLES = get_registry().gauge(
     "Routing tables currently held by session caches",
 )
 
-#: Cache-key component for the pinned-route set (None when nothing pinned).
-PinnedKey = Optional[FrozenSet[Tuple[int, Route]]]
-
-#: Full cache key: (graph version, destination, pinned key).
-CacheKey = Tuple[int, int, PinnedKey]
-
-
-def pinned_key(pinned: Optional[Dict[int, Route]]) -> PinnedKey:
-    """Canonical, hashable form of a ``pinned`` route mapping."""
-    if not pinned:
-        return None
-    return frozenset(pinned.items())
+#: Full cache key: (graph version, destination).  The cache holds
+#: un-pinned tables only; pinned what-if tables live with their caller.
+CacheKey = Tuple[int, int]
 
 
 @dataclass
@@ -215,14 +205,14 @@ class RouteTableCache:
         """Drop stale entries, keeping usable derivation parents.
 
         Unlike :meth:`prune_stale` this keeps, per destination, the one
-        unpinned stale entry closest to the current graph state (fewest
-        changed links on the version chain) — the entry
+        stale entry closest to the current graph state (fewest changed
+        links on the version chain) — the entry
         :meth:`derivation_parent` would pick, so an incremental
         recomputation after the mutation still has its seed.  Entries for
-        versions that are not ancestors of the current one (or pinned
-        entries, which cannot seed a derivation) are dropped outright.
+        versions that are not ancestors of the current one are dropped
+        outright.
 
-        A destination that already has an unpinned current-version table
+        A destination that already has a current-version table
         needs no seed at all — lookups hit that table and nothing is
         derived — so its stale entries are dropped too, instead of one
         of them surviving as dead, never-useful work.  The seeds kept
@@ -230,17 +220,17 @@ class RouteTableCache:
         """
         current = graph.version
         covered = {
-            key[1] for key in self._entries
-            if key[0] == current and key[2] is None
+            destination for version, destination in self._entries
+            if version == current
         }
         nearest: Dict[int, Tuple[FrozenSet[Tuple[int, int]], CacheKey]] = {}
         stale: List[CacheKey] = []
         for key in self._entries:
-            version, destination, pk = key
+            version, destination = key
             if version == current:
                 continue
             changed = graph.changed_links_since(version)
-            if changed is None or pk is not None or destination in covered:
+            if changed is None or destination in covered:
                 stale.append(key)
                 continue
             kept = nearest.get(destination)
@@ -274,7 +264,7 @@ class RouteTableCache:
         self, old: int, new: int, changed: FrozenSet[Tuple[int, int]]
     ) -> int:
         """After a pure failure of ``changed`` (AS set unchanged), alias
-        at version ``new`` every unpinned tree cached at ``old`` that no
+        at version ``new`` every tree cached at ``old`` that no
         failed link cuts — still the stable state — and return how many.
 
         Same table object, so what is kept beside it (the service's
@@ -283,13 +273,12 @@ class RouteTableCache:
         """
         room = self.maxsize - len(self._entries)
         aliases: List[Tuple[CacheKey, RoutingTable]] = []
-        for (version, destination, pk), table in self._entries.items():
+        for (version, destination), table in self._entries.items():
             if len(aliases) == room:
                 break
-            if (version == old and pk is None
-                    and (new, destination, None) not in self._entries
+            if (version == old and (new, destination) not in self._entries
                     and cut_tree_edges(table, changed) == set()):
-                aliases.append(((new, destination, None), table))
+                aliases.append(((new, destination), table))
         self._entries.update(aliases)
         self.peak_size = max(self.peak_size, len(self._entries))
         self._resized()

@@ -13,8 +13,8 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   fill registry.  There is no lock ordering problem because there is
   nothing to order (the fan-out pool's internal lock is leaf-level:
   nothing is acquired while holding it).
-* **Nothing slow under it.**  Settling (``compute_routes`` /
-  ``recompute_routes`` / ``kernels.settle_many``), the affected-set
+* **Nothing slow under it.**  Settling (``recompute_routes`` /
+  ``kernels.settle_many``), the affected-set
   walk of a derivation (``affected_ases``), deriving the
   topology snapshot a settle runs on (``graph.snapshot()``), expanding
   a settled tree into its route dict (``RouteTree.materialize``), pool
@@ -53,13 +53,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, U
 
 from .. import obs
 from ..bgp import kernels
-from ..bgp.route import Route
-from ..bgp.routing import (
-    RoutingTable,
-    affected_ases,
-    compute_routes,
-    recompute_routes,
-)
+from ..bgp.routing import RoutingTable, affected_ases, recompute_routes
 from ..errors import ReproError, SessionError
 from ..obs import get_logger, get_tracer
 from ..topology.graph import ASGraph
@@ -75,7 +69,6 @@ from .cache import (
     CacheKey,
     RouteTableCache,
     SessionStats,
-    pinned_key,
 )
 from .pool import (
     _FANOUTS_TOTAL,
@@ -255,11 +248,6 @@ class SessionCore:
     # ------------------------------------------------------------------
     # lock-held helpers (fast, never settle)
     # ------------------------------------------------------------------
-    def _key(
-        self, destination: int, pinned: Optional[Dict[int, Route]]
-    ) -> CacheKey:
-        return (self._graph.version, destination, pinned_key(pinned))
-
     def _auto_prune_locked(self) -> None:
         """Reclaim superseded cache entries once per version advance.
 
@@ -307,25 +295,22 @@ class SessionCore:
     # ------------------------------------------------------------------
     # single-table interface
     # ------------------------------------------------------------------
-    def compute(
-        self, destination: int, pinned: Optional[Dict[int, Route]] = None
-    ) -> RoutingTable:
+    def compute(self, destination: int) -> RoutingTable:
         """Cached, single-flight equivalent of
-        :func:`~repro.bgp.routing.compute_routes`.
+        :func:`~repro.bgp.routing.compute_routes` (un-pinned: a pinned
+        what-if table is ``compute_routes``' alone, never cached).
 
         A hit is a dict read under the lock; a miss is the fill
         :meth:`compute_many` runs, for one destination — derived from
         the nearest cached pre-mutation table whenever possible, and
         shared with concurrent misses on the same key.
         """
-        table = self.peek(destination, pinned)
+        table = self.peek(destination)
         if table is None:
-            table = self._fill([destination], pinned, False)[0][destination]
+            table = self._fill([destination], False)[0][destination]
         return table
 
-    def peek(
-        self, destination: int, pinned: Optional[Dict[int, Route]] = None
-    ) -> Optional[RoutingTable]:
+    def peek(self, destination: int) -> Optional[RoutingTable]:
         """Cached table for the current graph version, or None.
 
         Never settles and never blocks on another thread's fill — the
@@ -337,24 +322,25 @@ class SessionCore:
         """
         with self._lock:
             self._auto_prune_locked()
-            return self._hit_locked(self._key(destination, pinned))
+            return self._hit_locked((self._graph.version, destination))
 
-    def adopt(
-        self, table: RoutingTable, pinned: Optional[Dict[int, Route]] = None
-    ) -> None:
+    def adopt(self, table: RoutingTable) -> None:
         """Insert an externally computed table for the current graph state.
 
         Lets callers that already hold a :class:`RoutingTable` (e.g. the
         data-plane forwarder's constructor arguments) seed the cache
         instead of recomputing.  Rejects tables built on a different
-        graph.
+        graph, and dict-backed ones (pinned or reference): the cache holds
+        settled trees only.
         """
         if table.graph is not self._graph:
             raise SessionError(
                 "cannot adopt a routing table computed on a different graph"
             )
+        if table._tree is None:
+            raise SessionError("cannot adopt a dict-backed routing table")
         with self._lock:
-            self._cache.put(self._key(table.destination, pinned), table)
+            self._cache.put((self._graph.version, table.destination), table)
 
     # ------------------------------------------------------------------
     # fan-out interface
@@ -362,7 +348,6 @@ class SessionCore:
     def compute_many(
         self,
         destinations: Iterable[int],
-        pinned: Optional[Dict[int, Route]] = None,
         parallel: Optional[Union[bool, str]] = None,
     ) -> Dict[int, RoutingTable]:
         """Routing tables for many destinations, cache-first.
@@ -376,7 +361,7 @@ class SessionCore:
         """
         ordered = list(dict.fromkeys(destinations))
         start = time.perf_counter()
-        tables, used_pool = self._fill(ordered, pinned, parallel)
+        tables, used_pool = self._fill(ordered, parallel)
         elapsed = time.perf_counter() - start
         with self._lock:
             self._stats.fanouts += 1
@@ -386,10 +371,7 @@ class SessionCore:
         return {destination: tables[destination] for destination in ordered}
 
     def _fill(
-        self,
-        ordered: List[int],
-        pinned: Optional[Dict[int, Route]],
-        parallel: Optional[Union[bool, str]],
+        self, ordered: List[int], parallel: Optional[Union[bool, str]]
     ) -> Tuple[Dict[int, RoutingTable], bool]:
         """The one lookup-and-fill path; returns ``(tables, used_pool)``.
 
@@ -398,7 +380,6 @@ class SessionCore:
         the misses as one batch with the lock released; publishes them;
         then waits on the joined flights.
         """
-        pk = pinned_key(pinned)
         with _TRACER.span("compute_many", destinations=len(ordered)) as span:
             tables: Dict[int, RoutingTable] = {}
             followers: List[Tuple[int, _Flight]] = []
@@ -409,7 +390,7 @@ class SessionCore:
                 self._auto_prune_locked()
                 version = self._graph.version
                 for destination in ordered:
-                    key = (version, destination, pk)
+                    key = (version, destination)
                     cached = self._hit_locked(key)
                     if cached is not None:
                         tables[destination] = cached
@@ -426,10 +407,9 @@ class SessionCore:
                     self._flights[key] = flight
                     flights.append((key, flight))
                     leaders.append(destination)
-                    if pinned is None:
-                        parents[destination] = self._cache.derivation_parent(
-                            destination
-                        )
+                    parents[destination] = self._cache.derivation_parent(
+                        destination
+                    )
                 if leaders:
                     # a writer waits on this in mutate(), so the graph —
                     # and the snapshot _fill_batch derives from it with
@@ -443,7 +423,7 @@ class SessionCore:
                 start = time.perf_counter()
                 try:
                     filled, derived, computed, used_pool = self._fill_batch(
-                        leaders, pinned, parallel, parents
+                        leaders, parallel, parents
                     )
                 except BaseException as exc:
                     with self._lock:
@@ -453,7 +433,7 @@ class SessionCore:
                 with self._lock:
                     keyed: Dict[CacheKey, RoutingTable] = {}
                     for destination in leaders:
-                        key = (version, destination, pk)
+                        key = (version, destination)
                         table = filled[destination]
                         keyed[key] = table
                         self._cache.put(key, table)
@@ -480,7 +460,6 @@ class SessionCore:
     def _fill_batch(
         self,
         leaders: List[int],
-        pinned: Optional[Dict[int, Route]],
         parallel: Optional[Union[bool, str]],
         parents: Dict[int, _Parent],
     ) -> Tuple[Dict[int, RoutingTable], List[int], int, bool]:
@@ -492,15 +471,6 @@ class SessionCore:
         ``tables_computed`` accounting).
         """
         filled: Dict[int, RoutingTable] = {}
-        if pinned is not None:
-            # a pinned set pins *one* destination's computation: nothing
-            # to derive from and nothing to shard, so it settles here
-            for destination in leaders:
-                filled[destination] = compute_routes(
-                    self._graph, destination, pinned=pinned
-                )
-            return filled, [], len(leaders), False
-
         # derive what we can from pre-mutation tables (a pure failure
         # bounds the affected region; a derivation is still a miss, only
         # a cheaper one); only the remainder is worth fanning out
@@ -574,10 +544,8 @@ class SessionCore:
             executor, spec = self._pool.ensure(snapshot)
         except Exception:
             return False
-        # Workers settle on the parent's active backend — unless it opts
-        # out of pool use, in which case they run the scalar default.
-        backend = kernels.resolve()
-        kernel = backend.name if backend.pool else kernels.DEFAULT_KERNEL
+        # workers settle on the parent's active backend
+        kernel = kernels.resolve().name
         obs_state = obs.worker_state()
         futures: List[Tuple[Tuple[int, ...], object]] = []
         try:

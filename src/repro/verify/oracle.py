@@ -21,7 +21,11 @@ tuple.
 The kernel paths are **enumerated from the registry**, not hand-listed:
 registering a backend automatically subjects it to every fault campaign
 the oracle drives (mode ``kernel:<name>``), which is the registry's
-byte-equality contract being enforced rather than assumed.
+byte-equality contract being enforced rather than assumed.  Kernels
+settle un-pinned tables only; the pinned heap walk
+:func:`~repro.bgp.routing.compute_routes` runs for §5.4's what-if tables
+is held to the reference's pinned walk on one pin per check (mode
+``pinned``).
 
 The legacy dict walk is the reference: it is the direct transcription of
 the three-phase stable-state construction, shares no hot-path code with
@@ -41,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..bgp import kernels
 from ..bgp.routing import (
     RoutingTable,
+    compute_routes,
     compute_routes_reference,
     recompute_routes,
 )
@@ -255,6 +260,8 @@ class DifferentialOracle:
                     reference, service_tables[destination],
                     "service-batched",
                 )
+            if found is None and destination == self.destinations[0]:
+                found = self._check_pinned(reference)
             if found is not None:
                 _LOG.warning("oracle_divergence", mode=found.mode,
                              destination=found.destination, asn=found.asn)
@@ -266,6 +273,25 @@ class DifferentialOracle:
                 serial[destination] if found is None else reference,
             )
         return OracleCheck(divergences, references)
+
+    def _check_pinned(self, reference: RoutingTable) -> Optional[Divergence]:
+        """The pinned walk against the reference's, on one pin: the
+        lowest-ASN AS that learns a route other than its best, pinned to
+        the first such route (None when no AS has an alternate)."""
+        destination = reference.destination
+        for asn in reference.routed_ases():
+            best = reference.best(asn)
+            alternate = next(
+                (r for r in reference.candidates(asn) if r != best), None
+            )
+            if alternate is not None:
+                pinned = {asn: alternate}
+                return first_divergence(
+                    compute_routes_reference(self.graph, destination, pinned),
+                    compute_routes(self.graph, destination, pinned),
+                    "pinned",
+                )
+        return None
 
     def _service_tables(self) -> Dict[int, RoutingTable]:
         """Every destination served through the daemon's batched path.

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import RouteClass, compute_all_routes, compute_routes, make_route
+from repro.bgp import (
+    Route,
+    RouteClass,
+    compute_all_routes,
+    compute_routes,
+    make_route,
+)
 from repro.bgp.routing import (
     RouteTree,
     RoutingTable,
@@ -192,6 +198,28 @@ class TestPinnedRoutes:
         with pytest.raises(RoutingError):
             compute_routes(paper_graph, F, pinned={F: route})
 
+    def test_rejected_pin_leaves_nothing_behind(self, paper_graph):
+        """A bad pin raises on every call, and the un-pinned settle of
+        the same destination is untouched by it."""
+        bad = make_route(paper_graph, (B, E))
+        for _ in range(2):
+            with pytest.raises(RoutingError):
+                compute_routes(paper_graph, F, pinned={B: bad})
+        assert compute_routes(paper_graph, F).best(B).path == (B, E, F)
+
+    def test_pin_off_the_snapshot_settles_by_the_reference(self, paper_graph):
+        """A pinned path through an AS the topology lacks has no index
+        path; the heap walk's UnknownASError sends the request to the
+        dict walk, which settles it, instead of out to the caller."""
+        stray = Route((B, 99, F), RouteClass.PEER)
+        table = compute_routes(paper_graph, F, pinned={B: stray})
+        assert table.best(B) is stray
+        assert table.best(A).path == (A, B, 99, F)
+        assert [(a, r.path) for a, r in table.items()] == [
+            (a, r.path) for a, r in compute_routes_reference(
+                paper_graph, F, pinned={B: stray}).items()
+        ]
+
     def test_pinned_peer_route_not_exported_to_peers(self, triangle_graph):
         # Pin 2 onto a peer route; its peer 3 must not learn it.
         base = compute_routes(triangle_graph, 11)
@@ -359,10 +387,8 @@ class TestRouteTree:
     def test_pinned_settle_is_still_the_dict(self, paper_graph):
         base = compute_routes(paper_graph, F)
         alternate = [r for r in base.candidates(B) if r.path == (B, C, F)][0]
-        best = compute_routes_snapshot(
-            paper_graph.snapshot(), F, pinned={B: alternate}
-        )
-        assert type(best) is dict and best[B] is alternate
+        table = compute_routes(paper_graph, F, pinned={B: alternate})
+        assert table._tree is None and table.best(B) is alternate
 
     def test_default_path_reads_the_tree(self):
         graph = generate_topology(SMALL, seed=4)

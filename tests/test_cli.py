@@ -26,6 +26,27 @@ def test_module_docstring_lists_exactly_the_parsers_commands():
     assert sorted(documented) == sorted(_commands(cli.build_parser()))
 
 
+#: The least each command needs on its line to parse.
+_REQUIRED = {
+    "route": ["--destination", "1"],
+    "avoid": ["--source", "1", "--destination", "2", "--avoid", "3"],
+    "experiment": ["ch7"],
+    "bench compare": ["baseline.json", "current.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_commands(cli.build_parser())))
+def test_kernel_is_no_flag_on_any_command(command, capsys):
+    """``REPRO_KERNEL`` is the one kernel selector: ``--kernel`` is an
+    argparse error everywhere."""
+    argv = command.split() + _REQUIRED.get(command, [])
+    cli.build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--kernel", "scalar"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+
 class TestTopologyCommand:
     def test_summary_printed(self, capsys):
         assert main(["topology", "--profile", "tiny", "--seed", "1"]) == 0

@@ -274,6 +274,28 @@ class TestForcedTrafficModel:
             for c, f, i in zip(convert, forced, independent):
                 assert i - 1e-9 <= f <= c + 1e-9
 
+    def test_section_5_4_numbers_do_not_move(self, small):
+        """Every curve of the §5.4 run, pinned what-if tables included,
+        at the points recorded before those tables left the session
+        cache."""
+        result = run_traffic_control(small, seed=0, include_forced=True)
+        thresholds = (0.05, 0.10, 0.15, 0.25, 0.35, 0.50)
+        expected = {
+            ("/a", "convert"): (1.0, 1.0, 0.96, 0.88, 0.52, 0.32),
+            ("/a", "forced"): (1.0, 1.0, 0.96, 0.64, 0.36, 0.24),
+            ("/a", "independent"): (1.0, 0.92, 0.76, 0.44, 0.28, 0.2),
+            ("/s", "convert"): (1.0, 0.92, 0.8, 0.64, 0.36, 0.2),
+            ("/s", "forced"): (1.0, 0.92, 0.76, 0.44, 0.28, 0.2),
+            ("/s", "independent"): (0.96, 0.64, 0.52, 0.32, 0.28, 0.2),
+        }
+        assert {
+            key: curve.points(thresholds)
+            for key, curve in result.curves.items()
+        } == {
+            key: list(zip(thresholds, fractions))
+            for key, fractions in expected.items()
+        }
+
     def test_forced_absent_by_default(self, small):
         result = run_traffic_control(small, n_stubs=3, seed=3)
         assert all(model != "forced" for _, model in result.curves)

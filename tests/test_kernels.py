@@ -1,7 +1,8 @@
 """Kernel-backend registry: selection, dispatch, and byte-equality.
 
-Covers the registry mechanics (registration rules, selection precedence,
-graceful fallback for unavailable backends), the batched wave kernel's
+Covers the registry mechanics (registration rules, selection precedence:
+an explicit argument, then ``REPRO_KERNEL``, then scalar; graceful
+fallback for unavailable backends), the batched wave kernel's
 byte-equality with the scalar kernel (values *and* dict insertion order,
 single destination and whole sweeps, before and after topology deltas),
 the packed integer sort key against the ``Route`` decision process, the
@@ -68,7 +69,7 @@ class TestRegistry:
 
     def test_duplicate_registration_raises_unless_replace(self):
         backend = KernelBackend(name="dup", settle=_settle_via_scalar)
-        with temporary_kernel(backend, activate=False):
+        with temporary_kernel(backend):
             with pytest.raises(KernelError, match="already registered"):
                 kernels.register(KernelBackend(name="dup", settle=len))
             replacement = KernelBackend(name="dup", settle=len)
@@ -93,7 +94,9 @@ class TestRegistry:
         )
         assert batched_entry["requires"] == ["numpy"]
         assert batched_entry["batch"] is True
-        assert batched_entry["pinned"] is False
+        assert set(batched_entry) == {
+            "name", "available", "batch", "requires", "description",
+        }
 
 
 class TestSelectionPrecedence:
@@ -107,34 +110,20 @@ class TestSelectionPrecedence:
         if numpy_available():
             assert kernels.resolve().name == "batched"
 
-    def test_set_active_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
-        previous = kernels.set_active("scalar")
-        try:
-            assert kernels.resolve().name == "scalar"
-        finally:
-            kernels.set_active(previous)
-
     def test_explicit_argument_overrides_everything(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        previous = kernels.set_active("scalar")
-        try:
-            assert kernels.resolve("batched").name in ("batched", "scalar")
-            backend = kernels.resolve("scalar")
-            assert backend.name == "scalar"
-        finally:
-            kernels.set_active(previous)
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
+        assert kernels.resolve("scalar").name == "scalar"
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "scalar")
+        assert kernels.resolve("batched").name in ("batched", "scalar")
+        if numpy_available():
+            assert kernels.resolve("batched").name == "batched"
 
-    def test_set_active_unknown_raises_without_installing(self):
-        with pytest.raises(KernelError):
-            kernels.set_active("no-such-kernel")
-        assert kernels.active().name in kernels.kernel_names()
-
-    def test_unavailable_backend_falls_back_to_scalar(self):
+    def test_unavailable_backend_falls_back_to_scalar(self, monkeypatch):
         backend = KernelBackend(
             name="phantom", settle=_settle_via_scalar,
             requires=("nothing-installable",), available=lambda: False,
         )
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "phantom")
         with temporary_kernel(backend):
             assert kernels.resolve().name == "scalar"
 
@@ -150,22 +139,6 @@ class TestDispatch:
         best = kernels.settle(tiny_graph.snapshot(), destination)
         table = compute_routes(tiny_graph, destination)
         _assert_tables_byte_equal(dict(table.items()), best)
-
-    @needs_numpy
-    def test_pinned_requests_reroute_to_scalar(self, tiny_graph):
-        snapshot = tiny_graph.snapshot()
-        destination = tiny_graph.ases[0]
-        table = compute_routes(tiny_graph, destination)
-        holder = next(
-            asn for asn in table.routed_ases()
-            if asn != destination and table.best(asn).length >= 1
-        )
-        pinned = {holder: table.best(holder)}
-        best = kernels.settle(
-            snapshot, destination, pinned=pinned, kernel="batched"
-        )
-        expected = compute_routes_snapshot(snapshot, destination, pinned)
-        _assert_tables_byte_equal(expected, best)
 
     def test_settle_many_loops_backends_without_batch_entry(self, tiny_graph):
         snapshot = tiny_graph.snapshot()
@@ -229,11 +202,8 @@ class TestBatchedByteEquality:
         with pytest.raises(KernelError, match="requires numpy"):
             settle_batched(tiny_graph.snapshot(), tiny_graph.ases[0])
         # and resolution degrades to scalar instead of failing
-        previous = kernels.set_active("batched")
-        try:
-            assert kernels.resolve().name == "scalar"
-        finally:
-            kernels.set_active(previous)
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
+        assert kernels.resolve().name == "scalar"
 
     def test_numpy_is_imported_at_the_first_batched_settle(self):
         """A process on the scalar kernel — every server — never loads it."""
@@ -341,9 +311,9 @@ class TestPackedKey:
 # ----------------------------------------------------------------------
 # oracle enumeration: a wrong backend must be caught
 # ----------------------------------------------------------------------
-def _settle_toy_wrong(snapshot, destination, pinned=None):
+def _settle_toy_wrong(snapshot, destination):
     """Deliberately wrong backend: claims a direct link for one AS."""
-    best = dict(compute_routes_snapshot(snapshot, destination, pinned))
+    best = dict(compute_routes_snapshot(snapshot, destination))
     for asn, route in best.items():
         if asn != destination and route.length >= 2:
             best[asn] = Route((asn, destination), route.route_class)
@@ -362,10 +332,8 @@ class TestOracleEnumeration:
     def test_wrong_toy_backend_is_caught_by_campaign(self):
         from repro.verify.campaign import run_campaign
 
-        backend = KernelBackend(
-            name="toy-wrong", settle=_settle_toy_wrong, pool=False,
-        )
-        with temporary_kernel(backend, activate=False):
+        backend = KernelBackend(name="toy-wrong", settle=_settle_toy_wrong)
+        with temporary_kernel(backend):
             outcome = run_campaign(
                 lambda: generate_topology(TINY, seed=5),
                 seed=11, n_events=2, n_destinations=4,
@@ -391,26 +359,18 @@ class TestOracleEnumeration:
 # CLI and session plumbing
 # ----------------------------------------------------------------------
 class TestCliKernel:
-    def test_route_output_identical_across_kernels(self, capsys):
+    def test_route_output_identical_across_kernels(self, capsys, monkeypatch):
         from repro.cli import main
 
         argv = ["route", "--profile", "tiny", "--seed", "1",
                 "--destination", "1", "--limit", "10"]
-        assert main(argv + ["--kernel", "scalar"]) == 0
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "scalar")
+        assert main(argv) == 0
         scalar_out = capsys.readouterr().out
-        assert main(argv + ["--kernel", "batched"]) == 0
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
+        assert main(argv) == 0
         batched_out = capsys.readouterr().out
         assert scalar_out == batched_out
-
-    def test_kernel_override_restored_after_run(self):
-        from repro.cli import main
-
-        before = kernels.active().name
-        assert main([
-            "route", "--profile", "tiny", "--seed", "1",
-            "--destination", "1", "--kernel", "scalar",
-        ]) == 0
-        assert kernels.active().name == before
 
     def test_topology_reports_active_kernel(self, capsys):
         from repro.cli import main
@@ -436,14 +396,13 @@ class TestCliKernel:
 
 class TestSessionKernel:
     @needs_numpy
-    def test_serial_fanout_batches_through_active_kernel(self, small_graph):
-        previous = kernels.set_active("batched")
-        try:
-            session = SimulationSession(small_graph, parallel=False)
-            destinations = small_graph.ases[:20]
-            tables = session.compute_many(destinations)
-        finally:
-            kernels.set_active(previous)
+    def test_serial_fanout_batches_through_active_kernel(
+        self, small_graph, monkeypatch
+    ):
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
+        session = SimulationSession(small_graph, parallel=False)
+        destinations = small_graph.ases[:20]
+        tables = session.compute_many(destinations)
         snapshot = small_graph.snapshot()
         for destination in destinations:
             _assert_tables_byte_equal(
@@ -452,16 +411,11 @@ class TestSessionKernel:
             )
 
     @needs_numpy
-    def test_pool_fanout_ships_active_kernel(self, small_graph):
-        previous = kernels.set_active("batched")
-        try:
-            session = SimulationSession(
-                small_graph, parallel=True, max_workers=2
-            )
-            destinations = small_graph.ases[:20]
-            tables = session.compute_many(destinations, parallel=True)
-        finally:
-            kernels.set_active(previous)
+    def test_pool_fanout_ships_active_kernel(self, small_graph, monkeypatch):
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
+        session = SimulationSession(small_graph, parallel=True, max_workers=2)
+        destinations = small_graph.ases[:20]
+        tables = session.compute_many(destinations, parallel=True)
         assert session.stats.parallel_fanouts == 1
         snapshot = small_graph.snapshot()
         for destination in destinations[:5]:
@@ -513,19 +467,6 @@ class TestSessionKernel:
         best = dict(_settle_via_scalar(small_graph, destination))
         with pytest.raises(KernelError, match="nothing to ship"):
             _encode_shard((destination,), {destination: best})
-
-    def test_pool_opt_out_backend_falls_back_to_scalar(self, small_graph):
-        no_pool = KernelBackend(
-            name="no-pool", settle=_settle_via_scalar, pool=False,
-        )
-        with temporary_kernel(no_pool):
-            session = SimulationSession(
-                small_graph, parallel=True, max_workers=2
-            )
-            tables = session.compute_many(
-                small_graph.ases[:18], parallel=True
-            )
-        assert len(tables) == 18
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Tests for the shared simulation session (repro.session).
 
 Covers the versioned-graph cache key (mutations invalidate silently),
-the LRU bound, the fan-out interface, error propagation for invalid
-pinned routes, and the cross-layer sharing the session exists for:
-Table 5.2 and Table 5.3 on the same graph must hit the cache.
+the LRU bound, the fan-out interface, what the cache will adopt (trees
+only), and the cross-layer sharing the session exists for: Table 5.2 and
+Table 5.3 on the same graph must hit the cache.
 """
 
 import random
 
 import pytest
 
-from repro.bgp import compute_all_routes, compute_routes, make_route
+from repro.bgp import compute_all_routes, compute_routes
 from repro.bgp.routing import compute_routes_reference
 from repro.errors import RoutingError, SessionError
 from repro.session import (
@@ -18,7 +18,6 @@ from repro.session import (
     RouteTableCache,
     SimulationSession,
     ensure_session,
-    pinned_key,
 )
 from repro.session.cache import _CACHE_EVENTS
 from repro.topology import ASGraph, TopologyDelta
@@ -72,25 +71,25 @@ class TestRouteTableCache:
     def test_lru_evicts_oldest(self, paper_graph):
         cache = RouteTableCache(maxsize=2)
         for destination in (F, E, D):
-            cache.put((0, destination, None),
+            cache.put((0, destination),
                       self._table(paper_graph, destination))
         assert len(cache) == 2
-        assert (0, F, None) not in cache
+        assert (0, F) not in cache
         assert cache.evictions == 1
 
     def test_get_refreshes_recency(self, paper_graph):
         cache = RouteTableCache(maxsize=2)
-        cache.put((0, F, None), self._table(paper_graph, F))
-        cache.put((0, E, None), self._table(paper_graph, E))
-        assert cache.get((0, F, None)) is not None  # F becomes most recent
-        cache.put((0, D, None), self._table(paper_graph, D))
-        assert (0, F, None) in cache
-        assert (0, E, None) not in cache
+        cache.put((0, F), self._table(paper_graph, F))
+        cache.put((0, E), self._table(paper_graph, E))
+        assert cache.get((0, F)) is not None  # F becomes most recent
+        cache.put((0, D), self._table(paper_graph, D))
+        assert (0, F) in cache
+        assert (0, E) not in cache
 
     def test_peak_size_tracks_high_water_mark(self, paper_graph):
         cache = RouteTableCache(maxsize=8)
         for destination in (F, E, D):
-            cache.put((0, destination, None),
+            cache.put((0, destination),
                       self._table(paper_graph, destination))
         cache.clear()
         assert len(cache) == 0
@@ -98,11 +97,11 @@ class TestRouteTableCache:
 
     def test_prune_stale_drops_old_versions_only(self, paper_graph):
         cache = RouteTableCache(maxsize=8)
-        cache.put((0, F, None), self._table(paper_graph, F))
-        cache.put((1, F, None), self._table(paper_graph, F))
+        cache.put((0, F), self._table(paper_graph, F))
+        cache.put((1, F), self._table(paper_graph, F))
         assert cache.prune_stale(current_version=1) == 1
-        assert (1, F, None) in cache
-        assert (0, F, None) not in cache
+        assert (1, F) in cache
+        assert (0, F) not in cache
 
     def test_peak_size_records_pre_eviction_pressure(self, paper_graph):
         """Regression: the peak must be sampled before eviction trims the
@@ -110,7 +109,7 @@ class TestRouteTableCache:
         an overflowing cache is indistinguishable from a comfortable one."""
         cache = RouteTableCache(maxsize=2)
         for destination in (F, E, D):
-            cache.put((0, destination, None),
+            cache.put((0, destination),
                       self._table(paper_graph, destination))
         assert len(cache) == 2
         assert cache.peak_size == 3
@@ -119,12 +118,12 @@ class TestRouteTableCache:
         self, paper_graph
     ):
         """Regression: a stale derivation parent is dead weight once an
-        unpinned current-version table for the same destination is cached —
+        current-version table for the same destination is cached —
         lookups hit that table and nothing is ever derived from the seed."""
         cache = RouteTableCache(maxsize=8)
-        cache.put((paper_graph.version, F, None), self._table(paper_graph, F))
+        cache.put((paper_graph.version, F), self._table(paper_graph, F))
         paper_graph.remove_link(B, E)
-        current_key = (paper_graph.version, F, None)
+        current_key = (paper_graph.version, F)
         cache.put(current_key, self._table(paper_graph, F))
         assert cache.prune_superseded(paper_graph) == 1
         assert current_key in cache
@@ -134,24 +133,13 @@ class TestRouteTableCache:
         self, paper_graph
     ):
         cache = RouteTableCache(maxsize=8)
-        seed_key = (paper_graph.version, F, None)
+        seed_key = (paper_graph.version, F)
         cache.put(seed_key, self._table(paper_graph, F))
         paper_graph.remove_link(B, E)
-        cache.put((paper_graph.version, E, None),
+        cache.put((paper_graph.version, E),
                   self._table(paper_graph, E))
         assert cache.prune_superseded(paper_graph) == 0
         assert seed_key in cache
-
-
-class TestPinnedKey:
-    def test_none_and_empty_collapse(self):
-        assert pinned_key(None) is None
-        assert pinned_key({}) is None
-
-    def test_order_independent(self, paper_graph):
-        r1 = make_route(paper_graph, (B, C, F))
-        r2 = make_route(paper_graph, (A, B, C, F))
-        assert pinned_key({B: r1, A: r2}) == pinned_key({A: r2, B: r1})
 
 
 class TestCompute:
@@ -170,17 +158,6 @@ class TestCompute:
         assert session.stats.misses == 1
         assert session.stats.tables_computed == 1
 
-    def test_pinned_tables_cached_separately(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        base = session.compute(F)
-        alternate = [r for r in base.candidates(B) if r.path == (B, C, F)][0]
-        pinned = session.compute(F, pinned={B: alternate})
-        assert pinned is not base
-        assert pinned.best(B).path == (B, C, F)
-        # both keys live side by side; repeats hit
-        assert session.compute(F) is base
-        assert session.compute(F, pinned={B: alternate}) is pinned
-
     def test_hit_rate_rendering(self, paper_graph):
         session = SimulationSession(paper_graph)
         assert session.stats.hit_rate == 0.0
@@ -193,46 +170,6 @@ class TestCompute:
     def test_invalid_parallel_policy_rejected(self, paper_graph):
         with pytest.raises(SessionError):
             SimulationSession(paper_graph, parallel="sometimes")
-
-
-class TestPinnedValidationThroughSession:
-    """compute_routes' pinned-route validation must surface unchanged
-    through the cache layer — and a failed computation must not poison it."""
-
-    def test_wrong_holder_rejected(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        route = make_route(paper_graph, (B, C, F))
-        with pytest.raises(RoutingError):
-            session.compute(F, pinned={A: route})
-
-    def test_wrong_destination_rejected(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        route = make_route(paper_graph, (B, E))
-        with pytest.raises(RoutingError):
-            session.compute(F, pinned={B: route})
-
-    def test_pin_at_destination_rejected(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        route = make_route(paper_graph, (F,))
-        with pytest.raises(RoutingError):
-            session.compute(F, pinned={F: route})
-
-    def test_failure_is_not_cached(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        bad = make_route(paper_graph, (B, E))
-        for _ in range(2):
-            with pytest.raises(RoutingError):
-                session.compute(F, pinned={B: bad})
-        assert session.tables_cached == 0
-        assert session.stats.hits == 0
-        # the session still works for valid queries afterwards
-        assert session.compute(F).best(B).path == (B, E, F)
-
-    def test_compute_many_propagates_pinned_errors(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        bad = make_route(paper_graph, (F,))
-        with pytest.raises(RoutingError):
-            session.compute_many([F], pinned={F: bad})
 
 
 class TestInvalidationOnMutation:
@@ -581,6 +518,19 @@ class TestEnsureSessionAndAdopt:
         with pytest.raises(SessionError):
             session.adopt(table)
 
+    def test_adopt_rejects_a_dict_backed_table(self, paper_graph):
+        """Regression: a pinned what-if table adopted as the plain one
+        was then served as the destination's stable state."""
+        session = SimulationSession(paper_graph)
+        base = compute_routes(paper_graph, F)
+        alternate = next(r for r in base.candidates(B) if r.path == (B, C, F))
+        with pytest.raises(SessionError, match="dict-backed"):
+            session.adopt(compute_routes(paper_graph, F, {B: alternate}))
+        with pytest.raises(SessionError, match="dict-backed"):
+            session.adopt(compute_routes_reference(paper_graph, F))
+        assert session.tables_cached == 0
+        assert session.compute(F).best(B).path == (B, E, F)
+
 
 class TestForwarderIntegration:
     def test_forwarder_adopts_constructor_tables(self, paper_graph):
@@ -591,6 +541,17 @@ class TestForwarderIntegration:
         ASLevelForwarder(tables, session=session)
         assert session.compute(F) is tables[F]
         assert session.stats.tables_computed == 0
+
+    def test_forwarder_adopts_only_trees(self, paper_graph):
+        from repro.dataplane import ASLevelForwarder
+
+        session = SimulationSession(paper_graph)
+        base = compute_routes(paper_graph, F)
+        alternate = next(r for r in base.candidates(B) if r.path == (B, C, F))
+        pinned = compute_routes(paper_graph, F, {B: alternate})
+        ASLevelForwarder({F: pinned}, session=session)
+        assert session.tables_cached == 0
+        assert session.compute(F).best(B).path == (B, E, F)
 
     def test_on_demand_tables_come_from_shared_session(self, paper_graph):
         from repro.dataplane import ASLevelForwarder
@@ -760,17 +721,6 @@ class TestIncrementalDerivation:
         assert session.stats.tables_derived == 0
         assert session.stats.tables_computed == 2
 
-    def test_pinned_misses_never_derive(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        base = session.compute(F)
-        alternate = [
-            r for r in base.candidates(B) if r.path == (B, C, F)
-        ][0]
-        paper_graph.remove_link(D, E)
-        session.compute(F, pinned={B: alternate})
-        assert session.stats.tables_derived == 0
-        assert session.stats.tables_computed == 2
-
     def test_compute_many_derives_after_failure(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
         session.compute_many([F, E])
@@ -824,16 +774,12 @@ class TestAutoPrune:
     def test_superseded_entries_reclaimed_on_next_lookup(self, paper_graph):
         session = SimulationSession(paper_graph)
         session.compute(F)
-        session.compute(F, pinned=None)
-        base = session.compute(F)
-        alternate = [
-            r for r in base.candidates(B) if r.path == (B, C, F)
-        ][0]
-        session.compute(F, pinned={B: alternate})
         paper_graph.remove_link(D, E)
+        session.compute(F)      # derived; the first table stays its seed
+        paper_graph.remove_link(B, C)
         session.compute(E)
-        # the stale pinned entry is dropped; the unpinned F entry
-        # survives as F's derivation parent
+        # the derived F table is the nearer derivation parent now, so
+        # the first one is superseded and dropped
         assert session.stats.auto_pruned == 1
         assert session.tables_cached == 2
 
@@ -923,8 +869,10 @@ class TestRestamp:
                 applied.append(session.mutate(delta.apply))
                 reverted.clear()
             served = {
-                key[1]: table for key, table in session._cache._entries.items()
-                if key[0] == graph.version and key[2] is None
+                destination: table
+                for (version, destination), table
+                in session._cache._entries.items()
+                if version == graph.version
             }
             for destination, table in served.items():
                 reference = compute_routes_reference(graph, destination)
@@ -959,16 +907,6 @@ class TestRestamp:
         session.mutate(lambda g: (g.remove_link(C, E), g.add_as(99)))
         assert restamps() == 0
         assert session.peek(F) is None
-
-    def test_no_restamp_for_a_pinned_table(self, paper_graph):
-        session = SimulationSession(paper_graph, parallel=False)
-        base = session.compute(F)
-        alternate = next(r for r in base.candidates(B) if r.path == (B, C, F))
-        session.compute(F, pinned={B: alternate})
-        session.mutate(TopologyDelta.link_down(A, D).apply)
-        assert restamps() == 1                      # the unpinned one
-        assert session.peek(F) is base
-        assert session.peek(F, pinned={B: alternate}) is None
 
     def test_revert_after_a_restamp_hits_with_no_fill(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
@@ -1171,8 +1109,7 @@ def _exploding_executor(*args, **kwargs):
 
 class TestOneTransport:
     """Shared-memory shards or serial settling — there is no second
-    transport: without shared memory a pooled fan-out settles serially,
-    and pinned misses never leave the parent."""
+    transport: without shared memory a pooled fan-out settles serially."""
 
     def test_no_shared_memory_means_serial(self, small_graph, monkeypatch):
         import pickle
@@ -1222,23 +1159,6 @@ class TestOneTransport:
             assert dict(tables[destination].items()) == dict(
                 compute_routes(small_graph, destination).items()
             )
-
-    def test_pinned_fanout_never_submits_a_job(self, paper_graph, monkeypatch):
-        import repro.session.pool as pool_module
-
-        monkeypatch.setattr(
-            pool_module, "ProcessPoolExecutor", _exploding_executor
-        )
-        alternate = make_route(paper_graph, (B, C, F))
-        pinned = {B: alternate}
-        with SimulationSession(
-            paper_graph, parallel=True, max_workers=2
-        ) as session:
-            tables = session.compute_many([F], pinned=pinned, parallel=True)
-            assert session.stats.parallel_fanouts == 0
-        expected = compute_routes(paper_graph, F, pinned=pinned)
-        assert dict(tables[F].items()) == dict(expected.items())
-        assert tables[F].best(B).path == (B, C, F)
 
 
 class TestOneFillPath:

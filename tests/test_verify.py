@@ -273,6 +273,41 @@ class TestOracle:
         assert set(result.references) == {F, E}
         assert result.references[F].best(B).path == (B, E, F)
 
+    def test_pinned_mode_runs_once_per_check(self, paper_graph):
+        checks = oracle_module._ORACLE_CHECKS.labels(mode="pinned")
+        before = checks.value
+        assert DifferentialOracle(paper_graph, [F, E]).check().ok
+        assert checks.value == before + 1
+
+    def test_pinned_walk_fault_is_caught_as_pinned(
+        self, paper_graph, monkeypatch
+    ):
+        """The pinned heap walk is no kernel, so no ``kernel:`` mode sees
+        it: a walk that loses one route must surface as mode ``pinned``
+        (A, the lowest ASN with an alternate, pinned to A-D-E-F)."""
+        from repro.bgp import routing
+
+        settle_pinned = routing._settle_pinned
+        pins = []
+
+        def drop_one(snapshot, destination, pinned):
+            pins.append(pinned)
+            best = settle_pinned(snapshot, destination, pinned)
+            del best[next(
+                a for a in best if a not in pinned and a != destination
+            )]
+            return best
+
+        monkeypatch.setattr(routing, "_settle_pinned", drop_one)
+        result = DifferentialOracle(paper_graph, [F, E]).check()
+        assert [(d.mode, d.destination) for d in result.divergences] == [
+            ("pinned", F)
+        ]
+        assert [
+            {asn: route.path for asn, route in pinned.items()}
+            for pinned in pins
+        ] == [{A: (A, D, E, F)}]
+
 
 class TestCampaignEvents:
     def test_json_roundtrip(self):
@@ -465,10 +500,10 @@ class TestAudit:
 
     def test_audit_catches_adopted_corruption(self, paper_graph):
         session = SimulationSession(paper_graph)
-        reference = compute_routes(paper_graph, F)
-        best = dict(reference.items())
-        del best[A]
-        session.adopt(RoutingTable(paper_graph, F, best))
+        snapshot = paper_graph.snapshot()
+        tree = compute_routes_snapshot(snapshot, F)
+        tree.parent[snapshot.index_of(A)] = snapshot.index_of(D)  # A-D-E-F
+        session.adopt(RoutingTable(paper_graph, F, tree))
         result = audit_session(session, destinations=[F])
         assert not result.ok
         assert result.divergences
@@ -554,8 +589,8 @@ class TestShardedPoolOracle:
             """Corrupts the pool path only: parallel compute_many drops
             the last entry of one destination's table."""
 
-            def compute_many(self, dests, pinned=None, parallel=None):
-                tables = super().compute_many(dests, pinned, parallel)
+            def compute_many(self, dests, parallel=None):
+                tables = super().compute_many(dests, parallel)
                 if parallel and poisoned in tables:
                     table = tables[poisoned]
                     best = dict(list(table.items())[:-1])
