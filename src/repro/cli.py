@@ -6,7 +6,8 @@ Eleven commands::
                          attributes, optionally dump it in CAIDA format
     repro route          compute and print routes toward one destination
     repro avoid          run the avoid-an-AS application for one triple
-    repro experiment     regenerate a paper table/figure on a chosen profile
+    repro experiment     regenerate one section of the evaluation (a paper
+                         table/figure), or all of them, on a chosen profile
     repro failure-sweep  measure BGP vs MIRO recovery from sampled failures
     repro verify         fault-injection campaigns cross-checking every
                          route-computation path and routing invariant
@@ -38,6 +39,7 @@ alone (:mod:`repro.bgp.kernels`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pickle
 import sys
@@ -45,6 +47,8 @@ from typing import List, Optional
 
 from .bgp import kernels
 from .errors import ReproError
+from .experiments import run_churn_sweep, run_failure_sweep, to_jsonable
+from .experiments.suite import SECTIONS, Inputs, churn_text, failures_text
 from .miro import ExportPolicy, miro_attempt, single_path_attempt
 from .obs import configure_logging, get_registry, get_tracer
 from .session import SimulationSession
@@ -67,7 +71,9 @@ def _add_topology_args(
     )
 
 
-def _add_obs_args(parser: argparse.ArgumentParser) -> None:
+def _obs_parser() -> argparse.ArgumentParser:
+    """The observability flags, a parent of every command that runs."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--trace", metavar="FILE",
         help="record spans and write a chrome://tracing JSON dump here",
@@ -87,6 +93,7 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         help="render structured logs as JSON lines instead of key=value "
              "(implies --log-level warning when no level is given)",
     )
+    return parser
 
 
 def _add_session_args(parser: argparse.ArgumentParser) -> None:
@@ -226,106 +233,36 @@ def _cmd_avoid(args: argparse.Namespace) -> int:
 
 
 def _cmd_failure_sweep(args: argparse.Namespace) -> int:
-    from .experiments import render_table, run_failure_sweep
-
     graph = _build_graph(args)
     session = _build_session(args, graph)
-    name = args.topology or args.profile
     sweep = run_failure_sweep(
-        graph, name, n_events=args.events,
+        graph, args.topology or args.profile, n_events=args.events,
         as_failure_fraction=args.as_fraction,
         n_destinations=args.destinations, seed=args.seed, session=session,
     )
-    print(render_table(
-        ["Recovery scheme", "Recovered"],
-        sweep.as_rows(),
-        title=(
-            f"failure sweep on {name}: {sweep.n_link_events} link / "
-            f"{sweep.n_as_events} AS failures, "
-            f"{sweep.disrupted_sources} disrupted sources"
-        ),
-    ))
+    print(failures_text(sweep))
     print(f"mean affected-set fraction: {sweep.mean_affected_fraction:.1%}")
     _maybe_print_stats(args, session)
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import (
-        render_series,
-        render_table,
-        run_counterexamples,
-        run_diversity,
-        run_incremental_deployment,
-        run_negotiation_state,
-        run_overhead_comparison,
-        run_success_rates,
-        run_traffic_control,
-    )
-
+    """One section of the evaluation, or ``all`` of them in order."""
     graph = _build_graph(args)
     session = _build_session(args, graph)
-    name = args.topology or args.profile
-    which = args.which
-    if which == "table5.2":
-        rates = run_success_rates(graph, name, seed=args.seed, session=session)
-        print(render_table(
-            ["Name", "Single", "Multi/s", "Multi/e", "Multi/a", "Source"],
-            [rates.as_row()], title="Table 5.2",
-        ))
-    elif which == "table5.3":
-        rows = run_negotiation_state(graph, seed=args.seed, session=session)
-        print(render_table(
-            ["Policy", "Success Rate", "AS#/tuple", "Path#/tuple"],
-            [r.as_row() for r in rows], title="Table 5.3",
-        ))
-    elif which == "fig5.2":
-        series = run_diversity(graph, seed=args.seed, session=session)
-        rows = [
-            (label, f"{s.fraction_no_alternate:.1%}", f"{s.median:.0f}",
-             f"{s.quantile(0.95):.0f}")
-            for label, s in sorted(series.items())
-        ]
-        print(render_table(
-            ["Scenario", "no-alternate", "median", "p95"], rows,
-            title="Fig 5.2/5.3",
-        ))
-    elif which == "fig5.4":
-        curve = run_incremental_deployment(graph, seed=args.seed,
-                                           session=session)
-        for policy in ExportPolicy:
-            print(render_series(
-                f"top-degree {policy.value}", curve.series(policy)
-            ))
-    elif which == "fig5.6":
-        result = run_traffic_control(graph, seed=args.seed, session=session)
-        for (policy, model), curve in sorted(result.curves.items()):
-            print(render_series(f"{policy} {model}", curve.points()))
-    elif which == "ch7":
-        for outcome in run_counterexamples():
-            state = "converged" if outcome.converged else "OSCILLATES"
-            print(f"fig {outcome.figure} {outcome.mode.value:>12}: {state} "
-                  f"({outcome.rounds} rounds)")
-    elif which == "overhead":
-        comparison = run_overhead_comparison(graph, seed=args.seed,
-                                             session=session)
-        print(render_table(
-            ["Protocol", "Messages", "vs BGP"], comparison.as_rows(),
-            title="Control-plane overhead",
-        ))
-    elif which == "all":
-        from .experiments import full_report
+    inputs = Inputs(graph, args.topology or args.profile, args.seed, session)
+    sections = [s for s in SECTIONS if args.which in ("all", s.name)]
+    print("\n\n".join(s.text(s.run(inputs)) for s in sections))
+    code = 0
+    if args.verify:
+        from .verify import audit_session
 
-        print(full_report(graph, name, seed=args.seed, session=session,
-                          include_stats=args.stats, verify=args.verify))
-        if args.stats:
-            print()
-            print(get_registry().render_text())
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ReproError(f"unknown experiment {which!r}")
+        audit = audit_session(session)
+        print()
+        print(audit.render())
+        code = 0 if audit.ok else 1
     _maybe_print_stats(args, session)
-    return 0
+    return code
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -431,8 +368,6 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_churn(args: argparse.Namespace) -> int:
     """Seeded churn scenarios on the event engine (``repro churn``)."""
-    from .experiments import render_table, run_churn_sweep, to_jsonable
-
     scenario_map = {
         "flap-storm": "flap_storm",
         "rolling": "rolling",
@@ -452,22 +387,7 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         max_rounds=args.max_rounds,
         scenarios=scenarios,
     )
-    rows = [
-        (
-            run.scenario, str(run.topology_seed),
-            "yes" if run.converged else "NO",
-            str(run.injections), str(run.activations),
-            f"{run.sim_time:.2f}", f"{run.max_recovery:.2f}",
-        )
-        for run in sweep.runs
-    ]
-    print(render_table(
-        ["Scenario", "Seed", "Converged", "Deltas", "Activations",
-         "Sim time", "Recovery"],
-        rows,
-        title=f"churn sweep: {len(sweep.runs)} runs, "
-              f"{sweep.converged_runs} converged",
-    ))
+    print(churn_text(sweep))
     print(f"mean recovery time: {sweep.mean_recovery():.2f} sim-seconds")
     if args.out:
         with open(args.out, "w") as handle:
@@ -617,16 +537,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="MIRO: multi-path interdomain routing — reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command but ``bench compare`` takes the observability flags
+    command = functools.partial(sub.add_parser, parents=[_obs_parser()])
 
-    topology = sub.add_parser("topology", help="generate/inspect a topology")
+    topology = command("topology", help="generate/inspect a topology")
     _add_topology_args(topology)
-    _add_obs_args(topology)
     topology.add_argument("--out", help="dump CAIDA-format topology here")
     topology.set_defaults(func=_cmd_topology)
 
-    route = sub.add_parser("route", help="compute BGP routes")
+    route = command("route", help="compute BGP routes")
     _add_topology_args(route)
-    _add_obs_args(route)
     _add_session_args(route)
     route.add_argument("--destination", type=int, required=True)
     route.add_argument("--source", type=int)
@@ -634,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows to print without --source")
     route.set_defaults(func=_cmd_route)
 
-    avoid = sub.add_parser("avoid", help="avoid-an-AS application")
+    avoid = command("avoid", help="avoid-an-AS application")
     _add_topology_args(avoid)
-    _add_obs_args(avoid)
     _add_session_args(avoid)
     avoid.add_argument("--source", type=int, required=True)
     avoid.add_argument("--destination", type=int, required=True)
@@ -647,28 +566,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="negotiation depth (2 enables §3.3 recursion)")
     avoid.set_defaults(func=_cmd_avoid)
 
-    experiment = sub.add_parser("experiment", help="regenerate a result")
+    experiment = command("experiment", help="regenerate a result")
     _add_topology_args(experiment)
-    _add_obs_args(experiment)
     _add_session_args(experiment)
     experiment.add_argument(
-        "which",
-        choices=["table5.2", "table5.3", "fig5.2", "fig5.4", "fig5.6",
-                 "ch7", "overhead", "all"],
+        "which", choices=[s.name for s in SECTIONS] + ["all"],
     )
     experiment.add_argument(
         "--verify", action="store_true",
-        help="audit the session's routing tables after the report "
-             "(invariants + fresh-computation equivalence; 'all' only)",
+        help="audit the session's routing tables after the experiment "
+             "(invariants + fresh-computation equivalence; exit 1 on FAIL)",
     )
     experiment.set_defaults(func=_cmd_experiment)
 
-    failures = sub.add_parser(
+    failures = command(
         "failure-sweep",
         help="BGP vs MIRO recovery from sampled link/AS failures",
     )
     _add_topology_args(failures)
-    _add_obs_args(failures)
     _add_session_args(failures)
     failures.add_argument("--events", type=int, default=12,
                           help="failure events to sample (default 12)")
@@ -679,13 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="destinations scored per event (default 5)")
     failures.set_defaults(func=_cmd_failure_sweep)
 
-    verify = sub.add_parser(
+    verify = command(
         "verify",
         help="route-equivalence verification: fault-injection campaigns "
              "cross-checking every computation path + invariants",
     )
     _add_topology_args(verify, default_profile="verify-500")
-    _add_obs_args(verify)
     verify.add_argument("--campaigns", type=int, default=25,
                         help="fault-injection campaigns to run (default 25)")
     verify.add_argument("--events", type=int, default=8,
@@ -705,12 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the full JSON report here")
     verify.set_defaults(func=_cmd_verify)
 
-    converge = sub.add_parser(
+    converge = command(
         "converge",
         help="Ch. 7 convergence: fair rounds at zero delays, the "
              "discrete-event engine under real ones",
     )
-    _add_obs_args(converge)
     _add_delay_args(converge)
     converge.add_argument("--figure", choices=["7.1", "7.2"], default="7.1",
                           help="counterexample system to run (default 7.1)")
@@ -723,12 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed for activation shuffles and jitter")
     converge.set_defaults(func=_cmd_converge)
 
-    churn = sub.add_parser(
+    churn = command(
         "churn",
         help="seeded churn scenarios (flap storms, rolling deployment, "
              "negotiation races) on the event-driven simulator",
     )
-    _add_obs_args(churn)
     _add_delay_args(churn)
     churn.add_argument("--scenario",
                        choices=["flap-storm", "rolling", "negotiation-race",
@@ -749,12 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON results here")
     churn.set_defaults(func=_cmd_churn)
 
-    stats = sub.add_parser(
+    stats = command(
         "stats",
         help="run a small instrumented workload and export metrics",
     )
     _add_topology_args(stats)
-    _add_obs_args(stats)
     _add_pool_args(stats)
     stats.add_argument("--destinations", type=int, default=4,
                        help="destinations in the workload (default 4)")
@@ -765,12 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the snapshot here instead of stdout")
     stats.set_defaults(func=_cmd_stats)
 
-    serve = sub.add_parser(
+    serve = command(
         "serve",
         help="run the asyncio MIRO query daemon (JSON-lines over TCP)",
     )
     _add_topology_args(serve)
-    _add_obs_args(serve)
     _add_session_args(serve)
     _add_service_args(serve)
     serve.add_argument("--host", default="127.0.0.1",

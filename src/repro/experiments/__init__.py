@@ -46,9 +46,7 @@ from .overhead import (
     push_all_message_count,
     run_overhead_comparison,
 )
-from .export import export_results, to_jsonable
 from .report import percent, render_series, render_table
-from .runner import full_report
 from .sampling import (
     PairSample,
     TripleSample,
@@ -58,6 +56,7 @@ from .sampling import (
     sample_pairs,
     sample_triples,
 )
+from .suite import SECTIONS, export_results, full_report, to_jsonable
 from .traffic import (
     DEFAULT_THRESHOLDS,
     PowerNodeProfile,
@@ -119,6 +118,7 @@ __all__ = [
     "bgp_message_count",
     "push_all_message_count",
     "MESSAGES_PER_NEGOTIATION",
+    "SECTIONS",
     "full_report",
     "export_results",
     "to_jsonable",

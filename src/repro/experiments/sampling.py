@@ -18,10 +18,12 @@ from ..bgp.routing import RoutingTable
 from ..session import SimulationSession, ensure_session
 from ..topology.graph import ASGraph
 
-#: Default sample sizes of the two whole-evaluation entry points,
+#: Sample sizes of the evaluation's sections
+#: (:data:`~repro.experiments.SECTIONS`, through
+#: :class:`~repro.experiments.suite.Inputs`): ``repro experiment``,
 #: :func:`~repro.experiments.full_report` and
-#: :func:`~repro.experiments.export_results`: shared so the text report
-#: and the JSON export of one graph and seed show the same numbers.
+#: :func:`~repro.experiments.export_results` all run at these, so one
+#: graph and seed show the same numbers in each.
 DEFAULT_N_DESTINATIONS = 8
 DEFAULT_SOURCES_PER_DESTINATION = 10
 DEFAULT_N_STUBS = 12

@@ -99,7 +99,7 @@ class SessionStats:
         """JSON-ready snapshot (counters plus the derived hit rate).
 
         The single serialization path: ``--stats`` rendering, the JSON
-        exporter (:func:`repro.experiments.export.export_results`), and
+        exporter (:func:`repro.experiments.export_results`), and
         the ``repro stats`` snapshot all read this dict.  All duration
         fields are ``time.perf_counter()`` deltas (monotonic seconds).
         """

@@ -120,7 +120,7 @@ def test_sweep_seeds_shift_the_distribution_deterministically():
 def test_export_results_includes_churn(tmp_path):
     import json
 
-    from repro.experiments.export import export_results
+    from repro.experiments import export_results
     from repro.topology.generator import generate_topology as gen
 
     graph = gen(TINY, seed=0)

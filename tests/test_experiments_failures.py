@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import run_failure_sweep
-from repro.experiments.export import export_results
+from repro.experiments import export_results
 from repro.miro import ExportPolicy
 from repro.session import SimulationSession
 from repro.topology import TINY, generate_topology

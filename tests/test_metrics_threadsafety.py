@@ -105,33 +105,50 @@ class TestHistogram:
         assert histogram.counts[1] == THREADS * ITERATIONS
 
     def test_quantile_readable_while_observing(self):
-        """Quantile reads race observes without deadlock or crash."""
+        """Quantile reads race observes without deadlock or crash.
+
+        The observer pauses half-way until every reader has read a
+        partly filled histogram, so each reader provably runs while
+        observations land, however the threads are scheduled.
+        """
         histogram = MetricsRegistry().histogram(
             "t_hist_racing_seconds", buckets=(0.01, 0.1, 1.0)
         )
         stop = threading.Event()
+        read_midway = [threading.Event(), threading.Event()]
         failures = []
 
         def observe():
             for i in range(ITERATIONS):
+                if i == ITERATIONS // 2 and not all(
+                    event.wait(timeout=60) for event in read_midway
+                ):
+                    failures.append("a reader never read mid-stream")
                 histogram.observe(0.05 if i % 2 else 0.5)
             stop.set()
 
-        def read():
+        def read(midway):
             try:
-                while not stop.is_set():
+                while True:  # do-while: at least one read after stop
+                    done = stop.is_set()
+                    seen = histogram.count
                     q = histogram.quantile(0.99)
                     assert 0.0 <= q <= 1.0
-                    summary = histogram.quantiles((0.5, 0.9))
-                    assert summary[0.5] <= summary[0.9]
+                    summary = histogram.quantiles()
+                    assert summary["p50"] <= summary["p90"]
+                    if 0 < seen < ITERATIONS:
+                        midway.set()
+                    if done:
+                        return
             except Exception as exc:  # pragma: no cover - failure path
                 failures.append(repr(exc))
+            finally:
+                midway.set()  # never leave the observer waiting
 
         threads = [
-            threading.Thread(target=observe),
-            threading.Thread(target=read),
-            threading.Thread(target=read),
-        ]
+            threading.Thread(target=read, args=(midway,))
+            for midway in read_midway
+        ] + [threading.Thread(target=observe)]
         for thread in threads:
             thread.start()
         for thread in threads:

@@ -142,43 +142,6 @@ class TestDataplaneEdgeCases:
         assert prefix.contains(2 ** 32 - 1)
 
 
-class TestFullReport:
-    def test_full_report_contains_every_section(self, small_graph):
-        from repro.experiments import full_report
-
-        report = full_report(
-            small_graph, "small", seed=1,
-            n_destinations=4, sources_per_destination=5, n_stubs=4,
-        )
-        for marker in (
-            "Table 5.1", "Fig 5.1", "Fig 5.2/5.3", "Table 5.2",
-            "Table 5.3", "Fig 5.4", "Fig 5.6/5.7", "Fig 7.1/7.2",
-            "guideline sweep", "overhead",
-        ):
-            assert marker in report, marker
-
-
-    def test_report_and_export_sample_fig_5_6_alike(self, small_graph):
-        """Left at their defaults, the text report and the JSON export
-        draw Fig. 5.6/5.7 from the same stubs."""
-        from repro.experiments import export_results, full_report
-        from repro.experiments.sampling import DEFAULT_N_STUBS
-        from repro.experiments.traffic import run_traffic_control
-
-        sizes = dict(n_destinations=2, sources_per_destination=2)
-        report = full_report(small_graph, "small", seed=1, **sizes)
-        document = export_results(small_graph, "small", seed=1, **sizes)
-        expected = run_traffic_control(
-            small_graph, n_stubs=DEFAULT_N_STUBS, seed=1
-        )
-        assert expected.n_stubs == DEFAULT_N_STUBS  # the graph has enough
-        assert f"({DEFAULT_N_STUBS} stubs)" in report
-        assert document["fig_5_6"] == {
-            f"{policy}/{model}": curve.points()
-            for (policy, model), curve in expected.curves.items()
-        }
-
-
 class TestSelectionModel:
     def test_selection_accessors(self):
         from repro.convergence import Selection

@@ -625,7 +625,7 @@ class TestCrossExperimentSharing:
         assert session.stats.hits > 0
 
     def test_export_document_carries_session_stats(self, tiny_graph):
-        from repro.experiments.export import export_results
+        from repro.experiments import export_results
 
         document = export_results(
             tiny_graph, "tiny", seed=1, n_destinations=2,

@@ -547,6 +547,26 @@ class TestVerifyCli:
         assert "route-table audit:" in out
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("which", ["all", "table5.2"])
+    def test_experiment_verify_fails_on_a_planted_violation(
+        self, which, monkeypatch, capsys
+    ):
+        """A failed audit is exit code 1, after one section or all."""
+        from repro.cli import main
+        from repro.verify import audit as audit_module
+        from repro.verify.invariants import Violation
+
+        planted = Violation("planted", None, None, "test violation")
+        monkeypatch.setattr(audit_module, "check_table",
+                            lambda table: [planted])
+        code = main([
+            "experiment", which, "--profile", "tiny", "--seed", "1",
+            "--verify",
+        ])
+        out = capsys.readouterr().out
+        assert "result: FAIL" in out
+        assert code == 1
+
 
 class TestShardedPoolOracle:
     """The sharded shared-memory fan-out is an enumerated oracle path:
