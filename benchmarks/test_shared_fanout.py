@@ -10,7 +10,7 @@ through the 4-worker persistent sharded pool must beat the design it
 replaced — a fresh executor per call shipping the pickled snapshot to
 every worker and returning each table as a pickled Route dict — by
 >= 3x.  That churn baseline lives in this file (a module-level worker
-pair settling through the same kernel registry — the session itself has
+pair settling through the same kernel dispatcher — the session itself has
 no such transport), so both sides of the ratio run on the same machine
 in the same process.  The pool-vs-serial ratio is
 recorded ungated: it depends on core count, and at 4 workers the honest
@@ -89,9 +89,9 @@ def _churn_init(snapshot):
 
 def _churn_settle(destination):
     """Churn-baseline job: one destination, returned as a Route dict."""
-    return destination, dict(kernels.settle(
-        _CHURN_SNAPSHOT, destination, kernel="scalar"
-    ))
+    return destination, dict(kernels.settle_many(
+        _CHURN_SNAPSHOT, [destination], kernel="scalar"
+    )[destination])
 
 
 def _churn_cold_sweep(graph, destinations):
@@ -191,7 +191,7 @@ def test_batched_pool_sweep_recorded(verify_500, bench_report, monkeypatch):
     # ungated: under the batched kernel the serial sweep is fast enough
     # that IPC result-return dominates, so this records the trajectory
     # point without asserting a ratio
-    if not kernels.get("batched").is_available():
+    if "batched" not in kernels.available():
         pytest.skip("batched kernel unavailable")
     destinations = verify_500.ases
     monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")

@@ -21,14 +21,12 @@ from .route import Route, RouteClass, better
 from .routing import (
     RoutingTable,
     affected_ases,
-    compute_all_routes,
     compute_routes,
     recompute_routes,
 )
 
-# Imported after .routing so the backend registry can adapt the settling
-# implementations cycle-free; the import itself registers the built-in
-# scalar and batched backends.
+# Imported after .routing: the kernel table holds the settling
+# implementation defined there.
 from . import kernels
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "compute_routes",
     "recompute_routes",
     "affected_ases",
-    "compute_all_routes",
     "RouterRoute",
     "OriginType",
     "SessionType",

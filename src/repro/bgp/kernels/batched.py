@@ -4,7 +4,7 @@ The reference settling pops one heap entry at a time: ``(length, path,
 class)``, adopt, push the neighbours.  The scalar kernel
 (:func:`repro.bgp.routing.compute_routes_snapshot`) replays that pop
 order as level-synchronous waves in pure Python, one destination at a
-time; this backend settles whole **frontier waves** at
+time; this kernel settles whole **frontier waves** at
 once as numpy operations over the snapshot's flat per-class adjacency
 (:meth:`~repro.topology.snapshot.TopologySnapshot.class_arrays`), and —
 because destinations are mutually independent — settles **many
@@ -13,7 +13,7 @@ destinations in one call** (:func:`settle_many`) on a composite
 cost amortizes over the whole sweep.  The output is the scalar kernel's
 :class:`~repro.bgp.routing.RouteTree`, equal field for field — same
 parents, same adoption order — which the differential oracle enforces
-by enumerating this backend.
+on every check (mode ``kernel:batched``).
 
 Why waves are exact, not an approximation
 -----------------------------------------
@@ -59,17 +59,12 @@ from ..routing import (
     _PHASE_NAMES,
     _PHASE_SECONDS,
     _TABLES_TOTAL,
-    _TRACER,
     RouteTree,
     _phase_span,
 )
-from . import KernelBackend, register
-
 __all__ = [
-    "BACKEND",
     "numpy_available",
     "pack_candidate_key",
-    "settle_batched",
     "settle_many",
 ]
 
@@ -363,20 +358,8 @@ def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
 
 
 # ----------------------------------------------------------------------
-# public entry points
+# the sweep entry point
 # ----------------------------------------------------------------------
-
-def settle_batched(snapshot, destination: int) -> RouteTree:
-    """Settle the stable state for ``destination`` in frontier waves.
-
-    Equal to :func:`repro.bgp.routing.compute_routes_snapshot` (the same
-    tree, hence the same values *and* dict insertion order).
-    """
-    _require_numpy()
-    dest = snapshot.index_of(destination)
-    with _TRACER.span("compute_routes_batched", destination=destination):
-        return _settle_chunk(snapshot, (dest,))[0]
-
 
 def settle_many(
     snapshot,
@@ -384,43 +367,21 @@ def settle_many(
 ) -> Dict[int, RouteTree]:
     """Settle many destinations in chunked composite waves.
 
-    The sweep entry point (``compute_many``'s serial fan-out, the
-    benchmarks): destinations share each wave's numpy dispatch cost, so
-    the per-table overhead of the vectorized kernel amortizes to nearly
-    nothing.  Returns ``{destination: tree}`` with duplicates computed
-    once; each tree is equal to the scalar kernel's.
+    The ``batched`` entry of :data:`repro.bgp.kernels.KERNELS`:
+    destinations share each wave's numpy dispatch cost, so the per-table
+    overhead of the vectorized kernel amortizes to nearly nothing.
+    Returns ``{destination: tree}`` with duplicates computed once; each
+    tree is equal to the scalar kernel's.
     """
     _require_numpy()
-    unique: List[int] = []
-    seen = set()
-    for destination in destinations:
-        if destination not in seen:
-            seen.add(destination)
-            unique.append(destination)
+    unique = list(dict.fromkeys(destinations))
     indices = [snapshot.index_of(d) for d in unique]
     chunk = max(1, _CHUNK_ENTRIES // max(snapshot.n, 1))
     out: Dict[int, RouteTree] = {}
-    with _TRACER.span("settle_many", destinations=len(unique)):
-        for start in range(0, len(indices), chunk):
-            part = indices[start:start + chunk]
-            for destination, best in zip(
-                unique[start:start + chunk],
-                _settle_chunk(snapshot, part),
-            ):
-                out[destination] = best
+    for start in range(0, len(indices), chunk):
+        part = indices[start:start + chunk]
+        for destination, best in zip(
+            unique[start:start + chunk], _settle_chunk(snapshot, part)
+        ):
+            out[destination] = best
     return out
-
-
-BACKEND = register(
-    KernelBackend(
-        name="batched",
-        settle=settle_batched,
-        settle_many=settle_many,
-        description=(
-            "Vectorized frontier-wave settling over the CSR arrays, "
-            "batching whole destination sweeps (numpy)"
-        ),
-        requires=("numpy",),
-        available=numpy_available,
-    )
-)

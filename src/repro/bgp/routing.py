@@ -67,7 +67,6 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -79,9 +78,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..session import SimulationSession
 
 from ..errors import RoutingError, UnknownASError
 from ..obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
@@ -437,27 +433,26 @@ def compute_routes(
     selects normally.  Pinned routes must be held by the given AS and
     target ``destination``.
 
-    This is the graph-level front door of the kernel registry: it settles
-    an un-pinned request on ``graph.snapshot()`` through whichever
-    backend is selected (:func:`repro.bgp.kernels.settle` —
-    ``REPRO_KERNEL`` or the scalar default), a pinned one by
-    :func:`_settle_pinned`, and wraps the result — byte-identical to the
-    legacy walk, which survives as :func:`compute_routes_reference` for
-    the differential oracle.
+    This is the graph-level front door of the kernels: it settles an
+    un-pinned request on ``graph.snapshot()`` through
+    :func:`repro.bgp.kernels.settle_many` (``REPRO_KERNEL`` or the scalar
+    default), a pinned one by :func:`_settle_pinned`, and wraps the
+    result — byte-identical to the legacy walk, which survives as
+    :func:`compute_routes_reference` for the differential oracle.
     """
     if destination not in graph:
         raise UnknownASError(destination)
     pinned = dict(pinned or {})
     snapshot = graph.snapshot()
     # Late import: repro.bgp.kernels initializes after this module (its
-    # backends adapt the settling implementations defined here).
-    from .kernels import settle
+    # scalar kernel is the settling implementation defined here).
+    from . import kernels
 
     try:
         if pinned:
             best = _settle_pinned(snapshot, destination, pinned)
         else:
-            best = settle(snapshot, destination)
+            best = kernels.settle_many(snapshot, [destination])[destination]
     except UnknownASError:
         # A pinned path references an AS outside the current topology —
         # representable in the legacy walk (pinned routes pass through
@@ -581,7 +576,7 @@ def compute_routes_snapshot(
 ) -> RouteTree:
     """Settle the stable state for ``destination`` on a frozen snapshot.
 
-    The ``scalar`` backend: :func:`_settle_waves` from the destination
+    The ``scalar`` kernel: :func:`_settle_waves` from the destination
     alone, in index space.  Self-contained on purpose: pool workers call
     this with nothing but the shipped snapshot.  Output is byte-identical
     to :func:`compute_routes_reference` — the oracle's enforced invariant.
@@ -1052,26 +1047,3 @@ def _resettle(
                         return None
     return tree
 
-
-def compute_all_routes(
-    graph: ASGraph,
-    destinations: Optional[Iterable[int]] = None,
-    session: Optional["SimulationSession"] = None,
-    parallel: Optional[object] = None,
-) -> Dict[int, RoutingTable]:
-    """Routing tables for many destinations (all ASes by default).
-
-    Thin wrapper over :meth:`repro.session.SimulationSession.compute_many`,
-    kept for the original call signature: with no ``session`` a private one
-    is created (and discarded), so repeated destinations still compute
-    once; passing the run's shared session makes the tables land in — and
-    come from — its cache.  ``parallel`` overrides the session's dispatch
-    policy (True / False / ``"auto"``).
-    """
-    from ..session import ensure_session  # late import: session builds on bgp
-
-    if destinations is None:
-        destinations = graph.ases
-    return ensure_session(graph, session).compute_many(
-        destinations, parallel=parallel
-    )

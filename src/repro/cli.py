@@ -163,9 +163,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     print(f"snapshot:           {snapshot.n} indices, "
           f"{snapshot.num_directed_edges} directed edges, "
           f"{len(pickle.dumps(snapshot))} pickled bytes")
-    available = ", ".join(kernels.kernel_names(available_only=True))
-    print(f"kernel:             {kernels.active().name} "
-          f"(available: {available})")
+    print(f"kernel:             {kernels.resolve()} "
+          f"(available: {', '.join(kernels.available())})")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(dump_topology(graph))
@@ -453,7 +452,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         payload = registry.render_prometheus()
     else:
         payload = (
-            f"active kernel: {kernels.active().name}\n\n"
+            f"active kernel: {kernels.resolve()}\n\n"
             + session.stats.render() + "\n\n"
             + _render_pool_info(pool) + "\n\n" + registry.render_text()
         )

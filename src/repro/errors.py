@@ -32,7 +32,7 @@ class RoutingError(ReproError):
 
 
 class KernelError(RoutingError):
-    """Kernel-backend registry misuse (unknown backend, bad registration)."""
+    """An unknown kernel name, or the batched kernel run without numpy."""
 
 
 class SessionError(ReproError):

@@ -117,8 +117,9 @@ class SessionCore:
     * ``"auto"`` (default) — use the worker pool when shared memory is
       available, the machine has more than one core, and at least
       :data:`AUTO_PARALLEL_THRESHOLD` destinations miss the cache;
-    * ``True`` — always try the pool for misses (still settles serially
-      when shared memory is unavailable or the pool cannot start);
+    * ``True`` — try the pool whenever more than one destination misses
+      (still settles serially when shared memory is unavailable or the
+      pool cannot start);
     * ``False`` — always compute serially.
 
     The pool itself is *persistent*: workers spawn on the first pooled
@@ -307,7 +308,7 @@ class SessionCore:
         """
         table = self.peek(destination)
         if table is None:
-            table = self._fill([destination], False)[0][destination]
+            table = self._fill([destination])[0][destination]
         return table
 
     def peek(self, destination: int) -> Optional[RoutingTable]:
@@ -345,23 +346,18 @@ class SessionCore:
     # ------------------------------------------------------------------
     # fan-out interface
     # ------------------------------------------------------------------
-    def compute_many(
-        self,
-        destinations: Iterable[int],
-        parallel: Optional[Union[bool, str]] = None,
-    ) -> Dict[int, RoutingTable]:
+    def compute_many(self, destinations: Iterable[int]) -> Dict[int, RoutingTable]:
         """Routing tables for many destinations, cache-first.
 
         Returns ``{destination: table}`` in the order destinations were
         given (duplicates collapsed), regardless of which worker
-        finished first.  ``parallel`` overrides the session-wide
-        dispatch policy for this one call.  Destinations another
-        thread is already filling are joined, not recomputed; the rest
-        become this call's own single batch fill.
+        finished first.  Destinations another thread is already filling
+        are joined, not recomputed; the rest become this call's own
+        single batch fill, dispatched per the session's ``parallel``.
         """
         ordered = list(dict.fromkeys(destinations))
         start = time.perf_counter()
-        tables, used_pool = self._fill(ordered, parallel)
+        tables, used_pool = self._fill(ordered)
         elapsed = time.perf_counter() - start
         with self._lock:
             self._stats.fanouts += 1
@@ -370,9 +366,7 @@ class SessionCore:
         _FANOUTS_TOTAL.labels(mode="parallel" if used_pool else "serial").inc()
         return {destination: tables[destination] for destination in ordered}
 
-    def _fill(
-        self, ordered: List[int], parallel: Optional[Union[bool, str]]
-    ) -> Tuple[Dict[int, RoutingTable], bool]:
+    def _fill(self, ordered: List[int]) -> Tuple[Dict[int, RoutingTable], bool]:
         """The one lookup-and-fill path; returns ``(tables, used_pool)``.
 
         Classifies ``ordered`` (distinct destinations) under the lock
@@ -423,7 +417,7 @@ class SessionCore:
                 start = time.perf_counter()
                 try:
                     filled, derived, computed, used_pool = self._fill_batch(
-                        leaders, parallel, parents
+                        leaders, parents
                     )
                 except BaseException as exc:
                     with self._lock:
@@ -460,7 +454,6 @@ class SessionCore:
     def _fill_batch(
         self,
         leaders: List[int],
-        parallel: Optional[Union[bool, str]],
         parents: Dict[int, _Parent],
     ) -> Tuple[Dict[int, RoutingTable], List[int], int, bool]:
         """Settle every leader destination, lock released throughout.
@@ -491,15 +484,13 @@ class SessionCore:
         used_pool = False
         if remaining:
             snapshot = self._graph.snapshot()
-            policy = self._parallel if parallel is None else parallel
-            if self._use_pool(policy, len(remaining)):
+            if self._use_pool(len(remaining)):
                 used_pool = self._fanout_pool(snapshot, remaining, filled)
             rest = [d for d in remaining if d not in filled]
             if rest:
-                # Whatever the pool did not hand back goes through the
-                # active kernel backend in one batch — backends with a
-                # settle_many entry point (the batched wave kernel)
-                # amortize their per-wave cost over the whole sweep.
+                # Whatever the pool did not hand back settles on the
+                # active kernel in one sweep (the batched wave kernel
+                # amortizes its per-wave cost over the whole of it).
                 swept = kernels.settle_many(snapshot, rest)
                 for destination in rest:
                     filled[destination] = RoutingTable(
@@ -510,8 +501,11 @@ class SessionCore:
     # ------------------------------------------------------------------
     # pool dispatch (lock released)
     # ------------------------------------------------------------------
-    def _use_pool(self, policy: Union[bool, str], n_misses: int) -> bool:
-        if policy is False:
+    def _use_pool(self, n_misses: int) -> bool:
+        """A lone miss (every :meth:`compute`) settles in process: there
+        is nothing to fan out."""
+        policy = self._parallel
+        if policy is False or n_misses < 2:
             return False
         if policy == "auto" and (
             (os.cpu_count() or 1) < 2 or n_misses < AUTO_PARALLEL_THRESHOLD
@@ -544,8 +538,8 @@ class SessionCore:
             executor, spec = self._pool.ensure(snapshot)
         except Exception:
             return False
-        # workers settle on the parent's active backend
-        kernel = kernels.resolve().name
+        # workers settle on the parent's active kernel
+        kernel = kernels.resolve()
         obs_state = obs.worker_state()
         futures: List[Tuple[Tuple[int, ...], object]] = []
         try:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs
 from ..bgp import kernels
 from ..bgp.routing import RouteTree
-from ..errors import KernelError, SessionError, UnknownASError
+from ..errors import SessionError, UnknownASError
 from ..obs import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -162,8 +162,6 @@ def _encode_shard(
     buf = array("q")
     for destination in destinations:
         tree = swept[destination]
-        if not isinstance(tree, RouteTree):
-            raise KernelError("backend settled a dict; nothing to ship")
         buf.extend((tree.peer_from, tree.provider_from, len(tree.order)))
         buf.extend(tree.order)
         buf.extend(tree.parent)
@@ -195,10 +193,11 @@ def _pool_settle_shard(
 ) -> Tuple[Tuple[int, ...], Optional[bytes], Dict[str, object]]:
     """Settle one shard — a contiguous destination range — in a worker.
 
-    The whole shard goes through the backend sweep entry point, so the
-    batched kernel amortizes its wave setup across the range exactly as
-    it would in the parent's serial path (same call, same tables, byte
-    for byte).
+    The whole shard goes through one :func:`repro.bgp.kernels.settle_many`
+    call, so the batched kernel amortizes its wave setup across the range
+    exactly as it would in the parent's serial path (same call, same
+    tables, byte for byte).  A kernel unavailable here falls back to
+    scalar, as it would in the parent.
     """
     spec, obs_state, kernel, destinations = job
     _worker_configure_obs(obs_state)
@@ -206,12 +205,9 @@ def _pool_settle_shard(
         snapshot = _worker_snapshot(spec)
         swept = kernels.settle_many(snapshot, destinations, kernel=kernel)
         packed: Optional[bytes] = _encode_shard(destinations, swept)
-    except (UnknownASError, KernelError):
-        # Not settleable on this side (a destination the parent will
-        # reject anyway, the shipped kernel missing its optional
-        # dependency in the worker, or a backend that settles dicts):
-        # hand the shard back for the parent's serial path, which raises
-        # the right error when there is one.
+    except UnknownASError:
+        # a destination the parent will reject anyway: hand the shard
+        # back for the parent's serial path, which raises the error
         packed = None
     # ship only the packed trees back; the parent rebuilds them on its
     # own snapshot and graph (no graph on this side at all)

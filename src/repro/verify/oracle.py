@@ -1,9 +1,9 @@
 """Differential oracle: all route-computation paths must agree.
 
-The repo produces a routing table many ways — every kernel backend
-registered in :mod:`repro.bgp.kernels` (the scalar index-space settling,
-the vectorized batched wave kernel, anything a test registers), the
-legacy dict walk :func:`~repro.bgp.routing.compute_routes_reference`,
+The repo produces a routing table many ways — every kernel in
+:data:`repro.bgp.kernels.KERNELS` that can run here (the scalar
+index-space settling, the vectorized batched wave kernel), the legacy
+dict walk :func:`~repro.bgp.routing.compute_routes_reference`,
 incremental :func:`~repro.bgp.routing.recompute_routes` from a
 pre-mutation table, :class:`~repro.session.SimulationSession` serial
 (cache + derivation), the session's sharded shared-memory
@@ -18,11 +18,11 @@ oracle computes every destination via every path and reports the first
 divergence as a concrete ``(mode, destination, asn, expected, actual)``
 tuple.
 
-The kernel paths are **enumerated from the registry**, not hand-listed:
-registering a backend automatically subjects it to every fault campaign
-the oracle drives (mode ``kernel:<name>``), which is the registry's
-byte-equality contract being enforced rather than assumed.  Kernels
-settle un-pinned tables only; the pinned heap walk
+The kernel paths are **enumerated from the table**, not hand-listed:
+every available kernel faces every fault campaign the oracle drives
+(mode ``kernel:<name>``), each settling the whole destination set in one
+:func:`~repro.bgp.kernels.settle_many` sweep — the byte-equality
+contract enforced rather than assumed.  Kernels settle un-pinned tables only; the pinned heap walk
 :func:`~repro.bgp.routing.compute_routes` runs for §5.4's what-if tables
 is held to the reference's pinned walk on one pin per check (mode
 ``pinned``).
@@ -210,27 +210,23 @@ class DifferentialOracle:
                 self.graph, parallel=True, max_workers=self.pool_workers,
                 shards=self.pool_shards,
             ) as pool_session:
-                pool_tables = pool_session.compute_many(
-                    self.destinations, parallel=True
-                )
+                pool_tables = pool_session.compute_many(self.destinations)
+        # the production paths first: every available kernel against the
+        # legacy dict walk it must reproduce byte for byte
         snapshot = self.graph.snapshot()
+        swept = {
+            name: kernels.settle_many(snapshot, self.destinations, kernel=name)
+            for name in kernels.available()
+        }
         for destination in self.destinations:
             reference = compute_routes_reference(self.graph, destination)
             references[destination] = reference
-            # the production paths first: every available kernel backend
-            # against the legacy dict walk it must reproduce byte for
-            # byte — enumerated from the registry, so a newly registered
-            # backend is under the oracle without touching this file
             found = None
-            for backend in kernels.backends(available_only=True):
+            for name, trees in swept.items():
                 candidate = RoutingTable(
-                    self.graph, destination,
-                    kernels.settle(snapshot, destination,
-                                   kernel=backend.name),
+                    self.graph, destination, trees[destination]
                 )
-                found = first_divergence(
-                    reference, candidate, f"kernel:{backend.name}"
-                )
+                found = first_divergence(reference, candidate, f"kernel:{name}")
                 if found is not None:
                     break
             if found is None:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.bgp import (
     Route,
     RouteClass,
-    compute_all_routes,
     compute_routes,
     make_route,
 )
@@ -27,6 +26,7 @@ from repro.bgp.routing import (
 )
 from repro.errors import RoutingError, UnknownASError
 from repro.obs import get_registry
+from repro.session import SimulationSession
 from repro.topology import (
     ASGraph,
     Relationship,
@@ -126,7 +126,7 @@ class TestInvariants:
     @pytest.fixture(scope="class")
     def tables(self):
         graph = generate_topology(SMALL, seed=11)
-        return graph, compute_all_routes(graph, graph.ases[:20])
+        return graph, SimulationSession(graph).compute_many(graph.ases[:20])
 
     def test_full_reachability(self, tables):
         graph, all_tables = tables

@@ -284,7 +284,7 @@ class TestRandomizedDifferential:
         off the parent pointers before anything materializes; then
         ``items()`` must list the same routes in the same order."""
         rng = random.Random(seed * 61 + 5)
-        backends = kernels.kernel_names(available_only=True)
+        names = kernels.available()
         cases = 0
 
         def check(graph, table, label):
@@ -308,9 +308,9 @@ class TestRandomizedDifferential:
             snapshot = graph.snapshot()
             destinations = rng.sample(graph.ases, 4)
             parents = {
-                d: RoutingTable(graph, d, kernels.settle(
-                    snapshot, d, kernel=backends[(topology + i) % len(backends)]
-                ))
+                d: RoutingTable(graph, d, kernels.settle_many(
+                    snapshot, [d], kernel=names[(topology + i) % len(names)]
+                )[d])
                 for i, d in enumerate(destinations)
             }
             for trial in range(6):

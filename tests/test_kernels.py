@@ -1,12 +1,12 @@
-"""Kernel-backend registry: selection, dispatch, and byte-equality.
+"""The kernel table: selection, dispatch, and byte-equality.
 
-Covers the registry mechanics (registration rules, selection precedence:
-an explicit argument, then ``REPRO_KERNEL``, then scalar; graceful
-fallback for unavailable backends), the batched wave kernel's
+Covers the table and its dispatcher (selection precedence: an explicit
+argument, then ``REPRO_KERNEL``, then scalar; the one-time graceful
+fallback for an unavailable kernel), the batched wave kernel's
 byte-equality with the scalar kernel (values *and* dict insertion order,
 single destination and whole sweeps, before and after topology deltas),
 the packed integer sort key against the ``Route`` decision process, the
-oracle's registry enumeration (a deliberately wrong backend must be
+oracle's enumeration of the table (a deliberately wrong kernel must be
 caught by a fault campaign), and the CLI / session-pool plumbing.
 """
 
@@ -16,23 +16,23 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import kernels
-from repro.bgp.kernels import KernelBackend, temporary_kernel
+from repro.bgp.kernels import batched
 from repro.bgp.kernels.batched import (
     PACK_CLASS_SHIFT,
     PACK_LENGTH_SHIFT,
     numpy_available,
     pack_candidate_key,
-    settle_batched,
 )
 from repro.bgp.route import Route, RouteClass
 from repro.bgp.routing import compute_routes, compute_routes_snapshot
-from repro.errors import KernelError
+from repro.errors import KernelError, UnknownASError
 from repro.session import SimulationSession
 from repro.topology.generator import SMALL, TINY, generate_topology
 from repro.topology.snapshot import shared_memory_available
@@ -42,8 +42,8 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-def _settle_via_scalar(graph, destination):
-    return compute_routes_snapshot(graph.snapshot(), destination)
+def _settle_batched(snapshot, destination):
+    return batched.settle_many(snapshot, [destination])[destination]
 
 
 def _assert_tables_byte_equal(expected, actual):
@@ -55,77 +55,64 @@ def _assert_tables_byte_equal(expected, actual):
 
 
 # ----------------------------------------------------------------------
-# registry mechanics
+# the table and its dispatcher
 # ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtins_registered_scalar_first(self):
-        names = kernels.kernel_names()
-        assert names[0] == "scalar"
-        assert "batched" in names
+class TestKernelTable:
+    def test_scalar_first_then_batched(self):
+        assert list(kernels.KERNELS) == ["scalar", "batched"]
+        assert kernels.available()[0] == "scalar"
+        assert ("batched" in kernels.available()) == numpy_available()
 
-    def test_get_unknown_raises(self):
+    def test_unknown_name_raises(self):
         with pytest.raises(KernelError, match="unknown kernel backend"):
-            kernels.get("no-such-kernel")
-
-    def test_duplicate_registration_raises_unless_replace(self):
-        backend = KernelBackend(name="dup", settle=_settle_via_scalar)
-        with temporary_kernel(backend):
-            with pytest.raises(KernelError, match="already registered"):
-                kernels.register(KernelBackend(name="dup", settle=len))
-            replacement = KernelBackend(name="dup", settle=len)
-            assert kernels.register(replacement, replace=True) is replacement
-
-    def test_scalar_cannot_be_unregistered(self):
-        with pytest.raises(KernelError, match="cannot be unregistered"):
-            kernels.unregister("scalar")
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(KernelError):
-            kernels.unregister("no-such-kernel")
+            kernels.resolve("no-such-kernel")
 
     def test_describe_is_json_ready(self):
         description = kernels.describe()
         json.dumps(description)  # must serialize
-        names = [b["name"] for b in description["backends"]]
-        assert description["active"] in names
+        assert description["active"] == kernels.resolve()
         assert description["default"] == kernels.DEFAULT_KERNEL
-        batched_entry = next(
-            b for b in description["backends"] if b["name"] == "batched"
-        )
-        assert batched_entry["requires"] == ["numpy"]
-        assert batched_entry["batch"] is True
-        assert set(batched_entry) == {
-            "name", "available", "batch", "requires", "description",
-        }
+        assert description["backends"] == [
+            {"name": "scalar", "available": True},
+            {"name": "batched", "available": numpy_available()},
+        ]
 
 
 class TestSelectionPrecedence:
     def test_default_is_scalar(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        assert kernels.resolve().name == kernels.DEFAULT_KERNEL
+        assert kernels.resolve() == kernels.DEFAULT_KERNEL
 
     def test_env_variable_selects(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
-        assert kernels.resolve().name in ("batched", "scalar")
-        if numpy_available():
-            assert kernels.resolve().name == "batched"
+        assert kernels.resolve() == (
+            "batched" if numpy_available() else "scalar"
+        )
 
     def test_explicit_argument_overrides_everything(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
-        assert kernels.resolve("scalar").name == "scalar"
+        assert kernels.resolve("scalar") == "scalar"
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "scalar")
-        assert kernels.resolve("batched").name in ("batched", "scalar")
-        if numpy_available():
-            assert kernels.resolve("batched").name == "batched"
+        assert kernels.resolve("batched") == (
+            "batched" if numpy_available() else "scalar"
+        )
 
-    def test_unavailable_backend_falls_back_to_scalar(self, monkeypatch):
-        backend = KernelBackend(
-            name="phantom", settle=_settle_via_scalar,
-            requires=("nothing-installable",), available=lambda: False,
+    def test_unavailable_kernel_falls_back_to_scalar_once(self, monkeypatch):
+        warnings = []
+        monkeypatch.setattr(kernels, "_LOG", SimpleNamespace(
+            warning=lambda event, **fields: warnings.append((event, fields))
+        ))
+        monkeypatch.setattr(kernels, "_FALLBACK_WARNED", set())
+        monkeypatch.setitem(
+            kernels.KERNELS, "phantom", (kernels.KERNELS["scalar"][0], lambda: False)
         )
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "phantom")
-        with temporary_kernel(backend):
-            assert kernels.resolve().name == "scalar"
+        assert kernels.resolve() == "scalar"
+        assert kernels.resolve("phantom") == "scalar"
+        assert "phantom" not in kernels.available()
+        assert warnings == [
+            ("kernel_unavailable", {"backend": "phantom", "fallback": "scalar"})
+        ]
 
     def test_unknown_env_kernel_raises(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "no-such-kernel")
@@ -134,22 +121,61 @@ class TestSelectionPrecedence:
 
 
 class TestDispatch:
-    def test_settle_matches_front_door(self, tiny_graph):
+    def test_settle_many_matches_front_door(self, tiny_graph):
         destination = tiny_graph.ases[0]
-        best = kernels.settle(tiny_graph.snapshot(), destination)
+        best = kernels.settle_many(tiny_graph.snapshot(), [destination])
         table = compute_routes(tiny_graph, destination)
-        _assert_tables_byte_equal(dict(table.items()), best)
+        _assert_tables_byte_equal(dict(table.items()), best[destination])
 
-    def test_settle_many_loops_backends_without_batch_entry(self, tiny_graph):
+    def test_scalar_sweep_computes_duplicates_once(self, tiny_graph):
         snapshot = tiny_graph.snapshot()
         destinations = tiny_graph.ases[:4] + tiny_graph.ases[:2]  # dupes
         swept = kernels.settle_many(snapshot, destinations, kernel="scalar")
-        assert sorted(swept) == sorted(set(destinations))
-        for destination in set(destinations):
+        assert list(swept) == tiny_graph.ases[:4]
+        for destination in swept:
             _assert_tables_byte_equal(
                 compute_routes_snapshot(snapshot, destination),
                 swept[destination],
             )
+
+    def test_one_settle_observation_per_call(self, tiny_graph):
+        settles = kernels._SETTLE_SECONDS.labels(backend="scalar")
+        before = settles.count
+        kernels.settle_many(tiny_graph.snapshot(), tiny_graph.ases[:5],
+                            kernel="scalar")
+        assert settles.count == before + 1
+
+    @pytest.mark.parametrize(
+        "kernel", ["scalar", pytest.param("batched", marks=needs_numpy)]
+    )
+    def test_unknown_destination_raises(self, tiny_graph, kernel):
+        """The contract a pool worker relies on to hand a shard back."""
+        with pytest.raises(UnknownASError):
+            kernels.settle_many(
+                tiny_graph.snapshot(), [tiny_graph.ases[0], 10**9],
+                kernel=kernel,
+            )
+
+    def test_callers_settle_through_the_selected_entry(
+        self, tiny_graph, monkeypatch
+    ):
+        calls = []
+        scalar = kernels.KERNELS["scalar"][0]
+
+        def recording(snapshot, destinations):
+            calls.append(list(destinations))
+            return scalar(snapshot, destinations)
+
+        monkeypatch.setitem(
+            kernels.KERNELS, "recording", (recording, lambda: True)
+        )
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "recording")
+        first, second, third = tiny_graph.ases[:3]
+        compute_routes(tiny_graph, first)
+        SimulationSession(tiny_graph, parallel=False).compute_many(
+            [second, third, second]
+        )
+        assert calls == [[first], [second, third]]
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +188,7 @@ class TestBatchedByteEquality:
         for destination in tiny_graph.ases:
             _assert_tables_byte_equal(
                 compute_routes_snapshot(snapshot, destination),
-                settle_batched(snapshot, destination),
+                _settle_batched(snapshot, destination),
             )
 
     def test_sweep_on_small(self, small_graph):
@@ -186,24 +212,22 @@ class TestBatchedByteEquality:
         for destination in destinations:
             _assert_tables_byte_equal(
                 compute_routes_snapshot(snapshot, destination),
-                settle_batched(snapshot, destination),
+                _settle_batched(snapshot, destination),
             )
 
     def test_no_numpy_raises_kernel_error(self, tiny_graph, monkeypatch):
-        from repro.bgp.kernels import batched as batched_module
-
-        find_spec = batched_module.importlib.util.find_spec
+        find_spec = batched.importlib.util.find_spec
         monkeypatch.setattr(
-            batched_module.importlib.util, "find_spec",
+            batched.importlib.util, "find_spec",
             lambda name, *rest: (
                 None if name == "numpy" else find_spec(name, *rest)
             ),
         )
         with pytest.raises(KernelError, match="requires numpy"):
-            settle_batched(tiny_graph.snapshot(), tiny_graph.ases[0])
+            _settle_batched(tiny_graph.snapshot(), tiny_graph.ases[0])
         # and resolution degrades to scalar instead of failing
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
-        assert kernels.resolve().name == "scalar"
+        assert kernels.resolve() == "scalar"
 
     def test_numpy_is_imported_at_the_first_batched_settle(self):
         """A process on the scalar kernel — every server — never loads it."""
@@ -212,10 +236,10 @@ class TestBatchedByteEquality:
             "from repro.bgp import kernels\n"
             "from repro.topology.generator import generate_named\n"
             "snapshot = generate_named('tiny', seed=1).snapshot()\n"
-            "kernels.settle(snapshot, snapshot.asns[0])\n"
+            "kernels.settle_many(snapshot, snapshot.asns[:2])\n"
             "assert 'numpy' not in sys.modules\n"
-            "if kernels.get('batched').is_available():\n"
-            "    kernels.settle(snapshot, snapshot.asns[0], kernel='batched')\n"
+            "if 'batched' in kernels.available():\n"
+            "    kernels.settle_many(snapshot, snapshot.asns[:2], kernel='batched')\n"
             "    assert 'numpy' in sys.modules\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL"}
@@ -309,42 +333,46 @@ class TestPackedKey:
 
 
 # ----------------------------------------------------------------------
-# oracle enumeration: a wrong backend must be caught
+# oracle enumeration: a wrong kernel must be caught
 # ----------------------------------------------------------------------
-def _settle_toy_wrong(snapshot, destination):
-    """Deliberately wrong backend: claims a direct link for one AS."""
-    best = dict(compute_routes_snapshot(snapshot, destination))
-    for asn, route in best.items():
-        if asn != destination and route.length >= 2:
-            best[asn] = Route((asn, destination), route.route_class)
-            break
-    return best
+def _settle_toy_wrong(snapshot, destinations):
+    """Deliberately wrong kernel: claims a direct link for one AS."""
+    out = {}
+    for destination in destinations:
+        best = dict(compute_routes_snapshot(snapshot, destination))
+        for asn, route in best.items():
+            if asn != destination and route.length >= 2:
+                best[asn] = Route((asn, destination), route.route_class)
+                break
+        out[destination] = best
+    return out
 
 
 class TestOracleEnumeration:
-    def test_oracle_checks_every_registered_backend(self, tiny_graph):
+    def test_oracle_checks_every_available_kernel(self, tiny_graph):
         from repro.verify.oracle import DifferentialOracle
 
         oracle = DifferentialOracle(tiny_graph, tiny_graph.ases[:3])
         result = oracle.check()
         assert result.ok
 
-    def test_wrong_toy_backend_is_caught_by_campaign(self):
+    def test_wrong_toy_kernel_is_caught_by_campaign(self, monkeypatch):
         from repro.verify.campaign import run_campaign
 
-        backend = KernelBackend(name="toy-wrong", settle=_settle_toy_wrong)
-        with temporary_kernel(backend):
-            outcome = run_campaign(
-                lambda: generate_topology(TINY, seed=5),
-                seed=11, n_events=2, n_destinations=4,
-                include_pool=False, check_invariants=False, minimize=False,
-            )
+        monkeypatch.setitem(
+            kernels.KERNELS, "toy-wrong", (_settle_toy_wrong, lambda: True)
+        )
+        outcome = run_campaign(
+            lambda: generate_topology(TINY, seed=5),
+            seed=11, n_events=2, n_destinations=4,
+            include_pool=False, check_invariants=False, minimize=False,
+        )
         assert not outcome.ok
         assert any(
             d.mode == "kernel:toy-wrong" for d in outcome.divergences
         ), [d.mode for d in outcome.divergences]
 
-    def test_clean_campaign_passes_with_all_builtin_backends(self):
+    def test_clean_campaign_passes_with_both_kernels(self):
         from repro.verify.campaign import run_campaign
 
         outcome = run_campaign(
@@ -378,7 +406,34 @@ class TestCliKernel:
         assert main(["topology", "--profile", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "kernel:" in out
-        assert kernels.active().name in out
+        assert f"kernel:             {kernels.resolve()} " in out
+
+    def test_batched_without_numpy_reports_scalar(self, tmp_path):
+        """``REPRO_KERNEL=batched`` where numpy cannot be imported: the
+        CLI runs, and reports, the scalar kernel."""
+        (tmp_path / "sitecustomize.py").write_text(
+            "import importlib.util, sys\n"
+            "class _NoNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            raise ModuleNotFoundError(name)\n"
+            "sys.meta_path.insert(0, _NoNumpy())\n"
+            "_find_spec = importlib.util.find_spec\n"
+            "def find_spec(name, package=None):\n"
+            "    try:\n"
+            "        return _find_spec(name, package)\n"
+            "    except ModuleNotFoundError:\n"
+            "        return None\n"
+            "importlib.util.find_spec = find_spec\n"
+        )
+        env = dict(os.environ, REPRO_KERNEL="batched")
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), *sys.path])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "topology", "--profile", "tiny"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "kernel:             scalar (available: scalar)" in done.stdout
 
     def test_stats_json_embeds_kernel_description(self, tmp_path):
         from repro.cli import main
@@ -415,7 +470,7 @@ class TestSessionKernel:
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
         session = SimulationSession(small_graph, parallel=True, max_workers=2)
         destinations = small_graph.ases[:20]
-        tables = session.compute_many(destinations, parallel=True)
+        tables = session.compute_many(destinations)
         assert session.stats.parallel_fanouts == 1
         snapshot = small_graph.snapshot()
         for destination in destinations[:5]:
@@ -440,7 +495,7 @@ class TestSessionKernel:
         with SimulationSession(
             small_graph, parallel=True, max_workers=2, shards=5
         ) as session:
-            tables = session.compute_many(destinations, parallel=True)
+            tables = session.compute_many(destinations)
             assert session.stats.parallel_fanouts == 1
         snapshot = small_graph.snapshot()
         for destination in destinations:
@@ -457,17 +512,6 @@ class TestSessionKernel:
                 serial.peer_from, serial.provider_from,
             ), destination
 
-    def test_only_trees_ship(self, small_graph):
-        """A backend that settles plain dicts has nothing to ship; the
-        worker hands its shard back (``KernelError`` → ``packed is None``)
-        and the parent settles it."""
-        from repro.session.pool import _encode_shard
-
-        destination = small_graph.ases[0]
-        best = dict(_settle_via_scalar(small_graph, destination))
-        with pytest.raises(KernelError, match="nothing to ship"):
-            _encode_shard((destination,), {destination: best})
-
 
 # ----------------------------------------------------------------------
 # settle_many chunk boundaries
@@ -480,14 +524,10 @@ class TestSettleManyChunking:
     be invisible in the output."""
 
     def _chunked(self, graph, per_chunk, destinations, monkeypatch):
-        from repro.bgp.kernels import batched as batched_module
-
         snapshot = graph.snapshot()
-        monkeypatch.setattr(
-            batched_module, "_CHUNK_ENTRIES", per_chunk * snapshot.n
-        )
-        assert batched_module._CHUNK_ENTRIES // snapshot.n == per_chunk
-        return snapshot, batched_module.settle_many(snapshot, destinations)
+        monkeypatch.setattr(batched, "_CHUNK_ENTRIES", per_chunk * snapshot.n)
+        assert batched._CHUNK_ENTRIES // snapshot.n == per_chunk
+        return snapshot, batched.settle_many(snapshot, destinations)
 
     def _assert_sweep_matches_scalar(self, snapshot, destinations, swept):
         assert list(swept) == list(dict.fromkeys(destinations))

@@ -428,9 +428,7 @@ class TestRoutingInstruments:
         # the scalar kernel times its phases under mode="full", the
         # batched wave kernel under mode="batched" — assert on whichever
         # backend this run settles with (REPRO_KERNEL-sensitive)
-        phase_mode = (
-            "batched" if kernels.active().name == "batched" else "full"
-        )
+        phase_mode = "batched" if kernels.resolve() == "batched" else "full"
         compute_routes(paper_graph, F)
         snap = get_registry().snapshot()
         phases = {
@@ -452,15 +450,14 @@ class TestRoutingInstruments:
     def test_routing_spans_when_enabled(self, paper_graph):
         from repro.bgp import kernels
 
-        top_span = (
-            "compute_routes_batched"
-            if kernels.active().name == "batched" else "compute_routes"
-        )
+        # the scalar kernel spans each table; the dispatcher spans the call
+        per_table = [] if kernels.resolve() == "batched" else ["compute_routes"]
         get_tracer().enable()
         compute_routes(paper_graph, F)
         names = [e["name"] for e in get_tracer().events()]
         assert names == [
-            "phase1_climb", "phase2_peer", "phase3_descend", top_span,
+            "phase1_climb", "phase2_peer", "phase3_descend", *per_table,
+            "settle_many",
         ]
 
 
@@ -484,15 +481,7 @@ class TestSessionInstruments:
         assert session.stats.to_dict()["misses"] == 2
 
     def test_parallel_fanout_merges_worker_spans(self, small_graph):
-        from repro.bgp import kernels
-
-        # workers settle whole shards through the sweep entry point: the
-        # batched kernel spans the sweep once, the scalar loop spans each
-        # destination's settle
-        settle_span = (
-            "settle_many"
-            if kernels.active().name == "batched" else "compute_routes"
-        )
+        # workers settle whole shards through the one dispatcher
         get_tracer().enable()
         session = SimulationSession(small_graph, parallel=True, max_workers=2)
         destinations = small_graph.ases[:20]
@@ -500,7 +489,7 @@ class TestSessionInstruments:
         assert session.stats.parallel_fanouts == 1
         events = get_tracer().events()
         worker_pids = {
-            e["pid"] for e in events if e["name"] == settle_span
+            e["pid"] for e in events if e["name"] == "settle_many"
         }
         assert worker_pids and os.getpid() not in worker_pids
         assert any(

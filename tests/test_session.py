@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from repro.bgp import compute_all_routes, compute_routes
+from repro.bgp import compute_routes
 from repro.bgp.routing import compute_routes_reference
-from repro.errors import RoutingError, SessionError
+from repro.errors import RoutingError, SessionError, UnknownASError
 from repro.session import (
     AUTO_PARALLEL_THRESHOLD,
     RouteTableCache,
@@ -21,6 +21,7 @@ from repro.session import (
 )
 from repro.session.cache import _CACHE_EVENTS
 from repro.topology import ASGraph, TopologyDelta
+from repro.topology.snapshot import shared_memory_available
 from repro.verify.oracle import first_divergence
 
 from conftest import A, B, C, D, E, F
@@ -248,11 +249,20 @@ class TestComputeMany:
         session.compute_many(list(paper_graph.iter_ases()))
         assert session.stats.parallel_fanouts == 0
 
-    def test_per_call_override_beats_session_policy(self, paper_graph):
-        session = SimulationSession(paper_graph, parallel=True,
-                                    max_workers=2)
-        session.compute_many([F, E], parallel=False)
+    def test_every_as(self, paper_graph):
+        tables = SimulationSession(paper_graph).compute_many(paper_graph.ases)
+        assert sorted(tables) == paper_graph.ases
+        for destination, table in tables.items():
+            assert dict(table.items()) == dict(
+                compute_routes(paper_graph, destination).items()
+            )
+
+    def test_a_lone_miss_settles_in_process(self, small_graph):
+        session = SimulationSession(small_graph, parallel=True, max_workers=2)
+        session.compute(small_graph.ases[0])
+        session.compute_many(small_graph.ases[:2])
         assert session.stats.parallel_fanouts == 0
+        assert session.pool_info()["alive"] is False
 
 
 class TestParallelFanout:
@@ -472,22 +482,44 @@ class TestPoolFaultInjection:
             session.compute_many(destinations)
 
 
-class TestComputeAllRoutes:
-    def test_defaults_to_every_as(self, paper_graph):
-        tables = compute_all_routes(paper_graph)
-        assert sorted(tables) == paper_graph.ases
+class TestUnknownDestinationInFanout:
+    """An AS outside the graph fails its whole fan-out with
+    UnknownASError, on the serial path and through the pool (whose
+    worker hands the shard back for the parent to raise), and leaves no
+    fill in flight: a writer can still mutate, and the known
+    destinations settle on the next call."""
 
-    def test_shares_a_passed_session(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        session.compute(F)
-        compute_all_routes(paper_graph, [F, E], session=session)
-        assert session.stats.hits == 1
-        assert session.stats.tables_computed == 2
+    UNKNOWN = 10**9
 
-    def test_rejects_foreign_session(self, paper_graph, triangle_graph):
-        session = SimulationSession(triangle_graph)
-        with pytest.raises(SessionError):
-            compute_all_routes(paper_graph, [F], session=session)
+    def _check(self, session, graph):
+        known = graph.ases[:6]
+        with pytest.raises(UnknownASError):
+            session.compute_many(known + [self.UNKNOWN])
+        assert session._fills_active == 0
+        assert session._flights == {}
+        session.mutate(lambda g: None)
+        tables = session.compute_many(known)
+        assert list(tables) == known
+        for destination in known:
+            assert dict(tables[destination].items()) == dict(
+                compute_routes(graph, destination).items()
+            )
+
+    def test_serial(self, small_graph):
+        session = SimulationSession(small_graph, parallel=False)
+        self._check(session, small_graph)
+
+    @pytest.mark.skipif(
+        not shared_memory_available(),
+        reason="POSIX shared memory unavailable",
+    )
+    def test_pooled(self, small_graph):
+        with SimulationSession(
+            small_graph, parallel=True, max_workers=2, shards=3
+        ) as session:
+            self._check(session, small_graph)
+            assert session.stats.parallel_fanouts == 1
+            assert session.pool_info()["alive"] is True
 
 
 class TestEnsureSessionAndAdopt:

@@ -606,12 +606,12 @@ class TestShardedPoolOracle:
         poisoned = destinations[-1]
 
         class PoisonedSession(SimulationSession):
-            """Corrupts the pool path only: parallel compute_many drops
-            the last entry of one destination's table."""
+            """Corrupts the pool path only: a parallel session's
+            compute_many drops the last entry of one destination's table."""
 
-            def compute_many(self, dests, parallel=None):
-                tables = super().compute_many(dests, parallel)
-                if parallel and poisoned in tables:
+            def compute_many(self, dests):
+                tables = super().compute_many(dests)
+                if self._parallel is True and poisoned in tables:
                     table = tables[poisoned]
                     best = dict(list(table.items())[:-1])
                     tables[poisoned] = RoutingTable(

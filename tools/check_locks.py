@@ -3,7 +3,7 @@
 
 :class:`repro.session.core.SessionCore` promises in its module
 docstring that settling (``compute_routes`` / ``recompute_routes`` /
-``kernels.settle`` / ``kernels.settle_many``), deriving a topology
+``kernels.settle_many``), deriving a topology
 snapshot (``graph.snapshot()``), pool publication
 (``pool.ensure``) and job submission (``executor.submit``) always run
 with its one Condition lock *released* — under the lock the core only
@@ -68,7 +68,6 @@ SLOW_CALLS = frozenset({
     "compute_routes_reference",
     "recompute_routes",
     "affected_ases",
-    "settle",
     "settle_many",
     "materialize",
     "snapshot",
