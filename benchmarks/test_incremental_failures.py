@@ -111,5 +111,5 @@ def test_session_derives_after_failure(benchmark, gao_2005):
 
     benchmark(fail_and_refresh)
     stats = session.stats
-    assert stats.tables_derived > 0
-    assert stats.tables_computed == len(destinations)
+    assert stats["tables_derived"] > 0
+    assert stats["tables_computed"] == len(destinations)

@@ -39,12 +39,12 @@ def test_warm_fanout_beats_cold(benchmark, gao_2005, bench_report):
                         topology="gao-2005", topology_size=size)
     bench_report.record("speedup", cold / warm if warm else 0.0, "x",
                         better="higher")
-    bench_report.record("hit_rate", stats.hit_rate, "ratio",
+    bench_report.record("hit_rate", stats["hit_rate"], "ratio",
                         better="higher")
 
     # every destination computed exactly once, then served from cache
-    assert stats.tables_computed == len(destinations)
-    assert stats.hits >= len(destinations)
+    assert stats["tables_computed"] == len(destinations)
+    assert stats["hits"] >= len(destinations)
     # the acceptance bar is 1.5x; cache lookups beat recomputation by far
     assert warm * 1.5 <= cold
 
@@ -59,4 +59,4 @@ def test_warm_single_lookups_are_cheap(benchmark, gao_2005):
             session.compute(destination)
 
     benchmark(warm_sweep)
-    assert session.stats.tables_computed == len(destinations)
+    assert session.stats["tables_computed"] == len(destinations)

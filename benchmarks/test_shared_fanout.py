@@ -161,7 +161,7 @@ def test_cold_sweep_speedup(verify_500, bench_report, benchmark, monkeypatch):
         pool_seconds = benchmark.pedantic(
             pool_cold, rounds=1, iterations=1
         )
-        assert pool_session.stats.parallel_fanouts >= 2
+        assert pool_session.stats["parallel_fanouts"] >= 2
         # both sweeps settled every destination
         assert len(churn_tables) == len(destinations)
     finally:

@@ -55,8 +55,9 @@ def main() -> None:
               f"{outcome.offered_count} routes were offered")
 
     # 4. What did all of that cost in route computation?
-    print()
-    print(session.stats.render())
+    print("\nRouting-cost telemetry:")
+    for key, value in session.stats.items():
+        print(f"    {key}: {value}")
 
 
 if __name__ == "__main__":

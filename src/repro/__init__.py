@@ -57,7 +57,6 @@ from .errors import (
 )
 from .session import (
     RouteTableCache,
-    SessionStats,
     SimulationSession,
     ensure_session,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "convergence",
     "experiments",
     "SimulationSession",
-    "SessionStats",
     "RouteTableCache",
     "ensure_session",
     "ReproError",

@@ -140,10 +140,19 @@ def _build_session(args: argparse.Namespace, graph) -> SimulationSession:
     )
 
 
+def _render_section(header: str, values: dict) -> str:
+    """``header`` and one indented ``key: value`` line per entry."""
+    return "\n".join([header] + [
+        f"  {key}: {value:.6g}" if isinstance(value, float)
+        else f"  {key}: {value}"
+        for key, value in values.items()
+    ])
+
+
 def _maybe_print_stats(args: argparse.Namespace, session: SimulationSession) -> None:
     if getattr(args, "stats", False):
         print()
-        print(session.stats.render())
+        print(_render_section("routing-cost telemetry:", session.stats))
         print()
         print(get_registry().render_text())
 
@@ -396,26 +405,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0 if sweep.converged_runs == len(sweep.runs) else 2
 
 
-def _render_pool_info(pool: dict) -> str:
-    """Human-readable fan-out pool section for ``repro stats``."""
-    mode = pool["mode"] or "unused"
-    transport = {
-        "shm": "shared-memory descriptor (zero-copy attach)",
-        "unused": "no pooled fan-out ran",
-    }[mode]
-    shards = pool["shards"] or f"auto ({pool['shard_factor']} per worker)"
-    return "\n".join([
-        "fan-out pool:",
-        f"  policy / workers:      {pool['parallel']} / {pool['max_workers']}",
-        f"  shards per fan-out:    {shards}",
-        f"  transport:             {transport}",
-        f"  published version:     {pool['published_version']}",
-        f"  shared segment bytes:  {pool['shared_bytes']}",
-        f"  ship bytes per attach: {pool['ship_bytes']}",
-        f"  parallel fan-outs:     {pool['parallel_fanouts']}",
-    ])
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a small instrumented workload and export the metrics snapshot.
 
@@ -443,7 +432,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             {
                 "kernel": kernels.describe(),
                 "metrics": registry.snapshot(),
-                "session_stats": session.stats.to_dict(),
+                "session_stats": session.stats,
                 "pool": pool,
             },
             indent=2, sort_keys=True,
@@ -453,8 +442,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         payload = (
             f"active kernel: {kernels.resolve()}\n\n"
-            + session.stats.render() + "\n\n"
-            + _render_pool_info(pool) + "\n\n" + registry.render_text()
+            + _render_section("routing-cost telemetry:", session.stats)
+            + "\n\n" + _render_section("fan-out pool:", pool)
+            + "\n\n" + registry.render_text()
         )
     if args.out:
         with open(args.out, "w") as handle:

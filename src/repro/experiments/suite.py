@@ -355,7 +355,7 @@ def export_results(
     for section in SECTIONS:
         document.update(section.entries(section.run(inputs)))
     document["kernel"] = kernels.describe()
-    document["session_stats"] = session.stats.to_dict()
+    document["session_stats"] = session.stats
     document["metrics"] = get_registry().snapshot()
     if path is not None:
         Path(path).write_text(json.dumps(document, indent=2))

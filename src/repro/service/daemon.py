@@ -95,10 +95,6 @@ _COALESCED = get_registry().counter(
     "repro_service_coalesced_total",
     "Requests that joined another request's in-flight fill",
 )
-_SHED = get_registry().counter(
-    "repro_service_shed_total",
-    "Requests shed by admission backpressure",
-)
 _ENCODED = get_registry().counter(
     "repro_service_encoded_answers_total",
     "Whole-table answers served from the kept body (hit) or encoded (build)",
@@ -268,7 +264,6 @@ class MiroService:
             _COALESCED.inc()
             return await asyncio.shield(future)
         if len(self._pending) >= self.config.max_pending:
-            _SHED.inc()
             raise ServiceOverloadError(self.config.retry_after)
         future = self._loop.create_future()
         self._pending[destination] = future
@@ -434,12 +429,14 @@ class MiroService:
             "pending_fills": len(self._pending),
             "max_batch": self.config.max_batch,
             "max_pending": self.config.max_pending,
-            "shed_total": _SHED.value,
+            "shed_total": sum(
+                _REQUESTS.labels(op=op, outcome="shed").value
+                for op in ("lookup", "negotiate")),
             "coalesced_total": _COALESCED.value,
             "encoded_tables": len(bodies),
             "encoded_bytes": sum(map(len, bodies)),
             "lookup_p50_ms": quantile.quantile(0.5) * 1000.0,
             "lookup_p99_ms": quantile.quantile(0.99) * 1000.0,
-            "session": self.core.stats.to_dict(),
+            "session": self.core.stats,
             "pool": self.core.pool_info(),
         }

@@ -6,10 +6,10 @@ serving plane (:mod:`repro.service`) adds a second demanding caller:
 concurrent route/tunnel queries.  This package is the layer both stand
 on, split along its concerns:
 
-* :mod:`repro.session.cache` — cache keys, :class:`SessionStats`
-  telemetry, and the version-keyed LRU :class:`RouteTableCache` with
-  its derivation-parent index; un-pinned trees only (pinned tables
-  stay with their caller).
+* :mod:`repro.session.cache` — cache keys, the registry counters every
+  session event moves, and the version-keyed LRU
+  :class:`RouteTableCache` with its derivation-parent index; un-pinned
+  trees only (pinned tables stay with their caller).
 * :mod:`repro.session.pool` — the persistent, version-keyed process
   pool: shared-memory snapshot publication, packed route-tree transport,
   destination-range sharding.
@@ -24,7 +24,7 @@ points and the pool's infrastructure (``ProcessPoolExecutor``,
 submodule that uses them.
 """
 
-from .cache import RouteTableCache, SessionStats
+from .cache import RouteTableCache
 from .core import (
     AUTO_PARALLEL_THRESHOLD,
     SessionCore,
@@ -38,7 +38,6 @@ __all__ = [
     "POOL_SHARD_FACTOR",
     "RouteTableCache",
     "SessionCore",
-    "SessionStats",
     "SimulationSession",
     "ensure_session",
 ]

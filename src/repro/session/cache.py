@@ -1,8 +1,8 @@
-"""Cache keys, telemetry, and the LRU route-table memo.
+"""Cache keys, the counted session events, and the LRU route-table memo.
 
 This module is the state side of the session package: the
-``(graph.version, destination)`` cache key, the
-:class:`SessionStats` counters every telemetry surface reads, and the
+``(graph.version, destination)`` cache key, :data:`COUNTERS` (the
+registry child behind every event a session counts), and the
 :class:`RouteTableCache` LRU with its derivation-parent index.  None of
 it takes locks — :class:`repro.session.core.SessionCore` owns the one
 lock and calls in here only while holding it.
@@ -11,20 +11,18 @@ lock and calls in here only while holding it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..bgp.routing import RoutingTable, cut_tree_edges
 from ..errors import SessionError
-from ..obs import get_logger, get_registry
+from ..obs import Counter, get_logger, get_registry
 from ..topology.graph import ASGraph
 
 _LOG = get_logger("session")
 
 # ----------------------------------------------------------------------
-# instrumentation (repro.obs): cache events land in the process-wide
-# registry (aggregated across sessions); SessionStats stays the
-# per-session view the existing telemetry APIs read.
+# instrumentation (repro.obs): the registry aggregates across sessions;
+# each session keeps its own tally under the same keys (SessionCore)
 # ----------------------------------------------------------------------
 _CACHE_EVENTS = get_registry().counter(
     "repro_session_cache_events_total",
@@ -32,21 +30,26 @@ _CACHE_EVENTS = get_registry().counter(
     "(hit/miss/fill/coalesced/derive/evict/prune/restamp)",
     labels=("event",),
 )
-_EV_HIT = _CACHE_EVENTS.labels(event="hit")
-_EV_MISS = _CACHE_EVENTS.labels(event="miss")
-_EV_DERIVE = _CACHE_EVENTS.labels(event="derive")
-_EV_EVICT = _CACHE_EVENTS.labels(event="evict")
-_EV_PRUNE = _CACHE_EVENTS.labels(event="prune")
-#: One ``restamp`` per table a flap left intact and the cache aliased at
-#: the new graph version (in :meth:`SessionCore.mutate`, never per lookup).
-_EV_RESTAMP = _CACHE_EVENTS.labels(event="restamp")
-#: One ``fill`` per table actually settled/derived by a single-flight
-#: leader — the serving plane's coalescing proof: N concurrent misses on
-#: one destination must move this by exactly 1.
-_EV_FILL = _CACHE_EVENTS.labels(event="fill")
-#: One ``coalesced`` per lookup that waited on another thread's
-#: in-flight fill instead of settling the same destination again.
-_EV_COALESCED = _CACHE_EVENTS.labels(event="coalesced")
+_FANOUTS_TOTAL = get_registry().counter(
+    "repro_session_fanouts_total",
+    "compute_many fan-outs, by dispatch mode",
+    labels=("mode",),
+)
+#: Every event a session counts, keyed by its registry label value, with
+#: the pre-bound child it moves.  ``fill`` moves once per table a
+#: single-flight leader settled or derived (N concurrent misses on one
+#: destination move it by 1); ``coalesced`` once per lookup that waited
+#: on another thread's fill instead; ``restamp`` once per table a flap
+#: left intact and :meth:`SessionCore.mutate` aliased at the new graph
+#: version, never per lookup; ``serial`` / ``parallel`` once per
+#: :meth:`SessionCore.compute_many`, by how it dispatched.
+COUNTERS: Dict[str, Counter] = {
+    **{event: _CACHE_EVENTS.labels(event=event) for event in (
+        "hit", "miss", "fill", "coalesced", "derive", "evict", "prune",
+        "restamp")},
+    **{mode: _FANOUTS_TOTAL.labels(mode=mode)
+       for mode in ("serial", "parallel")},
+}
 _CACHED_TABLES = get_registry().gauge(
     "repro_session_cached_tables",
     "Routing tables currently held by session caches",
@@ -55,88 +58,6 @@ _CACHED_TABLES = get_registry().gauge(
 #: Full cache key: (graph version, destination).  The cache holds
 #: un-pinned tables only; pinned what-if tables live with their caller.
 CacheKey = Tuple[int, int]
-
-
-@dataclass
-class SessionStats:
-    """Routing-cost telemetry for one :class:`SimulationSession`.
-
-    All counters are cumulative over the session's lifetime; a *fan-out* is
-    one :meth:`SimulationSession.compute_many` call.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    tables_computed: int = 0
-    tables_derived: int = 0
-    affected_ases_total: int = 0
-    auto_pruned: int = 0
-    fanouts: int = 0
-    parallel_fanouts: int = 0
-    coalesced: int = 0
-    last_fanout_seconds: float = 0.0
-    total_compute_seconds: float = 0.0
-    peak_cached_tables: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never queried)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def mean_affected_size(self) -> float:
-        """Mean affected-set size across derived tables (0.0 when none)."""
-        if not self.tables_derived:
-            return 0.0
-        return self.affected_ases_total / self.tables_derived
-
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-ready snapshot (counters plus the derived hit rate).
-
-        The single serialization path: ``--stats`` rendering, the JSON
-        exporter (:func:`repro.experiments.export_results`), and
-        the ``repro stats`` snapshot all read this dict.  All duration
-        fields are ``time.perf_counter()`` deltas (monotonic seconds).
-        """
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "tables_computed": self.tables_computed,
-            "tables_derived": self.tables_derived,
-            "mean_affected_size": self.mean_affected_size,
-            "auto_pruned": self.auto_pruned,
-            "fanouts": self.fanouts,
-            "parallel_fanouts": self.parallel_fanouts,
-            "coalesced": self.coalesced,
-            "last_fanout_seconds": self.last_fanout_seconds,
-            "total_compute_seconds": self.total_compute_seconds,
-            "peak_cached_tables": self.peak_cached_tables,
-            "evictions": self.evictions,
-        }
-
-    def render(self) -> str:
-        """Human-readable multi-line summary for reports and ``--stats``."""
-        d = self.to_dict()
-        return "\n".join([
-            "routing-cost telemetry:",
-            f"  cache hits / misses:   {d['hits']} / {d['misses']}"
-            f"  ({d['hit_rate']:.1%} hit rate)",
-            f"  tables computed:       {d['tables_computed']}",
-            f"  tables derived:        {d['tables_derived']}"
-            f" (mean affected set {d['mean_affected_size']:.1f} ASes)",
-            f"  fan-outs:              {d['fanouts']}"
-            f" ({d['parallel_fanouts']} parallel)",
-            f"  compute wall-clock:    {d['total_compute_seconds']:.3f} s"
-            f" (last fan-out {d['last_fanout_seconds']:.3f} s)",
-            f"  peak cached tables:    {d['peak_cached_tables']}"
-            f" ({d['evictions']} evicted, {d['auto_pruned']} auto-pruned)",
-        ])
 
 
 class RouteTableCache:
@@ -156,7 +77,6 @@ class RouteTableCache:
         # destination -> (changed links, key): prune_superseded's seeds
         self._seeds: Dict[int, Tuple[FrozenSet[Tuple[int, int]], CacheKey]] = {}
         self.peak_size = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -174,7 +94,8 @@ class RouteTableCache:
             self._entries.move_to_end(key)
         return table
 
-    def put(self, key: CacheKey, table: RoutingTable) -> None:
+    def put(self, key: CacheKey, table: RoutingTable) -> int:
+        """Insert ``key`` and return how many LRU entries it evicted."""
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = table
@@ -184,30 +105,19 @@ class RouteTableCache:
         # capped at maxsize would otherwise be indistinguishable from a
         # comfortably sized one)
         self.peak_size = max(self.peak_size, len(self._entries))
-        while len(self._entries) > self.maxsize:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self.evictions += 1
-            _EV_EVICT.inc()
-            _LOG.debug("cache_evict", destination=evicted_key[1],
-                       version=evicted_key[0])
+        evicted = max(len(self._entries) - self.maxsize, 0)
+        for _ in range(evicted):
+            (version, destination), _table = self._entries.popitem(last=False)
+            _LOG.debug("cache_evict", destination=destination, version=version)
         self._resized()
-
-    def prune_stale(self, current_version: int) -> int:
-        """Drop entries for graph versions other than ``current_version``."""
-        stale = [k for k in self._entries if k[0] != current_version]
-        for key in stale:
-            del self._entries[key]
-        self._seeds = {}
-        self._resized()
-        return len(stale)
+        return evicted
 
     def prune_superseded(self, graph: ASGraph) -> int:
         """Drop stale entries, keeping usable derivation parents.
 
-        Unlike :meth:`prune_stale` this keeps, per destination, the one
-        stale entry closest to the current graph state (fewest changed
-        links on the version chain) — the entry
-        :meth:`derivation_parent` would pick, so an incremental
+        Keeps, per destination, the one stale entry closest to the
+        current graph state (fewest changed links on the version chain)
+        — the entry :meth:`derivation_parent` would pick, so an incremental
         recomputation after the mutation still has its seed.  Entries for
         versions that are not ancestors of the current one are dropped
         outright.

@@ -9,7 +9,7 @@ oracle) and the serving plane, which drives it from many threads
 Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
 
 * **One lock.**  A single :class:`threading.Condition` guards the LRU
-  cache, the derivation index, the stats counters, and the in-flight
+  cache, the derivation index, the event tally, and the in-flight
   fill registry.  There is no lock ordering problem because there is
   nothing to order (the fan-out pool's internal lock is leaf-level:
   nothing is acquired while holding it).
@@ -58,20 +58,8 @@ from ..errors import ReproError, SessionError
 from ..obs import get_logger, get_tracer
 from ..topology.graph import ASGraph
 from ..topology.snapshot import TopologySnapshot
-from .cache import (
-    _EV_COALESCED,
-    _EV_DERIVE,
-    _EV_FILL,
-    _EV_HIT,
-    _EV_MISS,
-    _EV_PRUNE,
-    _EV_RESTAMP,
-    CacheKey,
-    RouteTableCache,
-    SessionStats,
-)
+from .cache import COUNTERS, CacheKey, RouteTableCache
 from .pool import (
-    _FANOUTS_TOTAL,
     _POOL_SHARD_SIZE,
     POOL_SHARD_FACTOR,
     _decode_shard,
@@ -108,7 +96,7 @@ class SessionCore:
     One session threads through a whole evaluation run (CLI command,
     figure regeneration, forwarder bring-up, a serving daemon) so every
     layer draws from the same cache and the same telemetry counters.
-    It owns the LRU table cache, the per-session stats, and the
+    It owns the LRU table cache, the per-session event tally, and the
     persistent fan-out pool; every public method is safe to call from
     any thread.  See the module docstring for the lock discipline.
 
@@ -145,7 +133,11 @@ class SessionCore:
             )
         self._graph = graph
         self._cache = RouteTableCache(maxsize=max_cached_tables)
-        self._stats = SessionStats()
+        # this session's count of every COUNTERS event, plus three facts
+        # with no counter twin; guarded by the lock, read through stats
+        self._tally: Dict[str, float] = dict.fromkeys(COUNTERS, 0)
+        self._tally.update(affected=0, compute_seconds=0.0,
+                           last_fanout_seconds=0.0)
         self._parallel = parallel
         self._pool = _FanoutPool(max_workers=max_workers, shards=shards)
         self._seen_version = graph.version
@@ -158,20 +150,35 @@ class SessionCore:
     # read-only views
     # ------------------------------------------------------------------
     @property
-    def core(self) -> "SessionCore":
-        """The thread-safe engine behind this session: the session itself."""
-        return self
-
-    @property
     def graph(self) -> ASGraph:
         return self._graph
 
     @property
-    def stats(self) -> SessionStats:
+    def stats(self) -> Dict[str, float]:
+        """Routing-cost telemetry: a fresh, JSON-ready snapshot of the
+        session's tally.  Cumulative over the session's lifetime; a
+        *fan-out* is one :meth:`compute_many` call, and the durations are
+        ``time.perf_counter()`` deltas."""
         with self._lock:
-            self._stats.peak_cached_tables = self._cache.peak_size
-            self._stats.evictions = self._cache.evictions
-        return self._stats
+            tally = self._tally
+            hits, misses, derived = tally["hit"], tally["miss"], tally["derive"]
+            return {
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+                "tables_computed": tally["fill"] - derived,
+                "tables_derived": derived,
+                "mean_affected_size":
+                    tally["affected"] / derived if derived else 0.0,
+                "auto_pruned": tally["prune"],
+                "fanouts": tally["serial"] + tally["parallel"],
+                "parallel_fanouts": tally["parallel"],
+                "coalesced": tally["coalesced"],
+                "last_fanout_seconds": tally["last_fanout_seconds"],
+                "total_compute_seconds": tally["compute_seconds"],
+                "peak_cached_tables": self._cache.peak_size,
+                "evictions": tally["evict"],
+            }
 
     @property
     def tables_cached(self) -> int:
@@ -192,7 +199,6 @@ class SessionCore:
             "shared_bytes": pool.shared_bytes,
             "ship_bytes": pool.ship_bytes,
             "alive": pool.alive,
-            "parallel_fanouts": self._stats.parallel_fanouts,
         }
 
     # ------------------------------------------------------------------
@@ -242,13 +248,23 @@ class SessionCore:
             if changed and len(graph) == size and not any(
                 graph.has_link(a, b) for a, b in changed
             ):
-                _EV_RESTAMP.inc(
+                self._count_locked(
+                    "restamp",
                     self._cache.restamp(version, graph.version, changed))
             return result
 
     # ------------------------------------------------------------------
     # lock-held helpers (fast, never settle)
     # ------------------------------------------------------------------
+    def _count_locked(self, event: str, n: int = 1) -> None:
+        """Count ``n`` of ``event`` in this session's tally and in the
+        registry: the one call each event site makes."""
+        self._tally[event] += n
+        COUNTERS[event].inc(n)
+
+    def _put_locked(self, key: CacheKey, table: RoutingTable) -> None:
+        self._count_locked("evict", self._cache.put(key, table))
+
     def _auto_prune_locked(self) -> None:
         """Reclaim superseded cache entries once per version advance.
 
@@ -262,9 +278,8 @@ class SessionCore:
             return
         self._seen_version = self._graph.version
         pruned = self._cache.prune_superseded(self._graph)
-        self._stats.auto_pruned += pruned
         if pruned:
-            _EV_PRUNE.inc(pruned)
+            self._count_locked("prune", pruned)
             _LOG.debug("cache_auto_prune", pruned=pruned,
                        version=self._graph.version)
 
@@ -272,8 +287,7 @@ class SessionCore:
         """The cached table for ``key``, counted as a hit, or None."""
         cached = self._cache.get(key)
         if cached is not None:
-            self._stats.hits += 1
-            _EV_HIT.inc()
+            self._count_locked("hit")
         return cached
 
     def _resolve_flights_locked(
@@ -318,8 +332,8 @@ class SessionCore:
         serving plane's event-loop fast path: a hit is a dict read under
         the lock, a miss returns immediately so the caller can queue the
         destination for batched admission instead of stalling the loop.
-        A hit counts toward :class:`SessionStats`; a miss does not (the
-        batch fill that follows will record it).
+        A hit counts toward :attr:`stats`; a miss does not (the batch
+        fill that follows will record it).
         """
         with self._lock:
             self._auto_prune_locked()
@@ -341,7 +355,7 @@ class SessionCore:
         if table._tree is None:
             raise SessionError("cannot adopt a dict-backed routing table")
         with self._lock:
-            self._cache.put((self._graph.version, table.destination), table)
+            self._put_locked((self._graph.version, table.destination), table)
 
     # ------------------------------------------------------------------
     # fan-out interface
@@ -360,10 +374,8 @@ class SessionCore:
         tables, used_pool = self._fill(ordered)
         elapsed = time.perf_counter() - start
         with self._lock:
-            self._stats.fanouts += 1
-            self._stats.parallel_fanouts += 1 if used_pool else 0
-            self._stats.last_fanout_seconds = elapsed
-        _FANOUTS_TOTAL.labels(mode="parallel" if used_pool else "serial").inc()
+            self._count_locked("parallel" if used_pool else "serial")
+            self._tally["last_fanout_seconds"] = elapsed
         return {destination: tables[destination] for destination in ordered}
 
     def _fill(self, ordered: List[int]) -> Tuple[Dict[int, RoutingTable], bool]:
@@ -391,12 +403,10 @@ class SessionCore:
                         continue
                     flight = self._flights.get(key)
                     if flight is not None:
-                        self._stats.coalesced += 1
-                        _EV_COALESCED.inc()
+                        self._count_locked("coalesced")
                         followers.append((destination, flight))
                         continue
-                    self._stats.misses += 1
-                    _EV_MISS.inc()
+                    self._count_locked("miss")
                     flight = _Flight()
                     self._flights[key] = flight
                     flights.append((key, flight))
@@ -416,7 +426,7 @@ class SessionCore:
             if leaders:
                 start = time.perf_counter()
                 try:
-                    filled, derived, computed, used_pool = self._fill_batch(
+                    filled, derived, used_pool = self._fill_batch(
                         leaders, parents
                     )
                 except BaseException as exc:
@@ -430,15 +440,13 @@ class SessionCore:
                         key = (version, destination)
                         table = filled[destination]
                         keyed[key] = table
-                        self._cache.put(key, table)
+                        self._put_locked(key, table)
                         tables[destination] = table
-                    _EV_FILL.inc(len(leaders))
-                    for count in derived:
-                        self._stats.tables_derived += 1
-                        self._stats.affected_ases_total += count
-                        _EV_DERIVE.inc()
-                    self._stats.tables_computed += computed
-                    self._stats.total_compute_seconds += elapsed
+                    # a derived table is a fill too: computed = fill - derive
+                    self._count_locked("fill", len(leaders))
+                    self._count_locked("derive", len(derived))
+                    self._tally["affected"] += sum(derived)
+                    self._tally["compute_seconds"] += elapsed
                     self._resolve_flights_locked(flights, keyed, None)
             span.set(pool=used_pool)
 
@@ -455,13 +463,12 @@ class SessionCore:
         self,
         leaders: List[int],
         parents: Dict[int, _Parent],
-    ) -> Tuple[Dict[int, RoutingTable], List[int], int, bool]:
+    ) -> Tuple[Dict[int, RoutingTable], List[int], bool]:
         """Settle every leader destination, lock released throughout.
 
-        Returns ``(tables, derived_affected_counts, computed, used_pool)``
-        where ``computed`` is the number of tables settled from scratch
-        (the post-derivation remainder, matching the historical
-        ``tables_computed`` accounting).
+        Returns ``(tables, derived_affected_counts, used_pool)``: one
+        affected-set size per derived table; every other leader was
+        settled from scratch.
         """
         filled: Dict[int, RoutingTable] = {}
         # derive what we can from pre-mutation tables (a pure failure
@@ -496,7 +503,7 @@ class SessionCore:
                     filled[destination] = RoutingTable(
                         self._graph, destination, swept[destination]
                     )
-        return filled, derived, len(remaining), used_pool
+        return filled, derived, used_pool
 
     # ------------------------------------------------------------------
     # pool dispatch (lock released)
@@ -580,16 +587,6 @@ class SessionCore:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def prune_stale(self) -> int:
-        """Evict tables for superseded graph versions; return the count.
-
-        Purely a memory optimisation — stale entries can never be served
-        (their keys embed old versions) but do occupy LRU slots until
-        they age out.
-        """
-        with self._lock:
-            return self._cache.prune_stale(self._graph.version)
-
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()

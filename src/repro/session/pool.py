@@ -46,11 +46,6 @@ from ..topology.snapshot import (
 
 _LOG = get_logger("session")
 
-_FANOUTS_TOTAL = get_registry().counter(
-    "repro_session_fanouts_total",
-    "compute_many fan-outs, by dispatch mode",
-    labels=("mode",),
-)
 _POOL_SHIP_BYTES = get_registry().histogram(
     "repro_session_pool_ship_bytes",
     "Snapshot payload bytes actually shipped per pool-worker attach "

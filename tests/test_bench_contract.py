@@ -8,7 +8,9 @@ and ``dumps`` and wraps some twenty callables by name, and
 A refactor under ``src/`` that renames a patch point, stops calling it
 through the patched attribute, reaches for another ``json`` member or
 moves the ``id`` breaks the ledger 50 s into ``pytest bench``; this
-test breaks first.
+test breaks first.  The same holds for the counts the runner derives
+from ``service.info()`` and ``repro_session_cache_events_total``, read
+here before and after the requests as the runner reads them.
 
 The patches are process-wide class and module attributes, so the
 exercise runs in a subprocess.
@@ -22,6 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 EXERCISE = r'''
@@ -32,6 +36,7 @@ bench_server = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_server)
 
 from repro.miro.runtime import MiroRuntime
+from repro.obs import get_registry
 from repro.service import MiroService, serve
 from repro.service import server as server_mod
 from repro.session import SimulationSession
@@ -84,6 +89,16 @@ async def main():
     requester, responder = graph.neighbors(stub)[:2]
     recorder = StubRecorder()
     lines = []
+    counters = {}
+
+    def read_counters(service, when):
+        """What the runner reads before and after its rounds."""
+        family = get_registry().snapshot()["repro_session_cache_events_total"]
+        counters[when] = {
+            "info": service.info(),
+            "events": {sample["labels"]["event"]: sample["value"]
+                       for sample in family["samples"]},
+        }
     with SimulationSession(graph, parallel=False) as session:
         runtime = MiroRuntime(graph)
         async with MiroService(session, runtime=runtime) as service:
@@ -103,15 +118,18 @@ async def main():
             table = {"op": "lookup", "destination": stub}
             negotiate = {"op": "negotiate", "requester": requester,
                          "responder": responder, "destination": stub}
+            read_counters(service, "before")
             await ask(dict(table))                        # cold: a fill
             await ask(dict(table))                        # warm: the kept body
             await ask(dict(table, source=provider))
             await ask(dict(negotiate))
+            read_counters(service, "flap")
             applied = await service.apply_churn(
                 TopologyDelta.link_down(provider, stub).apply)
             await ask(dict(table))                        # derived table
             await ask(dict(negotiate))                    # at a new version
             await service.apply_churn(lambda graph: applied.revert())
+            read_counters(service, "after")
             writer.close()
             await writer.wait_closed()
             endpoint.cancel()
@@ -119,22 +137,40 @@ async def main():
     json_members = sorted(
         name for name in vars(server_mod.json) if not name.startswith("_"))
     print(json.dumps({"calls": recorder.calls, "lines": lines,
-                      "json_members": json_members}))
+                      "json_members": json_members, "counters": counters}))
 
 
 asyncio.run(main())
 '''
 
 
-def test_tracing_patch_points_and_answer_framing():
+#: The ``service.info()`` keys ``bench/run.py`` derives its counts from.
+INFO_KEYS = (
+    "session.hits", "session.misses", "session.tables_computed",
+    "session.tables_derived", "session.mean_affected_size",
+    "session.coalesced", "session.evictions", "session.auto_pruned",
+    "coalesced_total", "shed_total", "pool.alive",
+)
+
+
+def _read(info, dotted):
+    for part in dotted.split("."):
+        info = info[part]
+    return info
+
+
+@pytest.fixture(scope="module")
+def report():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", EXERCISE, str(ROOT / "bench" / "server.py")],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
 
+
+def test_tracing_patch_points_and_answer_framing(report):
     # the server reached for nothing of ``json`` but what tracing left it
     assert report["json_members"] == ["dumps", "loads"]
 
@@ -165,3 +201,24 @@ def test_tracing_patch_points_and_answer_framing():
         cut = raw.rfind(b',"id":')
         assert cut > 0 and int(raw[cut + 6:-1]) == number
         assert json.loads(raw)["ok"] is True
+
+
+def test_the_counts_the_runner_reads(report):
+    counters = report["counters"]
+    for reading in counters.values():
+        for key in INFO_KEYS:
+            _read(reading["info"], key)
+
+    def moved(key, since="before"):
+        return (_read(counters["after"]["info"], key)
+                - _read(counters[since]["info"], key))
+
+    # the link-down's lookup derived its table from the pre-flap one
+    assert moved("session.tables_derived", since="flap") >= 1
+    # every fill is a table computed or derived: nothing else moves it
+    fills = counters["after"]["events"]["fill"] - \
+        counters["before"]["events"].get("fill", 0)
+    assert fills == moved("session.tables_computed") + \
+        moved("session.tables_derived") > 0
+    assert _read(counters["after"]["info"], "shed_total") == 0
+    assert _read(counters["after"]["info"], "pool.alive") is False

@@ -164,8 +164,8 @@ class TestFailureSweepCommand:
             "--events", "4", "--stats",
         ]) == 0
         out = capsys.readouterr().out
-        assert "tables derived:" in out
-        assert "tables computed:" in out
+        assert "  tables_derived: " in out
+        assert "  tables_computed: " in out
 
     def test_event_count_honoured(self, capsys):
         assert main([
@@ -240,9 +240,8 @@ class TestPoolFlags:
         ]) == 0
         out = capsys.readouterr().out
         assert "fan-out pool:" in out
-        assert "policy / workers:      True / 2" in out
-        assert "shards per fan-out:    3" in out
-        assert "parallel fan-outs:     2" in out
+        assert "  parallel: True\n  max_workers: 2\n  shards: 3\n" in out
+        assert "  parallel_fanouts: 2\n" in out
 
     def test_stats_json_reports_pool(self, tmp_path, capsys):
         import json as json_module
@@ -257,7 +256,8 @@ class TestPoolFlags:
         pool = payload["pool"]
         assert pool["parallel"] is True
         assert pool["max_workers"] == 2
-        assert pool["parallel_fanouts"] >= 1
+        assert payload["session_stats"]["parallel_fanouts"] >= 1
+        assert "parallel_fanouts" not in pool
         assert pool["mode"] in ("shm", "pickle")
         if pool["mode"] == "shm":
             assert pool["shared_memory"] is True
@@ -270,8 +270,8 @@ class TestPoolFlags:
             "--parallel", "off",
         ]) == 0
         out = capsys.readouterr().out
-        assert "parallel fan-outs:     0" in out
-        assert "no pooled fan-out ran" in out
+        assert "  parallel_fanouts: 0\n" in out
+        assert "  mode: None\n" in out
 
     def test_invalid_workers_rejected(self, capsys):
         assert main([

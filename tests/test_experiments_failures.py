@@ -55,8 +55,8 @@ class TestSweepMechanics:
     def test_post_failure_tables_are_derived(self, sweep_and_session):
         _, session, _ = sweep_and_session
         stats = session.stats
-        assert stats.tables_derived > 0
-        assert stats.tables_derived > stats.tables_computed
+        assert stats["tables_derived"] > 0
+        assert stats["tables_derived"] > stats["tables_computed"]
 
     def test_as_rows_cover_all_schemes(self, sweep_and_session):
         sweep, _, _ = sweep_and_session

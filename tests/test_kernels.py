@@ -471,7 +471,7 @@ class TestSessionKernel:
         session = SimulationSession(small_graph, parallel=True, max_workers=2)
         destinations = small_graph.ases[:20]
         tables = session.compute_many(destinations)
-        assert session.stats.parallel_fanouts == 1
+        assert session.stats["parallel_fanouts"] == 1
         snapshot = small_graph.snapshot()
         for destination in destinations[:5]:
             _assert_tables_byte_equal(
@@ -496,7 +496,7 @@ class TestSessionKernel:
             small_graph, parallel=True, max_workers=2, shards=5
         ) as session:
             tables = session.compute_many(destinations)
-            assert session.stats.parallel_fanouts == 1
+            assert session.stats["parallel_fanouts"] == 1
         snapshot = small_graph.snapshot()
         for destination in destinations:
             shipped = tables[destination]._tree

@@ -71,12 +71,13 @@ class TestRouteTableCache:
 
     def test_lru_evicts_oldest(self, paper_graph):
         cache = RouteTableCache(maxsize=2)
-        for destination in (F, E, D):
-            cache.put((0, destination),
-                      self._table(paper_graph, destination))
+        evicted = [
+            cache.put((0, destination), self._table(paper_graph, destination))
+            for destination in (F, E, D)
+        ]
         assert len(cache) == 2
         assert (0, F) not in cache
-        assert cache.evictions == 1
+        assert evicted == [0, 0, 1]
 
     def test_get_refreshes_recency(self, paper_graph):
         cache = RouteTableCache(maxsize=2)
@@ -95,14 +96,6 @@ class TestRouteTableCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.peak_size == 3
-
-    def test_prune_stale_drops_old_versions_only(self, paper_graph):
-        cache = RouteTableCache(maxsize=8)
-        cache.put((0, F), self._table(paper_graph, F))
-        cache.put((1, F), self._table(paper_graph, F))
-        assert cache.prune_stale(current_version=1) == 1
-        assert (1, F) in cache
-        assert (0, F) not in cache
 
     def test_peak_size_records_pre_eviction_pressure(self, paper_graph):
         """Regression: the peak must be sampled before eviction trims the
@@ -155,18 +148,19 @@ class TestCompute:
         first = session.compute(F)
         second = session.compute(F)
         assert second is first
-        assert session.stats.hits == 1
-        assert session.stats.misses == 1
-        assert session.stats.tables_computed == 1
+        assert session.stats["hits"] == 1
+        assert session.stats["misses"] == 1
+        assert session.stats["tables_computed"] == 1
 
     def test_hit_rate_rendering(self, paper_graph):
+        from repro.cli import _render_section
+
         session = SimulationSession(paper_graph)
-        assert session.stats.hit_rate == 0.0
+        assert session.stats["hit_rate"] == 0.0
         session.compute(F)
         session.compute(F)
-        text = session.stats.render()
-        assert "cache hits / misses:   1 / 1" in text
-        assert "50.0%" in text
+        text = _render_section("routing-cost telemetry:", session.stats)
+        assert "  hits: 1\n  misses: 1\n  hit_rate: 0.5\n" in text
 
     def test_invalid_parallel_policy_rejected(self, paper_graph):
         with pytest.raises(SessionError):
@@ -188,30 +182,20 @@ class TestInvalidationOnMutation:
         fresh = session.compute(F)
         assert fresh is not stale
         assert fresh.best(B).path == (B, C, F)
-        assert session.stats.hits == 0
-        assert session.stats.misses == 2
+        assert session.stats["hits"] == 0
+        assert session.stats["misses"] == 2
         # the new state is cached under the new version
         assert session.compute(F) is fresh
-        assert session.stats.hits == 1
-
-    def test_prune_stale_reclaims_superseded_entries(self, paper_graph):
-        session = SimulationSession(paper_graph)
-        session.compute(F)
-        session.compute(E)
-        paper_graph.remove_link(B, E)
-        session.compute(F)
-        assert session.tables_cached == 3
-        assert session.prune_stale() == 2
-        assert session.tables_cached == 1
+        assert session.stats["hits"] == 1
 
     def test_lru_bound_limits_growth(self, paper_graph):
         session = SimulationSession(paper_graph, max_cached_tables=2)
         for destination in (F, E, D, C):
             session.compute(destination)
         assert session.tables_cached == 2
-        assert session.stats.evictions == 2
+        assert session.stats["evictions"] == 2
         # peak reports pre-eviction pressure: maxsize + 1 during overflow
-        assert session.stats.peak_cached_tables == 3
+        assert session.stats["peak_cached_tables"] == 3
 
 
 class TestComputeMany:
@@ -219,14 +203,14 @@ class TestComputeMany:
         session = SimulationSession(paper_graph)
         tables = session.compute_many([F, E, F, D, E])
         assert list(tables) == [F, E, D]
-        assert session.stats.tables_computed == 3
+        assert session.stats["tables_computed"] == 3
 
     def test_mixed_cached_and_uncached(self, paper_graph):
         session = SimulationSession(paper_graph)
         session.compute(F)
         tables = session.compute_many([F, E])
-        assert session.stats.hits == 1
-        assert session.stats.misses == 2
+        assert session.stats["hits"] == 1
+        assert session.stats["misses"] == 2
         assert tables[F].best(B).path == (B, E, F)
         assert tables[E].destination == E
 
@@ -234,20 +218,20 @@ class TestComputeMany:
         session = SimulationSession(paper_graph)
         session.compute_many([F, E])
         session.compute_many([F, E])
-        assert session.stats.fanouts == 2
-        assert session.stats.hit_rate == 0.5
-        assert session.stats.last_fanout_seconds >= 0.0
+        assert session.stats["fanouts"] == 2
+        assert session.stats["hit_rate"] == 0.5
+        assert session.stats["last_fanout_seconds"] >= 0.0
 
     def test_serial_policy_never_uses_pool(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
         session.compute_many(list(paper_graph.iter_ases()))
-        assert session.stats.parallel_fanouts == 0
+        assert session.stats["parallel_fanouts"] == 0
 
     def test_auto_stays_serial_below_threshold(self, paper_graph):
         session = SimulationSession(paper_graph, parallel="auto")
         assert len(paper_graph) < AUTO_PARALLEL_THRESHOLD
         session.compute_many(list(paper_graph.iter_ases()))
-        assert session.stats.parallel_fanouts == 0
+        assert session.stats["parallel_fanouts"] == 0
 
     def test_every_as(self, paper_graph):
         tables = SimulationSession(paper_graph).compute_many(paper_graph.ases)
@@ -261,7 +245,7 @@ class TestComputeMany:
         session = SimulationSession(small_graph, parallel=True, max_workers=2)
         session.compute(small_graph.ases[0])
         session.compute_many(small_graph.ases[:2])
-        assert session.stats.parallel_fanouts == 0
+        assert session.stats["parallel_fanouts"] == 0
         assert session.pool_info()["alive"] is False
 
 
@@ -273,7 +257,7 @@ class TestParallelFanout:
         forced = SimulationSession(small_graph, parallel=True, max_workers=2)
         serial_tables = serial.compute_many(destinations)
         pool_tables = forced.compute_many(destinations)
-        assert forced.stats.parallel_fanouts == 1
+        assert forced.stats["parallel_fanouts"] == 1
         for destination in destinations:
             assert (
                 dict(pool_tables[destination].items())
@@ -285,7 +269,7 @@ class TestParallelFanout:
         destinations = small_graph.ases[:4]
         first = session.compute_many(destinations)
         second = session.compute_many(destinations)
-        assert session.stats.hits == len(destinations)
+        assert session.stats["hits"] == len(destinations)
         for destination in destinations:
             assert second[destination] is first[destination]
 
@@ -410,8 +394,8 @@ class TestPoolFaultInjection:
         expected = compute_routes(small_graph, broken)
         assert dict(tables[broken].items()) == dict(expected.items())
         assert set(tables) == set(destinations)
-        assert session.stats.parallel_fanouts == 1
-        assert session.stats.tables_computed == len(destinations)
+        assert session.stats["parallel_fanouts"] == 1
+        assert session.stats["tables_computed"] == len(destinations)
 
     def test_worker_metrics_absorbed_once_per_successful_job(
         self, small_graph, monkeypatch
@@ -471,7 +455,7 @@ class TestPoolFaultInjection:
                 == dict(serial.compute(destination).items())
             )
         # no job completed: the fan-out was effectively serial
-        assert session.stats.parallel_fanouts == 0
+        assert session.stats["parallel_fanouts"] == 0
         assert self._jobs_absorbed() == 0.0
 
     def test_library_errors_propagate_from_pool(self, small_graph, monkeypatch):
@@ -518,7 +502,7 @@ class TestUnknownDestinationInFanout:
             small_graph, parallel=True, max_workers=2, shards=3
         ) as session:
             self._check(session, small_graph)
-            assert session.stats.parallel_fanouts == 1
+            assert session.stats["parallel_fanouts"] == 1
             assert session.pool_info()["alive"] is True
 
 
@@ -541,8 +525,8 @@ class TestEnsureSessionAndAdopt:
         table = compute_routes(paper_graph, F)
         session.adopt(table)
         assert session.compute(F) is table
-        assert session.stats.hits == 1
-        assert session.stats.tables_computed == 0
+        assert session.stats["hits"] == 1
+        assert session.stats["tables_computed"] == 0
 
     def test_adopt_rejects_foreign_table(self, paper_graph):
         table = compute_routes(paper_graph.copy(), F)
@@ -572,7 +556,7 @@ class TestForwarderIntegration:
         tables = {F: compute_routes(paper_graph, F)}
         ASLevelForwarder(tables, session=session)
         assert session.compute(F) is tables[F]
-        assert session.stats.tables_computed == 0
+        assert session.stats["tables_computed"] == 0
 
     def test_forwarder_adopts_only_trees(self, paper_graph):
         from repro.dataplane import ASLevelForwarder
@@ -632,9 +616,9 @@ negotiation NEG
         monitor = self._monitor(paper_graph)
         session = SimulationSession(paper_graph)
         monitor.stable_state_check([F, B], session=session)
-        assert session.stats.misses == 2
+        assert session.stats["misses"] == 2
         session.compute(F)
-        assert session.stats.hits == 1
+        assert session.stats["hits"] == 1
 
 
 class TestCrossExperimentSharing:
@@ -649,12 +633,12 @@ class TestCrossExperimentSharing:
         session = SimulationSession(small_graph)
         run_success_rates(small_graph, "small", n_destinations=4,
                           sources_per_destination=5, seed=3, session=session)
-        after_first = session.stats.hits
+        after_first = session.stats["hits"]
         run_negotiation_state(small_graph, n_destinations=4,
                               sources_per_destination=5, seed=3,
                               session=session)
-        assert session.stats.hits > after_first
-        assert session.stats.hits > 0
+        assert session.stats["hits"] > after_first
+        assert session.stats["hits"] > 0
 
     def test_export_document_carries_session_stats(self, tiny_graph):
         from repro.experiments import export_results
@@ -682,7 +666,7 @@ class TestCliStats:
         ]) == 0
         out = capsys.readouterr().out
         assert "routing-cost telemetry:" in out
-        assert "tables computed:       1" in out
+        assert "  tables_computed: 1\n" in out
 
     def test_experiment_stats_flag(self, capsys):
         from repro.cli import main
@@ -715,9 +699,9 @@ class TestIncrementalDerivation:
         paper_graph.remove_link(B, E)
         fresh = session.compute(F)
         assert fresh.best(B).path == (B, C, F)
-        assert session.stats.tables_computed == 1
-        assert session.stats.tables_derived == 1
-        assert session.stats.misses == 2  # a derivation is still a miss
+        assert session.stats["tables_computed"] == 1
+        assert session.stats["tables_derived"] == 1
+        assert session.stats["misses"] == 2  # a derivation is still a miss
 
     def test_derived_table_matches_full_compute(self, paper_graph):
         session = SimulationSession(paper_graph)
@@ -735,31 +719,30 @@ class TestIncrementalDerivation:
         paper_graph.remove_link(B, E)
         session.compute(F)
         # pre-failure only A and B routed over B—E
-        assert session.stats.affected_ases_total == 2
-        assert session.stats.mean_affected_size == 2.0
+        assert session.stats["mean_affected_size"] == 2.0
 
     def test_no_parent_means_full_compute(self, paper_graph):
         session = SimulationSession(paper_graph)
         paper_graph.remove_link(B, E)
         session.compute(F)
-        assert session.stats.tables_derived == 0
-        assert session.stats.tables_computed == 1
+        assert session.stats["tables_derived"] == 0
+        assert session.stats["tables_computed"] == 1
 
     def test_link_addition_recomputes_fully(self, paper_graph):
         session = SimulationSession(paper_graph)
         session.compute(F)
         paper_graph.add_peer_link(A, C)
         session.compute(F)
-        assert session.stats.tables_derived == 0
-        assert session.stats.tables_computed == 2
+        assert session.stats["tables_derived"] == 0
+        assert session.stats["tables_computed"] == 2
 
     def test_compute_many_derives_after_failure(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
         session.compute_many([F, E])
         paper_graph.remove_link(B, E)
         tables = session.compute_many([F, E])
-        assert session.stats.tables_derived == 2
-        assert session.stats.tables_computed == 2
+        assert session.stats["tables_derived"] == 2
+        assert session.stats["tables_computed"] == 2
         full = compute_routes(paper_graph, F)
         assert {a: r.path for a, r in tables[F].items()} == {
             a: r.path for a, r in full.items()
@@ -774,7 +757,7 @@ class TestIncrementalDerivation:
         session.compute(F)
         applied.revert()
         assert session.compute(F) is original
-        assert session.stats.hits == 1
+        assert session.stats["hits"] == 1
 
     def test_chain_of_failures_derives_each_step(self, paper_graph):
         session = SimulationSession(paper_graph)
@@ -783,21 +766,23 @@ class TestIncrementalDerivation:
         session.compute(F)
         paper_graph.remove_link(D, E)
         session.compute(F)
-        assert session.stats.tables_computed == 1
-        assert session.stats.tables_derived == 2
+        assert session.stats["tables_computed"] == 1
+        assert session.stats["tables_derived"] == 2
 
     def test_stats_render_shows_derived_counts(self, paper_graph):
+        from repro.cli import _render_section
+
         session = SimulationSession(paper_graph)
         session.compute(F)
         paper_graph.remove_link(B, E)
         session.compute(F)
-        text = session.stats.render()
-        assert "tables derived:        1" in text
-        assert "mean affected set 2.0 ASes" in text
+        text = _render_section("routing-cost telemetry:", session.stats)
+        assert "  tables_derived: 1\n" in text
+        assert "  mean_affected_size: 2\n" in text
 
     def test_to_dict_exports_new_counters(self, paper_graph):
         session = SimulationSession(paper_graph)
-        stats = session.stats.to_dict()
+        stats = session.stats
         for key in ("tables_derived", "mean_affected_size", "auto_pruned"):
             assert key in stats
 
@@ -812,7 +797,7 @@ class TestAutoPrune:
         session.compute(E)
         # the derived F table is the nearer derivation parent now, so
         # the first one is superseded and dropped
-        assert session.stats.auto_pruned == 1
+        assert session.stats["auto_pruned"] == 1
         assert session.tables_cached == 2
 
     def test_derivation_parents_survive_auto_prune(self, paper_graph):
@@ -821,8 +806,8 @@ class TestAutoPrune:
         session.compute(E)
         paper_graph.remove_link(B, E)
         session.compute(F)  # triggers auto-prune, then derives
-        assert session.stats.auto_pruned == 0
-        assert session.stats.tables_derived == 1
+        assert session.stats["auto_pruned"] == 0
+        assert session.stats["tables_derived"] == 1
         assert session.tables_cached == 3
 
     def test_abandoned_branch_pruned_after_revert(self, paper_graph):
@@ -837,7 +822,7 @@ class TestAutoPrune:
         session.compute(F)
         # the post-failure entry's version is no ancestor of the current
         # state, so it cannot seed derivations and is dropped
-        assert session.stats.auto_pruned == 1
+        assert session.stats["auto_pruned"] == 1
 
 
 def restamps() -> float:
@@ -854,7 +839,7 @@ class TestRestamp:
         session.mutate(TopologyDelta.link_down(C, E).apply)
         assert restamps() == 1
         assert session.peek(F) is table
-        assert session.stats.misses == 1
+        assert session.stats["misses"] == 1
 
     def test_cut_tree_is_derived_on_first_lookup(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
@@ -863,7 +848,7 @@ class TestRestamp:
         assert restamps() == 0
         assert session.peek(F) is None
         assert session.compute(F).default_path(B) == (B, C, F)
-        assert session.stats.tables_derived == 1
+        assert session.stats["tables_derived"] == 1
         assert table.default_path(B) == (B, E, F)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -949,7 +934,7 @@ class TestRestamp:
         session.mutate(lambda g: applied.revert())
         assert session.compute(F) is table
         assert _CACHE_EVENTS.labels(event="fill").value == fills
-        assert session.stats.misses == 1
+        assert session.stats["misses"] == 1
 
     def test_a_full_cache_restamps_and_evicts_nothing(self, paper_graph):
         session = SimulationSession(
@@ -957,7 +942,7 @@ class TestRestamp:
         session.compute_many([F, A])
         session.mutate(TopologyDelta.link_down(C, E).apply)
         assert restamps() == 0
-        assert session.stats.evictions == 0
+        assert session.stats["evictions"] == 0
         assert session.tables_cached == 2
 
     def test_aliases_take_only_the_free_slots(self, paper_graph):
@@ -966,7 +951,7 @@ class TestRestamp:
         session.compute_many([F, A])        # C—E is on neither tree
         session.mutate(TopologyDelta.link_down(C, E).apply)
         assert restamps() == 1
-        assert session.stats.evictions == 0
+        assert session.stats["evictions"] == 0
         assert session.tables_cached == 3
 
 
@@ -989,7 +974,7 @@ class TestPersistentPool:
             session.compute_many(small_graph.ases[4:8])
             assert session._pool.executor() is executor
             assert set(executor._processes) == pids
-            assert session.stats.parallel_fanouts == 2
+            assert session.stats["parallel_fanouts"] == 2
         finally:
             session.close()
 
@@ -1016,7 +1001,7 @@ class TestPersistentPool:
         before = {p.pid for p in multiprocessing.active_children()}
         session = self._forced(small_graph)
         session.compute_many(small_graph.ases[:4])
-        assert session.stats.parallel_fanouts == 1
+        assert session.stats["parallel_fanouts"] == 1
         session.close(wait=True)
         after = {p.pid for p in multiprocessing.active_children()}
         # every worker this session spawned has exited; children that
@@ -1030,7 +1015,7 @@ class TestPersistentPool:
             session.close(wait=True)
             session.clear_cache()
             second = session.compute_many(small_graph.ases[:4])
-            assert session.stats.parallel_fanouts == 2
+            assert session.stats["parallel_fanouts"] == 2
             for destination in small_graph.ases[:4]:
                 assert (
                     dict(first[destination].items())
@@ -1053,7 +1038,7 @@ class TestPersistentPool:
         serial_tables = serial.compute_many(destinations)
         with self._forced(small_graph, shards=5) as session:
             pool_tables = session.compute_many(destinations)
-            assert session.stats.parallel_fanouts == 1
+            assert session.stats["parallel_fanouts"] == 1
         for destination in destinations:
             assert pickle.dumps(dict(pool_tables[destination].items())) == \
                 pickle.dumps(dict(serial_tables[destination].items()))
@@ -1165,8 +1150,8 @@ class TestOneTransport:
             assert info["alive"] is False
             assert info["shared_memory"] is False
             assert info["mode"] is None
-            assert session.stats.parallel_fanouts == 0
-            assert session.stats.tables_computed == len(destinations)
+            assert session.stats["parallel_fanouts"] == 0
+            assert session.stats["tables_computed"] == len(destinations)
         for destination in destinations:
             assert pickle.dumps(dict(tables[destination].items())) == \
                 pickle.dumps(dict(expected[destination].items()))
@@ -1186,7 +1171,7 @@ class TestOneTransport:
         ) as session:
             tables = session.compute_many(destinations)
             assert session.pool_info()["alive"] is False
-            assert session.stats.parallel_fanouts == 0
+            assert session.stats["parallel_fanouts"] == 0
         for destination in destinations:
             assert dict(tables[destination].items()) == dict(
                 compute_routes(small_graph, destination).items()
@@ -1219,9 +1204,9 @@ class TestOneFillPath:
             after = events()
             stats = session.stats
             trail.append((
-                stats.hits, stats.misses, stats.tables_computed,
-                stats.tables_derived, stats.affected_ases_total,
-                stats.coalesced, session.tables_cached,
+                stats["hits"], stats["misses"], stats["tables_computed"],
+                stats["tables_derived"], stats["mean_affected_size"],
+                stats["coalesced"], session.tables_cached,
                 {e: after[e] - before[e] for e in self.EVENTS},
             ))
             before = after
@@ -1234,7 +1219,7 @@ class TestOneFillPath:
         table = lookup(session, F)      # post-failure derive
         step()
         assert table.best(B).path == (B, C, F)
-        return trail, session.stats.fanouts
+        return trail, session.stats["fanouts"]
 
     def test_compute_and_compute_many_count_alike(self, paper_graph):
         single, single_fanouts = self._observe(
@@ -1255,6 +1240,79 @@ class TestOneFillPath:
         # a fan-out is a compute_many call, whatever it found
         assert single_fanouts == 0
         assert batch_fanouts == 3
+
+
+class TestOneTally:
+    """Each session event is counted once, into the session's tally and
+    the registry child together: ``stats`` and the registry agree."""
+
+    @staticmethod
+    def _registry():
+        from repro.session.cache import COUNTERS
+
+        return {event: child.value for event, child in COUNTERS.items()}
+
+    @staticmethod
+    def _as_stats(counts):
+        """The ``stats`` keys each registry event count stands for."""
+        return {
+            "hits": counts["hit"],
+            "misses": counts["miss"],
+            "tables_computed": counts["fill"] - counts["derive"],
+            "tables_derived": counts["derive"],
+            "auto_pruned": counts["prune"],
+            "evictions": counts["evict"],
+            "coalesced": counts["coalesced"],
+            "fanouts": counts["serial"] + counts["parallel"],
+            "parallel_fanouts": counts["parallel"],
+        }
+
+    def _agrees(self, session, counts):
+        stats = session.stats
+        assert {key: stats[key] for key in self._as_stats(counts)} == \
+            self._as_stats(counts)
+
+    def test_stats_equal_the_registry_counts(self, small_graph):
+        graph = small_graph
+        destinations = graph.multihomed_stubs()[:4]
+        stub = destinations[0]
+        provider = graph.neighbors(stub)[0]
+        session = SimulationSession(graph, max_cached_tables=8, parallel=False)
+        assert self._registry() == dict.fromkeys(self._registry(), 0)
+
+        session.compute_many(destinations)              # cold fan-out
+        self._agrees(session, self._registry())
+        session.compute_many(destinations)              # warm repeat
+        self._agrees(session, self._registry())
+        applied = session.mutate(TopologyDelta.link_down(stub, provider).apply)
+        session.compute_many(destinations)              # derived lookups
+        self._agrees(session, self._registry())
+        session.mutate(lambda g: applied.revert())
+        session.compute_many(destinations)              # revert: hits
+        self._agrees(session, self._registry())
+        session.compute_many(graph.ases[:12])           # LRU overflow
+        self._agrees(session, self._registry())
+
+        first = self._registry()
+        for event in ("hit", "miss", "fill", "derive", "evict", "prune",
+                      "restamp", "serial"):
+            assert first[event] > 0, event
+        assert session.stats["peak_cached_tables"] == 9
+
+        # a second session in the same process: its tally is its own,
+        # the registry holds the sum of both
+        pooled = shared_memory_available()
+        with SimulationSession(graph, parallel=pooled, max_workers=2) as other:
+            other.compute_many(graph.ases[:8])
+            second = other.stats
+            assert second["parallel_fanouts"] == int(pooled)
+            assert second["misses"] == 8 and second["hits"] == 0
+        total = self._registry()
+        self._agrees(session, first)
+        assert self._as_stats(total) == {
+            key: value + second[key]
+            for key, value in self._as_stats(first).items()
+        }
 
 
 class TestCachedTablesGauge:
@@ -1279,11 +1337,6 @@ class TestCachedTablesGauge:
         session.adopt(compute_routes(paper_graph, F))
         assert self._gauge() == session.tables_cached == 1
 
-        session.compute_many([E, D])
-        paper_graph.remove_link(B, E)
-        assert session.prune_stale() == 3
-        assert self._gauge() == session.tables_cached == 0
-
         # version-advance auto-prune: F has a current-version table, so
         # the revert's lookup drops the abandoned branch's entries
         session.compute_many([F, E])
@@ -1291,5 +1344,5 @@ class TestCachedTablesGauge:
         session.compute(F)
         applied.revert()
         session.compute(F)
-        assert session.stats.auto_pruned >= 1
+        assert session.stats["auto_pruned"] >= 1
         assert self._gauge() == session.tables_cached
