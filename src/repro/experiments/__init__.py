@@ -2,7 +2,7 @@
 
 from .avoidance import (
     MultiHopGain,
-    NegotiationState,
+    NegotiationCost,
     SuccessRates,
     run_multihop_gain,
     run_negotiation_state,
@@ -40,7 +40,6 @@ from .deployment import (
 from .diversity import DiversitySeries, run_diversity
 from .failures import FailureEvent, FailureSweep, run_failure_sweep
 from .overhead import (
-    MESSAGES_PER_NEGOTIATION,
     OverheadComparison,
     bgp_message_count,
     push_all_message_count,
@@ -81,7 +80,7 @@ __all__ = [
     "FailureSweep",
     "run_failure_sweep",
     "SuccessRates",
-    "NegotiationState",
+    "NegotiationCost",
     "run_success_rates",
     "run_negotiation_state",
     "DeploymentCurve",
@@ -117,7 +116,6 @@ __all__ = [
     "run_overhead_comparison",
     "bgp_message_count",
     "push_all_message_count",
-    "MESSAGES_PER_NEGOTIATION",
     "SECTIONS",
     "full_report",
     "export_results",

@@ -51,7 +51,7 @@ class SuccessRates:
 
 
 @dataclass(frozen=True)
-class NegotiationState:
+class NegotiationCost:
     """One Table 5.3 row: negotiation cost under one export policy."""
 
     policy: ExportPolicy
@@ -124,7 +124,7 @@ def run_negotiation_state(
     scope: NegotiationScope = NegotiationScope.ON_PATH,
     order: ContactOrder = ContactOrder.NEAR_FIRST,
     session=None,
-) -> List[NegotiationState]:
+) -> List[NegotiationCost]:
     """Compute the Table 5.3 rows.
 
     As in the paper, triples that today's single-path routing already
@@ -138,7 +138,7 @@ def run_negotiation_state(
         )
         if not single_path_attempt(t.table, t.source, t.avoid).success
     ]
-    rows: List[NegotiationState] = []
+    rows: List[NegotiationCost] = []
     for policy in all_policies():
         successes = 0
         total_ases = 0
@@ -154,7 +154,7 @@ def run_negotiation_state(
             total_paths += attempt.paths_received
         n = len(triples) or 1
         rows.append(
-            NegotiationState(
+            NegotiationCost(
                 policy=policy,
                 success_rate=successes / n,
                 ases_per_tuple=total_ases / n,

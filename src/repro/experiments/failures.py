@@ -30,7 +30,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..bgp.routing import RoutingTable, affected_ases
 from ..errors import ExperimentError
-from ..miro.policies import ExportPolicy, all_policies, offered_routes
+from ..miro.negotiation import exchange
+from ..miro.policies import ExportPolicy, all_policies
 from ..session import SimulationSession, ensure_session
 from ..topology.delta import TopologyDelta
 from ..topology.graph import ASGraph, LinkKey, link_key
@@ -130,15 +131,12 @@ def _surviving_attempt(
     targets.sort(key=lambda t: (t[0], t[1]))
 
     for _, responder, via in targets:
-        toward = via[-2]
-        for offer in sorted(
-            offered_routes(table, responder, policy, toward=toward),
-            key=lambda r: (r.length, r.path),
-        ):
-            if source in offer.path:
-                continue
-            if _survives(via + offer.path[1:], failed):
-                return True
+        _, chosen = exchange(
+            table, via, policy,
+            accept=lambda r: _survives(via + r.path[1:], failed),
+        )
+        if chosen is not None:
+            return True
     return False
 
 

@@ -29,13 +29,10 @@ from typing import Dict, List, Sequence, Set, Tuple
 from ..bgp.engine import EventDrivenBGP
 from ..bgp.policy import may_export
 from ..miro.avoidance import miro_attempt, single_path_attempt
+from ..miro.negotiation import HANDSHAKE_MESSAGES
 from ..miro.policies import ExportPolicy
 from ..topology.graph import ASGraph
 from .sampling import sample_triples
-
-#: Messages per completed negotiation handshake (Fig. 4.2).
-MESSAGES_PER_NEGOTIATION = 4
-
 
 def bgp_message_count(
     graph: ASGraph, destinations: Sequence[int]
@@ -175,7 +172,7 @@ def run_overhead_comparison(
             triple.table, triple.source, triple.avoid, policy,
             include_single_path=False,
         )
-        negotiation_messages += attempt.negotiations * MESSAGES_PER_NEGOTIATION
+        negotiation_messages += attempt.negotiations * HANDSHAKE_MESSAGES
     return OverheadComparison(
         n_destinations=len(destinations),
         n_requests=len(triples),

@@ -28,33 +28,8 @@ from typing import List, Optional, Set, Tuple
 
 from ..bgp.routing import RoutingTable
 from ..errors import RoutingError
-from .negotiation import MESSAGES_TOTAL
-from .policies import ExportPolicy, offered_routes
-
-# The abstract avoid-an-AS model compresses each §3.3 exchange into one
-# offered_routes call; it charges the shared message counter the same way
-# the explicit agents do (request per contact, offer or decline per
-# response, accept+grant when a tunnel is adopted).
-_MSG_REQUEST = MESSAGES_TOTAL.labels(kind="request")
-_MSG_OFFER = MESSAGES_TOTAL.labels(kind="offer")
-_MSG_DECLINE = MESSAGES_TOTAL.labels(kind="decline")
-_MSG_ACCEPT = MESSAGES_TOTAL.labels(kind="accept")
-_MSG_GRANT = MESSAGES_TOTAL.labels(kind="grant")
-
-
-def _count_exchange(offers_received: int) -> None:
-    """Charge one modeled request/response pair to the message counter."""
-    _MSG_REQUEST.inc()
-    if offers_received:
-        _MSG_OFFER.inc()
-    else:
-        _MSG_DECLINE.inc()
-
-
-def _count_establishment() -> None:
-    """Charge the accept/grant handshake of an adopted tunnel."""
-    _MSG_ACCEPT.inc()
-    _MSG_GRANT.inc()
+from .negotiation import exchange
+from .policies import ExportPolicy
 
 
 class NegotiationScope(enum.Enum):
@@ -188,22 +163,14 @@ def miro_attempt(
         table, source, avoid, scope=scope, order=order, deployed=deployed
     ):
         negotiations += 1
-        toward = via[-2] if len(via) >= 2 else None
-        offers = offered_routes(table, responder, policy, toward=toward)
+        offers, chosen = exchange(
+            table, via, policy, accept=lambda r: not r.contains(avoid)
+        )
         paths_received += len(offers)
-        _count_exchange(len(offers))
-        for offer in sorted(
-            offers, key=lambda r: (r.length, r.path)
-        ):
-            if offer.contains(avoid):
-                continue
-            if source in offer.path:
-                continue  # pointless tunnel looping back through the source
-            full = via + offer.path[1:]
-            _count_establishment()
+        if chosen is not None:
             return AvoidanceAttempt(
                 True, "tunnel", negotiations, paths_received,
-                responder=responder, full_path=full,
+                responder=responder, full_path=via + chosen.path[1:],
             )
         if max_depth >= 2:
             sub = _responder_recursion(
@@ -243,20 +210,15 @@ def _responder_recursion(
         if deployed is not None and helper not in deployed:
             continue
         negotiations += 1
-        offers = offered_routes(
-            table, helper, policy, toward=responder, include_default=True
+        offers, chosen = exchange(
+            table, (responder, helper), policy,
+            accept=lambda r: not r.contains(avoid) and source not in r.path,
+            include_default=True,
         )
         paths_received += len(offers)
-        _count_exchange(len(offers))
-        for offer in sorted(offers, key=lambda r: (r.length, r.path)):
-            if offer.contains(avoid) or source in offer.path:
-                continue
-            if responder in offer.path:
-                continue
-            full = via + offer.path
-            _count_establishment()
+        if chosen is not None:
             return AvoidanceAttempt(
                 True, "tunnel-chain", negotiations, paths_received,
-                responder=responder, full_path=full,
+                responder=responder, full_path=via + chosen.path,
             )
     return AvoidanceAttempt(False, "failed", negotiations, paths_received)

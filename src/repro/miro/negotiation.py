@@ -2,24 +2,27 @@
 
 The control-plane exchange between a *requesting* AS and a *responding* AS:
 
-1. the requester sends a :class:`RouteRequest` for a destination prefix,
-   optionally carrying the desired properties (a :class:`RouteConstraint`)
-   and a price ceiling;
-2. the responder answers with a :class:`RouteOffer` — the subset of its
-   candidate routes consistent with its local export policy, each
-   optionally tagged with a price — or a :class:`Decline`;
-3. the requester picks one candidate and sends a :class:`TunnelAccept`;
+1. the requester sends a request for a destination prefix, optionally
+   carrying the desired properties (a :class:`RouteConstraint`) and a
+   price ceiling;
+2. the responder answers with an offer — the candidate routes its
+   export policy allows toward the requester, each optionally priced —
+   or a decline;
+3. the requester adopts one offered route and sends an accept;
 4. the responder allocates a tunnel identifier and replies with a
-   :class:`TunnelGrant`; both ends install tunnel state.
+   grant; both ends install tunnel state.
 
-:func:`negotiate` drives the whole exchange in one call; the
-:class:`RequestingAgent` / :class:`RespondingAgent` state machines expose
-the individual steps for finer-grained use (and enforce legal ordering).
+:func:`exchange` runs steps 1–4 over a given requester→responder path
+(:func:`via_path` resolves the usual one) and counts their messages.
+:func:`negotiate` adds the responder's accept rules
+(:class:`ResponderConfig`) and returns the :class:`Tunnel`;
+:class:`~repro.miro.runtime.MiroRuntime` installs the adopted route in
+live tunnel tables, and the Ch. 5 drivers (avoid-an-AS, the failure
+sweep) count its offers.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -28,14 +31,12 @@ from ..bgp.routing import RoutingTable
 from ..errors import NegotiationError
 from ..obs import get_logger, get_registry, get_tracer
 from .policies import ExportPolicy, offered_routes
-from .tunnels import Tunnel, TunnelTable
+from .tunnels import Tunnel
 
 # ----------------------------------------------------------------------
 # instrumentation (repro.obs): every §3.3 control-plane message is
-# counted at its *send* point, so the paper's §5.5 message-overhead
-# numbers are a live counter query.  The abstract-model drivers
-# (miro.avoidance, miro.runtime) charge the same family for the message
-# exchanges they model without constructing the dataclasses.
+# counted by exchange(), so the paper's §5.5 message-overhead numbers
+# are a live counter query whichever driver negotiated.
 # ----------------------------------------------------------------------
 _TRACER = get_tracer()
 _LOG = get_logger("miro.negotiation")
@@ -87,182 +88,14 @@ class RouteConstraint:
 
 
 @dataclass(frozen=True)
-class RouteRequest:
-    requester: int
-    responder: int
-    destination: int
-    constraint: Optional[RouteConstraint] = None
-    max_price: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class OfferedRoute:
+    """An offered route with its asking price: what a rank compares."""
+
     route: Route
     price: int = 0
 
 
-@dataclass(frozen=True)
-class RouteOffer:
-    responder: int
-    requester: int
-    destination: int
-    routes: Tuple[OfferedRoute, ...]
-
-
-@dataclass(frozen=True)
-class Decline:
-    responder: int
-    requester: int
-    destination: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class TunnelAccept:
-    requester: int
-    responder: int
-    destination: int
-    path: Tuple[int, ...]
-    agreed_price: int = 0
-
-
-@dataclass(frozen=True)
-class TunnelGrant:
-    responder: int
-    requester: int
-    tunnel_id: int
-    path: Tuple[int, ...]
-
-
-class NegotiationState(enum.Enum):
-    IDLE = "idle"
-    REQUESTED = "requested"
-    OFFERED = "offered"
-    ACCEPTED = "accepted"
-    ESTABLISHED = "established"
-    DECLINED = "declined"
-
-
 PriceFunction = Callable[[Route], int]
-
-
-@dataclass
-class ResponderConfig:
-    """Accept rules of the responding AS (§6.2.1).
-
-    ``max_tunnels`` caps active tunnels; ``accept_from`` (when given)
-    whitelists requesters; ``rate_limit`` is the §6.2.1 "rate limit for
-    establishing new tunnels" — at most N accepted requests per rolling
-    window of the given seconds; ``apply_constraint`` controls whether the
-    requester's constraint is applied before responding (§6.2.2 notes the
-    responder *may* apply it to avoid sending useless candidates).
-    """
-
-    max_tunnels: int = 1000
-    accept_from: Optional[Set[int]] = None
-    apply_constraint: bool = True
-    price_for: PriceFunction = lambda route: 0
-    #: (max accepted requests, window length in seconds), or None
-    rate_limit: Optional[Tuple[int, float]] = None
-
-
-class RespondingAgent:
-    """The responding AS's side of negotiations, bound to a routing table."""
-
-    def __init__(
-        self,
-        asn: int,
-        table: RoutingTable,
-        policy: ExportPolicy,
-        config: Optional[ResponderConfig] = None,
-        tunnel_table: Optional[TunnelTable] = None,
-    ) -> None:
-        self.asn = asn
-        self.table = table
-        self.policy = policy
-        self.config = config or ResponderConfig()
-        self.tunnels = tunnel_table or TunnelTable(asn)
-        self._accept_times: List[float] = []
-
-    def handle_request(
-        self, request: RouteRequest, toward: Optional[int] = None,
-        now: float = 0.0,
-    ):
-        """Answer a request with a :class:`RouteOffer` or :class:`Decline`.
-
-        ``toward`` is the neighbour through which the requester's traffic
-        arrives (defaults to the requester itself when adjacent); ``now``
-        feeds the rate limiter.
-        """
-        if request.responder != self.asn:
-            raise NegotiationError(
-                f"request addressed to AS {request.responder}, "
-                f"but this agent is AS {self.asn}"
-            )
-        if request.destination != self.table.destination:
-            raise NegotiationError(
-                f"agent holds routes for AS {self.table.destination}, "
-                f"request is for AS {request.destination}"
-            )
-        allowed = self.config.accept_from
-        if allowed is not None and request.requester not in allowed:
-            return self._decline(request,
-                                 "requester not accepted by local policy")
-        if len(self.tunnels) >= self.config.max_tunnels:
-            return self._decline(request, "tunnel limit reached")
-        if self.config.rate_limit is not None:
-            limit, window = self.config.rate_limit
-            self._accept_times = [
-                t for t in self._accept_times if now - t < window
-            ]
-            if len(self._accept_times) >= limit:
-                return self._decline(request, "negotiation rate limit reached")
-            self._accept_times.append(now)
-        if toward is None and self.table.graph.has_link(self.asn, request.requester):
-            toward = request.requester
-        candidates = offered_routes(self.table, self.asn, self.policy, toward)
-        if self.config.apply_constraint and request.constraint is not None:
-            candidates = [
-                r for r in candidates if request.constraint.satisfied_by(r)
-            ]
-        priced = tuple(
-            OfferedRoute(route=r, price=self.config.price_for(r))
-            for r in candidates
-        )
-        if request.max_price is not None:
-            priced = tuple(o for o in priced if o.price <= request.max_price)
-        if not priced:
-            return self._decline(request,
-                                 "no candidate routes satisfy the request")
-        _MSG_OFFER.inc()
-        return RouteOffer(self.asn, request.requester, request.destination, priced)
-
-    def _decline(self, request: RouteRequest, reason: str) -> Decline:
-        """Build (and count) a decline message for the given request."""
-        _MSG_DECLINE.inc()
-        _LOG.debug("negotiation_declined", responder=self.asn,
-                   requester=request.requester,
-                   destination=request.destination, reason=reason)
-        return Decline(self.asn, request.requester, request.destination, reason)
-
-    def handle_accept(self, accept: TunnelAccept) -> TunnelGrant:
-        """Allocate a tunnel id and install downstream state (Fig. 4.2)."""
-        if accept.responder != self.asn:
-            raise NegotiationError("accept addressed to a different AS")
-        _MSG_GRANT.inc()
-        tunnel_id = self.tunnels.allocate_id()
-        tunnel = Tunnel(
-            tunnel_id=tunnel_id,
-            upstream=accept.requester,
-            downstream=self.asn,
-            destination=accept.destination,
-            path=accept.path,
-            via_path=(),
-            price=accept.agreed_price,
-        )
-        self.tunnels.install(tunnel)
-        return TunnelGrant(self.asn, accept.requester, tunnel_id, accept.path)
-
 
 #: Requester's candidate-ranking function: smaller key = preferred.
 RankFunction = Callable[[OfferedRoute], Tuple]
@@ -273,94 +106,96 @@ def default_rank(offered: OfferedRoute) -> Tuple:
     return (offered.price, offered.route.length, offered.route.path)
 
 
-class RequestingAgent:
-    """The requesting AS's side of one negotiation (a state machine)."""
+def _free_rank(route: Route) -> Tuple:
+    """:func:`default_rank` of an unpriced route (every price is 0)."""
+    return (route.length, route.path)
 
-    def __init__(
-        self,
-        asn: int,
-        tunnel_table: Optional[TunnelTable] = None,
-        rank: RankFunction = default_rank,
-    ) -> None:
-        self.asn = asn
-        self.tunnels = tunnel_table or TunnelTable(asn)
-        self.rank = rank
-        self.state = NegotiationState.IDLE
-        self._request: Optional[RouteRequest] = None
-        self._chosen: Optional[OfferedRoute] = None
 
-    def make_request(
-        self,
-        responder: int,
-        destination: int,
-        constraint: Optional[RouteConstraint] = None,
-        max_price: Optional[int] = None,
-    ) -> RouteRequest:
-        if self.state is not NegotiationState.IDLE:
-            raise NegotiationError(f"cannot request in state {self.state}")
-        _MSG_REQUEST.inc()
-        self._request = RouteRequest(
-            self.asn, responder, destination, constraint, max_price
-        )
-        self.state = NegotiationState.REQUESTED
-        return self._request
+@dataclass
+class ResponderConfig:
+    """Accept rules of the responding AS (§6.2.1).
 
-    def handle_response(self, response) -> Optional[TunnelAccept]:
-        """Process the offer/decline; return an accept or None on decline."""
-        if self.state is not NegotiationState.REQUESTED:
-            raise NegotiationError(f"unexpected response in state {self.state}")
-        if isinstance(response, Decline):
-            self.state = NegotiationState.DECLINED
-            return None
-        if not isinstance(response, RouteOffer):
-            raise NegotiationError(f"unexpected message {type(response).__name__}")
-        assert self._request is not None
-        candidates = list(response.routes)
-        if self._request.constraint is not None:
-            # The requester re-filters: the responder may have skipped the
-            # constraint (the Ch. 7 model even assumes it does).
-            candidates = [
-                o for o in candidates
-                if self._request.constraint.satisfied_by(o.route)
-            ]
-        if self._request.max_price is not None:
-            candidates = [
-                o for o in candidates if o.price <= self._request.max_price
-            ]
-        if not candidates:
-            self.state = NegotiationState.DECLINED
-            return None
-        self._chosen = min(candidates, key=self.rank)
-        self.state = NegotiationState.ACCEPTED
+    ``max_tunnels`` caps active tunnels; ``accept_from`` (when given)
+    whitelists requesters; ``price_for`` prices each offered route.
+    """
+
+    max_tunnels: int = 1000
+    accept_from: Optional[Set[int]] = None
+    price_for: PriceFunction = lambda route: 0
+
+
+def via_path(
+    table: RoutingTable, requester: int, responder: int
+) -> Tuple[int, ...]:
+    """The requester's path to the responder: its default path toward
+    the table's destination, truncated at the responder when the
+    responder lies on it, else the direct link."""
+    default = table.default_path(requester)
+    if default is not None and responder in default:
+        return default[: default.index(responder) + 1]
+    if table.graph.has_link(requester, responder):
+        return (requester, responder)
+    raise NegotiationError(
+        f"no known path from AS {requester} to responder AS {responder}"
+    )
+
+
+def exchange(
+    table: RoutingTable,
+    via: Tuple[int, ...],
+    policy: ExportPolicy,
+    constraint: Optional[RouteConstraint] = None,
+    price_for: Optional[PriceFunction] = None,
+    max_price: Optional[int] = None,
+    accept: Optional[Callable[[Route], bool]] = None,
+    rank: RankFunction = default_rank,
+    include_default: bool = False,
+) -> Tuple[List[Route], Optional[Route]]:
+    """One §3.3 exchange between ``via[0]`` (the requester) and
+    ``via[-1]`` (the responder), over the requester's path ``via``.
+
+    The responder offers the routes ``policy`` lets it export toward
+    ``via[-2]``, narrowed by ``constraint`` and, when ``price_for``
+    prices them, by ``max_price``.  The requester adopts the best offer
+    by ``rank`` among those that do not pass back through it and that
+    ``accept`` (when given) takes.  Returns the offered routes (the
+    paths received of Table 5.3) and the adopted one, or None.
+
+    Every negotiation message is counted here: a request, then an offer
+    or a decline, then an accept and a grant when an offer is adopted.
+    """
+    requester, responder = via[0], via[-1]
+    toward = via[-2] if len(via) > 1 else None
+    offered = offered_routes(table, responder, policy, toward, include_default)
+    if constraint is not None:
+        offered = [r for r in offered if constraint.satisfied_by(r)]
+    priced: Optional[List[OfferedRoute]] = None
+    if price_for is not None:
+        priced = [OfferedRoute(r, price_for(r)) for r in offered]
+        if max_price is not None:
+            priced = [o for o in priced if o.price <= max_price]
+            offered = [o.route for o in priced]
+    _MSG_REQUEST.inc()
+    if not offered:
+        _MSG_DECLINE.inc()
+        _LOG.debug("negotiation_declined", requester=requester,
+                   responder=responder, destination=table.destination)
+        return offered, None
+    _MSG_OFFER.inc()
+
+    def fits(route: Route) -> bool:
+        return requester not in route.path and (accept is None or accept(route))
+
+    if priced is None and rank is default_rank:
+        chosen = min(filter(fits, offered), key=_free_rank, default=None)
+    else:
+        offers = priced if priced is not None else map(OfferedRoute, offered)
+        best = min((o for o in offers if fits(o.route)), key=rank, default=None)
+        chosen = None if best is None else best.route
+    if chosen is not None:
         _MSG_ACCEPT.inc()
-        return TunnelAccept(
-            requester=self.asn,
-            responder=response.responder,
-            destination=response.destination,
-            path=self._chosen.route.path,
-            agreed_price=self._chosen.price,
-        )
-
-    def handle_grant(
-        self, grant: TunnelGrant, via_path: Tuple[int, ...]
-    ) -> Tunnel:
-        """Install upstream tunnel state; ``via_path`` is our path to the
-        downstream AS (recorded for teardown on route change)."""
-        if self.state is not NegotiationState.ACCEPTED:
-            raise NegotiationError(f"unexpected grant in state {self.state}")
-        assert self._request is not None and self._chosen is not None
-        tunnel = Tunnel(
-            tunnel_id=grant.tunnel_id,
-            upstream=self.asn,
-            downstream=grant.responder,
-            destination=self._request.destination,
-            path=grant.path,
-            via_path=via_path,
-            price=self._chosen.price,
-        )
-        self.tunnels.install(tunnel)
-        self.state = NegotiationState.ESTABLISHED
-        return tunnel
+        _MSG_GRANT.inc()
+    return offered, chosen
 
 
 @dataclass(frozen=True)
@@ -379,54 +214,55 @@ def negotiate(
     responder: int,
     policy: ExportPolicy,
     constraint: Optional[RouteConstraint] = None,
-    toward: Optional[int] = None,
-    via_path: Optional[Tuple[int, ...]] = None,
+    via: Optional[Tuple[int, ...]] = None,
     responder_config: Optional[ResponderConfig] = None,
     max_price: Optional[int] = None,
     rank: RankFunction = default_rank,
 ) -> NegotiationOutcome:
     """Drive one complete negotiation and return the outcome.
 
-    ``via_path`` is the requester's path to the responder (defaults to the
-    requester's default BGP path truncated at the responder, if the
-    responder lies on it, else the direct link).
+    ``via`` is the requester's path to the responder (default:
+    :func:`via_path`).  The responder applies its accept rules first; a
+    one-off exchange holds no earlier tunnels, so only a ``max_tunnels``
+    below 1 binds, and the grant carries the responder's first id.
     """
-    graph = table.graph
-    if via_path is None:
-        default = table.default_path(requester)
-        if default and responder in default:
-            via_path = default[: default.index(responder) + 1]
-        elif graph.has_link(requester, responder):
-            via_path = (requester, responder)
-        else:
-            raise NegotiationError(
-                f"no known path from AS {requester} to responder AS {responder}"
-            )
-    if toward is None:
-        toward = via_path[-2] if len(via_path) >= 2 else None
-
+    if via is None:
+        via = via_path(table, requester, responder)
+    config = responder_config or ResponderConfig()
     with _TRACER.span("negotiate", requester=requester, responder=responder,
                       destination=table.destination) as span:
-        responding = RespondingAgent(
-            responder, table, policy, config=responder_config
-        )
-        requesting = RequestingAgent(requester, rank=rank)
-        request = requesting.make_request(
-            responder, table.destination, constraint, max_price
-        )
-        response = responding.handle_request(request, toward=toward)
-        if isinstance(response, Decline):
-            requesting.handle_response(response)
+        if config.accept_from is not None and requester not in config.accept_from:
+            reason = "requester not accepted by local policy"
+        elif config.max_tunnels < 1:
+            reason = "tunnel limit reached"
+        else:
+            reason = None
+        if reason is not None:
+            _MSG_REQUEST.inc()
+            _MSG_DECLINE.inc()
             span.set(established=False)
-            return NegotiationOutcome(False, None, 0, response.reason)
-        accept = requesting.handle_response(response)
-        if accept is None:
-            span.set(established=False)
+            return NegotiationOutcome(False, None, 0, reason)
+        offered, chosen = exchange(
+            table, via, policy, constraint, config.price_for, max_price,
+            rank=rank,
+        )
+        span.set(established=chosen is not None, offered=len(offered))
+        if not offered:
             return NegotiationOutcome(
-                False, None, len(response.routes),
+                False, None, 0, "no candidate routes satisfy the request"
+            )
+        if chosen is None:
+            return NegotiationOutcome(
+                False, None, len(offered),
                 "no offered route satisfies the requester",
             )
-        grant = responding.handle_accept(accept)
-        tunnel = requesting.handle_grant(grant, via_path=via_path)
-        span.set(established=True, offered=len(response.routes))
-        return NegotiationOutcome(True, tunnel, len(response.routes))
+        tunnel = Tunnel(
+            tunnel_id=1,
+            upstream=requester,
+            downstream=responder,
+            destination=table.destination,
+            path=chosen.path,
+            via_path=via,
+            price=config.price_for(chosen),
+        )
+        return NegotiationOutcome(True, tunnel, len(offered))

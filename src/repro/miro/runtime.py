@@ -19,21 +19,20 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..bgp.route import Route
 from ..bgp.routing import RoutingTable, affected_ases
 from ..errors import NegotiationError, ReproError, TopologyError, UnknownASError
 from ..obs import get_logger, get_registry, get_tracer
 from ..session import SessionCore, ensure_session
 from ..topology.delta import AppliedDelta, TopologyDelta
 from ..topology.graph import ASGraph, LinkKey, link_key
-from .policies import ExportPolicy, offered_routes
-from .negotiation import MESSAGES_TOTAL, RouteConstraint
+from .negotiation import RouteConstraint, exchange, via_path
+from .policies import ExportPolicy
 from .tunnels import Tunnel, TunnelTable
 
 # ----------------------------------------------------------------------
 # instrumentation (repro.obs): tunnel lifecycle events — established,
-# removed (by cause), and the current live level — plus the negotiation
-# messages the live establish() exchange implies.
+# removed (by cause), and the current live level.  Negotiation messages
+# are counted by the exchange itself (miro.negotiation).
 # ----------------------------------------------------------------------
 _TRACER = get_tracer()
 _LOG = get_logger("miro.runtime")
@@ -50,11 +49,6 @@ _LIVE_TUNNELS = get_registry().gauge(
     "repro_miro_live_tunnels",
     "Tunnels currently live across all ASes of the runtime",
 )
-_MSG_REQUEST = MESSAGES_TOTAL.labels(kind="request")
-_MSG_OFFER = MESSAGES_TOTAL.labels(kind="offer")
-_MSG_DECLINE = MESSAGES_TOTAL.labels(kind="decline")
-_MSG_ACCEPT = MESSAGES_TOTAL.labels(kind="accept")
-_MSG_GRANT = MESSAGES_TOTAL.labels(kind="grant")
 
 
 class StaleTable(ReproError):
@@ -159,15 +153,6 @@ class MiroRuntime:
     # ------------------------------------------------------------------
     # negotiation against live state
     # ------------------------------------------------------------------
-    def offered_routes(
-        self, responder: int, destination: int, policy: ExportPolicy,
-        toward: Optional[int],
-    ) -> List[Route]:
-        """The responder's current alternates under ``policy`` (§3.4),
-        from the session's table at the current graph version."""
-        table = self.session.compute(destination)
-        return offered_routes(table, responder, policy, toward)
-
     def establish(
         self,
         requester: int,
@@ -180,8 +165,8 @@ class MiroRuntime:
         """Negotiate and install a tunnel, or return None if no offer fits.
 
         The via path is the requester's *current* route to the responder
-        (truncated default path toward the destination when the responder
-        lies on it, else the direct link).  Live tunnels are re-checked
+        (:func:`~repro.miro.negotiation.via_path`), and the tunnel carries
+        the route the §3.3 exchange adopts.  Live tunnels are re-checked
         first if the graph changed (:meth:`revalidate`) and the session's
         table for ``destination`` is read — unless the caller brings that
         ``table`` because it must not settle here (the service's event
@@ -248,31 +233,10 @@ class MiroRuntime:
                 raise StaleTable(destination)
             if graph.version != version:
                 continue  # the graph moved under the reads: start over
-            default = table.default_path(requester)
-            if default is not None and responder in default:
-                via = default[: default.index(responder) + 1]
-            elif graph.has_link(requester, responder):
-                via = (requester, responder)
-            else:
-                raise NegotiationError(
-                    f"AS {requester} has no known path to responder "
-                    f"AS {responder}"
-                )
-            toward = via[-2] if len(via) >= 2 else None
-            _MSG_REQUEST.inc()
-            offers = [
-                r for r in offered_routes(table, responder, policy, toward)
-                if requester not in r.path
-                and (constraint is None or constraint.satisfied_by(r))
-            ]
-            if not offers:
-                _MSG_DECLINE.inc()
-                _LOG.debug("negotiation_declined", requester=requester,
-                           responder=responder, destination=destination,
-                           reason="no candidate routes satisfy the request")
+            via = via_path(table, requester, responder)
+            _, chosen = exchange(table, via, policy, constraint)
+            if chosen is None:
                 return None
-            _MSG_OFFER.inc()
-            chosen = min(offers, key=lambda r: (r.length, r.path))
             with self._lock:
                 if self._validated == version:
                     record = self._install(
@@ -302,8 +266,6 @@ class MiroRuntime:
         tunnel_id = there.allocate_id()
         while here.has(tunnel_id) or there.has(tunnel_id):
             tunnel_id = there.allocate_id()
-        _MSG_ACCEPT.inc()
-        _MSG_GRANT.inc()
         for state in (there, here):  # the record keeps the requester's copy
             tunnel = Tunnel(
                 tunnel_id, requester, responder, destination, path, via

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.experiments import (
-    MESSAGES_PER_NEGOTIATION,
     bgp_message_count,
     push_all_message_count,
     run_overhead_comparison,
 )
+from repro.miro import HANDSHAKE_MESSAGES
 from repro.topology import SMALL, generate_topology
 
 from conftest import F
@@ -67,7 +67,7 @@ class TestComparison:
         assert comparison.miro_overhead_fraction < 0.6
 
     def test_negotiation_accounting(self, comparison):
-        assert comparison.miro_negotiation_messages % MESSAGES_PER_NEGOTIATION == 0
+        assert comparison.miro_negotiation_messages % HANDSHAKE_MESSAGES == 0
         assert comparison.n_requests > 0
 
     def test_rows_render(self, comparison):

@@ -129,6 +129,25 @@ def test_guard_allows_tables_fetched_before_the_runtime_lock():
     assert guard.check_source(source) == []
 
 
+def test_guard_flags_a_negotiation_under_the_runtime_lock():
+    """The exchange reads ``best()`` / ``candidates()``, which can
+    materialize a route tree: ``establish`` must run it before taking
+    the lock it installs under."""
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def _establish(self, requester, responder, destination, policy):
+            table = self.session.compute(destination)
+            with self._lock:
+                via = via_path(table, requester, responder)
+                _, chosen = exchange(table, via, policy)
+                record = self._install(
+                    requester, responder, destination, chosen.path, via
+                )
+    """)
+    assert [(line, call) for _, line, call in guard.check_source(source)] \
+        == [(6, "exchange")]
+
+
 def test_guard_flags_materializing_under_lock():
     guard = _load_guard()
     source = textwrap.dedent("""

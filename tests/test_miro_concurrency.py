@@ -301,17 +301,17 @@ class TestConcurrentMaintenance:
         import repro.miro.runtime as runtime_module
 
         runtime = MiroRuntime(paper_graph)
-        offers = runtime_module.offered_routes
+        exchange = runtime_module.exchange
 
-        def offers_then_the_graph_moves(*args):
-            agreed = offers(*args)
+        def agree_then_the_graph_moves(*args, **kwargs):
+            agreed = exchange(*args, **kwargs)
             if paper_graph.has_link(C, F):
                 TopologyDelta.link_down(C, F).apply(paper_graph)
                 runtime.revalidate()
             return agreed
 
         monkeypatch.setattr(
-            runtime_module, "offered_routes", offers_then_the_graph_moves
+            runtime_module, "exchange", agree_then_the_graph_moves
         )
         # B's one alternate toward F was B-C-F: negotiated again at the
         # new version, there is nothing left to offer

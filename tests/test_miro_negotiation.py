@@ -5,15 +5,12 @@ import pytest
 from repro.bgp import compute_routes
 from repro.errors import NegotiationError
 from repro.miro import (
-    Decline,
     ExportPolicy,
-    NegotiationState,
-    RequestingAgent,
     ResponderConfig,
-    RespondingAgent,
     RouteConstraint,
-    RouteOffer,
+    exchange,
     negotiate,
+    via_path,
 )
 
 from conftest import A, B, C, D, E, F
@@ -42,15 +39,21 @@ class TestConstraint:
         assert not constraint.satisfied_by(table.best(B))
 
 
+def _established(outcome, requester):
+    """The outcome carries a tunnel that does not loop back through its
+    requester."""
+    assert outcome.established
+    assert requester not in outcome.tunnel.path
+    return outcome.tunnel
+
+
 class TestFullExchange:
     def test_fig_3_1_scenario(self, table):
         """AS A negotiates with B to avoid E (Fig. 3.1), export policy."""
-        outcome = negotiate(
+        tunnel = _established(negotiate(
             table, A, B, ExportPolicy.EXPORT,
             constraint=RouteConstraint(avoid=(E,)),
-        )
-        assert outcome.established
-        tunnel = outcome.tunnel
+        ), A)
         assert tunnel.path == (B, C, F)
         assert tunnel.via_path == (A, B)
         assert tunnel.end_to_end_path == (A, B, C, F)
@@ -66,8 +69,8 @@ class TestFullExchange:
         assert outcome.tunnel is None
 
     def test_tunnel_id_allocated(self, table):
-        outcome = negotiate(table, A, B, ExportPolicy.FLEXIBLE)
-        assert outcome.tunnel.tunnel_id == 1
+        tunnel = _established(negotiate(table, A, B, ExportPolicy.FLEXIBLE), A)
+        assert tunnel.tunnel_id == 1
 
     def test_max_price_filters(self, table):
         config = ResponderConfig(price_for=lambda route: 500)
@@ -76,22 +79,21 @@ class TestFullExchange:
             responder_config=config, max_price=100,
         )
         assert not outcome.established
+        assert outcome.offered_count == 0
 
     def test_price_accepted_when_affordable(self, table):
         config = ResponderConfig(price_for=lambda route: 50)
-        outcome = negotiate(
+        tunnel = _established(negotiate(
             table, A, B, ExportPolicy.FLEXIBLE,
             responder_config=config, max_price=100,
-        )
-        assert outcome.established
-        assert outcome.tunnel.price == 50
+        ), A)
+        assert tunnel.price == 50
 
     def test_non_adjacent_negotiation_over_default_path(self, table):
         """A negotiates with E (two hops away on A's default path)."""
-        outcome = negotiate(table, A, E, ExportPolicy.FLEXIBLE)
+        tunnel = _established(negotiate(table, A, E, ExportPolicy.FLEXIBLE), A)
         # E's only alternate to F is via C
-        assert outcome.established
-        assert outcome.tunnel.via_path == (A, B, E)
+        assert tunnel.via_path == (A, B, E)
 
     def test_responder_off_path_and_non_adjacent(self, table):
         # C is neither adjacent to A nor on A's default path (A,B,E,F), so
@@ -101,132 +103,88 @@ class TestFullExchange:
 
     def test_explicit_via_path_enables_remote_responder(self, table):
         # §3.3: A could negotiate with C using the path ABC through B.
-        outcome = negotiate(
-            table, A, C, ExportPolicy.FLEXIBLE, via_path=(A, B, C),
-        )
-        assert outcome.established
-        assert outcome.tunnel.end_to_end_path[0] == A
-        assert outcome.tunnel.downstream == C
+        tunnel = _established(negotiate(
+            table, A, C, ExportPolicy.FLEXIBLE, via=(A, B, C),
+        ), A)
+        assert tunnel.end_to_end_path[0] == A
+        assert tunnel.downstream == C
+
+    def test_offer_through_the_requester_is_declined(self, table):
+        """A's one alternate toward F is A-D-E-F: offered to D, it would
+        carry D's traffic back through D, so D does not adopt it."""
+        outcome = negotiate(table, D, A, ExportPolicy.FLEXIBLE)
+        assert not outcome.established
+        assert outcome.offered_count == 1
+        assert outcome.reason == "no offered route satisfies the requester"
 
 
 class TestResponderRules:
     def test_firewall(self, table):
         config = ResponderConfig(accept_from={D})
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE, config)
-        request = RequestingAgent(A).make_request(B, F)
-        response = agent.handle_request(request)
-        assert isinstance(response, Decline)
-        assert "not accepted" in response.reason
+        outcome = negotiate(
+            table, A, B, ExportPolicy.FLEXIBLE, responder_config=config
+        )
+        assert not outcome.established
+        assert "not accepted" in outcome.reason
+        # the whitelisted requester is served
+        _established(negotiate(
+            table, D, E, ExportPolicy.FLEXIBLE, responder_config=config
+        ), D)
 
     def test_tunnel_limit(self, table):
         config = ResponderConfig(max_tunnels=0)
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE, config)
-        request = RequestingAgent(A).make_request(B, F)
-        response = agent.handle_request(request)
-        assert isinstance(response, Decline)
-        assert "limit" in response.reason
-
-    def test_wrong_destination_rejected(self, table):
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE)
-        request = RequestingAgent(A).make_request(B, destination=E)
-        with pytest.raises(NegotiationError):
-            agent.handle_request(request)
-
-    def test_wrong_addressee_rejected(self, table):
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE)
-        request = RequestingAgent(A).make_request(C, F)
-        with pytest.raises(NegotiationError):
-            agent.handle_request(request)
+        outcome = negotiate(
+            table, A, B, ExportPolicy.FLEXIBLE, responder_config=config
+        )
+        assert not outcome.established
+        assert "limit" in outcome.reason
 
     def test_responder_applies_constraint(self, table):
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE)
-        request = RequestingAgent(A).make_request(
-            B, F, constraint=RouteConstraint(avoid=(C,))
+        outcome = negotiate(
+            table, A, B, ExportPolicy.FLEXIBLE,
+            constraint=RouteConstraint(avoid=(C,)),
         )
-        response = agent.handle_request(request)
-        assert isinstance(response, Decline)  # only alternate goes via C
-
-    def test_responder_may_skip_constraint(self, table):
-        config = ResponderConfig(apply_constraint=False)
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE, config)
-        request = RequestingAgent(A).make_request(
-            B, F, constraint=RouteConstraint(avoid=(C,))
-        )
-        response = agent.handle_request(request)
-        assert isinstance(response, RouteOffer)  # offered anyway...
-        requester = RequestingAgent(A)
-        requester.make_request(B, F, constraint=RouteConstraint(avoid=(C,)))
-        # ...but the requester re-filters and declines
-        assert requester.handle_response(response) is None
+        assert not outcome.established  # only alternate goes via C
+        assert outcome.offered_count == 0
+        assert outcome.reason == "no candidate routes satisfy the request"
 
 
-class TestStateMachine:
-    def test_request_twice_rejected(self):
-        agent = RequestingAgent(A)
-        agent.make_request(B, F)
+class TestExchange:
+    def test_via_path_truncates_the_default_path(self, table):
+        assert via_path(table, A, E) == (A, B, E)
+
+    def test_via_path_falls_back_to_the_direct_link(self, table):
+        assert via_path(table, A, D) == (A, D)
+
+    def test_via_path_needs_a_known_path(self, table):
         with pytest.raises(NegotiationError):
-            agent.make_request(B, F)
+            via_path(table, A, C)
 
-    def test_response_before_request_rejected(self, table):
-        agent = RequestingAgent(A)
-        with pytest.raises(NegotiationError):
-            agent.handle_response(Decline(B, A, F, "nope"))
+    def test_offers_and_adoption(self, table):
+        offered, chosen = exchange(table, (A, B), ExportPolicy.FLEXIBLE)
+        assert [r.path for r in offered] == [(B, C, F)]
+        assert chosen.path == (B, C, F)
 
-    def test_decline_moves_to_declined(self, table):
-        agent = RequestingAgent(A)
-        agent.make_request(B, F)
-        assert agent.handle_response(Decline(B, A, F, "nope")) is None
-        assert agent.state is NegotiationState.DECLINED
-
-    def test_full_state_progression(self, table):
-        requester = RequestingAgent(A)
-        responder = RespondingAgent(B, table, ExportPolicy.FLEXIBLE)
-        request = requester.make_request(B, F)
-        assert requester.state is NegotiationState.REQUESTED
-        offer = responder.handle_request(request)
-        accept = requester.handle_response(offer)
-        assert requester.state is NegotiationState.ACCEPTED
-        grant = responder.handle_accept(accept)
-        tunnel = requester.handle_grant(grant, via_path=(A, B))
-        assert requester.state is NegotiationState.ESTABLISHED
-        assert tunnel.tunnel_id == grant.tunnel_id
-        assert len(requester.tunnels) == 1
-        assert len(responder.tunnels) == 1
-
-
-class TestRateLimit:
-    def test_rate_limit_declines_excess_requests(self, table):
-        config = ResponderConfig(rate_limit=(2, 60.0))
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE, config)
-        for i in range(2):
-            request = RequestingAgent(A).make_request(B, F)
-            response = agent.handle_request(request, now=float(i))
-            assert isinstance(response, RouteOffer)
-        request = RequestingAgent(A).make_request(B, F)
-        response = agent.handle_request(request, now=2.0)
-        assert isinstance(response, Decline)
-        assert "rate limit" in response.reason
-
-    def test_rate_limit_window_slides(self, table):
-        config = ResponderConfig(rate_limit=(1, 10.0))
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE, config)
-        first = agent.handle_request(
-            RequestingAgent(A).make_request(B, F), now=0.0
+    def test_accept_narrows_the_choice_not_the_offer(self, table):
+        offered, chosen = exchange(
+            table, (A, B), ExportPolicy.FLEXIBLE,
+            accept=lambda route: not route.contains(C),
         )
-        assert isinstance(first, RouteOffer)
-        blocked = agent.handle_request(
-            RequestingAgent(A).make_request(B, F), now=5.0
-        )
-        assert isinstance(blocked, Decline)
-        later = agent.handle_request(
-            RequestingAgent(A).make_request(B, F), now=11.0
-        )
-        assert isinstance(later, RouteOffer)
+        assert len(offered) == 1
+        assert chosen is None
 
-    def test_no_rate_limit_by_default(self, table):
-        agent = RespondingAgent(B, table, ExportPolicy.FLEXIBLE)
-        for i in range(5):
-            response = agent.handle_request(
-                RequestingAgent(A).make_request(B, F), now=0.0
+    def test_rank_picks_among_priced_offers(self, table):
+        def price_for(route):
+            return 10 if route.contains(E) else 20
+
+        def exchange_ranked(**rank):
+            return exchange(
+                table, (A, B), ExportPolicy.FLEXIBLE, include_default=True,
+                price_for=price_for, **rank,
             )
-            assert isinstance(response, RouteOffer)
+
+        offered, cheapest = exchange_ranked()
+        assert [r.path for r in offered] == [(B, E, F), (B, C, F)]
+        assert cheapest.path == (B, E, F)
+        _, dearest = exchange_ranked(rank=lambda offer: -offer.price)
+        assert dearest.path == (B, C, F)

@@ -5,7 +5,7 @@ import pytest
 from repro.bgp.routing import compute_routes_reference
 from repro.errors import NegotiationError, SessionError, TopologyError
 from repro.miro import (
-    ExportPolicy, MiroRuntime, RouteConstraint, offered_routes,
+    ExportPolicy, MiroRuntime, RouteConstraint, negotiate, offered_routes,
 )
 from repro.miro.runtime import StaleTable
 from repro.miro.tunnels import TunnelTable
@@ -46,17 +46,18 @@ class TestEstablishment:
             runtime.establish(A, C, F, ExportPolicy.FLEXIBLE)
 
     def test_offered_routes_live(self, runtime):
-        offers = runtime.offered_routes(B, F, ExportPolicy.EXPORT, toward=A)
+        table = runtime.session.compute(F)
+        offers = offered_routes(table, B, ExportPolicy.EXPORT, A)
         assert [r.path for r in offers] == [(B, C, F)]
-        # read from the session's table, which is what establish offers
-        table = runtime.session.peek(F)
-        assert offers == offered_routes(table, B, ExportPolicy.EXPORT, A)
+        # the session's table is the one establish negotiates against
+        assert runtime.session.peek(F) is table
         record = runtime.establish(A, B, F, ExportPolicy.EXPORT)
         assert record.tunnel.path == (B, C, F)
 
     def test_offered_routes_need_toward(self, runtime):
+        table = runtime.session.compute(F)
         with pytest.raises(NegotiationError):
-            runtime.offered_routes(B, F, ExportPolicy.STRICT, toward=None)
+            offered_routes(table, B, ExportPolicy.STRICT, toward=None)
 
 
 class TestRouteChangeTeardown:
@@ -287,6 +288,35 @@ class TestSameAnswersAsTheReference:
                     assert record.tunnel.via_path == (requester, responder)
         assert checked == 8 * 12 * 3
         assert check_tunnel_consistency(runtime) == []
+
+
+class TestOneExchange:
+    def test_negotiate_and_establish_agree_on_tiny(self):
+        """Both drivers run the one §3.3 exchange: on every adjacent
+        (requester, responder) pair toward the first ten destinations,
+        under all three policies, they decline together or agree on the
+        tunnel path — and no tunnel passes back through its requester."""
+        graph = generate_named("tiny", seed=0)
+        runtime = MiroRuntime(graph)
+        compared = 0
+        for destination in graph.ases[:10]:
+            table = runtime.session.compute(destination)
+            for a, b, _ in sorted(graph.iter_links()):
+                for requester, responder in ((a, b), (b, a)):
+                    if destination in (requester, responder):
+                        continue
+                    for policy in ExportPolicy:
+                        outcome = negotiate(table, requester, responder, policy)
+                        record = runtime.establish(
+                            requester, responder, destination, policy)
+                        negotiated = outcome.tunnel and outcome.tunnel.path
+                        established = record and record.tunnel.path
+                        assert negotiated == established, (
+                            requester, responder, destination, policy)
+                        if established:
+                            assert requester not in established
+                        compared += 1
+        assert compared == 4596
 
 
 class TestLiveTunnelGauge:

@@ -18,7 +18,7 @@ from repro import obs
 from repro.bgp.routing import compute_routes
 from repro.cli import main
 from repro.errors import ObservabilityError
-from repro.miro import ExportPolicy
+from repro.miro import ExportPolicy, NegotiationScope, miro_attempt
 from repro.miro.negotiation import negotiate
 from repro.miro.runtime import MiroRuntime
 from repro.obs import (
@@ -33,7 +33,7 @@ from repro.obs import (
 )
 from repro.session import SimulationSession
 
-from conftest import A, E, F
+from conftest import A, B, D, E, F
 
 
 # ----------------------------------------------------------------------
@@ -527,6 +527,49 @@ class TestNegotiationInstruments:
         assert kinds["accept"] == 1
         assert kinds["grant"] == 1
         assert kinds.get("decline", 0) == 0
+
+    @pytest.mark.parametrize(
+        "requester, responder, policy, avoid, expected",
+        [
+            # B offers B-C-F and A adopts it
+            (A, B, ExportPolicy.FLEXIBLE, E,
+             {"request": 1, "offer": 1, "accept": 1, "grant": 1}),
+            # STRICT: B's one alternate is of another class than its default
+            (A, B, ExportPolicy.STRICT, E, {"request": 1, "decline": 1}),
+            # A's one alternate A-D-E-F passes back through D
+            (D, A, ExportPolicy.FLEXIBLE, B, {"request": 1, "offer": 1}),
+        ],
+        ids=["adopted", "declined", "offers-loop"],
+    )
+    def test_every_driver_counts_one_exchange_alike(
+        self, paper_graph, requester, responder, policy, avoid, expected
+    ):
+        """negotiate(), MiroRuntime.establish and a one-contact
+        miro_attempt run the same exchange, so they send (and count) the
+        same messages."""
+        table = compute_routes(paper_graph, F)
+        runtime = MiroRuntime(paper_graph)
+        runtime.session.compute(F)
+        drivers = {
+            "negotiate": lambda: negotiate(table, requester, responder, policy),
+            "establish": lambda: runtime.establish(
+                requester, responder, F, policy
+            ),
+            "miro_attempt": lambda: miro_attempt(
+                table, requester, avoid, policy,
+                scope=NegotiationScope.ONE_HOP, deployed={responder},
+                include_single_path=False,
+            ),
+        }
+        for name, drive in drivers.items():
+            obs.reset()
+            drive()
+            samples = get_registry().snapshot()["repro_miro_messages_total"]
+            kinds = {
+                s["labels"]["kind"]: s["value"]
+                for s in samples["samples"] if s["value"]
+            }
+            assert kinds == expected, name
 
 
 class TestRuntimeInstruments:

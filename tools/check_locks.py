@@ -59,8 +59,9 @@ HELD_FILES = (
 #: caller code under the lock), the affected-set walk (O(n) over a
 #: tree a failure cuts; ``mutate()``'s re-stamp probes with
 #: ``cut_tree_edges`` instead), the O(links) derivation of a topology
-#: snapshot (every warm ``peek`` would wait behind it), and the pool's
-#: publication / submission calls.
+#: snapshot (every warm ``peek`` would wait behind it), the §3.3
+#: negotiation ``exchange`` (its ``best()`` / ``candidates()`` reads can
+#: materialize a tree), and the pool's publication / submission calls.
 SLOW_CALLS = frozenset({
     "compute",
     "compute_many",
@@ -68,6 +69,7 @@ SLOW_CALLS = frozenset({
     "compute_routes_reference",
     "recompute_routes",
     "affected_ases",
+    "exchange",
     "settle_many",
     "materialize",
     "snapshot",
