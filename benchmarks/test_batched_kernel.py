@@ -22,8 +22,10 @@ What the gates protect:
   It costs an import, ~12 MB of resident memory and a second
   implementation under the oracle; it keeps its place only while a
   sweep settles measurably faster on it than on the pure-Python waves
-  (measured 3.1–3.5x at 500 ASes and 3.0–3.1x at 10k, fastest of
-  three sweeps each; gated at 1.5x because CI machines are noisy).
+  (measured 1.8–2.6x at 500 ASes and 2.0–3.0x at 10k against the
+  level-by-level scalar loop, fastest of three sweeps each, over seven
+  runs on a shared 2-CPU VM; 3.0–3.5x against the per-edge loop it
+  replaced; gated at 1.5x because CI machines are noisy).
 * ``settle_share_of_table`` — that settling stays the smaller half of a
   fully read table at 10k on the batched backend (measured 0.20–0.23),
   i.e. nothing per-route has crept back into the kernel's tail (the

@@ -16,11 +16,13 @@ built once per event *before* either clock starts (it is memoized per
 graph version, so whichever side ran first used to be charged for it) —
 and the incremental side is the whole derivation, ``affected_ases`` plus
 ``recompute_routes``.  Both are the same wave loop, so the ratio is what
-the restart saves: a full settle offers from every routed AS three
-times (~0.8 ms at 1,050 ASes); a restart copies the parent's columns,
-walks the old order once for depths, and offers from the cleared
-region's border (~0.25 ms at a mean of a few affected ASes).  Measured
-3.3–4.1x in aggregate; gated at 2x.
+the restart saves: a full settle walks every routed AS's neighbours,
+one depth level at a time (~0.5 ms at 1,050 ASes); a restart copies
+the parent's columns, walks the old order once for depths, and offers
+from the cleared region's border (~0.2 ms at a mean of a few affected
+ASes).  Measured 2.4–2.8x in aggregate on a shared 2-CPU VM (3.3–4.1x
+before the level-by-level loop halved the full settle; the restart's
+flat passes did not shrink with it); gated at 2x.
 """
 
 import random

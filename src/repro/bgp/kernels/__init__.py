@@ -10,11 +10,14 @@ Two ship, in the fixed table :data:`KERNELS`:
 
 * ``scalar`` — the index-space kernel
   (:func:`repro.bgp.routing.compute_routes_snapshot`, looped): parent
-  pointers settled in wave order, pure Python; no dependencies.
+  pointers settled in wave order, one depth level at a time — a dict
+  comprehension per level over the offerers' per-node neighbour tuples
+  (``TopologySnapshot.phase_nbrs``) — pure Python; no dependencies.
 * ``batched`` — the vectorized wave kernel
   (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
-  numpy operations over the snapshot's flat CSR arrays, many
-  destinations per call.  Requires numpy.
+  numpy operations over the same per-phase neighbour lists as flat CSR
+  arrays (``TopologySnapshot.phase_arrays``), many destinations per
+  call.  Requires numpy.
 
 Every consumer — :func:`repro.bgp.routing.compute_routes`, the session's
 serial fan-out and its pool workers, and

@@ -5,9 +5,10 @@ class)``, adopt, push the neighbours.  The scalar kernel
 (:func:`repro.bgp.routing.compute_routes_snapshot`) replays that pop
 order as level-synchronous waves in pure Python, one destination at a
 time; this kernel settles whole **frontier waves** at
-once as numpy operations over the snapshot's flat per-class adjacency
-(:meth:`~repro.topology.snapshot.TopologySnapshot.class_arrays`), and —
-because destinations are mutually independent — settles **many
+once as numpy operations over the snapshot's per-phase adjacency — the
+scalar loop's per-node neighbour tuples as flat arrays
+(:meth:`~repro.topology.snapshot.TopologySnapshot.phase_arrays`).  And,
+because destinations are mutually independent, it settles **many
 destinations in one call** (:func:`settle_many`) on a composite
 ``destination-slot × node`` index space, so the per-wave numpy dispatch
 cost amortizes over the whole sweep.  The output is the scalar kernel's
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import importlib.util
 from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from ...errors import KernelError
 from ..route import RouteClass
@@ -148,108 +149,66 @@ def _require_numpy() -> None:
 # one global wave loop advances every destination's BFS level at once.
 # ----------------------------------------------------------------------
 
-def _gather(off, adj, n: int, frontier_c, lo: int, hi: int):
-    """One class segment's edges for a whole composite frontier.
+def _gather(csr, n: int, frontier_c):
+    """One phase's seed or expansion edges for a whole composite frontier.
 
     For each composite id ``c = slot*n + v`` in ``frontier_c``, node
-    ``v``'s segment is ``adj[off[4v+lo] : off[4v+hi]]``.  Returns
-    ``(parents_c, parents_v, targets_c)`` — each frontier id repeated
-    once per edge, the parent node indices, and the targets re-based
-    into the parent's slot — via the CSR gather trick: ``repeat`` builds
-    the parent columns, and a ramp (``arange`` minus each row's
-    exclusive running total, plus its segment start) builds the flat
-    adjacency indices without any per-node loop.
+    ``v``'s neighbours are ``adj[off[v] : off[v+1]]`` of ``csr = (off,
+    adj)``.  Returns ``(keys, counts)``: one ``target_c * n + v`` key per
+    edge (the target re-based into the parent's slot: ``slot*n*n + v``
+    repeated per edge, plus ``target * n``) and each frontier id's edge
+    count — via the CSR gather trick: ``repeat`` builds the per-edge
+    columns, and a ramp (``arange`` minus each row's exclusive running
+    total, plus its run start) builds the flat adjacency indices
+    without any per-node loop.
     """
+    off, adj = csr
     v = frontier_c % n
-    starts = off[4 * v + lo]
-    counts = off[4 * v + hi] - starts
+    starts = off[v]
+    counts = off[v + 1] - starts
     total = int(counts.sum())
     if total == 0:
-        empty = _np.empty(0, dtype=_np.int64)
-        return empty, empty, empty
-    parents_c = frontier_c.repeat(counts)
-    parents_v = v.repeat(counts)
+        return _np.empty(0, dtype=_np.int64), counts
     ramp = (starts - (_np.cumsum(counts) - counts)).repeat(counts)
     targets_v = adj[_np.arange(total, dtype=_np.int64) + ramp]
-    return parents_c, parents_v, parents_c - parents_v + targets_v
+    keys = ((frontier_c - v) * n + v).repeat(counts)
+    keys += targets_v * n
+    return keys, counts
 
 
-def _seed_edges(off, adj, n: int, settled, depth, lo: int, hi: int):
-    """Cross-phase seed candidates from every settled holder.
-
-    Gathers segment ``lo..hi`` of all settled composites, drops targets
-    that are already settled, and schedules each candidate at its
-    parent's depth + 1 — the length its entry would carry in the scalar
-    heap.  Returns ``(targets_c, parents_v, waves)``.
-    """
-    holders = _np.flatnonzero(settled)
-    parents_c, parents_v, targets_c = _gather(off, adj, n, holders, lo, hi)
-    live = ~settled[targets_c]
-    return (
-        targets_c[live],
-        parents_v[live],
-        depth[parents_c[live]] + 1,
-    )
-
-
-def _run_waves(
-    off,
-    adj,
-    n: int,
-    settled,
-    parent,
-    depth,
-    seeds,
-    expand_segs: Tuple[Tuple[int, int], ...],
-    frontier,
-    wave: int,
-) -> List:
+def _run_waves(n: int, settled, parent, depth, seed, expand) -> List:
     """Run one propagation phase as level-synchronous composite waves.
 
-    ``seeds`` is ``(targets_c, parents_v, waves)`` from
-    :func:`_seed_edges` (or None); ``expand_segs`` the class segments an
-    in-phase adoption propagates through; ``frontier``/``wave`` the
-    initial frontier (phase 1 starts from the origins at wave 1).
-    Mirrors the scalar heap exactly: wave ``L`` combines the seeds
-    scheduled at ``L`` with the expansions of wave ``L-1``'s adoptions,
-    and each not-yet-settled target adopts from its minimum-index parent
-    (the composite ``target*n + parent`` sort; first occurrence per
-    target wins, ascending targets preserving the scalar pop order).
-    Returns the adopted composite arrays in wave order.
+    Every settled composite offers across the phase's ``seed`` links,
+    scheduled at its depth + 1 — the length its entry would carry in the
+    scalar heap; each adoption offers across the ``expand`` links at the
+    next wave.  Mirrors the scalar heap exactly: wave ``L`` combines the
+    seeds scheduled at ``L`` with the expansions of wave ``L-1``'s
+    adoptions, and each not-yet-settled target adopts from its
+    minimum-index parent (the composite ``target*n + parent`` sort;
+    first occurrence per target wins, ascending targets preserving the
+    scalar pop order).  Returns the adopted composite arrays in wave
+    order.
     """
-    if seeds is not None and seeds[0].size:
-        seed_t, seed_pv, seed_w = seeds
-        order = _np.argsort(seed_w, kind="stable")
-        seed_t = seed_t[order]
-        seed_pv = seed_pv[order]
-        seed_w = seed_w[order]
-        total_seeds = seed_w.size
-    else:
-        seed_t = seed_pv = seed_w = None
-        total_seeds = 0
+    holders = _np.flatnonzero(settled)
+    seed_k, counts = _gather(seed, n, holders)
+    seed_w = (depth[holders] + 1).repeat(counts)
+    order = _np.argsort(seed_w, kind="stable")
+    seed_k = seed_k[order]
+    seed_w = seed_w[order]
     adopted: List = []
     empty = _np.empty(0, dtype=_np.int64)
+    frontier = empty
+    wave = 0
     ptr = 0
-    while ptr < total_seeds or frontier.size:
+    while ptr < seed_w.size or frontier.size:
         if frontier.size == 0:
             wave = int(seed_w[ptr])  # every slot idle: jump to next seed
-        t_cols = []
-        pv_cols = []
-        if ptr < total_seeds:
-            take = ptr + int(
-                _np.searchsorted(seed_w[ptr:], wave, side="right")
-            )
-            if take > ptr:
-                t_cols.append(seed_t[ptr:take])
-                pv_cols.append(seed_pv[ptr:take])
-                ptr = take
+        take = ptr + int(_np.searchsorted(seed_w[ptr:], wave, side="right"))
+        key = seed_k[ptr:take]
+        ptr = take
         if frontier.size:
-            for lo, hi in expand_segs:
-                _, pv, tc = _gather(off, adj, n, frontier, lo, hi)
-                t_cols.append(tc)
-                pv_cols.append(pv)
-        key = _np.concatenate(t_cols) * n + _np.concatenate(pv_cols) \
-            if t_cols else empty
+            key = _np.concatenate((key, _gather(expand, n, frontier)[0]))
         if key.size == 0:
             frontier = empty
             wave += 1
@@ -259,12 +218,13 @@ def _run_waves(
         first = _np.empty(targets.size, dtype=bool)
         first[0] = True
         _np.not_equal(targets[1:], targets[:-1], out=first[1:])
+        key = key[first]
         targets = targets[first]
         live = ~settled[targets]
         t_new = targets[live]
         if t_new.size:
             settled[t_new] = True
-            parent[t_new] = (key[first] % n)[live]
+            parent[t_new] = key[live] - t_new * n
             depth[t_new] = wave
             adopted.append(t_new)
         frontier = t_new
@@ -280,7 +240,6 @@ def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
     kernel's.
     """
     n = snapshot.n
-    off, adj = snapshot.class_arrays()
     slots = len(dest_indices)
     dest_v = _np.asarray(dest_indices, dtype=_np.int64)
     dest_c = _np.arange(slots, dtype=_np.int64) * n + dest_v
@@ -292,36 +251,16 @@ def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
     parent[dest_c] = dest_v
 
     destination = int(dest_v[0]) if slots == 1 else -1
-    # ---- Phase 1: customer routes climb the hierarchy -----------------
-    # The origins are the only seeds; expansion crosses provider links
-    # (segment 1) and sibling links (segment 3).
-    with _phase_span(0, _PHASE_BATCHED, destination):
-        phase1 = _run_waves(
-            off, adj, n, settled, parent, depth,
-            seeds=None, expand_segs=((1, 2), (3, 4)),
-            frontier=dest_c, wave=1,
-        )
-    # ---- Phase 2: customer routes cross peering links -----------------
-    # Seeds: every unsettled peer of a settled customer-route holder,
-    # scheduled at its parent's depth + 1 (seed entries enter the scalar
-    # heap at multiple lengths); in-phase expansion crosses siblings only.
-    with _phase_span(1, _PHASE_BATCHED, destination):
-        phase2 = _run_waves(
-            off, adj, n, settled, parent, depth,
-            seeds=_seed_edges(off, adj, n, settled, depth, 2, 3),
-            expand_segs=((3, 4),),
-            frontier=_np.empty(0, dtype=_np.int64), wave=0,
-        )
-    # ---- Phase 3: best routes flow down to customers -------------------
-    # Seeds: every unsettled customer of any settled holder; in-phase
-    # expansion chains through customer and sibling links.
-    with _phase_span(2, _PHASE_BATCHED, destination):
-        phase3 = _run_waves(
-            off, adj, n, settled, parent, depth,
-            seeds=_seed_edges(off, adj, n, settled, depth, 0, 1),
-            expand_segs=((0, 1), (3, 4)),
-            frontier=_np.empty(0, dtype=_np.int64), wave=0,
-        )
+    # The three phases of the scalar loop, on the same per-node links
+    # (TopologySnapshot.phase_nbrs): customer routes climb providers and
+    # siblings from the origins, cross one peering link, then every
+    # route descends to customers (chaining through siblings).
+    waves = []
+    for phase, (seed, expand) in enumerate(snapshot.phase_arrays()):
+        with _phase_span(phase, _PHASE_BATCHED, destination):
+            waves.append(
+                _run_waves(n, settled, parent, depth, seed, expand)
+            )
 
     # ---- one tree per slot ---------------------------------------------
     # Each wave's adoption array is ascending composites — slot-major,
@@ -331,7 +270,7 @@ def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
     # per-slot running phase counts are its class bounds.  The trees
     # take their columns as ``array("q")`` copies of the numpy buffers:
     # ``tolist`` would allocate an int object per node per table.
-    waves = ([dest_c, *phase1], phase2, phase3)
+    waves[0].insert(0, dest_c)
     adopted = _np.concatenate([t_c for phase in waves for t_c in phase])
     slot_of = adopted // n
     phase_of = _np.repeat(

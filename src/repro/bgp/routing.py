@@ -24,8 +24,10 @@ Two implementations of the same settling semantics live here:
 
 * :func:`compute_routes_snapshot` — the production kernel.  It settles
   *parent pointers in wave order* in **index space** on a frozen
-  :class:`~repro.topology.snapshot.TopologySnapshot` — three
-  level-synchronous sweeps (:func:`_settle_waves`), no heap and no path
+  :class:`~repro.topology.snapshot.TopologySnapshot` — each of the three
+  phases one depth level at a time (:func:`_settle_waves`: a level's
+  offerers walked in descending index over their per-node neighbour
+  tuples, one dict comprehension per level), no heap and no path
   tuples — and returns a :class:`RouteTree`: by tree consistency one
   destination's stable state *is* a parent-pointer tree, so a path is a
   walk up it and the ``{asn: Route}`` dict is built only for readers
@@ -82,7 +84,7 @@ from typing import (
 from ..errors import RoutingError, UnknownASError
 from ..obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
 from ..topology.graph import ASGraph
-from ..topology.snapshot import TopologySnapshot
+from ..topology.snapshot import PHASE_CLASSES, TopologySnapshot
 from .policy import exportable_route, make_route
 from .route import Route, RouteClass
 
@@ -483,16 +485,7 @@ def _resolve_link_class(off: list, adj: list, idx_path: Tuple[int, ...]) -> int:
     return _CUSTOMER
 
 
-#: Per settling phase, as snapshot class segments ``(lo, hi)``: the links
-#: every holder so far seeds across, and the links an adoption spreads
-#: through within the phase (0 customers, 1 providers, 2 peers, 3 siblings).
-_WAVE_PHASES = (
-    (((1, 2), (3, 4)), ((1, 2), (3, 4))),  # climb providers (+ siblings)
-    (((2, 3),), ((3, 4),)),                # cross one peering link
-    (((0, 1),), ((0, 1), (3, 4))),         # descend to customers
-)
-
-#: Class code a route takes crossing a link of segment ``lo`` (the
+#: Class code a route takes crossing a link of snapshot class ``c`` (the
 #: learner is the holder's customer / provider / peer); 0: a sibling
 #: link, which hands on the holder's own class.
 _LINK_CLASS = (_PROVIDER, _CUSTOMER, _PEER, 0)
@@ -507,7 +500,7 @@ def _settle_waves(
     border: Sequence[Sequence[int]] = ((), (), ()),
     timers=_PHASE_FULL,
 ) -> List[Tuple[int, int]]:
-    """Settle every unrouted node of ``parent``, wave by wave.
+    """Settle every unrouted node of ``parent``, one depth level at a time.
 
     The one settling loop.  A full settle passes ``parent`` with only
     the destination routed and ``holders == [dest]``;
@@ -520,53 +513,59 @@ def _settle_waves(
     stop)`` slice of ``holders`` — after a full settle ``holders`` is
     the tree's ``order`` and the stops are its phase bounds.
 
-    Per phase, ``buckets[wave]`` maps each candidate target to the
-    smallest parent index offering it a path of ``wave`` hops.  Holders
-    of earlier phases — kept or adopted in this call — offer across the
-    phase's seed links; kept holders of this phase offer across its
-    expansion links, which a full run did when they adopted.  The
-    smallest wave pops first and its still-unsettled targets adopt in
-    ascending index order — the heap walk's pop order exactly — then
-    offer their in-phase neighbours a path one hop longer.
+    A path of ``wave`` hops is offered only by a node at depth ``wave -
+    1``: a holder of an earlier phase — kept or adopted in this call —
+    across the phase's seed links, a kept holder of this phase across
+    its expansion links (which a full run crossed when it adopted), or
+    the previous wave's adopters across the expansion links.  So the
+    phase settles one depth level at a time: the level's offerers are
+    walked in descending index, one dict comprehension maps each
+    still-unrouted neighbour to its offerer — the smallest index writes
+    last — and the targets adopt in ascending index order, the heap
+    walk's pop order exactly.  Offerers read their neighbours from
+    ``snapshot.phase_nbrs``, one tuple per node and phase, pre-sliced.
     """
-    n = snapshot.n
-    off, adj = snapshot.class_lists()
     spans = []
-
-    def offer(nodes: Sequence[int], lo: int, hi: int) -> None:
-        for i in nodes:
-            base = 4 * i
-            start = off[base + lo]
-            stop = off[base + hi]
-            if start == stop:
-                continue
-            wave = depth[i] + 1
-            bucket = buckets.get(wave)
-            if bucket is None:
-                bucket = buckets[wave] = {}
-            for nb in adj[start:stop]:
-                if parent[nb] < 0 and bucket.get(nb, n) > i:
-                    bucket[nb] = i
-
-    for phase, (seed_segs, expand_segs) in enumerate(_WAVE_PHASES):
+    for phase, (seed, expand) in enumerate(snapshot.phase_nbrs):
         with _phase_span(phase, timers, destination):
-            buckets: Dict[int, Dict[int, int]] = {}
-            for lo, hi in seed_segs:
-                offer(holders, lo, hi)
-            for lo, hi in expand_segs:
-                offer(border[phase], lo, hi)
+            # Each node offers across its seed links if it held a route
+            # before this phase, else across its expansion links.  The
+            # view is copied only for a holder whose two differ (equal
+            # sets share one tuple): a copy touches every node's tuple.
+            nbrs = expand
+            for i in holders:
+                if seed[i] is not expand[i]:
+                    if nbrs is expand:
+                        nbrs = list(expand)
+                    nbrs[i] = seed[i]
+            levels: Dict[int, List[int]] = {}
+            for group in (holders, border[phase]):
+                for i in group:
+                    if nbrs[i]:
+                        levels.setdefault(depth[i], []).append(i)
             holders += border[phase]
             first = len(holders)
-            while buckets:
-                wave = min(buckets)
-                offers = buckets.pop(wave)
-                adopters = sorted(v for v in offers if parent[v] < 0)
+            adopters: List[int] = []
+            wave = min(levels, default=0) + 1
+            while levels or adopters:
+                offerers = levels.pop(wave - 1, None)
+                if offerers:
+                    offerers += adopters
+                    offerers.sort(reverse=True)
+                else:
+                    offerers = reversed(adopters)
+                bucket = {
+                    nb: i
+                    for i in offerers
+                    for nb in nbrs[i]
+                    if parent[nb] < 0
+                }
+                adopters = sorted(bucket)
                 for v in adopters:
-                    parent[v] = offers[v]
+                    parent[v] = bucket[v]
                     depth[v] = wave
                 holders += adopters
-                for lo, hi in expand_segs:
-                    offer(adopters, lo, hi)
+                wave += 1
         spans.append((first, len(holders)))
     return spans
 
@@ -634,14 +633,15 @@ def _settle_pinned(
     push = heapq.heappush
     pop = heapq.heappop
 
-    def spread(holder: int, path: Tuple[int, ...], segs) -> None:
-        """Offer ``path`` to ``holder``'s unsettled neighbours across
-        ``segs`` (the loop check matters: a pinned path is arbitrary)."""
+    def spread(holder: int, path: Tuple[int, ...], classes) -> None:
+        """Offer ``path`` to ``holder``'s unsettled neighbours across the
+        links of ``classes`` (the loop check matters: a pinned path is
+        arbitrary)."""
         base = 4 * holder
         hops = len(path)
-        for lo, hi in segs:
-            cls = _LINK_CLASS[lo] or prop_cls[holder]
-            for nb in adj[off[base + lo]: off[base + hi]]:
+        for c in classes:
+            cls = _LINK_CLASS[c] or prop_cls[holder]
+            for nb in adj[off[base + c]: off[base + c + 1]]:
                 if best_path[nb] is None and nb not in path:
                     push(heap, (hops, (nb,) + path, cls))
 
@@ -653,12 +653,12 @@ def _settle_pinned(
         # everything — and each adoption spreads across its expansion
         # links.  The first entry popped for an unsettled AS is its
         # selected route.
-        for phase, (seed_segs, expand_segs) in enumerate(_WAVE_PHASES):
+        for phase, (seed, expand) in enumerate(PHASE_CLASSES):
             with _phase_span(phase, _PHASE_FULL, destination):
                 floor = _CUSTOMER if phase < 2 else _PROVIDER
                 for i in range(n):
                     if best_path[i] is not None and best_cls[i] >= floor:
-                        spread(i, best_path[i], seed_segs)
+                        spread(i, best_path[i], seed)
                 while heap:
                     _, path, cls = pop(heap)
                     holder = path[0]
@@ -667,7 +667,7 @@ def _settle_pinned(
                     best_path[holder] = path
                     best_cls[holder] = prop_cls[holder] = cls
                     order.append(holder)
-                    spread(holder, path, expand_segs)
+                    spread(holder, path, expand)
 
     # Translate back to ASN space, in the legacy walk's exact dict order:
     # pinned entries first (the very objects the caller pinned), then the

@@ -36,8 +36,12 @@ Two adjacency layouts are kept, both flat:
   siblings in the following three segments (insertion order within each
   class, matching ``ASGraph.customers`` and friends).
 
-The per-class segments are what the settling kernel iterates with plain
-index arithmetic — no per-pop list building, no dict probes.
+The settling kernel reads those segments pre-sliced: ``phase_nbrs``
+holds, for each of its three phases (:data:`PHASE_CLASSES`), one tuple
+of node ``i``'s seed-link neighbours and one of its expansion-link
+neighbours per node.  They are built with the snapshot — in the process
+that builds it, and again in one that unpickles or attaches it — and are
+never shipped.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..errors import TopologyError, UnknownASError
@@ -66,6 +72,15 @@ CLASS_PROVIDER = 1
 CLASS_PEER = 2
 CLASS_SIBLING = 3
 
+#: Per settling phase — climb, cross one peering link, descend — the
+#: relationship classes whose links every holder so far seeds across, and
+#: those an adoption spreads through within the phase.
+PHASE_CLASSES = (
+    ((CLASS_PROVIDER, CLASS_SIBLING), (CLASS_PROVIDER, CLASS_SIBLING)),
+    ((CLASS_PEER,), (CLASS_SIBLING,)),
+    ((CLASS_CUSTOMER,), (CLASS_CUSTOMER, CLASS_SIBLING)),
+)
+
 _REL_TO_CLASS: Dict[Relationship, int] = {
     Relationship.CUSTOMER: CLASS_CUSTOMER,
     Relationship.PROVIDER: CLASS_PROVIDER,
@@ -78,8 +93,8 @@ class TopologySnapshot:
     """A frozen, int-indexed, CSR-style view of one :class:`ASGraph` state.
 
     Instances are immutable by contract: every field is written once by
-    :meth:`build` and never mutated (the underscore members are lazy
-    caches of derived views, not state).  Do not modify the arrays.
+    :meth:`build` and never mutated (``phase_nbrs`` and the underscore
+    members are derived views, not state).  Do not modify the arrays.
     """
 
     __slots__ = (
@@ -90,12 +105,12 @@ class TopologySnapshot:
         "nbr",
         "cls_off",
         "cls_adj",
-        # lazy derived views (excluded from pickles)
+        # derived views (excluded from pickles)
+        "phase_nbrs",
         "_nbr_asn",
         "_off_list",
         "_adj_list",
-        "_np_off",
-        "_np_adj",
+        "_np_phases",
     )
 
     def __init__(
@@ -115,10 +130,30 @@ class TopologySnapshot:
         self.cls_off = cls_off
         self.cls_adj = cls_adj
         self._nbr_asn: Dict[int, Tuple[int, ...]] = {}
-        self._off_list: Optional[list] = None
-        self._adj_list: Optional[list] = None
-        self._np_off = None
-        self._np_adj = None
+        off = self._off_list = cls_off.tolist()
+        adj = self._adj_list = cls_adj.tolist()
+        # Every phase's neighbour tuples, built here and not on a settle's
+        # first call: the settle clock never pays for them and no two
+        # threads race to.  One tuple per node and class (slices share
+        # ``adj``'s int objects), joined per phase; a join with an empty
+        # class is the other tuple itself, and the climb's one view
+        # serves as both its seed and its expansion links.
+        get = adj.__getitem__
+        per_class = [
+            tuple(map(tuple, map(get, map(slice, off[c::4], off[c + 1::4]))))
+            for c in range(4)
+        ]
+        views: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
+        for classes in {classes for phase in PHASE_CLASSES for classes in phase}:
+            first, *rest = classes
+            view = per_class[first]
+            for c in rest:
+                view = tuple(map(add, view, per_class[c]))
+            views[classes] = view
+        self.phase_nbrs = tuple(
+            (views[seed], views[expand]) for seed, expand in PHASE_CLASSES
+        )
+        self._np_phases = None
 
     # ------------------------------------------------------------------
     # construction
@@ -191,32 +226,48 @@ class TopologySnapshot:
         return tuple(asns[i] for i in idx_path)
 
     def class_lists(self) -> Tuple[list, list]:
-        """``(cls_off, cls_adj)`` as plain lists, for the settling kernel.
+        """``(cls_off, cls_adj)`` as plain lists, for the pinned walk and
+        the re-derivation's region bookkeeping.
 
         Indexing a plain list is measurably faster than indexing an
         :mod:`array` in CPython's interpreter loop; the conversion is done
-        once per snapshot and shared by every kernel run on it.
+        once per snapshot, at construction, and shared by every run on it.
         """
-        if self._off_list is None:
-            self._off_list = self.cls_off.tolist()
-            self._adj_list = self.cls_adj.tolist()
         return self._off_list, self._adj_list
 
-    def class_arrays(self):
-        """``(cls_off, cls_adj)`` as int64 numpy arrays, shared per snapshot.
+    def phase_arrays(self):
+        """``phase_nbrs`` as int64 numpy CSR pairs, shared per snapshot.
 
-        The batched settling kernel's view of the same per-class CSR
-        layout :meth:`class_lists` exposes: int64 so frontier-wave index
-        arithmetic (``target * n + parent`` composites) cannot overflow.
-        Only called by numpy-requiring backends, so the import is local —
-        the snapshot itself stays dependency-free.
+        ``phase_arrays()[phase] == ((seed_off, seed_adj), (expand_off,
+        expand_adj))``, node ``v``'s seed neighbours being
+        ``seed_adj[seed_off[v]:seed_off[v + 1]]``: the batched kernel's
+        view of the per-node tuples the scalar loop reads, one contiguous
+        run per node and phase.  int64 so frontier-wave index arithmetic
+        (``target * n + parent`` composites) cannot overflow.  Only
+        called by numpy-requiring backends, so the import is local — the
+        snapshot itself stays dependency-free.
         """
-        if self._np_off is None:
+        if self._np_phases is None:
             import numpy
 
-            self._np_off = numpy.asarray(self.cls_off, dtype=numpy.int64)
-            self._np_adj = numpy.asarray(self.cls_adj, dtype=numpy.int64)
-        return self._np_off, self._np_adj
+            csr = {}
+
+            def arrays(view):
+                if id(view) not in csr:
+                    off = numpy.zeros(len(view) + 1, dtype=numpy.int64)
+                    numpy.cumsum(list(map(len, view)), out=off[1:])
+                    adj = numpy.fromiter(
+                        chain.from_iterable(view), dtype=numpy.int64,
+                        count=int(off[-1]),
+                    )
+                    csr[id(view)] = (off, adj)
+                return csr[id(view)]
+
+            self._np_phases = tuple(
+                (arrays(seed), arrays(expand))
+                for seed, expand in self.phase_nbrs
+            )
+        return self._np_phases
 
     def neighbors_asn(self, asn: int) -> Tuple[int, ...]:
         """All neighbours of ``asn``, in the builder's insertion order.
@@ -343,8 +394,9 @@ class SharedSnapshot:
     :class:`SharedSnapshotDescriptor` and reconstructs a snapshot whose
     arrays are zero-copy views into the mapping: numpy ``int64`` views
     when numpy is importable, ``memoryview.cast`` views otherwise — both
-    satisfy every array consumer, including the batched kernel's
-    :meth:`TopologySnapshot.class_arrays`.
+    satisfy every array consumer.  Derived views (the per-phase neighbour
+    tuples, the batched kernel's :meth:`TopologySnapshot.phase_arrays`)
+    are not in the segment: the attaching side builds them.
 
     Lifecycle is refcounted: a handle starts with one reference,
     :meth:`addref` takes another, :meth:`close` releases one.  The last

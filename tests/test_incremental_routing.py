@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.bgp import compute_routes, kernels, recompute_routes
+from repro.bgp.route import RouteClass
 from repro.bgp.routing import (
     RouteTree,
     RoutingTable,
@@ -16,6 +17,7 @@ from repro.bgp.routing import (
 )
 from repro.obs import get_registry
 from repro.topology import (
+    ASGraph,
     Relationship,
     TINY,
     TopologyDelta,
@@ -145,6 +147,43 @@ class TestPaperExample:
         paper_graph.remove_link(B, E)
         after = recompute_routes(paper_graph, before, [(B, E)])
         assert fingerprint(after) == fingerprint(compute_routes(paper_graph, F))
+
+
+class TestOffererMerge:
+    """A restart level where an earlier-phase holder and a kept border
+    holder of the same phase offer at the same depth.
+
+    Destination 1 has customers 2 and ``border``, and provider ``seed``;
+    AS 9 buys transit from 2, ``border`` and ``seed``.  All three
+    providers sit at depth 1, so 9 first settles via 2 (smallest
+    index).  Failing 2—9 clears 9 alone; in the descent the restart
+    then offers 9 a path of two hops from ``seed`` (a climb holder,
+    across its customer links) and from ``border`` (a kept descent
+    holder, across its expansion links) in one level, and the smaller
+    index must win as in a full settle.
+    """
+
+    @pytest.mark.parametrize("seed, border", [(3, 4), (4, 3)])
+    def test_seed_and_border_at_one_depth(self, seed, border):
+        graph = ASGraph()
+        graph.add_link(1, 2, Relationship.CUSTOMER)
+        graph.add_link(1, border, Relationship.CUSTOMER)
+        graph.add_link(1, seed, Relationship.PROVIDER)
+        for provider in (2, border, seed):
+            graph.add_link(9, provider, Relationship.PROVIDER)
+        before = compute_routes(graph, 1)
+        assert before.best(seed).route_class is RouteClass.CUSTOMER
+        assert before.default_path(9) == (9, 2, 1)
+        applied = TopologyDelta.link_down(2, 9).apply(graph)
+        assert affected_ases(graph, before, applied.changed_links) == {9}
+        derived = tables_total("incremental")
+        after = recompute_routes(graph, before, applied)
+        assert tables_total("incremental") == derived + 1
+        assert isinstance(after._tree, RouteTree)
+        assert after.default_path(9) == (9, min(seed, border), 1)
+        reference = compute_routes_reference(graph, 1)
+        assert list(after.items()) == list(reference.items())
+        assert fingerprint(after) == fingerprint(reference)
 
 
 class TestFallbacks:

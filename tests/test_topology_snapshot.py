@@ -11,8 +11,9 @@ these tests pin three contracts:
   version: identity-stable across calls, invalidated by every mutation
   path (``add_link``, ``remove_link``, delta revert/reapply), and shared
   structurally by ``copy()``;
-* **shipping** — pickling carries only the core arrays and rebuilds the
-  derived index/caches on the receiving side.
+* **shipping** — pickling and the shared-memory segment carry only the
+  core arrays; the receiving side rebuilds the derived index, caches and
+  per-phase neighbour tuples.
 """
 
 import pickle
@@ -27,6 +28,7 @@ from repro.topology import (
     generate_named,
 )
 from repro.topology.relationships import Relationship
+from repro.topology.snapshot import PHASE_CLASSES
 
 
 def small_graph() -> ASGraph:
@@ -92,6 +94,47 @@ def test_class_lists_are_consistent_and_cached():
         assert providers == graph.providers(asn)
         assert peers == graph.peers(asn)
         assert siblings == graph.siblings(asn)
+
+
+def assert_phase_nbrs_match_segments(snapshot):
+    """Every node's per-phase neighbour tuples are its ``class_lists()``
+    segments of that phase's classes, in class order."""
+    off, adj = snapshot.class_lists()
+    assert len(snapshot.phase_nbrs) == len(PHASE_CLASSES)
+    for views, phase in zip(snapshot.phase_nbrs, PHASE_CLASSES):
+        for view, classes in zip(views, phase):
+            assert len(view) == snapshot.n
+            for i in range(snapshot.n):
+                base = 4 * i
+                expected = [
+                    nb for c in classes
+                    for nb in adj[off[base + c]:off[base + c + 1]]
+                ]
+                assert isinstance(view[i], tuple)
+                assert list(view[i]) == expected, (i, classes)
+
+
+def test_phase_nbrs_match_class_segments():
+    # built with the snapshot: nothing has settled on it yet
+    snapshot = TopologySnapshot.build(small_graph())
+    assert_phase_nbrs_match_segments(snapshot)
+    # the climb seeds and spreads across one link set: one view, shared
+    seed, expand = snapshot.phase_nbrs[0]
+    assert seed is expand
+
+
+def test_phase_arrays_are_phase_nbrs_as_csr():
+    pytest.importorskip("numpy")
+    snapshot = small_graph().snapshot()
+    arrays = snapshot.phase_arrays()
+    assert arrays is snapshot.phase_arrays()  # built once
+    for views, csrs in zip(snapshot.phase_nbrs, arrays):
+        for view, (off, adj) in zip(views, csrs):
+            assert len(off) == snapshot.n + 1
+            for i, nbrs in enumerate(view):
+                assert adj[off[i]:off[i + 1]].tolist() == list(nbrs)
+    # the climb's one view is one CSR pair
+    assert arrays[0][0] is arrays[0][1]
 
 
 def test_path_translation_roundtrip():
@@ -242,6 +285,15 @@ def test_pickle_roundtrip_rebuilds_derived_state():
     assert list(clone.cls_off) == list(snapshot.cls_off)
     for asn in graph.iter_ases():
         assert clone.neighbors_asn(asn) == snapshot.neighbors_asn(asn)
+    assert_phase_nbrs_match_segments(clone)
+    assert clone.phase_nbrs == snapshot.phase_nbrs
+
+
+def test_pickle_does_not_ship_phase_nbrs():
+    snapshot = small_graph().snapshot()
+    state = snapshot.__getstate__()
+    assert len(state) == 6  # version + the five core arrays
+    assert not any(isinstance(field, tuple) for field in state)
 
 
 def test_snapshot_pickle_smaller_than_graph():
@@ -308,6 +360,24 @@ class TestSharedSnapshot:
             assert list(rebuilt.nbr) == list(snapshot.nbr)
             assert list(rebuilt.cls_off) == list(snapshot.cls_off)
             assert list(rebuilt.cls_adj) == list(snapshot.cls_adj)
+        finally:
+            attached.close()
+            shared.close()
+
+    def test_attached_snapshot_rebuilds_phase_nbrs(self):
+        """The segment carries the five core arrays only; the attaching
+        side rebuilds the per-node neighbour tuples from its views."""
+        from repro.topology.snapshot import SharedSnapshot
+
+        snapshot, shared = self._published()
+        lengths = shared.descriptor().lengths
+        assert shared.nbytes == 8 * sum(lengths)
+        attached = SharedSnapshot.attach(shared.descriptor())
+        try:
+            rebuilt = attached.snapshot
+            assert rebuilt.phase_nbrs is not snapshot.phase_nbrs
+            assert_phase_nbrs_match_segments(rebuilt)
+            assert rebuilt.phase_nbrs == snapshot.phase_nbrs
         finally:
             attached.close()
             shared.close()
@@ -428,6 +498,7 @@ class TestSharedSnapshot:
             off, adj = rebuilt.class_lists()
             assert off == list(snapshot.cls_off)
             assert adj == list(snapshot.cls_adj)
+            assert rebuilt.phase_nbrs == snapshot.phase_nbrs
         finally:
             monkeypatch.undo()
             attached.close()
