@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory sharded fan-out benchmarks.
+"""Shared-memory sharded fan-out benchmarks.
 
 Two gates ride the bench trajectory.  ``ship_bytes_per_attach`` pins the
 tentpole's O(1) shipping claim: with the snapshot published once into a

@@ -384,8 +384,7 @@ class RoutingTable:
         if asn == self._destination:
             learned.append(self._best[asn])
         else:
-            # through the memoized snapshot: ASGraph.neighbors' order
-            for neighbor in graph.snapshot().neighbors_asn(asn):
+            for neighbor in graph.neighbors(asn):
                 route = self._best.get(neighbor)
                 if route is None:
                     continue
@@ -464,7 +463,7 @@ def compute_routes(
     return RoutingTable(graph, destination, best)
 
 
-def _resolve_link_class(off: list, adj: list, idx_path: Tuple[int, ...]) -> int:
+def _resolve_link_class(class_nbrs, idx_path: Tuple[int, ...]) -> int:
     """Sibling-resolved class code of an index path, from actual links.
 
     The index-space mirror of :func:`repro.bgp.policy.classify_path`: the
@@ -473,13 +472,13 @@ def _resolve_link_class(off: list, adj: list, idx_path: Tuple[int, ...]) -> int:
     *seeded* routes (pinned and the origin), whose stored class is not
     necessarily the link-derived one the settling propagation must use.
     """
+    customers, providers, peers, _ = class_nbrs
     for a, b in zip(idx_path, idx_path[1:]):
-        base = 4 * a
-        if b in adj[off[base]: off[base + 1]]:
+        if b in customers[a]:
             return _CUSTOMER  # learned from a customer
-        if b in adj[off[base + 1]: off[base + 2]]:
+        if b in providers[a]:
             return _PROVIDER  # learned from a provider
-        if b in adj[off[base + 2]: off[base + 3]]:
+        if b in peers[a]:
             return _PEER  # learned from a peer
         # sibling link: transparent, classify on the next one
     return _CUSTOMER
@@ -600,7 +599,7 @@ def _settle_pinned(
 ) -> Dict[int, Route]:
     """The heap walk :func:`compute_routes` runs for a pinned request.
 
-    Flat per-class adjacency slices, int-tuple paths, heap entries of
+    Per-node class neighbour tuples, int-tuple paths, heap entries of
     ``(length, path, class)``, translated to an ASN-keyed best-route dict
     at the end; a route's class comes from the link crossed
     (:data:`_LINK_CLASS`), never from re-walking its path.  Raises
@@ -609,7 +608,7 @@ def _settle_pinned(
     dest = snapshot.index_of(destination)
     _validate_pinned(destination, pinned)
     n = snapshot.n
-    off, adj = snapshot.class_lists()
+    class_nbrs = snapshot.class_nbrs
     # Per-node settling state, indexed by snapshot index: the selected
     # index path, its reported class, and its *propagation* class (what a
     # sibling inherits — link-derived, which for a pinned route may
@@ -624,7 +623,7 @@ def _settle_pinned(
         holder = idx_path[0]
         best_path[holder] = idx_path
         best_cls[holder] = route.route_class.value
-        prop_cls[holder] = _resolve_link_class(off, adj, idx_path)
+        prop_cls[holder] = _resolve_link_class(class_nbrs, idx_path)
     best_path[dest] = (dest,)
     best_cls[dest] = _ORIGIN
     prop_cls[dest] = _CUSTOMER  # what the origin's siblings inherit
@@ -637,11 +636,10 @@ def _settle_pinned(
         """Offer ``path`` to ``holder``'s unsettled neighbours across the
         links of ``classes`` (the loop check matters: a pinned path is
         arbitrary)."""
-        base = 4 * holder
         hops = len(path)
         for c in classes:
             cls = _LINK_CLASS[c] or prop_cls[holder]
-            for nb in adj[off[base + c]: off[base + c + 1]]:
+            for nb in class_nbrs[c][holder]:
                 if best_path[nb] is None and nb not in path:
                     push(heap, (hops, (nb,) + path, cls))
 
@@ -957,7 +955,7 @@ def _resettle(
     now offers a kept neighbour a route it prefers to the one it kept.
     """
     n = snapshot.n
-    off, adj = snapshot.class_lists()
+    class_nbrs = snapshot.class_nbrs
     index = old.index
     dest = index[destination]
     region = {index[asn] for asn in affected}
@@ -966,7 +964,8 @@ def _resettle(
     touched: Set[int] = set()
     for i in region:
         parent[i] = -1
-        touched.update(adj[off[4 * i]: off[4 * i + 4]])
+        for nbrs in class_nbrs:
+            touched.update(nbrs[i])
 
     # From the old order, phase by phase: every node's depth, what stays
     # of each phase's slice, and of that the holders with a cleared
@@ -1030,7 +1029,7 @@ def _resettle(
             path = None
             for seg in segs:
                 offer = (_LINK_CLASS[seg] or cls, -depth[a] - 1)
-                for nb in adj[off[4 * a + seg]: off[4 * a + seg + 1]]:
+                for nb in class_nbrs[seg][a]:
                     if nb not in code:
                         continue
                     current = (code[nb], -depth[nb])

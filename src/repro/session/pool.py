@@ -3,8 +3,9 @@ the persistent pool.
 
 Jobs carry a *spec* — ``(version, descriptor, ship_bytes)`` — instead of
 snapshot bytes: the descriptor is an O(1)
-:class:`~repro.topology.snapshot.SharedSnapshotDescriptor` and the worker
-attaches the published segment zero-copy, once per graph version.  The
+:class:`~repro.topology.snapshot.SharedSnapshotDescriptor`, and the
+worker attaches the published segment once per graph version, copying
+the snapshot's three arrays out and closing its mapping at once.  The
 attach cost (bytes, seconds) is observed *in the worker* and rides back
 to the parent in the drained metrics/spans payload every job result
 carries, so the ship-cost histograms count one observation per worker
@@ -89,7 +90,6 @@ PoolSpec = Tuple[int, SharedSnapshotDescriptor, int]
 # Per-worker-process state.  Under the default fork start method these
 # globals are inherited from the parent, so the initializer resets them.
 _WORKER_SNAPSHOTS: Dict[int, TopologySnapshot] = {}
-_WORKER_SHARED: Dict[int, SharedSnapshot] = {}
 _WORKER_OBS: Optional[Tuple[bool, float]] = None
 
 
@@ -101,7 +101,6 @@ def _pool_init(obs_state: Tuple[bool, float]) -> None:
     """
     global _WORKER_OBS
     _WORKER_SNAPSHOTS.clear()
-    _WORKER_SHARED.clear()
     _WORKER_OBS = obs_state
     obs.configure_worker(obs_state)
 
@@ -120,9 +119,8 @@ def _worker_snapshot(spec: PoolSpec) -> TopologySnapshot:
     The version-keyed cache is what makes ship cost O(1) per graph
     version: the first job naming a version pays the attach (and records
     it — bytes, seconds — in the worker's metrics, which drain back to
-    the parent); every later job on the same version finds the snapshot,
-    and its lazy accessor caches, already warm.  Older versions are
-    evicted on advance, releasing their shared mappings.
+    the parent); every later job on the same version finds the snapshot
+    already built.  Older versions are evicted on advance.
     """
     version, descriptor, ship_bytes = spec
     snapshot = _WORKER_SNAPSHOTS.get(version)
@@ -130,16 +128,13 @@ def _worker_snapshot(spec: PoolSpec) -> TopologySnapshot:
         return snapshot
     start = time.perf_counter()
     with obs.get_tracer().span("pool_attach", version=version, mode="shm"):
-        shared = SharedSnapshot.attach(descriptor)
-    for old in list(_WORKER_SNAPSHOTS):
-        del _WORKER_SNAPSHOTS[old]
-        _WORKER_SHARED.pop(old).close()
-    _WORKER_SNAPSHOTS[version] = shared.snapshot
-    _WORKER_SHARED[version] = shared
+        snapshot = SharedSnapshot.attach(descriptor)
+    _WORKER_SNAPSHOTS.clear()
+    _WORKER_SNAPSHOTS[version] = snapshot
     _POOL_ATTACH_SECONDS.observe(time.perf_counter() - start)
     _POOL_ATTACHES.labels(mode="shm").inc()
     _POOL_SHIP_BYTES.observe(ship_bytes)
-    return shared.snapshot
+    return snapshot
 
 
 # A shard's settled trees travel back to the parent as one int64
@@ -217,9 +212,9 @@ class _FanoutPool:
     per-call spawn/teardown churn of the old design is gone — plus the
     currently published :class:`SharedSnapshot` segment.  :meth:`ensure`
     republishes only when the graph version moves: the snapshot is
-    copied into a fresh segment, the previous segment is released
-    (attached workers keep their mappings until they advance), and jobs
-    carry the O(1) descriptor; the executor itself is reused untouched.
+    copied into a fresh segment, the previous segment is closed and
+    unlinked (workers hold no mapping of it: they copied it out), and
+    jobs carry the O(1) descriptor; the executor itself is reused untouched.
 
     A broken executor (killed worker) is detected and rebuilt on the
     next ensure, so one fault does not wedge the session.  All lifecycle

@@ -9,39 +9,33 @@ hashing, fresh-list accessor allocations, and (for the pool) the pickling
 of the whole mutable graph on every use.
 
 :class:`TopologySnapshot` is the read-only counterpart: a frozen,
-CSR-style view with dense ``asn ↔ index`` maps and flat neighbour arrays,
-built once per graph version by :meth:`ASGraph.snapshot` (memoized on the
-version counter, so mutation invalidates it automatically).  The snapshot
-is the unit of work the routing kernel settles on, the payload the
-session ships to pool workers (via :class:`SharedSnapshot`, a
-shared-memory segment workers attach zero-copy — or, where shared memory
-is unavailable, a pickle that is still a fraction of the mutable graph's),
-and — being immutable and self-contained — the natural shard a future
-multi-host backend can distribute.
+CSR-style view with dense ``asn ↔ index`` maps and per-node neighbour
+tuples, built once per graph version by :meth:`ASGraph.snapshot`
+(memoized on the version counter, so mutation invalidates it
+automatically).  The snapshot is the unit of work the routing kernel
+settles on, the payload the session publishes to pool workers (via
+:class:`SharedSnapshot`, a shared-memory segment each worker copies out
+once per graph version), and — being immutable and self-contained — the
+natural shard a future multi-host backend can distribute.
 
 Index assignment is *monotonic in the AS number* (``asns`` is sorted
 ascending), so lexicographic comparison of index paths is equivalent to
 lexicographic comparison of the corresponding ASN paths — the settling
 kernel's deterministic tie-break survives the translation byte for byte.
 
-Two adjacency layouts are kept, both flat:
-
-* ``nbr_off`` / ``nbr`` — neighbours of node ``i`` in the **builder's
-  insertion order** (``nbr[nbr_off[i]:nbr_off[i+1]]``), mirroring
-  ``ASGraph.neighbors`` exactly so candidate enumeration stays
-  order-identical;
-* ``cls_off`` / ``cls_adj`` — the same edges grouped by relationship
-  class.  Node ``i``'s customers are
-  ``cls_adj[cls_off[4*i] : cls_off[4*i+1]]``, then providers, peers, and
-  siblings in the following three segments (insertion order within each
-  class, matching ``ASGraph.customers`` and friends).
-
-The settling kernel reads those segments pre-sliced: ``phase_nbrs``
-holds, for each of its three phases (:data:`PHASE_CLASSES`), one tuple
-of node ``i``'s seed-link neighbours and one of its expansion-link
-neighbours per node.  They are built with the snapshot — in the process
-that builds it, and again in one that unpickles or attaches it — and are
-never shipped.
+One adjacency is kept: the edges grouped by relationship class.  Its
+flat form, ``cls_off`` / ``cls_adj``, is what the snapshot is built
+from, pickled as and published in — node ``i``'s customers are
+``cls_adj[cls_off[4*i] : cls_off[4*i+1]]``, then providers, peers, and
+siblings in the following three segments (insertion order within each
+class, matching ``ASGraph.customers`` and friends).  Every reader uses
+the per-node tuples built from it at construction instead:
+``class_nbrs[c][i]`` is node ``i``'s neighbours of class ``c``, and
+``phase_nbrs`` holds, for each of the settling kernel's three phases
+(:data:`PHASE_CLASSES`), one tuple of node ``i``'s seed-link neighbours
+and one of its expansion-link neighbours per node, joined from them.
+Both are built in the process that builds the snapshot, and again in one
+that unpickles or attaches it; they are never shipped.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from itertools import chain
 from operator import add
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from ..errors import TopologyError, UnknownASError
+from ..errors import UnknownASError
 from ..obs import get_registry
 from .relationships import Relationship
 
@@ -93,23 +87,20 @@ class TopologySnapshot:
     """A frozen, int-indexed, CSR-style view of one :class:`ASGraph` state.
 
     Instances are immutable by contract: every field is written once by
-    :meth:`build` and never mutated (``phase_nbrs`` and the underscore
-    members are derived views, not state).  Do not modify the arrays.
+    :meth:`build` and never mutated (``class_nbrs``, ``phase_nbrs`` and
+    ``_np_phases`` are derived views, not state).  Do not modify the
+    arrays.
     """
 
     __slots__ = (
         "version",
         "asns",
         "index",
-        "nbr_off",
-        "nbr",
         "cls_off",
         "cls_adj",
         # derived views (excluded from pickles)
+        "class_nbrs",
         "phase_nbrs",
-        "_nbr_asn",
-        "_off_list",
-        "_adj_list",
         "_np_phases",
     )
 
@@ -117,38 +108,32 @@ class TopologySnapshot:
         self,
         version: int,
         asns: Tuple[int, ...],
-        nbr_off: array,
-        nbr: array,
         cls_off: array,
         cls_adj: array,
     ) -> None:
         self.version = version
         self.asns = asns
         self.index = {asn: i for i, asn in enumerate(asns)}
-        self.nbr_off = nbr_off
-        self.nbr = nbr
         self.cls_off = cls_off
         self.cls_adj = cls_adj
-        self._nbr_asn: Dict[int, Tuple[int, ...]] = {}
-        off = self._off_list = cls_off.tolist()
-        adj = self._adj_list = cls_adj.tolist()
-        # Every phase's neighbour tuples, built here and not on a settle's
-        # first call: the settle clock never pays for them and no two
-        # threads race to.  One tuple per node and class (slices share
-        # ``adj``'s int objects), joined per phase; a join with an empty
-        # class is the other tuple itself, and the climb's one view
-        # serves as both its seed and its expansion links.
-        get = adj.__getitem__
-        per_class = [
+        # Every reader's neighbour tuples, built here and not on a
+        # settle's first call: the settle clock never pays for them and
+        # no two threads race to.  One tuple per node and class (slices
+        # of one list, so they share its int objects), joined per phase; a
+        # join with an empty class is the other tuple itself, and the
+        # climb's one view serves as both its seed and its expansion links.
+        off = cls_off.tolist()
+        get = cls_adj.tolist().__getitem__
+        self.class_nbrs = tuple(
             tuple(map(tuple, map(get, map(slice, off[c::4], off[c + 1::4]))))
             for c in range(4)
-        ]
+        )
         views: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
         for classes in {classes for phase in PHASE_CLASSES for classes in phase}:
             first, *rest = classes
-            view = per_class[first]
+            view = self.class_nbrs[first]
             for c in rest:
-                view = tuple(map(add, view, per_class[c]))
+                view = tuple(map(add, view, self.class_nbrs[c]))
             views[classes] = view
         self.phase_nbrs = tuple(
             (views[seed], views[expand]) for seed, expand in PHASE_CLASSES
@@ -168,20 +153,16 @@ class TopologySnapshot:
         adj_map = graph._adj
         asns = tuple(sorted(adj_map))
         index = {asn: i for i, asn in enumerate(asns)}
-        nbr_off = array("l", [0])
-        nbr = array("l")
         cls_off = array("l", [0])
         cls_adj = array("l")
         for asn in asns:
             groups: Tuple[list, list, list, list] = ([], [], [], [])
             for neighbor, rel in adj_map[asn].items():
-                nbr.append(index[neighbor])
                 groups[_REL_TO_CLASS[rel]].append(index[neighbor])
-            nbr_off.append(len(nbr))
             for group in groups:
                 cls_adj.extend(group)
                 cls_off.append(len(cls_adj))
-        snapshot = cls(graph.version, asns, nbr_off, nbr, cls_off, cls_adj)
+        snapshot = cls(graph.version, asns, cls_off, cls_adj)
         _SNAPSHOT_BUILDS.inc()
         return snapshot
 
@@ -194,7 +175,7 @@ class TopologySnapshot:
 
     @property
     def num_directed_edges(self) -> int:
-        return len(self.nbr)
+        return len(self.cls_adj)
 
     def __len__(self) -> int:
         return len(self.asns)
@@ -209,9 +190,6 @@ class TopologySnapshot:
         except KeyError:
             raise UnknownASError(asn) from None
 
-    def asn_of(self, idx: int) -> int:
-        return self.asns[idx]
-
     def path_to_indices(self, path: Iterable[int]) -> Tuple[int, ...]:
         """Translate an ASN path into index space (raises on unknown AS)."""
         index = self.index
@@ -219,21 +197,6 @@ class TopologySnapshot:
             return tuple(index[asn] for asn in path)
         except KeyError as exc:
             raise UnknownASError(exc.args[0]) from None
-
-    def path_to_asns(self, idx_path: Iterable[int]) -> Tuple[int, ...]:
-        """Translate an index path back into AS numbers."""
-        asns = self.asns
-        return tuple(asns[i] for i in idx_path)
-
-    def class_lists(self) -> Tuple[list, list]:
-        """``(cls_off, cls_adj)`` as plain lists, for the pinned walk and
-        the re-derivation's region bookkeeping.
-
-        Indexing a plain list is measurably faster than indexing an
-        :mod:`array` in CPython's interpreter loop; the conversion is done
-        once per snapshot, at construction, and shared by every run on it.
-        """
-        return self._off_list, self._adj_list
 
     def phase_arrays(self):
         """``phase_nbrs`` as int64 numpy CSR pairs, shared per snapshot.
@@ -269,27 +232,9 @@ class TopologySnapshot:
             )
         return self._np_phases
 
-    def neighbors_asn(self, asn: int) -> Tuple[int, ...]:
-        """All neighbours of ``asn``, in the builder's insertion order.
-
-        Returns a cached tuple — unlike :meth:`ASGraph.neighbors`, no
-        fresh list is allocated per call, which is what the settling and
-        invariant hot loops need.  Callers must not rely on it being a
-        list (and cannot mutate it).
-        """
-        i = self.index_of(asn)
-        cache = self._nbr_asn
-        cached = cache.get(i)
-        if cached is None:
-            asns = self.asns
-            nbr = self.nbr
-            lo, hi = self.nbr_off[i], self.nbr_off[i + 1]
-            cached = cache[i] = tuple(asns[nbr[k]] for k in range(lo, hi))
-        return cached
-
     # ------------------------------------------------------------------
-    # pickling: ship only the core arrays; the index map and the lazy
-    # accessor caches are derived state, rebuilt on the receiving side.
+    # pickling: ship only the core arrays; the index map and the
+    # neighbour tuples are derived state, rebuilt on the receiving side.
     # Every array (and the asns tuple) is packed into the smallest
     # sufficient unsigned typecode — a tuple of Python ints or an
     # 8-byte-per-entry array would pickle larger than the mutable graph's
@@ -308,32 +253,31 @@ class TopologySnapshot:
         pack = self._pack
         return (
             self.version, pack(self.asns),
-            pack(self.nbr_off), pack(self.nbr),
             pack(self.cls_off), pack(self.cls_adj),
         )
 
     def __setstate__(self, state) -> None:
-        version, asns, nbr_off, nbr, cls_off, cls_adj = state
-        self.__init__(version, tuple(asns), nbr_off, nbr, cls_off, cls_adj)
+        version, asns, cls_off, cls_adj = state
+        self.__init__(version, tuple(asns), cls_off, cls_adj)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TopologySnapshot(n={len(self.asns)}, "
-            f"directed_edges={len(self.nbr)}, version={self.version})"
+            f"directed_edges={len(self.cls_adj)}, version={self.version})"
         )
 
 
 # ----------------------------------------------------------------------
-# shared-memory publication: the zero-copy transport behind the session's
-# sharded pool fan-out.  The parent *publishes* the five core arrays into
-# one POSIX shared-memory segment; workers *attach* by a descriptor of a
-# few dozen bytes and rebuild a fully functional snapshot whose arrays
-# are views into the mapped segment — per-fan-out ship cost becomes O(1)
-# in the topology size instead of O(snapshot × workers).
+# shared-memory publication: the transport behind the session's sharded
+# pool fan-out.  The parent *publishes* the three core arrays into one
+# POSIX shared-memory segment; each worker *attaches* by a descriptor of
+# a few dozen bytes, copies the arrays out and closes its mapping at
+# once — per-fan-out ship cost is O(1) in the topology size instead of
+# O(snapshot × workers), and per graph version each worker copies once.
 # ----------------------------------------------------------------------
 
 #: Every field is stored as 8-byte signed ints ("q"): wide enough for any
-#: AS number or index, and exactly the int64 layout numpy views expect.
+#: AS number or index.
 _SHM_ITEMCODE = "q"
 _SHM_ITEMSIZE = 8
 
@@ -374,92 +318,85 @@ class SharedSnapshotDescriptor:
     """The picklable handle a pool job ships instead of snapshot bytes.
 
     A few dozen bytes regardless of topology size: the segment name, the
-    graph version the segment holds, and the five array lengths needed to
-    rebuild the views — which is the whole point of the shared-memory
-    fan-out.
+    graph version the segment holds, and the three array lengths needed
+    to split it — which is the whole point of the shared-memory fan-out.
     """
 
     name: str
     version: int
-    lengths: Tuple[int, int, int, int, int]
+    lengths: Tuple[int, int, int]
 
 
 class SharedSnapshot:
-    """A :class:`TopologySnapshot` placed in shared memory.
+    """A :class:`TopologySnapshot`'s core arrays, placed in shared memory.
 
-    The publisher side (:meth:`publish`) copies the snapshot's five core
-    arrays — ``asns``, ``nbr_off``, ``nbr``, ``cls_off``, ``cls_adj`` —
-    as int64 into one :mod:`multiprocessing.shared_memory` segment.  The
-    consumer side (:meth:`attach`) opens the segment named by a
-    :class:`SharedSnapshotDescriptor` and reconstructs a snapshot whose
-    arrays are zero-copy views into the mapping: numpy ``int64`` views
-    when numpy is importable, ``memoryview.cast`` views otherwise — both
-    satisfy every array consumer.  Derived views (the per-phase neighbour
-    tuples, the batched kernel's :meth:`TopologySnapshot.phase_arrays`)
-    are not in the segment: the attaching side builds them.
+    :meth:`publish` copies the snapshot's three core arrays — ``asns``,
+    ``cls_off``, ``cls_adj`` — as int64 into one
+    :mod:`multiprocessing.shared_memory` segment and returns the owner's
+    handle.  :meth:`attach` is the consumer side: it opens the segment
+    named by a :class:`SharedSnapshotDescriptor`, copies the arrays out,
+    closes its mapping and returns a snapshot built from the copies, so
+    no consumer ever holds the segment open.
 
-    Lifecycle is refcounted: a handle starts with one reference,
-    :meth:`addref` takes another, :meth:`close` releases one.  The last
-    release drops the reconstructed snapshot, closes the mapping, and on
-    the *owner* (publisher) side unlinks the segment.  A :mod:`weakref`
-    finalizer performs the same release at garbage collection, so an
-    abandoned handle cannot leak the segment past process exit.
+    :meth:`close` closes the owner's mapping and unlinks the segment
+    (idempotent).  A :mod:`weakref` finalizer performs the same release
+    at garbage collection, so an abandoned handle cannot leak the
+    segment past process exit.
     """
 
-    __slots__ = (
-        "shm", "version", "lengths", "owner",
-        "_refs", "_snapshot", "_views", "_finalizer", "__weakref__",
-    )
+    __slots__ = ("shm", "version", "lengths", "_finalizer", "__weakref__")
 
-    def __init__(self, shm, version: int, lengths, owner: bool) -> None:
+    def __init__(
+        self, shm, version: int, lengths: Tuple[int, int, int]
+    ) -> None:
         self.shm = shm
         self.version = version
-        self.lengths = tuple(lengths)
-        self.owner = owner
-        self._refs = 1
-        self._snapshot: Optional[TopologySnapshot] = None
-        self._views = None
-        self._finalizer = weakref.finalize(self, _release_segment, shm, owner)
+        self.lengths = lengths
+        self._finalizer = weakref.finalize(self, _release_segment, shm)
 
-    # ------------------------------------------------------------------
-    # publication / attachment
-    # ------------------------------------------------------------------
     @classmethod
     def publish(cls, snapshot: TopologySnapshot) -> "SharedSnapshot":
         """Copy ``snapshot``'s core arrays into a fresh shared segment."""
         from multiprocessing import shared_memory
 
-        fields = (
-            snapshot.asns, snapshot.nbr_off, snapshot.nbr,
-            snapshot.cls_off, snapshot.cls_adj,
-        )
+        fields = (snapshot.asns, snapshot.cls_off, snapshot.cls_adj)
         lengths = tuple(len(field) for field in fields)
         total = max(sum(lengths) * _SHM_ITEMSIZE, 1)
         shm = shared_memory.SharedMemory(create=True, size=total)
         try:
             offset = 0
             for field in fields:
-                if isinstance(field, array) and field.itemsize == _SHM_ITEMSIZE:
-                    payload = field.tobytes()
-                else:
-                    payload = array(_SHM_ITEMCODE, field).tobytes()
+                payload = array(_SHM_ITEMCODE, field).tobytes()
                 shm.buf[offset:offset + len(payload)] = payload
                 offset += len(payload)
         except Exception:
-            shm.close()
-            shm.unlink()
+            _release_segment(shm)
             raise
         _SHARED_SEGMENTS.labels(event="publish").inc()
-        return cls(shm, snapshot.version, lengths, owner=True)
+        return cls(shm, snapshot.version, lengths)
 
-    @classmethod
-    def attach(cls, descriptor: SharedSnapshotDescriptor) -> "SharedSnapshot":
-        """Open the segment named by ``descriptor`` (non-owning handle)."""
+    @staticmethod
+    def attach(descriptor: SharedSnapshotDescriptor) -> TopologySnapshot:
+        """The snapshot published under ``descriptor``, copied out.
+
+        The mapping is closed before this returns: the snapshot turns
+        every array into tuples at construction, so nothing would read a
+        view into it.
+        """
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=descriptor.name)
+        words = array(_SHM_ITEMCODE)
+        try:
+            words.frombytes(shm.buf[:sum(descriptor.lengths) * _SHM_ITEMSIZE])
+        finally:
+            shm.close()
         _SHARED_SEGMENTS.labels(event="attach").inc()
-        return cls(shm, descriptor.version, descriptor.lengths, owner=False)
+        asns, offsets, _ = descriptor.lengths
+        return TopologySnapshot(
+            descriptor.version, tuple(words[:asns]),
+            words[asns:asns + offsets], words[asns + offsets:],
+        )
 
     def descriptor(self) -> SharedSnapshotDescriptor:
         return SharedSnapshotDescriptor(
@@ -471,125 +408,27 @@ class SharedSnapshot:
         """Size of the shared segment (the published copy, not the ship)."""
         return self.shm.size
 
-    # ------------------------------------------------------------------
-    # zero-copy reconstruction
-    # ------------------------------------------------------------------
-    def _field_views(self):
-        if self._views is None:
-            if self._refs <= 0:
-                raise TopologyError("shared snapshot is closed")
-            try:
-                import numpy
-
-                def view(offset: int, length: int):
-                    return numpy.frombuffer(
-                        self.shm.buf, dtype=numpy.int64,
-                        count=length, offset=offset * _SHM_ITEMSIZE,
-                    )
-            except ImportError:
-                buf = self.shm.buf
-
-                def view(offset: int, length: int):
-                    lo = offset * _SHM_ITEMSIZE
-                    hi = lo + length * _SHM_ITEMSIZE
-                    return buf[lo:hi].cast(_SHM_ITEMCODE)
-
-            views = []
-            offset = 0
-            for length in self.lengths:
-                views.append(view(offset, length))
-                offset += length
-            self._views = tuple(views)
-        return self._views
-
-    @property
-    def snapshot(self) -> TopologySnapshot:
-        """The reconstructed snapshot (views built once per handle).
-
-        ``asns`` and the ``asn → index`` map are materialized (tuple and
-        dict semantics cannot be views), but the four adjacency arrays —
-        the O(edges) bulk — index straight into the shared mapping.
-        """
-        if self._snapshot is None:
-            asns_view, nbr_off, nbr, cls_off, cls_adj = self._field_views()
-            self._snapshot = TopologySnapshot(
-                self.version, tuple(asns_view.tolist()),
-                nbr_off, nbr, cls_off, cls_adj,
-            )
-        return self._snapshot
-
-    # ------------------------------------------------------------------
-    # refcounted lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def refs(self) -> int:
-        return self._refs
-
-    @property
-    def closed(self) -> bool:
-        return self._refs <= 0
-
-    def addref(self) -> "SharedSnapshot":
-        """Take an additional reference on the open handle; returns it."""
-        if self._refs <= 0:
-            raise TopologyError("shared snapshot is closed")
-        self._refs += 1
-        return self
-
     def close(self) -> None:
-        """Release one reference; the last one releases the segment.
+        """Close the mapping and unlink the segment; idempotent.
 
-        Idempotent once closed.  On the last release the reconstructed
-        snapshot and its views are dropped first (so the mapping's buffer
-        is no longer exported), the mapping is closed, and the owner side
-        unlinks the segment name — attached consumers keep their mappings
-        alive until they close, per POSIX unlink semantics.
+        Consumers never keep a mapping, so once the name is gone the
+        segment is gone.
         """
-        if self._refs <= 0:
-            return
-        self._refs -= 1
-        if self._refs:
-            return
-        self._snapshot = None
-        self._views = None
-        self._finalizer.detach()
-        _release_segment(self.shm, self.owner)
-        _SHARED_SEGMENTS.labels(
-            event="unlink" if self.owner else "detach"
-        ).inc()
+        if self._finalizer.alive:
+            self._finalizer()
+            _SHARED_SEGMENTS.labels(event="unlink").inc()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        role = "owner" if self.owner else "attached"
         return (
-            f"SharedSnapshot({role}, name={self.shm.name!r}, "
-            f"version={self.version}, nbytes={self.nbytes}, "
-            f"refs={self._refs})"
+            f"SharedSnapshot(name={self.shm.name!r}, "
+            f"version={self.version}, nbytes={self.nbytes})"
         )
 
 
-#: Mappings whose close found live zero-copy views: kept referenced so the
-#: mapping object's own ``__del__`` (which would hit the same BufferError
-#: as an unraisable exception) only runs once the views are gone — at
-#: worst, interpreter shutdown.
-_PINNED_MAPPINGS: list = []
-
-
-def _release_segment(shm, owner: bool) -> None:
-    """Close (and for the owner unlink) a segment, tolerating stragglers.
-
-    A ``BufferError`` on close means zero-copy views into the mapping are
-    still alive somewhere; the mapping then stays open until the views
-    die (harmless), but the owner still unlinks the *name* so the segment
-    cannot outlive its last mapping.
-    """
+def _release_segment(shm) -> None:
+    """Close and unlink an owner's segment; a name already gone is fine."""
+    shm.close()
     try:
-        shm.close()
-    except BufferError:
-        _PINNED_MAPPINGS.append(shm)
-    except Exception:
+        shm.unlink()
+    except FileNotFoundError:
         pass
-    if owner:
-        try:
-            shm.unlink()
-        except Exception:
-            pass

@@ -110,6 +110,28 @@ class TestPaperWalkthrough:
         applied.reapply()               # and the other way round
         assert {r.path for r in table.candidates(B)} == {(B, E, F)}
 
+    def test_candidates_follow_graph_neighbors_without_a_snapshot(
+        self, paper_graph
+    ):
+        """Enumerated off the live graph in ``ASGraph.neighbors`` order:
+        right after a mutation, no snapshot is derived for them."""
+        table = compute_routes(paper_graph, F)
+        paper_graph.remove_link(B, E)
+        paper_graph.add_customer_link(B, E)  # now last among B's neighbours
+        builds = get_registry().counter(
+            "repro_topology_snapshot_builds_total", ""
+        )
+        before = builds.value
+        for asn in paper_graph.ases:
+            heard = [r.path[1] for r in table.candidates(asn) if r.path[1:]]
+            assert heard == [
+                nb for nb in paper_graph.neighbors(asn) if nb in heard
+            ]
+        assert [r.path for r in table.candidates(B)] == [
+            (B, C, F), (B, E, F),
+        ]
+        assert builds.value == before
+
     def test_unknown_destination(self, paper_graph):
         with pytest.raises(UnknownASError):
             compute_routes(paper_graph, 99)

@@ -246,6 +246,8 @@ class TestPoolFlags:
     def test_stats_json_reports_pool(self, tmp_path, capsys):
         import json as json_module
 
+        from repro.topology import generate_named
+
         target = tmp_path / "stats.json"
         assert main([
             "stats", "--profile", "tiny", "--seed", "1",
@@ -258,11 +260,13 @@ class TestPoolFlags:
         assert pool["max_workers"] == 2
         assert payload["session_stats"]["parallel_fanouts"] >= 1
         assert "parallel_fanouts" not in pool
-        assert pool["mode"] in ("shm", "pickle")
-        if pool["mode"] == "shm":
-            assert pool["shared_memory"] is True
-            assert 0 < pool["ship_bytes"] < 512
-            assert pool["shared_bytes"] > pool["ship_bytes"]
+        assert pool["mode"] == "shm"
+        assert pool["shared_memory"] is True
+        assert 0 < pool["ship_bytes"] < 512
+        snapshot = generate_named("tiny", seed=1).snapshot()
+        assert pool["shared_bytes"] == 8 * (
+            len(snapshot.asns) + len(snapshot.cls_off) + len(snapshot.cls_adj)
+        )
 
     def test_parallel_off_skips_pool(self, capsys):
         assert main([

@@ -338,7 +338,7 @@ def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
             version, descriptor, _ship = spec
             if version not in self._attached:
                 self._attached[version] = SharedSnapshot.attach(descriptor)
-            return self._attached[version].snapshot
+            return self._attached[version]
 
         def submit(self, fn, job):
             from repro.bgp.routing import compute_routes_snapshot
@@ -357,8 +357,6 @@ def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
             return FakeFuture(value=(destinations, packed, payload_template))
 
         def shutdown(self, wait=True, cancel_futures=False):
-            for shared in self._attached.values():
-                shared.close()
             self._attached.clear()
 
     return FakeExecutor

@@ -4,19 +4,22 @@ The snapshot is the hot-path representation every consumer (settling
 kernel, pool fan-out, re-derivation, oracle) reads, so
 these tests pin three contracts:
 
-* **fidelity** — the flat arrays reproduce the mutable graph's adjacency
-  exactly, including the insertion order ``ASGraph.neighbors`` exposes
-  and the per-class grouping of ``customers``/``providers``/…;
+* **fidelity** — the per-node class tuples (and the flat arrays they
+  are built from) reproduce the mutable graph's per-class adjacency
+  exactly, order included, as ``customers``/``providers``/… expose it;
 * **memoization** — ``ASGraph.snapshot()`` derives once per graph
   version: identity-stable across calls, invalidated by every mutation
   path (``add_link``, ``remove_link``, delta revert/reapply), and shared
   structurally by ``copy()``;
 * **shipping** — pickling and the shared-memory segment carry only the
-  core arrays; the receiving side rebuilds the derived index, caches and
-  per-phase neighbour tuples.
+  three core arrays; the receiving side rebuilds the derived index and
+  the per-node neighbour tuples, and an attach keeps no mapping open.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -47,28 +50,42 @@ def test_asns_sorted_and_index_dense():
     for i, asn in enumerate(snapshot.asns):
         assert snapshot.index[asn] == i
         assert snapshot.index_of(asn) == i
-        assert snapshot.asn_of(i) == asn
         assert asn in snapshot
 
 
-def test_neighbor_arrays_match_graph_order():
-    graph = small_graph()
-    snapshot = graph.snapshot()
-    assert snapshot.num_directed_edges == 2 * graph.num_links
-    for asn in graph.iter_ases():
-        assert list(snapshot.neighbors_asn(asn)) == graph.neighbors(asn)
-
-
 def class_segment(snapshot, asn, cls):
-    """``asn``'s neighbours of one class, as ASNs, via ``class_lists()``."""
-    off, adj = snapshot.class_lists()
-    base = 4 * snapshot.index_of(asn) + cls
-    return [snapshot.asns[i] for i in adj[off[base]:off[base + 1]]]
+    """``asn``'s neighbours of one class, as ASNs, via ``class_nbrs``."""
+    nbrs = snapshot.class_nbrs[cls][snapshot.index_of(asn)]
+    assert isinstance(nbrs, tuple)
+    return [snapshot.asns[i] for i in nbrs]
 
 
-def test_class_segments_match_graph_accessors():
+def neighbor_set(snapshot, asn):
+    """All of ``asn``'s neighbours, as ASNs, whatever their class."""
+    return {nb for cls in range(4) for nb in class_segment(snapshot, asn, cls)}
+
+
+def attached_copy(snapshot):
+    """``snapshot`` published to shared memory and attached back."""
+    from repro.topology.snapshot import SharedSnapshot
+
+    shared = SharedSnapshot.publish(snapshot)
+    try:
+        return SharedSnapshot.attach(shared.descriptor())
+    finally:
+        shared.close()
+
+
+@pytest.mark.parametrize("route", ["built", "unpickled", "attached"])
+def test_class_nbrs_match_graph_accessors(route):
     graph = small_graph()
-    snapshot = graph.snapshot()
+    snapshot = {
+        "built": lambda s: s,
+        "unpickled": lambda s: pickle.loads(pickle.dumps(s)),
+        "attached": attached_copy,
+    }[route](TopologySnapshot.build(graph))
+    assert snapshot.num_directed_edges == 2 * graph.num_links
+    assert len(snapshot.class_nbrs) == 4
     for asn in graph.iter_ases():
         assert class_segment(snapshot, asn, 0) == graph.customers(asn)
         assert class_segment(snapshot, asn, 1) == graph.providers(asn)
@@ -76,30 +93,11 @@ def test_class_segments_match_graph_accessors():
         assert class_segment(snapshot, asn, 3) == graph.siblings(asn)
 
 
-def test_class_lists_are_consistent_and_cached():
-    graph = small_graph()
-    snapshot = graph.snapshot()
-    off, adj = snapshot.class_lists()
-    assert off is snapshot.class_lists()[0]  # converted once
-    assert adj == list(snapshot.cls_adj)
-    assert off == list(snapshot.cls_off)
-    asns = snapshot.asns
-    for i, asn in enumerate(asns):
-        base = 4 * i
-        customers = [asns[j] for j in adj[off[base]:off[base + 1]]]
-        providers = [asns[j] for j in adj[off[base + 1]:off[base + 2]]]
-        peers = [asns[j] for j in adj[off[base + 2]:off[base + 3]]]
-        siblings = [asns[j] for j in adj[off[base + 3]:off[base + 4]]]
-        assert customers == graph.customers(asn)
-        assert providers == graph.providers(asn)
-        assert peers == graph.peers(asn)
-        assert siblings == graph.siblings(asn)
-
-
 def assert_phase_nbrs_match_segments(snapshot):
-    """Every node's per-phase neighbour tuples are its ``class_lists()``
-    segments of that phase's classes, in class order."""
-    off, adj = snapshot.class_lists()
+    """Every node's per-phase neighbour tuples are its segments of the
+    flat ``cls_off`` / ``cls_adj`` arrays for that phase's classes, in
+    class order."""
+    off, adj = snapshot.cls_off, snapshot.cls_adj
     assert len(snapshot.phase_nbrs) == len(PHASE_CLASSES)
     for views, phase in zip(snapshot.phase_nbrs, PHASE_CLASSES):
         for view, classes in zip(views, phase):
@@ -142,7 +140,7 @@ def test_path_translation_roundtrip():
     snapshot = graph.snapshot()
     path = tuple(graph.ases[:4])
     idx_path = snapshot.path_to_indices(path)
-    assert snapshot.path_to_asns(idx_path) == path
+    assert tuple(snapshot.asns[i] for i in idx_path) == path
     with pytest.raises(UnknownASError):
         snapshot.path_to_indices((path[0], 999999))
     with pytest.raises(UnknownASError):
@@ -187,7 +185,7 @@ def test_add_and_remove_link_invalidate(monkeypatch):
     after_remove = graph.snapshot()
     assert after_remove is not before
     assert after_remove.version == graph.version
-    assert b not in after_remove.neighbors_asn(a)
+    assert b not in neighbor_set(after_remove, a)
     graph.add_link(a, b, Relationship.PEER)
     after_add = graph.snapshot()
     assert after_add is not after_remove
@@ -203,7 +201,7 @@ def test_delta_revert_and_reapply_invalidate(monkeypatch):
     applied = TopologyDelta.link_down(a, b).apply(graph)
     during = graph.snapshot()
     assert during is not baseline
-    assert b not in during.neighbors_asn(a)
+    assert b not in neighbor_set(during, a)
 
     applied.revert()
     reverted = graph.snapshot()
@@ -216,9 +214,6 @@ def test_delta_revert_and_reapply_invalidate(monkeypatch):
     assert reverted.version == baseline.version
     assert reverted.asns == baseline.asns
     for asn in graph.iter_ases():
-        assert set(reverted.neighbors_asn(asn)) == set(
-            baseline.neighbors_asn(asn)
-        )
         for cls in range(4):
             assert set(class_segment(reverted, asn, cls)) == set(
                 class_segment(baseline, asn, cls)
@@ -228,9 +223,7 @@ def test_delta_revert_and_reapply_invalidate(monkeypatch):
     reapplied = graph.snapshot()
     assert reapplied.version == during.version
     for asn in graph.iter_ases():
-        assert set(reapplied.neighbors_asn(asn)) == set(
-            during.neighbors_asn(asn)
-        )
+        assert neighbor_set(reapplied, asn) == neighbor_set(during, asn)
     # one build per distinct adjacency state entered
     assert len(calls) == 4
 
@@ -276,15 +269,13 @@ def test_without_as_derives_fresh_snapshot(monkeypatch):
 def test_pickle_roundtrip_rebuilds_derived_state():
     graph = small_graph()
     snapshot = graph.snapshot()
-    snapshot.neighbors_asn(graph.ases[0])  # warm a lazy cache
     clone = pickle.loads(pickle.dumps(snapshot))
     assert clone.version == snapshot.version
     assert clone.asns == snapshot.asns
     assert clone.index == snapshot.index
-    assert list(clone.nbr) == list(snapshot.nbr)
     assert list(clone.cls_off) == list(snapshot.cls_off)
-    for asn in graph.iter_ases():
-        assert clone.neighbors_asn(asn) == snapshot.neighbors_asn(asn)
+    assert list(clone.cls_adj) == list(snapshot.cls_adj)
+    assert clone.class_nbrs == snapshot.class_nbrs
     assert_phase_nbrs_match_segments(clone)
     assert clone.phase_nbrs == snapshot.phase_nbrs
 
@@ -292,7 +283,7 @@ def test_pickle_roundtrip_rebuilds_derived_state():
 def test_pickle_does_not_ship_phase_nbrs():
     snapshot = small_graph().snapshot()
     state = snapshot.__getstate__()
-    assert len(state) == 6  # version + the five core arrays
+    assert len(state) == 4  # version + the three core arrays
     assert not any(isinstance(field, tuple) for field in state)
 
 
@@ -329,7 +320,7 @@ def test_graph_accessors_still_return_fresh_lists():
 
 
 # ---------------------------------------------------------------------------
-# shared-memory publication: the zero-copy pool transport
+# shared-memory publication: the pool transport
 # ---------------------------------------------------------------------------
 
 class TestSharedSnapshot:
@@ -347,57 +338,43 @@ class TestSharedSnapshot:
             pytest.skip("no usable shared memory in this environment")
 
     def test_attach_reconstructs_identical_arrays(self):
-        from repro.topology.snapshot import SharedSnapshot
-
-        snapshot, shared = self._published()
-        attached = SharedSnapshot.attach(shared.descriptor())
-        try:
-            rebuilt = attached.snapshot
-            assert rebuilt.version == snapshot.version
-            assert rebuilt.asns == snapshot.asns
-            assert rebuilt.index == snapshot.index
-            assert list(rebuilt.nbr_off) == list(snapshot.nbr_off)
-            assert list(rebuilt.nbr) == list(snapshot.nbr)
-            assert list(rebuilt.cls_off) == list(snapshot.cls_off)
-            assert list(rebuilt.cls_adj) == list(snapshot.cls_adj)
-        finally:
-            attached.close()
-            shared.close()
+        snapshot = small_graph().snapshot()
+        rebuilt = attached_copy(snapshot)
+        assert rebuilt.version == snapshot.version
+        assert rebuilt.asns == snapshot.asns
+        assert rebuilt.index == snapshot.index
+        assert list(rebuilt.cls_off) == list(snapshot.cls_off)
+        assert list(rebuilt.cls_adj) == list(snapshot.cls_adj)
+        assert rebuilt.class_nbrs == snapshot.class_nbrs
 
     def test_attached_snapshot_rebuilds_phase_nbrs(self):
-        """The segment carries the five core arrays only; the attaching
-        side rebuilds the per-node neighbour tuples from its views."""
+        """The segment carries the three core arrays only; the attaching
+        side rebuilds the per-node neighbour tuples from its copies."""
         from repro.topology.snapshot import SharedSnapshot
 
         snapshot, shared = self._published()
         lengths = shared.descriptor().lengths
+        assert lengths == (
+            len(snapshot.asns), len(snapshot.cls_off), len(snapshot.cls_adj)
+        )
         assert shared.nbytes == 8 * sum(lengths)
-        attached = SharedSnapshot.attach(shared.descriptor())
         try:
-            rebuilt = attached.snapshot
-            assert rebuilt.phase_nbrs is not snapshot.phase_nbrs
-            assert_phase_nbrs_match_segments(rebuilt)
-            assert rebuilt.phase_nbrs == snapshot.phase_nbrs
+            rebuilt = SharedSnapshot.attach(shared.descriptor())
         finally:
-            attached.close()
             shared.close()
+        assert rebuilt.phase_nbrs is not snapshot.phase_nbrs
+        assert_phase_nbrs_match_segments(rebuilt)
+        assert rebuilt.phase_nbrs == snapshot.phase_nbrs
 
     def test_attached_tables_byte_equal(self):
         from repro.bgp.routing import compute_routes_snapshot
-        from repro.topology.snapshot import SharedSnapshot
 
-        snapshot, shared = self._published()
-        attached = SharedSnapshot.attach(shared.descriptor())
-        try:
-            for destination in snapshot.asns[:5]:
-                reference = compute_routes_snapshot(snapshot, destination)
-                rebuilt = compute_routes_snapshot(
-                    attached.snapshot, destination
-                )
-                assert pickle.dumps(reference) == pickle.dumps(rebuilt)
-        finally:
-            attached.close()
-            shared.close()
+        snapshot = small_graph().snapshot()
+        rebuilt = attached_copy(snapshot)
+        for destination in snapshot.asns[:5]:
+            reference = compute_routes_snapshot(snapshot, destination)
+            attached = compute_routes_snapshot(rebuilt, destination)
+            assert pickle.dumps(reference) == pickle.dumps(attached)
 
     def test_descriptor_is_o1_in_topology_size(self):
         """The ship payload must not scale with the graph — that is the
@@ -419,23 +396,6 @@ class TestSharedSnapshot:
             small_shared.close()
             big_shared.close()
 
-    def test_refcount_lifecycle(self):
-        from repro.topology.snapshot import SharedSnapshot
-
-        _, shared = self._published()
-        assert shared.refs == 1 and not shared.closed
-        assert shared.addref() is shared
-        assert shared.refs == 2
-        shared.close()
-        assert shared.refs == 1 and not shared.closed
-        shared.close()
-        assert shared.closed
-        shared.close()  # idempotent
-        assert shared.closed
-        from repro.errors import TopologyError
-        with pytest.raises(TopologyError):
-            shared.addref()
-
     def test_owner_close_unlinks_segment(self):
         from multiprocessing import shared_memory
 
@@ -444,23 +404,28 @@ class TestSharedSnapshot:
         shared.close()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+        shared.close()  # idempotent
 
-    def test_attached_mapping_survives_owner_unlink(self):
-        """POSIX unlink semantics: consumers attached before the owner
-        closes keep a valid mapping until they close themselves."""
+    def test_owner_close_tolerates_a_name_already_gone(self):
+        from multiprocessing import shared_memory
+
+        _, shared = self._published()
+        shared_memory.SharedMemory(name=shared.descriptor().name).unlink()
+        shared.close()
+
+    def test_attached_snapshot_outlives_the_segment(self):
+        """An attach copies the arrays out: what it returns settles the
+        same tables after the owner has closed and unlinked."""
         from repro.bgp.routing import compute_routes_snapshot
         from repro.topology.snapshot import SharedSnapshot
 
         snapshot, shared = self._published()
-        attached = SharedSnapshot.attach(shared.descriptor())
+        rebuilt = SharedSnapshot.attach(shared.descriptor())
         shared.close()  # owner gone, segment name unlinked
-        try:
-            destination = snapshot.asns[0]
-            reference = compute_routes_snapshot(snapshot, destination)
-            rebuilt = compute_routes_snapshot(attached.snapshot, destination)
-            assert pickle.dumps(reference) == pickle.dumps(rebuilt)
-        finally:
-            attached.close()
+        destination = snapshot.asns[0]
+        reference = compute_routes_snapshot(snapshot, destination)
+        attached = compute_routes_snapshot(rebuilt, destination)
+        assert pickle.dumps(reference) == pickle.dumps(attached)
 
     def test_attach_unknown_segment_raises(self):
         from repro.topology.snapshot import (
@@ -469,37 +434,44 @@ class TestSharedSnapshot:
         )
 
         descriptor = SharedSnapshotDescriptor(
-            name="repro_no_such_segment", version=0,
-            lengths=(1, 2, 1, 5, 1),
+            name="repro_no_such_segment", version=0, lengths=(1, 5, 1),
         )
         with pytest.raises(FileNotFoundError):
             SharedSnapshot.attach(descriptor)
 
-    def test_memoryview_fallback_without_numpy(self, monkeypatch):
-        """The numpy-free reconstruction path serves the same arrays."""
-        import builtins
-
-        from repro.topology.snapshot import SharedSnapshot
-
-        real_import = builtins.__import__
-
-        def no_numpy(name, *args, **kwargs):
-            if name == "numpy":
-                raise ImportError("numpy disabled for this test")
-            return real_import(name, *args, **kwargs)
-
+    def test_fresh_interpreter_attach_skips_numpy_and_the_mapping(self):
+        """A pool worker's attach: in a fresh interpreter it leaves numpy
+        unimported and no mapping of the segment behind, and the snapshot
+        it returns settles."""
         snapshot, shared = self._published()
-        attached = SharedSnapshot.attach(shared.descriptor())
-        monkeypatch.setattr(builtins, "__import__", no_numpy)
+        descriptor = shared.descriptor()
+        # Not a pool child, so the interpreter would start its own
+        # resource tracker, which unlinks at exit any segment it saw
+        # attached; stub registration out.
+        script = (
+            "import os, sys\n"
+            "from multiprocessing import resource_tracker\n"
+            "resource_tracker.register = lambda name, rtype: None\n"
+            "from repro.bgp.routing import compute_routes_snapshot\n"
+            "from repro.topology.snapshot import (\n"
+            "    SharedSnapshot, SharedSnapshotDescriptor)\n"
+            f"descriptor = {descriptor!r}\n"
+            "snapshot = SharedSnapshot.attach(descriptor)\n"
+            "compute_routes_snapshot(snapshot, snapshot.asns[0])\n"
+            "assert 'numpy' not in sys.modules\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        assert descriptor.name.lstrip('/') not in maps.read()\n"
+            "print(snapshot.n)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
         try:
-            rebuilt = attached.snapshot
-            assert rebuilt.asns == snapshot.asns
-            assert list(rebuilt.cls_adj) == list(snapshot.cls_adj)
-            off, adj = rebuilt.class_lists()
-            assert off == list(snapshot.cls_off)
-            assert adj == list(snapshot.cls_adj)
-            assert rebuilt.phase_nbrs == snapshot.phase_nbrs
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
         finally:
-            monkeypatch.undo()
-            attached.close()
             shared.close()
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(snapshot.n)]
