@@ -31,61 +31,19 @@ Quickstart::
                            policy=ExportPolicy.STRICT)
 """
 
-from . import (
-    bgp,
-    convergence,
-    dataplane,
-    experiments,
-    intra,
-    miro,
-    policylang,
-    sourcerouting,
-    topology,
-)
-from .errors import (
-    ConvergenceError,
-    DataPlaneError,
-    NegotiationError,
-    PolicyError,
-    PolicySyntaxError,
-    ReproError,
-    RoutingError,
-    SessionError,
-    TopologyError,
-    TunnelError,
-    UnknownASError,
-)
-from .session import (
-    RouteTableCache,
-    SimulationSession,
-    ensure_session,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "topology",
-    "bgp",
-    "miro",
-    "sourcerouting",
-    "intra",
-    "dataplane",
-    "policylang",
-    "convergence",
-    "experiments",
-    "SimulationSession",
-    "RouteTableCache",
-    "ensure_session",
-    "ReproError",
-    "TopologyError",
-    "UnknownASError",
-    "RoutingError",
-    "SessionError",
-    "NegotiationError",
-    "TunnelError",
-    "PolicyError",
-    "PolicySyntaxError",
-    "ConvergenceError",
-    "DataPlaneError",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "": (
+        "topology", "bgp", "miro", "sourcerouting", "intra", "dataplane",
+        "policylang", "convergence", "experiments",
+    ),
+    "session": ("SimulationSession", "RouteTableCache", "ensure_session"),
+    "errors": (
+        "ReproError", "TopologyError", "UnknownASError", "RoutingError",
+        "SessionError", "NegotiationError", "TunnelError", "PolicyError",
+        "PolicySyntaxError", "ConvergenceError", "DataPlaneError",
+    ),
+}, own=("__version__",))

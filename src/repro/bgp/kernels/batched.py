@@ -59,7 +59,7 @@ from ..route import RouteClass
 from ..routing import (
     _PHASE_NAMES,
     _PHASE_SECONDS,
-    _TABLES_TOTAL,
+    _TABLES_FULL,
     RouteTree,
     _phase_span,
 )
@@ -72,7 +72,6 @@ __all__ = [
 _PHASE_BATCHED = tuple(
     _PHASE_SECONDS.labels(phase=p, mode="batched") for p in _PHASE_NAMES
 )
-_TABLES_FULL = _TABLES_TOTAL.labels(mode="full")
 
 #: Composite state entries (destination slots × nodes) per settling
 #: chunk: bounds the working-set memory of a many-destination sweep

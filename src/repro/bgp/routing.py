@@ -125,6 +125,10 @@ _FRONTIER_SIZE = _REGISTRY.histogram(
     buckets=DEFAULT_SIZE_BUCKETS,
 )
 
+_TABLES_FULL = _TABLES_TOTAL.labels(mode="full")
+_TABLES_INCREMENTAL = _TABLES_TOTAL.labels(mode="incremental")
+_TABLES_REFERENCE = _TABLES_TOTAL.labels(mode="reference")
+
 _PHASE_NAMES = ("phase1_climb", "phase2_peer", "phase3_descend")
 _PHASE_FULL = tuple(
     _PHASE_SECONDS.labels(phase=p, mode="full") for p in _PHASE_NAMES
@@ -588,7 +592,7 @@ def compute_routes_snapshot(
         (_, peer_from), (_, provider_from), _ = _settle_waves(
             snapshot, destination, parent, [0] * n, order
         )
-    _TABLES_TOTAL.labels(mode="full").inc()
+    _TABLES_FULL.inc()
     return RouteTree(
         snapshot.asns, snapshot.index, order, parent, peer_from, provider_from
     )
@@ -681,7 +685,7 @@ def _settle_pinned(
         set_field(route, "path", tuple(map(asn_at, best_path[i])))
         set_field(route, "route_class", _CODE_TO_CLASS[best_cls[i]])
         best[asn_at(i)] = route
-    _TABLES_TOTAL.labels(mode="full").inc()
+    _TABLES_FULL.inc()
     return best
 
 
@@ -761,7 +765,7 @@ def compute_routes_reference(
                 fixed=set(best),
             )
 
-    _TABLES_TOTAL.labels(mode="reference").inc()
+    _TABLES_REFERENCE.inc()
     return RoutingTable(graph, destination, best)
 
 
@@ -820,8 +824,8 @@ def affected_ases(
     shortest-first relaxation re-selects it.  On a tree-backed table
     that is the subtrees hanging off the changed links that are tree
     edges: with none cut the answer is ``set()`` after one probe per
-    changed link (:func:`cut_tree_edges`), otherwise one pass over the
-    tree's ``order`` (parents precede children) — nothing materializes.
+    changed link (:func:`cut_tree_edges`), otherwise a walk down those
+    subtrees over the current graph's links — nothing materializes.
     A dict-backed table (pinned, reference) is scanned path by path.  (A
     removed AS needs no case of its own: a path visits it only across
     one of its former, hence changed, links.)
@@ -850,12 +854,23 @@ def affected_ases(
         }
     if not cut:
         return cut
+    # walk down from the cut nodes along current links: a child's tree
+    # edge is one of its parent's links unless that link failed, and
+    # then the child is in ``cut`` already
     tree = table._tree
-    parent = tree.parent
-    for i in tree.order:
-        if parent[i] in cut:
-            cut.add(i)
-    asns = tree.asns
+    parent, asns, index = tree.parent, tree.asns, tree.index
+    adj = graph._adj
+    stack = list(cut)
+    while stack:
+        i = stack.pop()
+        nbrs = adj.get(asns[i])
+        if nbrs is None:
+            continue  # the AS left the graph
+        for asn in nbrs:
+            j = index.get(asn)
+            if j is not None and parent[j] == i and j not in cut:
+                cut.add(j)
+                stack.append(j)
     return {asns[i] for i in cut}
 
 
@@ -940,7 +955,7 @@ def recompute_routes(
             tree = _resettle(snapshot, tree, destination, affected)
         if tree is None:
             return settle_in_full("boundary_improved")
-    _TABLES_TOTAL.labels(mode="incremental").inc()
+    _TABLES_INCREMENTAL.inc()
     return RoutingTable(graph, destination, tree)
 
 

@@ -1,38 +1,17 @@
 """Data plane: prefixes, longest-prefix match, packets, encapsulation,
 classifiers, and hash-based flow splitting."""
 
-from .classifier import (
-    Classifier,
-    ClassifierEntry,
-    HashSplitter,
-    MatchRule,
-    flow_hash,
-)
-from .forwarding import ASLevelForwarder, ForwardingTrace, address_in_as
-from .packet import FlowKey, IPHeader, Packet
-from .prefix import (
-    IPv4Prefix,
-    PrefixTable,
-    format_ipv4,
-    parse_ipv4,
-    prefix_for_as,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IPv4Prefix",
-    "PrefixTable",
-    "parse_ipv4",
-    "format_ipv4",
-    "prefix_for_as",
-    "IPHeader",
-    "FlowKey",
-    "Packet",
-    "MatchRule",
-    "ClassifierEntry",
-    "Classifier",
-    "HashSplitter",
-    "flow_hash",
-    "ASLevelForwarder",
-    "ForwardingTrace",
-    "address_in_as",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "prefix": (
+        "IPv4Prefix", "PrefixTable", "parse_ipv4", "format_ipv4",
+        "prefix_for_as",
+    ),
+    "packet": ("IPHeader", "FlowKey", "Packet"),
+    "classifier": (
+        "MatchRule", "ClassifierEntry", "Classifier", "HashSplitter",
+        "flow_hash",
+    ),
+    "forwarding": ("ASLevelForwarder", "ForwardingTrace", "address_in_as"),
+})

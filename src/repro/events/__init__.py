@@ -12,13 +12,9 @@ experiments (:mod:`repro.experiments.churn`) inject timestamped
 :class:`~repro.topology.delta.TopologyDelta` sequences through it.
 """
 
-from .engine import Event, EventScheduler
-from .timers import SYNCHRONOUS, DelayModel, MraiTimer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventScheduler",
-    "MraiTimer",
-    "DelayModel",
-    "SYNCHRONOUS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": ("Event", "EventScheduler"),
+    "timers": ("MraiTimer", "DelayModel", "SYNCHRONOUS"),
+})

@@ -1,34 +1,16 @@
 """Intra-AS architecture (Ch. 4): routers, iBGP, tunnel endpoint
 addressing, directed forwarding, and the Routing Control Platform."""
 
-from .interconnect import EBGPSession, Internetwork
-from .network import ASNetwork, ExitLink, Router
-from .rcp import ManagedTunnel, RoutingControlPlatform
-from .relay import RelayedOffer, RelayedTunnel, RouterNegotiationRelay
-from .tunneling import (
-    Delivery,
-    TunnelIngressFilter,
-    DirectedForwardingTable,
-    EgressRouterAddressing,
-    ExitLinkAddressing,
-    ReservedAddressScheme,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ASNetwork",
-    "Router",
-    "ExitLink",
-    "Delivery",
-    "DirectedForwardingTable",
-    "ExitLinkAddressing",
-    "EgressRouterAddressing",
-    "TunnelIngressFilter",
-    "ReservedAddressScheme",
-    "RoutingControlPlatform",
-    "ManagedTunnel",
-    "RouterNegotiationRelay",
-    "RelayedOffer",
-    "RelayedTunnel",
-    "Internetwork",
-    "EBGPSession",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "network": ("ASNetwork", "Router", "ExitLink"),
+    "tunneling": (
+        "Delivery", "DirectedForwardingTable", "ExitLinkAddressing",
+        "EgressRouterAddressing", "TunnelIngressFilter",
+        "ReservedAddressScheme",
+    ),
+    "rcp": ("RoutingControlPlatform", "ManagedTunnel"),
+    "relay": ("RouterNegotiationRelay", "RelayedOffer", "RelayedTunnel"),
+    "interconnect": ("Internetwork", "EBGPSession"),
+})

@@ -1,105 +1,36 @@
 """MIRO core: export policies, bilateral negotiation, tunnels, and the
 paper's two headline applications (avoid-an-AS, inbound traffic control)."""
 
-from .avoidance import (
-    AvoidanceAttempt,
-    ContactOrder,
-    NegotiationScope,
-    miro_attempt,
-    negotiation_targets,
-    single_path_attempt,
-)
-from .diversity import available_paths, count_available_paths
-from .negotiation import (
-    HANDSHAKE_MESSAGES,
-    NegotiationOutcome,
-    OfferedRoute,
-    ResponderConfig,
-    RouteConstraint,
-    exchange,
-    handshake_delay,
-    negotiate,
-    via_path,
-)
-from .economics import (
-    ClassBasedPricing,
-    Ledger,
-    LedgerEntry,
-    MarketOutcome,
-    PerHopPricing,
-    PremiumPricing,
-    PricingModel,
-    evaluate_pricing,
-    utility_rank,
-)
-from .monitor import MonitorEvent, PolicyMonitor
-from .policies import ExportPolicy, all_policies, alternate_routes, offered_routes
-from .runtime import EstablishedTunnel, MiroRuntime
-from .splicing import SplicedForwarding, SpliceTrace, recovery_rate
-from .traffic import (
-    IngressProfile,
-    community_forced_moved_fraction,
-    PowerNodeOption,
-    StubControlResult,
-    best_control_for_stub,
-    convert_all_moved_fraction,
-    independent_selection_moved_fraction,
-    ingress_of,
-    ingress_profile,
-    power_node_options,
-    switchable_routes,
-)
-from .tunnels import Tunnel, TunnelTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExportPolicy",
-    "all_policies",
-    "alternate_routes",
-    "offered_routes",
-    "RouteConstraint",
-    "OfferedRoute",
-    "NegotiationOutcome",
-    "ResponderConfig",
-    "exchange",
-    "via_path",
-    "negotiate",
-    "HANDSHAKE_MESSAGES",
-    "handshake_delay",
-    "Tunnel",
-    "TunnelTable",
-    "NegotiationScope",
-    "ContactOrder",
-    "AvoidanceAttempt",
-    "single_path_attempt",
-    "miro_attempt",
-    "negotiation_targets",
-    "available_paths",
-    "count_available_paths",
-    "IngressProfile",
-    "ingress_profile",
-    "ingress_of",
-    "switchable_routes",
-    "PowerNodeOption",
-    "power_node_options",
-    "convert_all_moved_fraction",
-    "independent_selection_moved_fraction",
-    "community_forced_moved_fraction",
-    "StubControlResult",
-    "best_control_for_stub",
-    "MiroRuntime",
-    "EstablishedTunnel",
-    "PricingModel",
-    "ClassBasedPricing",
-    "PerHopPricing",
-    "PremiumPricing",
-    "utility_rank",
-    "Ledger",
-    "LedgerEntry",
-    "MarketOutcome",
-    "evaluate_pricing",
-    "PolicyMonitor",
-    "MonitorEvent",
-    "SplicedForwarding",
-    "SpliceTrace",
-    "recovery_rate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "policies": (
+        "ExportPolicy", "all_policies", "alternate_routes", "offered_routes",
+    ),
+    "negotiation": (
+        "RouteConstraint", "OfferedRoute", "NegotiationOutcome",
+        "ResponderConfig", "exchange", "via_path", "negotiate",
+        "HANDSHAKE_MESSAGES", "handshake_delay",
+    ),
+    "tunnels": ("Tunnel", "TunnelTable"),
+    "avoidance": (
+        "NegotiationScope", "ContactOrder", "AvoidanceAttempt",
+        "single_path_attempt", "miro_attempt", "negotiation_targets",
+    ),
+    "diversity": ("available_paths", "count_available_paths"),
+    "traffic": (
+        "IngressProfile", "ingress_profile", "ingress_of", "switchable_routes",
+        "PowerNodeOption", "power_node_options", "convert_all_moved_fraction",
+        "independent_selection_moved_fraction",
+        "community_forced_moved_fraction", "StubControlResult",
+        "best_control_for_stub",
+    ),
+    "runtime": ("MiroRuntime", "EstablishedTunnel"),
+    "economics": (
+        "PricingModel", "ClassBasedPricing", "PerHopPricing", "PremiumPricing",
+        "utility_rank", "Ledger", "LedgerEntry", "MarketOutcome",
+        "evaluate_pricing",
+    ),
+    "monitor": ("PolicyMonitor", "MonitorEvent"),
+    "splicing": ("SplicedForwarding", "SpliceTrace", "recovery_rate"),
+})

@@ -227,7 +227,7 @@ class MiroRuntime:
                 self.revalidate()
                 table = self.session.compute(destination)
             elif (self._validated == version
-                    and self.session.peek(destination) is given):
+                    and self.session.holds(destination, given)):
                 table = given
             else:
                 raise StaleTable(destination)

@@ -25,6 +25,10 @@ Two derived planes ride those pillars:
   attribution over the tracer's span buffer: self-vs-cumulative rollups
   and the collapsed-stack flamegraph export behind ``--flamegraph``.
 
+The package loads metrics and tracing (the singletons below need them);
+every other name binds on first use, so a process that never benchmarks
+or profiles never imports those planes.
+
 The module-level :func:`get_registry` / :func:`get_tracer` singletons are
 the process-wide default plane that instrumented modules bind to at import
 time.  :func:`reset` zeroes it between tests without invalidating those
@@ -41,70 +45,33 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .bench import (
-    BenchRecord,
-    BenchReporter,
-    CompareReport,
-    detect_git_sha,
-    load_trajectory,
-)
-from .log import StructLogger, StructuredFormatter, configure_logging, get_logger
-from .metrics import (
-    DEFAULT_BYTE_BUCKETS,
-    DEFAULT_SIM_TIME_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-)
-from .profile import (
-    PhaseStat,
-    collapsed_stacks,
-    render_rollup,
-    rollup,
-    write_collapsed,
-)
-from .tracing import NULL_SPAN, NullSpan, Span, Tracer
+from .._lazy import lazy_exports
+from .metrics import MetricsRegistry
+from .tracing import Tracer
 
-__all__ = [
-    "BenchRecord",
-    "BenchReporter",
-    "CompareReport",
-    "PhaseStat",
-    "collapsed_stacks",
-    "detect_git_sha",
-    "load_trajectory",
-    "render_rollup",
-    "rollup",
-    "write_collapsed",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "Tracer",
-    "Span",
-    "NullSpan",
-    "NULL_SPAN",
-    "StructLogger",
-    "StructuredFormatter",
-    "DEFAULT_TIME_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_BYTE_BUCKETS",
-    "DEFAULT_SIM_TIME_BUCKETS",
-    "configure_logging",
-    "get_logger",
-    "get_registry",
-    "get_tracer",
-    "reset",
-    "worker_state",
-    "configure_worker",
-    "drain_worker",
-    "absorb_worker",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bench": (
+        "BenchRecord", "BenchReporter", "CompareReport", "detect_git_sha",
+        "load_trajectory",
+    ),
+    "profile": (
+        "PhaseStat", "collapsed_stacks", "render_rollup", "rollup",
+        "write_collapsed",
+    ),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry",
+        "DEFAULT_TIME_BUCKETS", "DEFAULT_SIZE_BUCKETS", "DEFAULT_BYTE_BUCKETS",
+        "DEFAULT_SIM_TIME_BUCKETS",
+    ),
+    "tracing": ("Tracer", "Span", "NullSpan", "NULL_SPAN"),
+    "log": (
+        "StructLogger", "StructuredFormatter", "configure_logging",
+        "get_logger",
+    ),
+}, own=(
+    "get_registry", "get_tracer", "reset", "worker_state", "configure_worker",
+    "drain_worker", "absorb_worker",
+))
 
 #: The process-wide instrumentation plane.  These objects are never
 #: replaced (module-level instrument handles point into them); use

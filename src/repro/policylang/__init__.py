@@ -1,42 +1,16 @@
 """Routing-policy configuration (Ch. 6): Cisco-style route-maps and the
 paper's extended negotiation-policy language."""
 
-from .config import (
-    FilterRule,
-    MiroConfig,
-    NegotiationSpec,
-    RequesterPolicy,
-    ResponderPolicy,
-    TriggerRule,
-    parse_config,
-)
-from .routemap import (
-    AccessListEntry,
-    AsPathAccessList,
-    MatchAsPath,
-    PolicyRoute,
-    RouteMap,
-    RouteMapClause,
-    SetLocalPref,
-    compile_aspath_regex,
-    path_to_string,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "compile_aspath_regex",
-    "path_to_string",
-    "AccessListEntry",
-    "AsPathAccessList",
-    "PolicyRoute",
-    "MatchAsPath",
-    "SetLocalPref",
-    "RouteMapClause",
-    "RouteMap",
-    "parse_config",
-    "MiroConfig",
-    "NegotiationSpec",
-    "TriggerRule",
-    "FilterRule",
-    "RequesterPolicy",
-    "ResponderPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "routemap": (
+        "compile_aspath_regex", "path_to_string", "AccessListEntry",
+        "AsPathAccessList", "PolicyRoute", "MatchAsPath", "SetLocalPref",
+        "RouteMapClause", "RouteMap",
+    ),
+    "config": (
+        "parse_config", "MiroConfig", "NegotiationSpec", "TriggerRule",
+        "FilterRule", "RequesterPolicy", "ResponderPolicy",
+    ),
+})

@@ -17,12 +17,9 @@ over a :class:`MiroService` in a child process, drives it over
 loopback and checks every answer against ``compute_routes_reference``.
 """
 
-from .daemon import MiroService, ServiceConfig
-from .server import handle_request, serve
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MiroService",
-    "ServiceConfig",
-    "handle_request",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "daemon": ("MiroService", "ServiceConfig"),
+    "server": ("handle_request", "serve"),
+})

@@ -100,6 +100,16 @@ _ENCODED = get_registry().counter(
     "Whole-table answers served from the kept body (hit) or encoded (build)",
     labels=("outcome",),
 )
+_LOOKUP_OK = _REQUESTS.labels(op="lookup", outcome="ok")
+_LOOKUP_SHED = _REQUESTS.labels(op="lookup", outcome="shed")
+_LOOKUP_ERROR = _REQUESTS.labels(op="lookup", outcome="error")
+_LOOKUP_SECONDS = _REQ_SECONDS.labels(op="lookup")
+_NEGOTIATE_OK = _REQUESTS.labels(op="negotiate", outcome="ok")
+_NEGOTIATE_SHED = _REQUESTS.labels(op="negotiate", outcome="shed")
+_NEGOTIATE_ERROR = _REQUESTS.labels(op="negotiate", outcome="error")
+_NEGOTIATE_SECONDS = _REQ_SECONDS.labels(op="negotiate")
+_CHURN_OK = _REQUESTS.labels(op="churn", outcome="ok")
+_CHURN_SECONDS = _REQ_SECONDS.labels(op="churn")
 _ENCODED_HIT = _ENCODED.labels(outcome="hit")
 _ENCODED_BUILD = _ENCODED.labels(outcome="build")
 
@@ -242,15 +252,15 @@ class MiroService:
             if table is None:
                 table = await self._admit(destination)
         except ServiceOverloadError:
-            _REQUESTS.labels(op="lookup", outcome="shed").inc()
+            _LOOKUP_SHED.inc()
             raise
         except ServiceError:
             raise
         except BaseException:
-            _REQUESTS.labels(op="lookup", outcome="error").inc()
+            _LOOKUP_ERROR.inc()
             raise
-        _REQUESTS.labels(op="lookup", outcome="ok").inc()
-        _REQ_SECONDS.labels(op="lookup").observe(time.perf_counter() - start)
+        _LOOKUP_OK.inc()
+        _LOOKUP_SECONDS.observe(time.perf_counter() - start)
         return table
 
     async def _admit(self, destination: int) -> RoutingTable:
@@ -365,7 +375,7 @@ class MiroService:
         start = time.perf_counter()
         runtime = self.runtime
         if runtime is None:
-            _REQUESTS.labels(op="negotiate", outcome="error").inc()
+            _NEGOTIATE_ERROR.inc()
             raise ServiceError("service has no MIRO runtime configured")
         try:
             while True:
@@ -383,17 +393,15 @@ class MiroService:
                         self._executor, runtime.revalidate
                     )
         except ServiceOverloadError:
-            _REQUESTS.labels(op="negotiate", outcome="shed").inc()
+            _NEGOTIATE_SHED.inc()
             raise
         except ServiceError:
             raise
         except BaseException:
-            _REQUESTS.labels(op="negotiate", outcome="error").inc()
+            _NEGOTIATE_ERROR.inc()
             raise
-        _REQUESTS.labels(op="negotiate", outcome="ok").inc()
-        _REQ_SECONDS.labels(op="negotiate").observe(
-            time.perf_counter() - start
-        )
+        _NEGOTIATE_OK.inc()
+        _NEGOTIATE_SECONDS.observe(time.perf_counter() - start)
         return record
 
     # ------------------------------------------------------------------
@@ -412,8 +420,8 @@ class MiroService:
         result = await self._loop.run_in_executor(
             self._executor, partial(self.core.mutate, fn)
         )
-        _REQUESTS.labels(op="churn", outcome="ok").inc()
-        _REQ_SECONDS.labels(op="churn").observe(time.perf_counter() - start)
+        _CHURN_OK.inc()
+        _CHURN_SECONDS.observe(time.perf_counter() - start)
         return result
 
     # ------------------------------------------------------------------
@@ -421,7 +429,7 @@ class MiroService:
     # ------------------------------------------------------------------
     def info(self) -> Dict[str, object]:
         """JSON-ready service state, for the protocol's ``stats`` op."""
-        quantile = _REQ_SECONDS.labels(op="lookup")
+        quantile = _LOOKUP_SECONDS
         bodies = list(self._encoded.values())
         return {
             "accepting": self._started and not self._draining,
@@ -429,9 +437,7 @@ class MiroService:
             "pending_fills": len(self._pending),
             "max_batch": self.config.max_batch,
             "max_pending": self.config.max_pending,
-            "shed_total": sum(
-                _REQUESTS.labels(op=op, outcome="shed").value
-                for op in ("lookup", "negotiate")),
+            "shed_total": _LOOKUP_SHED.value + _NEGOTIATE_SHED.value,
             "coalesced_total": _COALESCED.value,
             "encoded_tables": len(bodies),
             "encoded_bytes": sum(map(len, bodies)),

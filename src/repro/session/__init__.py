@@ -24,20 +24,13 @@ points and the pool's infrastructure (``ProcessPoolExecutor``,
 submodule that uses them.
 """
 
-from .cache import RouteTableCache
-from .core import (
-    AUTO_PARALLEL_THRESHOLD,
-    SessionCore,
-    SimulationSession,
-    ensure_session,
-)
-from .pool import POOL_SHARD_FACTOR
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AUTO_PARALLEL_THRESHOLD",
-    "POOL_SHARD_FACTOR",
-    "RouteTableCache",
-    "SessionCore",
-    "SimulationSession",
-    "ensure_session",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core": (
+        "AUTO_PARALLEL_THRESHOLD", "SessionCore", "SimulationSession",
+        "ensure_session",
+    ),
+    "pool": ("POOL_SHARD_FACTOR",),
+    "cache": ("RouteTableCache",),
+})

@@ -94,6 +94,10 @@ class RouteTableCache:
             self._entries.move_to_end(key)
         return table
 
+    def holds(self, key: CacheKey, table: RoutingTable) -> bool:
+        """Whether ``key`` caches ``table`` (no LRU touch)."""
+        return self._entries.get(key) is table
+
     def put(self, key: CacheKey, table: RoutingTable) -> int:
         """Insert ``key`` and return how many LRU entries it evicted."""
         if key in self._entries:

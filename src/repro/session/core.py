@@ -339,6 +339,15 @@ class SessionCore:
             self._auto_prune_locked()
             return self._hit_locked((self._graph.version, destination))
 
+    def holds(self, destination: int, table: RoutingTable) -> bool:
+        """Whether ``table`` is the cached one for ``destination`` at the
+        current graph version — a staleness check, not a lookup: it
+        counts nothing and leaves the LRU order alone."""
+        with self._lock:
+            return self._cache.holds(
+                (self._graph.version, destination), table
+            )
+
     def adopt(self, table: RoutingTable) -> None:
         """Insert an externally computed table for the current graph state.
 

@@ -25,7 +25,7 @@ import pickle
 import threading
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
@@ -204,6 +204,18 @@ def _pool_settle_shard(
     return destinations, packed, obs.drain_worker()
 
 
+def ProcessPoolExecutor(**kwargs) -> Executor:
+    """Start the pool's :class:`concurrent.futures.ProcessPoolExecutor`.
+
+    Imported at the first pool start, not with this module: it brings
+    :mod:`multiprocessing` along, which a serial session never uses.
+    Tests replace this name to inject faults.
+    """
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(**kwargs)
+
+
 class _FanoutPool:
     """The session's persistent, version-keyed worker pool.
 
@@ -233,7 +245,7 @@ class _FanoutPool:
         self.max_workers = max_workers
         self.shards = shards
         self._lock = threading.RLock()
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[Executor] = None
         self._shared: Optional[SharedSnapshot] = None
         # set last on publication and dropped with the executor or the
         # segment, so a spec always names a live one of each
@@ -271,12 +283,12 @@ class _FanoutPool:
     def ship_bytes(self) -> Optional[int]:
         return self._spec[2] if self._spec is not None else None
 
-    def executor(self) -> Optional[ProcessPoolExecutor]:
+    def executor(self) -> Optional[Executor]:
         return self._executor
 
     def ensure(
         self, snapshot: TopologySnapshot
-    ) -> Tuple[ProcessPoolExecutor, PoolSpec]:
+    ) -> Tuple[Executor, PoolSpec]:
         """Publish ``snapshot`` (if its version is new) and return the
         live executor plus the job spec workers attach from.
 

@@ -17,61 +17,23 @@ arbitrary failure/recovery event streams.  Three layers:
   runs (``--verify`` on ``repro experiment``).
 """
 
-from .audit import AuditResult, audit_session
-from .campaign import (
-    CampaignEvent,
-    CampaignOutcome,
-    MinimizedReproduction,
-    VerifyReport,
-    execute_event,
-    minimize_events,
-    replay_divergence,
-    run_campaign,
-    run_campaigns,
-    run_tunnel_campaign,
-)
-from .invariants import (
-    InvariantReport,
-    Violation,
-    check_fixed_point,
-    check_forwarding_tree,
-    check_table,
-    check_tunnel_consistency,
-    check_valley_free,
-)
-from .oracle import (
-    DifferentialOracle,
-    Divergence,
-    OracleCheck,
-    OracleReport,
-    first_divergence,
-    table_paths,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AuditResult",
-    "CampaignEvent",
-    "CampaignOutcome",
-    "DifferentialOracle",
-    "Divergence",
-    "InvariantReport",
-    "MinimizedReproduction",
-    "OracleCheck",
-    "OracleReport",
-    "VerifyReport",
-    "Violation",
-    "audit_session",
-    "check_fixed_point",
-    "check_forwarding_tree",
-    "check_table",
-    "check_tunnel_consistency",
-    "check_valley_free",
-    "execute_event",
-    "first_divergence",
-    "minimize_events",
-    "replay_divergence",
-    "run_campaign",
-    "run_campaigns",
-    "run_tunnel_campaign",
-    "table_paths",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "audit": ("AuditResult", "audit_session"),
+    "campaign": (
+        "CampaignEvent", "CampaignOutcome", "MinimizedReproduction",
+        "VerifyReport", "execute_event", "minimize_events",
+        "replay_divergence", "run_campaign", "run_campaigns",
+        "run_tunnel_campaign",
+    ),
+    "oracle": (
+        "DifferentialOracle", "Divergence", "OracleCheck", "OracleReport",
+        "first_divergence", "table_paths",
+    ),
+    "invariants": (
+        "InvariantReport", "Violation", "check_fixed_point",
+        "check_forwarding_tree", "check_table", "check_tunnel_consistency",
+        "check_valley_free",
+    ),
+})

@@ -19,6 +19,7 @@ from repro.obs import get_registry
 from repro.topology import (
     ASGraph,
     Relationship,
+    SMALL,
     TINY,
     TopologyDelta,
     TopologyProfile,
@@ -147,6 +148,53 @@ class TestPaperExample:
         paper_graph.remove_link(B, E)
         after = recompute_routes(paper_graph, before, [(B, E)])
         assert fingerprint(after) == fingerprint(compute_routes(paper_graph, F))
+
+
+class TestAffectedSetDefinition:
+    """``affected_ases`` walks only the cut subtrees; on seeded random
+    failures it must still return exactly its definition — every AS
+    whose old path crosses a changed link."""
+
+    @staticmethod
+    def crossing(table, changed):
+        hops = {(a, b) for a, b in changed} | {(b, a) for a, b in changed}
+        return {
+            asn for asn, route in table.items()
+            if not hops.isdisjoint(zip(route.path, route.path[1:]))
+        }
+
+    @pytest.mark.parametrize("profile, seed", [(TINY, 3), (SMALL, 11)])
+    def test_random_failures_match_the_definition(self, profile, seed):
+        rng = random.Random(seed)
+        base = generate_topology(profile, seed=seed)
+        links = [(a, b) for a, b, _ in base.iter_links()]
+        cut_some = 0
+        for _ in range(60):
+            graph = base.copy()
+            destination = rng.choice(graph.ases)
+            before = compute_routes(graph, destination)
+            # one hop off a selected path, so most trials cut the tree,
+            # plus up to two links anywhere
+            path = None
+            while path is None or len(path) < 2:
+                path = before.default_path(rng.choice(graph.ases))
+            hop = rng.randrange(len(path) - 1)
+            failed = {link_key(path[hop], path[hop + 1])}
+            failed |= {link_key(*rng.choice(links))
+                       for _ in range(rng.randrange(3))}
+            if rng.random() < 0.2:
+                gone = rng.choice([a for a in graph.ases if a != destination])
+                reduced = graph.without_as(gone)
+                changed = reduced.changed_links_since(graph.version)
+                graph = reduced
+            else:
+                changed = failed
+                for a, b in failed:
+                    graph.remove_link(a, b)
+            expected = self.crossing(before, changed)
+            assert affected_ases(graph, before, changed) == expected
+            cut_some += bool(expected)
+        assert cut_some > 30
 
 
 class TestOffererMerge:

@@ -605,6 +605,35 @@ class TestServiceOps:
         assert counted == 2
         assert runtime.live_tunnels() == [established]
 
+    def test_a_negotiation_over_a_warm_table_counts_one_hit(self, tiny_graph):
+        """The service's peek is the request's one cache read: the
+        runtime's staleness check of the table it was handed counts
+        nothing, in the session tally or the registry."""
+        reference = compute_routes_reference(tiny_graph, tiny_graph.ases[0])
+        pairs = [
+            path[:2] for path in (
+                reference.default_path(s) for s in tiny_graph.ases[1:]
+            ) if path is not None and len(path) >= 3
+        ]
+        assert len(pairs) >= 5
+        destination = reference.destination
+        hit = _CACHE_EVENTS.labels(event="hit")
+
+        async def main():
+            runtime = MiroRuntime(tiny_graph)
+            with SimulationSession(tiny_graph, parallel=False) as session:
+                async with MiroService(session, runtime=runtime) as service:
+                    # warm the table and the runtime's validation
+                    await service.negotiate(*pairs[0], destination)
+                    hits, registry_hits = session.stats["hits"], hit.value
+                    for requester, responder in pairs:
+                        await service.negotiate(
+                            requester, responder, destination)
+                    return (session.stats["hits"] - hits,
+                            hit.value - registry_hits)
+
+        assert asyncio.run(main()) == (len(pairs), len(pairs))
+
 
 # ----------------------------------------------------------------------
 # the JSON protocol
