@@ -3,7 +3,10 @@
 
 Part 1 replays the Fig. 1.1/3.1 walk-through on the paper's six-AS
 example: AS A cannot avoid AS E with today's BGP, but one MIRO
-negotiation with AS B exposes the path B-C-F.
+negotiation with AS B exposes the path B-C-F.  A then forwards packets
+through the tunnel it established (§3.5): its classifier diverts
+real-time traffic and a hash-split share of bulk flows into the tunnel,
+and everything else keeps the default path.
 
 Part 2 measures the Table 5.2 comparison on a generated Internet-like
 topology: single-path BGP vs MIRO (three policies) vs source routing.
@@ -12,8 +15,24 @@ Run:  python examples/avoid_hostile_as.py
 """
 
 from repro.bgp import compute_routes
+from repro.dataplane import (
+    ASLevelForwarder,
+    Classifier,
+    FlowKey,
+    HashSplitter,
+    MatchRule,
+    Packet,
+    address_in_as,
+)
 from repro.experiments import render_table, run_success_rates
-from repro.miro import all_policies, miro_attempt, single_path_attempt
+from repro.miro import (
+    ExportPolicy,
+    RouteConstraint,
+    all_policies,
+    miro_attempt,
+    negotiate,
+    single_path_attempt,
+)
 from repro.sourcerouting import reachable_avoiding
 from repro.topology import ASGraph, GAO_2005, generate_topology
 
@@ -71,6 +90,43 @@ def walkthrough() -> None:
         " route while its default BEF is a customer route — B only\n"
         " reveals BCF under the respect-export or flexible policies.)"
     )
+    forward_through_the_tunnel(table)
+
+
+def forward_through_the_tunnel(table) -> None:
+    """§3.5: the upstream AS decides which packets enter the tunnel."""
+    outcome = negotiate(table, A, B, ExportPolicy.EXPORT,
+                        constraint=RouteConstraint(avoid=(E,)))
+    tunnel = outcome.tunnel
+    into_tunnel = f"tunnel-{tunnel.tunnel_id}"
+    # real-time traffic (ToS 46) always takes the tunnel; bulk flows are
+    # split 30/70 by flow hash, one classifier rule per flow, so every
+    # packet of a flow takes the same path
+    classifier = Classifier(default_action="default")
+    classifier.add(MatchRule(tos=46), into_tunnel)
+    splitter = HashSplitter([(into_tunnel, 0.3), ("default", 0.7)])
+    bulk = [packet(A, F, src_port=port) for port in range(5000, 5010)]
+    for flow in bulk:
+        classifier.add(MatchRule(src_port=flow.flow.src_port),
+                       splitter.pick(flow))
+    forwarder = ASLevelForwarder({F: table})
+    forwarder.install_tunnel(tunnel, classifier)
+
+    print(f"\nData plane with tunnel {tunnel.tunnel_id} "
+          f"({pretty(tunnel.path)}) installed at A:")
+    voice = forwarder.forward(packet(A, F, tos=46))
+    print(f"    real-time packet: {pretty(voice.hops)}"
+          f" (encapsulated over {pretty(voice.encapsulated_hops)})")
+    web = forwarder.forward(packet(A, F, dst_port=80))
+    print(f"    web packet:       {pretty(web.hops)}")
+    tunneled = sum(forwarder.forward(flow).used_tunnel is not None
+                   for flow in bulk)
+    print(f"    bulk flows through the tunnel: {tunneled} of {len(bulk)}")
+
+
+def packet(source: int, destination: int, **flow) -> Packet:
+    return Packet.make(address_in_as(source), address_in_as(destination),
+                       flow=FlowKey(**flow))
 
 
 def measurement() -> None:

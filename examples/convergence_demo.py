@@ -3,7 +3,9 @@
 
 Without restrictions, both Fig. 7.1 (tunnels leaking into route selection)
 and Fig. 7.2 (tunnels riding on tunnels under the strict policy) oscillate
-forever.  Each of the four guidelines restores convergence.
+forever.  Each of the four guidelines restores convergence, and each
+converges within the phases of its proof's activation order (§7.2).
+Without Guideline A even plain BGP can diverge (BAD GADGET, §2.2.3).
 
 The second half re-runs the systems under a delay model: all-zero delays
 are the same fair rounds with a simulated clock; propagation delays,
@@ -15,8 +17,13 @@ Run:  python examples/convergence_demo.py
 
 from repro.convergence import (
     GuidelineMode,
+    bad_gadget_bgp_system,
     fig_7_1_system,
     fig_7_2_system,
+    proof_schedule,
+    proof_schedule_guideline_b,
+    proof_schedule_guideline_c,
+    proof_schedule_strict,
     run_churn,
 )
 from repro.events import DelayModel
@@ -64,6 +71,31 @@ def main() -> None:
         selection = result.selection(4, dest)
         kind = "tunnel" if selection.is_tunnel else "bgp"
         print(f"    D -> {NAMES[dest]}: {pretty(selection.path)} ({kind})")
+
+    print("\nThe proofs' activation orders (§7.2): phases, then rounds "
+          "to quiescence")
+    for name, factory, mode, schedule_of in (
+        ("7.1", fig_7_1_system, GuidelineMode.GUIDELINE_B, proof_schedule),
+        ("7.1", fig_7_1_system, GuidelineMode.GUIDELINE_B,
+         proof_schedule_guideline_b),
+        ("7.1", fig_7_1_system, GuidelineMode.GUIDELINE_C,
+         proof_schedule_guideline_c),
+        ("7.2", fig_7_2_system, GuidelineMode.GUIDELINE_D,
+         proof_schedule_strict),
+        ("7.2", fig_7_2_system, GuidelineMode.GUIDELINE_E,
+         proof_schedule_strict),
+    ):
+        system = factory(mode)
+        schedule = schedule_of(system.graph)
+        result = system.run(max_rounds=10, schedule=schedule)
+        state = "converged" if result.converged else "OSCILLATES"
+        print(f"    fig {name} {mode.value}, {schedule_of.__name__}: "
+              f"{len(schedule)} phases, {state} in {result.rounds} rounds")
+
+    result = bad_gadget_bgp_system().run(max_rounds=50)
+    print("\nBAD GADGET, plain BGP with peer routes ranked over customer "
+          f"routes: {'converged' if result.converged else 'OSCILLATES'} "
+          f"({result.rounds} rounds)")
 
     print("\nRandom-topology sweep (Theorems 2-4 by simulation):")
     outcomes = run_guideline_sweep(n_topologies=4, demands_per_topology=6,

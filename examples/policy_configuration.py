@@ -4,13 +4,16 @@
 The requesting AS configures "always try to avoid AS 5" with a price
 ceiling; the responding AS prices customer routes at 120 and peer routes
 at 180.  The configs are parsed, the trigger fires, and the negotiation
-establishes a priced tunnel — the §6.3 example end to end.
+establishes a priced tunnel — the §6.3 example end to end.  Then a
+policy monitor automates the same policy (§6.2.1): it negotiates when
+the trigger fires, and checks the trigger again whenever the routes
+change — here a link failure that tears the tunnel down, and the repair.
 
 Run:  python examples/policy_configuration.py
 """
 
 from repro.bgp import compute_routes
-from repro.miro import ExportPolicy, negotiate
+from repro.miro import ExportPolicy, MiroRuntime, PolicyMonitor, negotiate
 from repro.policylang import parse_config
 from repro.topology import ASGraph
 
@@ -95,6 +98,32 @@ def main() -> None:
         )
     else:
         print(f"\nNegotiation failed: {outcome.reason}")
+    monitor_the_policy(graph, requester)
+
+
+def monitor_the_policy(graph: ASGraph, requester) -> None:
+    """§6.2.1: the same requester policy, applied by a monitor that
+    re-checks its trigger whenever the routes change."""
+    runtime = MiroRuntime(graph)
+    monitor = PolicyMonitor(runtime, A, requester,
+                            watched_destinations={F})
+
+    def poll(when: str) -> None:
+        print(f"    {when}:")
+        for event in monitor.poll():
+            asked = f" (asked AS {event.responder})" if event.responder else ""
+            print(f"        {event.kind}{asked} {event.detail}".rstrip())
+
+    # the offline what-if an operator runs before deploying the policy
+    would_fire = monitor.stable_state_check([C, D, F])
+    print("\nBefore deploying, the trigger would fire toward:",
+          sorted(dest for dest, spec in would_fire.items() if spec))
+    print("Policy monitor at AS A, watching destination F:")
+    poll("first poll")
+    runtime.fail_link(B, C)     # the tunnel's B-C hop: torn down
+    poll("after link B-C fails")
+    runtime.restore_link(B, C)
+    poll("after link B-C is repaired")
 
 
 if __name__ == "__main__":

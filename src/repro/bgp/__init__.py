@@ -5,7 +5,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "": ("kernels",),
-    "route": ("Route", "RouteClass", "better"),
+    "route": ("Route", "RouteClass"),
     "policy": (
         "classify_path", "make_route", "may_export", "exportable_route",
         "select_best",
@@ -14,8 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "RoutingTable", "compute_routes", "recompute_routes", "affected_ases",
     ),
     "decision": (
-        "RouterRoute", "OriginType", "SessionType", "decide", "best_route",
-        "DECISION_STEPS",
+        "RouterRoute", "OriginType", "SessionType", "decide", "DECISION_STEPS",
     ),
     "engine": ("EventDrivenBGP", "BGPNode", "Update"),
 })

@@ -136,9 +136,3 @@ def _med_filter(routes: List[RouterRoute]) -> List[RouterRoute]:
         if route.med == lowest:
             kept.append(route)
     return kept
-
-
-def best_route(candidates: Sequence[RouterRoute]) -> RouterRoute:
-    """Convenience wrapper returning just the winner."""
-    winner, _ = decide(candidates)
-    return winner

@@ -127,12 +127,3 @@ class Route:
 
     def __str__(self) -> str:
         return "-".join(str(a) for a in self.path)
-
-
-def better(a: Optional[Route], b: Optional[Route]) -> Optional[Route]:
-    """The more preferred of two (possibly absent) routes."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.preference_key() >= b.preference_key() else b

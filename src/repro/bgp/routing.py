@@ -69,6 +69,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
+    Container,
     Dict,
     Iterable,
     Iterator,
@@ -410,10 +411,15 @@ class RoutingTable:
 
 
 def _validate_pinned(
-    destination: int, pinned: Dict[int, Route]
+    destination: int, pinned: Dict[int, Route], known: Container[int]
 ) -> None:
-    """Shared pinned-route validation for every computation entry point."""
+    """Shared pinned-route validation for every computation entry point:
+    a pinned path through an AS ``known`` lacks raises
+    :class:`UnknownASError` naming that AS."""
     for asn, route in pinned.items():
+        for hop in route.path:
+            if hop not in known:
+                raise UnknownASError(hop)
         if route.holder != asn:
             raise RoutingError(
                 f"pinned route {route} is not held by AS {asn}"
@@ -453,17 +459,10 @@ def compute_routes(
     # scalar kernel is the settling implementation defined here).
     from . import kernels
 
-    try:
-        if pinned:
-            best = _settle_pinned(snapshot, destination, pinned)
-        else:
-            best = kernels.settle_many(snapshot, [destination])[destination]
-    except UnknownASError:
-        # A pinned path references an AS outside the current topology —
-        # representable in the legacy walk (pinned routes pass through
-        # untranslated) but not in index space.  Rare enough that the
-        # dict walk's answer is the cheap correct fallback.
-        return compute_routes_reference(graph, destination, pinned)
+    if pinned:
+        best = _settle_pinned(snapshot, destination, pinned)
+    else:
+        best = kernels.settle_many(snapshot, [destination])[destination]
     return RoutingTable(graph, destination, best)
 
 
@@ -610,7 +609,7 @@ def _settle_pinned(
     :class:`UnknownASError` when a pinned path leaves the snapshot.
     """
     dest = snapshot.index_of(destination)
-    _validate_pinned(destination, pinned)
+    _validate_pinned(destination, pinned, snapshot.index)
     n = snapshot.n
     class_nbrs = snapshot.class_nbrs
     # Per-node settling state, indexed by snapshot index: the selected
@@ -706,7 +705,7 @@ def compute_routes_reference(
     if destination not in graph:
         raise UnknownASError(destination)
     pinned = dict(pinned or {})
-    _validate_pinned(destination, pinned)
+    _validate_pinned(destination, pinned, graph)
 
     best: Dict[int, Route] = dict(pinned)
     best[destination] = Route((destination,), RouteClass.ORIGIN)
@@ -938,14 +937,14 @@ def recompute_routes(
         _FALLBACKS_TOTAL.labels(reason=reason).inc()
         return compute_routes(graph, destination)
 
+    tree = table._tree
+    if tree is None:
+        return settle_in_full("parent_not_tree")
     if affected is None:
         affected = affected_ases(graph, table, changed)
         if affected is None:
             return settle_in_full("unbounded")
     _AFFECTED_SIZE.observe(len(affected))
-    tree = table._tree
-    if tree is None:
-        return settle_in_full("parent_not_tree")
     if affected:
         snapshot = graph.snapshot()
         if snapshot.asns != tree.asns:

@@ -53,8 +53,7 @@ from .miro import ExportPolicy, miro_attempt, single_path_attempt
 from .obs import configure_logging, get_registry, get_tracer
 from .session import SimulationSession
 from .sourcerouting import reachable_avoiding
-from .topology import PROFILES, generate_named, load, summarize
-from .topology import dumps as dump_topology
+from .topology import PROFILES, dump, generate_named, load, summarize
 
 
 def _add_topology_args(
@@ -175,8 +174,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     print(f"kernel:             {kernels.resolve()} "
           f"(available: {', '.join(kernels.available())})")
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(dump_topology(graph))
+        dump(graph, args.out)
         print(f"wrote topology to {args.out}")
     return 0
 

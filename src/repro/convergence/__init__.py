@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "model": (
         "GuidelineMode", "Selection", "TunnelDemand", "Ranker",
         "ExplicitRanker", "GaoRexfordRanker", "PartialOrder",
-        "route_class_rank", "path_class_rank",
+        "path_class_rank",
     ),
     "simulator": (
         "MiroConvergenceSystem", "ConvergenceResult", "proof_schedule",

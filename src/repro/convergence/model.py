@@ -146,14 +146,6 @@ _CLASS_RANK = {
 }
 
 
-def route_class_rank(graph: ASGraph, holder: int, first: int) -> int:
-    """Class rank of a route at ``holder`` whose first hop is ``first``
-    (used by the strict same-class checks of Guidelines D/E)."""
-    if not graph.has_link(holder, first):
-        return 1
-    return _CLASS_RANK[graph.relationship(holder, first)]
-
-
 def path_class_rank(graph: ASGraph, path: Path) -> int:
     """Sibling-resolved class rank of a whole path (§2.2.1): the first
     non-sibling link decides; an all-sibling path counts as a customer

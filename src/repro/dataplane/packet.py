@@ -24,12 +24,6 @@ class IPHeader:
     source: int
     destination: int
     tunnel_id: Optional[int] = None
-    ttl: int = 64
-
-    def decremented(self) -> "IPHeader":
-        if self.ttl <= 0:
-            raise DataPlaneError("TTL already expired")
-        return replace(self, ttl=self.ttl - 1)
 
 
 @dataclass(frozen=True)
@@ -105,9 +99,3 @@ class Packet:
         scheme rewrites at the ingress router)."""
         new_outer = replace(self.outer, destination=destination)
         return replace(self, headers=self.headers[:-1] + (new_outer,))
-
-    def forwarded(self) -> "Packet":
-        """The packet after one hop (outer TTL decremented)."""
-        return replace(
-            self, headers=self.headers[:-1] + (self.outer.decremented(),)
-        )

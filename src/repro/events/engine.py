@@ -127,10 +127,6 @@ class EventScheduler:
         """Events dispatched over this scheduler's lifetime."""
         return self._dispatched
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None when drained."""
-        return self._heap[0][0] if self._heap else None
-
     # ------------------------------------------------------------------
     # registration and scheduling
     # ------------------------------------------------------------------
@@ -155,13 +151,6 @@ class EventScheduler:
         _SCHEDULED_TOTAL.labels(kind=kind).inc()
         _QUEUE_DEPTH.set(len(self._heap))
         return Event(time, seq, kind, payload, scheduled_at=self._now)
-
-    def schedule_after(self, delay: float, kind: str,
-                       payload: Any = None) -> Event:
-        """Enqueue an event ``delay`` simulated seconds from now."""
-        if delay < 0:
-            raise EventError(f"cannot schedule {kind!r} {delay} in the past")
-        return self.schedule(self._now + delay, kind, payload)
 
     # ------------------------------------------------------------------
     # dispatch

@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "sampling": (
         "PairSample", "TripleSample", "sample_pairs", "sample_triples",
-        "cdf_points", "ccdf_points", "fraction_at_least",
+        "fraction_at_least",
     ),
     "report": ("render_table", "render_series", "percent"),
     "overhead": (

@@ -10,13 +10,13 @@ alternate at all, the median, and the upper-quartile counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..miro.avoidance import NegotiationScope
 from ..miro.diversity import count_available_paths
 from ..miro.policies import ExportPolicy, all_policies
 from ..topology.graph import ASGraph
-from .sampling import cdf_points, sample_pairs
+from .sampling import sample_pairs
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,6 @@ class DiversitySeries:
         ordered = sorted(self.counts)
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return float(ordered[index])
-
-    def distribution(self) -> List[Tuple[float, float]]:
-        """Sorted (fraction of pairs, count) points, as Fig. 5.2 plots."""
-        return [(frac, value) for value, frac in cdf_points(list(self.counts))]
-
 
 def run_diversity(
     graph: ASGraph,

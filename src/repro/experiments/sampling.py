@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 from ..bgp.routing import RoutingTable
 from ..session import SimulationSession, ensure_session
@@ -106,36 +106,6 @@ def sample_triples(
         count = min(avoids_per_pair, len(eligible))
         for avoid in rng.sample(eligible, count):
             yield TripleSample(pair.source, pair.destination, avoid, pair.table)
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Cumulative distribution: (value, fraction of population <= value)."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    points: List[Tuple[float, float]] = []
-    for i, value in enumerate(ordered, start=1):
-        if points and points[-1][0] == value:
-            points[-1] = (value, i / n)
-        else:
-            points.append((value, i / n))
-    return points
-
-
-def ccdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Complementary CDF: (value, fraction of population >= value)."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    points: List[Tuple[float, float]] = []
-    for i, value in enumerate(ordered):
-        frac = (n - i) / n
-        if points and points[-1][0] == value:
-            continue
-        points.append((value, frac))
-    return points
 
 
 def fraction_at_least(values: Sequence[float], threshold: float) -> float:

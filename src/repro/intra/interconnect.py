@@ -12,7 +12,7 @@ from real session layouts rather than hand-fed RIBs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..bgp.decision import RouterRoute, SessionType
 from ..errors import RoutingError, TopologyError
@@ -48,6 +48,8 @@ class Internetwork:
         #: per (prefix, session, direction) — the route currently
         #: advertised, so re-advertisements replace rather than pile up
         self._advertised: Dict[Tuple[str, int, int], Tuple[int, ...]] = {}
+        #: prefix -> the ASes originating it
+        self._origins: Dict[str, Set[int]] = {}
 
     # ------------------------------------------------------------------
     # wiring
@@ -97,12 +99,11 @@ class Internetwork:
         """The AS originates the prefix: its border routers advertise the
         null path over every session (captured on the first run round)."""
         self.network(asn)  # existence check
-        self._origins = getattr(self, "_origins", {})
         self._origins.setdefault(prefix, set()).add(asn)
 
     def run(self, prefix: str, max_rounds: int = 30) -> None:
         """Alternate iBGP and eBGP exchange until nothing changes."""
-        origins = getattr(self, "_origins", {}).get(prefix, set())
+        origins = self._origins.get(prefix, set())
         if not origins:
             raise RoutingError(f"nobody originates {prefix}")
         for _ in range(max_rounds):

@@ -130,26 +130,3 @@ class TunnelTable:
             del self._tunnels[tunnel.tunnel_id]
             tunnel.active = False
         return expired
-
-    def invalidate_on_route_change(
-        self, changed_path: Tuple[int, ...]
-    ) -> List[Tunnel]:
-        """Tear down tunnels that relied on a now-changed AS path.
-
-        The upstream AS tears a tunnel down when its path to the
-        downstream AS changes; the downstream AS when the tunnel's own
-        path to the destination changes (§4.3).  ``changed_path`` is the
-        stale path; any tunnel using it as its via or tunnel path goes.
-        """
-        stale = [
-            t for t in self._tunnels.values()
-            if t.via_path == tuple(changed_path) or t.path == tuple(changed_path)
-        ]
-        for tunnel in stale:
-            del self._tunnels[tunnel.tunnel_id]
-            tunnel.active = False
-        return stale
-
-    def tunnels_to(self, destination: int) -> List[Tunnel]:
-        """Active tunnels toward a destination AS."""
-        return [t for t in self._tunnels.values() if t.destination == destination]

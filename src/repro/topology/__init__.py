@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "snapshot": ("TopologySnapshot",),
     "delta": (
         "TopologyDelta", "TimedDelta", "AppliedDelta", "DeltaOp",
-        "DeltaOpKind", "apply_each",
+        "DeltaOpKind",
     ),
     "relationships": ("LinkType", "Relationship", "local_pref_for"),
     "generator": (
@@ -18,11 +18,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "inference": ("infer_gao", "infer_agarwal", "inference_accuracy"),
     "serialization": ("dump", "dumps", "load", "loads"),
     "stats": (
-        "TopologySummary", "summarize", "degree_sequence", "degree_histogram",
-        "degree_ccdf", "mean_degree", "top_degree_ases", "bottom_degree_ases",
-    ),
-    "visualize": (
-        "render_adjacency", "render_tiers", "render_routing_tree",
-        "render_path",
+        "TopologySummary", "summarize", "degree_sequence", "degree_ccdf",
+        "mean_degree", "top_degree_ases", "bottom_degree_ases",
     ),
 })

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import TopologyError
 from .graph import ASGraph, LinkKey, link_key
@@ -302,13 +302,3 @@ def _run_inverse(graph: ASGraph, undo: List[DeltaOp]) -> None:
     scratch: Set[LinkKey] = set()
     for op in reversed(undo):
         TopologyDelta._execute(graph, op, scratch)
-
-
-def apply_each(
-    graph: ASGraph, deltas: Sequence[TopologyDelta]
-) -> List[AppliedDelta]:
-    """Apply several deltas in order; returns their transaction records.
-
-    Revert them in reverse order to restore the original graph.
-    """
-    return [delta.apply(graph) for delta in deltas]

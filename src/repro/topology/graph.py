@@ -441,8 +441,3 @@ class ASGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ASGraph(n={len(self)}, links={self.num_links})"
-
-
-def frozen_path(path: Iterable[int]) -> FrozenSet[int]:
-    """Helper: the set of ASes on a path, for overlap tests."""
-    return frozenset(path)

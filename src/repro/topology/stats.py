@@ -6,9 +6,8 @@ summary of Table 5.1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .graph import ASGraph
 from .relationships import LinkType
@@ -53,11 +52,6 @@ def summarize(graph: ASGraph, name: str = "topology") -> TopologySummary:
 def degree_sequence(graph: ASGraph) -> List[int]:
     """Node degrees, descending."""
     return sorted((graph.degree(a) for a in graph.iter_ases()), reverse=True)
-
-
-def degree_histogram(graph: ASGraph) -> Dict[int, int]:
-    """degree -> number of ASes with that degree."""
-    return dict(Counter(graph.degree(a) for a in graph.iter_ases()))
 
 
 def degree_ccdf(graph: ASGraph) -> List[Tuple[int, float]]:
@@ -107,11 +101,6 @@ def bottom_degree_ases(graph: ASGraph, fraction: float) -> List[int]:
     )
     count = max(1, int(round(len(ranked) * fraction)))
     return ranked[:count]
-
-
-def ases_with_degree_at_least(graph: ASGraph, min_degree: int) -> List[int]:
-    """ASes with degree >= min_degree (paper: ">200 neighbours" ≈ tier-1)."""
-    return [a for a in graph.iter_ases() if graph.degree(a) >= min_degree]
 
 
 def mean_degree(graph: ASGraph) -> float:

@@ -7,7 +7,6 @@ from repro.bgp import (
     OriginType,
     RouterRoute,
     SessionType,
-    best_route,
     decide,
 )
 from repro.errors import RoutingError
@@ -100,11 +99,6 @@ class TestSteps:
         winner, _ = decide([a, b])
         winner2, _ = decide([b, a])
         assert winner.as_path == winner2.as_path == (7, 8)
-
-    def test_best_route_wrapper(self):
-        a = route(local_pref=50)
-        b = route(local_pref=60)
-        assert best_route([a, b]) is b
 
     def test_winner_always_among_candidates(self):
         candidates = [route(router_id=i, med=i % 3) for i in range(1, 6)]

@@ -5,7 +5,6 @@ import pytest
 from repro.bgp import (
     Route,
     RouteClass,
-    better,
     classify_path,
     exportable_route,
     make_route,
@@ -66,12 +65,6 @@ class TestRoute:
         assert Route((1, 2), RouteClass.CUSTOMER).local_pref == 400
         assert Route((1, 2), RouteClass.PEER).local_pref == 200
         assert Route((1, 2), RouteClass.PROVIDER).local_pref == 100
-
-    def test_better_handles_none(self):
-        route = Route((1, 2), RouteClass.PEER)
-        assert better(None, route) is route
-        assert better(route, None) is route
-        assert better(None, None) is None
 
     def test_str(self):
         assert str(Route((1, 2, 6), RouteClass.PEER)) == "1-2-6"

@@ -229,18 +229,16 @@ class TestPinnedRoutes:
                 compute_routes(paper_graph, F, pinned={B: bad})
         assert compute_routes(paper_graph, F).best(B).path == (B, E, F)
 
-    def test_pin_off_the_snapshot_settles_by_the_reference(self, paper_graph):
-        """A pinned path through an AS the topology lacks has no index
-        path; the heap walk's UnknownASError sends the request to the
-        dict walk, which settles it, instead of out to the caller."""
+    @pytest.mark.parametrize(
+        "walk", [compute_routes, compute_routes_reference],
+        ids=["heap", "reference"])
+    def test_pin_off_the_graph_is_rejected(self, paper_graph, walk):
+        """A pinned path through an AS the topology lacks is refused by
+        both walks' validation, naming the AS."""
         stray = Route((B, 99, F), RouteClass.PEER)
-        table = compute_routes(paper_graph, F, pinned={B: stray})
-        assert table.best(B) is stray
-        assert table.best(A).path == (A, B, 99, F)
-        assert [(a, r.path) for a, r in table.items()] == [
-            (a, r.path) for a, r in compute_routes_reference(
-                paper_graph, F, pinned={B: stray}).items()
-        ]
+        with pytest.raises(UnknownASError, match="AS 99 ") as raised:
+            walk(paper_graph, F, pinned={B: stray})
+        assert raised.value.asn == 99
 
     def test_pinned_peer_route_not_exported_to_peers(self, triangle_graph):
         # Pin 2 onto a peer route; its peer 3 must not learn it.

@@ -159,18 +159,6 @@ class TestPacket:
         assert rewritten.outer.tunnel_id == 7  # id survives the rewrite
         assert rewritten.inner.destination == 2
 
-    def test_ttl_decrement(self):
-        packet = Packet.make(1, 2)
-        assert packet.forwarded().outer.ttl == packet.outer.ttl - 1
-
-    def test_ttl_expiry(self):
-
-        from repro.dataplane import IPHeader
-
-        packet = Packet(headers=(IPHeader(1, 2, ttl=0),))
-        with pytest.raises(DataPlaneError):
-            packet.forwarded()
-
     def test_needs_header(self):
         with pytest.raises(DataPlaneError):
             Packet(headers=())

@@ -52,7 +52,7 @@ def test_scheduling_into_the_past_raises():
     with pytest.raises(EventError):
         scheduler.schedule(1.0, "tick")
     with pytest.raises(EventError):
-        scheduler.schedule_after(-0.5, "tick")
+        scheduler.schedule(scheduler.now - 0.5, "tick")
     # scheduling at the current instant is legal
     scheduler.schedule(2.0, "tick")
     assert scheduler.run() == 1
@@ -72,7 +72,7 @@ def test_callbacks_can_schedule_followups():
     def tick(event):
         log.append(event.time)
         if event.time < 3.0:
-            scheduler.schedule_after(1.0, "tick")
+            scheduler.schedule(event.time + 1.0, "tick")
 
     scheduler.register("tick", tick)
     scheduler.schedule(0.0, "tick")
@@ -94,7 +94,7 @@ def test_run_max_events_budget():
     scheduler = EventScheduler()
 
     def tick(event):
-        scheduler.schedule_after(1.0, "tick")  # never drains on its own
+        scheduler.schedule(event.time + 1.0, "tick")  # never drains on its own
 
     scheduler.register("tick", tick)
     scheduler.schedule(0.0, "tick")

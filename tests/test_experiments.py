@@ -6,8 +6,6 @@ from repro.miro import ExportPolicy
 from repro.experiments import (
     DATASETS,
     SMALL_DATASET,
-    ccdf_points,
-    cdf_points,
     degree_distribution,
     fraction_at_least,
     heavy_tail_summary,
@@ -48,14 +46,6 @@ class TestSampling:
             path = triple.table.default_path(triple.source)
             assert triple.avoid in path[1:-1]
             assert not small.has_link(triple.source, triple.avoid)
-
-    def test_cdf_points(self):
-        points = cdf_points([3, 1, 2, 2])
-        assert points == [(1, 0.25), (2, 0.75), (3, 1.0)]
-
-    def test_ccdf_points(self):
-        points = ccdf_points([1, 2, 2, 3])
-        assert points == [(1, 1.0), (2, 0.75), (3, 0.25)]
 
     def test_fraction_at_least(self):
         assert fraction_at_least([0.1, 0.2, 0.3], 0.2) == pytest.approx(2 / 3)
@@ -116,8 +106,6 @@ class TestFig52:
         assert 0.0 <= curve.fraction_no_alternate <= 1.0
         assert curve.median >= 1
         assert curve.quantile(0.75) >= curve.median
-        dist = curve.distribution()
-        assert all(0 < frac <= 1 for frac, _ in dist)
 
 
 class TestTables52And53:

@@ -16,6 +16,7 @@ from repro.bgp.routing import (
     compute_routes_reference,
 )
 from repro.obs import get_registry
+from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 from repro.topology import (
     ASGraph,
     Relationship,
@@ -284,6 +285,22 @@ class TestFallbacks:
         assert fingerprint(after) == fingerprint(
             compute_routes_reference(paper_graph, F)
         )
+
+    def test_pinned_parent_falls_back_before_any_affected_scan(
+        self, paper_graph
+    ):
+        """A dict-backed parent settles in full at once: no path scan
+        runs, so no affected-region size is recorded for it."""
+        alternate = [r for r in compute_routes(paper_graph, F).candidates(B)
+                     if r.path == (B, C, F)][0]
+        before = compute_routes(paper_graph, F, pinned={B: alternate})
+        applied = TopologyDelta.link_down(D, E).apply(paper_graph)
+        sizes = get_registry().histogram(
+            "repro_routing_affected_ases", buckets=DEFAULT_SIZE_BUCKETS)
+        count, observed = fallbacks("parent_not_tree"), sizes.count
+        recompute_routes(paper_graph, before, applied)
+        assert fallbacks("parent_not_tree") == count + 1
+        assert sizes.count == observed
 
     def test_improved_export_at_region_boundary_detected(self):
         """Regression: a failure can *shorten* an affected AS's path.

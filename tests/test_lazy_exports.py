@@ -19,7 +19,8 @@ import sys
 import pytest
 
 #: package -> {defining submodule: names} for every name each package
-#: exported when its ``__init__`` imported its submodules eagerly.
+#: exported when its ``__init__`` imported its submodules eagerly, less
+#: the dead functions removed since.
 #: ``""`` lists submodules exported as themselves; ``"."`` names the
 #: package defines itself.
 EXPORTS = {
@@ -38,7 +39,7 @@ EXPORTS = {
     },
     "repro.bgp": {
         "": ("kernels",),
-        "route": ("Route", "RouteClass", "better"),
+        "route": ("Route", "RouteClass"),
         "policy": (
             "classify_path", "make_route", "may_export", "exportable_route",
             "select_best",
@@ -48,7 +49,7 @@ EXPORTS = {
             "affected_ases",
         ),
         "decision": (
-            "RouterRoute", "OriginType", "SessionType", "decide", "best_route",
+            "RouterRoute", "OriginType", "SessionType", "decide",
             "DECISION_STEPS",
         ),
         "engine": ("EventDrivenBGP", "BGPNode", "Update"),
@@ -58,7 +59,7 @@ EXPORTS = {
         "snapshot": ("TopologySnapshot",),
         "delta": (
             "TopologyDelta", "TimedDelta", "AppliedDelta", "DeltaOp",
-            "DeltaOpKind", "apply_each",
+            "DeltaOpKind",
         ),
         "relationships": ("LinkType", "Relationship", "local_pref_for"),
         "generator": (
@@ -70,12 +71,8 @@ EXPORTS = {
         "serialization": ("dump", "dumps", "load", "loads"),
         "stats": (
             "TopologySummary", "summarize", "degree_sequence",
-            "degree_histogram", "degree_ccdf", "mean_degree",
-            "top_degree_ases", "bottom_degree_ases",
-        ),
-        "visualize": (
-            "render_adjacency", "render_tiers", "render_routing_tree",
-            "render_path",
+            "degree_ccdf", "mean_degree", "top_degree_ases",
+            "bottom_degree_ases",
         ),
     },
     "repro.miro": {
@@ -157,7 +154,7 @@ EXPORTS = {
         ),
         "sampling": (
             "PairSample", "TripleSample", "sample_pairs", "sample_triples",
-            "cdf_points", "ccdf_points", "fraction_at_least",
+            "fraction_at_least",
         ),
         "report": ("render_table", "render_series", "percent"),
         "overhead": (
@@ -170,7 +167,7 @@ EXPORTS = {
         "model": (
             "GuidelineMode", "Selection", "TunnelDemand", "Ranker",
             "ExplicitRanker", "GaoRexfordRanker", "PartialOrder",
-            "route_class_rank", "path_class_rank",
+            "path_class_rank",
         ),
         "simulator": (
             "MiroConvergenceSystem", "ConvergenceResult", "proof_schedule",

@@ -12,7 +12,6 @@ from repro.topology import (
     DeltaOpKind,
     Relationship,
     TopologyDelta,
-    apply_each,
     link_key,
 )
 from repro.topology.generator import generate_named
@@ -226,12 +225,12 @@ class TestTransactionality:
         applied.revert()
         assert snapshot(paper_graph) == before
 
-    def test_apply_each_reverts_in_reverse_order(self, paper_graph):
+    def test_deltas_revert_in_reverse_order(self, paper_graph):
         before = snapshot(paper_graph)
-        records = apply_each(paper_graph, [
+        records = [delta.apply(paper_graph) for delta in (
             TopologyDelta.link_down(B, E),
             TopologyDelta.as_down(C),
-        ])
+        )]
         assert all(isinstance(r, AppliedDelta) for r in records)
         for record in reversed(records):
             record.revert()

@@ -11,7 +11,6 @@ from repro.topology import (
     SMALL,
     bottom_degree_ases,
     degree_ccdf,
-    degree_histogram,
     degree_sequence,
     dump,
     dumps,
@@ -22,7 +21,6 @@ from repro.topology import (
     summarize,
     top_degree_ases,
 )
-from repro.topology.stats import ases_with_degree_at_least
 
 
 class TestSerialization:
@@ -94,10 +92,6 @@ class TestStats:
         assert seq == sorted(seq, reverse=True)
         assert sum(seq) == 2 * paper_graph.num_links
 
-    def test_degree_histogram_totals(self, paper_graph):
-        histogram = degree_histogram(paper_graph)
-        assert sum(histogram.values()) == len(paper_graph)
-
     def test_ccdf_monotone(self, small_graph):
         points = degree_ccdf(small_graph)
         xs = [x for x, _ in points]
@@ -123,9 +117,6 @@ class TestStats:
             top_degree_ases(small_graph, 0.0)
         with pytest.raises(ValueError):
             bottom_degree_ases(small_graph, 1.5)
-
-    def test_degree_threshold_filter(self, paper_graph):
-        assert set(ases_with_degree_at_least(paper_graph, 3)) == {2, 3, 5}
 
     def test_mean_degree(self, paper_graph):
         assert mean_degree(paper_graph) == pytest.approx(16 / 6)
