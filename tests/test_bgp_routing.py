@@ -240,6 +240,19 @@ class TestPinnedRoutes:
             walk(paper_graph, F, pinned={B: stray})
         assert raised.value.asn == 99
 
+    @pytest.mark.parametrize("holder, path", [
+        (A, (B, C, F)),     # held by another AS
+        (B, (B, E)),        # toward another destination
+        (F, (F,)),          # at the destination itself
+    ], ids=["holder", "destination", "at-destination"])
+    def test_reference_walk_applies_the_same_pin_checks(
+        self, paper_graph, holder, path
+    ):
+        route = make_route(paper_graph, path)
+        for walk in (compute_routes, compute_routes_reference):
+            with pytest.raises(RoutingError):
+                walk(paper_graph, F, pinned={holder: route})
+
     def test_pinned_peer_route_not_exported_to_peers(self, triangle_graph):
         # Pin 2 onto a peer route; its peer 3 must not learn it.
         base = compute_routes(triangle_graph, 11)

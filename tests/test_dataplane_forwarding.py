@@ -7,6 +7,7 @@ from repro.dataplane import (
     ASLevelForwarder,
     Classifier,
     FlowKey,
+    HashSplitter,
     MatchRule,
     Packet,
     address_in_as,
@@ -55,6 +56,10 @@ class TestPlainForwarding:
         packet = packet_from_to(A, C)  # no routes computed toward C
         trace = forwarder.forward(packet)
         assert not trace.delivered
+
+    def test_walk_is_bounded_by_max_hops(self, forwarder):
+        with pytest.raises(DataPlaneError, match="beyond 2 hops"):
+            forwarder.forward(packet_from_to(A, F), max_hops=2)
 
     def test_unknown_address_rejected(self, forwarder):
         packet = Packet.make(address_in_as(A), (200 << 24))
@@ -117,6 +122,28 @@ class TestTunnelForwarding:
         assert trace.delivered
         assert trace.used_tunnel == tunnel.tunnel_id
         assert trace.hops == (A, B, E, C, F)
+
+    def test_split_flows_keep_their_path(self, paper_graph):
+        """Bulk flows split by flow hash, one rule a flow: each flow takes
+        the path its share picked, on every packet."""
+        table = compute_routes(paper_graph, F)
+        tunnel = negotiate(table, A, B, ExportPolicy.EXPORT,
+                           constraint=RouteConstraint(avoid=(E,))).tunnel
+        into = f"tunnel-{tunnel.tunnel_id}"
+        splitter = HashSplitter([(into, 0.3), ("default", 0.7)])
+        classifier = Classifier(default_action="default")
+        flows = [packet_from_to(A, F, src_port=p) for p in range(5000, 5020)]
+        for flow in flows:
+            classifier.add(MatchRule(src_port=flow.flow.src_port),
+                           splitter.pick(flow))
+        forwarder = ASLevelForwarder({F: table})
+        forwarder.install_tunnel(tunnel, classifier)
+        for flow in flows:
+            expected = ((A, B, C, F) if splitter.pick(flow) == into
+                        else (A, B, E, F))
+            for _ in range(2):
+                assert forwarder.forward(flow).hops == expected
+        assert 0 < sum(splitter.pick(flow) == into for flow in flows) < 20
 
     def test_tunnel_for_unknown_destination_rejected(self, tunneled):
         forwarder, tunnel = tunneled

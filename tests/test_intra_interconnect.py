@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RoutingError, TopologyError
-from repro.intra import ASNetwork
+from repro.intra import ASNetwork, RelayedOffer, RouterNegotiationRelay
 from repro.intra.interconnect import Internetwork
 
 PREFIX = "99.99.0.0/16"
@@ -143,3 +143,24 @@ class TestMiroOnTop:
         available = inter.network(CUST).available_paths(PREFIX)
         paths = {path for path, _ in available}
         assert paths == {(T1, ORIGIN), (T2, ORIGIN)}
+
+
+class TestRelayOverSessions:
+    """§4.1's router relay at an AS whose routes came over eBGP sessions."""
+
+    def test_entry_router_collects_every_learned_path(self):
+        inter = build_diamond()
+        inter.run(PREFIX)
+        relay = RouterNegotiationRelay(inter.network(CUST))
+        assert relay.collect_offers("c1", PREFIX) == [
+            RelayedOffer((T1, ORIGIN), "c1"), RelayedOffer((T2, ORIGIN), "c2")]
+
+    def test_a_relayed_tunnel_leaves_by_the_other_egress(self):
+        inter = build_diamond()
+        inter.run(PREFIX)
+        relay = RouterNegotiationRelay(inter.network(CUST))
+        offers = relay.collect_offers("c1", PREFIX, avoid=(T1,))
+        assert offers == [RelayedOffer((T2, ORIGIN), "c2")]
+        tunnel = relay.select("c1", offers[0], PREFIX, upstream_as=42)
+        assert (tunnel.entry_router, tunnel.egress_router) == ("c1", "c2")
+        assert tunnel.exit_link == "c2-t2"

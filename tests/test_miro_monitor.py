@@ -72,6 +72,25 @@ class TestTriggering:
         assert any(e.kind == "established" for e in events)
         assert len(runtime.live_tunnels()) == 1
 
+    def test_fails_while_the_bypass_is_down_and_recovers_on_repair(
+        self, runtime, monitor
+    ):
+        """B-C carries the tunnel and is the only way around E: the poll
+        after the failure re-triggers and fails at every responder, the
+        poll after the repair re-establishes the same path."""
+        monitor.poll()
+        runtime.fail_link(B, C)
+        assert runtime.live_tunnels() == []
+        events = monitor.poll()
+        assert [e.kind for e in events] == [
+            "triggered", "failed", "failed", "failed"]
+        assert events[-1].detail == "no responder could help"
+        runtime.restore_link(B, C)
+        events = monitor.poll()
+        assert [e.kind for e in events] == ["triggered", "established"]
+        assert events[-1].detail == f"{B}-{C}-{F}"
+        assert len(runtime.live_tunnels()) == 1
+
     def test_unwatched_destinations_ignored(self, runtime, paper_graph):
         policy = parse_config(CONFIG).requester
         monitor = PolicyMonitor(

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import json
 import pathlib
 import textwrap
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "reach.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "reach.py"
 _spec = importlib.util.spec_from_file_location("reach", TOOL)
 reach = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reach)
@@ -153,3 +155,106 @@ def test_a_failing_surface_fails_the_check(fixture):
 def test_an_entry_without_a_reason_is_refused(fixture):
     with pytest.raises(SystemExit, match="mod.py:planted has no reason"):
         run(fixture, "mod.py:planted\n")
+
+
+def test_a_function_entered_only_in_a_thread_is_reached(fixture):
+    (fixture / "thread.py").write_text(
+        "import threading\n"
+        "import fixturepkg.mod as mod\n"
+        "worker = threading.Thread(target=mod.planted)\n"
+        "worker.start()\n"
+        "worker.join()\n")
+    (fixture / "surfaces.txt").write_text(SURFACES + "python thread.py\n")
+    status, report = run(fixture, "")
+    assert status == 0, report
+    assert "planted" not in never_entered(report)
+
+
+def test_a_function_entered_in_a_surfaces_subprocess_is_reached(fixture):
+    (fixture / "spawn.py").write_text(
+        "import subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', 'import fixturepkg.mod as m; "
+        "m.planted()'], check=True)\n")
+    (fixture / "surfaces.txt").write_text(SURFACES + "python spawn.py\n")
+    status, report = run(fixture, "")
+    assert status == 0, report
+    assert "planted" not in never_entered(report)
+
+
+def test_statement_lines_are_the_lines_statements_start_on(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "m.py").write_text(textwrap.dedent('''\
+        def f():
+            """Docstring."""
+            total = (1 +
+                     2)
+            if total:
+                return total
+            return 0
+        '''))
+    functions, total = reach.inventory(package)
+    (f,) = functions.values()
+    # def, docstring, assignment, if, two returns; the continuation
+    # line of the assignment starts none
+    assert (f.qualname, f.start, f.statements) == ("f", 1, 6)
+    assert total == 6
+
+
+def test_methods_are_named_by_their_classes_and_inner_defs_are_not_listed(
+    tmp_path,
+):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "sub" / "m.py").write_text(textwrap.dedent('''\
+        class Outer:
+            class Inner:
+                async def method(self):
+                    def helper():
+                        return 1
+                    return helper()
+        '''))
+    functions, _ = reach.inventory(package)
+    assert [f.name for f in functions.values()] == [
+        "sub/m.py:Outer.Inner.method"]
+
+
+def test_the_share_line_totals_the_unreached_statement_lines(fixture):
+    _, report = run(fixture, "mod.py:planted  kept for the test\n")
+    functions, total = reach.inventory(fixture / "src" / "fixturepkg")
+    # planted (4) and tiny (2) are the two never entered
+    assert f"unreached: 6 of {total} statement lines" in report
+    assert f"in 2 of {len(functions)} functions" in report
+    assert "mod.py  6\n" in never_entered(report)
+
+
+def test_comments_and_blank_lines_are_skipped(fixture):
+    (fixture / "surfaces.txt").write_text("# a comment\n\n" + SURFACES)
+    status, report = run(fixture, """\
+        # why planted stays
+
+        mod.py:planted  kept for the test, with a long reason
+        """)
+    assert status == 0, report
+    assert reach.read_allowlist(fixture / "allow.txt") == {
+        "mod.py:planted": "kept for the test, with a long reason"}
+    assert reach.read_surfaces(fixture / "surfaces.txt") == (
+        SURFACES.splitlines())
+
+
+def test_every_entry_of_the_repo_allowlist_names_a_function():
+    """Static half of the stale check: a renamed or deleted function
+    fails here before any surface runs."""
+    functions, _ = reach.inventory(ROOT / "src" / "repro")
+    names = {f.name for f in functions.values()}
+    allowed = reach.read_allowlist(ROOT / "tools" / "reach_allow.txt")
+    assert allowed
+    assert sorted(set(allowed) - names) == []
+
+
+def test_every_benchmark_workload_is_a_surface():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    surfaces = reach.read_surfaces(ROOT / "tools" / "reach_surfaces.txt")
+    (bench,) = [line for line in surfaces if "bench/run.py" in line]
+    listed = bench.split(" in ", 1)[1].split(";", 1)[0].split()
+    assert sorted(listed) == sorted(w["name"] for w in benchmark["workloads"])
