@@ -11,11 +11,15 @@ best routes, and propagate changes.  It supports:
 * deterministic FIFO or seeded-random message ordering (the Ch. 7
   activation-order question, at message granularity).
 
-The stable state it reaches is validated against the closed form in the
-tests and benchmarks (the DESIGN.md ablation).  Nothing on the serving
-path runs it — the MIRO runtime reads its session's closed-form tables;
-this engine says what convergence costs in messages
-(:mod:`repro.experiments.overhead`).
+It is the message-level runner.  The stable state it reaches is
+validated against the closed form in the tests and benchmarks (the
+DESIGN.md ablation).  Nothing on the serving path runs it — the MIRO
+runtime reads its session's closed-form tables.  It stays beside the
+convergence simulator for what only it can answer: what convergence
+costs in UPDATE messages (:mod:`repro.experiments.overhead`), and that
+the outcome is the same in any message order.  The simulator coalesces
+arrivals into one activation per AS, so it counts activations, not
+messages, and cannot reorder single messages.
 """
 
 from __future__ import annotations

@@ -10,6 +10,16 @@ Preference rule: customer routes > peer routes > provider routes.
 Sibling routes are classified by the first non-sibling link on the path
 (§2.2.1): e.g. a path whose links read sibling, sibling, peer, ... is a peer
 route; an all-sibling path is a customer route.
+
+Valley-free rule: read from the holder toward the destination, a legal
+path is (customer→provider)* (peer→peer)? (provider→customer)*, sibling
+links being transparent.
+
+This module is the one statement of these rules: the convergence model,
+the source-routing ceiling and the invariant checkers call it.  The
+settling kernels alone re-encode them in index space
+(``snapshot.PHASE_CLASSES``, ``routing._LINK_CLASS``), held byte-equal
+to the reference walk that calls this module.
 """
 
 from __future__ import annotations
@@ -40,6 +50,32 @@ def classify_path(graph: ASGraph, path: Tuple[int, ...]) -> RouteClass:
             return _REL_TO_CLASS[rel]
     # all links are sibling links: treated as a customer route (§2.2.1)
     return RouteClass.CUSTOMER
+
+
+def valley_free_step(phase: int, rel: Relationship) -> Optional[int]:
+    """The valley-free phase after one hop toward a neighbour that is
+    ``rel`` to the current AS, or None if the hop makes a valley.
+
+    Phases: 0 still climbing (customer→provider), 1 crossed a peering
+    link, 2 descending (provider→customer).  A sibling hop keeps the phase.
+    """
+    if rel is Relationship.SIBLING:
+        return phase
+    if rel is Relationship.PROVIDER:  # climbing to a provider
+        return 0 if phase == 0 else None
+    if rel is Relationship.PEER:
+        return 1 if phase == 0 else None
+    return 2  # descending to a customer is always allowed
+
+
+def is_valley_free(graph: ASGraph, path: Tuple[int, ...]) -> bool:
+    """Does ``path``, read from its holder, obey the valley-free rule?"""
+    phase: Optional[int] = 0
+    for here, nxt in zip(path, path[1:]):
+        phase = valley_free_step(phase, graph.relationship(here, nxt))
+        if phase is None:
+            return False
+    return True
 
 
 def make_route(graph: ASGraph, path: Tuple[int, ...]) -> Route:

@@ -69,7 +69,6 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Container,
     Dict,
     Iterable,
     Iterator,
@@ -86,7 +85,7 @@ from ..errors import RoutingError, UnknownASError
 from ..obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
 from ..topology.graph import ASGraph
 from ..topology.snapshot import PHASE_CLASSES, TopologySnapshot
-from .policy import exportable_route, make_route
+from .policy import classify_path, exportable_route, make_route
 from .route import Route, RouteClass
 
 # ----------------------------------------------------------------------
@@ -411,14 +410,15 @@ class RoutingTable:
 
 
 def _validate_pinned(
-    destination: int, pinned: Dict[int, Route], known: Container[int]
+    graph: ASGraph, destination: int, pinned: Dict[int, Route]
 ) -> None:
-    """Shared pinned-route validation for every computation entry point:
-    a pinned path through an AS ``known`` lacks raises
-    :class:`UnknownASError` naming that AS."""
+    """Shared pinned-route validation for both pinned walks, before any
+    settling: a pinned path through an AS ``graph`` lacks raises
+    :class:`UnknownASError` naming that AS, one across two ASes that
+    share no link a :class:`RoutingError` naming both."""
     for asn, route in pinned.items():
         for hop in route.path:
-            if hop not in known:
+            if hop not in graph:
                 raise UnknownASError(hop)
         if route.holder != asn:
             raise RoutingError(
@@ -428,6 +428,12 @@ def _validate_pinned(
             raise RoutingError(
                 f"pinned route {route} does not target AS {destination}"
             )
+        for a, b in zip(route.path, route.path[1:]):
+            if not graph.has_link(a, b):
+                raise RoutingError(
+                    f"pinned route {route} crosses AS {a} - AS {b}, "
+                    f"which is not a link"
+                )
     if destination in pinned:
         raise RoutingError("cannot pin a route at the destination itself")
 
@@ -454,37 +460,15 @@ def compute_routes(
     if destination not in graph:
         raise UnknownASError(destination)
     pinned = dict(pinned or {})
-    snapshot = graph.snapshot()
     # Late import: repro.bgp.kernels initializes after this module (its
     # scalar kernel is the settling implementation defined here).
     from . import kernels
 
     if pinned:
-        best = _settle_pinned(snapshot, destination, pinned)
+        best = _settle_pinned(graph, destination, pinned)
     else:
-        best = kernels.settle_many(snapshot, [destination])[destination]
+        best = kernels.settle_many(graph.snapshot(), [destination])[destination]
     return RoutingTable(graph, destination, best)
-
-
-def _resolve_link_class(class_nbrs, idx_path: Tuple[int, ...]) -> int:
-    """Sibling-resolved class code of an index path, from actual links.
-
-    The index-space mirror of :func:`repro.bgp.policy.classify_path`: the
-    first non-sibling link from the holder end decides, an all-sibling
-    (or single-AS) path counts as a customer route.  Only consulted for
-    *seeded* routes (pinned and the origin), whose stored class is not
-    necessarily the link-derived one the settling propagation must use.
-    """
-    customers, providers, peers, _ = class_nbrs
-    for a, b in zip(idx_path, idx_path[1:]):
-        if b in customers[a]:
-            return _CUSTOMER  # learned from a customer
-        if b in providers[a]:
-            return _PROVIDER  # learned from a provider
-        if b in peers[a]:
-            return _PEER  # learned from a peer
-        # sibling link: transparent, classify on the next one
-    return _CUSTOMER
 
 
 #: Class code a route takes crossing a link of snapshot class ``c`` (the
@@ -598,18 +582,19 @@ def compute_routes_snapshot(
 
 
 def _settle_pinned(
-    snapshot: TopologySnapshot, destination: int, pinned: Dict[int, Route]
+    graph: ASGraph, destination: int, pinned: Dict[int, Route]
 ) -> Dict[int, Route]:
     """The heap walk :func:`compute_routes` runs for a pinned request.
 
-    Per-node class neighbour tuples, int-tuple paths, heap entries of
-    ``(length, path, class)``, translated to an ASN-keyed best-route dict
-    at the end; a route's class comes from the link crossed
-    (:data:`_LINK_CLASS`), never from re-walking its path.  Raises
-    :class:`UnknownASError` when a pinned path leaves the snapshot.
+    Per-node class neighbour tuples of ``graph.snapshot()``, int-tuple
+    paths, heap entries of ``(length, path, class)``, translated to an
+    ASN-keyed best-route dict at the end; an adopted route's class comes
+    from the link crossed (:data:`_LINK_CLASS`), never from re-walking
+    its path.  Raises as :func:`_validate_pinned` does.
     """
+    _validate_pinned(graph, destination, pinned)
+    snapshot = graph.snapshot()
     dest = snapshot.index_of(destination)
-    _validate_pinned(destination, pinned, snapshot.index)
     n = snapshot.n
     class_nbrs = snapshot.class_nbrs
     # Per-node settling state, indexed by snapshot index: the selected
@@ -626,7 +611,7 @@ def _settle_pinned(
         holder = idx_path[0]
         best_path[holder] = idx_path
         best_cls[holder] = route.route_class.value
-        prop_cls[holder] = _resolve_link_class(class_nbrs, idx_path)
+        prop_cls[holder] = classify_path(graph, route.path).value
     best_path[dest] = (dest,)
     best_cls[dest] = _ORIGIN
     prop_cls[dest] = _CUSTOMER  # what the origin's siblings inherit
@@ -705,7 +690,7 @@ def compute_routes_reference(
     if destination not in graph:
         raise UnknownASError(destination)
     pinned = dict(pinned or {})
-    _validate_pinned(destination, pinned, graph)
+    _validate_pinned(graph, destination, pinned)
 
     best: Dict[int, Route] = dict(pinned)
     best[destination] = Route((destination,), RouteClass.ORIGIN)

@@ -27,9 +27,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from ..errors import ConvergenceError
+from ..bgp.policy import classify_path
+from ..bgp.route import RouteClass
+from ..errors import ConvergenceError, TopologyError
 from ..topology.graph import ASGraph
-from ..topology.relationships import Relationship
 
 Path = Tuple[int, ...]
 
@@ -138,28 +139,17 @@ class GaoRexfordRanker(Ranker):
         return (path_class_rank(self._graph, path), -len(path))
 
 
-_CLASS_RANK = {
-    Relationship.CUSTOMER: 3,
-    Relationship.SIBLING: 3,
-    Relationship.PEER: 2,
-    Relationship.PROVIDER: 1,
-}
-
-
 def path_class_rank(graph: ASGraph, path: Path) -> int:
-    """Sibling-resolved class rank of a whole path (§2.2.1): the first
-    non-sibling link decides; an all-sibling path counts as a customer
-    route; origin paths rank 4; a non-adjacent hop (possible inside tunnel
-    paths) is ranked like a provider route."""
-    if len(path) < 2:
-        return 4
-    for here, nxt in zip(path, path[1:]):
-        if not graph.has_link(here, nxt):
-            return 1
-        rel = graph.relationship(here, nxt)
-        if rel is not Relationship.SIBLING:
-            return _CLASS_RANK[rel]
-    return 3  # all-sibling paths count as customer routes
+    """Sibling-resolved class rank of a whole path (§2.2.1):
+    :func:`repro.bgp.policy.classify_path`'s :class:`RouteClass` value.
+
+    One difference: a non-adjacent hop before the first non-sibling link,
+    which a tunnel path can hold, ranks as a provider route.
+    """
+    try:
+        return classify_path(graph, path).value
+    except TopologyError:  # the hop has no relationship to read
+        return RouteClass.PROVIDER.value
 
 
 @dataclass(slots=True)

@@ -41,11 +41,12 @@ from typing import (
     Union,
 )
 
+from ..bgp.policy import may_export
+from ..bgp.route import RouteClass
 from ..errors import ConvergenceError
 from ..obs import get_logger, get_registry, get_tracer
 from ..topology.delta import AppliedDelta, TopologyDelta
 from ..topology.graph import ASGraph, link_key
-from ..topology.relationships import Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from ..events.timers import DelayModel
@@ -178,10 +179,8 @@ class MiroConvergenceSystem:
         """Gao–Rexford export rule on an arbitrary path."""
         if len(path) < 2:
             return True  # origin route goes to everyone
-        rel = self.graph.relationship(holder, neighbor)
-        if rel in (Relationship.CUSTOMER, Relationship.SIBLING):
-            return True
-        return path_class_rank(self.graph, path) == 3
+        route_class = RouteClass(path_class_rank(self.graph, path))
+        return may_export(self.graph, holder, neighbor, route_class)
 
     def _advertised(self, holder: int, neighbor: int, dest: int) -> Optional[Path]:
         """The path ``holder`` currently advertises to ``neighbor``."""

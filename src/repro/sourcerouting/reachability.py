@@ -15,11 +15,11 @@ theoretical ceiling for MIRO's flexible policy.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
+from ..bgp.policy import valley_free_step
 from ..errors import UnknownASError
 from ..topology.graph import ASGraph
-from ..topology.relationships import Relationship
 
 
 def reachable_avoiding(
@@ -82,9 +82,8 @@ def valley_free_reachable_avoiding(
     """Is there a *valley-free* path from source to destination avoiding
     ``avoid``?
 
-    Search over (AS, phase) states, where phase 0 = still climbing
-    (customer→provider), 1 = crossed a peering link, 2 = descending
-    (provider→customer).  Sibling links keep the phase.
+    Search over (AS, phase) states, the phases of
+    :func:`repro.bgp.policy.valley_free_step`.
     """
     for asn in (source, destination, avoid):
         if asn not in graph:
@@ -101,7 +100,7 @@ def valley_free_reachable_avoiding(
             if neighbor == avoid:
                 continue
             rel = graph.relationship(node, neighbor)
-            next_phase = _next_phase(phase, rel)
+            next_phase = valley_free_step(phase, rel)
             if next_phase is None:
                 continue
             if neighbor == destination:
@@ -111,17 +110,6 @@ def valley_free_reachable_avoiding(
                 seen.add(state)
                 stack.append(state)
     return False
-
-
-def _next_phase(phase: int, rel: Relationship) -> Optional[int]:
-    """Phase transition for one hop, or None if it would create a valley."""
-    if rel is Relationship.SIBLING:
-        return phase
-    if rel is Relationship.PROVIDER:  # climbing to a provider
-        return 0 if phase == 0 else None
-    if rel is Relationship.PEER:
-        return 1 if phase == 0 else None
-    return 2  # descending to a customer is always allowed
 
 
 def cut_vertices_for_pair(

@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TopologyDelta", "TimedDelta", "AppliedDelta", "DeltaOp",
         "DeltaOpKind",
     ),
-    "relationships": ("LinkType", "Relationship", "local_pref_for"),
+    "relationships": ("LinkType", "Relationship"),
     "generator": (
         "TopologyProfile", "generate_topology", "generate_named", "PROFILES",
         "GAO_2000", "GAO_2003", "GAO_2005", "AGARWAL_2004", "APRIL_2009",

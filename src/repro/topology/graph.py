@@ -399,31 +399,11 @@ class ASGraph:
     # path validity
     # ------------------------------------------------------------------
     def is_valley_free(self, path: Tuple[int, ...]) -> bool:
-        """Check the Gao valley-free property of an AS path.
+        """:func:`repro.bgp.policy.is_valley_free` on this graph, kept as
+        a method because ``bench/check.py`` judges answers with it."""
+        from ..bgp.policy import is_valley_free  # bgp sits above topology
 
-        A valid path is (customer-to-provider)* (peer-peer)?
-        (provider-to-customer)* when read from the source toward the
-        destination; sibling hops are transparent (they may appear anywhere
-        without changing the phase).
-        """
-        if len(path) < 2:
-            return True
-        # phases: 0 = uphill (c2p), 1 = after peering, 2 = downhill (p2c)
-        phase = 0
-        for here, nxt in zip(path, path[1:]):
-            rel = self.relationship(here, nxt)  # what nxt is to here
-            if rel is Relationship.SIBLING:
-                continue
-            if rel is Relationship.PROVIDER:  # uphill step
-                if phase != 0:
-                    return False
-            elif rel is Relationship.PEER:
-                if phase != 0:
-                    return False
-                phase = 1
-            else:  # rel is CUSTOMER -> downhill step
-                phase = 2
-        return True
+        return is_valley_free(self, path)
 
     def path_exists(self, path: Iterable[int]) -> bool:
         """True iff consecutive ASes on ``path`` are adjacent."""

@@ -59,17 +59,3 @@ def link_type_for(relationship: Relationship) -> LinkType:
         return LinkType.PEER_PEER
     return LinkType.SIBLING_SIBLING
 
-
-#: Local-preference bands conventionally assigned per relationship (§2.2.2):
-#: customer routes highest, then sibling, then peer, then provider.
-LOCAL_PREF = {
-    Relationship.CUSTOMER: 400,
-    Relationship.SIBLING: 300,
-    Relationship.PEER: 200,
-    Relationship.PROVIDER: 100,
-}
-
-
-def local_pref_for(relationship: Relationship) -> int:
-    """Conventional local-preference value for a route from this neighbour."""
-    return LOCAL_PREF[relationship]

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..bgp.policy import may_export, select_best
+from ..bgp.policy import is_valley_free, may_export, select_best
 from ..bgp.routing import RoutingTable, compute_routes_reference
 from ..obs import get_registry
 
@@ -97,7 +97,7 @@ def check_valley_free(table: RoutingTable) -> List[Violation]:
                 f"path {path} uses a link absent from the topology",
             ))
             continue
-        if not graph.is_valley_free(path):
+        if not is_valley_free(graph, path):
             out.append(Violation(
                 "valley-free", destination, asn,
                 f"path {path} has a valley (illegal export chain)",

@@ -18,6 +18,7 @@ from repro.bgp import (
     compute_routes,
     make_route,
 )
+from repro.bgp.policy import is_valley_free
 from repro.bgp.routing import (
     RouteTree,
     RoutingTable,
@@ -165,7 +166,7 @@ class TestInvariants:
         graph, all_tables = tables
         for table in all_tables.values():
             for asn, route in table.items():
-                assert graph.is_valley_free(route.path), route.path
+                assert is_valley_free(graph, route.path), route.path
 
     def test_tree_consistency(self, tables):
         """Each selected path extends the next hop's selected path."""
@@ -239,6 +240,26 @@ class TestPinnedRoutes:
         with pytest.raises(UnknownASError, match="AS 99 ") as raised:
             walk(paper_graph, F, pinned={B: stray})
         assert raised.value.asn == 99
+
+    @pytest.mark.parametrize(
+        "walk", [compute_routes, compute_routes_reference],
+        ids=["heap", "reference"])
+    @pytest.mark.parametrize("holder, path", [
+        (3, (3, 6, 1)),     # 3's sibling 4 would inherit it
+        (2, (2, 3, 6, 1)),  # the missing link past the first hop
+    ], ids=["first-hop", "later-hop"])
+    def test_pin_across_a_missing_link_is_rejected(self, walk, holder, path):
+        """Every AS of the pinned path is in the graph, but 3 and 6 share
+        no link: both walks refuse the pin before settling, naming both."""
+        graph = ASGraph()
+        graph.add_customer_link(2, 1)
+        graph.add_customer_link(3, 2)
+        graph.add_sibling_link(3, 4)
+        graph.add_customer_link(4, 5)
+        graph.add_customer_link(6, 1)
+        pin = Route(path, RouteClass.PROVIDER)
+        with pytest.raises(RoutingError, match="AS 3 - AS 6"):
+            walk(graph, 1, pinned={holder: pin})
 
     @pytest.mark.parametrize("holder, path", [
         (A, (B, C, F)),     # held by another AS

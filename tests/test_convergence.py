@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.bgp import RouteClass, classify_path, compute_routes
 from repro.convergence import (
     ExplicitRanker, GaoRexfordRanker, GuidelineMode, MiroConvergenceSystem,
     PartialOrder, Selection, TunnelDemand, bad_gadget_bgp_system,
     fig_7_1_graph, fig_7_1_system, fig_7_2_graph, fig_7_2_system,
-    proof_schedule,
+    path_class_rank, proof_schedule,
 )
 from repro.errors import ConvergenceError
 from repro.topology import TINY, generate_topology
+
+from conftest import A, B, D, E, F
 
 
 class TestPartialOrder:
@@ -58,6 +61,33 @@ class TestRankers:
         short = ranker.rank(1, 6, (1, 2, 6))
         long = ranker.rank(1, 6, (1, 2, 5, 6))
         assert short > long
+
+    def test_class_rank_is_the_policy_class(self):
+        graph = generate_topology(TINY, seed=7)
+        for destination in graph.ases[::4]:
+            table = compute_routes(graph, destination)
+            for asn in graph.iter_ases():
+                for route in table.candidates(asn):
+                    assert path_class_rank(graph, route.path) == (
+                        classify_path(graph, route.path).value
+                    ), route.path
+
+    def test_non_adjacent_hop_before_the_deciding_link_ranks_provider(
+        self, paper_graph
+    ):
+        """A tunnel path may hold a hop between ASes that share no link:
+        before the first non-sibling link it ranks as a provider route,
+        after it the link has already decided the class."""
+        paper_graph.add_sibling_link(D, 7)
+        provider = RouteClass.PROVIDER.value
+        assert path_class_rank(paper_graph, (A, F)) == provider
+        assert path_class_rank(paper_graph, (7, D, F)) == provider
+        assert path_class_rank(paper_graph, (7, D, E, A)) == (
+            RouteClass.CUSTOMER.value
+        )
+        assert path_class_rank(paper_graph, (B, E, A)) == (
+            RouteClass.CUSTOMER.value
+        )
 
     def test_best_prefers_plain_bgp_on_tie(self):
         ranker = ExplicitRanker({(1, 9): ((1, 2, 9),)})

@@ -61,7 +61,7 @@ EXPORTS = {
             "TopologyDelta", "TimedDelta", "AppliedDelta", "DeltaOp",
             "DeltaOpKind",
         ),
-        "relationships": ("LinkType", "Relationship", "local_pref_for"),
+        "relationships": ("LinkType", "Relationship"),
         "generator": (
             "TopologyProfile", "generate_topology", "generate_named",
             "PROFILES", "GAO_2000", "GAO_2003", "GAO_2005", "AGARWAL_2004",

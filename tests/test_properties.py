@@ -17,6 +17,7 @@ from repro.bgp import (
     compute_routes,
     decide,
 )
+from repro.bgp.policy import is_valley_free
 from repro.dataplane import (
     FlowKey,
     HashSplitter,
@@ -146,7 +147,7 @@ def test_routes_valley_free_and_consistent(graph):
     assert len(table.routed_ases()) == len(graph)  # AS 1 reaches everyone
     for asn, route in table.items():
         assert graph.path_exists(route.path)
-        assert graph.is_valley_free(route.path)
+        assert is_valley_free(graph, route.path)
         if route.length > 0:
             nxt = table.best(route.path[1])
             assert nxt.path == route.path[1:]

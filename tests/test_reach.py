@@ -11,6 +11,7 @@ import importlib.util
 import io
 import json
 import pathlib
+import shutil
 import textwrap
 
 import pytest
@@ -150,6 +151,18 @@ def test_a_failing_surface_fails_the_check(fixture):
     status, report = run(fixture, "mod.py:planted  kept for the test\n")
     assert status == 1
     assert "error: surface failed: exit 3" in report
+
+
+def test_surfaces_find_python_when_path_has_none(fixture, monkeypatch):
+    """A PATH with bash and no ``python``: the surfaces' ``python`` is
+    the interpreter running the ledger."""
+    only_bash = fixture / "only-bash"
+    only_bash.mkdir()
+    (only_bash / "bash").symlink_to(shutil.which("bash"))
+    monkeypatch.setenv("PATH", str(only_bash))
+    status, report = run(fixture, "mod.py:planted  kept for the test\n")
+    assert status == 0, report
+    assert "in_child" not in never_entered(report)
 
 
 def test_an_entry_without_a_reason_is_refused(fixture):

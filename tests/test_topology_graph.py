@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.policy import is_valley_free
 from repro.errors import DuplicateLinkError, TopologyError, UnknownASError
 from repro.topology import ASGraph, LinkType, Relationship
 
@@ -165,34 +166,38 @@ class TestStructure:
 
 class TestValleyFree:
     def test_pure_downhill_is_valley_free(self, paper_graph):
-        assert paper_graph.is_valley_free((B, E, F))
+        assert is_valley_free(paper_graph, (B, E, F))
 
     def test_up_then_down_is_valley_free(self, paper_graph):
-        assert paper_graph.is_valley_free((A, B, E, F))
+        assert is_valley_free(paper_graph, (A, B, E, F))
 
     def test_peer_in_middle_is_valley_free(self, paper_graph):
-        assert paper_graph.is_valley_free((B, C, F))
+        assert is_valley_free(paper_graph, (B, C, F))
 
     def test_down_then_up_is_a_valley(self, paper_graph):
         # B -> E (down to customer), E -> D (up to provider): a valley
-        assert not paper_graph.is_valley_free((B, E, D))
+        assert not is_valley_free(paper_graph, (B, E, D))
 
     def test_two_peer_hops_invalid(self, paper_graph):
-        assert not paper_graph.is_valley_free((B, C, E))
+        assert not is_valley_free(paper_graph, (B, C, E))
 
     def test_peer_then_up_invalid(self, triangle_graph):
         # 11 -> 12 peer, then 12 -> 2 provider: invalid
-        assert not triangle_graph.is_valley_free((11, 12, 2))
+        assert not is_valley_free(triangle_graph, (11, 12, 2))
 
     def test_sibling_is_transparent(self):
         graph = ASGraph()
         graph.add_sibling_link(1, 2)
         graph.add_customer_link(3, 2)  # 2 is customer of 3
         # 1 -s- 2 -up-> 3 is still "uphill only"
-        assert graph.is_valley_free((1, 2, 3))
+        assert is_valley_free(graph, (1, 2, 3))
 
     def test_single_as_path(self, paper_graph):
-        assert paper_graph.is_valley_free((F,))
+        assert is_valley_free(paper_graph, (F,))
+
+    def test_graph_method_is_the_policy_rule(self, paper_graph):
+        assert paper_graph.is_valley_free((A, B, E, F))
+        assert not paper_graph.is_valley_free((B, E, D))
 
     def test_path_exists(self, paper_graph):
         assert paper_graph.path_exists((A, B, E, F))

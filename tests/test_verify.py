@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.bgp import compute_routes
+from repro.bgp.route import Route, RouteClass
 from repro.bgp.routing import (
     RoutingTable,
     affected_ases,
@@ -75,6 +76,31 @@ class TestInvariants:
         violations = check_valley_free(table)
         assert any(v.asn == B for v in violations)
 
+    def test_valley_free_flags_a_valley(self, paper_graph):
+        """B -> A descends, A -> D climbs: every link exists, the path is
+        a valley, and only that clause can name it."""
+        table = compute_routes(paper_graph, F)
+        best = dict(table.items())
+        best[B] = Route((B, A, D, E, F), RouteClass.CUSTOMER)
+        assert [
+            (v.invariant, v.asn, v.detail)
+            for v in check_valley_free(_corrupt(table, best))
+        ] == [("valley-free", B,
+               f"path {(B, A, D, E, F)} has a valley (illegal export chain)")]
+
+    def test_forwarding_tree_flags_a_forbidden_export(self, paper_graph):
+        """D's next hop A holds the tail A-B-E-F, a provider route, which
+        A may not advertise to its provider D."""
+        table = compute_routes(paper_graph, F)
+        assert table.best(A).path == (A, B, E, F)
+        best = dict(table.items())
+        best[D] = Route((D, A, B, E, F), RouteClass.CUSTOMER)
+        assert [
+            (v.invariant, v.asn, v.detail)
+            for v in check_forwarding_tree(_corrupt(table, best))
+        ] == [("forwarding-tree", D,
+               f"export rules forbid {A} advertising its 1 route to {D}")]
+
     def test_checkers_report_rather_than_crash_on_stale_table(self):
         """A table audited against a mutated graph must yield violations,
         not a TopologyError from relationship lookups on dead links."""
@@ -119,8 +145,6 @@ class TestInvariants:
         table = compute_routes(paper_graph, F)
         assert table.best(B) is None
         # fabricate: B claims the old (B, E, F) route nobody exports
-        from repro.bgp.route import Route, RouteClass
-
         best = dict(table.items())
         best[B] = Route((B, E, F), RouteClass.CUSTOMER)
         violations = check_table(_corrupt(table, best))
@@ -290,9 +314,9 @@ class TestOracle:
         settle_pinned = routing._settle_pinned
         pins = []
 
-        def drop_one(snapshot, destination, pinned):
+        def drop_one(graph, destination, pinned):
             pins.append(pinned)
-            best = settle_pinned(snapshot, destination, pinned)
+            best = settle_pinned(graph, destination, pinned)
             del best[next(
                 a for a in best if a not in pinned and a != destination
             )]

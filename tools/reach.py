@@ -3,7 +3,8 @@
 with a reason, or removed.
 
 Runs each command of ``tools/reach_surfaces.txt`` (one shell command a
-line, from the repo root) with a recorder on ``PYTHONPATH``: a
+line, from the repo root; ``python`` in it is the interpreter running
+this tool) with a recorder on ``PYTHONPATH``: a
 ``sitecustomize`` module that every Python process of the run imports at
 start-up — the commands, their subprocesses, the bench server and pool
 workers alike.  It notes each function a process enters
@@ -146,10 +147,15 @@ def run_surfaces(surfaces: List[str], src: Path, cwd: Path,
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         scratch = Path(scratch)
         site, dumps, work = scratch / "site", scratch / "dumps", scratch / "work"
-        for directory in (site, dumps, work):
+        bin_dir = scratch / "bin"
+        for directory in (site, dumps, work, bin_dir):
             directory.mkdir()
         (site / "sitecustomize.py").write_text(RECORDER)
+        # a surface's `python` is this interpreter, whatever PATH holds
+        (bin_dir / "python").symlink_to(sys.executable)
         env = dict(os.environ)
+        env["PATH"] = os.pathsep.join(
+            [str(bin_dir)] + ([env["PATH"]] if env.get("PATH") else []))
         env["PYTHONPATH"] = os.pathsep.join(
             [str(site), str(src)]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
