@@ -1,10 +1,15 @@
 """Newline-delimited-JSON TCP front end for :class:`MiroService`.
 
 One request per line, one response per line, concurrent requests per
-connection (each line spawns a task, so a slow settle does not
-head-of-line-block a warm lookup on the same socket).  The protocol is
-deliberately minimal — this is an experiment harness endpoint, not a
-production RPC layer:
+connection.  Each line starts at once, in the connection's own loop
+turn and its own context: a cache hit is answered before the next line
+is read, and only a line that must wait (a miss in admission, a paused
+transport) becomes a task, so a slow settle does not head-of-line-block
+a warm lookup on the same socket.  Answers ready in one loop turn leave
+in one write; one at the transport's low-water mark or over it (a
+whole-table answer) leaves at once.  The protocol is deliberately
+minimal — this is an experiment harness endpoint, not a production RPC
+layer:
 
 * ``{"op": "lookup", "destination": 42}`` →
   ``{"ok": true, "destination": 42, "paths": {"7": [7, 3, 42], ...}}``
@@ -26,8 +31,10 @@ Overload is an application-level response, not a closed socket:
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
-from typing import Dict, Optional, Union
+import types
+from typing import Coroutine, Dict, List, Optional, Set, Union
 
 from ..bgp.routing import RoutingTable
 from ..errors import ReproError, ServiceOverloadError
@@ -120,6 +127,110 @@ async def handle_request(
         return _error(str(exc))
 
 
+def _line(
+    request_id: object, payload: Union[Dict[str, object], bytes]
+) -> bytes:
+    """One answer line: ``payload`` with ``request_id`` as its last member."""
+    if isinstance(payload, bytes):
+        # an encoded whole-table answer: the id goes in as the last
+        # member, as dumps(dict(payload, id=...)) would put it, and the
+        # body is copied once, into the line
+        if request_id is None:
+            return payload + b"\n"
+        tag = json.dumps(request_id, separators=(",", ":"))
+        return b"".join((memoryview(payload)[:-1], b',"id":',
+                         tag.encode("utf-8"), b"}\n"))
+    if request_id is not None:
+        payload = dict(payload, id=request_id)
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+class _Outbox:
+    """A connection's answers, sent together at the end of a loop turn.
+
+    Lines collect in one list and go out as one ``write`` when the turn
+    ends, or at once when they reach the transport's low-water mark —
+    so an answer of that size or more (a whole table) leaves in the
+    write it completes, without waiting for the turn or a copy into a
+    bigger one.  :meth:`full` is the backpressure test: the transport's
+    buffer plus what is pending is over its high-water mark, and
+    :meth:`room` waits that out, so the buffer never holds more than
+    the mark plus one answer.
+    """
+
+    __slots__ = ("_writer", "_transport", "_loop", "_low", "_high",
+                 "_lines", "_size", "_scheduled", "_draining")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._transport = writer.transport
+        self._loop = asyncio.get_running_loop()
+        self._low, self._high = self._transport.get_write_buffer_limits()
+        self._lines: List[bytes] = []
+        self._size = 0
+        self._scheduled = False
+        # one drain() at a time: early 3.10 releases assert one waiter
+        self._draining = asyncio.Lock()
+
+    def send(self, line: bytes) -> None:
+        self._lines.append(line)
+        self._size += len(line)
+        if self._size >= self._low:
+            self.flush()
+        elif not self._scheduled:
+            self._scheduled = True
+            self._loop.call_soon(self._turn_ended)
+
+    def _turn_ended(self) -> None:
+        self._scheduled = False
+        self.flush()
+
+    def flush(self) -> None:
+        if self._lines:
+            self._writer.write(b"".join(self._lines))
+            self._lines.clear()
+            self._size = 0
+
+    def full(self) -> bool:
+        return (self._transport.get_write_buffer_size() + self._size
+                > self._high)
+
+    async def room(self) -> None:
+        async with self._draining:
+            while self.full():
+                self.flush()
+                await self._writer.drain()
+
+
+@types.coroutine
+def _steps(coro: Coroutine, ctx: contextvars.Context, signal: object):
+    """Hand ``signal`` — what ``coro`` suspended on — to the running
+    task, then run each later step of ``coro`` in ``ctx``."""
+    while True:
+        try:
+            yield signal
+        except BaseException as exc:  # thrown in by the task: cancellation
+            step, arg = coro.throw, exc
+        else:
+            step, arg = coro.send, None
+        try:
+            signal = ctx.run(step, arg)
+        except StopIteration as stop:
+            return stop.value
+
+
+async def _resume(
+    coro: Coroutine, ctx: contextvars.Context, signal: object
+) -> object:
+    """The rest of a coroutine started eagerly, as a task.
+
+    The steps run in ``ctx``, the context the first one ran in, and not
+    in the copy ``create_task`` would make: a ``ContextVar`` token set
+    before the suspension can still be reset after it.
+    """
+    return await _steps(coro, ctx, signal)
+
+
 async def _serve_connection(
     service: MiroService,
     reader: asyncio.StreamReader,
@@ -127,60 +238,74 @@ async def _serve_connection(
 ) -> None:
     peer = writer.get_extra_info("peername")
     _LOG.debug("client_connected", peer=str(peer))
-    write_lock = asyncio.Lock()
+    loop = asyncio.get_running_loop()
+    outbox = _Outbox(writer)
     tasks = set()
 
-    async def answer(
-        request_id: object, payload: Union[Dict[str, object], bytes]
-    ) -> None:
-        if isinstance(payload, bytes):
-            # an encoded whole-table answer: the id goes in as the last
-            # member, as dumps(dict(payload, id=...)) would put it, and
-            # the body is copied once, into the line
-            if request_id is None:
-                line = payload + b"\n"
-            else:
-                tag = json.dumps(request_id, separators=(",", ":"))
-                line = b"".join((memoryview(payload)[:-1], b',"id":',
-                                 tag.encode("utf-8"), b"}\n"))
-        else:
-            if request_id is not None:
-                payload = dict(payload, id=request_id)
-            line = (json.dumps(payload, separators=(",", ":")) + "\n").encode(
-                "utf-8")
-        async with write_lock:
-            writer.write(line)
-            await writer.drain()
-
     async def one(raw: bytes) -> None:
+        request_id = None
         try:
             request = json.loads(raw)
         except ValueError:
-            await answer(None, _error("invalid JSON"))
+            response = _error("invalid JSON")
+        else:
+            if isinstance(request, dict):
+                response = await handle_request(service, request)
+                request_id = request.get("id")
+            else:
+                response = _error("request must be a JSON object")
+        if outbox.full():
+            await outbox.room()
+        outbox.send(_line(request_id, response))
+
+    def failed(exc: BaseException) -> None:
+        # one line's failure, reported with its traceback; the
+        # connection goes on.  A peer that went away is no failure.
+        if not isinstance(exc, ConnectionError):
+            loop.call_exception_handler({
+                "message": "request line failed", "exception": exc,
+                "peer": peer,
+            })
+
+    def start(raw: bytes) -> None:
+        # the line's first step runs here, in its own context; only a
+        # line that suspends (a miss, a paused transport) becomes a task
+        coro = one(raw)
+        ctx = contextvars.copy_context()
+        try:
+            signal = ctx.run(coro.send, None)
+        except StopIteration:
             return
-        if not isinstance(request, dict):
-            await answer(None, _error("request must be a JSON object"))
+        except Exception as exc:  # noqa: BLE001 - one line, not the socket
+            failed(exc)
             return
-        response = await handle_request(service, request)
-        await answer(request.get("id"), response)
+        task = loop.create_task(_resume(coro, ctx, signal))
+        tasks.add(task)
+        task.add_done_callback(settled)
+
+    def settled(task: asyncio.Task) -> None:
+        tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            failed(task.exception())
 
     try:
         while True:
+            if outbox.full():
+                await outbox.room()
             try:
                 raw = await reader.readline()
             except ValueError:  # the reader's limit is MAX_LINE_BYTES
-                await answer(None, _error("request line too long"))
+                outbox.send(_line(None, _error("request line too long")))
                 break
             if not raw:
                 break
-            task = asyncio.get_running_loop().create_task(one(raw))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+            start(raw)
     except ConnectionError:
         pass  # peer reset
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        outbox.flush()
         writer.close()
         try:
             await writer.wait_closed()
@@ -199,18 +324,32 @@ async def serve(
 
     Binds ``host:port`` (port 0 picks a free port), resolves ``ready``
     with the bound port once accepting, then serves forever.
-    Cancellation closes the listener; draining the service is the
-    caller's job (the CLI does it on the way out).
+    Cancellation closes the listener and every open connection (from
+    Python 3.12 a closing server waits for its connections, and an idle
+    client would hold it forever); draining the service is the caller's
+    job (the CLI does it on the way out).
     """
+    connections: Set[asyncio.StreamWriter] = set()
+
+    async def connected(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        connections.add(writer)
+        try:
+            await _serve_connection(service, reader, writer)
+        finally:
+            connections.discard(writer)
+
     server = await asyncio.start_server(
-        lambda r, w: _serve_connection(service, r, w),
-        host=host,
-        port=port,
-        limit=MAX_LINE_BYTES,
+        connected, host=host, port=port, limit=MAX_LINE_BYTES,
     )
     bound = server.sockets[0].getsockname()
     _LOG.info("listening", host=bound[0], port=bound[1])
     if ready is not None and not ready.done():
         ready.set_result(bound[1])
     async with server:
-        await server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()  # until cancelled
+        finally:
+            for writer in connections:
+                writer.close()

@@ -89,6 +89,14 @@ class TestFullExchange:
         ), A)
         assert tunnel.price == 50
 
+    def test_offer_priced_exactly_at_max_price_is_kept(self, table):
+        offered, adopted = exchange(
+            table, (A, B), ExportPolicy.FLEXIBLE,
+            price_for=lambda route: 100, max_price=100,
+        )
+        assert [route.path for route in offered] == [(B, C, F)]
+        assert adopted.path == (B, C, F)
+
     def test_non_adjacent_negotiation_over_default_path(self, table):
         """A negotiates with E (two hops away on A's default path)."""
         tunnel = _established(negotiate(table, A, E, ExportPolicy.FLEXIBLE), A)

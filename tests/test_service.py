@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import gc
 import json
+import socket
 import threading
 
 import pytest
@@ -23,10 +25,12 @@ from repro.service import (
     serve,
 )
 from repro.bgp.routing import compute_routes_reference
+from repro.service import server as server_mod
 from repro.service.daemon import (
     _BATCH_SIZE,
     _COALESCED,
     _ENCODED,
+    _REQ_SECONDS,
     _REQUESTS,
 )
 from repro.service.server import MAX_LINE_BYTES
@@ -940,6 +944,26 @@ class TestServer:
         assert [a["destination"] for a in answers] == destinations
         assert all(a["ok"] is True for a in answers)
 
+    def test_cancelling_the_endpoint_closes_its_connections(
+        self, tiny_graph
+    ):
+        """``repro serve``'s Ctrl-C: an idle client neither keeps the
+        endpoint from ending nor is left connected."""
+        async def main():
+            async with serving(tiny_graph) as (_, port, endpoint):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                send(writer, {"op": "stats", "id": 1})
+                await answer(reader)
+                endpoint.cancel()
+                await asyncio.wait_for(
+                    asyncio.gather(endpoint, return_exceptions=True), 10)
+                rest = await asyncio.wait_for(reader.read(), 10)
+                writer.close()
+                return rest
+
+        assert asyncio.run(main()) == b""
+
     def test_negotiate_over_tcp(self, paper_graph):
         runtime = MiroRuntime(paper_graph)
 
@@ -964,11 +988,294 @@ class TestServer:
 
 
 # ----------------------------------------------------------------------
+# one connection: eager lines, batched writes, backpressure
+# ----------------------------------------------------------------------
+def send(writer, *requests):
+    """Write ``requests`` as JSON lines in one ``write``."""
+    writer.write(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+
+
+async def answer(reader):
+    return json.loads(await asyncio.wait_for(reader.readline(), 10))
+
+
+def on_connect(monkeypatch, hook):
+    """Run ``hook(reader, writer)`` on the server's side of each new
+    connection before the server serves it."""
+    real = server_mod._serve_connection
+
+    async def hooked(service, reader, writer):
+        hook(reader, writer)
+        await real(service, reader, writer)
+
+    monkeypatch.setattr(server_mod, "_serve_connection", hooked)
+
+
+def settle_after(monkeypatch, event):
+    """Hold every settle batch until ``event`` is set; returns the list
+    of ``event.wait`` outcomes, one per batch."""
+    real = SimulationSession.compute_many
+    waited = []
+
+    def held(self, *args, **kwargs):
+        waited.append(event.wait(10))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationSession, "compute_many", held)
+    return waited
+
+
+class TestConnection:
+    def test_a_hit_is_not_held_behind_a_cold_miss(self, small_graph):
+        warm, cold = small_graph.ases[:2]
+        source = small_graph.ases[-1]
+
+        async def main():
+            async with tcp_service(small_graph) as (_, reader, writer):
+                send(writer, {"op": "lookup", "destination": warm,
+                              "source": source, "id": 0})
+                await answer(reader)
+                send(writer,
+                     {"op": "lookup", "destination": cold, "id": 1},
+                     {"op": "lookup", "destination": warm,
+                      "source": source, "id": 2})
+                return [(await answer(reader))["id"] for _ in range(2)]
+
+        assert asyncio.run(main()) == [2, 1]
+
+    def test_unread_answers_stay_within_the_high_water_mark(
+        self, small_graph, monkeypatch
+    ):
+        """Two hundred whole-table lookups, twenty of them misses, from a
+        client that reads nothing: the server stops writing once its
+        transport buffer is over the high-water mark, and every answer
+        arrives once the client reads."""
+        buffered, limits = [], []
+
+        def small_socket_and_watched_writes(reader, writer):
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            transport = writer.transport
+            limits.append(transport.get_write_buffer_limits())
+            write = writer.write
+
+            def watched(data):
+                write(data)
+                buffered.append(transport.get_write_buffer_size())
+
+            writer.write = watched
+
+        on_connect(monkeypatch, small_socket_and_watched_writes)
+        destinations = small_graph.ases[:20]
+        count = 200
+
+        async def main():
+            async with serving(small_graph) as (_, port, _):
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, ("127.0.0.1", port))
+                reader, writer = await asyncio.open_connection(
+                    sock=sock, limit=MAX_LINE_BYTES)
+                send(writer, *({"op": "lookup", "id": i,
+                                "destination": destinations[i % 20]}
+                               for i in range(count)))
+                await writer.drain()
+                # until the server stops writing
+                seen = -1
+                while seen != len(buffered):
+                    seen = len(buffered)
+                    await asyncio.sleep(0.2)
+                stalled = max(buffered)
+                lines = [await asyncio.wait_for(reader.readline(), 10)
+                         for _ in range(count)]
+                writer.close()
+                await writer.wait_closed()
+                return stalled, lines
+
+        stalled, lines = asyncio.run(main())
+        [(_, high)] = limits
+        assert stalled > high      # the client's refusal did reach it
+        assert max(buffered) <= high + max(map(len, lines))
+        answers = [json.loads(line) for line in lines]
+        assert sorted(a["id"] for a in answers) == list(range(count))
+        assert all(a["ok"] and a["destination"] == destinations[a["id"] % 20]
+                   for a in answers)
+
+    def test_suspended_request_is_answered_before_the_close(
+        self, small_graph, monkeypatch
+    ):
+        eof = threading.Event()
+
+        def watch_for_eof(reader, writer):
+            readline = reader.readline
+
+            async def watched():
+                raw = await readline()
+                if not raw:
+                    eof.set()
+                return raw
+
+            reader.readline = watched
+
+        on_connect(monkeypatch, watch_for_eof)
+        waited = settle_after(monkeypatch, eof)
+
+        async def main():
+            async with tcp_service(small_graph) as (_, reader, writer):
+                send(writer, {"op": "lookup", "id": 7,
+                              "destination": small_graph.ases[3]})
+                writer.write_eof()
+                return await asyncio.wait_for(reader.read(), 10)
+
+        [line] = asyncio.run(main()).splitlines()
+        assert waited == [True]       # the settle began after the EOF
+        answer_ = json.loads(line)
+        assert answer_["id"] == 7 and answer_["ok"] is True
+
+    def test_each_line_runs_in_its_own_context(self, small_graph, monkeypatch):
+        """A ``ContextVar`` token a line sets before it suspends on a miss
+        resets after it, as the benchmark's span recorder does, and a
+        variable one line sets and leaves is not seen by the next."""
+        scoped = contextvars.ContextVar("scoped")
+        left = contextvars.ContextVar("left", default=None)
+        seen = []
+        real = server_mod.handle_request
+
+        async def traced(service, request):
+            seen.append(left.get())
+            left.set(request.get("id"))
+            token = scoped.set(request.get("id"))
+            try:
+                return await real(service, request)
+            finally:
+                scoped.reset(token)
+
+        monkeypatch.setattr(server_mod, "handle_request", traced)
+        destinations = small_graph.ases[:3]
+
+        async def main():
+            async with tcp_service(small_graph) as (_, reader, writer):
+                send(writer, *({"op": "lookup", "destination": d, "id": i}
+                               for i, d in enumerate(destinations * 2)))
+                return [await answer(reader) for _ in range(6)]
+
+        answers = asyncio.run(main())
+        assert sorted(a["id"] for a in answers) == list(range(6))
+        assert all(a["ok"] for a in answers)
+        assert seen == [None] * 6
+
+
+    def test_a_failing_line_is_reported_and_the_connection_goes_on(
+        self, tiny_graph, monkeypatch
+    ):
+        """A line whose handling raises — at once, or after it waited on a
+        miss — goes to the loop's exception handler; the lines after it
+        are still answered."""
+        real = server_mod.handle_request
+
+        async def broken(service, request):
+            if request["id"] == "late":
+                await asyncio.sleep(0)
+            if request["id"] in ("early", "late"):
+                raise RuntimeError(request["id"])
+            return await real(service, request)
+
+        monkeypatch.setattr(server_mod, "handle_request", broken)
+        reported = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context))
+            async with tcp_service(tiny_graph) as (_, reader, writer):
+                send(writer, *({"op": "stats", "id": i}
+                               for i in ("early", "late", "fine")))
+                return await answer(reader)
+
+        assert asyncio.run(main())["id"] == "fine"
+        assert sorted(str(c["exception"]) for c in reported) == [
+            "early", "late"]
+        assert {c["message"] for c in reported} == {"request line failed"}
+
+
+class TestInlineAccounting:
+    def test_a_line_after_drain_starts_is_refused_as_in_process(
+        self, small_graph, monkeypatch
+    ):
+        gate = threading.Event()
+        settle_after(monkeypatch, gate)
+        refused = _REQUESTS.labels(op="lookup", outcome="error")
+        cold, other = small_graph.ases[:2]
+
+        async def main():
+            async with tcp_service(small_graph) as (service, reader, writer):
+                send(writer, {"op": "lookup", "destination": cold, "id": 0})
+                for _ in range(1000):
+                    if service.info()["pending_fills"]:
+                        break
+                    await asyncio.sleep(0.01)
+                draining = asyncio.get_running_loop().create_task(
+                    service.drain())
+                await asyncio.sleep(0)    # drain() stops admission first
+                counts = [refused.value]
+                send(writer, {"op": "lookup", "destination": other, "id": 1})
+                over_tcp = await answer(reader)
+                counts.append(refused.value)
+                in_process = await handle_request(
+                    service, {"op": "lookup", "destination": other})
+                counts.append(refused.value)
+                gate.set()
+                await draining
+                return over_tcp, in_process, counts, await answer(reader)
+
+        over_tcp, in_process, counts, admitted = asyncio.run(main())
+        assert over_tcp == dict(in_process, id=1) == {
+            "ok": False, "error": "service is not accepting requests",
+            "id": 1}
+        assert [b - a for a, b in zip(counts, counts[1:])] == [1, 1]
+        assert admitted["id"] == 0 and admitted["ok"] is True
+
+    def test_lookup_accounting_moves_once_per_answer(self, small_graph):
+        ok = _REQUESTS.labels(op="lookup", outcome="ok")
+        seconds = _REQ_SECONDS.labels(op="lookup")
+        destinations = small_graph.ases[:10]
+        source = small_graph.ases[-1]
+        requests = [{"op": "lookup", "destination": d, "id": i}
+                    for i, d in enumerate(destinations * 2)]
+        requests += [{"op": "lookup", "destination": d, "source": source,
+                      "id": len(requests) + i}
+                     for i, d in enumerate(destinations)]
+
+        async def main():
+            async with tcp_service(small_graph) as (_, reader, writer):
+                before = (ok.value, seconds.count)
+                send(writer, *requests)
+                answers = [await answer(reader) for _ in requests]
+                return before, (ok.value, seconds.count), answers
+
+        before, after, answers = asyncio.run(main())
+        assert all(a["ok"] for a in answers)
+        assert [b - a for a, b in zip(before, after)] == [len(requests)] * 2
+
+    def test_json_that_is_not_an_object_is_refused(self, tiny_graph):
+        async def main():
+            async with tcp_service(tiny_graph) as (_, reader, writer):
+                writer.write(b'null\n[1]\n3\n"x"\n{\n')
+                return [await answer(reader) for _ in range(5)]
+
+        not_object = {"ok": False, "error": "request must be a JSON object"}
+        assert asyncio.run(main()) == [not_object] * 4 + [
+            {"ok": False, "error": "invalid JSON"}]
+
+
+# ----------------------------------------------------------------------
 # the encoded whole-table answer
 # ----------------------------------------------------------------------
 @contextlib.asynccontextmanager
-async def tcp_service(graph, runtime=None, **session_options):
-    """A served ``MiroService`` and one client connection to it."""
+async def serving(graph, runtime=None, **session_options):
+    """A ``MiroService`` served on a free port: ``(service, port,
+    endpoint)``, the last the task running :func:`serve`."""
     with SimulationSession(
         graph, parallel=False, **session_options
     ) as session:
@@ -978,16 +1285,27 @@ async def tcp_service(graph, runtime=None, **session_options):
             endpoint = loop.create_task(
                 serve(service, "127.0.0.1", 0, ready=ready)
             )
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", await ready, limit=MAX_LINE_BYTES
-            )
             try:
-                yield service, reader, writer
+                yield service, await ready, endpoint
             finally:
-                writer.close()
-                await writer.wait_closed()
                 endpoint.cancel()
                 await asyncio.gather(endpoint, return_exceptions=True)
+
+
+@contextlib.asynccontextmanager
+async def tcp_service(graph, runtime=None, **session_options):
+    """A served ``MiroService`` and one client connection to it."""
+    async with serving(graph, runtime, **session_options) as (
+        service, port, _
+    ):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", port, limit=MAX_LINE_BYTES
+        )
+        try:
+            yield service, reader, writer
+        finally:
+            writer.close()
+            await writer.wait_closed()
 
 
 def reference_answer(graph, destination):

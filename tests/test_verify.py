@@ -35,12 +35,14 @@ from repro.verify import (
     check_valley_free,
     execute_event,
     first_divergence,
+    minimize_events,
     replay_divergence,
     run_campaign,
     run_campaigns,
     run_tunnel_campaign,
     table_paths,
 )
+import repro.verify.campaign as campaign_module
 import repro.verify.oracle as oracle_module
 
 from conftest import A, B, C, D, E, F
@@ -184,6 +186,43 @@ class TestTunnelConsistency:
             v.invariant == "tunnel-consistency"
             and v.asn == record.responder for v in violations
         )
+
+    @pytest.fixture
+    def kept_tunnel(self, paper_graph, monkeypatch):
+        """The Fig. 3.1 tunnel (A asks B for an alternate route: BCF) on
+        a runtime whose own §4.3 rule keeps every tunnel, whatever the
+        graph does: a tunnel wrongly kept, for the outside check to find."""
+        from repro.miro.policies import ExportPolicy
+        from repro.miro.runtime import MiroRuntime
+
+        monkeypatch.setattr(MiroRuntime, "_tunnel_still_valid",
+                            lambda self, record, table: True)
+        runtime = MiroRuntime(paper_graph)
+        record = runtime.establish(A, B, F, ExportPolicy.FLEXIBLE)
+        assert record.tunnel.path == (B, C, F)
+        assert check_tunnel_consistency(runtime) == []
+        return runtime, record
+
+    def test_tunnel_over_a_failed_link_is_flagged(self, kept_tunnel):
+        runtime, record = kept_tunnel
+        runtime.graph.remove_link(*record.tunnel.path[1:])    # C-F
+        details = [v.detail for v in check_tunnel_consistency(runtime)
+                   if v.asn == record.responder]
+        assert f"tunnel path {record.tunnel.path} uses a failed link" in details
+
+    def test_tunnel_path_the_responder_no_longer_learns_is_flagged(
+        self, kept_tunnel
+    ):
+        """Every link of BCF stays up, but F turns from C's customer into
+        its provider: C's route to F is then a provider route, which C
+        exports to no peer, so B no longer learns BCF."""
+        runtime, record = kept_tunnel
+        graph = runtime.graph
+        _, c, f = record.tunnel.path
+        graph.remove_link(c, f)
+        graph.add_customer_link(f, c)
+        assert [v.detail for v in check_tunnel_consistency(runtime)] == [
+            f"responder no longer learns tunnel path {record.tunnel.path}"]
 
     def test_requester_side_ids_never_collide(self, small_graph):
         """Regression for the bug the tunnel campaign found: a requester
@@ -485,6 +524,20 @@ class TestPlantedIncrementalBug:
         assert len(repro.events) == 1
         assert repro.divergence.mode.startswith("incremental@v")
         assert repro.divergence.destination == repro.destination
+
+    def test_minimize_keeps_only_the_event_the_divergence_needs(
+        self, monkeypatch
+    ):
+        """Five events, of which the divergence needs the third alone:
+        the stream shrinks to exactly that event."""
+        events = [CampaignEvent("link-down", ((1, n),)) for n in range(2, 7)]
+        needed = events[2]
+
+        def replay(make_graph, trial, destination):
+            return "diverged" if needed in trial else None
+
+        monkeypatch.setattr(campaign_module, "replay_divergence", replay)
+        assert minimize_events(lambda: None, events, 6) == [needed]
 
     def test_minimized_stream_reproduces_and_empty_does_not(self, planted):
         make = lambda: generate_named("tiny", seed=5)
