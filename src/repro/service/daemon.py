@@ -109,6 +109,7 @@ _NEGOTIATE_SHED = _REQUESTS.labels(op="negotiate", outcome="shed")
 _NEGOTIATE_ERROR = _REQUESTS.labels(op="negotiate", outcome="error")
 _NEGOTIATE_SECONDS = _REQ_SECONDS.labels(op="negotiate")
 _CHURN_OK = _REQUESTS.labels(op="churn", outcome="ok")
+_CHURN_ERROR = _REQUESTS.labels(op="churn", outcome="error")
 _CHURN_SECONDS = _REQ_SECONDS.labels(op="churn")
 _ENCODED_HIT = _ENCODED.labels(outcome="hit")
 _ENCODED_BUILD = _ENCODED.labels(outcome="build")
@@ -417,9 +418,13 @@ class MiroService:
         """
         start = time.perf_counter()
         self._check_accepting("churn")
-        result = await self._loop.run_in_executor(
-            self._executor, partial(self.core.mutate, fn)
-        )
+        try:
+            result = await self._loop.run_in_executor(
+                self._executor, partial(self.core.mutate, fn)
+            )
+        except BaseException:
+            _CHURN_ERROR.inc()
+            raise
         _CHURN_OK.inc()
         _CHURN_SECONDS.observe(time.perf_counter() - start)
         return result
