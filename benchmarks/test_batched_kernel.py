@@ -1,15 +1,16 @@
 """Scalar wave kernel vs batched wave kernel: settle and materialize.
 
 Both backends settle an un-pinned table as a parent-pointer
-:class:`~repro.bgp.routing.RouteTree` and share one materializer, so a
+:class:`~repro.bgp.routing.RouteTree` and share one expansion, so a
 table has two costs and this file records them apart, per table, for
 both backends at verify-500 and at the internet-10k scaling profile:
 
 * **settle** — the three propagation phases plus assembling the tree
   (what a ``source`` lookup pays); and
-* **materialize** — expanding a tree into its ``{asn: Route}`` dict
-  (what a whole-table reader pays on top, once per table; identical code
-  for either backend, so it is measured once per topology).
+* **materialize** — expanding a tree into every ``(asn, Route)`` through
+  ``RoutingTable.items()`` (what a whole-table reader pays on top, per
+  read; identical code for either backend, so it is measured once per
+  topology).
 
 The heap walk these numbers used to be compared with now serves pinned
 requests only; EXPERIMENTS.md has the heap / wave / batched table at
@@ -47,7 +48,8 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.bgp.kernels import batched  # noqa: E402
-from repro.bgp.routing import compute_routes_snapshot  # noqa: E402
+from repro.bgp.kernels.scalar import compute_routes_snapshot  # noqa: E402
+from repro.bgp.routing import RoutingTable  # noqa: E402
 from repro.topology import generate_named  # noqa: E402
 
 
@@ -81,11 +83,13 @@ def _settle_batched(snapshot, destinations):
     )
 
 
-def _materialize(trees):
+def _materialize(graph, trees):
+    tables = [RoutingTable(graph, d, tree) for d, tree in trees.items()]
     start = time.perf_counter()
-    for tree in trees.values():
-        tree.materialize()
-    return (time.perf_counter() - start) / len(trees)
+    for table in tables:
+        for _ in table.items():
+            pass
+    return (time.perf_counter() - start) / len(tables)
 
 
 def _assert_same_trees(scalar_trees, batched_trees, destinations):
@@ -112,7 +116,7 @@ def test_batched_kernel_speedup_verify500(bench_report):
     _assert_same_trees(
         scalar_trees, batched_trees, destinations[:: len(destinations) // 40]
     )
-    materialize = _materialize(batched_trees)
+    materialize = _materialize(graph, batched_trees)
     del scalar_trees, batched_trees
 
     # 10k-AS scaling point, a 200-destination sample of the sweep
@@ -126,7 +130,7 @@ def test_batched_kernel_speedup_verify500(bench_report):
     sample = big_destinations[:40]
     big_scalar_trees, big_scalar_settle = _settle_scalar(big_snapshot, sample)
     _assert_same_trees(big_scalar_trees, big_batched_trees, sample[::5])
-    big_materialize = _materialize(big_scalar_trees)
+    big_materialize = _materialize(big, big_scalar_trees)
 
     settle_speedup = scalar_settle / batched_settle
     big_speedup = big_scalar_settle / big_batched_settle

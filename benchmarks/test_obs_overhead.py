@@ -13,6 +13,7 @@ cost stays under 5% of it.
 import time
 
 from repro.bgp import routing
+from repro.bgp.kernels import scalar
 from repro.obs import get_tracer
 from repro.topology import TopologyProfile, generate_topology
 
@@ -30,9 +31,9 @@ def _instrumentation_replay(n_tables: int) -> None:
     for _ in range(n_tables):
         with tracer.span("compute_routes", destination=0, pinned=0):
             for index in range(3):
-                with routing._phase_span(index, routing._PHASE_FULL, 0):
+                with scalar.phase_span(index, "full", 0):
                     pass
-        routing._TABLES_TOTAL.labels(mode="full").inc()
+        routing.TABLES_TOTAL.labels(mode="full").inc()
 
 
 def test_disabled_instrumentation_under_5_percent(benchmark, bench_report):

@@ -6,9 +6,10 @@ verify-500 profile the differential campaigns use:
 * the index-space kernel computes a stable state decisively faster than
   the legacy dict walk it byte-for-byte reproduces.  The kernel returns
   a parent-pointer tree, so its cost is recorded in two parts — settle,
-  and materialize (tree → ``{asn: Route}``) — and gated twice: settle
-  plus materialize, the like-for-like comparison with the dict walk's
-  finished table, stays at least 1.5x faster (measured 3.6–5x); settle
+  and materialize (``RoutingTable.items()`` over the tree, every
+  ``(asn, Route)``) — and gated twice: settle plus materialize, the
+  like-for-like comparison with the dict walk's finished table, stays
+  at least 1.5x faster (measured 3.6–5x); settle
   alone, what a path lookup pays, at least 4x (measured 9–10x) — the
   gate that protects settling from growing per-route work back; and
 * the frozen snapshot the session ships to pool workers pickles smaller
@@ -20,7 +21,8 @@ import time
 
 import pytest
 
-from repro.bgp.routing import compute_routes_reference, compute_routes_snapshot
+from repro.bgp.kernels.scalar import compute_routes_snapshot
+from repro.bgp.routing import RoutingTable, compute_routes_reference
 from repro.topology import generate_named
 
 
@@ -48,7 +50,8 @@ def test_snapshot_kernel_speedup_and_ship_size(
             compute_routes_snapshot, snapshot, destinations
         )
         table = _per_destination(
-            lambda snap, d: compute_routes_snapshot(snap, d).materialize(),
+            lambda snap, d: list(RoutingTable(
+                graph, d, compute_routes_snapshot(snap, d)).items()),
             snapshot, destinations,
         )
         reference = _per_destination(
@@ -102,6 +105,6 @@ def test_kernel_output_matches_reference_here(verify_graph):
     for destination in graph.ases[:: max(1, len(graph) // 6)]:
         kernel = compute_routes_snapshot(snapshot, destination)
         reference = compute_routes_reference(graph, destination)
-        assert {a: r.path for a, r in kernel.items()} == {
+        assert {a: r.path for a, r in kernel.expand()} == {
             a: r.path for a, r in reference.items()
         }

@@ -2,7 +2,7 @@
 
 The reference settling pops one heap entry at a time: ``(length, path,
 class)``, adopt, push the neighbours.  The scalar kernel
-(:func:`repro.bgp.routing.compute_routes_snapshot`) replays that pop
+(:func:`repro.bgp.kernels.scalar.compute_routes_snapshot`) replays that pop
 order as level-synchronous waves in pure Python, one destination at a
 time; this kernel settles whole **frontier waves** at
 once as numpy operations over the snapshot's per-phase adjacency — the
@@ -32,7 +32,7 @@ adopts the one from its smallest-index parent, in ascending node order.
 That per-wave "group by target, take min parent" is one vectorized
 sort-and-first-occurrence per wave (inside :func:`_run_waves`), and the
 ascending-target pop order falls out of the same sort — preserving the
-adoption order the output dict's insertion order is defined by.
+adoption order a tree's ``order`` lists.
 
 Every node on a candidate's tail is already settled, so the heap walk's
 ``nb not in path`` loop check is always true for an unsettled target,
@@ -40,12 +40,8 @@ and route classes collapse to per-phase constants (Phase 1 adopts
 CUSTOMER, Phase 2 PEER, Phase 3 PROVIDER).  Pinned routes would break
 both properties; like every kernel this one settles un-pinned tables
 only (:func:`repro.bgp.routing.compute_routes` settles pinned ones).
-
-The full decision order (class, then length, then parent) packs into one
-integer — :func:`pack_candidate_key`, property-tested against
-``Route.preference_key`` — but inside a single phase's wave the class and
-length are constant, so the kernel's hot argmin only needs the cheaper
-``target * n + parent`` composite.
+Inside a single phase's wave the class and length are constant, so the
+hot argmin is the ``target * n + parent`` composite alone.
 """
 
 from __future__ import annotations
@@ -55,65 +51,20 @@ from array import array
 from typing import Dict, Iterable, List, Sequence
 
 from ...errors import KernelError
-from ..route import RouteClass
-from ..routing import (
-    _PHASE_NAMES,
-    _PHASE_SECONDS,
-    _TABLES_FULL,
-    RouteTree,
-    _phase_span,
-)
+from ..routing import TABLES_TOTAL, RouteTree
+from .scalar import phase_span
+
 __all__ = [
     "numpy_available",
-    "pack_candidate_key",
     "settle_many",
 ]
 
-_PHASE_BATCHED = tuple(
-    _PHASE_SECONDS.labels(phase=p, mode="batched") for p in _PHASE_NAMES
-)
+_TABLES_FULL = TABLES_TOTAL.labels(mode="full")
 
 #: Composite state entries (destination slots × nodes) per settling
 #: chunk: bounds the working-set memory of a many-destination sweep
 #: (~16 MB of int64 parent state) independently of topology size.
 _CHUNK_ENTRIES = 1 << 21
-
-# ----------------------------------------------------------------------
-# packed integer sort key
-# ----------------------------------------------------------------------
-
-#: Bit layout of :func:`pack_candidate_key`: class above length above
-#: parent index.  24 bits each for length and parent bound the kernel at
-#: 16M ASes / 16M hops — three orders of magnitude past the 70k-AS target.
-PACK_PARENT_BITS = 24
-PACK_LENGTH_SHIFT = PACK_PARENT_BITS
-PACK_CLASS_SHIFT = PACK_LENGTH_SHIFT + 24
-
-
-def pack_candidate_key(
-    route_class: int, length: int, parent_index: int
-) -> int:
-    """Pack one candidate's decision rank into a single integer.
-
-    ``route_class`` is the :class:`RouteClass` *value* (ORIGIN=4 …
-    PROVIDER=1, higher preferred), ``length`` the AS-path hop count,
-    ``parent_index`` the snapshot index of the candidate's next hop.
-    **Smaller key = more preferred**: the class is inverted into the top
-    bits, the length sits above the parent index, so an ascending sort of
-    packed keys is exactly the settling kernel's decision order — and,
-    for candidates whose tails are settled paths, exactly the
-    ``Route.preference_key`` order (higher class first, then shorter,
-    then the lexicographically smallest path, which settled tails reduce
-    to the smallest next-hop index).  The property test in
-    ``tests/test_kernels.py`` holds the two orders identical over random
-    route populations.
-    """
-    return (
-        ((RouteClass.ORIGIN.value - route_class) << PACK_CLASS_SHIFT)
-        | (length << PACK_LENGTH_SHIFT)
-        | parent_index
-    )
-
 
 #: numpy, bound by :func:`_require_numpy` at the first batched settle:
 #: the optional [accel] extra is never a hard dependency, and a process
@@ -256,7 +207,7 @@ def _settle_chunk(snapshot, dest_indices: Sequence[int]) -> List[RouteTree]:
     # route descends to customers (chaining through siblings).
     waves = []
     for phase, (seed, expand) in enumerate(snapshot.phase_arrays()):
-        with _phase_span(phase, _PHASE_BATCHED, destination):
+        with phase_span(phase, "batched", destination):
             waves.append(
                 _run_waves(n, settled, parent, depth, seed, expand)
             )

@@ -228,7 +228,7 @@ def run_failure_sweep(
                 )
                 for policy in all_policies()
             }
-            routed = max(1, len(list(pre.items())))
+            routed = max(1, len(pre.routed_ases()))
             events.append(FailureEvent(
                 kind=kind,
                 failed=tuple(failed_ids),

@@ -17,8 +17,8 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   ``kernels.settle_many``), the affected-set
   walk of a derivation (``affected_ases``), deriving the
   topology snapshot a settle runs on (``graph.snapshot()``), expanding
-  a settled tree into its route dict (``RouteTree.materialize``), pool
-  publication (``pool.ensure``) and job submission
+  a settled tree into every route (``RouteTree.expand``, behind
+  ``RoutingTable.items``), pool publication (``pool.ensure``) and job submission
   (``executor.submit``) all run with the lock *released*.  Under the
   lock the core only classifies lookups, moves OrderedDict entries, and
   bumps counters — microsecond work, which is what lets a serving event

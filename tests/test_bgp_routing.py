@@ -19,11 +19,11 @@ from repro.bgp import (
     make_route,
 )
 from repro.bgp.policy import is_valley_free
+from repro.bgp.kernels.scalar import compute_routes_snapshot
 from repro.bgp.routing import (
     RouteTree,
     RoutingTable,
     compute_routes_reference,
-    compute_routes_snapshot,
 )
 from repro.errors import RoutingError, UnknownASError
 from repro.obs import get_registry
@@ -404,8 +404,8 @@ def _materialized() -> float:
 
 class TestRouteTree:
     """An un-pinned settle is a parent-pointer tree: equal to the dict
-    walk whichever way it is read, and expanded into its dict at most
-    once."""
+    walk whichever way it is read, and expanded only by a whole-table
+    read, which keeps nothing."""
 
     @given(
         n=st.integers(min_value=16, max_value=48),
@@ -428,15 +428,18 @@ class TestRouteTree:
             reference = dict(
                 compute_routes_reference(graph, destination).items()
             )
-            for asn in graph.ases:  # the walk, before anything expands
+            before = _materialized()
+            for asn in graph.ases:  # per AS, before anything expands
                 route = reference.get(asn)
                 assert tree.path(asn) == (route and route.path), asn
-            assert tree._routes is None
-            assert list(tree) == list(reference)
-            assert len(tree) == len(reference)
-            for asn, route in reference.items():
-                assert tree[asn].path == route.path, asn
-                assert tree[asn].route_class is route.route_class, asn
+                assert tree.route(asn) == route, asn
+            assert _materialized() == before
+            expanded = list(tree.expand())
+            assert _materialized() == before + 1
+            assert [asn for asn, _ in expanded] == list(reference)
+            for asn, route in expanded:
+                assert route.path == reference[asn].path, asn
+                assert route.route_class is reference[asn].route_class, asn
 
     def test_pinned_settle_is_still_the_dict(self, paper_graph):
         base = compute_routes(paper_graph, F)
@@ -444,7 +447,10 @@ class TestRouteTree:
         table = compute_routes(paper_graph, F, pinned={B: alternate})
         assert table._tree is None and table.best(B) is alternate
 
-    def test_default_path_reads_the_tree(self):
+    def test_per_as_reads_never_expand_the_tree(self):
+        """``default_path``, ``best``, ``candidates`` and ``routed_ases``
+        answer from the parent pointers; only ``items()`` expands, once
+        per call, and the table keeps no route dict either way."""
         graph = generate_topology(SMALL, seed=4)
         island = max(graph.ases) + 1
         graph.add_as(island)
@@ -456,12 +462,18 @@ class TestRouteTree:
         assert not fresh.reachable(island) and fresh.reachable(graph.ases[0])
         with pytest.raises(UnknownASError):
             fresh.default_path(island + 1)
-        assert fresh._routes is None and _materialized() == before
         for asn in graph.ases:
             route = fresh.best(asn)
             assert paths[asn] == (route.path if route else None), asn
+            assert fresh.candidates(asn) or route is None, asn
+        routed = fresh.routed_ases()
+        assert routed == sorted(a for a, p in paths.items() if p is not None)
+        assert fresh._routes is None and _materialized() == before
+        assert sorted(asn for asn, _ in fresh.items()) == routed
         assert _materialized() == before + 1
-        # and the answers do not change once the dict exists
+        list(fresh.items())  # nothing was kept: a second read expands anew
+        assert fresh._routes is None and _materialized() == before + 2
+        # and the answers do not change for having been expanded
         assert paths == {asn: fresh.default_path(asn) for asn in graph.ases}
 
     def test_table_outlives_its_graph_version(self):
@@ -480,9 +492,17 @@ class TestRouteTree:
         assert table.best(newcomer) is None
         assert compute_routes(graph, destination).default_path(newcomer)
 
-    def test_concurrent_first_reads_materialize_once(self):
+    def test_concurrent_readers_agree(self):
+        """Racing first readers (one builds the slice column the others
+        may build too) all answer as one serial reader does."""
         graph = generate_topology(SMALL, seed=4)
         table = compute_routes(graph, graph.ases[7])
+        serial = compute_routes(graph, graph.ases[7])
+        expected = {
+            "items": [(a, r) for a, r in serial.items()],
+            "best": [serial.best(asn) for asn in graph.ases],
+            "walk": [serial.default_path(asn) for asn in graph.ases],
+        }
         readers = 12
         barrier = threading.Barrier(readers)
         seen, errors = [], []
@@ -491,13 +511,13 @@ class TestRouteTree:
             try:
                 barrier.wait(timeout=30)
                 if i % 3 == 0:
-                    list(table.items())
+                    seen.append(("items", list(table.items())))
                 elif i % 3 == 1:
-                    table.best(graph.ases[i])
+                    seen.append(
+                        ("best", [table.best(asn) for asn in graph.ases]))
                 else:
-                    table.default_path(graph.ases[i])
-                    table.routed_ases()
-                seen.append(table._best)
+                    seen.append(("walk", [
+                        table.default_path(asn) for asn in graph.ases]))
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(repr(exc))
 
@@ -517,12 +537,17 @@ class TestRouteTree:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(seen) == readers
-        assert all(routes is seen[0] for routes in seen)
-        assert _materialized() == before + 1
+        assert all(answer == expected[kind] for kind, answer in seen)
+        assert _materialized() == before + readers // 3
+        assert table._routes is None
 
     def test_table_takes_a_dict_or_a_tree(self, paper_graph):
         tree = compute_routes_snapshot(paper_graph.snapshot(), F)
         from_tree = RoutingTable(paper_graph, F, tree)
-        from_dict = RoutingTable(paper_graph, F, dict(tree))
-        assert from_tree.default_path(A) == from_dict.default_path(A)
+        from_dict = RoutingTable(paper_graph, F, dict(tree.expand()))
         assert list(from_tree.items()) == list(from_dict.items())
+        assert from_tree.routed_ases() == from_dict.routed_ases()
+        for asn in paper_graph.ases:
+            assert from_tree.default_path(asn) == from_dict.default_path(asn)
+            assert from_tree.best(asn) == from_dict.best(asn)
+            assert from_tree.candidates(asn) == from_dict.candidates(asn)

@@ -5,8 +5,7 @@ argument, then ``REPRO_KERNEL``, then scalar; the one-time graceful
 fallback for an unavailable kernel), the batched wave kernel's
 byte-equality with the scalar kernel (values *and* dict insertion order,
 single destination and whole sweeps, before and after topology deltas),
-the packed integer sort key against the ``Route`` decision process, the
-oracle's enumeration of the table (a deliberately wrong kernel must be
+the oracle's enumeration of the table (a deliberately wrong kernel must be
 caught by a fault campaign), and the CLI / session-pool plumbing.
 """
 
@@ -19,19 +18,13 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bgp import kernels
 from repro.bgp.kernels import batched
-from repro.bgp.kernels.batched import (
-    PACK_CLASS_SHIFT,
-    PACK_LENGTH_SHIFT,
-    numpy_available,
-    pack_candidate_key,
-)
-from repro.bgp.route import Route, RouteClass
-from repro.bgp.routing import compute_routes, compute_routes_snapshot
+from repro.bgp.kernels.batched import numpy_available
+from repro.bgp.route import Route
+from repro.bgp.kernels.scalar import compute_routes_snapshot
+from repro.bgp.routing import RouteTree, compute_routes
 from repro.errors import KernelError, UnknownASError
 from repro.session import SimulationSession
 from repro.topology.generator import SMALL, TINY, generate_topology
@@ -46,12 +39,16 @@ def _settle_batched(snapshot, destination):
     return batched.settle_many(snapshot, [destination])[destination]
 
 
+def _listing(table):
+    """A tree (expanded), a table or a route dict as ``[(asn, Route)]``."""
+    if isinstance(table, RouteTree):
+        return list(table.expand())
+    return list(table.items())
+
+
 def _assert_tables_byte_equal(expected, actual):
-    assert list(expected) == list(actual)  # values AND insertion order
-    for asn, route in expected.items():
-        got = actual[asn]
-        assert got.path == route.path, asn
-        assert got.route_class is route.route_class, asn
+    # values AND insertion order
+    assert _listing(expected) == _listing(actual)
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +122,7 @@ class TestDispatch:
         destination = tiny_graph.ases[0]
         best = kernels.settle_many(tiny_graph.snapshot(), [destination])
         table = compute_routes(tiny_graph, destination)
-        _assert_tables_byte_equal(dict(table.items()), best[destination])
+        _assert_tables_byte_equal(table, best[destination])
 
     def test_scalar_sweep_computes_duplicates_once(self, tiny_graph):
         snapshot = tiny_graph.snapshot()
@@ -252,94 +249,13 @@ class TestBatchedByteEquality:
 
 
 # ----------------------------------------------------------------------
-# packed integer sort key vs the Route decision process
-# ----------------------------------------------------------------------
-class TestPackedKey:
-    CANDIDATE_CLASSES = [
-        RouteClass.CUSTOMER, RouteClass.PEER, RouteClass.PROVIDER,
-    ]
-
-    @given(
-        cls_a=st.sampled_from(CANDIDATE_CLASSES),
-        cls_b=st.sampled_from(CANDIDATE_CLASSES),
-        len_a=st.integers(min_value=1, max_value=2**20),
-        len_b=st.integers(min_value=1, max_value=2**20),
-        par_a=st.integers(min_value=0, max_value=2**24 - 1),
-        par_b=st.integers(min_value=0, max_value=2**24 - 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_packed_order_is_decision_order(
-        self, cls_a, cls_b, len_a, len_b, par_a, par_b
-    ):
-        key_a = pack_candidate_key(cls_a.value, len_a, par_a)
-        key_b = pack_candidate_key(cls_b.value, len_b, par_b)
-        # the settling decision order: higher class, then shorter, then
-        # smaller parent index (settled equal-length tails compare as
-        # their holder index)
-        rank_a = (-cls_a.preference_rank, len_a, par_a)
-        rank_b = (-cls_b.preference_rank, len_b, par_b)
-        assert (key_a < key_b) == (rank_a < rank_b)
-        assert (key_a == key_b) == (rank_a == rank_b)
-
-    def test_bit_fields_do_not_overlap(self):
-        # maximal parent index must not bleed into the length field
-        key = pack_candidate_key(RouteClass.PROVIDER.value, 1, 2**24 - 1)
-        assert (key >> PACK_LENGTH_SHIFT) & ((1 << 24) - 1) == 1
-        assert key >> PACK_CLASS_SHIFT == RouteClass.ORIGIN.value - 1
-
-    def test_matches_route_preference_on_settled_candidates(self, tiny_graph):
-        """Grounded check: packed order == ``Route.preference_key`` order.
-
-        Builds real candidate populations the way the kernel sees them —
-        ``(v,) + P(u)`` for settled parents ``u`` — and asserts that
-        ascending packed keys equals descending route preference.  This
-        is the property the batched kernel's per-wave argmin rests on,
-        including the export-policy edge that only the candidate classes
-        (never ORIGIN) occur.
-        """
-        snapshot = tiny_graph.snapshot()
-        index_of = snapshot.index_of
-        for destination in tiny_graph.ases[:8]:
-            table = compute_routes_snapshot(snapshot, destination)
-            routes = list(table.values())
-            for target in tiny_graph.ases[:6]:
-                if target == destination:
-                    continue
-                candidates = []
-                for parent_route in routes:
-                    parent = parent_route.holder
-                    if parent == target or parent_route.contains(target):
-                        continue
-                    for cls in self.CANDIDATE_CLASSES:
-                        candidate = Route(
-                            (target,) + parent_route.path, cls
-                        )
-                        candidates.append((
-                            pack_candidate_key(
-                                cls.value,
-                                candidate.length,
-                                index_of(parent),
-                            ),
-                            candidate,
-                        ))
-                by_packed = sorted(candidates, key=lambda c: c[0])
-                by_preference = sorted(
-                    candidates,
-                    key=lambda c: c[1].preference_key(),
-                    reverse=True,
-                )
-                assert [c[1].path for c in by_packed] \
-                    == [c[1].path for c in by_preference]
-
-
-# ----------------------------------------------------------------------
 # oracle enumeration: a wrong kernel must be caught
 # ----------------------------------------------------------------------
 def _settle_toy_wrong(snapshot, destinations):
     """Deliberately wrong kernel: claims a direct link for one AS."""
     out = {}
     for destination in destinations:
-        best = dict(compute_routes_snapshot(snapshot, destination))
+        best = dict(compute_routes_snapshot(snapshot, destination).expand())
         for asn, route in best.items():
             if asn != destination and route.length >= 2:
                 best[asn] = Route((asn, destination), route.route_class)
@@ -462,7 +378,7 @@ class TestSessionKernel:
         for destination in destinations:
             _assert_tables_byte_equal(
                 compute_routes_snapshot(snapshot, destination),
-                dict(tables[destination].items()),
+                tables[destination],
             )
 
     @needs_numpy
@@ -476,7 +392,7 @@ class TestSessionKernel:
         for destination in destinations[:5]:
             _assert_tables_byte_equal(
                 compute_routes_snapshot(snapshot, destination),
-                dict(tables[destination].items()),
+                tables[destination],
             )
 
     @pytest.mark.skipif(
@@ -501,7 +417,6 @@ class TestSessionKernel:
         for destination in destinations:
             shipped = tables[destination]._tree
             serial = compute_routes_snapshot(snapshot, destination)
-            assert shipped._routes is None
             assert shipped.asns is snapshot.asns
             assert shipped.index is snapshot.index
             assert (

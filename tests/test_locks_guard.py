@@ -90,7 +90,7 @@ def test_guard_covers_session_core():
     guard = _load_guard()
     assert "src/repro/session/core.py" in guard.GUARDED_FILES
     assert {"compute_routes", "recompute_routes", "settle_many",
-            "materialize", "snapshot", "submit", "ensure"} \
+            "expand", "snapshot", "submit", "ensure"} \
         <= set(guard.SLOW_CALLS)
 
 
@@ -130,9 +130,9 @@ def test_guard_allows_tables_fetched_before_the_runtime_lock():
 
 
 def test_guard_flags_a_negotiation_under_the_runtime_lock():
-    """The exchange reads ``best()`` / ``candidates()``, which can
-    materialize a route tree: ``establish`` must run it before taking
-    the lock it installs under."""
+    """The exchange reads ``candidates()``, which builds a route per
+    neighbour off the tree: ``establish`` must run it before taking the
+    lock it installs under."""
     guard = _load_guard()
     source = textwrap.dedent("""
         def _establish(self, requester, responder, destination, policy):
@@ -148,16 +148,16 @@ def test_guard_flags_a_negotiation_under_the_runtime_lock():
         == [(6, "exchange")]
 
 
-def test_guard_flags_materializing_under_lock():
+def test_guard_flags_expanding_a_tree_under_lock():
     guard = _load_guard()
     source = textwrap.dedent("""
         def adopt(self, table):
             with self._lock:
-                routes = table._tree.materialize()
+                routes = dict(table._tree.expand())
                 self._cache.put(self._key(table.destination), table)
     """)
     assert [(line, call) for _, line, call in guard.check_source(source)] \
-        == [(4, "materialize")]
+        == [(4, "expand")]
 
 
 def test_guard_flags_snapshot_under_lock():

@@ -341,7 +341,7 @@ def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
             return self._attached[version]
 
         def submit(self, fn, job):
-            from repro.bgp.routing import compute_routes_snapshot
+            from repro.bgp.kernels.scalar import compute_routes_snapshot
             from repro.session.pool import _encode_shard, _pool_settle_shard
 
             assert fn is _pool_settle_shard

@@ -56,14 +56,15 @@ def test_route_tree_is_a_guarded_slotted_dataclass():
     it is a dataclass in ``repro.bgp``, and it must stay ``__dict__``-free."""
     import dataclasses
 
-    from repro.bgp.routing import RouteTree, compute_routes_snapshot
+    from repro.bgp.kernels.scalar import compute_routes_snapshot
+    from repro.bgp.routing import RouteTree
 
     assert dataclasses.is_dataclass(RouteTree)
     assert "__slots__" in RouteTree.__dict__
     graph = generate_named("tiny", seed=0)
     tree = compute_routes_snapshot(graph.snapshot(), graph.ases[0])
     assert type(tree) is RouteTree and not hasattr(tree, "__dict__")
-    tree.materialize()  # the lazily built dict lives in a slot too
+    tree.route(graph.ases[1])  # the lazily built column lives in a slot too
     assert not hasattr(tree, "__dict__")
 
 

@@ -367,7 +367,7 @@ class TestSharedSnapshot:
         assert rebuilt.phase_nbrs == snapshot.phase_nbrs
 
     def test_attached_tables_byte_equal(self):
-        from repro.bgp.routing import compute_routes_snapshot
+        from repro.bgp.kernels.scalar import compute_routes_snapshot
 
         snapshot = small_graph().snapshot()
         rebuilt = attached_copy(snapshot)
@@ -416,7 +416,7 @@ class TestSharedSnapshot:
     def test_attached_snapshot_outlives_the_segment(self):
         """An attach copies the arrays out: what it returns settles the
         same tables after the owner has closed and unlinked."""
-        from repro.bgp.routing import compute_routes_snapshot
+        from repro.bgp.kernels.scalar import compute_routes_snapshot
         from repro.topology.snapshot import SharedSnapshot
 
         snapshot, shared = self._published()
@@ -452,7 +452,7 @@ class TestSharedSnapshot:
             "import os, sys\n"
             "from multiprocessing import resource_tracker\n"
             "resource_tracker.register = lambda name, rtype: None\n"
-            "from repro.bgp.routing import compute_routes_snapshot\n"
+            "from repro.bgp.kernels.scalar import compute_routes_snapshot\n"
             "from repro.topology.snapshot import (\n"
             "    SharedSnapshot, SharedSnapshotDescriptor)\n"
             f"descriptor = {descriptor!r}\n"

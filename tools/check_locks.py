@@ -55,13 +55,14 @@ HELD_FILES = (
 #: Terminal callee names that must never run under a guarded lock: the
 #: settling entry points (a session's ``compute`` / ``compute_many``
 #: included), the batch helpers that wrap them, the
-#: O(n) expansion of a route tree into its dict (``mutate()`` runs
-#: caller code under the lock), the affected-set walk (O(n) over a
+#: O(n) expansion of a route tree into every route (``RouteTree.expand``,
+#: which ``RoutingTable.items`` returns; ``mutate()`` runs caller code
+#: under the lock), the affected-set walk (O(n) over a
 #: tree a failure cuts; ``mutate()``'s re-stamp probes with
 #: ``cut_tree_edges`` instead), the O(links) derivation of a topology
 #: snapshot (every warm ``peek`` would wait behind it), the §3.3
-#: negotiation ``exchange`` (its ``best()`` / ``candidates()`` reads can
-#: materialize a tree), and the pool's publication / submission calls.
+#: negotiation ``exchange`` (its ``candidates()`` reads build a route
+#: per neighbour), and the pool's publication / submission calls.
 SLOW_CALLS = frozenset({
     "compute",
     "compute_many",
@@ -71,7 +72,7 @@ SLOW_CALLS = frozenset({
     "affected_ases",
     "exchange",
     "settle_many",
-    "materialize",
+    "expand",
     "snapshot",
     "submit",
     "ensure",
