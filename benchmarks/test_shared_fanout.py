@@ -30,7 +30,7 @@ import pytest
 from repro.bgp import kernels
 from repro.session import SimulationSession
 from repro.topology import generate_named
-from repro.topology.snapshot import shared_memory_available
+from repro.session.pool import shared_memory_available
 
 POOL_WORKERS = 4
 
@@ -58,7 +58,7 @@ def test_ship_bytes_per_attach_is_o1(verify_500, bench_report):
             graph, parallel=True, max_workers=2
         ) as session:
             session.compute_many(graph.ases[:8])
-            assert session._pool.mode == "shm"
+            assert session._pool.version == graph.version
             sizes[name] = (session._pool.ship_bytes,
                            session._pool.shared_bytes)
     ship, segment = sizes["verify-500"]

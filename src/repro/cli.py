@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import pickle
 import sys
 from typing import List, Optional
 
@@ -114,12 +113,6 @@ def _add_pool_args(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=None, metavar="N",
         help="pool worker processes (default: one per CPU)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="destination-range shards per pooled fan-out "
-             "(default: 4 per worker; shards feed a shared work queue, "
-             "so idle workers steal the next range)",
-    )
 
 
 def _build_graph(args: argparse.Namespace):
@@ -135,7 +128,6 @@ def _build_session(args: argparse.Namespace, graph) -> SimulationSession:
     return SimulationSession(
         graph, parallel=parallel,
         max_workers=getattr(args, "workers", None),
-        shards=getattr(args, "shards", None),
     )
 
 
@@ -169,8 +161,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     print(f"multi-homed ASes:   {summary.n_multihomed}")
     snapshot = graph.snapshot()
     print(f"snapshot:           {snapshot.n} indices, "
-          f"{snapshot.num_directed_edges} directed edges, "
-          f"{len(pickle.dumps(snapshot))} pickled bytes")
+          f"{snapshot.num_directed_edges} directed edges")
     print(f"kernel:             {kernels.resolve()} "
           f"(available: {', '.join(kernels.available())})")
     if args.out:

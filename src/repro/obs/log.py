@@ -21,6 +21,8 @@ import logging
 import sys
 from typing import IO, Optional
 
+from .tracing import _jsonable
+
 ROOT_LOGGER_NAME = "repro"
 
 _LEVELS = {
@@ -96,14 +98,6 @@ class StructuredFormatter(logging.Formatter):
         ]
         parts.extend(f"{k}={_format_value(v)}" for k, v in fields.items())
         return " ".join(parts)
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    return repr(value)
 
 
 def _format_value(value: object) -> str:

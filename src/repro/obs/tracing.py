@@ -168,6 +168,8 @@ class Tracer:
 
 
 def _jsonable(value: object) -> object:
+    """A span argument or log field as JSON: scalars as they are,
+    collections as lists, anything else as its repr."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple, set, frozenset)):

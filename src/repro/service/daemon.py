@@ -115,6 +115,10 @@ _ENCODED_HIT = _ENCODED.labels(outcome="hit")
 _ENCODED_BUILD = _ENCODED.labels(outcome="build")
 
 
+#: Back-off hint, in seconds, that a shed request is answered with.
+RETRY_AFTER = 0.05
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs for the admission pipeline.
@@ -123,13 +127,12 @@ class ServiceConfig:
     the queue; nothing waits for a batch to fill — a batch is whatever
     queued while the previous one settled.  ``max_pending`` bounds the
     number of distinct destinations with fills in flight (queued +
-    settling); beyond it new misses are shed with ``retry_after`` as
-    the back-off hint.
+    settling); beyond it new misses are shed with :data:`RETRY_AFTER`
+    as the back-off hint.
     """
 
     max_batch: int = 64
     max_pending: int = 1024
-    retry_after: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -275,7 +278,7 @@ class MiroService:
             _COALESCED.inc()
             return await asyncio.shield(future)
         if len(self._pending) >= self.config.max_pending:
-            raise ServiceOverloadError(self.config.retry_after)
+            raise ServiceOverloadError(RETRY_AFTER)
         future = self._loop.create_future()
         self._pending[destination] = future
         _PENDING.set(len(self._pending))

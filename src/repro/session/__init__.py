@@ -10,9 +10,11 @@ on, split along its concerns:
   session event moves, and the version-keyed LRU
   :class:`RouteTableCache` with its derivation-parent index; un-pinned
   trees only (pinned tables stay with their caller).
-* :mod:`repro.session.pool` — the persistent, version-keyed process
-  pool: shared-memory snapshot publication, packed route-tree transport,
-  destination-range sharding.
+* :mod:`repro.session.pool` — the whole fan-out pool behind one call
+  (``FanoutPool.fan_out``): the dispatch rule, the shared-memory
+  snapshot transport (``SharedSnapshot``), packed route-tree results,
+  destination-range sharding and the persistent, version-keyed
+  workers.
 * :mod:`repro.session.core` — :class:`SessionCore`, the one session
   class (:data:`SimulationSession` names it too): single lock, one
   single-flight fill path shared by ``compute`` and ``compute_many``,
@@ -20,17 +22,14 @@ on, split along its concerns:
 
 Only the public names are re-exported here; instruments, worker entry
 points and the pool's infrastructure (``ProcessPoolExecutor``,
-``shared_memory_available``) live in — and are patched on — the
-submodule that uses them.
+``shared_memory_available``, ``SharedSnapshot``) live in — and are
+patched on — :mod:`repro.session.pool`.
 """
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "core": (
-        "AUTO_PARALLEL_THRESHOLD", "SessionCore", "SimulationSession",
-        "ensure_session",
-    ),
-    "pool": ("POOL_SHARD_FACTOR",),
+    "core": ("SessionCore", "SimulationSession", "ensure_session"),
+    "pool": ("AUTO_PARALLEL_THRESHOLD", "POOL_SHARD_FACTOR"),
     "cache": ("RouteTableCache",),
 })

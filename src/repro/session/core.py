@@ -18,8 +18,9 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
   walk of a derivation (``affected_ases``), deriving the
   topology snapshot a settle runs on (``graph.snapshot()``), expanding
   a settled tree into every route (``RouteTree.expand``, behind
-  ``RoutingTable.items``), pool publication (``pool.ensure``) and job submission
-  (``executor.submit``) all run with the lock *released*.  Under the
+  ``RoutingTable.items``) and the pool's fan-out (``pool.fan_out``:
+  publication, job submission, waiting on workers) all run with the
+  lock *released*.  Under the
   lock the core only classifies lookups, moves OrderedDict entries, and
   bumps counters — microsecond work, which is what lets a serving event
   loop take the fast hit path thousands of times per second without
@@ -45,33 +46,21 @@ Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .. import obs
 from ..bgp import kernels
 from ..bgp.routing import RoutingTable, affected_ases, recompute_routes
-from ..errors import ReproError, SessionError
+from ..errors import SessionError
 from ..obs import get_logger, get_tracer
 from ..topology.graph import ASGraph
-from ..topology.snapshot import TopologySnapshot
 from .cache import COUNTERS, CacheKey, RouteTableCache
-from .pool import (
-    _POOL_SHARD_SIZE,
-    POOL_SHARD_FACTOR,
-    _decode_shard,
-    _FanoutPool,
-    _pool_settle_shard,
-)
+from .pool import FanoutPool
 
 _TRACER = get_tracer()
 _LOG = get_logger("session")
-
-#: ``parallel="auto"`` only spins up a pool for at least this many misses.
-AUTO_PARALLEL_THRESHOLD = 16
 
 
 class _Flight:
@@ -100,20 +89,12 @@ class SessionCore:
     persistent fan-out pool; every public method is safe to call from
     any thread.  See the module docstring for the lock discipline.
 
-    ``parallel`` picks the :meth:`compute_many` dispatch policy:
-
-    * ``"auto"`` (default) — use the worker pool when shared memory is
-      available, the machine has more than one core, and at least
-      :data:`AUTO_PARALLEL_THRESHOLD` destinations miss the cache;
-    * ``True`` — try the pool whenever more than one destination misses
-      (still settles serially when shared memory is unavailable or the
-      pool cannot start);
-    * ``False`` — always compute serially.
-
-    The pool itself is *persistent*: workers spawn on the first pooled
-    fan-out and are reused by every later one, with the snapshot
-    republished only when the graph version moves.  ``shards``
-    overrides how many destination ranges a miss list is split into.
+    ``parallel`` (``"auto"``, ``True`` or ``False``) and
+    ``max_workers`` configure the :class:`~repro.session.pool.FanoutPool`
+    that settles a miss list across processes; its docstring states
+    the dispatch rule.  The pool is *persistent*: workers spawn on the
+    first pooled fan-out and are reused by every later one, with the
+    snapshot republished only when the graph version moves.
     Sessions are context managers; :meth:`close` (or ``with``) shuts
     the workers down deterministically, and garbage collection of an
     unclosed session does the same.
@@ -125,12 +106,8 @@ class SessionCore:
         max_cached_tables: int = 1024,
         parallel: Union[bool, str] = "auto",
         max_workers: Optional[int] = None,
-        shards: Optional[int] = None,
     ) -> None:
-        if parallel not in (True, False, "auto"):
-            raise SessionError(
-                f"parallel must be True, False, or 'auto', got {parallel!r}"
-            )
+        self._pool = FanoutPool(parallel, max_workers)
         self._graph = graph
         self._cache = RouteTableCache(maxsize=max_cached_tables)
         # this session's count of every COUNTERS event, plus three facts
@@ -138,8 +115,6 @@ class SessionCore:
         self._tally: Dict[str, float] = dict.fromkeys(COUNTERS, 0)
         self._tally.update(affected=0, compute_seconds=0.0,
                            last_fanout_seconds=0.0)
-        self._parallel = parallel
-        self._pool = _FanoutPool(max_workers=max_workers, shards=shards)
         self._seen_version = graph.version
         self._lock = threading.Condition(threading.Lock())
         self._flights: Dict[CacheKey, _Flight] = {}
@@ -186,20 +161,7 @@ class SessionCore:
 
     def pool_info(self) -> Dict[str, object]:
         """JSON-ready view of the fan-out pool, for ``repro stats``."""
-        pool = self._pool
-        return {
-            "parallel": self._parallel
-            if isinstance(self._parallel, str) else bool(self._parallel),
-            "max_workers": pool.workers,
-            "shards": pool.shards,
-            "shard_factor": POOL_SHARD_FACTOR,
-            "shared_memory": pool.shared_memory,
-            "mode": pool.mode,
-            "published_version": pool.version,
-            "shared_bytes": pool.shared_bytes,
-            "ship_bytes": pool.ship_bytes,
-            "alive": pool.alive,
-        }
+        return self._pool.info()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -500,98 +462,19 @@ class SessionCore:
         used_pool = False
         if remaining:
             snapshot = self._graph.snapshot()
-            if self._use_pool(len(remaining)):
-                used_pool = self._fanout_pool(snapshot, remaining, filled)
-            rest = [d for d in remaining if d not in filled]
+            trees = self._pool.fan_out(snapshot, remaining)
+            used_pool = bool(trees)
+            rest = [d for d in remaining if d not in trees]
             if rest:
                 # Whatever the pool did not hand back settles on the
                 # active kernel in one sweep (the batched wave kernel
                 # amortizes its per-wave cost over the whole of it).
-                swept = kernels.settle_many(snapshot, rest)
-                for destination in rest:
-                    filled[destination] = RoutingTable(
-                        self._graph, destination, swept[destination]
-                    )
-        return filled, derived, used_pool
-
-    # ------------------------------------------------------------------
-    # pool dispatch (lock released)
-    # ------------------------------------------------------------------
-    def _use_pool(self, n_misses: int) -> bool:
-        """A lone miss (every :meth:`compute`) settles in process: there
-        is nothing to fan out."""
-        policy = self._parallel
-        if policy is False or n_misses < 2:
-            return False
-        if policy == "auto" and (
-            (os.cpu_count() or 1) < 2 or n_misses < AUTO_PARALLEL_THRESHOLD
-        ):
-            return False
-        return self._pool.shared_memory
-
-    def _fanout_pool(
-        self,
-        snapshot: TopologySnapshot,
-        misses: List[int],
-        tables: Dict[int, RoutingTable],
-    ) -> bool:
-        """Dispatch ``misses`` across the persistent pool; True if any ran.
-
-        Misses are sharded into contiguous destination ranges — several
-        per worker, pulled from the executor's shared call queue, so an
-        idle worker steals the next range instead of waiting out a
-        straggler.  A job that fails on pool infrastructure (spawn
-        refused, broken worker, pickling quirk) is simply left out of
-        ``tables`` and the caller recomputes its destinations serially,
-        while every *successful* job's drained metrics/spans payload is
-        absorbed exactly once — a failed job ships no payload, so
-        nothing is lost with it and nothing is double-counted when its
-        tables are recomputed in the parent.  Library errors propagate
-        unchanged.  Returns False only when no job completed (the
-        fan-out was effectively serial).
-        """
-        try:
-            executor, spec = self._pool.ensure(snapshot)
-        except Exception:
-            return False
-        # workers settle on the parent's active kernel
-        kernel = kernels.resolve()
-        obs_state = obs.worker_state()
-        futures: List[Tuple[Tuple[int, ...], object]] = []
-        try:
-            for shard in self._pool.shard(misses):
-                _POOL_SHARD_SIZE.observe(len(shard))
-                futures.append((
-                    shard,
-                    executor.submit(
-                        _pool_settle_shard,
-                        (spec, obs_state, kernel, shard),
-                    ),
-                ))
-        except Exception:
-            if not futures:
-                return False
-        succeeded = 0
-        for shard, future in futures:
-            try:
-                dests, packed, payload = future.result()
-            except ReproError:
-                raise
-            except Exception:
-                _LOG.warning(
-                    "pool_job_failed", destinations=len(shard),
-                    first=shard[0],
+                trees.update(kernels.settle_many(snapshot, rest))
+            for destination in remaining:
+                filled[destination] = RoutingTable(
+                    self._graph, destination, trees[destination]
                 )
-                continue
-            obs.absorb_worker(payload)
-            if packed is None:
-                # the worker could not settle this shard in index
-                # space; the caller's serial sweep picks it up
-                continue
-            for dest, tree in zip(dests, _decode_shard(snapshot, packed)):
-                tables[dest] = RoutingTable(self._graph, dest, tree)
-            succeeded += 1
-        return succeeded > 0
+        return filled, derived, used_pool
 
     # ------------------------------------------------------------------
     # maintenance

@@ -1,21 +1,28 @@
-"""Process-pool plumbing: workers, the shared-memory transport, and
-the persistent pool.
+"""The fan-out pool: the dispatch rule, the shared-memory transport,
+the workers and the persistent executor, in one module.
+
+A session asks :meth:`FanoutPool.fan_out` for the trees of a miss list
+and gets back ``{destination: RouteTree}`` for whatever the pool
+settled — nothing at all when the rule says serial or no job came back
+— and sweeps the rest itself.  Everything behind that call lives here.
 
 Jobs carry a *spec* — ``(version, descriptor, ship_bytes)`` — instead of
-snapshot bytes: the descriptor is an O(1)
-:class:`~repro.topology.snapshot.SharedSnapshotDescriptor`, and the
-worker attaches the published segment once per graph version, copying
-the snapshot's three arrays out and closing its mapping at once.  The
-attach cost (bytes, seconds) is observed *in the worker* and rides back
-to the parent in the drained metrics/spans payload every job result
-carries, so the ship-cost histograms count one observation per worker
-that actually paid, not one per fan-out.  Workers never see the mutable
-graph.  Where shared memory is unavailable there is no pool: the
-session settles serially.
+snapshot bytes: the parent publishes the snapshot's three core arrays
+into one POSIX shared-memory segment (:class:`SharedSnapshot`), the
+descriptor naming it is a few dozen bytes, and each worker attaches the
+segment once per graph version, copying the arrays out and closing its
+mapping at once.  The attach cost (bytes, seconds) is observed *in the
+worker* and rides back to the parent in the drained metrics/spans
+payload every job result carries, so the ship-cost histograms count one
+observation per worker that actually paid, not one per fan-out.
+Workers never see the mutable graph.  Where shared memory is
+unavailable there is no pool: the session settles serially.
 
-:class:`_FanoutPool` is internally locked: the serving plane's
+:class:`FanoutPool` is internally locked: the serving plane's
 single-flight leaders publish and submit from several threads at once,
 and republish/teardown must not race a concurrent ensure.
+:mod:`multiprocessing` is imported at the first probe, publication or
+pool start, never with this module.
 """
 
 from __future__ import annotations
@@ -24,26 +31,23 @@ import os
 import pickle
 import threading
 import time
+import weakref
 from array import array
 from concurrent.futures import Executor
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..bgp import kernels
 from ..bgp.routing import RouteTree
-from ..errors import SessionError, UnknownASError
+from ..errors import ReproError, SessionError, UnknownASError
 from ..obs import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
     get_logger,
     get_registry,
 )
-from ..topology.snapshot import (
-    SharedSnapshot,
-    SharedSnapshotDescriptor,
-    TopologySnapshot,
-    shared_memory_available,
-)
+from ..topology.snapshot import ARRAY_TYPECODE, TopologySnapshot
 
 _LOG = get_logger("session")
 
@@ -63,8 +67,7 @@ _POOL_ATTACH_SECONDS = get_registry().histogram(
 )
 _POOL_ATTACHES = get_registry().counter(
     "repro_session_pool_attaches_total",
-    "Pool-worker snapshot attaches, by transport mode",
-    labels=("mode",),
+    "Pool-worker snapshot attaches",
 )
 _POOL_SHARD_SIZE = get_registry().histogram(
     "repro_session_pool_shard_destinations",
@@ -76,13 +79,177 @@ _SHARED_SNAPSHOT_BYTES = get_registry().histogram(
     "Shared-memory segment bytes published per graph version",
     buckets=DEFAULT_BYTE_BUCKETS,
 )
+_SHARED_SEGMENTS = get_registry().counter(
+    "repro_topology_shared_segments_total",
+    "Shared-memory snapshot segment lifecycle events",
+    labels=("event",),
+)
 
-#: Default shard jobs submitted per worker per fan-out.  Several shards
-#: per worker is what makes the executor's shared call queue behave as a
+#: ``parallel="auto"`` only spins up a pool for at least this many misses.
+AUTO_PARALLEL_THRESHOLD = 16
+
+#: Shard jobs submitted per worker per fan-out.  Several shards per
+#: worker is what makes the executor's shared call queue behave as a
 #: work-stealing scheduler: a worker that drains a cheap shard pulls the
 #: next one instead of idling behind a straggler.
 POOL_SHARD_FACTOR = 4
 
+
+# ----------------------------------------------------------------------
+# the transport: the parent *publishes* a snapshot's three core arrays
+# into one POSIX shared-memory segment; each worker *attaches* by a
+# descriptor of a few dozen bytes, copies the arrays out and closes its
+# mapping at once — per-fan-out ship cost is O(1) in the topology size
+# instead of O(snapshot × workers), and per graph version each worker
+# copies once.
+# ----------------------------------------------------------------------
+
+#: Every field is stored in the snapshot's own typecode.
+_SHM_ITEMSIZE = array(ARRAY_TYPECODE).itemsize
+
+_SHM_AVAILABLE: Optional[bool] = None
+
+
+def shared_memory_available() -> bool:
+    """Whether POSIX shared memory is usable in this process (memoized).
+
+    Probes by creating and immediately destroying a minimal segment —
+    sandboxed environments can lack a usable ``/dev/shm`` even when
+    :mod:`multiprocessing.shared_memory` imports fine.  On a False
+    verdict there is no pool: fan-outs settle serially.
+    """
+    global _SHM_AVAILABLE
+    if _SHM_AVAILABLE is None:
+        try:
+            from multiprocessing import shared_memory
+
+            probe = shared_memory.SharedMemory(create=True, size=_SHM_ITEMSIZE)
+            probe.close()
+            probe.unlink()
+            _SHM_AVAILABLE = True
+        except Exception:
+            _SHM_AVAILABLE = False
+    return _SHM_AVAILABLE
+
+
+@dataclass(frozen=True, slots=True)
+class SharedSnapshotDescriptor:
+    """The picklable handle a pool job ships instead of snapshot bytes.
+
+    A few dozen bytes regardless of topology size: the segment name, the
+    graph version the segment holds, and the three array lengths needed
+    to split it — which is the whole point of the shared-memory fan-out.
+    """
+
+    name: str
+    version: int
+    lengths: Tuple[int, int, int]
+
+
+class SharedSnapshot:
+    """A :class:`TopologySnapshot`'s core arrays, placed in shared memory.
+
+    :meth:`publish` copies the snapshot's three core arrays — ``asns``,
+    ``cls_off``, ``cls_adj`` — in :data:`ARRAY_TYPECODE` into one
+    :mod:`multiprocessing.shared_memory` segment and returns the owner's
+    handle.  :meth:`attach` is the consumer side: it opens the segment
+    named by a :class:`SharedSnapshotDescriptor`, copies the arrays out,
+    closes its mapping and returns a snapshot built from the copies, so
+    no consumer ever holds the segment open.
+
+    :meth:`close` closes the owner's mapping and unlinks the segment
+    (idempotent).  A :mod:`weakref` finalizer performs the same release
+    at garbage collection, so an abandoned handle cannot leak the
+    segment past process exit.
+    """
+
+    __slots__ = ("shm", "version", "lengths", "_finalizer", "__weakref__")
+
+    def __init__(
+        self, shm, version: int, lengths: Tuple[int, int, int]
+    ) -> None:
+        self.shm = shm
+        self.version = version
+        self.lengths = lengths
+        self._finalizer = weakref.finalize(self, _release_segment, shm)
+
+    @classmethod
+    def publish(cls, snapshot: TopologySnapshot) -> "SharedSnapshot":
+        """Copy ``snapshot``'s core arrays into a fresh shared segment."""
+        from multiprocessing import shared_memory
+
+        fields = (snapshot.asns, snapshot.cls_off, snapshot.cls_adj)
+        lengths = tuple(len(field) for field in fields)
+        total = max(sum(lengths) * _SHM_ITEMSIZE, 1)
+        shm = shared_memory.SharedMemory(create=True, size=total)
+        try:
+            offset = 0
+            for field in fields:
+                payload = array(ARRAY_TYPECODE, field).tobytes()
+                shm.buf[offset:offset + len(payload)] = payload
+                offset += len(payload)
+        except Exception:
+            _release_segment(shm)
+            raise
+        _SHARED_SEGMENTS.labels(event="publish").inc()
+        return cls(shm, snapshot.version, lengths)
+
+    @staticmethod
+    def attach(descriptor: SharedSnapshotDescriptor) -> TopologySnapshot:
+        """The snapshot published under ``descriptor``, copied out.
+
+        The mapping is closed before this returns: the snapshot turns
+        every array into tuples at construction, so nothing would read a
+        view into it.
+        """
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(name=descriptor.name)
+        words = array(ARRAY_TYPECODE)
+        try:
+            words.frombytes(shm.buf[:sum(descriptor.lengths) * _SHM_ITEMSIZE])
+        finally:
+            shm.close()
+        _SHARED_SEGMENTS.labels(event="attach").inc()
+        asns, offsets, _ = descriptor.lengths
+        return TopologySnapshot(
+            descriptor.version, tuple(words[:asns]),
+            words[asns:asns + offsets], words[asns + offsets:],
+        )
+
+    def descriptor(self) -> SharedSnapshotDescriptor:
+        return SharedSnapshotDescriptor(
+            self.shm.name, self.version, self.lengths
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the shared segment (the published copy, not the ship)."""
+        return self.shm.size
+
+    def close(self) -> None:
+        """Close the mapping and unlink the segment; idempotent.
+
+        Consumers never keep a mapping, so once the name is gone the
+        segment is gone.
+        """
+        if self._finalizer.alive:
+            self._finalizer()
+            _SHARED_SEGMENTS.labels(event="unlink").inc()
+
+
+def _release_segment(shm) -> None:
+    """Close and unlink an owner's segment; a name already gone is fine."""
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
+
+
+# ----------------------------------------------------------------------
+# the worker side
+# ----------------------------------------------------------------------
 
 #: Job spec: (graph version, shared-segment descriptor, ship bytes).
 PoolSpec = Tuple[int, SharedSnapshotDescriptor, int]
@@ -127,12 +294,12 @@ def _worker_snapshot(spec: PoolSpec) -> TopologySnapshot:
     if snapshot is not None:
         return snapshot
     start = time.perf_counter()
-    with obs.get_tracer().span("pool_attach", version=version, mode="shm"):
+    with obs.get_tracer().span("pool_attach", version=version):
         snapshot = SharedSnapshot.attach(descriptor)
     _WORKER_SNAPSHOTS.clear()
     _WORKER_SNAPSHOTS[version] = snapshot
     _POOL_ATTACH_SECONDS.observe(time.perf_counter() - start)
-    _POOL_ATTACHES.labels(mode="shm").inc()
+    _POOL_ATTACHES.inc()
     _POOL_SHIP_BYTES.observe(ship_bytes)
     return snapshot
 
@@ -216,17 +383,29 @@ def ProcessPoolExecutor(**kwargs) -> Executor:
     return executor(**kwargs)
 
 
-class _FanoutPool:
-    """The session's persistent, version-keyed worker pool.
+# ----------------------------------------------------------------------
+# the parent side
+# ----------------------------------------------------------------------
+class FanoutPool:
+    """A session's dispatch rule and persistent, version-keyed workers.
+
+    ``parallel`` is the rule :meth:`fan_out` applies to a miss list:
+
+    * ``"auto"`` — use the workers when shared memory is available, the
+      machine has more than one core, and at least
+      :data:`AUTO_PARALLEL_THRESHOLD` destinations miss;
+    * ``True`` — use them whenever more than one destination misses
+      (still serial when shared memory is unavailable or the pool
+      cannot start);
+    * ``False`` — never.
 
     Owns one :class:`~concurrent.futures.ProcessPoolExecutor` that
-    survives across :meth:`SimulationSession.compute_many` calls — the
-    per-call spawn/teardown churn of the old design is gone — plus the
-    currently published :class:`SharedSnapshot` segment.  :meth:`ensure`
-    republishes only when the graph version moves: the snapshot is
-    copied into a fresh segment, the previous segment is closed and
-    unlinked (workers hold no mapping of it: they copied it out), and
-    jobs carry the O(1) descriptor; the executor itself is reused untouched.
+    survives across fan-outs, plus the currently published
+    :class:`SharedSnapshot` segment.  :meth:`ensure` republishes only
+    when the graph version moves: the snapshot is copied into a fresh
+    segment, the previous segment is closed and unlinked (workers hold
+    no mapping of it: they copied it out), and jobs carry the O(1)
+    descriptor; the executor itself is reused untouched.
 
     A broken executor (killed worker) is detected and rebuilt on the
     next ensure, so one fault does not wedge the session.  All lifecycle
@@ -236,14 +415,18 @@ class _FanoutPool:
     """
 
     def __init__(
-        self, max_workers: Optional[int] = None, shards: Optional[int] = None
+        self,
+        parallel: Union[bool, str] = "auto",
+        max_workers: Optional[int] = None,
     ) -> None:
+        if parallel not in (True, False, "auto"):
+            raise SessionError(
+                f"parallel must be True, False, or 'auto', got {parallel!r}"
+            )
         if max_workers is not None and max_workers < 1:
             raise SessionError(f"max_workers must be >= 1, got {max_workers}")
-        if shards is not None and shards < 1:
-            raise SessionError(f"shards must be >= 1, got {shards}")
+        self.parallel = parallel
         self.max_workers = max_workers
-        self.shards = shards
         self._lock = threading.RLock()
         self._executor: Optional[Executor] = None
         self._shared: Optional[SharedSnapshot] = None
@@ -254,16 +437,6 @@ class _FanoutPool:
     @property
     def workers(self) -> int:
         return self.max_workers or os.cpu_count() or 1
-
-    @property
-    def shared_memory(self) -> bool:
-        """Whether the one transport to the workers exists here."""
-        return shared_memory_available()
-
-    @property
-    def mode(self) -> Optional[str]:
-        """Transport of the current publication: shm, or None."""
-        return "shm" if self._spec is not None else None
 
     @property
     def version(self) -> Optional[int]:
@@ -285,6 +458,85 @@ class _FanoutPool:
 
     def executor(self) -> Optional[Executor]:
         return self._executor
+
+    def info(self) -> Dict[str, object]:
+        """JSON-ready view of the pool, for ``repro stats``."""
+        return {
+            "parallel": self.parallel
+            if isinstance(self.parallel, str) else bool(self.parallel),
+            "max_workers": self.workers,
+            "shard_factor": POOL_SHARD_FACTOR,
+            "shared_memory": shared_memory_available(),
+            "published_version": self.version,
+            "shared_bytes": self.shared_bytes,
+            "ship_bytes": self.ship_bytes,
+            "alive": self.alive,
+        }
+
+    def _wanted(self, n_misses: int) -> bool:
+        """The dispatch rule.  A lone miss (every ``compute``) settles in
+        process: there is nothing to fan out."""
+        if self.parallel is False or n_misses < 2:
+            return False
+        if self.parallel == "auto" and (
+            (os.cpu_count() or 1) < 2 or n_misses < AUTO_PARALLEL_THRESHOLD
+        ):
+            return False
+        return shared_memory_available()
+
+    def fan_out(
+        self, snapshot: TopologySnapshot, misses: List[int]
+    ) -> Dict[int, RouteTree]:
+        """The trees of ``misses`` the workers settled on ``snapshot``.
+
+        Empty when the rule says serial or no job succeeded; the caller
+        settles whatever is missing.  Misses are sharded into contiguous
+        destination ranges — several per worker, pulled from the
+        executor's shared call queue, so an idle worker steals the next
+        range instead of waiting out a straggler.  A job that fails on
+        pool infrastructure (spawn refused, broken worker, pickling
+        quirk) is simply left out, while every *successful* job's
+        drained metrics/spans payload is absorbed exactly once — a
+        failed job ships no payload, so nothing is lost with it and
+        nothing is double-counted when its tables are recomputed in the
+        parent.  Library errors propagate unchanged.
+        """
+        trees: Dict[int, RouteTree] = {}
+        if not self._wanted(len(misses)):
+            return trees
+        try:
+            executor, spec = self.ensure(snapshot)
+        except Exception:
+            return trees
+        # workers settle on the parent's active kernel
+        kernel = kernels.resolve()
+        obs_state = obs.worker_state()
+        futures = []
+        try:
+            for shard in self.shard(misses):
+                _POOL_SHARD_SIZE.observe(len(shard))
+                futures.append((shard, executor.submit(
+                    _pool_settle_shard, (spec, obs_state, kernel, shard),
+                )))
+        except Exception:
+            pass  # the shards that went out still count
+        for shard, future in futures:
+            try:
+                dests, packed, payload = future.result()
+            except ReproError:
+                raise
+            except Exception:
+                _LOG.warning(
+                    "pool_job_failed", destinations=len(shard),
+                    first=shard[0],
+                )
+                continue
+            obs.absorb_worker(payload)
+            if packed is not None:
+                # None: the worker could not settle this shard in index
+                # space; the caller's serial sweep picks it up
+                trees.update(zip(dests, _decode_shard(snapshot, packed)))
+        return trees
 
     def ensure(
         self, snapshot: TopologySnapshot
@@ -326,14 +578,10 @@ class _FanoutPool:
             return self._executor, self._spec
 
     def shard(self, misses: List[int]) -> List[Tuple[int, ...]]:
-        """Split ``misses`` into contiguous destination ranges.
-
-        Range count is the explicit ``shards`` override, else
+        """Split ``misses`` into contiguous destination ranges:
         :data:`POOL_SHARD_FACTOR` per worker, never more than the miss
-        count — each range becomes one work-queue job.
-        """
-        count = self.shards or self.workers * POOL_SHARD_FACTOR
-        count = max(1, min(count, len(misses)))
+        count — each range becomes one work-queue job."""
+        count = max(1, min(self.workers * POOL_SHARD_FACTOR, len(misses)))
         size, extra = divmod(len(misses), count)
         out: List[Tuple[int, ...]] = []
         lo = 0

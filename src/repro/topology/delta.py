@@ -28,11 +28,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import TopologyError
 from .graph import ASGraph, LinkKey, link_key
 from .relationships import Relationship
+
+#: Neighbour order by AS, as :attr:`ASGraph._adj` lists it.
+_Order = Dict[int, Tuple[int, ...]]
 
 
 class DeltaOpKind(enum.Enum):
@@ -135,11 +138,12 @@ class TopologyDelta:
         version_before = graph.version
         undo: List[DeltaOp] = []  # inverse ops, in application order
         changed: Set[LinkKey] = set()
+        order: _Order = {}
         try:
             for op in self.ops:
-                undo.append(self._execute(graph, op, changed))
+                undo.append(self._execute(graph, op, changed, order))
         except TopologyError:
-            _run_inverse(graph, undo)
+            _run_inverse(graph, undo, order)
             graph._restore_version(version_before)
             raise
         return AppliedDelta(
@@ -149,11 +153,28 @@ class TopologyDelta:
             version_after=graph.version,
             changed_links=frozenset(changed),
             _undo=tuple(undo),
+            _order=order,
         )
 
     @staticmethod
-    def _execute(graph: ASGraph, op: DeltaOp, changed: Set[LinkKey]) -> DeltaOp:
-        """Execute one op; return its inverse for rollback/revert."""
+    def _execute(
+        graph: ASGraph,
+        op: DeltaOp,
+        changed: Set[LinkKey],
+        order: Optional[_Order] = None,
+    ) -> DeltaOp:
+        """Execute one op; return its inverse for rollback/revert.
+
+        ``order`` first records the neighbour order of every AS the op
+        touches, for :func:`_run_inverse` to put back.
+        """
+        if order is not None:
+            touched = [op.a, op.b, *(nbr for nbr, _ in op.links)]
+            if op.kind is DeltaOpKind.AS_DOWN:
+                touched.extend(graph._adj.get(op.a, ()))
+            for asn in touched:
+                if asn not in order and asn in graph:
+                    order[asn] = tuple(graph._adj[asn])
         if op.kind is DeltaOpKind.LINK_DOWN:
             assert op.b is not None
             rel = graph.relationship(op.a, op.b)  # raises if absent
@@ -179,7 +200,13 @@ class TopologyDelta:
                 del graph._adj[op.a]
                 graph._bump(frozenset())
             return DeltaOp(DeltaOpKind.AS_UP, op.a, links=links)
-        # AS_UP
+        # AS_UP: every link is checked before anything changes, so an op
+        # that raises leaves the graph as it found it
+        linked = {op.a, *graph._adj.get(op.a, ())}
+        for nbr, _ in op.links:
+            if nbr in linked or not isinstance(nbr, int) or nbr < 0:
+                raise TopologyError(f"AS {op.a} cannot link to AS {nbr!r}")
+            linked.add(nbr)
         created = op.a not in graph
         graph.add_as(op.a)
         for nbr, rel in op.links:
@@ -229,12 +256,16 @@ class AppliedDelta:
     version_after: int
     changed_links: FrozenSet[LinkKey]
     _undo: Tuple[DeltaOp, ...] = field(repr=False, default=())
+    #: neighbour order, before the apply, of every AS the delta touched
+    _order: _Order = field(repr=False, default_factory=dict)
     reverted: bool = False
 
     def revert(self) -> None:
         """Undo the delta, restoring the exact pre-apply graph state.
 
-        The inverse operations run in reverse order, then the pre-apply
+        The inverse operations run in reverse order, every touched AS
+        gets its pre-apply neighbour order back (a re-added link would
+        otherwise land last), then the pre-apply
         :attr:`~repro.topology.graph.ASGraph.version` is restored —
         legitimate because the adjacency state is bit-identical to what
         that version identified, so cached routing tables keyed on it
@@ -249,7 +280,7 @@ class AppliedDelta:
                 f"mutated since it was applied (version "
                 f"{self.graph.version} != {self.version_after})"
             )
-        _run_inverse(self.graph, list(self._undo))
+        _run_inverse(self.graph, list(self._undo), self._order)
         self.graph._restore_version(self.version_before)
         self.reverted = True
 
@@ -285,20 +316,35 @@ class AppliedDelta:
             )
         undo: List[DeltaOp] = []
         changed: Set[LinkKey] = set()
+        order: _Order = {}
         try:
             for op in self.delta.ops:
-                undo.append(TopologyDelta._execute(self.graph, op, changed))
+                undo.append(
+                    TopologyDelta._execute(self.graph, op, changed, order)
+                )
         except TopologyError:
-            _run_inverse(self.graph, undo)
+            _run_inverse(self.graph, undo, order)
             self.graph._restore_version(self.version_before)
             raise
         self.graph._restore_version(self.version_after)
         self._undo = tuple(undo)
+        self._order = order
         self.reverted = False
 
 
-def _run_inverse(graph: ASGraph, undo: List[DeltaOp]) -> None:
-    """Run recorded inverse ops, newest first (used by revert/rollback)."""
+def _run_inverse(graph: ASGraph, undo: List[DeltaOp], order: _Order) -> None:
+    """Run recorded inverse ops, newest first, then sort each recorded
+    AS's neighbours back into their recorded order (used by
+    revert/rollback); an unrecorded neighbour sorts last, never lost."""
     scratch: Set[LinkKey] = set()
     for op in reversed(undo):
         TopologyDelta._execute(graph, op, scratch)
+    for asn, neighbors in order.items():
+        adj = graph._adj.get(asn)
+        if adj is not None:
+            rank = {nbr: i for i, nbr in enumerate(neighbors)}
+            restored = sorted(
+                adj.items(), key=lambda item: rank.get(item[0], len(rank))
+            )
+            adj.clear()
+            adj.update(restored)

@@ -7,9 +7,9 @@ dict walk :func:`~repro.bgp.routing.compute_routes_reference`,
 incremental :func:`~repro.bgp.routing.recompute_routes` from a
 pre-mutation table, :class:`~repro.session.SimulationSession` serial
 (cache + derivation), the session's sharded shared-memory
-process-pool fan-out (mode ``session-pool-sharded``, forced into
-multiple destination-range shards so the shard boundaries themselves
-are under the contract), and the asyncio query daemon's batched
+process-pool fan-out (mode ``session-pool-sharded``, split into
+several destination-range shards per worker, so the shard boundaries
+themselves are under the contract), and the asyncio query daemon's batched
 admission path (mode ``service-batched``, with ``max_batch`` forced
 below the destination count so coalescing and batch splits are under
 the contract too).  The
@@ -66,6 +66,11 @@ _ORACLE_DIVERGENCES = get_registry().counter(
     labels=("mode",),
 )
 
+#: Workers of the pooled mode's session: two are enough to split the
+#: destinations into several shards and to put shard boundaries under
+#: the contract.
+POOL_WORKERS = 2
+
 
 def table_paths(table: RoutingTable) -> Dict[int, Tuple[int, ...]]:
     """Canonical comparable form of a table: ``{asn: selected path}``."""
@@ -107,9 +112,9 @@ def first_divergence(
     """Compare two tables AS by AS; None when byte-identical.
 
     The candidate is read every way a table can be, for every AS of its
-    graph: ``best()`` and ``candidates()`` (compared as sets, by path:
-    their order follows the live graph's adjacency, which a revert can
-    reorder), ``default_path`` (on a tree the parent walk), then
+    graph: ``best()`` and ``candidates()`` (in order: a revert restores
+    the adjacency order they follow), ``default_path`` (on a tree the
+    parent walk), then
     ``items()``, whose order must be the reference's too (equal mappings
     listed differently diverge where ``expected`` and ``actual`` start
     with different holders).  A per-AS divergence names the first
@@ -134,12 +139,9 @@ def first_divergence(
         return None if route is None else route.path
 
     for asn in ases if per_as and candidate._tree is not None else ():
-        wants, gots = reference.candidates(asn), candidate.candidates(asn)
-        if wants != gots:
-            wants.sort(key=path_of)
-            gots.sort(key=path_of)
         for want, got in zip_longest(
-            [reference.best(asn), *wants], [candidate.best(asn), *gots]
+            [reference.best(asn), *reference.candidates(asn)],
+            [candidate.best(asn), *candidate.candidates(asn)],
         ):
             if want != got:
                 return diverged(asn, path_of(want), path_of(got))
@@ -196,14 +198,10 @@ class DifferentialOracle:
         graph: ASGraph,
         destinations: Sequence[int],
         max_ancestors: int = 4,
-        pool_workers: int = 2,
-        pool_shards: int = 4,
     ) -> None:
         self.graph = graph
         self.destinations = list(destinations)
         self.max_ancestors = max_ancestors
-        self.pool_workers = pool_workers
-        self.pool_shards = pool_shards
         self.session = SimulationSession(graph, parallel=False)
         self.checks = 0
         self._history: Dict[int, List[Tuple[int, RoutingTable]]] = {
@@ -228,12 +226,11 @@ class DifferentialOracle:
             service_tables = self._service_tables()
         pool_tables: Optional[Dict[int, RoutingTable]] = None
         if include_pool:
-            # the sharded shared-memory fan-out, forced into multiple
-            # destination-range shards so shard boundaries themselves are
-            # under the byte-equality contract
+            # the sharded shared-memory fan-out: several destination-range
+            # shards per worker, so shard boundaries themselves are under
+            # the byte-equality contract
             with SimulationSession(
-                self.graph, parallel=True, max_workers=self.pool_workers,
-                shards=self.pool_shards,
+                self.graph, parallel=True, max_workers=POOL_WORKERS,
             ) as pool_session:
                 pool_tables = pool_session.compute_many(self.destinations)
         # the production paths first: every available kernel against the

@@ -236,11 +236,11 @@ class TestPoolFlags:
     def test_stats_text_renders_pool_section(self, capsys):
         assert main([
             "stats", "--profile", "tiny", "--seed", "1",
-            "--parallel", "on", "--workers", "2", "--shards", "3",
+            "--parallel", "on", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "fan-out pool:" in out
-        assert "  parallel: True\n  max_workers: 2\n  shards: 3\n" in out
+        assert "  parallel: True\n  max_workers: 2\n  shard_factor: 4\n" in out
         assert "  parallel_fanouts: 2\n" in out
 
     def test_stats_json_reports_pool(self, tmp_path, capsys):
@@ -260,7 +260,8 @@ class TestPoolFlags:
         assert pool["max_workers"] == 2
         assert payload["session_stats"]["parallel_fanouts"] >= 1
         assert "parallel_fanouts" not in pool
-        assert pool["mode"] == "shm"
+        assert pool["published_version"] == generate_named(
+            "tiny", seed=1).version
         assert pool["shared_memory"] is True
         assert 0 < pool["ship_bytes"] < 512
         snapshot = generate_named("tiny", seed=1).snapshot()
@@ -275,7 +276,7 @@ class TestPoolFlags:
         ]) == 0
         out = capsys.readouterr().out
         assert "  parallel_fanouts: 0\n" in out
-        assert "  mode: None\n" in out
+        assert "  published_version: None\n" in out
 
     def test_invalid_workers_rejected(self, capsys):
         assert main([
@@ -287,6 +288,6 @@ class TestPoolFlags:
     def test_route_accepts_pool_flags(self, capsys):
         assert main([
             "route", "--profile", "tiny", "--seed", "1",
-            "--destination", "1", "--parallel", "auto", "--shards", "2",
+            "--destination", "1", "--parallel", "auto", "--workers", "2",
         ]) == 0
         assert "->" in capsys.readouterr().out

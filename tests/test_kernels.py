@@ -28,7 +28,7 @@ from repro.bgp.routing import RouteTree, compute_routes
 from repro.errors import KernelError, UnknownASError
 from repro.session import SimulationSession
 from repro.topology.generator import SMALL, TINY, generate_topology
-from repro.topology.snapshot import shared_memory_available
+from repro.session.pool import shared_memory_available
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy (the [accel] extra) not installed"
@@ -404,12 +404,12 @@ class TestSessionKernel:
     )
     def test_pool_ships_the_serial_tree(self, small_graph, kernel, monkeypatch):
         """Workers ship ``order`` + ``parent`` + bounds; the parent rebuilds
-        the tree on the snapshot the fill captured — across forced shard
+        the tree on the snapshot the fill captured — across shard
         boundaries, field for field the serial kernel's, nothing expanded."""
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, kernel)
         destinations = small_graph.ases[:23]
         with SimulationSession(
-            small_graph, parallel=True, max_workers=2, shards=5
+            small_graph, parallel=True, max_workers=2
         ) as session:
             tables = session.compute_many(destinations)
             assert session.stats["parallel_fanouts"] == 1

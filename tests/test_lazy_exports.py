@@ -109,11 +109,8 @@ EXPORTS = {
         "splicing": ("SplicedForwarding", "SpliceTrace", "recovery_rate"),
     },
     "repro.session": {
-        "core": (
-            "AUTO_PARALLEL_THRESHOLD", "SessionCore", "SimulationSession",
-            "ensure_session",
-        ),
-        "pool": ("POOL_SHARD_FACTOR",),
+        "core": ("SessionCore", "SimulationSession", "ensure_session"),
+        "pool": ("AUTO_PARALLEL_THRESHOLD", "POOL_SHARD_FACTOR"),
         "cache": ("RouteTableCache",),
     },
     "repro.service": {

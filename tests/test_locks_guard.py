@@ -55,6 +55,27 @@ def test_guard_flags_pool_calls_and_nested_blocks():
     assert flagged == {"ensure", "submit"}
 
 
+def test_guard_flags_the_pool_fan_out_under_the_lock(tmp_path, monkeypatch):
+    """The one call a session makes into the pool publishes, submits and
+    waits on workers: planted under the session lock, the tool fails."""
+    guard = _load_guard()
+    assert "fan_out" in guard.SLOW_CALLS
+    planted = tmp_path / "core.py"
+    planted.write_text(textwrap.dedent("""
+        class SessionCore:
+            def _fill_batch(self, snapshot, remaining):
+                with self._lock:
+                    return self._pool.fan_out(snapshot, remaining)
+    """))
+    monkeypatch.setattr(guard, "REPO_ROOT", tmp_path)
+    assert guard.find_lock_violations(("core.py",), ()) == [
+        ("core.py", 5, "fan_out")
+    ]
+    # main() lints its default file lists: point them at the planted file
+    guard.find_lock_violations.__defaults__ = (("core.py",), ())
+    assert guard.main() == 1
+
+
 def test_guard_allows_slow_calls_outside_the_lock():
     guard = _load_guard()
     source = textwrap.dedent("""

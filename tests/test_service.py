@@ -27,6 +27,7 @@ from repro.service import (
 from repro.bgp.routing import compute_routes_reference
 from repro.service import server as server_mod
 from repro.service.daemon import (
+    RETRY_AFTER,
     _BATCH_SIZE,
     _COALESCED,
     _ENCODED,
@@ -266,9 +267,7 @@ class TestLookup:
 class TestBackpressure:
     def test_overload_sheds_with_retry_after(self, small_graph):
         async def main():
-            config = ServiceConfig(
-                max_batch=2, max_pending=3, retry_after=0.123,
-            )
+            config = ServiceConfig(max_batch=2, max_pending=3)
             with SimulationSession(small_graph, parallel=False) as session:
                 async with MiroService(session, config) as service:
                     shed_lookups = _REQUESTS.labels(op="lookup", outcome="shed")
@@ -283,7 +282,7 @@ class TestBackpressure:
                           if not isinstance(r, BaseException)]
                     assert shed, "expected sheds beyond max_pending=3"
                     assert ok, "accepted requests must still complete"
-                    assert all(s.retry_after == 0.123 for s in shed)
+                    assert all(s.retry_after == RETRY_AFTER for s in shed)
                     assert shed_lookups.value - shed_before == len(shed)
                     assert service.info()["shed_total"] == len(shed)
 
@@ -515,7 +514,7 @@ class TestServiceOps:
         assert settled_on_loop == []
 
     def test_negotiate_sheds_and_rejects_like_lookup(self, small_graph):
-        config = ServiceConfig(max_batch=1, max_pending=1, retry_after=0.05)
+        config = ServiceConfig(max_batch=1, max_pending=1)
 
         async def main():
             runtime = MiroRuntime(small_graph)
@@ -782,7 +781,7 @@ class TestProtocol:
                             "error": "service has no MIRO runtime configured"}
 
     def test_overload_is_a_response_not_an_exception(self, small_graph):
-        config = ServiceConfig(max_batch=1, max_pending=1, retry_after=0.05)
+        config = ServiceConfig(max_batch=1, max_pending=1)
 
         async def main():
             with SimulationSession(small_graph, parallel=False) as session:
@@ -802,7 +801,7 @@ class TestProtocol:
         ]
         overloaded = [r for r in responses if r.get("error") == "overloaded"]
         assert overloaded
-        assert all(r["retry_after"] == 0.05 for r in overloaded)
+        assert all(r["retry_after"] == RETRY_AFTER for r in overloaded)
 
 
 # ----------------------------------------------------------------------

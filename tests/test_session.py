@@ -21,7 +21,7 @@ from repro.session import (
 )
 from repro.session.cache import _CACHE_EVENTS
 from repro.topology import ASGraph, TopologyDelta
-from repro.topology.snapshot import shared_memory_available
+from repro.session.pool import shared_memory_available
 from repro.verify.oracle import first_divergence
 
 from conftest import A, B, C, D, E, F
@@ -333,7 +333,7 @@ def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
             self._attached = {}
 
         def _snapshot_for(self, spec):
-            from repro.topology.snapshot import SharedSnapshot
+            from repro.session.pool import SharedSnapshot
 
             version, descriptor, _ship = spec
             if version not in self._attached:
@@ -497,7 +497,7 @@ class TestUnknownDestinationInFanout:
     )
     def test_pooled(self, small_graph):
         with SimulationSession(
-            small_graph, parallel=True, max_workers=2, shards=3
+            small_graph, parallel=True, max_workers=2
         ) as session:
             self._check(session, small_graph)
             assert session.stats["parallel_fanouts"] == 1
@@ -1034,20 +1034,12 @@ class TestPersistentPool:
         destinations = list(small_graph.ases)
         serial = SimulationSession(small_graph, parallel=False)
         serial_tables = serial.compute_many(destinations)
-        with self._forced(small_graph, shards=5) as session:
+        with self._forced(small_graph) as session:
             pool_tables = session.compute_many(destinations)
             assert session.stats["parallel_fanouts"] == 1
         for destination in destinations:
             assert pickle.dumps(dict(pool_tables[destination].items())) == \
                 pickle.dumps(dict(serial_tables[destination].items()))
-
-    def test_explicit_shard_count_respected(self, small_graph):
-        with self._forced(small_graph, shards=3) as session:
-            shards = session._pool.shard(list(small_graph.ases[:10]))
-            assert len(shards) == 3
-            assert [len(s) for s in shards] == [4, 3, 3]
-            assert [d for shard in shards for d in shard] == \
-                list(small_graph.ases[:10])
 
     def test_default_shards_scale_with_workers(self, small_graph):
         from repro.session import POOL_SHARD_FACTOR
@@ -1060,8 +1052,6 @@ class TestPersistentPool:
             assert len(session._pool.shard(misses[:3])) == 3
 
     def test_invalid_pool_params_rejected(self, small_graph):
-        with pytest.raises(SessionError):
-            SimulationSession(small_graph, shards=0)
         with pytest.raises(SessionError):
             SimulationSession(small_graph, max_workers=0)
 
@@ -1080,8 +1070,6 @@ class TestShipAccounting:
             pool_module._POOL_ATTACHES,
         )
 
-    def _attaches(self, counter, mode):
-        return counter.labels(mode=mode).value
 
     def test_shm_ship_is_descriptor_sized_per_attach(self, small_graph):
         ship_bytes, attach_seconds, attaches = self._metrics()
@@ -1091,7 +1079,7 @@ class TestShipAccounting:
             session.compute_many(small_graph.ases[:8])
             session.compute_many(small_graph.ases[8:16])
             descriptor_bytes = session._pool.ship_bytes
-        attached = self._attaches(attaches, "shm")
+        attached = attaches.value
         # one observation per worker that attached — not one per fan-out,
         # and no re-attach for the second same-version fan-out
         assert 1 <= attached <= 2
@@ -1106,11 +1094,11 @@ class TestShipAccounting:
             small_graph, parallel=True, max_workers=2
         ) as session:
             session.compute_many(small_graph.ases[:8])
-            first = self._attaches(attaches, "shm")
+            first = attaches.value
             small_graph.remove_link(*next(small_graph.iter_links())[:2])
             session.clear_cache()
             session.compute_many(small_graph.ases[:8])
-            second = self._attaches(attaches, "shm")
+            second = attaches.value
         assert first >= 1
         # the new version forces fresh attaches, again at most one per
         # participating worker
@@ -1147,7 +1135,7 @@ class TestOneTransport:
             info = session.pool_info()
             assert info["alive"] is False
             assert info["shared_memory"] is False
-            assert info["mode"] is None
+            assert info["published_version"] is None
             assert session.stats["parallel_fanouts"] == 0
             assert session.stats["tables_computed"] == len(destinations)
         for destination in destinations:

@@ -19,10 +19,7 @@ from repro.session import SessionCore, SimulationSession
 from repro.session.cache import _CACHE_EVENTS
 from repro.topology import generate_topology, SMALL, TINY
 from repro.topology.delta import TopologyDelta
-from repro.topology.snapshot import (
-    _SHARED_SEGMENTS,
-    shared_memory_available,
-)
+from repro.session.pool import _SHARED_SEGMENTS, shared_memory_available
 
 JOIN_TIMEOUT = 60.0
 

@@ -5,6 +5,7 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.bgp.routing import compute_routes
 from repro.errors import TopologyError
 from repro.topology import (
     ASGraph,
@@ -196,6 +197,104 @@ class TestASEvents:
         assert graph.has_link(3, 1)
         applied.revert()
         assert 3 in graph and graph.neighbors(3) == []
+
+
+def neighbour_order(graph: ASGraph):
+    return {asn: graph.neighbors(asn) for asn in graph.iter_ases()}
+
+
+def learned_first(graph: ASGraph):
+    """``(table, asn, neighbour)``: ``asn`` learns two or more routes to
+    the table's destination, the first of them from ``neighbour``, which
+    is not ``asn``'s last neighbour — so re-adding the link last would
+    reorder ``asn``'s candidates."""
+    for destination in graph.ases:
+        table = compute_routes(graph, destination)
+        for asn in graph.ases:
+            learned = table.candidates(asn)
+            if len(learned) >= 2 and asn != destination:
+                neighbour = learned[0].path[1]
+                if graph.neighbors(asn)[-1] != neighbour:
+                    return table, asn, neighbour
+    raise AssertionError("no AS learns two routes")
+
+
+class TestRevertRestoresOrder:
+    """A revert puts back the neighbour order as well as the links, so
+    a table held across it lists candidates as a fresh table does."""
+
+    def _held_across(self, graph, table, delta):
+        before = neighbour_order(graph)
+        held = {asn: table.candidates(asn) for asn in graph.ases}
+        applied = delta.apply(graph)
+        applied.revert()
+        assert graph.version == applied.version_before
+        assert neighbour_order(graph) == before
+        fresh = compute_routes(graph, table.destination)
+        for asn in graph.ases:
+            assert table.candidates(asn) == held[asn]
+            assert fresh.candidates(asn) == held[asn], asn
+
+    def test_link_flap(self):
+        graph = generate_named("tiny", seed=1)
+        table, asn, neighbour = learned_first(graph)
+        self._held_across(
+            graph, table, TopologyDelta.link_down(asn, neighbour)
+        )
+
+    def test_as_down_and_up(self):
+        graph = generate_named("tiny", seed=1)
+        table, asn, neighbour = learned_first(graph)
+        self._held_across(graph, table, TopologyDelta.as_down(neighbour))
+
+    def test_reapply_then_revert(self):
+        graph = generate_named("tiny", seed=1)
+        table, asn, neighbour = learned_first(graph)
+        before = neighbour_order(graph)
+        applied = TopologyDelta.as_down(neighbour).apply(graph)
+        after = neighbour_order(graph)
+        applied.revert()
+        applied.reapply()
+        assert neighbour_order(graph) == after
+        applied.revert()
+        assert neighbour_order(graph) == before
+
+    def test_rollback_restores_order(self):
+        graph = generate_named("tiny", seed=1)
+        table, asn, neighbour = learned_first(graph)
+        before = neighbour_order(graph)
+        version = graph.version
+        bad = TopologyDelta.compose(
+            TopologyDelta.as_down(neighbour),
+            TopologyDelta.link_down(asn, neighbour),  # already down
+        )
+        with pytest.raises(TopologyError):
+            bad.apply(graph)
+        assert graph.version == version
+        assert neighbour_order(graph) == before
+
+    @pytest.mark.parametrize("second", ["existing", "repeated"])
+    def test_as_up_failing_partway_changes_nothing(self, paper_graph, second):
+        """An AS_UP whose second link is bad, after a first link that
+        would create a new AS, rolls back to the exact graph: no leaked
+        link, no leaked AS, no one-sided adjacency."""
+        new = max(paper_graph.ases) + 1
+        dup = paper_graph.neighbors(A)[0] if second == "existing" else new
+        before = snapshot(paper_graph)
+        order = neighbour_order(paper_graph)
+        version = paper_graph.version
+        bad = TopologyDelta.compose(
+            TopologyDelta.link_down(B, E),
+            TopologyDelta.as_up(
+                A, [(new, Relationship.PEER), (dup, Relationship.PEER)]
+            ),
+        )
+        with pytest.raises(TopologyError):
+            bad.apply(paper_graph)
+        assert snapshot(paper_graph) == before
+        assert neighbour_order(paper_graph) == order
+        assert new not in paper_graph
+        assert paper_graph.version == version
 
 
 class TestTransactionality:

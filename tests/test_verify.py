@@ -23,6 +23,7 @@ from repro.bgp.routing import (
 )
 from repro.obs import get_registry
 from repro.session import SimulationSession
+from repro.session.pool import shared_memory_available
 from repro.topology import TopologyDelta, generate_named
 from repro.verify import (
     CampaignEvent,
@@ -750,9 +751,10 @@ class TestVerifyCli:
 
 class TestShardedPoolOracle:
     """The sharded shared-memory fan-out is an enumerated oracle path:
-    mode ``session-pool-sharded`` forces the pool into multiple
-    destination-range shards so shard boundaries themselves are under
-    the byte-equality contract, under a real seeded fault campaign."""
+    mode ``session-pool-sharded`` runs the pool on two workers, which
+    split the destinations into several destination-range shards, so
+    shard boundaries themselves are under the byte-equality contract,
+    under a real seeded fault campaign."""
 
     def test_campaign_exercises_sharded_pool_mode(self):
         from repro.obs import reset
@@ -770,14 +772,21 @@ class TestShardedPoolOracle:
         divergences = oracle_module._ORACLE_DIVERGENCES
         assert divergences.labels(mode="session-pool-sharded").value == 0
 
-    def test_oracle_forces_multiple_shards(self, small_graph):
-        oracle = DifferentialOracle(
-            small_graph, small_graph.ases[:8],
-            pool_workers=2, pool_shards=4,
-        )
-        assert oracle.pool_shards == 4
-        result = oracle.check(include_pool=True)
-        assert result.ok
+    @pytest.mark.skipif(
+        not shared_memory_available(),
+        reason="POSIX shared memory unavailable",
+    )
+    def test_pooled_check_settles_in_several_shards(self, small_graph):
+        """No shard override: four shards per worker, never more than
+        the misses, so six destinations on two workers go out as more
+        than one job."""
+        from repro.session.pool import _POOL_SHARD_SIZE
+
+        assert oracle_module.POOL_WORKERS == 2
+        oracle = DifferentialOracle(small_graph, small_graph.ases[:6])
+        jobs = _POOL_SHARD_SIZE.count
+        assert oracle.check(include_pool=True).ok
+        assert _POOL_SHARD_SIZE.count - jobs >= 2
 
     def test_sharded_pool_divergence_is_attributed(
         self, small_graph, monkeypatch
@@ -791,7 +800,7 @@ class TestShardedPoolOracle:
 
             def compute_many(self, dests):
                 tables = super().compute_many(dests)
-                if self._parallel is True and poisoned in tables:
+                if self._pool.parallel is True and poisoned in tables:
                     table = tables[poisoned]
                     best = dict(list(table.items())[:-1])
                     tables[poisoned] = RoutingTable(

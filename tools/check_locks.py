@@ -4,9 +4,9 @@
 :class:`repro.session.core.SessionCore` promises in its module
 docstring that settling (``compute_routes`` / ``recompute_routes`` /
 ``kernels.settle_many``), deriving a topology
-snapshot (``graph.snapshot()``), pool publication
-(``pool.ensure``) and job submission (``executor.submit``) always run
-with its one Condition lock *released* — under the lock the core only
+snapshot (``graph.snapshot()``) and the pool's fan-out
+(``pool.fan_out``: publication, job submission, waiting on workers)
+always run with its one Condition lock *released* — under the lock the core only
 classifies lookups, moves OrderedDict entries and bumps counters.  The
 serving plane's event loop leans on that: a warm ``peek`` is a dict
 read, so thousands of lookups per second share the lock without
@@ -62,7 +62,9 @@ HELD_FILES = (
 #: ``cut_tree_edges`` instead), the O(links) derivation of a topology
 #: snapshot (every warm ``peek`` would wait behind it), the §3.3
 #: negotiation ``exchange`` (its ``candidates()`` reads build a route
-#: per neighbour), and the pool's publication / submission calls.
+#: per neighbour), and the pool's calls: ``fan_out``, the one a session
+#: makes, which publishes, submits and waits on workers, and the
+#: publication / submission calls inside it.
 SLOW_CALLS = frozenset({
     "compute",
     "compute_many",
@@ -78,7 +80,7 @@ SLOW_CALLS = frozenset({
     "ensure",
     "_fill",
     "_fill_batch",
-    "_fanout_pool",
+    "fan_out",
 })
 
 
