@@ -7,7 +7,11 @@ disabled (the default), each span is the shared no-op singleton, so all
 of that must be noise next to the actual three-phase settling.  This
 benchmark replays the exact per-table instrumentation sequence against a
 500-AS topology's measured ``compute_routes`` time and asserts the no-op
-cost stays under 5% of it.
+cost stays under 5% of it.  The two are timed in interleaved rounds and
+each side's fastest round is compared, so one collection or scheduler
+stall on either side cannot decide the gate.  Each round settles on a
+freshly generated graph, so every round times the same work: the 20
+tables and the one snapshot derivation they share.
 """
 
 import time
@@ -22,6 +26,8 @@ PROFILE = TopologyProfile("obs-bench", n_ases=500, n_tier1=10)
 N_TABLES = 20
 #: Replay multiplier so the tiny no-op sequence is timed accurately.
 REPLAY = 200
+#: Interleaved compute/replay rounds; each side keeps its fastest.
+ROUNDS = 5
 SEED = 7
 
 
@@ -44,15 +50,18 @@ def test_disabled_instrumentation_under_5_percent(benchmark, bench_report):
     tracer.disable()
 
     def measure():
-        start = time.perf_counter()
-        for destination in destinations:
-            routing.compute_routes(graph, destination)
-        compute_seconds = time.perf_counter() - start
+        compute, replay = [], []
+        for _ in range(ROUNDS):
+            graph = generate_topology(PROFILE, seed=SEED)
+            start = time.perf_counter()
+            for destination in destinations:
+                routing.compute_routes(graph, destination)
+            compute.append(time.perf_counter() - start)
 
-        start = time.perf_counter()
-        _instrumentation_replay(N_TABLES * REPLAY)
-        replay_seconds = (time.perf_counter() - start) / REPLAY
-        return compute_seconds, replay_seconds
+            start = time.perf_counter()
+            _instrumentation_replay(N_TABLES * REPLAY)
+            replay.append((time.perf_counter() - start) / REPLAY)
+        return min(compute), min(replay)
 
     compute_seconds, replay_seconds = benchmark.pedantic(
         measure, rounds=1, iterations=1

@@ -12,30 +12,35 @@ operations; :meth:`TopologyDelta.apply` executes it as a transaction on an
 
 * records exactly **which links changed** (the input incremental route
   recomputation needs, see :func:`repro.bgp.routing.recompute_routes`),
-* remembers the relationships it destroyed, and
+* saved, before each operation ran, the adjacency row of every AS the
+  operation touched (or that the AS was absent), and
 * can :meth:`~AppliedDelta.revert` the graph to the exact pre-apply state
-  — including the pre-apply :attr:`~repro.topology.graph.ASGraph.version`,
-  so session caches built before the event become valid again instead of
-  being recomputed from scratch.
+  by putting those rows back — neighbour order included — together with
+  the pre-apply :attr:`~repro.topology.graph.ASGraph.version`, so session
+  caches built before the event become valid again instead of being
+  recomputed from scratch.
+
+A failed operation is undone the same way: the rows saved so far go back
+and the graph keeps its version.  Restoring saved rows is exact by
+construction, where running inverse operations is not.
 
 An AS going down is modelled as all of its links going down; the AS itself
 stays in the graph (isolated, hence unreachable), which keeps the AS
 population stable across an event/revert cycle and lets routing tables
-before and after be compared AS by AS.
+before and after be compared AS by AS.  A ``link_up`` or ``as_up`` may
+name an AS the graph lacks: the apply creates it, its row is saved as
+absent, and the revert removes it again.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import TopologyError
-from .graph import ASGraph, LinkKey, link_key
+from .graph import ASGraph, LinkKey, SavedRows, link_key
 from .relationships import Relationship
-
-#: Neighbour order by AS, as :attr:`ASGraph._adj` lists it.
-_Order = Dict[int, Tuple[int, ...]]
 
 
 class DeltaOpKind(enum.Enum):
@@ -53,7 +58,7 @@ class DeltaOp:
 
     ``a``/``b`` are the link endpoints for the link operations (``b`` is
     unused for the AS operations, where ``a`` is the AS).  ``links`` is
-    the adjacency to restore for ``AS_UP``: ``(neighbour, what the
+    the adjacency to bring up for ``AS_UP``: ``(neighbour, what the
     neighbour is to the AS)`` pairs.  ``relationship`` is what ``b`` is to
     ``a`` for ``LINK_UP``.
     """
@@ -63,9 +68,6 @@ class DeltaOp:
     b: Optional[int] = None
     relationship: Optional[Relationship] = None
     links: Tuple[Tuple[int, Relationship], ...] = ()
-    #: only on inverse ops: this AS_DOWN also deletes the (delta-created)
-    #: node so a revert restores the exact pre-apply AS population
-    remove_node: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,89 +132,55 @@ class TopologyDelta:
     def apply(self, graph: ASGraph) -> "AppliedDelta":
         """Execute this delta on ``graph`` as a transaction.
 
-        All operations are validated and executed in order; if any fails,
-        the ones already executed are rolled back before the error
-        propagates, leaving the graph (state *and* version) untouched.
-        Returns the :class:`AppliedDelta` transaction record.
+        All operations are executed in order; if any fails, the rows
+        saved so far are put back before the error propagates, leaving
+        the graph (state *and* version) untouched.  Returns the
+        :class:`AppliedDelta` transaction record.
         """
         version_before = graph.version
-        undo: List[DeltaOp] = []  # inverse ops, in application order
+        changed, saved = self._run(graph)
+        return AppliedDelta(
+            self, graph, version_before, graph.version, changed, saved
+        )
+
+    def _run(self, graph: ASGraph) -> Tuple[FrozenSet[LinkKey], SavedRows]:
+        """Execute every op, each after saving the rows it touches; on
+        failure put those rows and the version back, then re-raise."""
+        version = graph.version
         changed: Set[LinkKey] = set()
-        order: _Order = {}
+        saved: SavedRows = {}
         try:
             for op in self.ops:
-                undo.append(self._execute(graph, op, changed, order))
-        except TopologyError:
-            _run_inverse(graph, undo, order)
-            graph._restore_version(version_before)
+                self._execute(graph, op, changed, saved)
+        except BaseException:
+            graph._restore(saved, version)
             raise
-        return AppliedDelta(
-            delta=self,
-            graph=graph,
-            version_before=version_before,
-            version_after=graph.version,
-            changed_links=frozenset(changed),
-            _undo=tuple(undo),
-            _order=order,
-        )
+        return frozenset(changed), saved
 
     @staticmethod
     def _execute(
-        graph: ASGraph,
-        op: DeltaOp,
-        changed: Set[LinkKey],
-        order: Optional[_Order] = None,
-    ) -> DeltaOp:
-        """Execute one op; return its inverse for rollback/revert.
-
-        ``order`` first records the neighbour order of every AS the op
-        touches, for :func:`_run_inverse` to put back.
-        """
-        if order is not None:
-            touched = [op.a, op.b, *(nbr for nbr, _ in op.links)]
-            if op.kind is DeltaOpKind.AS_DOWN:
-                touched.extend(graph._adj.get(op.a, ()))
-            for asn in touched:
-                if asn not in order and asn in graph:
-                    order[asn] = tuple(graph._adj[asn])
-        if op.kind is DeltaOpKind.LINK_DOWN:
-            assert op.b is not None
-            rel = graph.relationship(op.a, op.b)  # raises if absent
-            graph.remove_link(op.a, op.b)
-            changed.add(link_key(op.a, op.b))
-            return DeltaOp(DeltaOpKind.LINK_UP, op.a, op.b, relationship=rel)
-        if op.kind is DeltaOpKind.LINK_UP:
-            assert op.b is not None and op.relationship is not None
-            graph.add_link(op.a, op.b, op.relationship)
-            changed.add(link_key(op.a, op.b))
-            return DeltaOp(DeltaOpKind.LINK_DOWN, op.a, op.b)
+        graph: ASGraph, op: DeltaOp, changed: Set[LinkKey], saved: SavedRows
+    ) -> None:
+        """Execute one op, first saving the row of every AS it touches."""
         if op.kind is DeltaOpKind.AS_DOWN:
-            if op.a not in graph:
-                raise TopologyError(f"AS {op.a} is not in the topology")
-            links = tuple(
-                (nbr, graph.relationship(op.a, nbr))
-                for nbr in sorted(graph.neighbors(op.a))
-            )
-            for nbr, _ in links:
+            nbrs = graph.neighbors(op.a)  # raises if op.a is not in the graph
+        elif op.b is not None:
+            nbrs = [op.b]
+        else:
+            nbrs = [nbr for nbr, _ in op.links]
+        graph._save_rows((op.a, *nbrs), saved)
+        if op.kind is DeltaOpKind.LINK_DOWN:
+            graph.remove_link(op.a, op.b)
+        elif op.kind is DeltaOpKind.LINK_UP:
+            graph.add_link(op.a, op.b, op.relationship)
+        elif op.kind is DeltaOpKind.AS_DOWN:
+            for nbr in nbrs:
                 graph.remove_link(op.a, nbr)
-                changed.add(link_key(op.a, nbr))
-            if op.remove_node:
-                del graph._adj[op.a]
-                graph._bump(frozenset())
-            return DeltaOp(DeltaOpKind.AS_UP, op.a, links=links)
-        # AS_UP: every link is checked before anything changes, so an op
-        # that raises leaves the graph as it found it
-        linked = {op.a, *graph._adj.get(op.a, ())}
-        for nbr, _ in op.links:
-            if nbr in linked or not isinstance(nbr, int) or nbr < 0:
-                raise TopologyError(f"AS {op.a} cannot link to AS {nbr!r}")
-            linked.add(nbr)
-        created = op.a not in graph
-        graph.add_as(op.a)
-        for nbr, rel in op.links:
-            graph.add_link(op.a, nbr, rel)
-            changed.add(link_key(op.a, nbr))
-        return DeltaOp(DeltaOpKind.AS_DOWN, op.a, remove_node=created)
+        else:
+            graph.add_as(op.a)
+            for nbr, rel in op.links:
+                graph.add_link(op.a, nbr, rel)
+        changed.update(link_key(op.a, nbr) for nbr in nbrs)
 
     def __str__(self) -> str:
         parts = []
@@ -255,22 +223,20 @@ class AppliedDelta:
     version_before: int
     version_after: int
     changed_links: FrozenSet[LinkKey]
-    _undo: Tuple[DeltaOp, ...] = field(repr=False, default=())
-    #: neighbour order, before the apply, of every AS the delta touched
-    _order: _Order = field(repr=False, default_factory=dict)
+    #: the pre-apply row of every AS the delta touched (None: absent)
+    _saved: SavedRows = field(repr=False)
     reverted: bool = False
 
     def revert(self) -> None:
         """Undo the delta, restoring the exact pre-apply graph state.
 
-        The inverse operations run in reverse order, every touched AS
-        gets its pre-apply neighbour order back (a re-added link would
-        otherwise land last), then the pre-apply
-        :attr:`~repro.topology.graph.ASGraph.version` is restored —
-        legitimate because the adjacency state is bit-identical to what
-        that version identified, so cached routing tables keyed on it
-        become servable again (a failure sweep's revert is free).  A
-        transaction can be reverted once; reverting twice raises.
+        The saved rows go back — an AS the apply created is deleted —
+        and the pre-apply :attr:`~repro.topology.graph.ASGraph.version`
+        with them, in one step that mints no version.  Legitimate because
+        the adjacency is again exactly what that version identified, so
+        cached routing tables keyed on it become servable again (a
+        failure sweep's revert is free).  A transaction can be reverted
+        once; reverting twice raises.
         """
         if self.reverted:
             raise TopologyError(f"delta [{self.delta}] was already reverted")
@@ -280,8 +246,7 @@ class AppliedDelta:
                 f"mutated since it was applied (version "
                 f"{self.graph.version} != {self.version_after})"
             )
-        _run_inverse(self.graph, list(self._undo), self._order)
-        self.graph._restore_version(self.version_before)
+        self.graph._restore(self._saved, self.version_before)
         self.reverted = True
 
     def reapply(self) -> None:
@@ -314,37 +279,6 @@ class AppliedDelta:
                 f"mutated since it was reverted (version "
                 f"{self.graph.version} != {self.version_before})"
             )
-        undo: List[DeltaOp] = []
-        changed: Set[LinkKey] = set()
-        order: _Order = {}
-        try:
-            for op in self.delta.ops:
-                undo.append(
-                    TopologyDelta._execute(self.graph, op, changed, order)
-                )
-        except TopologyError:
-            _run_inverse(self.graph, undo, order)
-            self.graph._restore_version(self.version_before)
-            raise
-        self.graph._restore_version(self.version_after)
-        self._undo = tuple(undo)
-        self._order = order
+        _, self._saved = self.delta._run(self.graph)
+        self.graph._restore({}, self.version_after)
         self.reverted = False
-
-
-def _run_inverse(graph: ASGraph, undo: List[DeltaOp], order: _Order) -> None:
-    """Run recorded inverse ops, newest first, then sort each recorded
-    AS's neighbours back into their recorded order (used by
-    revert/rollback); an unrecorded neighbour sorts last, never lost."""
-    scratch: Set[LinkKey] = set()
-    for op in reversed(undo):
-        TopologyDelta._execute(graph, op, scratch)
-    for asn, neighbors in order.items():
-        adj = graph._adj.get(asn)
-        if adj is not None:
-            rank = {nbr: i for i, nbr in enumerate(neighbors)}
-            restored = sorted(
-                adj.items(), key=lambda item: rank.get(item[0], len(rank))
-            )
-            adj.clear()
-            adj.update(restored)

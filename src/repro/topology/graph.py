@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: A link identity, endpoint-order normalised (smaller AS number first).
 LinkKey = Tuple[int, int]
 
+#: Adjacency rows saved for a restore, by AS (None: the AS was absent).
+SavedRows = Dict[int, Optional[Dict[int, Relationship]]]
+
 #: How many version steps the changed-links journal remembers.  Cached
 #: routing state older than this can no longer be incrementally updated
 #: (consumers fall back to a full recompute), which bounds graph memory.
@@ -78,10 +81,10 @@ class ASGraph:
         invalidated by link failures and other mutations.
 
         The one way a version can *recur* is
-        :meth:`repro.topology.delta.AppliedDelta.revert`, which restores
-        the exact pre-apply adjacency state and with it the pre-apply
-        version — by construction the same state, so cached tables for it
-        become valid (and servable) again.
+        :meth:`repro.topology.delta.AppliedDelta.revert`, which puts back
+        the rows the apply saved and with them the pre-apply version — by
+        construction the same state, so cached tables for it become valid
+        (and servable) again.
         """
         return self._version
 
@@ -95,14 +98,29 @@ class ASGraph:
         while len(self._journal) > MAX_JOURNAL_STEPS:
             self._journal.popitem(last=False)
 
-    def _restore_version(self, version: int) -> None:
-        """Adopt a previously-held version id.
+    def _save_rows(self, asns: Iterable[int], saved: "SavedRows") -> None:
+        """Copy into ``saved`` the row of each AS it does not hold yet
+        (None for an AS not in the graph), for :meth:`_restore`."""
+        for asn in asns:
+            if asn not in saved:
+                row = self._adj.get(asn)
+                saved[asn] = None if row is None else dict(row)
 
-        Only :class:`~repro.topology.delta.AppliedDelta` calls this, after
-        restoring the adjacency state that ``version`` identified; the
-        allocation counter keeps its high-water mark so later mutations
-        still mint fresh ids.
+    def _restore(self, saved: "SavedRows", version: int) -> None:
+        """Put back the rows :meth:`_save_rows` saved, then adopt ``version``.
+
+        Only :mod:`repro.topology.delta` calls this, with the rows it
+        saved before changing them, so the adjacency is again the one
+        ``version`` identified.  A row saved as None deletes its AS; the
+        graph takes the saved rows over.  No version is minted and the
+        counter keeps its high-water mark, so later mutations still mint
+        fresh ids.
         """
+        for asn, row in saved.items():
+            if row is None:
+                self._adj.pop(asn, None)
+            else:
+                self._adj[asn] = row
         self._version = version
 
     def changed_links_since(self, old_version: int) -> Optional[FrozenSet[LinkKey]]:

@@ -39,6 +39,7 @@ order reaches the wire.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -75,6 +76,18 @@ POOL_WORKERS = 2
 def table_paths(table: RoutingTable) -> Dict[int, Tuple[int, ...]]:
     """Canonical comparable form of a table: ``{asn: selected path}``."""
     return {asn: route.path for asn, route in table.items()}
+
+
+def graph_digest(graph: ASGraph) -> str:
+    """A canonical hash of ``graph``: its ASes in order and each AS's
+    neighbours in order, with relationships — all a table read depends
+    on, so the state one version may name."""
+    digest = hashlib.blake2b(digest_size=16)
+    for asn in graph.iter_ases():
+        row = [(nbr, graph.relationship(asn, nbr).value)
+               for nbr in graph.neighbors(asn)]
+        digest.update(repr((asn, row)).encode())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,11 @@ class DifferentialOracle:
     change window the version journal still bounds.  Call
     :meth:`check` after every topology event; the graph mutates in place
     between calls.
+
+    Each check also hashes the graph (:func:`graph_digest`) and holds the
+    version to the first digest seen at it: a version that comes back
+    naming another graph is a divergence of mode ``digest@v<version>``,
+    since every cache keyed on it would serve the wrong graph's tables.
     """
 
     def __init__(
@@ -207,6 +225,7 @@ class DifferentialOracle:
         self._history: Dict[int, List[Tuple[int, RoutingTable]]] = {
             destination: [] for destination in self.destinations
         }
+        self._digests: Dict[int, str] = {}
 
     def check(
         self, include_pool: bool = False, include_service: bool = False
@@ -220,6 +239,15 @@ class DifferentialOracle:
         self.checks += 1
         divergences: List[Divergence] = []
         references: Dict[int, RoutingTable] = {}
+        version, digest = self.graph.version, graph_digest(self.graph)
+        _ORACLE_CHECKS.labels(mode="digest").inc()
+        if self._digests.setdefault(version, digest) != digest:
+            _ORACLE_DIVERGENCES.labels(mode="digest").inc()
+            _LOG.warning("oracle_divergence", mode="digest", version=version)
+            # no AS to name: the graph as a whole is not the one it was
+            divergences.append(Divergence(
+                f"digest@v{version}", self.destinations[0], -1, None, None
+            ))
         serial = self.session.compute_many(self.destinations)
         service_tables: Optional[Dict[int, RoutingTable]] = None
         if include_service:

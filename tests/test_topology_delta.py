@@ -4,19 +4,31 @@ import random
 from collections import OrderedDict
 
 import pytest
+from hypothesis import Phase, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.bgp.routing import compute_routes
+from repro.bgp.routing import compute_routes, compute_routes_reference
 from repro.errors import TopologyError
+from repro.session import SimulationSession
 from repro.topology import (
     ASGraph,
     AppliedDelta,
     DeltaOpKind,
     Relationship,
     TopologyDelta,
+    TopologyProfile,
+    generate_topology,
     link_key,
 )
 from repro.topology.generator import generate_named
 from repro.topology.graph import MAX_JOURNAL_STEPS
+from repro.topology.snapshot import TopologySnapshot
+from repro.verify.oracle import first_divergence, graph_digest
 
 from conftest import A, B, C, D, E, F
 
@@ -297,6 +309,58 @@ class TestRevertRestoresOrder:
         assert paper_graph.version == version
 
 
+def graph_state(graph: ASGraph):
+    """Everything a version names: the AS set, the links with their
+    relationships, each AS's neighbour order, and the version."""
+    links, _ = snapshot(graph)
+    return list(graph.iter_ases()), links, neighbour_order(graph), graph.version
+
+
+class TestRestoreIsExact:
+    """Each case once left a graph other than the pre-apply one at the
+    pre-apply version (``tiny`` seed 1: ASes 1..40, AS 1's neighbours
+    2, 3, 4, 7, 9, 10)."""
+
+    @pytest.fixture
+    def graph(self):
+        graph = generate_named("tiny", seed=1)
+        assert graph.ases == list(range(1, 41))
+        assert graph.neighbors(1) == [2, 3, 4, 7, 9, 10]
+        return graph
+
+    def test_revert_removes_the_as_a_link_up_created(self, graph):
+        before = graph_state(graph)
+        applied = TopologyDelta.link_up(1, 41, Relationship.PEER).apply(graph)
+        assert 41 in graph
+        applied.revert()
+        assert graph_state(graph) == before
+
+    def test_revert_of_as_up_keeps_the_links_it_found(self, graph):
+        before = graph_state(graph)
+        TopologyDelta.as_up(1, []).apply(graph).revert()
+        assert graph_state(graph) == before
+
+    def test_failed_apply_keeps_the_links_an_as_up_found(self, graph):
+        before = graph_state(graph)
+        bad = TopologyDelta.compose(
+            TopologyDelta.as_up(1, []),
+            TopologyDelta.link_up(1, 2, Relationship.PEER),  # 1—2 exists
+        )
+        with pytest.raises(TopologyError):
+            bad.apply(graph)
+        assert graph_state(graph) == before
+
+    def test_revert_of_a_link_then_its_as_up_completes(self, graph):
+        assert not graph.has_link(1, 5)
+        before = graph_state(graph)
+        applied = TopologyDelta.compose(
+            TopologyDelta.link_up(1, 5, Relationship.PEER),
+            TopologyDelta.as_up(5, []),
+        ).apply(graph)
+        applied.revert()
+        assert graph_state(graph) == before
+
+
 class TestTransactionality:
     def test_failed_op_rolls_back_earlier_ops(self, paper_graph):
         before = snapshot(paper_graph)
@@ -418,3 +482,92 @@ class TestVersionJournal:
         applied.revert()
         paper_graph.remove_link(B, E)  # same adjacency as the delta state
         assert paper_graph.version not in seen
+
+
+#: ASes 1..12 of the machine's graph, 0 and 13 that it lacks, and -1
+#: that no graph can hold, so ops name unknown and invalid ASes too.
+MACHINE_ASES = st.integers(min_value=-1, max_value=13)
+RELATIONSHIPS = st.sampled_from(list(Relationship))
+OPS = st.one_of(
+    st.builds(TopologyDelta.link_down, MACHINE_ASES, MACHINE_ASES),
+    st.builds(TopologyDelta.link_up, MACHINE_ASES, MACHINE_ASES,
+              RELATIONSHIPS),
+    st.builds(TopologyDelta.as_down, MACHINE_ASES),
+    st.builds(TopologyDelta.as_up, MACHINE_ASES,
+              st.lists(st.tuples(MACHINE_ASES, RELATIONSHIPS), max_size=3)),
+)
+
+
+class DeltaMachine(RuleBasedStateMachine):
+    """Deltas valid or not, composed, nested, reverted and re-applied:
+    a version always names one graph, and what is read at it agrees."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = generate_topology(
+            TopologyProfile("delta-machine", n_ases=12, n_tier1=2), seed=3)
+        self.destinations = self.graph.ases[:2]
+        self.session = SimulationSession(self.graph, parallel=False)
+        self.digests = {}
+        self.applied = []    # (record, digest after), innermost last
+        self.reverted = []   # (record, digest after), latest last
+
+    @rule(ops=st.lists(OPS, min_size=1, max_size=3))
+    def apply(self, ops):
+        before = graph_digest(self.graph), self.graph.version
+        try:
+            record = TopologyDelta.compose(*ops).apply(self.graph)
+        except TopologyError:
+            assert (graph_digest(self.graph), self.graph.version) == before
+            return
+        self.applied.append((record, graph_digest(self.graph)))
+        self.reverted.clear()
+
+    @precondition(lambda self: self.applied)
+    @rule()
+    def revert(self):
+        record, _ = entry = self.applied.pop()
+        record.revert()
+        assert self.graph.version == record.version_before
+        self.reverted.append(entry)
+
+    @precondition(lambda self: self.reverted)
+    @rule()
+    def reapply(self):
+        record, digest = entry = self.reverted.pop()
+        record.reapply()
+        assert graph_digest(self.graph) == digest
+        assert self.graph.version == record.version_after
+        self.applied.append(entry)
+
+    @invariant()
+    def version_names_one_graph(self):
+        digest = graph_digest(self.graph)
+        assert self.digests.setdefault(self.graph.version, digest) == digest
+
+    @invariant()
+    def snapshot_is_a_fresh_build(self):
+        memo, fresh = self.graph.snapshot(), TopologySnapshot.build(self.graph)
+        for name in TopologySnapshot.__slots__:
+            if name != "_np_phases":  # built at the batched kernel's first use
+                assert getattr(memo, name) == getattr(fresh, name), name
+
+    @invariant()
+    def session_tables_match_the_reference(self):
+        for destination in self.destinations:
+            reference = compute_routes_reference(self.graph, destination)
+            table = self.session.compute(destination)
+            assert first_divergence(reference, table, "session") is None
+
+    def teardown(self):
+        self.session.close()
+
+
+DeltaMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=40, stateful_step_count=15,
+    deadline=None,
+    # explaining a failure replays the machine for minutes; the shrunk
+    # steps are the report
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+TestDeltaMachine = DeltaMachine.TestCase

@@ -24,7 +24,7 @@ from repro.bgp.routing import (
 from repro.obs import get_registry
 from repro.session import SimulationSession
 from repro.session.pool import shared_memory_available
-from repro.topology import TopologyDelta, generate_named
+from repro.topology import ASGraph, TopologyDelta, generate_named
 from repro.verify import (
     CampaignEvent,
     DifferentialOracle,
@@ -475,6 +475,30 @@ class TestOracle:
             for pinned in pins
         ] == [{A: (A, D, E, F)}]
 
+
+    def test_a_version_naming_another_graph_is_caught(
+        self, small_graph, monkeypatch
+    ):
+        """A revert that skips one saved row brings the version back but
+        not the graph.  Here the row is an AS the apply created, left
+        behind isolated: every table still agrees, and only the digest
+        check names the version."""
+        oracle = DifferentialOracle(small_graph, small_graph.ases[:2])
+        version = small_graph.version
+        assert oracle.check().ok
+        new = max(small_graph.ases) + 1
+        applied = TopologyDelta.as_up(new, []).apply(small_graph)
+        assert oracle.check().ok
+        restore = ASGraph._restore
+
+        def skip_one(graph, saved, version):
+            restore(graph, dict(list(saved.items())[:-1]), version)
+
+        monkeypatch.setattr(ASGraph, "_restore", skip_one)
+        applied.revert()
+        assert small_graph.version == version and new in small_graph
+        result = oracle.check()
+        assert [d.mode for d in result.divergences] == [f"digest@v{version}"]
 
 class TestCampaignEvents:
     def test_json_roundtrip(self):
