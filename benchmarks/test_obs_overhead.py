@@ -9,9 +9,9 @@ benchmark replays the exact per-table instrumentation sequence against a
 500-AS topology's measured ``compute_routes`` time and asserts the no-op
 cost stays under 5% of it.  The two are timed in interleaved rounds and
 each side's fastest round is compared, so one collection or scheduler
-stall on either side cannot decide the gate.  Each round settles on a
-freshly generated graph, so every round times the same work: the 20
-tables and the one snapshot derivation they share.
+stall on either side cannot decide the gate.  The graph's snapshot is
+made before any clock starts, so the compute side times settling alone
+— what a warm session lookup's instrumentation rides on.
 """
 
 import time
@@ -46,13 +46,13 @@ def test_disabled_instrumentation_under_5_percent(benchmark, bench_report):
     graph = generate_topology(PROFILE, seed=SEED)
     assert len(graph.ases) == 500
     destinations = graph.ases[:N_TABLES]
+    graph.snapshot()  # every settle below reads this memo
     tracer = get_tracer()
     tracer.disable()
 
     def measure():
         compute, replay = [], []
         for _ in range(ROUNDS):
-            graph = generate_topology(PROFILE, seed=SEED)
             start = time.perf_counter()
             for destination in destinations:
                 routing.compute_routes(graph, destination)

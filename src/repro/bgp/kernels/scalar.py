@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
@@ -60,15 +60,27 @@ _PHASE_TIMERS = {
 }
 
 
-@contextmanager
-def phase_span(phase: int, mode: str, destination: int):
-    """Time one settling phase into its histogram (and a span if tracing)."""
-    with _TRACER.span(_PHASE_NAMES[phase], destination=destination):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            _PHASE_TIMERS[mode][phase].observe(time.perf_counter() - start)
+class phase_span:
+    """Time one settling phase into its histogram (and a span if tracing).
+
+    A slotted class, not a generator context manager: each settle opens
+    three, and with tracing off (the tracer's no-op span) these few
+    attribute reads are all the instrumentation a phase pays.
+    """
+
+    __slots__ = ("_span", "_timer", "_start")
+
+    def __init__(self, phase: int, mode: str, destination: int) -> None:
+        self._span = _TRACER.span(_PHASE_NAMES[phase], destination=destination)
+        self._timer = _PHASE_TIMERS[mode][phase]
+
+    def __enter__(self) -> None:
+        self._span.__enter__()
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc: object) -> bool:
+        self._timer.observe(time.perf_counter() - self._start)
+        return self._span.__exit__(*exc)
 
 
 #: Route-class codes the loops settle with — the :class:`RouteClass`
@@ -83,6 +95,10 @@ _CODE_TO_CLASS = {route_class.value: route_class for route_class in RouteClass}
 #: learner is the holder's customer / provider / peer); 0: a sibling
 #: link, which hands on the holder's own class.
 _LINK_CLASS = (_PROVIDER, _CUSTOMER, _PEER, 0)
+
+#: :func:`resettle`'s order edits, ``(position, leaves, node)``, sorted
+#: by position, entering before leaving.
+_EDIT_KEY = itemgetter(0, 1)
 
 
 def settle_waves(
@@ -291,6 +307,9 @@ def resettle(
     """``old`` with the ``affected`` subtrees re-settled on ``snapshot``
     (same AS population, so same indices), or None when a re-settled AS
     now offers a kept neighbour a route it prefers to the one it kept.
+
+    Costs the region, its neighbours and a few bisect probes, plus
+    C-level copies of ``old``'s columns: no pass walks every node.
     """
     n = snapshot.n
     class_nbrs = snapshot.class_nbrs
@@ -305,19 +324,34 @@ def resettle(
         for nbrs in class_nbrs:
             touched.update(nbrs[i])
 
-    # From the old order, phase by phase: every node's depth, what stays
-    # of each phase's slice, and of that the holders with a cleared
-    # neighbour — the only kept nodes the region can hear from, or be
-    # heard by.
-    order = old.order
-    bounds = (1, old.peer_from, old.provider_from, len(order))
-    slices = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # A routed node's depth in ``old``, by walking its parent pointers
+    # (memoized): a kept node keeps it, and a cleared node's old depth
+    # finds it in the old order.
+    known = {dest: 0}
+
+    def old_depth(i: int) -> int:
+        walked = []
+        while i not in known:
+            walked.append(i)
+            i = old_parent[i]
+        d = known[i]
+        for j in reversed(walked):
+            d += 1
+            known[j] = d
+        return d
+
+    # The kept holders with a cleared neighbour — the only kept nodes
+    # the region can hear from, or be heard by — by the phase that
+    # routed them (``old``'s slice column: 0 is the destination or no
+    # route).
+    slices = old._slice_column()
+    border: Tuple[List[int], List[int], List[int]] = ([], [], [])
     depth = [0] * n
-    for part in slices:
-        for i in part:
-            depth[i] = depth[old_parent[i]] + 1
-    kept = [[i for i in part if i not in region] for part in slices]
-    border = [[i for i in held if i in touched] for held in kept]
+    for i in touched:
+        k = slices[i]
+        if k and i not in region:
+            border[k - 1].append(i)
+            depth[i] = old_depth(i)
     holders = [dest] if dest in touched else []
     _FRONTIER_SIZE.observe(len(holders) + sum(map(len, border)))
 
@@ -326,26 +360,53 @@ def resettle(
     )
     phases = [holders[first:stop] for first, stop in spans]
 
-    # A phase adopts in ascending (wave, index), so its slice of the new
-    # order is the kept and the re-adopted nodes merged on that key: both
-    # runs ascend already, and the second is short.
+    # A phase's slice of an order ascends in (depth, index), so bisect
+    # finds where each cleared node leaves the old slice and where each
+    # re-adopted one enters it (probing old entries by their old depth),
+    # and the runs between are copied whole.
     def rank(i: int) -> int:
-        return depth[i] * n + i
+        return old_depth(i) * n + i
 
-    order = [dest]
-    bounds = []
-    for held, adopted in zip(kept, phases):
-        lo = 0
+    order = old.order
+    bounds = (1, old.peer_from, old.provider_from, len(order))
+    edits: Tuple[list, list, list] = ([], [], [])
+    for i in region:
+        k = slices[i]
+        if k:
+            at = bisect_left(order, rank(i), bounds[k - 1], bounds[k], key=rank)
+            edits[k - 1].append((at, True, i))
+    new_order = [dest]
+    new_bounds = []
+    for k, adopted in enumerate(phases):
+        lo, hi = bounds[k], bounds[k + 1]
+        edit = edits[k]
         for v in adopted:
-            hi = bisect_left(held, rank(v), lo, key=rank)
-            order += held[lo:hi]
-            order.append(v)
-            lo = hi
-        order += held[lo:]
-        bounds.append(len(order))
+            at = bisect_left(order, depth[v] * n + v, lo, hi, key=rank)
+            edit.append((at, False, v))
+        # an entry enters before the old one at its position leaves; two
+        # that enter at one position keep their adoption order
+        edit.sort(key=_EDIT_KEY)
+        for at, leaves, v in edit:
+            new_order += order[lo:at]
+            if leaves:
+                lo = at + 1
+            else:
+                new_order.append(v)
+                lo = at
+        new_order += order[lo:hi]
+        new_bounds.append(len(new_order))
     tree = RouteTree(
-        snapshot.asns, snapshot.index, order, parent, bounds[0], bounds[1]
+        snapshot.asns, snapshot.index, new_order, parent,
+        new_bounds[0], new_bounds[1],
     )
+    # the new tree's slice column, patched from the old one's
+    column = bytearray(slices)
+    for i in region:
+        column[i] = 0
+    for k, adopted in enumerate(phases, 1):
+        for v in adopted:
+            column[v] = k
+    object.__setattr__(tree, "_slices", bytes(column))
 
     # A failure can *improve* an AS's export: the selected route is not
     # the shortest available path, so losing a customer route may reveal

@@ -615,10 +615,15 @@ def recompute_routes(
     sweeps of :func:`repro.bgp.kernels.scalar.settle_waves` seeded by the
     kept holders that border the cleared region — the result is the tree
     a fresh full computation on the current graph settles, values and
-    order, at a cost proportional to the affected region (plus a few
-    flat passes over the columns) instead of the whole topology.  An event that cuts
-    no tree edge hands back a table over ``table``'s own tree, and
-    derives no snapshot.
+    order, at a cost proportional to the affected region and its
+    neighbours (plus C-level copies of the tree's columns) instead of
+    the whole topology: depths come from walking parent pointers, and
+    the new order is the old one with the region's nodes bisected out
+    and back in.  On the graph's snapshot, derived from the parent
+    version's when the event was a link change
+    (:meth:`~repro.topology.graph.ASGraph.snapshot`).  An event that
+    cuts no tree edge hands back a table over ``table``'s own tree, and
+    asks for no snapshot.
 
     Falls back to :func:`compute_routes` — counted in
     ``repro_routing_incremental_fallbacks_total{reason}`` — when the
@@ -654,7 +659,8 @@ def recompute_routes(
     _AFFECTED_SIZE.observe(len(affected))
     if affected:
         snapshot = graph.snapshot()
-        if snapshot.asns != tree.asns:
+        # a derived snapshot shares its parent's tuple: no compare
+        if snapshot.asns is not tree.asns and snapshot.asns != tree.asns:
             return settle_in_full("as_set_changed")
         from .kernels.scalar import resettle  # late, as in compute_routes
 

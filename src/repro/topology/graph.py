@@ -66,8 +66,12 @@ class ASGraph:
         self._journal: "OrderedDict[int, Tuple[int, FrozenSet[LinkKey]]]" = (
             OrderedDict()
         )
-        # memoized frozen view of the current version (see snapshot())
+        # memoized frozen view (see snapshot()): the current version's,
+        # or an earlier one's until the next snapshot() replaces it
         self._snapshot: Optional["TopologySnapshot"] = None
+        # the memo that snapshot() last replaced, which _restore puts back
+        # when it restores that snapshot's version
+        self._prior: Optional["TopologySnapshot"] = None
 
     @property
     def version(self) -> int:
@@ -89,8 +93,10 @@ class ASGraph:
         return self._version
 
     def _bump(self, changed: FrozenSet[LinkKey]) -> None:
-        """Move to a fresh version, journalling which links changed."""
-        self._snapshot = None
+        """Move to a fresh version, journalling which links changed.
+
+        The memo stays: it is the parent version's snapshot (or an
+        earlier one), and :meth:`snapshot` derives from it."""
         self._version_counter += 1
         parent = self._version
         self._version = self._version_counter
@@ -114,7 +120,10 @@ class ASGraph:
         ``version`` identified.  A row saved as None deletes its AS; the
         graph takes the saved rows over.  No version is minted and the
         counter keeps its high-water mark, so later mutations still mint
-        fresh ids.
+        fresh ids.  When the memo :meth:`snapshot` last replaced is
+        ``version``'s, it becomes the memo again (the two swap), so a
+        revert and a re-apply each restore a snapshot instead of making
+        one.
         """
         for asn, row in saved.items():
             if row is None:
@@ -122,6 +131,9 @@ class ASGraph:
             else:
                 self._adj[asn] = row
         self._version = version
+        prior = self._prior
+        if prior is not None and prior.version == version:
+            self._snapshot, self._prior = prior, self._snapshot
 
     def changed_links_since(self, old_version: int) -> Optional[FrozenSet[LinkKey]]:
         """Links changed between ``old_version`` and the current version.
@@ -151,20 +163,37 @@ class ASGraph:
     def snapshot(self) -> "TopologySnapshot":
         """The frozen, int-indexed view of the current graph state.
 
-        Derived at most once per :attr:`version`: the result is memoized
-        and every mutation (:meth:`_bump`) invalidates it, so hot paths —
-        the settling kernel, the session pool, candidate enumeration —
-        can call this freely and share one immutable
+        Made at most once per :attr:`version` and memoized, so hot
+        paths — the settling kernel, the session pool, candidate
+        enumeration — can call this freely and share one immutable
         :class:`~repro.topology.snapshot.TopologySnapshot` until the
-        topology actually changes.  :meth:`copy` shares the memo (the
-        snapshot is immutable); a reverted delta rebuilds it on first use.
+        topology actually changes.  When the memo is the parent
+        version's and the step between was a link event (the AS set is
+        unchanged), the new snapshot is derived from it, patching the
+        two endpoints' rows
+        (:meth:`~repro.topology.snapshot.TopologySnapshot.derive`);
+        otherwise — an AS event, several steps, no memo — it is built
+        from scratch.  :meth:`copy` shares the memo (the snapshot is
+        immutable); a reverted delta gets the pre-apply memo back
+        (:meth:`_restore`).
         """
         from .snapshot import TopologySnapshot
 
         snap = self._snapshot
-        if snap is None or snap.version != self._version:
-            snap = self._snapshot = TopologySnapshot.build(self)
-        return snap
+        if snap is not None and snap.version == self._version:
+            return snap
+        step = self._journal.get(self._version) if snap is not None else None
+        if (
+            step is not None and step[0] == snap.version and step[1]
+            and len(self._adj) == snap.n
+        ):
+            fresh = TopologySnapshot.derive(
+                snap, self, {asn for link in step[1] for asn in link}
+            )
+        else:
+            fresh = TopologySnapshot.build(self)
+        self._prior, self._snapshot = snap, fresh
+        return fresh
 
     # ------------------------------------------------------------------
     # construction
@@ -431,10 +460,10 @@ class ASGraph:
         return all(self.has_link(a, b) for a, b in zip(nodes, nodes[1:]))
 
     def __getstate__(self):
-        # the snapshot memo is derived state; shipping it would double the
-        # payload of any graph pickle (and it rebuilds in one pass anyway)
+        # the snapshot memos are derived state; shipping them would triple
+        # the payload of any graph pickle (and one rebuilds in one pass)
         state = self.__dict__.copy()
-        state["_snapshot"] = None
+        state["_snapshot"] = state["_prior"] = None
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,9 +9,13 @@ dict hashing and fresh-list accessor allocations on every use.
 
 :class:`TopologySnapshot` is the read-only counterpart: a frozen,
 CSR-style view with dense ``asn ↔ index`` maps and per-node neighbour
-tuples, built once per graph version by :meth:`ASGraph.snapshot`
+tuples, made once per graph version by :meth:`ASGraph.snapshot`
 (memoized on the version counter, so mutation invalidates it
-automatically).  The snapshot is the unit of work the routing kernel
+automatically).  :meth:`TopologySnapshot.build` makes one from scratch
+and stays the reference; after a link event :meth:`TopologySnapshot.derive`
+makes the same snapshot from the parent version's, re-reading only the
+two endpoints' rows and sharing everything else, so a flap costs what
+it changed.  The snapshot is the unit of work the routing kernel
 settles on; how it reaches pool workers is
 :mod:`repro.session.pool`'s business, not this module's.
 
@@ -39,7 +43,7 @@ its own; they are never pickled.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from itertools import chain, repeat
 from operator import add
 from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
@@ -52,7 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _SNAPSHOT_BUILDS = get_registry().counter(
     "repro_topology_snapshot_builds_total",
-    "Topology snapshots derived from mutable graphs",
+    "Topology snapshots made from mutable graphs, built or derived",
+)
+_SNAPSHOT_DERIVED = get_registry().counter(
+    "repro_topology_snapshot_derived_total",
+    "Topology snapshots derived from the parent version's by patching "
+    "the rows a link event touched",
 )
 
 #: Relationship-class segment order inside ``cls_adj`` (and the codes the
@@ -87,9 +96,9 @@ class TopologySnapshot:
     """A frozen, int-indexed, CSR-style view of one :class:`ASGraph` state.
 
     Instances are immutable by contract: every field is written once by
-    :meth:`build` and never mutated (``class_nbrs``, ``phase_nbrs`` and
-    ``_np_phases`` are derived views, not state).  Do not modify the
-    arrays.
+    :meth:`build` or :meth:`derive` and never mutated (``class_nbrs``,
+    ``phase_nbrs`` and ``_np_phases`` are derived views, not state).  Do
+    not modify the arrays.
     """
 
     __slots__ = (
@@ -145,10 +154,10 @@ class TopologySnapshot:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, graph: "ASGraph") -> "TopologySnapshot":
-        """Derive a snapshot of ``graph``'s current state.
+        """A snapshot of ``graph``'s current state, made from scratch.
 
         Prefer :meth:`ASGraph.snapshot`, which memoizes the result on the
-        graph's version counter; building directly always re-derives.
+        graph's version counter; building directly always starts over.
         """
         adj_map = graph._adj
         asns = tuple(sorted(adj_map))
@@ -156,14 +165,92 @@ class TopologySnapshot:
         cls_off = array(ARRAY_TYPECODE, [0])
         cls_adj = array(ARRAY_TYPECODE)
         for asn in asns:
-            groups: Tuple[list, list, list, list] = ([], [], [], [])
-            for neighbor, rel in adj_map[asn].items():
-                groups[_REL_TO_CLASS[rel]].append(index[neighbor])
-            for group in groups:
+            for group in _class_groups(adj_map[asn], index):
                 cls_adj.extend(group)
                 cls_off.append(len(cls_adj))
         snapshot = cls(graph.version, asns, cls_off, cls_adj)
         _SNAPSHOT_BUILDS.inc()
+        return snapshot
+
+    @classmethod
+    def derive(
+        cls, parent: "TopologySnapshot", graph: "ASGraph",
+        touched: Iterable[int],
+    ) -> "TopologySnapshot":
+        """``parent`` with the rows of the ``touched`` ASes re-read from
+        ``graph``: what :meth:`build` returns, at the cost of those rows.
+
+        For a link event over an unchanged AS set, where every row but
+        the ``touched`` ones is ``parent``'s (:meth:`ASGraph.snapshot`
+        checks that).  ``asns``, ``index`` and every other node's tuples
+        are ``parent``'s own objects; the rest is C-level copying — the
+        array runs between the patched rows (the offsets after a row
+        shift by its change in length), and one list copy per class
+        column or joined view the patched rows change.  A touched row's
+        tuples are made as :meth:`__init__` makes them (``tuple`` of a
+        list, joined with ``+``), so ``seed[i] is expand[i]`` holds
+        exactly where a fresh build has it.
+        """
+        index = parent.index
+        adj_map = graph._adj
+        rows = {
+            index[asn]: tuple(map(tuple, _class_groups(adj_map[asn], index)))
+            for asn in touched
+        }
+        off, adj = parent.cls_off, parent.cls_adj
+        cls_off = array(ARRAY_TYPECODE, [0])
+        cls_adj = array(ARRAY_TYPECODE)
+        done = shift = 0  # rows copied so far; their change in length
+        for i in sorted(rows):
+            cls_off.extend(map(add, off[4 * done + 1:4 * i + 1], repeat(shift)))
+            cls_adj.extend(adj[off[4 * done]:off[4 * i]])
+            for group in rows[i]:
+                cls_adj.extend(group)
+                cls_off.append(len(cls_adj))
+            shift = len(cls_adj) - off[4 * i + 4]
+            done = i + 1
+        cls_off.extend(map(add, off[4 * done + 1:], repeat(shift)))
+        cls_adj.extend(adj[off[4 * done]:])
+
+        class_nbrs = list(parent.class_nbrs)
+        for c, column in enumerate(class_nbrs):
+            if any(row[c] != column[i] for i, row in rows.items()):
+                column = list(column)
+                for i, row in rows.items():
+                    column[i] = row[c]
+                class_nbrs[c] = tuple(column)
+        # each joined view: the parent's, or patched where a class it
+        # joins changed
+        views = {}
+        for phase, phase_views in zip(PHASE_CLASSES, parent.phase_nbrs):
+            views.update(zip(phase, phase_views))
+        for classes, view in views.items():
+            first, *rest = classes
+            if not rest:
+                view = class_nbrs[first]
+            elif any(class_nbrs[c] is not parent.class_nbrs[c] for c in classes):
+                view = list(view)
+                for i in rows:
+                    joined = class_nbrs[first][i]
+                    for c in rest:
+                        joined = joined + class_nbrs[c][i]
+                    view[i] = joined
+                view = tuple(view)
+            views[classes] = view
+
+        snapshot = cls.__new__(cls)
+        snapshot.version = graph.version
+        snapshot.asns = parent.asns
+        snapshot.index = index
+        snapshot.cls_off = cls_off
+        snapshot.cls_adj = cls_adj
+        snapshot.class_nbrs = tuple(class_nbrs)
+        snapshot.phase_nbrs = tuple(
+            (views[seed], views[expand]) for seed, expand in PHASE_CLASSES
+        )
+        snapshot._np_phases = None
+        _SNAPSHOT_BUILDS.inc()
+        _SNAPSHOT_DERIVED.inc()
         return snapshot
 
     # ------------------------------------------------------------------
@@ -255,6 +342,15 @@ def _pack(values) -> array:
         except OverflowError:
             continue
     return array(ARRAY_TYPECODE, values)
+
+
+def _class_groups(row, index) -> Tuple[list, list, list, list]:
+    """One adjacency row's neighbour indices by relationship class, in
+    the row's order: the ``cls_adj`` segments of its node."""
+    groups: Tuple[list, list, list, list] = ([], [], [], [])
+    for neighbor, rel in row.items():
+        groups[_REL_TO_CLASS[rel]].append(index[neighbor])
+    return groups
 
 
 def _unpickle(version, asns, cls_off, cls_adj) -> TopologySnapshot:

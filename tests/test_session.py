@@ -757,6 +757,30 @@ class TestIncrementalDerivation:
         assert session.compute(F) is original
         assert session.stats["hits"] == 1
 
+    def test_flap_through_mutate_makes_no_snapshot_under_the_lock(
+        self, paper_graph
+    ):
+        """The writer only moves the version and the memo references;
+        the next fill derives the snapshot from the parent's, and the
+        revert puts the parent's back."""
+        from repro.obs import get_registry
+
+        builds = get_registry().counter("repro_topology_snapshot_builds_total")
+        derived = get_registry().counter(
+            "repro_topology_snapshot_derived_total")
+        session = SimulationSession(paper_graph)
+        session.compute(F)
+        parent = paper_graph.snapshot()
+        made = builds.value
+        applied = session.mutate(TopologyDelta.link_down(B, E).apply)
+        assert builds.value == made
+        session.compute(F)
+        assert (builds.value, derived.value) == (made + 1, 1)
+        assert session.stats["tables_derived"] == 1
+        session.mutate(lambda graph: applied.revert())
+        assert paper_graph.snapshot() is parent
+        assert builds.value == made + 1
+
     def test_chain_of_failures_derives_each_step(self, paper_graph):
         session = SimulationSession(paper_graph)
         session.compute(F)

@@ -1,5 +1,6 @@
 """Tests for the topology-delta layer (apply/revert transactions)."""
 
+import operator
 import random
 from collections import OrderedDict
 
@@ -14,6 +15,7 @@ from hypothesis.stateful import (
 
 from repro.bgp.routing import compute_routes, compute_routes_reference
 from repro.errors import TopologyError
+from repro.obs import get_registry
 from repro.session import SimulationSession
 from repro.topology import (
     ASGraph,
@@ -498,9 +500,19 @@ OPS = st.one_of(
 )
 
 
+#: Snapshots derived from their parent version's (not built afresh).
+DERIVED = get_registry().counter("repro_topology_snapshot_derived_total")
+
+
 class DeltaMachine(RuleBasedStateMachine):
     """Deltas valid or not, composed, nested, reverted and re-applied:
-    a version always names one graph, and what is read at it agrees."""
+    a version always names one graph, and what is read at it agrees.
+
+    ``derived_steps`` counts, over a whole run, the steps whose snapshot
+    was derived from the parent version's: the memo invariant must have
+    covered derivation, not only the full build."""
+
+    derived_steps = 0
 
     def __init__(self):
         super().__init__()
@@ -511,6 +523,7 @@ class DeltaMachine(RuleBasedStateMachine):
         self.digests = {}
         self.applied = []    # (record, digest after), innermost last
         self.reverted = []   # (record, digest after), latest last
+        self.derived_seen = DERIVED.value
 
     @rule(ops=st.lists(OPS, min_size=1, max_size=3))
     def apply(self, ops):
@@ -551,6 +564,18 @@ class DeltaMachine(RuleBasedStateMachine):
         for name in TopologySnapshot.__slots__:
             if name != "_np_phases":  # built at the batched kernel's first use
                 assert getattr(memo, name) == getattr(fresh, name), name
+        # the settle loop copies a view only where seed[i] is not expand[i]
+        for (seed, expand), (fresh_seed, fresh_expand) in zip(
+            memo.phase_nbrs, fresh.phase_nbrs
+        ):
+            assert list(map(operator.is_, seed, expand)) == list(
+                map(operator.is_, fresh_seed, fresh_expand)
+            )
+        # one snapshot per step at most, so a step in which the counter
+        # moved checks a derived memo (whichever invariant asked first)
+        if DERIVED.value > self.derived_seen:
+            DeltaMachine.derived_steps += 1
+        self.derived_seen = DERIVED.value
 
     @invariant()
     def session_tables_match_the_reference(self):
@@ -570,4 +595,10 @@ DeltaMachine.TestCase.settings = settings(
     # steps are the report
     phases=[Phase.explicit, Phase.generate, Phase.shrink],
 )
-TestDeltaMachine = DeltaMachine.TestCase
+
+
+class TestDeltaMachine(DeltaMachine.TestCase):
+    def runTest(self):
+        DeltaMachine.derived_steps = 0
+        super().runTest()
+        assert DeltaMachine.derived_steps > 0

@@ -16,6 +16,7 @@ these tests pin three contracts:
   the per-node neighbour tuples, and an attach keeps no mapping open.
 """
 
+import operator
 import os
 import pickle
 import subprocess
@@ -23,7 +24,8 @@ import sys
 
 import pytest
 
-from repro.errors import UnknownASError
+from repro.errors import TopologyError, UnknownASError
+from repro.obs import get_registry
 from repro.topology import (
     ASGraph,
     TopologyDelta,
@@ -163,18 +165,29 @@ def test_path_translation_roundtrip():
 # ---------------------------------------------------------------------------
 
 def counting_build(monkeypatch):
-    """Patch TopologySnapshot.build to count derivations."""
+    """Patch both ways a graph makes a snapshot to record each made:
+    ``("build", version)`` or ``("derive", version)``."""
     calls = []
-    original = TopologySnapshot.build.__func__
+    build = TopologySnapshot.build.__func__
+    derive = TopologySnapshot.derive.__func__
 
-    def patched(cls, graph):
-        calls.append(graph.version)
-        return original(cls, graph)
+    def patched_build(cls, graph):
+        calls.append(("build", graph.version))
+        return build(cls, graph)
 
+    def patched_derive(cls, parent, graph, touched):
+        calls.append(("derive", graph.version))
+        return derive(cls, parent, graph, touched)
+
+    monkeypatch.setattr(TopologySnapshot, "build", classmethod(patched_build))
     monkeypatch.setattr(
-        TopologySnapshot, "build", classmethod(patched)
+        TopologySnapshot, "derive", classmethod(patched_derive)
     )
     return calls
+
+
+def kinds(calls):
+    return [kind for kind, _ in calls]
 
 
 def test_snapshot_memoized_per_version(monkeypatch):
@@ -183,7 +196,7 @@ def test_snapshot_memoized_per_version(monkeypatch):
     first = graph.snapshot()
     assert graph.snapshot() is first
     assert graph.snapshot() is first
-    assert len(calls) == 1
+    assert kinds(calls) == ["build"]
     assert first.version == graph.version
 
 
@@ -201,7 +214,10 @@ def test_add_and_remove_link_invalidate(monkeypatch):
     after_add = graph.snapshot()
     assert after_add is not after_remove
     assert b in class_segment(after_add, a, 2)
-    assert len(calls) == 3  # exactly once per version touched
+    # one snapshot per version, built or derived: each link event is
+    # patched onto its parent version's
+    assert kinds(calls) == ["build", "derive", "derive"]
+    assert after_add.asns is before.asns
 
 
 def test_delta_revert_and_reapply_invalidate(monkeypatch):
@@ -216,12 +232,9 @@ def test_delta_revert_and_reapply_invalidate(monkeypatch):
 
     applied.revert()
     reverted = graph.snapshot()
-    # the version was restored, but the memo was dropped by the mutation:
-    # re-derivation must happen and reproduce the baseline adjacency.
-    # Re-added links land at the end of the neighbour dicts, so insertion
-    # *order* may differ from the baseline — routing output is
-    # order-independent (the settling tie-break is on (length, path)),
-    # so the contract is set-equality per node and per class.
+    # the revert restores the version and with it the memo of that
+    # version: nothing is made again
+    assert reverted is baseline
     assert reverted.version == baseline.version
     assert reverted.asns == baseline.asns
     for asn in graph.iter_ases():
@@ -232,11 +245,11 @@ def test_delta_revert_and_reapply_invalidate(monkeypatch):
 
     applied.reapply()
     reapplied = graph.snapshot()
-    assert reapplied.version == during.version
+    assert reapplied is during
     for asn in graph.iter_ases():
         assert neighbor_set(reapplied, asn) == neighbor_set(during, asn)
-    # one build per distinct adjacency state entered
-    assert len(calls) == 4
+    # one snapshot per version, built or derived
+    assert calls == [("build", baseline.version), ("derive", during.version)]
 
 
 def test_zero_mutation_serves_same_snapshot(monkeypatch):
@@ -245,7 +258,7 @@ def test_zero_mutation_serves_same_snapshot(monkeypatch):
     snapshot = graph.snapshot()
     graph.add_as(next(iter(graph.iter_ases())))  # no-op: AS already present
     assert graph.snapshot() is snapshot
-    assert len(calls) == 1
+    assert kinds(calls) == ["build"]
 
 
 def test_copy_shares_snapshot_until_either_side_mutates(monkeypatch):
@@ -258,7 +271,9 @@ def test_copy_shares_snapshot_until_either_side_mutates(monkeypatch):
     clone.remove_link(a, b)
     assert clone.snapshot() is not snapshot
     assert graph.snapshot() is snapshot  # original untouched
-    assert len(calls) == 2
+    # one snapshot per version, built or derived: the clone's from the
+    # memo it shares
+    assert kinds(calls) == ["build", "derive"]
 
 
 def test_without_as_derives_fresh_snapshot(monkeypatch):
@@ -270,7 +285,97 @@ def test_without_as_derives_fresh_snapshot(monkeypatch):
     snapshot = reduced.snapshot()
     assert victim not in snapshot
     assert snapshot.n == len(graph) - 1
-    assert len(calls) == 2
+    assert kinds(calls) == ["build", "build"]  # new AS set: no parent
+
+
+#: the unpatched build, for comparisons outside the recorded calls
+FRESH_BUILD = TopologySnapshot.build
+
+
+def assert_fresh(graph):
+    """The memo equals a fresh build field for field, and keeps
+    ``seed[i] is expand[i]`` exactly where the build has it."""
+    memo, fresh = graph.snapshot(), FRESH_BUILD(graph)
+    for name in TopologySnapshot.__slots__:
+        if name != "_np_phases":
+            assert getattr(memo, name) == getattr(fresh, name), name
+    for (seed, expand), (fresh_seed, fresh_expand) in zip(
+        memo.phase_nbrs, fresh.phase_nbrs
+    ):
+        assert list(map(operator.is_, seed, expand)) == list(
+            map(operator.is_, fresh_seed, fresh_expand)
+        )
+    return memo
+
+
+def test_copy_and_original_each_derive_their_own(monkeypatch):
+    """The clone shares the memo and the version counter: both mint the
+    same next version for different link events, and each derives its
+    own from the shared parent."""
+    calls = counting_build(monkeypatch)
+    graph = small_graph()
+    shared = graph.snapshot()
+    clone = graph.copy()
+    (a, b, _), (c, d, _) = sorted(graph.iter_links())[:2]
+    graph.remove_link(a, b)
+    clone.remove_link(c, d)
+    assert graph.version == clone.version
+    mine, theirs = assert_fresh(graph), assert_fresh(clone)
+    assert b not in neighbor_set(mine, a) and d in neighbor_set(mine, c)
+    assert d not in neighbor_set(theirs, c) and b in neighbor_set(theirs, a)
+    assert mine.asns is shared.asns is theirs.asns
+    assert kinds(calls) == ["build", "derive", "derive"]
+
+
+def test_revert_then_new_apply_derives_from_the_restored_parent(
+    monkeypatch,
+):
+    """After a revert the snapshot of the abandoned version stays aside;
+    a different link event derives from the restored parent, not it."""
+    calls = counting_build(monkeypatch)
+    graph = small_graph()
+    baseline = graph.snapshot()
+    (a, b, _), (c, d, _) = sorted(graph.iter_links())[:2]
+    first = TopologyDelta.link_down(a, b).apply(graph)
+    abandoned = graph.snapshot()
+    first.revert()
+    assert graph.snapshot() is baseline
+    TopologyDelta.link_down(c, d).apply(graph)
+    after = assert_fresh(graph)
+    assert after is not abandoned
+    assert b in neighbor_set(after, a) and d not in neighbor_set(after, c)
+    assert kinds(calls) == ["build", "derive", "derive"]
+
+
+def test_as_events_and_failed_applies_keep_the_full_build(monkeypatch):
+    """Several steps at once (an AS down) build; a failed apply restores
+    the version and its memo; its revert gets the memo back."""
+    calls = counting_build(monkeypatch)
+    graph = small_graph()
+    baseline = graph.snapshot()
+    victim = max(graph.ases, key=graph.degree)  # several links: steps
+    with pytest.raises(TopologyError):
+        TopologyDelta.compose(
+            TopologyDelta.as_down(victim),
+            TopologyDelta.link_down(victim, victim),
+        ).apply(graph)
+    assert graph.snapshot() is baseline
+    applied = TopologyDelta.as_down(victim).apply(graph)
+    assert not neighbor_set(assert_fresh(graph), victim)
+    applied.revert()
+    assert graph.snapshot() is baseline
+    assert kinds(calls) == ["build", "build"]
+
+
+def test_derived_snapshots_are_counted():
+    builds = get_registry().counter("repro_topology_snapshot_builds_total")
+    derived = get_registry().counter("repro_topology_snapshot_derived_total")
+    graph = small_graph()
+    graph.snapshot()
+    a, b, _ = next(graph.iter_links())
+    graph.remove_link(a, b)
+    graph.snapshot()
+    assert (builds.value, derived.value) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
