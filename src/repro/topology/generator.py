@@ -13,6 +13,13 @@ load-bearing ones (§5.1):
 
 Profiles scale the paper's four data sets down to sizes a laptop-class
 simulation handles exhaustively; ratios between link classes are preserved.
+
+Providers are drawn from a :class:`_WeightedPool` per candidate list
+(tier-1; tier-2 and tier-1 + tier-2; tier-2 + tier-3), built once when
+its tier's loop starts.  Each pick consumes one ``rng.random()`` and
+lands where ``rng.choices`` over the remaining candidates would, so
+the rng stream, and with it every (profile, seed)'s graph, is that of
+``choices``.  A pick costs O(log n), and generation O(n log n).
 """
 
 from __future__ import annotations
@@ -126,25 +133,93 @@ def _weighted_count(rng: random.Random, weights: Sequence[float]) -> int:
     return rng.choices(range(1, len(weights) + 1), weights=weights, k=1)[0]
 
 
-def _preferential_pick(
-    rng: random.Random,
-    candidates: Sequence[int],
-    degree: Dict[int, int],
-    count: int,
-) -> List[int]:
-    """Pick ``count`` distinct candidates, weight proportional to degree+1.
+class _WeightedPool:
+    """Candidates drawn with weight ``degree + 1``, over a Fenwick tree.
 
-    Preferential attachment is what produces the heavy-tailed degree
-    distribution of Fig. 5.1.
+    Makes exactly the draws ``rng.choices(pool, weights, k=1)`` makes in
+    CPython over the members in list order, with each member picked
+    earlier in the same :meth:`pick` removed from ``pool``: one
+    ``rng.random()`` per pick, ``target = u * float(total)``, and the
+    first member whose integer prefix sum exceeds ``target`` (what
+    ``bisect_right`` over the cumulative weights returns).  A member
+    already picked weighs 0 until the call returns, which skips it as
+    its removal did.
+
+    Building costs O(n); a pick, a weight change and a restore each
+    O(log n).
     """
-    chosen: List[int] = []
-    pool = list(candidates)
-    for _ in range(min(count, len(pool))):
-        weights = [degree[c] + 1 for c in pool]
-        pick = rng.choices(pool, weights=weights, k=1)[0]
-        chosen.append(pick)
-        pool.remove(pick)
-    return chosen
+
+    __slots__ = ("_members", "_slot", "_weight", "_tree", "_total")
+
+    def __init__(self, members: Sequence[int], weights: Sequence[int]) -> None:
+        self._members = list(members)
+        self._slot = {member: i for i, member in enumerate(self._members)}
+        self._weight = list(weights)
+        n = len(self._weight)
+        tree = [0, *self._weight]
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                tree[parent] += tree[i]
+        self._tree = tree
+        self._total = sum(self._weight)
+
+    def _add(self, slot: int, delta: int) -> None:
+        self._weight[slot] += delta
+        self._total += delta
+        tree = self._tree
+        n = len(tree) - 1
+        i = slot + 1
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+
+    def grow(self, member: int) -> None:
+        """Add 1 to ``member``'s weight (a new customer link); a no-op
+        for a non-member."""
+        slot = self._slot.get(member)
+        if slot is not None:
+            self._add(slot, 1)
+
+    def _find(self, target: float) -> int:
+        """The slot of the first member whose prefix sum is > ``target``.
+
+        The accumulator stays an integer and each comparison is int
+        against float, both exact, so no rounding enters the descent.
+        ``choices`` clamps its bisect to the last member; that clamp
+        cannot fire here, because for an integer total T < 2**53 and
+        u <= 1 - 2**-53, u * T rounds to a float below T, so the last
+        prefix sum, T, always exceeds the target.
+        """
+        tree = self._tree
+        n = len(tree) - 1
+        pos = acc = 0
+        step = (1 << n.bit_length()) >> 1  # the largest power of 2 <= n
+        while step:
+            nxt = pos + step
+            if nxt <= n and acc + tree[nxt] <= target:
+                pos = nxt
+                acc += tree[nxt]
+            step >>= 1
+        return pos
+
+    def pick(self, rng: random.Random, count: int) -> List[int]:
+        """Draw ``min(count, len(members))`` distinct members.
+
+        Preferential attachment is what produces the heavy-tailed
+        degree distribution of Fig. 5.1.
+        """
+        chosen: List[int] = []
+        taken: List[Tuple[int, int]] = []
+        for _ in range(min(count, len(self._members))):
+            slot = self._find(rng.random() * float(self._total))
+            chosen.append(self._members[slot])
+            weight = self._weight[slot]
+            taken.append((slot, weight))
+            self._add(slot, -weight)
+        for slot, weight in taken:
+            self._add(slot, weight)
+        return chosen
 
 
 def generate_topology(
@@ -157,7 +232,6 @@ def generate_topology(
     """
     rng = random.Random(seed)
     graph = ASGraph()
-    degree: Dict[int, int] = {}
 
     n = profile.n_ases
     n_t1 = profile.n_tier1
@@ -174,38 +248,45 @@ def generate_topology(
 
     for asn in range(1, n + 1):
         graph.add_as(asn)
-        degree[asn] = 0
 
-    def link(a: int, b: int, b_is: Relationship) -> None:
-        graph.add_link(a, b, b_is)
-        degree[a] += 1
-        degree[b] += 1
+    def draw_pool(members: List[int]) -> _WeightedPool:
+        """The tier's draw pool, weighted by each member's degree now."""
+        return _WeightedPool(members, [graph.degree(m) + 1 for m in members])
+
+    def connect(
+        customer: int, providers: List[int], live: Sequence[_WeightedPool]
+    ) -> None:
+        """Link ``customer`` below each provider, whose weight grows in
+        every ``live`` pool holding it (the customer is in none)."""
+        for provider in providers:
+            graph.add_link(provider, customer, Relationship.CUSTOMER)
+            for held in live:
+                held.grow(provider)
 
     # 1. Tier-1 clique: full peer mesh (the Internet's default-free core).
     for i, a in enumerate(tier1):
         for b in tier1[i + 1:]:
-            link(a, b, Relationship.PEER)
+            graph.add_link(a, b, Relationship.PEER)
 
     # 2. Tier-2: providers drawn preferentially from tier-1.
+    core = draw_pool(tier1)
     for asn in tier2:
         count = _weighted_count(rng, profile.transit_provider_weights)
-        for provider in _preferential_pick(rng, tier1, degree, count):
-            link(provider, asn, Relationship.CUSTOMER)
+        connect(asn, core.pick(rng, count), (core,))
 
     # 3. Tier-3: providers drawn preferentially from tier-2 (occasionally
     #    tier-1, modelling regional ISPs buying direct transit from the core).
+    regional, direct = draw_pool(tier2), draw_pool(tier1 + tier2)
     for asn in tier3:
         count = _weighted_count(rng, profile.transit_provider_weights)
-        pool = tier2 if rng.random() > 0.15 else tier1 + tier2
-        for provider in _preferential_pick(rng, pool, degree, count):
-            link(provider, asn, Relationship.CUSTOMER)
+        source = regional if rng.random() > 0.15 else direct
+        connect(asn, source.pick(rng, count), (regional, direct))
 
     # 4. Stubs: customers of tier-2/tier-3 transit ASes.
-    transit = tier2 + tier3
+    transit = draw_pool(tier2 + tier3)
     for asn in stubs:
         count = _weighted_count(rng, profile.stub_provider_weights)
-        for provider in _preferential_pick(rng, transit, degree, count):
-            link(provider, asn, Relationship.CUSTOMER)
+        connect(asn, transit.pick(rng, count), (transit,))
 
     # 5. Peering links among same-tier transit ASes, scaled to the profile's
     #    peer:P/C ratio.  (The tier-1 mesh already contributes some.)
@@ -222,7 +303,7 @@ def generate_topology(
         a, b = rng.sample(pool, 2)
         if graph.has_link(a, b):
             continue
-        link(a, b, Relationship.PEER)
+        graph.add_link(a, b, Relationship.PEER)
         added += 1
 
     # 6. Sibling links: pairs within the same tier (same organisation).
@@ -237,7 +318,7 @@ def generate_topology(
         a, b = rng.sample(pool, 2)
         if graph.has_link(a, b):
             continue
-        link(a, b, Relationship.SIBLING)
+        graph.add_link(a, b, Relationship.SIBLING)
         added += 1
 
     return graph

@@ -148,17 +148,24 @@ class ASGraph:
         order, parents first, so the walk stops once it passes below
         ``old_version``: an abandoned branch costs a step, not the journal.
         """
-        if old_version == self._version:
-            return frozenset()
-        changed: Set[LinkKey] = set()
+        steps = self._steps_since(old_version)
+        if steps is None:
+            return None
+        return frozenset().union(*steps)
+
+    def _steps_since(self, old_version: int) -> Optional[List[FrozenSet[LinkKey]]]:
+        """The links each journal step from ``old_version`` to now
+        changed, newest first; None when the chain is unknown (see
+        :meth:`changed_links_since`)."""
+        steps: List[FrozenSet[LinkKey]] = []
         version = self._version
         while version != old_version:
             step = self._journal.get(version) if version > old_version else None
             if step is None:
                 return None
-            version, step_changed = step
-            changed.update(step_changed)
-        return frozenset(changed)
+            version, changed = step
+            steps.append(changed)
+        return steps
 
     def snapshot(self) -> "TopologySnapshot":
         """The frozen, int-indexed view of the current graph state.
@@ -167,28 +174,30 @@ class ASGraph:
         paths — the settling kernel, the session pool, candidate
         enumeration — can call this freely and share one immutable
         :class:`~repro.topology.snapshot.TopologySnapshot` until the
-        topology actually changes.  When the memo is the parent
-        version's and the step between was a link event (the AS set is
-        unchanged), the new snapshot is derived from it, patching the
-        two endpoints' rows
-        (:meth:`~repro.topology.snapshot.TopologySnapshot.derive`);
-        otherwise — an AS event, several steps, no memo — it is built
-        from scratch.  :meth:`copy` shares the memo (the snapshot is
-        immutable); a reverted delta gets the pre-apply memo back
-        (:meth:`_restore`).
+        topology actually changes.  When the memo is an ancestor
+        version's, every journal step between changed links and the AS
+        count is the memo's, the new snapshot is derived from it once,
+        re-reading the rows of every endpoint those steps changed
+        (:meth:`~repro.topology.snapshot.TopologySnapshot.derive`) — a
+        link flap, an ``as_down`` of k links, a composed multi-link
+        delta.  Otherwise — an AS event (an ``add_as`` step journals no
+        link), a trimmed journal, no memo — it is built from scratch.
+        :meth:`copy` shares the memo (the snapshot is immutable); a
+        reverted delta gets the pre-apply memo back (:meth:`_restore`).
         """
         from .snapshot import TopologySnapshot
 
         snap = self._snapshot
         if snap is not None and snap.version == self._version:
             return snap
-        step = self._journal.get(self._version) if snap is not None else None
-        if (
-            step is not None and step[0] == snap.version and step[1]
-            and len(self._adj) == snap.n
-        ):
+        steps = (
+            self._steps_since(snap.version)
+            if snap is not None and len(self._adj) == snap.n else None
+        )
+        if steps and all(steps):
             fresh = TopologySnapshot.derive(
-                snap, self, {asn for link in step[1] for asn in link}
+                snap, self, {asn for links in steps for link in links
+                             for asn in link}
             )
         else:
             fresh = TopologySnapshot.build(self)

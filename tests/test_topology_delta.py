@@ -509,10 +509,13 @@ class DeltaMachine(RuleBasedStateMachine):
     a version always names one graph, and what is read at it agrees.
 
     ``derived_steps`` counts, over a whole run, the steps whose snapshot
-    was derived from the parent version's: the memo invariant must have
-    covered derivation, not only the full build."""
+    was derived from an ancestor version's, and ``multi_step_derived``
+    those derived across several journal steps (an AS down, a composed
+    delta): the memo invariant must have covered both, not only the
+    full build."""
 
     derived_steps = 0
+    multi_step_derived = 0
 
     def __init__(self):
         super().__init__()
@@ -575,6 +578,9 @@ class DeltaMachine(RuleBasedStateMachine):
         # moved checks a derived memo (whichever invariant asked first)
         if DERIVED.value > self.derived_seen:
             DeltaMachine.derived_steps += 1
+            # the memo derived from is the one snapshot() set aside
+            if len(self.graph._steps_since(self.graph._prior.version)) > 1:
+                DeltaMachine.multi_step_derived += 1
         self.derived_seen = DERIVED.value
 
     @invariant()
@@ -599,6 +605,7 @@ DeltaMachine.TestCase.settings = settings(
 
 class TestDeltaMachine(DeltaMachine.TestCase):
     def runTest(self):
-        DeltaMachine.derived_steps = 0
+        DeltaMachine.derived_steps = DeltaMachine.multi_step_derived = 0
         super().runTest()
-        assert DeltaMachine.derived_steps > 0
+        assert DeltaMachine.multi_step_derived > 0
+        assert DeltaMachine.derived_steps > DeltaMachine.multi_step_derived

@@ -347,13 +347,15 @@ def test_revert_then_new_apply_derives_from_the_restored_parent(
     assert kinds(calls) == ["build", "derive", "derive"]
 
 
-def test_as_events_and_failed_applies_keep_the_full_build(monkeypatch):
-    """Several steps at once (an AS down) build; a failed apply restores
-    the version and its memo; its revert gets the memo back."""
+def test_as_down_derives_and_failed_applies_restore_the_memo(monkeypatch):
+    """An AS down is several link steps, derived once across all of
+    them; a failed apply restores the version and its memo; its revert
+    gets the memo back."""
     calls = counting_build(monkeypatch)
     graph = small_graph()
     baseline = graph.snapshot()
     victim = max(graph.ases, key=graph.degree)  # several links: steps
+    assert graph.degree(victim) >= 2
     with pytest.raises(TopologyError):
         TopologyDelta.compose(
             TopologyDelta.as_down(victim),
@@ -364,6 +366,40 @@ def test_as_events_and_failed_applies_keep_the_full_build(monkeypatch):
     assert not neighbor_set(assert_fresh(graph), victim)
     applied.revert()
     assert graph.snapshot() is baseline
+    assert kinds(calls) == ["build", "derive"]
+
+
+def test_composed_link_delta_derives_once(monkeypatch):
+    """Three link steps between the memo and now: one derivation over
+    every endpoint they changed."""
+    calls = counting_build(monkeypatch)
+    graph = small_graph()
+    graph.snapshot()
+    (a, b, _), (c, d, _) = sorted(graph.iter_links())[:2]
+    e = max(graph.ases, key=graph.degree)
+    f = next(x for x in graph.ases if x != e and not graph.has_link(e, x))
+    TopologyDelta.compose(
+        TopologyDelta.link_down(a, b),
+        TopologyDelta.link_down(c, d),
+        TopologyDelta.link_up(e, f, Relationship.PEER),
+    ).apply(graph)
+    after = assert_fresh(graph)
+    assert b not in neighbor_set(after, a) and f in neighbor_set(after, e)
+    assert kinds(calls) == ["build", "derive"]
+
+
+def test_an_as_event_since_the_memo_still_builds(monkeypatch):
+    """A new AS between the memo and now (its ``add_as`` step journals
+    no link) builds, however many link steps surround it."""
+    calls = counting_build(monkeypatch)
+    graph = small_graph()
+    graph.snapshot()
+    a, b, _ = next(graph.iter_links())
+    graph.remove_link(a, b)
+    fresh_as = max(graph.ases) + 1
+    graph.add_link(a, fresh_as, Relationship.CUSTOMER)
+    snapshot = assert_fresh(graph)
+    assert fresh_as in snapshot
     assert kinds(calls) == ["build", "build"]
 
 
