@@ -1,6 +1,6 @@
 """Stable-state route settling: two kernels behind one dispatcher.
 
-A *kernel* settles the full un-pinned Gao–Rexford table of many
+A *kernel* settles the un-pinned Gao–Rexford table of many
 destinations on a frozen
 :class:`~repro.topology.snapshot.TopologySnapshot`:
 
@@ -12,6 +12,10 @@ Two ship, in the fixed table :data:`KERNELS`:
   pointers settled in wave order, one depth level at a time — a dict
   comprehension per level over the offerers' per-node neighbour tuples
   (``TopologySnapshot.phase_nbrs``) — pure Python; no dependencies.
+  Its trees are partial: it settles the climb and the peer phase, and
+  the descent is pulled per AS by a tree's first read and completed by
+  its second or by any whole-tree read (:class:`.scalar.Descent`) —
+  never through :func:`settle_many`.
 * ``batched`` — the vectorized wave kernel
   (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
   numpy operations over the same per-phase neighbour lists as flat CSR

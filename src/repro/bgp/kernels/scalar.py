@@ -21,17 +21,18 @@ holds every loop here byte-equal to
 from __future__ import annotations
 
 import heapq
+import threading
 import time
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
 from ...topology.graph import ASGraph
 from ...topology.snapshot import PHASE_CLASSES, TopologySnapshot
 from ..policy import classify_path
 from ..route import Route, RouteClass
-from ..routing import TABLES_TOTAL, RouteTree
+from ..routing import NO_ROUTE, TABLES_TOTAL, RouteTree
 
 # Per-phase timings feed the registry unconditionally (a few perf_counter
 # reads per table); spans record only when the tracer is enabled.
@@ -47,16 +48,27 @@ _FRONTIER_SIZE = get_registry().histogram(
     buckets=DEFAULT_SIZE_BUCKETS,
 )
 _TABLES_FULL = TABLES_TOTAL.labels(mode="full")
+_TABLES_PARTIAL = TABLES_TOTAL.labels(mode="partial")
+_DESCENTS = get_registry().counter(
+    "repro_routing_descents_total",
+    "Descents of partially settled tables resolved on demand: per-AS "
+    "pulls, and whole-tree completions",
+    labels=("how",),
+)
+_PULLS = _DESCENTS.labels(how="pull")
+_COMPLETIONS = _DESCENTS.labels(how="completion")
 
 _PHASE_NAMES = ("phase1_climb", "phase2_peer", "phase3_descend")
-#: mode -> one phase timer per phase: ``full`` (the scalar kernel and the
-#: pinned walk), ``incremental`` (re-derivation), ``batched`` (the numpy
+#: mode -> one phase timer per phase: ``partial`` (the scalar kernel:
+#: its fill times the first two, a completion the descent — so the
+#: descent's count is the completed tables'), ``full`` (the pinned
+#: walk), ``incremental`` (re-derivation), ``batched`` (the numpy
 #: kernel) and ``reference`` (the legacy dict walk).
 _PHASE_TIMERS = {
     mode: tuple(
         _PHASE_SECONDS.labels(phase=p, mode=mode) for p in _PHASE_NAMES
     )
-    for mode in ("full", "incremental", "batched", "reference")
+    for mode in ("partial", "full", "incremental", "batched", "reference")
 }
 
 
@@ -109,17 +121,21 @@ def settle_waves(
     holders: List[int],
     border: Sequence[Sequence[int]] = ((), (), ()),
     mode: str = "full",
+    phases: Sequence[int] = (0, 1, 2),
 ) -> List[Tuple[int, int]]:
     """Settle every unrouted node of ``parent``, one depth level at a time.
 
-    The one settling loop.  A full settle passes ``parent`` with only
+    The one settling loop, run over ``phases`` (all three by default):
+    a fill runs the first two from the destination alone and
+    :meth:`Descent.complete` the descent from where the fill stopped.
+    A full settle passes ``parent`` with only
     the destination routed and ``holders == [dest]``; :func:`resettle`
     passes a settled tree's parents with a region cleared (``-1``) and
     the kept holders that border the region (with their ``depth``): the
     origin in ``holders`` if it is one, the others in ``border[phase]``
     by the phase that routed them.  ``parent`` and ``depth`` are settled
     in place and adopters appended to ``holders`` in adoption order;
-    returns each phase's ``(start, stop)`` slice of ``holders`` — after
+    returns each run phase's ``(start, stop)`` slice of ``holders`` — after
     a full settle ``holders`` is the tree's ``order`` and the stops are
     its phase bounds.
 
@@ -136,7 +152,8 @@ def settle_waves(
     ``snapshot.phase_nbrs``, one tuple per node and phase, pre-sliced.
     """
     spans = []
-    for phase, (seed, expand) in enumerate(snapshot.phase_nbrs):
+    for phase in phases:
+        seed, expand = snapshot.phase_nbrs[phase]
         with phase_span(phase, mode, destination):
             # Each node offers across its seed links if it held a route
             # before this phase, else across its expansion links.  The
@@ -180,29 +197,165 @@ def settle_waves(
     return spans
 
 
+class Descent:
+    """The descent of a partially settled tree, resolved on demand.
+
+    What :func:`compute_routes_snapshot` keeps of its fill: the snapshot,
+    the ``depth`` column (a pull writes an adopter's depth here before
+    its parent) and ``held``, each node routed before the descent by its
+    slice code (0 the destination, 1 climb, 2 peer).  A
+    :class:`~repro.bgp.routing.RouteTree` holds one until it completes,
+    and calls :meth:`pull` and :meth:`complete`; both give exactly what
+    the descent of :func:`settle_waves` gives.
+
+    In the descent an unrouted ``v`` adopts at depth ``1 + min d(u)``
+    over its offerers: its routed providers, and its siblings that
+    adopted in the descent.  Its parent is the smallest offerer index at
+    the depth above.  A holder from before the descent offers across
+    customer links only, but every sibling of one is a holder too (the
+    climb and the peer phase spread across sibling links), so an
+    unrouted node's routed siblings all adopted in the descent.
+    """
+
+    __slots__ = ("snapshot", "destination", "depth", "held", "pulls", "lock")
+
+    def __init__(
+        self,
+        snapshot: TopologySnapshot,
+        destination: int,
+        depth: List[int],
+        order: List[int],
+        peer_from: int,
+    ) -> None:
+        self.snapshot = snapshot
+        self.destination = destination
+        self.depth = depth
+        held = dict.fromkeys(order[peer_from:], 2)
+        held.update(dict.fromkeys(order[1:peer_from], 1))
+        held[order[0]] = 0
+        self.held = held
+        self.pulls = 0
+        self.lock = threading.Lock()
+
+    def code(self, i: int) -> int:
+        """Routed node ``i``'s slice code: a descent adopter's is 3."""
+        return self.held.get(i, 3)
+
+    def pull(self, parent: List[int], sources: Iterable[int]) -> None:
+        """Resolve the unresolved (``-1``) ``sources`` in ``parent``.
+
+        Walks back from the sources over every node that may offer them
+        a route until it reaches resolved ones — the closure — settles
+        the closure level by level from the routed offerers around it,
+        and publishes when done: every depth, then the parents in
+        adoption order (a node's parent before the node), then
+        :data:`~repro.bgp.routing.NO_ROUTE` on the closure nodes left
+        unrouted.  The values are the descent's own, so a racing pull
+        writes the same ones.
+        """
+        # a node's providers and siblings: the climb's links
+        uphill = self.snapshot.phase_nbrs[0][0]
+        depth = self.depth
+        # closure node -> the nodes that may offer it a route; closure
+        # node -> the closure nodes it may offer one to
+        offers: Dict[int, List[int]] = {}
+        below: Dict[int, List[int]] = {}
+        stack = [v for v in sources if parent[v] == -1]
+        while stack:
+            v = stack.pop()
+            if v in offers:
+                continue
+            offerers = offers[v] = []
+            for u in uphill[v]:
+                hop = parent[u]
+                if hop == -1:
+                    stack.append(u)
+                    below.setdefault(u, []).append(v)
+                elif hop < 0:
+                    continue  # no route to offer
+                offerers.append(u)
+        if not offers:
+            return
+        self.pulls += 1
+        _PULLS.inc()
+        # depths, from the routed offerers around the closure
+        heap = []
+        for v, offerers in offers.items():
+            outside = [depth[u] for u in offerers if u not in offers]
+            if outside:
+                heap.append((min(outside) + 1, v))
+        heapq.heapify(heap)
+        adopted: Dict[int, int] = {}
+        while heap:
+            d, v = heapq.heappop(heap)
+            if v not in adopted:
+                adopted[v] = d
+                for w in below.get(v, ()):
+                    if w not in adopted:
+                        heapq.heappush(heap, (d + 1, w))
+        hops = {
+            v: min(
+                u for u in offers[v]
+                if adopted.get(u, -1) == d - 1
+                or u not in offers and depth[u] == d - 1
+            )
+            for v, d in adopted.items()
+        }
+        for v, d in adopted.items():
+            depth[v] = d
+        for v, hop in hops.items():
+            parent[v] = hop
+        for v in offers:
+            if v not in adopted:
+                parent[v] = NO_ROUTE
+
+    def complete(
+        self, order: List[int], parent: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        """The full tree's ``order`` and ``parent``, fresh: the fill's
+        ``order`` and the parents of the nodes on it, then the descent
+        of :func:`settle_waves` — pulled entries are settled again."""
+        fresh = [-1] * self.snapshot.n
+        for i in order:
+            fresh[i] = parent[i]
+        holders = list(order)
+        settle_waves(
+            self.snapshot, self.destination, fresh, self.depth, holders,
+            mode="partial", phases=(2,),
+        )
+        _COMPLETIONS.inc()
+        return holders, fresh
+
+
 def compute_routes_snapshot(
     snapshot: TopologySnapshot, destination: int
 ) -> RouteTree:
     """Settle the stable state for ``destination`` on a frozen snapshot.
 
-    The ``scalar`` kernel: :func:`settle_waves` from the destination
-    alone, in index space.  Self-contained on purpose: pool workers call
-    this with nothing but the shipped snapshot.  Output is byte-identical
-    to :func:`~repro.bgp.routing.compute_routes_reference` — the
-    oracle's enforced invariant.
+    The ``scalar`` kernel: :func:`settle_waves`' climb and peer phases
+    from the destination alone, in index space; the descent is left to
+    the tree's :class:`Descent`, pulled per AS by the first read and
+    completed by the second or by any whole-tree read.
+    Self-contained on purpose: pool workers call this with nothing but
+    the shipped snapshot.  Every read is byte-identical to
+    :func:`~repro.bgp.routing.compute_routes_reference` — the oracle's
+    enforced invariant.
     """
     dest = snapshot.index_of(destination)
     n = snapshot.n
     parent = [-1] * n
     parent[dest] = dest
     order = [dest]
+    depth = [0] * n
     with _TRACER.span("compute_routes", destination=destination):
-        (_, peer_from), (_, provider_from), _ = settle_waves(
-            snapshot, destination, parent, [0] * n, order
+        (_, peer_from), (_, provider_from) = settle_waves(
+            snapshot, destination, parent, depth, order,
+            mode="partial", phases=(0, 1),
         )
-    _TABLES_FULL.inc()
+    _TABLES_PARTIAL.inc()
     return RouteTree(
-        snapshot.asns, snapshot.index, order, parent, peer_from, provider_from
+        snapshot.asns, snapshot.index, order, parent, peer_from,
+        provider_from, Descent(snapshot, destination, depth, order, peer_from),
     )
 
 
@@ -311,6 +464,7 @@ def resettle(
     Costs the region, its neighbours and a few bisect probes, plus
     C-level copies of ``old``'s columns: no pass walks every node.
     """
+    old.complete()
     n = snapshot.n
     class_nbrs = snapshot.class_nbrs
     index = old.index

@@ -34,7 +34,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from ..errors import RoutingError, UnknownASError
@@ -43,10 +44,15 @@ from ..topology.graph import ASGraph
 from .policy import classify_path, exportable_route, make_route, may_export
 from .route import Route, RouteClass
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .kernels.scalar import Descent
+
 _TRACER = get_tracer()
 _REGISTRY = get_registry()
-#: Tables settled, by how: ``full`` (the kernels and the pinned walk, in
-#: :mod:`repro.bgp.kernels`), ``incremental``, ``reference``.
+#: Tables settled, by how: ``partial`` (the scalar kernel's fills, whose
+#: descent is resolved on demand — ``repro_routing_descents_total``
+#: counts the completions), ``full`` (the batched kernel and the pinned
+#: walk, in :mod:`repro.bgp.kernels`), ``incremental``, ``reference``.
 TABLES_TOTAL = _REGISTRY.counter(
     "repro_routing_tables_total",
     "Stable-state routing tables settled, by computation mode",
@@ -75,6 +81,12 @@ _TABLES_REFERENCE = TABLES_TOTAL.labels(mode="reference")
 _SLICE_CLASS = tuple(RouteClass)
 
 
+#: ``parent`` entry of a node a pull found without a route; an
+#: unresolved node of a partial tree reads ``-1``, as does any unrouted
+#: node of a complete one.  Every reader reads a negative entry as None.
+NO_ROUTE = -2
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RouteTree:
     """One destination's un-pinned stable state, as a parent-pointer tree.
@@ -86,7 +98,21 @@ class RouteTree:
     class is a constant per settling phase — ``order[1:peer_from]``
     adopted CUSTOMER routes, ``order[peer_from:provider_from]`` PEER, the
     rest PROVIDER.  ``asns`` / ``index`` are the settling snapshot's
-    translation maps, by reference (those two only, not the snapshot).
+    translation maps, by reference.
+
+    A tree is *complete* or *partial*.  The scalar kernel's fill settles
+    the climb and the peer phase and hands the descent over as a
+    :class:`~repro.bgp.kernels.scalar.Descent`, which holds the snapshot.
+    Until the tree completes, a ``-1`` in ``parent`` is unresolved: the
+    first per-AS read of one (:meth:`path`, :meth:`route`,
+    :meth:`learned`) pulls the AS's provider closure into ``parent``,
+    and the second — or any whole-tree read (``order``, :meth:`expand`,
+    the slice column) — completes the tree: fresh ``order`` and
+    ``parent`` columns swapped in, the descent (and its snapshot)
+    dropped.  Both write values the complete tree holds, so a reader on
+    another thread holding the old column still reads right.  The
+    batched kernel, the pool and :func:`recompute_routes` build complete
+    trees.
 
     Reads: :meth:`path` walks parents in O(hops) and builds nothing
     else; :meth:`route` adds the class of the slice the AS sits in;
@@ -95,13 +121,62 @@ class RouteTree:
 
     asns: Tuple[int, ...]
     index: Dict[int, int]
-    order: Sequence[int]
+    _order: Sequence[int]
     parent: Sequence[int]
     peer_from: int
     provider_from: int
+    _descent: Optional["Descent"] = None
     #: node -> its slice of ``order`` (0 the destination, 1–3 the
-    #: phases), one byte per node, built by the first per-AS read.
+    #: phases), one byte per node, built by the first per-AS read of a
+    #: complete tree.
     _slices: Optional[bytes] = field(default=None, init=False)
+
+    @property
+    def order(self) -> Sequence[int]:
+        """The routed nodes in adoption order — a whole-tree read."""
+        if self._descent is not None:
+            self.complete()
+        return self._order
+
+    def complete(self) -> None:
+        """Settle the descent in full, once (a no-op on a complete tree).
+
+        The new columns are published before the descent is dropped, so
+        a reader that finds no descent reads them.
+        """
+        descent = self._descent
+        if descent is None:
+            return
+        with descent.lock:
+            if self._descent is None:
+                return  # another thread completed it
+            order, parent = descent.complete(self._order, self.parent)
+            object.__setattr__(self, "_order", order)
+            object.__setattr__(self, "parent", parent)
+            object.__setattr__(self, "_descent", None)
+
+    def pull(self, nodes: Iterable[int]) -> Sequence[int]:
+        """Resolve ``nodes`` (snapshot indices) by one pull, never
+        completing the tree; returns the ``parent`` column they are
+        resolved in."""
+        descent = self._descent
+        parent = self.parent
+        if descent is not None:
+            descent.pull(parent, nodes)
+        return parent
+
+    def _resolved(self, nodes: Sequence[int]) -> Sequence[int]:
+        """The ``parent`` column with ``nodes`` resolved: as it stands,
+        by the tree's first pull, or by completing it."""
+        descent = self._descent  # before ``parent``: see :meth:`complete`
+        parent = self.parent
+        if descent is None or all(parent[i] != -1 for i in nodes):
+            return parent
+        if not descent.pulls:
+            descent.pull(parent, nodes)
+            return parent
+        self.complete()
+        return self.parent
 
     def path(self, asn: int) -> Optional[Tuple[int, ...]]:
         """``asn``'s selected AS path, or None when it has no route —
@@ -112,7 +187,11 @@ class RouteTree:
         parent = self.parent
         hop = parent[i]
         if hop < 0:
-            return None
+            # unresolved, or no route: read again, resolved
+            parent = self._resolved((i,))
+            hop = parent[i]
+            if hop < 0:
+                return None
         asns = self.asns
         path = [asn]
         while hop != i:
@@ -122,6 +201,7 @@ class RouteTree:
         return tuple(path)
 
     def _slice_column(self) -> bytes:
+        """The slice column — a whole-tree read."""
         slices = self._slices
         if slices is None:
             # a racing first reader builds the same bytes; either is kept
@@ -135,28 +215,41 @@ class RouteTree:
             object.__setattr__(self, "_slices", slices)
         return slices
 
+    def _codes(self):
+        """A routed node's slice code, by index: a partial tree's from
+        its descent (the nodes routed before it, else 3)."""
+        descent = self._descent
+        if descent is None:
+            return self._slice_column().__getitem__
+        return descent.code
+
     def route(self, asn: int) -> Optional[Route]:
         """``asn``'s selected route, or None as for :meth:`path`: the
         walked path, classed by the slice of ``order`` the AS sits in."""
         path = self.path(asn)
         if path is None:
             return None
-        slices = self._slice_column()
-        return Route._trusted(path, _SLICE_CLASS[slices[self.index[asn]]])
+        code = self._codes()(self.index[asn])
+        return Route._trusted(path, _SLICE_CLASS[code])
 
     def learned(self, graph: ASGraph, asn: int) -> List[Route]:
         """What :func:`~repro.bgp.policy.exportable_route` yields for
         ``asn`` from each routed neighbour of ``graph`` (in its order):
         the export rule is asked with the neighbour's class before its
         path is walked, and the walk, prefixed by ``asn``, stops at
-        ``asn`` — the receiver's loop check."""
-        index, parent, asns = self.index, self.parent, self.asns
-        slices = self._slice_column()
+        ``asn`` — the receiver's loop check.  The neighbours are
+        resolved by one pull."""
+        index, asns = self.index, self.asns
+        code = self._codes()
+        neighbors = [
+            (neighbor, index.get(neighbor))
+            for neighbor in graph.neighbors(asn)
+        ]
+        parent = self._resolved([i for _, i in neighbors if i is not None])
         learned = []
-        for neighbor in graph.neighbors(asn):
-            i = index.get(neighbor)
+        for neighbor, i in neighbors:
             if i is None or parent[i] < 0 or not may_export(
-                graph, neighbor, asn, _SLICE_CLASS[slices[i]]
+                graph, neighbor, asn, _SLICE_CLASS[code(i)]
             ):
                 continue
             path = [asn, neighbor]
@@ -184,7 +277,8 @@ class RouteTree:
         ``repro_routing_tables_materialized_total``.
         """
         _EXPANDED_TOTAL.inc()
-        asns, order, parent = self.asns, self.order, self.parent
+        order = self.order  # completes the tree: read ``parent`` after
+        asns, parent = self.asns, self.parent
         destination = asns[order[0]]
         paths: List[Optional[Tuple[int, ...]]] = [None] * len(asns)
         paths[order[0]] = (destination,)
@@ -564,6 +658,7 @@ def affected_ases(
     # edge is one of its parent's links unless that link failed, and
     # then the child is in ``cut`` already
     tree = table._tree
+    tree.complete()
     parent, asns, index = tree.parent, tree.asns, tree.index
     adj = graph._adj
     stack = list(cut)
@@ -585,16 +680,27 @@ def cut_tree_edges(
 ) -> Optional[Set[int]]:
     """The tree's nodes (snapshot indices) whose edge to their parent is
     a ``changed`` link, one probe per link; None for a dict-backed table.
-    Empty after a pure failure: the table is still the stable state."""
+    Empty after a pure failure: the table is still the stable state.
+
+    A partial tree has the links' endpoints pulled first — never
+    completed: :meth:`RouteTableCache.restamp
+    <repro.session.cache.RouteTableCache.restamp>` calls this under the
+    session lock.  Unpulled, an unresolved endpoint whose descent route
+    crosses the link would read as uncut.
+    """
     tree = table._tree
     if tree is None:
         return None
-    index, parent = tree.index, tree.parent
+    index = tree.index
+    links = [
+        (ia, ib) for a, b in changed
+        # a pair outside the tree's snapshot is not one of its links
+        if (ia := index.get(a)) is not None
+        and (ib := index.get(b)) is not None
+    ]
+    parent = tree.pull([i for link in links for i in link])
     cut: Set[int] = set()
-    for a, b in changed:
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None:
-            continue  # not a link of the tree's snapshot
+    for ia, ib in links:
         if parent[ia] == ib:
             cut.add(ia)
         elif parent[ib] == ia:

@@ -183,7 +183,9 @@ class RouteTableCache:
 
         Same table object, so what is kept beside it (the service's
         encoded body) serves ``new`` too; the ``old`` key stays for a
-        revert.  Aliases only take free slots: never an eviction.
+        revert.  Aliases only take free slots: never an eviction.  A
+        partial tree's probe pulls the failed links' endpoints and
+        never completes it (:func:`~repro.bgp.routing.cut_tree_edges`).
         """
         room = self.maxsize - len(self._entries)
         aliases: List[Tuple[CacheKey, RoutingTable]] = []

@@ -319,8 +319,9 @@ def _encode_shard(
     buf = array("q")
     for destination in destinations:
         tree = swept[destination]
-        buf.extend((tree.peer_from, tree.provider_from, len(tree.order)))
-        buf.extend(tree.order)
+        order = tree.order  # completes a partial tree: ``parent`` after
+        buf.extend((tree.peer_from, tree.provider_from, len(order)))
+        buf.extend(order)
         buf.extend(tree.parent)
     return buf.tobytes()
 

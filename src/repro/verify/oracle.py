@@ -22,7 +22,10 @@ The kernel paths are **enumerated from the table**, not hand-listed:
 every available kernel faces every fault campaign the oracle drives
 (mode ``kernel:<name>``), each settling the whole destination set in one
 :func:`~repro.bgp.kernels.settle_many` sweep — the byte-equality
-contract enforced rather than assumed.  Kernels settle un-pinned tables only; the pinned heap walk
+contract enforced rather than assumed.  The scalar kernel's trees are
+partial, their descent pulled per AS: mode ``scalar-lazy`` reads a
+fresh one source by source, pulls only, in a seeded random order,
+before a whole-table read completes it.  Kernels settle un-pinned tables only; the pinned heap walk
 :func:`~repro.bgp.routing.compute_routes` runs for §5.4's what-if tables
 is held to the reference's pinned walk on one pin per check (mode
 ``pinned``).
@@ -40,11 +43,13 @@ order reaches the wire.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bgp import kernels
+from ..bgp.kernels import scalar
 from ..bgp.routing import (
     RoutingTable,
     compute_routes,
@@ -66,6 +71,9 @@ _ORACLE_DIVERGENCES = get_registry().counter(
     "Differential comparisons that found a mismatch, by computation mode",
     labels=("mode",),
 )
+
+#: Mode of the partial scalar tree read source by source, pulls only.
+LAZY_MODE = "scalar-lazy"
 
 #: Workers of the pooled mode's session: two are enough to split the
 #: destinations into several shards and to put shard boundaries under
@@ -282,6 +290,8 @@ class DifferentialOracle:
                 if found is not None:
                     break
             if found is None:
+                found = self._check_lazy(reference, snapshot, digest)
+            if found is None:
                 found = first_divergence(
                     reference, serial[destination], "session-serial"
                 )
@@ -322,6 +332,32 @@ class DifferentialOracle:
                 serial[destination] if found is None else reference,
             )
         return OracleCheck(divergences, references)
+
+    def _check_lazy(
+        self, reference: RoutingTable, snapshot, digest: str
+    ) -> Optional[Divergence]:
+        """A fresh scalar tree read source by source before it completes
+        (mode ``scalar-lazy``): each AS pulled on its own and its route
+        compared, in a random order seeded by the graph's digest and the
+        destination — so a replay that reaches the same graph reads in
+        the same order — then the whole tree, completed."""
+        destination = reference.destination
+        tree = scalar.compute_routes_snapshot(snapshot, destination)
+        candidate = RoutingTable(self.graph, destination, tree)
+        sources = list(snapshot.asns)
+        random.Random(f"{digest}:{destination}").shuffle(sources)
+        _ORACLE_CHECKS.labels(mode=LAZY_MODE).inc()
+        for asn in sources:
+            tree.pull((snapshot.index[asn],))
+            want, got = reference.best(asn), candidate.best(asn)
+            if want != got:
+                _ORACLE_DIVERGENCES.labels(mode=LAZY_MODE).inc()
+                return Divergence(
+                    LAZY_MODE, destination, asn,
+                    None if want is None else want.path,
+                    None if got is None else got.path,
+                )
+        return first_divergence(reference, candidate, LAZY_MODE, per_as=False)
 
     def _check_pinned(self, reference: RoutingTable) -> Optional[Divergence]:
         """The pinned walk against the reference's, on one pin: the

@@ -115,6 +115,19 @@ def test_guard_covers_session_core():
         <= set(guard.SLOW_CALLS)
 
 
+def test_guard_flags_a_completion_in_the_cache_module():
+    """The re-stamp probe pulls a partial tree's failed-link endpoints;
+    completing the tree there would settle the descent under the lock."""
+    guard = _load_guard()
+    source = textwrap.dedent("""
+        def restamp(self, old, new, changed):
+            for key, table in self._entries.items():
+                table._tree.complete()
+    """)
+    assert [(line, call) for _, line, call
+            in guard.check_source(source, held=True)] == [(4, "complete")]
+
+
 def test_guard_covers_the_miro_runtime():
     guard = _load_guard()
     assert "src/repro/miro/runtime.py" in guard.GUARDED_FILES

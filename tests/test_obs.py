@@ -425,40 +425,63 @@ class TestRoutingInstruments:
     def test_phase_timings_recorded(self, paper_graph):
         from repro.bgp import kernels
 
-        # the scalar kernel times its phases under mode="full", the
-        # batched wave kernel under mode="batched" — assert on whichever
-        # backend this run settles with (REPRO_KERNEL-sensitive)
-        phase_mode = "batched" if kernels.resolve() == "batched" else "full"
-        compute_routes(paper_graph, F)
-        snap = get_registry().snapshot()
-        phases = {
-            s["labels"]["phase"]: s
-            for s in snap["repro_routing_phase_seconds"]["samples"]
-            if s["labels"]["mode"] == phase_mode
+        def samples(family, label):
+            return {
+                s["labels"][label]: s
+                for s in get_registry().snapshot()[family]["samples"]
+            }
+
+        def phases(mode):
+            return {
+                s["labels"]["phase"]: s["count"]
+                for s in get_registry().snapshot()[
+                    "repro_routing_phase_seconds"]["samples"]
+                if s["labels"]["mode"] == mode and s["count"]
+            }
+
+        # the batched wave kernel times all three phases under
+        # mode="batched"; the scalar kernel's fill times the first two
+        # under mode="partial", and its completion the descent — assert
+        # on whichever backend this run settles with
+        # (REPRO_KERNEL-sensitive)
+        table = compute_routes(paper_graph, F)
+        tables = {
+            mode: s["value"] for mode, s in samples(
+                "repro_routing_tables_total", "mode").items()
         }
-        assert set(phases) == {"phase1_climb", "phase2_peer", "phase3_descend"}
-        assert all(s["count"] == 1 for s in phases.values())
         # reset() keeps zeroed children from earlier tests, so assert on
         # per-mode values rather than the exact sample set
-        tables = {
-            s["labels"]["mode"]: s["value"]
-            for s in snap["repro_routing_tables_total"]["samples"]
-        }
-        assert tables["full"] == 1
         assert tables.get("incremental", 0) == 0
+        all_three = {"phase1_climb": 1, "phase2_peer": 1, "phase3_descend": 1}
+        if kernels.resolve() == "batched":
+            assert tables["full"] == 1
+            assert phases("batched") == all_three
+            return
+        assert tables["partial"] == 1 and tables.get("full", 0) == 0
+        assert phases("partial") == {"phase1_climb": 1, "phase2_peer": 1}
+        list(table.items())  # a whole-table read completes the descent
+        assert phases("partial") == all_three
+        descents = samples("repro_routing_descents_total", "how")
+        assert descents["completion"]["value"] == 1
 
     def test_routing_spans_when_enabled(self, paper_graph):
         from repro.bgp import kernels
 
-        # the scalar kernel spans each table; the dispatcher spans the call
-        per_table = [] if kernels.resolve() == "batched" else ["compute_routes"]
+        # the batched kernel spans each phase; the scalar kernel spans
+        # each table around its climb and peer phases, and the descent
+        # when a whole-table read completes it; the dispatcher spans
+        # the call
+        if kernels.resolve() == "batched":
+            settled = ["phase1_climb", "phase2_peer", "phase3_descend"]
+            completed = []
+        else:
+            settled = ["phase1_climb", "phase2_peer", "compute_routes"]
+            completed = ["phase3_descend"]
         get_tracer().enable()
-        compute_routes(paper_graph, F)
+        table = compute_routes(paper_graph, F)
+        list(table.items())
         names = [e["name"] for e in get_tracer().events()]
-        assert names == [
-            "phase1_climb", "phase2_peer", "phase3_descend", *per_table,
-            "settle_many",
-        ]
+        assert names == [*settled, "settle_many", *completed]
 
 
 class TestSessionInstruments:
@@ -498,6 +521,8 @@ class TestSessionInstruments:
         )
 
     def test_parallel_fanout_merges_worker_metrics(self, small_graph):
+        from repro.bgp import kernels
+
         session = SimulationSession(small_graph, parallel=True, max_workers=2)
         destinations = small_graph.ases[:20]
         session.compute_many(destinations)
@@ -506,7 +531,9 @@ class TestSessionInstruments:
             s["labels"]["mode"]: s["value"]
             for s in snap["repro_routing_tables_total"]["samples"]
         }
-        assert tables.get("full") == len(destinations)
+        # a worker's scalar fill is partial; it ships the completed tree
+        mode = "full" if kernels.resolve() == "batched" else "partial"
+        assert tables.get(mode) == len(destinations)
 
 
 class TestNegotiationInstruments:

@@ -863,6 +863,27 @@ class TestRestamp:
         assert session.peek(F) is table
         assert session.stats["misses"] == 1
 
+    def test_an_unresolved_tree_edge_is_pulled_before_the_probe(
+        self, paper_graph, monkeypatch
+    ):
+        """A's descent route ABEF is not settled by the scalar fill, so
+        the A–B probe must pull A first: aliased, the table's later pull
+        on the old snapshot would serve the dead link."""
+        from repro.bgp import kernels
+
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "scalar")
+        session = SimulationSession(paper_graph, parallel=False)
+        table = session.compute(F)
+        a = paper_graph.snapshot().index_of(A)
+        assert table._tree.parent[a] == -1  # unresolved
+        session.mutate(TopologyDelta.link_down(A, B).apply)
+        assert restamps() == 0
+        assert table._tree._descent is not None  # pulled, not completed
+        assert session.peek(F) is None
+        # derived from the old table, which the derivation completes
+        assert session.compute(F).default_path(A) == (A, D, E, F)
+        assert table.default_path(A) == (A, B, E, F)  # the old state
+
     def test_cut_tree_is_derived_on_first_lookup(self, paper_graph):
         session = SimulationSession(paper_graph, parallel=False)
         table = session.compute(F)

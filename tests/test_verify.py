@@ -380,6 +380,7 @@ class TestOracle:
         assert fresh._routes is None
 
         tree = compute_routes_snapshot(snapshot, F)
+        tree.complete()  # the planted entry is the one every read sees
         assert tree.parent[a] == b
         tree.parent[a] = d                  # the walk now says A-D-E-F
         found = first_divergence(
@@ -388,6 +389,7 @@ class TestOracle:
         assert found.expected == (A, B, E, F) and found.actual == (A, D, E, F)
 
         tree = compute_routes_snapshot(snapshot, F)
+        tree.complete()
         table = RoutingTable(paper_graph, F, tree)
         assert table.best(A).route_class is RouteClass.PROVIDER
         slices = bytearray(tree._slices)
@@ -410,6 +412,18 @@ class TestOracle:
         assert oracle.check().ok  # incremental ancestors now exercised
         applied.revert()
         assert oracle.check(include_pool=False).ok
+
+    def test_a_partial_tree_is_read_before_it_completes(
+        self, paper_graph, monkeypatch
+    ):
+        """Mode ``scalar-lazy`` reads a fresh scalar tree source by
+        source, pulls only: a fault in what only a partial tree answers
+        shows there, though every completed read is right."""
+        from repro.bgp.kernels.scalar import Descent
+
+        monkeypatch.setattr(Descent, "code", lambda self, i: 3)
+        result = DifferentialOracle(paper_graph, [F, E]).check()
+        assert {d.mode for d in result.divergences} == {"scalar-lazy"}
 
     def test_ancestors_are_tree_backed_so_rederivation_runs(self, small_graph):
         """A dict-backed ancestor would make every ``incremental@v…``
@@ -707,6 +721,7 @@ class TestAudit:
         session = SimulationSession(paper_graph)
         snapshot = paper_graph.snapshot()
         tree = compute_routes_snapshot(snapshot, F)
+        tree.complete()  # the planted entry is the one every read sees
         tree.parent[snapshot.index_of(A)] = snapshot.index_of(D)  # A-D-E-F
         session.adopt(RoutingTable(paper_graph, F, tree))
         result = audit_session(session, destinations=[F])

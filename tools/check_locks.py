@@ -57,8 +57,10 @@ HELD_FILES = (
 #: included), the batch helpers that wrap them, the
 #: O(n) expansion of a route tree into every route (``RouteTree.expand``,
 #: which ``RoutingTable.items`` returns; ``mutate()`` runs caller code
-#: under the lock), the affected-set walk (O(n) over a
-#: tree a failure cuts; ``mutate()``'s re-stamp probes with
+#: under the lock), the completion of a partial tree's descent
+#: (``RouteTree.complete``, the wave loop's third phase: the re-stamp's
+#: probe only pulls the failed links' endpoints), the affected-set walk
+#: (O(n) over a tree a failure cuts; ``mutate()``'s re-stamp probes with
 #: ``cut_tree_edges`` instead), the O(links) derivation of a topology
 #: snapshot (every warm ``peek`` would wait behind it), the §3.3
 #: negotiation ``exchange`` (its ``candidates()`` reads build a route
@@ -70,6 +72,7 @@ SLOW_CALLS = frozenset({
     "compute_many",
     "compute_routes",
     "compute_routes_reference",
+    "complete",
     "recompute_routes",
     "affected_ases",
     "exchange",
