@@ -4,9 +4,11 @@ All three run in index space on a frozen
 :class:`~repro.topology.snapshot.TopologySnapshot`:
 :func:`settle_waves`, the one wave loop, which
 :func:`compute_routes_snapshot` (the ``scalar`` kernel) runs from the
-destination alone and :func:`resettle` restarts from a settled tree with
-the affected subtrees cleared; and :func:`settle_pinned`, the heap walk
-of a pinned request, whose result is not a tree.
+destination alone — two phases, the descent left to a
+:class:`Descent` that pulls it per AS and completes it on demand — and
+:func:`resettle` restarts from a settled tree with the affected
+subtrees cleared; and :func:`settle_pinned`, the heap walk of a pinned
+request, whose result is not a tree.
 
 The heap walks order entries by ``(length, path)``, a distinct pair per
 entry, so the selected table is independent of neighbour-iteration
