@@ -6,7 +6,8 @@ table has two costs and this file records them apart, per table, for
 both backends at verify-500 and at the internet-10k scaling profile:
 
 * **settle** — the three propagation phases plus assembling the tree
-  (what a ``source`` lookup pays); and
+  (what a ``source`` lookup pays on the batched backend; the scalar
+  kernel's fill is timed here completed, the same work); and
 * **materialize** — expanding a tree into every ``(asn, Route)`` through
   ``RoutingTable.items()`` (what a whole-table reader pays on top, per
   read; identical code for either backend, so it is measured once per
@@ -71,10 +72,16 @@ def _fastest(sweep, destinations):
 
 
 def _settle_scalar(snapshot, destinations):
-    return _fastest(
-        lambda ds: {d: compute_routes_snapshot(snapshot, d) for d in ds},
-        destinations,
-    )
+    """The scalar kernel's fills, completed: all three phases, the work
+    a batched sweep does (a fill alone leaves the descent to be pulled
+    per AS — ``benchmarks/test_partial_fill.py`` times that)."""
+    def sweep(ds):
+        trees = {d: compute_routes_snapshot(snapshot, d) for d in ds}
+        for tree in trees.values():
+            tree.complete()
+        return trees
+
+    return _fastest(sweep, destinations)
 
 
 def _settle_batched(snapshot, destinations):

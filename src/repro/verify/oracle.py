@@ -74,6 +74,10 @@ _ORACLE_DIVERGENCES = get_registry().counter(
 
 #: Mode of the partial scalar tree read source by source, pulls only.
 LAZY_MODE = "scalar-lazy"
+#: ASes that mode reads per destination before the tree completes: every
+#: AS of a small graph; at gao-2005 a pull costs ~20 µs, and reading all
+#: 1,050 would add ~45% to an oracle round.
+LAZY_READS = 128
 
 #: Workers of the pooled mode's session: two are enough to split the
 #: destinations into several shards and to put shard boundaries under
@@ -337,15 +341,16 @@ class DifferentialOracle:
         self, reference: RoutingTable, snapshot, digest: str
     ) -> Optional[Divergence]:
         """A fresh scalar tree read source by source before it completes
-        (mode ``scalar-lazy``): each AS pulled on its own and its route
-        compared, in a random order seeded by the graph's digest and the
-        destination — so a replay that reaches the same graph reads in
-        the same order — then the whole tree, completed."""
+        (mode ``scalar-lazy``): up to :data:`LAZY_READS` ASes, each
+        pulled on its own and its route compared, in a random order
+        seeded by the graph's digest and the destination — so a replay
+        that reaches the same graph reads the same ASes in the same
+        order — then the whole tree, completed."""
         destination = reference.destination
         tree = scalar.compute_routes_snapshot(snapshot, destination)
         candidate = RoutingTable(self.graph, destination, tree)
-        sources = list(snapshot.asns)
-        random.Random(f"{digest}:{destination}").shuffle(sources)
+        rng = random.Random(f"{digest}:{destination}")
+        sources = rng.sample(snapshot.asns, min(LAZY_READS, snapshot.n))
         _ORACLE_CHECKS.labels(mode=LAZY_MODE).inc()
         for asn in sources:
             tree.pull((snapshot.index[asn],))
