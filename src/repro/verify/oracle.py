@@ -351,11 +351,12 @@ class DifferentialOracle:
         candidate = RoutingTable(self.graph, destination, tree)
         rng = random.Random(f"{digest}:{destination}")
         sources = rng.sample(snapshot.asns, min(LAZY_READS, snapshot.n))
-        _ORACLE_CHECKS.labels(mode=LAZY_MODE).inc()
         for asn in sources:
             tree.pull((snapshot.index[asn],))
             want, got = reference.best(asn), candidate.best(asn)
             if want != got:
+                # counted as first_divergence counts the check it skips
+                _ORACLE_CHECKS.labels(mode=LAZY_MODE).inc()
                 _ORACLE_DIVERGENCES.labels(mode=LAZY_MODE).inc()
                 return Divergence(
                     LAZY_MODE, destination, asn,
