@@ -1,20 +1,22 @@
 """Disabled-instrumentation overhead of the ``repro.obs`` layer.
 
-The routing hot path carries permanent instrumentation: one
-``compute_routes`` span, three phase spans, three phase-timer histogram
-observations and one tables-total increment per table.  With the tracer
-disabled (the default), each span is the shared no-op singleton, so all
-of that must be noise next to the actual three-phase settling.  This
-benchmark replays the exact per-table instrumentation sequence against a
-500-AS topology's measured ``compute_routes`` time — the scalar fill and
-the completion of its descent, so all three phases — and asserts the
-no-op cost stays under 5% of it.  The two are timed in interleaved rounds and
-each side's fastest round is compared, so one collection or scheduler
-stall on either side cannot decide the gate.  The graph's snapshot is
-made before any clock starts, so the compute side times settling alone
-— what a warm session lookup's instrumentation rides on.
+The routing hot path carries permanent instrumentation: the scalar
+fill opens one ``compute_routes`` span, times its two phases into the
+phase histograms and increments the tables total once; the pull of a
+first read is not instrumented.  With the tracer disabled (the default),
+the span is the shared no-op singleton, so all of that must be noise
+next to the settling itself.  This benchmark replays the exact per-table
+instrumentation sequence against what a table read once costs on a
+500-AS topology — ``compute_routes`` and one path from the table, the
+fill plus one pull — and asserts the no-op cost stays under 5% of it.
+The two are timed in interleaved rounds and each side's fastest round
+is compared, so one collection or scheduler stall on either side cannot
+decide the gate.  The graph's snapshot is made before any clock starts,
+so the compute side times settling alone — what a cold session lookup's
+instrumentation rides on.
 """
 
+import random
 import time
 
 from repro.bgp import routing
@@ -33,24 +35,23 @@ SEED = 7
 
 
 def _instrumentation_replay(n_tables: int) -> None:
-    """The exact disabled-path instrumentation one compute_routes runs,
-    and the completion of the partial tree it returns."""
+    """The exact disabled-path instrumentation one compute_routes runs
+    (a scalar fill: :func:`scalar.settle_waves` over two phases)."""
     tracer = get_tracer()
     for _ in range(n_tables):
-        with tracer.span("compute_routes", destination=0, pinned=0):
-            for index in range(2):
-                with scalar.phase_span(index, "partial", 0):
-                    pass
-        routing.TABLES_TOTAL.labels(mode="partial").inc()
-        with scalar.phase_span(2, "partial", 0):
-            pass
-        scalar._COMPLETIONS.inc()
+        with tracer.span("compute_routes", destination=0):
+            timers = scalar._PHASE_TIMERS.get("partial")
+            for phase in range(2):
+                start = time.perf_counter()
+                scalar._timed(timers[phase], phase, 0, start)
+        scalar._TABLES_PARTIAL.inc()
 
 
 def test_disabled_instrumentation_under_5_percent(benchmark, bench_report):
     graph = generate_topology(PROFILE, seed=SEED)
     assert len(graph.ases) == 500
     destinations = graph.ases[:N_TABLES]
+    sources = random.Random(SEED).sample(graph.ases, N_TABLES)
     graph.snapshot()  # every settle below reads this memo
     tracer = get_tracer()
     tracer.disable()
@@ -59,10 +60,10 @@ def test_disabled_instrumentation_under_5_percent(benchmark, bench_report):
         compute, replay = [], []
         for _ in range(ROUNDS):
             start = time.perf_counter()
-            for destination in destinations:
-                # the scalar fill's two phases, then its completion's
-                # descent: the three-phase settle the replay instruments
-                routing.compute_routes(graph, destination)._tree.complete()
+            for destination, source in zip(destinations, sources):
+                # the fill, and the pull of the table's one read
+                routing.compute_routes(graph, destination).default_path(
+                    source)
             compute.append(time.perf_counter() - start)
 
             start = time.perf_counter()

@@ -31,7 +31,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...obs import DEFAULT_SIZE_BUCKETS, get_registry, get_tracer
 from ...topology.graph import ASGraph
-from ...topology.snapshot import PHASE_CLASSES, TopologySnapshot
+from ...topology.snapshot import (
+    CLASS_PROVIDER, PHASE_CLASSES, TopologySnapshot,
+)
 from ..policy import classify_path
 from ..route import Route, RouteClass
 from ..routing import NO_ROUTE, TABLES_TOTAL, RouteTree
@@ -51,14 +53,6 @@ _FRONTIER_SIZE = get_registry().histogram(
 )
 _TABLES_FULL = TABLES_TOTAL.labels(mode="full")
 _TABLES_PARTIAL = TABLES_TOTAL.labels(mode="partial")
-_DESCENTS = get_registry().counter(
-    "repro_routing_descents_total",
-    "Descents of partially settled tables resolved on demand: per-AS "
-    "pulls, and whole-tree completions",
-    labels=("how",),
-)
-_PULLS = _DESCENTS.labels(how="pull")
-_COMPLETIONS = _DESCENTS.labels(how="completion")
 
 _PHASE_NAMES = ("phase1_climb", "phase2_peer", "phase3_descend")
 #: mode -> one phase timer per phase: ``partial`` (the scalar kernel:
@@ -74,27 +68,35 @@ _PHASE_TIMERS = {
 }
 
 
+def _timed(timer, phase: int, destination: int, start: float) -> None:
+    """Observe a settling phase begun at ``start`` (a ``perf_counter``
+    reading) into ``timer``, and record its span if tracing."""
+    timer.observe(time.perf_counter() - start)
+    if _TRACER.enabled:
+        _TRACER.record(_PHASE_NAMES[phase], start, destination=destination)
+
+
 class phase_span:
     """Time one settling phase into its histogram (and a span if tracing).
 
-    A slotted class, not a generator context manager: each settle opens
-    three, and with tracing off (the tracer's no-op span) these few
-    attribute reads are all the instrumentation a phase pays.
+    A slotted class, not a generator context manager: with tracing off
+    a phase pays two clock reads and one histogram observation.
+    :func:`settle_waves` calls :func:`_timed` itself.
     """
 
-    __slots__ = ("_span", "_timer", "_start")
+    __slots__ = ("_phase", "_timer", "_destination", "_start")
 
     def __init__(self, phase: int, mode: str, destination: int) -> None:
-        self._span = _TRACER.span(_PHASE_NAMES[phase], destination=destination)
+        self._phase = phase
         self._timer = _PHASE_TIMERS[mode][phase]
+        self._destination = destination
 
     def __enter__(self) -> None:
-        self._span.__enter__()
         self._start = time.perf_counter()
 
     def __exit__(self, *exc: object) -> bool:
-        self._timer.observe(time.perf_counter() - self._start)
-        return self._span.__exit__(*exc)
+        _timed(self._timer, self._phase, self._destination, self._start)
+        return False
 
 
 #: Route-class codes the loops settle with — the :class:`RouteClass`
@@ -116,20 +118,22 @@ _EDIT_KEY = itemgetter(0, 1)
 
 
 def settle_waves(
-    snapshot: TopologySnapshot,
+    phase_nbrs: Sequence[Tuple[Sequence, Sequence]],
     destination: int,
     parent: List[int],
     depth: List[int],
     holders: List[int],
     border: Sequence[Sequence[int]] = ((), (), ()),
-    mode: str = "full",
+    mode: Optional[str] = "full",
     phases: Sequence[int] = (0, 1, 2),
 ) -> List[Tuple[int, int]]:
     """Settle every unrouted node of ``parent``, one depth level at a time.
 
     The one settling loop, run over ``phases`` (all three by default):
-    a fill runs the first two from the destination alone and
-    :meth:`Descent.complete` the descent from where the fill stopped.
+    a fill runs the first two from the destination alone,
+    :meth:`Descent.complete` the descent from where the fill stopped,
+    and :meth:`Descent.pull` the descent of a closure.  Each phase is
+    timed under ``mode`` (a pull's, ``None``, is not).
     A full settle passes ``parent`` with only
     the destination routed and ``holders == [dest]``; :func:`resettle`
     passes a settled tree's parents with a region cleared (``-1``) and
@@ -151,50 +155,54 @@ def settle_waves(
     still-unrouted neighbour to its offerer — the smallest index writes
     last — and the targets adopt in ascending index order, the heap
     walk's pop order exactly.  Offerers read their neighbours from
-    ``snapshot.phase_nbrs``, one tuple per node and phase, pre-sliced.
+    ``phase_nbrs`` (a snapshot's: one tuple per node and phase,
+    pre-sliced).
     """
+    timers = _PHASE_TIMERS.get(mode)
     spans = []
     for phase in phases:
-        seed, expand = snapshot.phase_nbrs[phase]
-        with phase_span(phase, mode, destination):
-            # Each node offers across its seed links if it held a route
-            # before this phase, else across its expansion links.  The
-            # view is copied only for a holder whose two differ (equal
-            # sets share one tuple): a copy touches every node's tuple.
-            nbrs = expand
-            for i in holders:
-                if seed[i] is not expand[i]:
-                    if nbrs is expand:
-                        nbrs = list(expand)
-                    nbrs[i] = seed[i]
-            levels: Dict[int, List[int]] = {}
-            for group in (holders, border[phase]):
-                for i in group:
-                    if nbrs[i]:
-                        levels.setdefault(depth[i], []).append(i)
-            holders += border[phase]
-            first = len(holders)
-            adopters: List[int] = []
-            wave = min(levels, default=0) + 1
-            while levels or adopters:
-                offerers = levels.pop(wave - 1, None)
-                if offerers:
-                    offerers += adopters
-                    offerers.sort(reverse=True)
-                else:
-                    offerers = reversed(adopters)
-                bucket = {
-                    nb: i
-                    for i in offerers
-                    for nb in nbrs[i]
-                    if parent[nb] < 0
-                }
-                adopters = sorted(bucket)
-                for v in adopters:
-                    parent[v] = bucket[v]
-                    depth[v] = wave
-                holders += adopters
-                wave += 1
+        seed, expand = phase_nbrs[phase]
+        start = time.perf_counter()
+        # Each node offers across its seed links if it held a route
+        # before this phase, else across its expansion links.  The
+        # view is copied only for a holder whose two differ (equal
+        # sets share one tuple): a copy touches every node's tuple.
+        nbrs = expand
+        for i in holders:
+            if seed[i] is not expand[i]:
+                if nbrs is expand:
+                    nbrs = list(expand)
+                nbrs[i] = seed[i]
+        levels: Dict[int, List[int]] = {}
+        for group in (holders, border[phase]):
+            for i in group:
+                if nbrs[i]:
+                    levels.setdefault(depth[i], []).append(i)
+        holders += border[phase]
+        first = len(holders)
+        adopters: List[int] = []
+        wave = min(levels, default=0) + 1
+        while levels or adopters:
+            offerers = levels.pop(wave - 1, None)
+            if offerers:
+                offerers += adopters
+                offerers.sort(reverse=True)
+            else:
+                offerers = reversed(adopters)
+            bucket = {
+                nb: i
+                for i in offerers
+                for nb in nbrs[i]
+                if parent[nb] < 0
+            }
+            adopters = sorted(bucket)
+            for v in adopters:
+                parent[v] = bucket[v]
+                depth[v] = wave
+            holders += adopters
+            wave += 1
+        if timers is not None:
+            _timed(timers[phase], phase, destination, start)
         spans.append((first, len(holders)))
     return spans
 
@@ -203,34 +211,31 @@ class Descent:
     """The descent of a partially settled tree, resolved on demand.
 
     What :func:`compute_routes_snapshot` keeps of its fill: the snapshot,
-    the ``depth`` column (a pull writes an adopter's depth here before
-    its parent) and ``held``, each node routed before the descent by its
-    slice code (0 the destination, 1 climb, 2 peer).  A
+    the tree's partial ``parent`` column (pulls write only into this
+    one), the ``depth`` column and ``held``, each node routed before the
+    descent by its slice code (0 the destination, 1 climb, 2 peer).  A
     :class:`~repro.bgp.routing.RouteTree` holds one until it completes,
-    and calls :meth:`pull` and :meth:`complete`; both give exactly what
-    the descent of :func:`settle_waves` gives.
-
-    In the descent an unrouted ``v`` adopts at depth ``1 + min d(u)``
-    over its offerers: its routed providers, and its siblings that
-    adopted in the descent.  Its parent is the smallest offerer index at
-    the depth above.  A holder from before the descent offers across
-    customer links only, but every sibling of one is a holder too (the
-    climb and the peer phase spread across sibling links), so an
-    unrouted node's routed siblings all adopted in the descent.
+    and counts its own first pull in ``pulls``.  :meth:`pull` and
+    :meth:`complete` both run the descent of :func:`settle_waves`, so
+    they give exactly what a full settle gives.
     """
 
-    __slots__ = ("snapshot", "destination", "depth", "held", "pulls", "lock")
+    __slots__ = (
+        "snapshot", "destination", "parent", "depth", "held", "pulls", "lock",
+    )
 
     def __init__(
         self,
         snapshot: TopologySnapshot,
         destination: int,
+        parent: List[int],
         depth: List[int],
         order: List[int],
         peer_from: int,
     ) -> None:
         self.snapshot = snapshot
         self.destination = destination
+        self.parent = parent
         self.depth = depth
         held = dict.fromkeys(order[peer_from:], 2)
         held.update(dict.fromkeys(order[1:peer_from], 1))
@@ -243,89 +248,92 @@ class Descent:
         """Routed node ``i``'s slice code: a descent adopter's is 3."""
         return self.held.get(i, 3)
 
-    def pull(self, parent: List[int], sources: Iterable[int]) -> None:
-        """Resolve the unresolved (``-1``) ``sources`` in ``parent``.
+    def pull(self, sources: Iterable[int]) -> None:
+        """Resolve the unresolved (``-1``) ``sources`` of ``parent``.
 
-        Walks back from the sources over every node that may offer them
-        a route until it reaches resolved ones — the closure — settles
-        the closure level by level from the routed offerers around it,
-        and publishes when done: every depth, then the parents in
-        adoption order (a node's parent before the node), then
+        Walks the descent's links backwards from the sources — a node
+        hears from its providers and siblings — until it reaches routed
+        nodes: the closure, and the routed nodes around it.  Then runs
+        the descent of :func:`settle_waves` on those nodes alone,
+        renumbered in ascending index order so the loop's smallest-index
+        rule holds, and publishes when done: the depths, then the
+        parents in adoption order, then
         :data:`~repro.bgp.routing.NO_ROUTE` on the closure nodes left
         unrouted.  The values are the descent's own, so a racing pull
         writes the same ones.
         """
-        # a node's providers and siblings: the climb's links
-        uphill = self.snapshot.phase_nbrs[0][0]
-        depth = self.depth
-        # closure node -> the nodes that may offer it a route; closure
-        # node -> the closure nodes it may offer one to
-        offers: Dict[int, List[int]] = {}
-        below: Dict[int, List[int]] = {}
+        parent = self.parent
+        snapshot = self.snapshot
+        # whose customer links reach a node, and whose customer and
+        # sibling links do: the descent's seed and expansion, reversed
+        seeded_by = snapshot.class_nbrs[CLASS_PROVIDER]
+        reached_by = snapshot.phase_nbrs[0][0]
+        closure: List[int] = []
+        routed: List[int] = []
+        seen: Set[int] = set()
         stack = [v for v in sources if parent[v] == -1]
         while stack:
             v = stack.pop()
-            if v in offers:
+            if v in seen:
                 continue
-            offerers = offers[v] = []
-            for u in uphill[v]:
+            seen.add(v)
+            closure.append(v)
+            for u in reached_by[v]:
                 hop = parent[u]
                 if hop == -1:
                     stack.append(u)
-                    below.setdefault(u, []).append(v)
-                elif hop < 0:
-                    continue  # no route to offer
-                offerers.append(u)
-        if not offers:
+                elif hop >= 0 and u not in seen:
+                    seen.add(u)
+                    routed.append(u)
+        if not closure:
             return
-        self.pulls += 1
-        _PULLS.inc()
-        # depths, from the routed offerers around the closure
-        heap = []
-        for v, offerers in offers.items():
-            outside = [depth[u] for u in offerers if u not in offers]
-            if outside:
-                heap.append((min(outside) + 1, v))
-        heapq.heapify(heap)
-        adopted: Dict[int, int] = {}
-        while heap:
-            d, v = heapq.heappop(heap)
-            if v not in adopted:
-                adopted[v] = d
-                for w in below.get(v, ()):
-                    if w not in adopted:
-                        heapq.heappush(heap, (d + 1, w))
-        hops = {
-            v: min(
-                u for u in offers[v]
-                if adopted.get(u, -1) == d - 1
-                or u not in offers and depth[u] == d - 1
-            )
-            for v, d in adopted.items()
-        }
-        for v, d in adopted.items():
-            depth[v] = d
-        for v, hop in hops.items():
-            parent[v] = hop
-        for v in offers:
-            if v not in adopted:
+        # the closure's own numbering, links and parent view (only the
+        # closure unrouted)
+        nodes = sorted(seen)
+        local = {v: k for k, v in enumerate(nodes)}
+        seed: List[List[int]] = [[] for _ in nodes]
+        expand: List[List[int]] = [[] for _ in nodes]
+        view = [0] * len(nodes)
+        for v in closure:
+            k = local[v]
+            view[k] = -1
+            for u in reached_by[v]:
+                if u in local:
+                    expand[local[u]].append(k)
+            for u in seeded_by[v]:
+                if u in local:
+                    seed[local[u]].append(k)
+        depth = self.depth
+        levels = [depth[v] for v in nodes]
+        held = self.held
+        holders = [local[u] for u in routed if u in held]
+        adopted = [local[u] for u in routed if u not in held]
+        ((first, stop),) = settle_waves(
+            ((), (), (seed, expand)), self.destination, view, levels,
+            holders, ((), (), adopted), mode=None, phases=(2,),
+        )
+        adopters = holders[first:stop]
+        for k in adopters:
+            depth[nodes[k]] = levels[k]
+        for k in adopters:
+            parent[nodes[k]] = nodes[view[k]]
+        for v in closure:
+            if view[local[v]] < 0:
                 parent[v] = NO_ROUTE
 
-    def complete(
-        self, order: List[int], parent: List[int]
-    ) -> Tuple[List[int], List[int]]:
+    def complete(self, order: List[int]) -> Tuple[List[int], List[int]]:
         """The full tree's ``order`` and ``parent``, fresh: the fill's
         ``order`` and the parents of the nodes on it, then the descent
         of :func:`settle_waves` — pulled entries are settled again."""
         fresh = [-1] * self.snapshot.n
+        parent = self.parent
         for i in order:
             fresh[i] = parent[i]
         holders = list(order)
         settle_waves(
-            self.snapshot, self.destination, fresh, self.depth, holders,
-            mode="partial", phases=(2,),
+            self.snapshot.phase_nbrs, self.destination, fresh, self.depth,
+            holders, mode="partial", phases=(2,),
         )
-        _COMPLETIONS.inc()
         return holders, fresh
 
 
@@ -351,13 +359,14 @@ def compute_routes_snapshot(
     depth = [0] * n
     with _TRACER.span("compute_routes", destination=destination):
         (_, peer_from), (_, provider_from) = settle_waves(
-            snapshot, destination, parent, depth, order,
+            snapshot.phase_nbrs, destination, parent, depth, order,
             mode="partial", phases=(0, 1),
         )
     _TABLES_PARTIAL.inc()
     return RouteTree(
         snapshot.asns, snapshot.index, order, parent, peer_from,
-        provider_from, Descent(snapshot, destination, depth, order, peer_from),
+        provider_from,
+        Descent(snapshot, destination, parent, depth, order, peer_from),
     )
 
 
@@ -512,7 +521,8 @@ def resettle(
     _FRONTIER_SIZE.observe(len(holders) + sum(map(len, border)))
 
     spans = settle_waves(
-        snapshot, destination, parent, depth, holders, border, "incremental"
+        snapshot.phase_nbrs, destination, parent, depth, holders, border,
+        "incremental",
     )
     phases = [holders[first:stop] for first, stop in spans]
 

@@ -50,9 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _TRACER = get_tracer()
 _REGISTRY = get_registry()
 #: Tables settled, by how: ``partial`` (the scalar kernel's fills, whose
-#: descent is resolved on demand — ``repro_routing_descents_total``
-#: counts the completions), ``full`` (the batched kernel and the pinned
-#: walk, in :mod:`repro.bgp.kernels`), ``incremental``, ``reference``.
+#: descent is resolved on demand — the completions are the count of
+#: ``repro_routing_phase_seconds{mode="partial",phase="phase3_descend"}``),
+#: ``full`` (the batched kernel and the pinned walk, in
+#: :mod:`repro.bgp.kernels`), ``incremental``, ``reference``.
 TABLES_TOTAL = _REGISTRY.counter(
     "repro_routing_tables_total",
     "Stable-state routing tables settled, by computation mode",
@@ -150,30 +151,34 @@ class RouteTree:
         with descent.lock:
             if self._descent is None:
                 return  # another thread completed it
-            order, parent = descent.complete(self._order, self.parent)
+            order, parent = descent.complete(self._order)
             object.__setattr__(self, "_order", order)
             object.__setattr__(self, "parent", parent)
             object.__setattr__(self, "_descent", None)
 
     def pull(self, nodes: Iterable[int]) -> Sequence[int]:
-        """Resolve ``nodes`` (snapshot indices) by one pull, never
-        completing the tree; returns the ``parent`` column they are
-        resolved in."""
+        """Resolve ``nodes`` (snapshot indices) by a pull that neither
+        completes the tree nor counts as its first; returns the
+        ``parent`` column they are resolved in."""
         descent = self._descent
-        parent = self.parent
-        if descent is not None:
-            descent.pull(parent, nodes)
-        return parent
+        if descent is None:
+            return self.parent
+        descent.pull(nodes)
+        return descent.parent
 
     def _resolved(self, nodes: Sequence[int]) -> Sequence[int]:
         """The ``parent`` column with ``nodes`` resolved: as it stands,
-        by the tree's first pull, or by completing it."""
-        descent = self._descent  # before ``parent``: see :meth:`complete`
-        parent = self.parent
-        if descent is None or all(parent[i] != -1 for i in nodes):
+        by the tree's first pull, or by completing it.  A pull writes
+        only the descent's own (partial) column, never a completed one."""
+        descent = self._descent
+        if descent is None:
+            return self.parent
+        parent = descent.parent
+        if all(parent[i] != -1 for i in nodes):
             return parent
         if not descent.pulls:
-            descent.pull(parent, nodes)
+            descent.pulls = 1
+            descent.pull(nodes)
             return parent
         self.complete()
         return self.parent

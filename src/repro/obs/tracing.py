@@ -110,6 +110,13 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, args)
 
+    def record(self, name: str, start: float, **args: object) -> None:
+        """Record a span that began at ``start`` (a ``perf_counter``
+        reading) and ends now — for a caller that times the interval
+        anyway; a no-op while disabled."""
+        if self._enabled:
+            self._record(name, start, time.perf_counter() - start, args)
+
     def _record(
         self, name: str, start: float, duration: float, args: Dict[str, Any]
     ) -> None:

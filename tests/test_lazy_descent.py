@@ -36,7 +36,7 @@ def full_settle(snapshot, destination):
     parent[dest] = dest
     order = [dest]
     (_, peer_from), (_, provider_from), _ = settle_waves(
-        snapshot, destination, parent, [0] * n, order
+        snapshot.phase_nbrs, destination, parent, [0] * n, order
     )
     return order, parent, peer_from, provider_from
 
@@ -173,9 +173,38 @@ class TestPullExactness:
         far = snapshot.index_of(103)
         assert tree.pull((far,))[far] == NO_ROUTE
         assert tree.path(103) is None and tree.route(103) is None
-        assert tree._descent is not None  # a pull never completes
-        assert tree.path(4) == (4, 2, 1)  # the second pull completes
-        assert tree._descent is None and tree.parent[far] == -1
+        assert tree.path(4) == (4, 2, 1)  # the tree's first pull
+        assert tree._descent is not None and tree._descent.pulls == 1
+        tree.complete()
+        assert tree.parent[far] == -1 and tree.path(103) is None
+
+    def test_an_outside_pull_is_not_the_trees_first(self, paper_graph):
+        """A pull through :meth:`RouteTree.pull` (the re-stamp probe,
+        the oracle) leaves the tree its one pull before completion."""
+        snapshot = paper_graph.snapshot()
+        tree = compute_routes_snapshot(snapshot, F)
+        tree.pull((snapshot.index_of(A),))
+        assert tree._descent.pulls == 0
+        assert tree.path(C) == (C, F)  # resolved by the fill
+        assert tree.path(B) == (B, E, F)  # resolved by the outside pull
+        assert tree._descent is not None and tree._descent.pulls == 0
+
+    def test_a_late_pull_never_writes_a_completed_column(self):
+        """A reader that loaded the descent before a completion swapped
+        the columns pulls into the partial column the descent holds;
+        the complete tree keeps -1 on its unrouted nodes."""
+        graph = two_components()
+        snapshot = graph.snapshot()
+        tree = compute_routes_snapshot(snapshot, 1)
+        descent = tree._descent
+        tree.complete()
+        complete = tree.parent
+        # the reader's view: the new column, and the descent it loaded
+        object.__setattr__(tree, "_descent", descent)
+        far = snapshot.index_of(103)
+        assert tree.path(103) is None
+        assert descent.parent[far] == NO_ROUTE
+        assert complete[far] == -1
 
     def test_a_descent_route_crosses_a_sibling_link(self):
         graph = sibling_graph()

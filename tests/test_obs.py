@@ -459,10 +459,10 @@ class TestRoutingInstruments:
             return
         assert tables["partial"] == 1 and tables.get("full", 0) == 0
         assert phases("partial") == {"phase1_climb": 1, "phase2_peer": 1}
+        assert table.default_path(A) == (A, B, E, F)  # a pull: untimed
+        assert phases("partial") == {"phase1_climb": 1, "phase2_peer": 1}
         list(table.items())  # a whole-table read completes the descent
         assert phases("partial") == all_three
-        descents = samples("repro_routing_descents_total", "how")
-        assert descents["completion"]["value"] == 1
 
     def test_routing_spans_when_enabled(self, paper_graph):
         from repro.bgp import kernels
